@@ -1,13 +1,15 @@
-// Exhaustive schedule enumeration and counting.
+// Exact schedule enumeration and counting.
 //
 // The paper's proof-of-authorship metric is a ratio of schedule counts:
 // Pc ≈ Π ΨW(e)/ΨN(e), where ΨW counts the schedules satisfying the added
-// temporal edge and ΨN counts all schedules (§IV-A, Fig. 3).  "Since the
-// exhaustive enumeration of solutions in general results in exponential
-// runtimes, we have used a trivial exhaustive enumeration technique to
-// calculate these probabilities only for small examples" — this module is
-// exactly that enumerator, with a work budget so callers can fall back to
-// the approximate model (core/pc.h) on large graphs.
+// temporal edge and ΨN counts all schedules (§IV-A, Fig. 3).  The paper
+// used "a trivial exhaustive enumeration technique" for small examples.
+// Here the visitor is that plain depth-first search; the counter walks the
+// same search tree but memoizes subtrees.  Below a level, the tree depends
+// on the placed operations only through the lower bounds they impose on
+// the unplaced ones, so subtrees with equal bounds are counted once.  Both
+// carry a work budget, measured in states of the plain search, so callers
+// can fall back to the approximate model (core/pc.h) on large graphs.
 //
 // A "schedule" here assigns a start step in [0, deadline) to every real
 // operation such that all data/control (and optionally temporal) precedence
@@ -48,25 +50,38 @@ struct EnumerationOptions {
     std::uint32_t hi = 0;
   };
   std::vector<Window> windows;
-  /// Abort knob: maximum number of partial assignments explored.
+  /// Abort knob: maximum number of states of the plain depth-first search
+  /// (partial assignments, complete ones included).  Memoized subtrees are
+  /// charged their full size, so the verdict does not depend on the memo.
   std::uint64_t max_steps = 200'000'000;
 };
 
 /// Result of a counting run.
+///
+/// `steps` is the logical size of the search: the number of states the
+/// plain depth-first search visits, whether the counter expanded a subtree
+/// or took it from its memo.  It does not depend on memoization, so the
+/// same graph and options always give the same `steps` and `exact`.
+///
+/// When `exact` is false the budget ran out: `steps` is max_steps + 1 and
+/// `count` is a lower bound, the schedules found among the first max_steps
+/// states in depth-first order.
 struct CountResult {
   std::uint64_t count = 0;     ///< number of feasible schedules
   bool exact = true;           ///< false when the work budget was hit
-  std::uint64_t steps = 0;     ///< search effort spent
+  std::uint64_t steps = 0;     ///< logical search states (the budget unit)
 };
 
-/// Counts feasible schedules.  Returns exact=false when max_steps was
-/// exhausted (count is then a lower bound).
+/// Counts feasible schedules with a memoized depth-first search.  Returns
+/// exact=false when max_steps was exhausted (see CountResult).  The memo
+/// is private to the call and capped at a fixed size; past the cap,
+/// subtrees are recomputed.
 [[nodiscard]] CountResult countSchedules(const cdfg::Cdfg& g,
                                          const EnumerationOptions& options = {});
 
-/// Enumerates feasible schedules, invoking `visit` for each.  `visit` may
-/// return false to stop early.  Pseudo-ops are pinned (inputs at 0,
-/// outputs after their producers).
+/// Enumerates feasible schedules by plain depth-first search, invoking
+/// `visit` for each.  `visit` may return false to stop early.  Pseudo-ops
+/// are pinned (inputs at 0, outputs after their producers).
 void enumerateSchedules(const cdfg::Cdfg& g, const EnumerationOptions& options,
                         const std::function<bool(const Schedule&)>& visit);
 

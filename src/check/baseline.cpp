@@ -24,136 +24,8 @@ std::string keyOf(const std::string& code, const std::string& artifact,
 }
 
 [[noreturn]] void fail(const std::string& why) {
-  throw std::runtime_error("baseline parse error: " + why);
+  throw std::runtime_error(why);
 }
-
-/// Minimal JSON scanner over the documented baseline shape.  Not a general
-/// JSON parser: objects, arrays, strings (with escapes), and integers are
-/// all the format uses.
-class Scanner {
- public:
-  explicit Scanner(const std::string& text) : text_(text) {}
-
-  void skipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) {
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-
-  [[nodiscard]] char peek() {
-    skipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        fail("dangling escape");
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out += esc;
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-          }
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4U;
-            if (h >= '0' && h <= '9') {
-              value += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value += static_cast<unsigned>(h - 'a') + 10;
-            } else if (h >= 'A' && h <= 'F') {
-              value += static_cast<unsigned>(h - 'A') + 10;
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // The writer only emits \u00XX for control bytes; anything wider
-          // would have been written raw (UTF-8 passthrough).
-          if (value > 0xFF) {
-            fail("unsupported \\u escape beyond U+00FF");
-          }
-          out += static_cast<char>(value);
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
-    if (pos_ >= text_.size()) {
-      fail("unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  long parseInt() {
-    skipWs();
-    bool neg = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      neg = true;
-      ++pos_;
-    }
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      fail("expected number");
-    }
-    long value = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + (text_[pos_++] - '0');
-    }
-    return neg ? -value : value;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -165,9 +37,9 @@ Baseline Baseline::fromReport(const Report& report) {
   return b;
 }
 
-Baseline Baseline::parse(const std::string& text) {
+Baseline Baseline::parse(const std::string& text) try {
   Baseline b;
-  Scanner s(text);
+  obs::JsonReader s(text);
   s.expect('{');
   bool saw_version = false;
   bool first = true;
@@ -176,10 +48,10 @@ Baseline Baseline::parse(const std::string& text) {
       s.expect(',');
     }
     first = false;
-    const std::string field = s.parseString();
+    const std::string field = s.string();
     s.expect(':');
     if (field == "schema_version") {
-      if (s.parseInt() != 1) {
+      if (s.number() != 1) {
         fail("unsupported schema_version");
       }
       saw_version = true;
@@ -199,9 +71,9 @@ Baseline Baseline::parse(const std::string& text) {
             s.expect(',');
           }
           obj_first = false;
-          const std::string name = s.parseString();
+          const std::string name = s.string();
           s.expect(':');
-          const std::string value = s.parseString();
+          const std::string value = s.string();
           if (name == "code") {
             code = value;
           } else if (name == "artifact") {
@@ -228,6 +100,8 @@ Baseline Baseline::parse(const std::string& text) {
     fail("missing schema_version");
   }
   return b;
+} catch (const std::runtime_error& e) {
+  throw std::runtime_error(std::string("baseline parse error: ") + e.what());
 }
 
 std::string Baseline::toJson() const {

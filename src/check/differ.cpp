@@ -293,7 +293,7 @@ std::string designDigestHex(const cdfg::Cdfg& original,
 }
 
 std::string certDigestHex(const wm::WatermarkCertificate& cert) {
-  return crypto::toHex(crypto::Sha256::hash(wm::certificateToString(cert)));
+  return crypto::sha256Hex(wm::certificateToString(cert));
 }
 
 /// Re-checks a stored witness against the current design: kind-exact,

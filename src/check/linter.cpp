@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -19,6 +19,7 @@
 #include "regbind/binding_io.h"
 #include "regbind/lifetime.h"
 #include "sched/schedule_io.h"
+#include "store/store.h"
 #include "tm/library_io.h"
 
 namespace locwm::check {
@@ -32,15 +33,13 @@ Linter::Linter(LintOptions options) : options_(std::move(options)) {}
 
 void Linter::lintFile(const std::string& path) {
   LOCWM_OBS_LATENCY("check.lint.file_ns");
-  std::ifstream is(path);
-  if (!is) {
+  const std::optional<std::string> text = store::readFile(path);
+  if (!text) {
     report_.add(diag("LW001", Severity::kError, path, {},
                      "cannot open file", "check the path and permissions"));
     return;
   }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  lintText(buffer.str(), path);
+  lintText(*text, path);
 }
 
 void Linter::lintText(const std::string& text, const std::string& name) {

@@ -1,15 +1,11 @@
 #include "check/project.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -26,28 +22,29 @@
 #include "regbind/lifetime.h"
 #include "rt/rt.h"
 #include "sched/schedule_io.h"
+#include "store/store.h"
 #include "tm/library_io.h"
 
 namespace locwm::check {
 namespace {
 
-namespace fs = std::filesystem;
 using detail::diag;
 
 /// LW804 falls back to per-edge checking above this many nodes: the
 /// closure is O(N^2/64) words of memory and time per schedule.
 constexpr std::size_t kClosureNodeBound = 20000;
 
-std::string sha256Hex(const std::string& text) {
-  return crypto::toHex(crypto::Sha256::hash(text));
-}
-
 // ---------------------------------------------------------------------------
 // Cache entries.
 //
-// One deterministic single-line JSON document per entry.  Keys are written
-// in sorted order; the loader rejects anything it does not understand, so
-// a reject is always just a cache miss, never a wrong answer.
+// The body of a store::CacheDir entry: one deterministic single-line JSON
+// document.  Keys are written in sorted order; the loader rejects anything
+// it does not understand, so a reject is always just a cache miss, never a
+// wrong answer.  The store checks the entry's integrity; the key fields
+// carry the entry format and the rule-set version.
+
+/// Bumping this invalidates every cached entry.
+constexpr const char* kEntryFormat = "locwm-lint-entry v1";
 
 struct CacheEntry {
   bool has_meta = false;
@@ -144,153 +141,18 @@ std::string entryToJson(const CacheEntry& e) {
     out += m.usable ? "true" : "false";
     out += '}';
   }
-  appendKey(out, "ruleset");
-  out += obs::jsonString(ruleSetVersion());
-  appendKey(out, "schema_version");
-  out += "1}";
-  out += '\n';
+  out += "}\n";
   return out;
 }
 
-/// Signals any shape violation while scanning a cache entry; the caller
-/// turns it into a miss.
-struct CacheFormatError {};
+/// Any shape violation while reading a cache entry; the caller turns it
+/// into a miss.
+[[noreturn]] void badEntry() { throw std::runtime_error("bad cache entry"); }
 
-/// Minimal scanner for the JSON subset entryToJson emits.
-class Scan {
- public:
-  explicit Scan(const std::string& text) : s_(text) {}
-
-  void expect(char c) {
-    skipWs();
-    if (i_ >= s_.size() || s_[i_] != c) {
-      throw CacheFormatError{};
-    }
-    ++i_;
-  }
-
-  bool tryConsume(char c) {
-    skipWs();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (i_ >= s_.size()) {
-        throw CacheFormatError{};
-      }
-      const char c = s_[i_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (i_ >= s_.size()) {
-        throw CacheFormatError{};
-      }
-      const char esc = s_[i_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out += esc;
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u': {
-          if (i_ + 4 > s_.size()) {
-            throw CacheFormatError{};
-          }
-          unsigned value = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = s_[i_++];
-            value <<= 4U;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else {
-              throw CacheFormatError{};
-            }
-          }
-          if (value > 0xFF) {  // the writer only escapes control bytes
-            throw CacheFormatError{};
-          }
-          out += static_cast<char>(value);
-          break;
-        }
-        default:
-          throw CacheFormatError{};
-      }
-    }
-  }
-
-  std::uint64_t number() {
-    skipWs();
-    std::uint64_t value = 0;
-    bool any = false;
-    while (i_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[i_])) != 0) {
-      value = value * 10 + static_cast<std::uint64_t>(s_[i_] - '0');
-      any = true;
-      ++i_;
-    }
-    if (!any) {
-      throw CacheFormatError{};
-    }
-    return value;
-  }
-
-  bool boolean() {
-    skipWs();
-    if (s_.compare(i_, 4, "true") == 0) {
-      i_ += 4;
-      return true;
-    }
-    if (s_.compare(i_, 5, "false") == 0) {
-      i_ += 5;
-      return false;
-    }
-    throw CacheFormatError{};
-  }
-
- private:
-  void skipWs() {
-    while (i_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[i_])) != 0) {
-      ++i_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t i_ = 0;
-};
-
-ArtifactMeta parseMeta(Scan& sc) {
+ArtifactMeta parseMeta(obs::JsonReader& sc) {
   ArtifactMeta m;
   sc.expect('{');
-  if (sc.tryConsume('}')) {
+  if (sc.consume('}')) {
     return m;
   }
   do {
@@ -301,7 +163,7 @@ ArtifactMeta parseMeta(Scan& sc) {
     } else if (key == "kind") {
       const auto kind = kindFromName(sc.string());
       if (!kind) {
-        throw CacheFormatError{};
+        badEntry();
       }
       m.kind = *kind;
     } else if (key == "usable") {
@@ -325,17 +187,17 @@ ArtifactMeta parseMeta(Scan& sc) {
     } else if (key == "temporal_edges") {
       m.temporal_edges = static_cast<std::uint32_t>(sc.number());
     } else {
-      throw CacheFormatError{};
+      badEntry();
     }
-  } while (sc.tryConsume(','));
+  } while (sc.consume(','));
   sc.expect('}');
   return m;
 }
 
-Diagnostic parseDiag(Scan& sc) {
+Diagnostic parseDiag(obs::JsonReader& sc) {
   Diagnostic d;
   sc.expect('{');
-  if (sc.tryConsume('}')) {
+  if (sc.consume('}')) {
     return d;
   }
   do {
@@ -354,34 +216,32 @@ Diagnostic parseDiag(Scan& sc) {
     } else if (key == "severity") {
       const auto sev = severityFromName(sc.string());
       if (!sev) {
-        throw CacheFormatError{};
+        badEntry();
       }
       d.severity = *sev;
     } else {
-      throw CacheFormatError{};
+      badEntry();
     }
-  } while (sc.tryConsume(','));
+  } while (sc.consume(','));
   sc.expect('}');
   return d;
 }
 
 std::optional<CacheEntry> parseEntry(const std::string& text) {
   try {
-    Scan sc(text);
+    obs::JsonReader sc(text);
     CacheEntry e;
-    bool version_ok = false;
-    bool ruleset_ok = false;
     sc.expect('{');
-    if (!sc.tryConsume('}')) {
+    if (!sc.consume('}')) {
       do {
         const std::string key = sc.string();
         sc.expect(':');
         if (key == "diagnostics") {
           sc.expect('[');
-          if (!sc.tryConsume(']')) {
+          if (!sc.consume(']')) {
             do {
               e.diags.push_back(parseDiag(sc));
-            } while (sc.tryConsume(','));
+            } while (sc.consume(','));
             sc.expect(']');
           }
         } else if (key == "kind") {
@@ -389,57 +249,16 @@ std::optional<CacheEntry> parseEntry(const std::string& text) {
         } else if (key == "meta") {
           e.meta = parseMeta(sc);
           e.has_meta = true;
-        } else if (key == "ruleset") {
-          ruleset_ok = sc.string() == ruleSetVersion();
-        } else if (key == "schema_version") {
-          version_ok = sc.number() == 1;
         } else {
-          throw CacheFormatError{};
+          badEntry();
         }
-      } while (sc.tryConsume(','));
+      } while (sc.consume(','));
       sc.expect('}');
     }
-    if (!version_ok || !ruleset_ok) {
-      return std::nullopt;
-    }
     return e;
-  } catch (const CacheFormatError&) {
+  } catch (const std::runtime_error&) {
     return std::nullopt;
   }
-}
-
-std::optional<CacheEntry> loadEntry(const std::string& file) {
-  std::ifstream is(file, std::ios::binary);
-  if (!is) {
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parseEntry(buffer.str());
-}
-
-bool storeEntry(const std::string& file, const CacheEntry& e) {
-  // Temp-file + rename: concurrent runs race benignly (both write the
-  // same deterministic bytes under distinct temp names).
-  const std::string tmp = file + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      return false;
-    }
-    os << entryToJson(e);
-    if (!os) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, file, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -835,24 +654,17 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
   const std::size_t n = arts.size();
   result.stats.artifacts = n;
 
-  const bool cached = !options.cache_dir.empty();
-  if (cached) {
-    std::error_code ec;
-    fs::create_directories(options.cache_dir, ec);
-    if (ec) {
-      throw Error("cannot create cache directory: " + options.cache_dir);
-    }
-  }
+  const store::CacheDir cache(options.cache_dir);
+  const bool cached = cache.enabled();
   const std::string ruleset = ruleSetVersion();
 
   // Phase 1: content digests.
   rt::parallel_for(0, n, 4, [&](std::size_t i) {
-    arts[i].digest = sha256Hex(arts[i].text);
+    arts[i].digest = crypto::sha256Hex(arts[i].text);
   });
 
   // Phase 2: self analysis, cache-served per (path, digest).
   std::vector<CacheEntry> self(n);
-  std::vector<std::string> self_file(n);
   std::vector<char> self_hit(n, 0);
   std::vector<char> self_probed(n, 0);
   std::vector<char> self_stored(n, 0);
@@ -864,15 +676,14 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       self[i].meta = a.meta;
       return;
     }
+    const store::KeyFields key = {kEntryFormat, ruleset, a.path, a.digest};
     if (cached) {
-      const std::string key = sha256Hex("self\n" + ruleset + "\n" + a.path +
-                                        "\n" + a.digest);
-      self_file[i] = (fs::path(options.cache_dir) /
-                      ("self-" + key.substr(0, 32) + ".json"))
-                         .string();
       self_probed[i] = 1;
-      if (auto entry = loadEntry(self_file[i]);
-          entry.has_value() && entry->has_meta) {
+      std::optional<CacheEntry> entry;
+      if (const auto body = cache.get("self", key)) {
+        entry = parseEntry(*body);
+      }
+      if (entry.has_value() && entry->has_meta) {
         self[i] = std::move(*entry);
         self_hit[i] = 1;
         a.meta = self[i].meta;
@@ -881,7 +692,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     }
     self[i] = selfAnalyze(a.text, a.path, sniffArtifact(a.text));
     a.meta = self[i].meta;
-    if (cached && storeEntry(self_file[i], self[i])) {
+    if (cached && cache.put("self", key, entryToJson(self[i]))) {
       self_stored[i] = 1;
     }
   });
@@ -1064,21 +875,21 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
   // Phase 4: pair analysis against the resolved context, cache-served per
   // (artifact, contexts) digest tuple.
   const std::string builtin_lib_digest =
-      sha256Hex(tm::libraryToString(options.library));
-  std::vector<std::string> pair_file(n);
+      crypto::sha256Hex(tm::libraryToString(options.library));
+  std::vector<store::KeyFields> pair_key(n);
   std::vector<char> pair_needed(n, 0);
   std::vector<std::vector<Diagnostic>> pair_diags(n);
   std::vector<char> pair_hit(n, 0);
   std::vector<char> pair_probed(n, 0);
   std::vector<char> pair_stored(n, 0);
-  const auto ctxOf = [&](std::size_t i) {
+  const auto pairKeyOf = [&](std::size_t i) {
     // Key material of artifact i's pair entry: every artifact the check
     // reads, as path + digest pairs.
     const WorkspaceArtifact& a = arts[i];
-    std::string key = "pair\n" + ruleset + "\n" + a.path + "\n" + a.digest;
+    store::KeyFields key = {kEntryFormat, ruleset, a.path, a.digest};
     const auto addIdx = [&](std::ptrdiff_t t) {
-      key += "\n" + arts[static_cast<std::size_t>(t)].path + "\n" +
-             arts[static_cast<std::size_t>(t)].digest;
+      key.push_back(arts[static_cast<std::size_t>(t)].path);
+      key.push_back(arts[static_cast<std::size_t>(t)].digest);
     };
     switch (a.meta.kind) {
       case ArtifactKind::kSchedule:
@@ -1092,7 +903,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
         if (a.library >= 0) {
           addIdx(a.library);
         } else {
-          key += "\n<builtin>\n" + builtin_lib_digest;
+          key.push_back("<builtin>");
+          key.push_back(builtin_lib_digest);
         }
         break;
       case ArtifactKind::kBinding: {
@@ -1123,10 +935,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     }
     pair_needed[i] = 1;
     if (cached) {
-      const std::string key = sha256Hex(ctxOf(i));
-      pair_file[i] = (fs::path(options.cache_dir) /
-                      ("pair-" + key.substr(0, 32) + ".json"))
-                         .string();
+      pair_key[i] = pairKeyOf(i);
     }
   }
   rt::parallel_for(0, n, 1, [&](std::size_t i) {
@@ -1134,7 +943,11 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       return;
     }
     pair_probed[i] = 1;
-    if (auto entry = loadEntry(pair_file[i]); entry.has_value()) {
+    std::optional<CacheEntry> entry;
+    if (const auto body = cache.get("pair", pair_key[i])) {
+      entry = parseEntry(*body);
+    }
+    if (entry.has_value()) {
       pair_diags[i] = std::move(entry->diags);
       pair_hit[i] = 1;
     }
@@ -1310,7 +1123,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     if (cached) {
       CacheEntry entry;
       entry.diags = out;
-      if (storeEntry(pair_file[i], entry)) {
+      if (cache.put("pair", pair_key[i], entryToJson(entry))) {
         pair_stored[i] = 1;
       }
     }

@@ -23,13 +23,14 @@
 // diagnostics the live analysis would emit (paths participate in every
 // cache key, so replayed artifact names are always current).
 //
-// Cache layout (docs/STATIC_ANALYSIS.md has the full story): one JSON
-// file per entry under the cache directory, `self-<key>.json` /
-// `pair-<key>.json`, keyed by SHA-256 over the entry kind, the rule-set
-// version, the artifact path + content digest, and (for pair entries)
-// every context artifact's path + digest.  Any mismatch — edited file,
-// renamed file, new rule-set — simply misses; stale entries are never
-// wrong, only dead weight.
+// Cache layout (docs/STATIC_ANALYSIS.md has the full story): entries live
+// in a store::CacheDir (src/store/store.h) under the namespaces `self` and
+// `pair`, keyed by the entry format, the rule-set version, the artifact
+// path + content digest, and (for pair entries) every context artifact's
+// path + digest; each body is one JSON document.  Any key mismatch —
+// edited file, renamed file, new rule-set — simply misses, and the store's
+// integrity header turns a damaged entry into a miss too; stale entries
+// are never wrong, only dead weight.
 #pragma once
 
 #include <cstddef>

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "cdfg/error.h"
 #include "check/internal.h"
+#include "store/store.h"
 
 namespace locwm::check {
 namespace {
@@ -23,22 +23,6 @@ bool looksLikeScheduleEntry(const std::string& line) {
   std::uint32_t step = 0;
   std::string trailing;
   return (ls >> node >> step) && !(ls >> trailing);
-}
-
-/// True when any '/'-separated component of `rel` is hidden (leading '.').
-bool hasHiddenComponent(const std::string& rel) {
-  std::size_t start = 0;
-  while (start < rel.size()) {
-    if (rel[start] == '.') {
-      return true;
-    }
-    const std::size_t slash = rel.find('/', start);
-    if (slash == std::string::npos) {
-      break;
-    }
-    start = slash + 1;
-  }
-  return false;
 }
 
 }  // namespace
@@ -177,23 +161,7 @@ Workspace Workspace::fromDirectory(const std::string& dir) {
   }
   Workspace ws;
   ws.root_ = dir;
-  // Collect relative paths first and sort so the load (and every
-  // diagnostic order derived from it) is independent of directory
-  // enumeration order.
-  std::vector<std::string> rels;
-  for (fs::recursive_directory_iterator it(dir, ec), last; !ec && it != last;
-       it.increment(ec)) {
-    if (!it->is_regular_file(ec)) {
-      continue;
-    }
-    const std::string rel = fs::relative(it->path(), dir, ec).generic_string();
-    if (ec || rel.empty() || hasHiddenComponent(rel)) {
-      continue;
-    }
-    rels.push_back(rel);
-  }
-  std::sort(rels.begin(), rels.end());
-  for (const std::string& rel : rels) {
+  for (const std::string& rel : store::listFiles(dir)) {
     ws.addFromFile(rel, (fs::path(dir) / rel).string());
   }
   // Directory mode skips workspace manifests: the caller chose directory
@@ -205,14 +173,12 @@ Workspace Workspace::fromDirectory(const std::string& dir) {
 }
 
 Workspace Workspace::fromManifestFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
+  const std::optional<std::string> text = store::readFile(path);
+  if (!text) {
     throw Error("workspace manifest is not readable: " + path);
   }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
   const std::string base = fs::path(path).parent_path().string();
-  return fromManifestText(buffer.str(), path, base.empty() ? "." : base);
+  return fromManifestText(*text, path, base.empty() ? "." : base);
 }
 
 Workspace Workspace::fromManifestText(const std::string& text,
@@ -356,16 +322,13 @@ void Workspace::addFromFile(std::string display, const std::string& file) {
   WorkspaceArtifact a;
   a.path = std::move(display);
   a.file = file;
-  std::ifstream is(file, std::ios::binary);
-  if (!is) {
+  if (std::optional<std::string> text = store::readFile(file)) {
+    a.text = std::move(*text);
+  } else {
     a.meta.kind = ArtifactKind::kUnreadable;
     load_report_.add(diag("LW001", Severity::kError, a.path, {},
                           "cannot open file",
                           "check the path and permissions"));
-  } else {
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    a.text = buffer.str();
   }
   artifacts_.push_back(std::move(a));
 }

@@ -1,9 +1,11 @@
 // Workspace model of the static-analysis subsystem — the "link-time"
-// layer under `locwm lint --project` (src/check/project.h).
+// layer under `locwm lint --project` (src/check/project.h), and the one
+// loader of `locwm scan` corpora (src/scan/corpus.h).
 //
 // A Workspace is an ordered collection of artifacts (designs, schedules,
-// covers, bindings, libraries, certificates) loaded from a directory or
-// an explicit manifest, with just enough per-artifact *metadata* to
+// covers, bindings, libraries, certificates) loaded from a directory
+// (walked by store::listFiles, src/store/store.h) or an explicit
+// manifest, with just enough per-artifact *metadata* to
 // resolve the inter-artifact reference graph (schedule→design,
 // binding→schedule, cover→design+library, certificate→design) without
 // re-parsing unchanged artifacts — the metadata round-trips through the
@@ -128,9 +130,10 @@ struct WorkspaceArtifact {
 /// report (manifest problems, unreadable files).
 class Workspace {
  public:
-  /// Loads every non-hidden regular file under `dir` (recursive; hidden
-  /// names — including `.locwm-cache` — and workspace manifests are
-  /// skipped).  Throws Error when `dir` is not a readable directory.
+  /// Loads every file store::listFiles(dir) lists (recursive; hidden
+  /// names are skipped and hidden directories such as `.locwm-cache` never
+  /// entered), except workspace manifests.  Throws Error when `dir` is not
+  /// a readable directory.
   [[nodiscard]] static Workspace fromDirectory(const std::string& dir);
 
   /// Loads the artifacts a manifest file lists.  Throws Error when the

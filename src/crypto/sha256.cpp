@@ -1,7 +1,14 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace locwm::crypto {
 
@@ -24,7 +31,79 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return std::rotr(x, n);
 }
 
+#if defined(__x86_64__)
+/// The x86 SHA-extension compression: two rounds per sha256rnds2 on the
+/// state held as (ABEF, CDGH), four message words per group.
+__attribute__((target("sha,sse4.1"))) void compressShaExt(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL,
+                                       0x0405060700010203LL);
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; blocks != 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // w[g % 4]: message words 4g .. 4g+3
+    for (std::size_t g = 0; g < 16; ++g) {
+      __m128i& m = w[g % 4];
+      if (g < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      } else {
+        m = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(m, w[(g + 1) % 4]),
+                          _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4)),
+            w[(g + 3) % 4]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          m, _mm_loadu_si128(
+                 reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+/// CPUID: SSE4.1 is leaf 1 ECX bit 19, SHA is leaf 7 EBX bit 29.
+bool cpuHasShaExt() noexcept {
+  unsigned a = 0;
+  unsigned b = 0;
+  unsigned c = 0;
+  unsigned d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & (1U << 19)) == 0) {
+    return false;
+  }
+  return __get_cpuid_count(7, 0, &a, &b, &c, &d) != 0 &&
+         (b & (1U << 29)) != 0;
+}
+
+std::atomic<bool> g_sha_ext{cpuHasShaExt()};
+#endif
+
 }  // namespace
+
+namespace detail {
+void useShaExtensions(bool enabled) noexcept {
+#if defined(__x86_64__)
+  g_sha_ext = enabled && cpuHasShaExt();
+#else
+  static_cast<void>(enabled);
+#endif
+}
+}  // namespace detail
 
 Sha256::Sha256() noexcept
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
@@ -32,14 +111,28 @@ Sha256::Sha256() noexcept
       buffer_{} {}
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
-  bit_length_ += static_cast<std::uint64_t>(data.size()) * 8;
-  for (const std::uint8_t byte : data) {
-    buffer_[buffered_++] = byte;
-    if (buffered_ == buffer_.size()) {
-      processBlock(buffer_.data());
-      buffered_ = 0;
-    }
+  if (data.empty()) {
+    return;
   }
+  bit_length_ += static_cast<std::uint64_t>(data.size()) * 8;
+  // Top up a partial block, then compress whole blocks straight from the
+  // input: cache entries are digested on every read.
+  std::size_t i = 0;
+  if (buffered_ != 0) {
+    i = std::min(data.size(), buffer_.size() - buffered_);
+    std::memcpy(buffer_.data() + buffered_, data.data(), i);
+    buffered_ += i;
+    if (buffered_ < buffer_.size()) {
+      return;
+    }
+    compress(buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  const std::size_t blocks = (data.size() - i) / buffer_.size();
+  compress(data.data() + i, blocks);
+  i += blocks * buffer_.size();
+  std::memcpy(buffer_.data(), data.data() + i, data.size() - i);
+  buffered_ = data.size() - i;
 }
 
 void Sha256::update(std::string_view text) noexcept {
@@ -78,6 +171,18 @@ Sha256Digest Sha256::hash(std::string_view text) noexcept {
   Sha256 h;
   h.update(text);
   return h.finish();
+}
+
+void Sha256::compress(const std::uint8_t* data, std::size_t blocks) noexcept {
+#if defined(__x86_64__)
+  if (g_sha_ext.load(std::memory_order_relaxed)) {
+    compressShaExt(state_.data(), data, blocks);
+    return;
+  }
+#endif
+  for (; blocks != 0; --blocks, data += 64) {
+    processBlock(data);
+  }
 }
 
 void Sha256::processBlock(const std::uint8_t* block) noexcept {
@@ -141,6 +246,10 @@ std::string toHex(const Sha256Digest& digest) {
     out.push_back(kHex[byte & 0xF]);
   }
   return out;
+}
+
+std::string sha256Hex(std::string_view text) {
+  return toHex(Sha256::hash(text));
 }
 
 }  // namespace locwm::crypto

@@ -4,7 +4,9 @@
 // key material that seeds the RC4 bitstream generator.  The one-way
 // property of the hash + cipher chain is what prevents an adversary from
 // inverting the bitstream to forge a signature for an existing solution
-// (paper §IV-A, "third" property).
+// (paper §IV-A, "third" property).  It also digests every artifact and
+// cache entry `locwm lint --project` and `locwm scan` read, so on x86 CPUs
+// with the SHA extensions the compression runs on them.
 #pragma once
 
 #include <array>
@@ -35,7 +37,9 @@ class Sha256 {
   [[nodiscard]] static Sha256Digest hash(std::string_view text) noexcept;
 
  private:
-  void processBlock(const std::uint8_t* block) noexcept;
+  /// Compresses `blocks` consecutive 64-byte blocks into the state.
+  void compress(const std::uint8_t* data, std::size_t blocks) noexcept;
+  void processBlock(const std::uint8_t* block) noexcept;  ///< portable
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
@@ -45,5 +49,15 @@ class Sha256 {
 
 /// Lowercase hex rendering of a digest.
 [[nodiscard]] std::string toHex(const Sha256Digest& digest);
+
+/// Lowercase hex SHA-256 of `text`: the one content digest of artifacts,
+/// certificates and cache entries.
+[[nodiscard]] std::string sha256Hex(std::string_view text);
+
+namespace detail {
+/// Tests only: false makes Sha256 use its portable rounds even where the
+/// x86 SHA extensions exist, so both paths are pinned to the same digests.
+void useShaExtensions(bool enabled) noexcept;
+}  // namespace detail
 
 }  // namespace locwm::crypto

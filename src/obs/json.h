@@ -1,9 +1,13 @@
-// Minimal JSON string formatting shared by the observability exporters
-// and the bench table writers.  Only what our exporters need: escaping,
-// and locale-independent number formatting.
+// Minimal JSON shared by the observability exporters, the bench table
+// writers and the formats `locwm` writes and reads back (lint baselines,
+// analysis-cache entries).  Only what those need: escaping,
+// locale-independent number formatting, and a reader for the subset the
+// writers emit.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -69,5 +73,146 @@ inline std::string jsonNumber(double value) {
   std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
 }
+
+/// Reads the JSON subset the writers above emit: objects, arrays, strings
+/// (`\u` escapes only up to U+00FF, as appendJsonEscaped writes them),
+/// unsigned integers and booleans.  Anything else throws
+/// std::runtime_error saying what was expected.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// The next non-blank byte ('\0' at the end), not consumed.
+  [[nodiscard]] char peek() {
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+    return pos_ < text_.size() ? text_[pos_] : '\0';
+  }
+
+  /// Consumes the next non-blank byte when it is `c`.
+  bool consume(char c) {
+    if (peek() != c || pos_ == text_.size()) {
+      return false;
+    }
+    ++pos_;
+    return true;
+  }
+
+  void expect(char c) {
+    if (!consume(c)) {
+      fail(std::string("expected '") + c + "'");
+    }
+  }
+
+  std::string string() {
+    expect('"');
+    std::string out;
+    for (;;) {
+      if (pos_ >= text_.size()) {
+        fail("unterminated string");
+      }
+      const char c = text_[pos_++];
+      if (c == '"') {
+        return out;
+      }
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (pos_ >= text_.size()) {
+        fail("dangling escape");
+      }
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+        case '\\':
+        case '/':
+          out += esc;
+          break;
+        case 'b':
+          out += '\b';
+          break;
+        case 'f':
+          out += '\f';
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'u':
+          out += byteEscape();
+          break;
+        default:
+          fail("unknown escape");
+      }
+    }
+  }
+
+  std::uint64_t number() {
+    if (!isDigit(peek())) {
+      fail("expected number");
+    }
+    std::uint64_t value = 0;
+    while (pos_ < text_.size() && isDigit(text_[pos_])) {
+      value = value * 10 + static_cast<std::uint64_t>(text_[pos_++] - '0');
+    }
+    return value;
+  }
+
+  bool boolean() {
+    static_cast<void>(peek());  // skip blanks
+    for (const bool value : {true, false}) {
+      const std::string_view word = value ? "true" : "false";
+      if (text_.substr(pos_, word.size()) == word) {
+        pos_ += word.size();
+        return value;
+      }
+    }
+    fail("expected true or false");
+  }
+
+ private:
+  [[noreturn]] static void fail(const std::string& what) {
+    throw std::runtime_error(what);
+  }
+
+  static bool isDigit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+  /// The four hex digits of a \u escape, as the byte they encode.
+  char byteEscape() {
+    if (pos_ + 4 > text_.size()) {
+      fail("truncated \\u escape");
+    }
+    unsigned value = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      value <<= 4U;
+      if (isDigit(h)) {
+        value |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        value |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        value |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        fail("bad \\u escape");
+      }
+    }
+    if (value > 0xFF) {
+      fail("unsupported \\u escape beyond U+00FF");
+    }
+    return static_cast<char>(value);
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace locwm::obs

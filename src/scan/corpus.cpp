@@ -1,10 +1,10 @@
 #include "scan/corpus.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <map>
+#include <optional>
 
 #include "cdfg/error.h"
 #include "cdfg/io.h"
@@ -29,15 +29,6 @@ std::string itemName(const char* prefix, std::size_t i, const char* ext) {
   return buf;
 }
 
-std::string readFileOrThrow(const fs::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  detail::check<Error>(static_cast<bool>(is),
-                       path.string() + ": cannot open file");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return buffer.str();
-}
-
 void writeFileOrThrow(const fs::path& path, const std::string& text) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os << text;
@@ -45,39 +36,60 @@ void writeFileOrThrow(const fs::path& path, const std::string& text) {
                        path.string() + ": cannot write file");
 }
 
-/// Extracts the string value of `key` from a flat one-line JSON object
-/// ({"design": "a.cdfg", ...}).  Handles \" and \\ escapes; returns
-/// nullopt when the key is absent.
-std::optional<std::string> jsonField(const std::string& line,
-                                     const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return std::nullopt;
-  }
-  pos += needle.size();
-  while (pos < line.size() &&
-         (line[pos] == ' ' || line[pos] == ':' || line[pos] == '\t')) {
-    ++pos;
-  }
-  if (pos >= line.size() || line[pos] != '"') {
-    return std::nullopt;
-  }
-  ++pos;
-  std::string value;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      value.push_back(line[pos + 1]);
-      pos += 2;
-    } else {
-      value.push_back(line[pos]);
-      ++pos;
+/// Builds the corpus from a loaded workspace: every design, in path order,
+/// paired with the schedule whose `design=` reference names it, else with
+/// the first same-stem schedule of its directory that names no design.
+/// Any load problem (LW801, unreadable artifact) throws Error.
+std::vector<CorpusItem> corpusFromWorkspace(check::Workspace ws) {
+  for (const check::Diagnostic& d : ws.loadReport().diagnostics()) {
+    if (d.severity == check::Severity::kError) {
+      throw Error(d.artifact + (d.location.empty() ? "" : ": " + d.location) +
+                  ": " + d.message);
     }
   }
-  if (pos >= line.size()) {
-    return std::nullopt;  // unterminated string
+  const auto stemOf = [](const std::string& path) {
+    const fs::path p(path);
+    return (p.parent_path() / p.stem()).string();
+  };
+  std::vector<check::WorkspaceArtifact>& arts = ws.artifacts();
+  std::vector<std::size_t> designs;
+  std::map<std::string, std::size_t> by_ref;   // design path -> schedule
+  std::map<std::string, std::size_t> by_stem;  // stem -> schedule
+  for (std::size_t i = 0; i < arts.size(); ++i) {
+    const check::ArtifactKind kind = check::sniffArtifact(arts[i].text).kind;
+    if (kind == check::ArtifactKind::kDesign) {
+      designs.push_back(i);
+    } else if (kind == check::ArtifactKind::kSchedule) {
+      if (const std::optional<std::string>& ref = arts[i].ref_design) {
+        by_ref.emplace(*ref, i);
+      } else {
+        by_stem.emplace(stemOf(arts[i].path), i);
+      }
+    }
   }
-  return value;
+  const auto scheduleOf =
+      [&](const std::string& design) -> const check::WorkspaceArtifact* {
+    if (const auto it = by_ref.find(design); it != by_ref.end()) {
+      return &arts[it->second];
+    }
+    if (const auto it = by_stem.find(stemOf(design)); it != by_stem.end()) {
+      return &arts[it->second];
+    }
+    return nullptr;
+  };
+  std::vector<CorpusItem> items;
+  items.reserve(designs.size());
+  for (const std::size_t d : designs) {
+    CorpusItem item;
+    if (const check::WorkspaceArtifact* sched = scheduleOf(arts[d].path)) {
+      item.schedule_path = sched->path;
+      item.schedule_text = sched->text;
+    }
+    item.path = std::move(arts[d].path);
+    item.design_text = std::move(arts[d].text);
+    items.push_back(std::move(item));
+  }
+  return items;
 }
 
 }  // namespace
@@ -174,94 +186,12 @@ void writeCorpus(const BuiltCorpus& corpus, const std::string& dir) {
 }
 
 std::vector<CorpusItem> loadCorpusFromDirectory(const std::string& dir) {
-  const fs::path root(dir);
-  detail::check<Error>(fs::is_directory(root),
-                       dir + ": not a directory");
-  struct Found {
-    std::string rel;
-    std::string text;
-  };
-  std::vector<Found> designs;
-  // stem (parent + filename sans extension) -> schedule
-  std::vector<std::pair<std::string, Found>> schedules;
-  for (auto it = fs::recursive_directory_iterator(root);
-       it != fs::recursive_directory_iterator(); ++it) {
-    const fs::path& p = it->path();
-    const std::string name = p.filename().string();
-    if (!name.empty() && name.front() == '.') {
-      if (it->is_directory()) {
-        it.disable_recursion_pending();  // .locwm-cache and friends
-      }
-      continue;
-    }
-    if (!it->is_regular_file()) {
-      continue;
-    }
-    const std::string text = readFileOrThrow(p);
-    const check::SniffResult sniff = check::sniffArtifact(text);
-    const std::string rel = fs::relative(p, root).string();
-    if (sniff.kind == check::ArtifactKind::kDesign) {
-      designs.push_back({rel, text});
-    } else if (sniff.kind == check::ArtifactKind::kSchedule) {
-      const std::string stem =
-          (fs::path(rel).parent_path() / fs::path(rel).stem()).string();
-      schedules.emplace_back(stem, Found{rel, text});
-    }
-  }
-  std::sort(designs.begin(), designs.end(),
-            [](const Found& a, const Found& b) { return a.rel < b.rel; });
-  std::sort(schedules.begin(), schedules.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<CorpusItem> items;
-  items.reserve(designs.size());
-  for (Found& d : designs) {
-    CorpusItem item;
-    const std::string stem =
-        (fs::path(d.rel).parent_path() / fs::path(d.rel).stem()).string();
-    const auto it = std::lower_bound(
-        schedules.begin(), schedules.end(), stem,
-        [](const auto& a, const std::string& key) { return a.first < key; });
-    if (it != schedules.end() && it->first == stem) {
-      item.schedule_path = it->second.rel;
-      item.schedule_text = it->second.text;
-    }
-    item.path = std::move(d.rel);
-    item.design_text = std::move(d.text);
-    items.push_back(std::move(item));
-  }
-  return items;
+  return corpusFromWorkspace(check::Workspace::fromDirectory(dir));
 }
 
 std::vector<CorpusItem> loadCorpusFromManifest(
     const std::string& manifest_path) {
-  std::ifstream is(manifest_path);
-  detail::check<Error>(static_cast<bool>(is),
-                       manifest_path + ": cannot open manifest");
-  const fs::path base = fs::path(manifest_path).parent_path();
-  std::vector<CorpusItem> items;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
-    }
-    const std::optional<std::string> design = jsonField(line, "design");
-    detail::check<ParseError>(
-        design.has_value(),
-        manifest_path + ": line " + std::to_string(lineno) +
-            ": manifest row lacks a \"design\" field");
-    CorpusItem item;
-    item.path = *design;
-    item.design_text = readFileOrThrow(base / *design);
-    if (const std::optional<std::string> sched =
-            jsonField(line, "schedule")) {
-      item.schedule_path = *sched;
-      item.schedule_text = readFileOrThrow(base / *sched);
-    }
-    items.push_back(std::move(item));
-  }
-  return items;
+  return corpusFromWorkspace(check::Workspace::fromManifestFile(manifest_path));
 }
 
 }  // namespace locwm::scan

@@ -5,8 +5,11 @@
 //    smoke runs (previously ad-hoc per bench), with ground-truth planted
 //    (design, certificate) pairs for recall measurement;
 //
-//  * *loaders* turning an on-disk directory or an ndjson manifest into the
-//    in-memory item list scanCorpus() consumes.
+//  * *loaders* turning an on-disk directory or a `locwm-workspace v1`
+//    manifest into the in-memory item list scanCorpus() consumes.  Both
+//    load a check::Workspace (check/workspace.h) — the same walker, file
+//    reads and manifest parser `locwm lint --project` uses — and pair each
+//    design with its schedule.
 #pragma once
 
 #include <cstdint>
@@ -69,17 +72,22 @@ struct BuiltCorpus {
 /// as `ring.keyring`.  Throws Error on IO failure.
 void writeCorpus(const BuiltCorpus& corpus, const std::string& dir);
 
-/// Scans `dir` recursively for design artifacts (kind-sniffed, hidden
-/// files and `.locwm-cache/` skipped) and pairs each with the schedule
-/// artifact of the same stem in the same directory, if any.  Items are
-/// sorted by path — the canonical corpus order sharding is defined over.
+/// Loads the design artifacts of Workspace::fromDirectory(dir) (kind-sniffed;
+/// hidden names such as `.locwm-cache/` skipped).  Each design is paired
+/// with the first schedule artifact of the same stem in its directory, in
+/// path order.  Items are sorted by path — the canonical corpus order
+/// sharding is defined over.  Throws Error when `dir` is unreadable or a
+/// file in it cannot be read.
 [[nodiscard]] std::vector<CorpusItem> loadCorpusFromDirectory(
     const std::string& dir);
 
-/// Loads a corpus from an ndjson manifest: one `{"design": PATH}` or
-/// `{"design": PATH, "schedule": PATH}` object per line, paths relative to
-/// the manifest's directory.  Items keep manifest order.  Throws Error on
-/// malformed lines or unreadable files.
+/// Loads the design artifacts a `locwm-workspace v1` manifest lists (paths
+/// relative to the manifest's directory).  A design is paired with the
+/// schedule whose `design=` reference names it, else as in directory mode
+/// with a same-stem schedule that carries no `design=` reference.  Items
+/// are sorted by path, as in directory mode.  Throws Error when the
+/// manifest is unreadable, has a load error (LW801) or lists an unreadable
+/// artifact.
 [[nodiscard]] std::vector<CorpusItem> loadCorpusFromManifest(
     const std::string& manifest_path);
 

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "cdfg/error.h"
 #include "core/certificate_io.h"
+#include "store/store.h"
 
 namespace locwm::scan {
 
@@ -137,12 +138,11 @@ std::optional<CertKind> sniffCertKind(const std::string& text) {
 
 KeyRingEntry loadEntry(crypto::AuthorSignature signature,
                        std::string cert_path, const std::string& resolved) {
-  std::ifstream is(resolved);
-  detail::check<Error>(static_cast<bool>(is),
-                       resolved + ": cannot open certificate");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string text = buffer.str();
+  const std::optional<std::string> file = store::readFile(resolved);
+  if (!file) {
+    throw Error(resolved + ": cannot open certificate");
+  }
+  const std::string& text = *file;
   const std::optional<CertKind> kind = sniffCertKind(text);
   detail::check<ParseError>(kind.has_value(),
                             resolved + ": not a locwm-cert v1 artifact");
@@ -171,13 +171,11 @@ KeyRingEntry loadEntry(crypto::AuthorSignature signature,
 }  // namespace
 
 KeyRing KeyRing::fromFile(const std::string& path) {
-  std::ifstream is(path);
-  detail::check<Error>(static_cast<bool>(is),
-                       path + ": cannot open key ring");
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return fromText(buffer.str(), path,
-                  fs::path(path).parent_path().string());
+  const std::optional<std::string> text = store::readFile(path);
+  if (!text) {
+    throw Error(path + ": cannot open key ring");
+  }
+  return fromText(*text, path, fs::path(path).parent_path().string());
 }
 
 KeyRing KeyRing::fromText(const std::string& text, const std::string& name,

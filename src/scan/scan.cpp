@@ -1,11 +1,6 @@
 #include "scan/scan.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -19,19 +14,14 @@
 #include "rt/rt.h"
 #include "scan/fingerprint.h"
 #include "sched/schedule_io.h"
+#include "store/store.h"
 
 namespace locwm::scan {
-
-namespace fs = std::filesystem;
 
 namespace {
 
 /// Bumping this invalidates every cached fingerprint entry.
-constexpr const char* kCacheFormat = "locwm-scanfp-entry v2";
-
-std::string sha256Hex(const std::string& text) {
-  return crypto::toHex(crypto::Sha256::hash(text));
-}
+constexpr const char* kCacheFormat = "locwm-scanfp-entry v3";
 
 /// Certificate-side screen data, computed once per ring entry and shared
 /// by every design (the "certificate-side digest" of the pre-filter).
@@ -93,65 +83,30 @@ struct CachedIndex {
   DesignIndex index;
 };
 
-std::optional<CachedIndex> loadCachedIndex(const std::string& file,
-                                           std::uint32_t radius) {
-  std::ifstream is(file, std::ios::binary);
-  if (!is) {
+std::string cachedIndexToString(const CachedIndex& cached) {
+  return "issues " + std::to_string(cached.issues) + "\n" +
+         indexToString(cached.index);
+}
+
+std::optional<CachedIndex> parseCachedIndex(const std::string& body,
+                                            std::uint32_t radius) {
+  const std::size_t eol = body.find('\n');
+  if (eol == std::string::npos) {
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string text = buffer.str();
-  std::istringstream ls(text);
-  std::string header;
-  if (!std::getline(ls, header) || header != kCacheFormat) {
-    return std::nullopt;
-  }
-  std::string issue_line;
-  if (!std::getline(ls, issue_line)) {
-    return std::nullopt;
-  }
-  std::istringstream il(issue_line);
+  std::istringstream il(body.substr(0, eol));
   std::string word;
   CachedIndex cached;
   std::string trailing;
   if (!(il >> word >> cached.issues) || word != "issues" || (il >> trailing)) {
     return std::nullopt;
   }
-  std::ostringstream rest;
-  rest << ls.rdbuf();
-  std::optional<DesignIndex> index = parseIndex(rest.str());
+  std::optional<DesignIndex> index = parseIndex(body.substr(eol + 1));
   if (!index.has_value() || index->radius != radius) {
     return std::nullopt;
   }
   cached.index = std::move(*index);
   return cached;
-}
-
-bool storeCachedIndex(const std::string& file, const CachedIndex& cached) {
-  // Temp-file + rename, as in check/project.cpp: concurrent runs race
-  // benignly (both write the same deterministic bytes).
-  const std::string tmp = file + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      return false;
-    }
-    os << kCacheFormat << '\n'
-       << "issues " << cached.issues << '\n'
-       << indexToString(cached.index);
-    if (!os) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, file, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 const char* cacheStateName(int state) {
@@ -197,20 +152,20 @@ std::string matchRow(const CorpusItem& item, const KeyRingEntry& entry,
 
 void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
              const std::vector<CertScreen>& screens, std::uint32_t radius,
-             const ScanOptions& options, Slot& s) {
+             const store::CacheDir& cache, const ScanOptions& options,
+             Slot& s) {
   LOCWM_OBS_LATENCY("scan.design.latency_ns");
   s.scanned = true;
 
   // Fingerprint cache probe — keyed by everything the entry depends on.
-  std::string cache_file;
+  store::KeyFields cache_key;
   std::optional<CachedIndex> cached;
-  if (options.prefilter && !options.cache_dir.empty()) {
-    const std::string key =
-        sha256Hex(std::string(kCacheFormat) + "\n" + std::to_string(radius) +
-                  "\n" + item.path + "\n" + sha256Hex(item.design_text));
-    cache_file = (fs::path(options.cache_dir) / ("scanfp-" + key.substr(0, 32)))
-                     .string();
-    cached = loadCachedIndex(cache_file, radius);
+  if (cache.enabled()) {
+    cache_key = {kCacheFormat, std::to_string(radius), item.path,
+                 crypto::sha256Hex(item.design_text)};
+    if (const auto body = cache.get("scanfp", cache_key)) {
+      cached = parseCachedIndex(*body, radius);
+    }
   }
 
   std::optional<cdfg::Cdfg> parsed;
@@ -255,9 +210,10 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
       }
       fp_index = buildDesignIndex(*deriver, radius);
       issue_count = issues.size();
-      if (!cache_file.empty()) {
+      if (cache.enabled()) {
         s.cache_state = 1;
-        storeCachedIndex(cache_file, CachedIndex{issue_count, *fp_index});
+        cache.put("scanfp", cache_key,
+                  cachedIndexToString(CachedIndex{issue_count, *fp_index}));
       }
     }
   } else {
@@ -452,16 +408,15 @@ ScanResult scanCorpus(const std::vector<CorpusItem>& items,
   // One design-side radius, sound for every certificate in the ring.
   const std::uint32_t radius = std::max<std::uint32_t>(1, ring.maxRadius());
   const std::vector<CertScreen> screens = buildScreens(ring);
-  if (options.prefilter && !options.cache_dir.empty()) {
-    fs::create_directories(options.cache_dir);
-  }
+  // The cache holds pre-filter indexes, so it is off with the pre-filter.
+  const store::CacheDir cache(options.prefilter ? options.cache_dir : "");
 
   std::vector<Slot> slots(items.size());
   rt::parallel_for(0, items.size(), /*grain=*/1, [&](std::size_t i) {
     if (i % shard_count != options.shard_index) {
       return;
     }
-    scanOne(items[i], i, ring, screens, radius, options, slots[i]);
+    scanOne(items[i], i, ring, screens, radius, cache, options, slots[i]);
   });
 
   // Serial fold in item order: byte-identical rows and stats at any

@@ -31,10 +31,11 @@ struct ScanOptions {
   /// the unsharded output byte for byte.
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
-  /// Directory for the fingerprint cache ("" = cache off).  Entries are
-  /// keyed by (format version, radius, item path, design-text digest), so
-  /// unchanged designs skip re-fingerprinting — and skip parsing entirely
-  /// when every pair is pruned.
+  /// Directory for the fingerprint cache ("" = cache off), a
+  /// store::CacheDir.  Entries are keyed by (format version, radius, item
+  /// path, design-text digest), so unchanged designs skip re-fingerprinting
+  /// — and skip parsing entirely when every pair is pruned.  A damaged
+  /// entry is a miss.
   std::string cache_dir;
   /// Enumeration budget for the aggregate Pc of fully-matched scheduling
   /// certificates (smaller than the detect-CLI default: a corpus scan

@@ -19,6 +19,19 @@ cd "$DIR"
 # Detection must succeed with the right key...
 "$LW" detect published.cdfg core.sched cert.wmc.0 cert.wmc.1 -i "CI Author" -n it-1
 
+# ...from a schedule that opens with a comment, as any artifact may...
+{ echo '# schedule of the marked core'; cat core.sched; } > commented.sched
+"$LW" detect published.cdfg commented.sched cert.wmc.0 -i "CI Author" -n it-1 \
+    | grep -q DETECTED
+
+# ...while a malformed schedule is an input error (exit 2), not a miss...
+printf '0 1 2\n' > bad.sched
+RC=0
+"$LW" detect published.cdfg bad.sched cert.wmc.0 -i "CI Author" -n it-1 \
+    > /dev/null 2> bad-sched.err || RC=$?
+test "$RC" -eq 2
+grep -q 'schedule parse error' bad-sched.err
+
 # ...including quietly (exit code carries the verdict; stdout is empty)...
 OUT=$("$LW" detect published.cdfg core.sched cert.wmc.0 -i "CI Author" -n it-1 -q)
 test -z "$OUT"

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -852,6 +853,78 @@ TEST(CheckProject, CacheDeterminismColdWarmEditAcrossThreads) {
   EXPECT_EQ(edited_warm, edited_fresh);
   EXPECT_NE(cold, edited_warm);
   rt::setThreadCount(0);  // restore automatic sizing for other tests
+  fs::remove_all(dir);
+}
+
+TEST(CheckProject, DamagedCacheEntriesAreMisses) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "locwm-project-cache-damage";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto write = [&](const fs::path& path, const std::string& text) {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  };
+  const auto read = [](const fs::path& path) {
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << is.rdbuf();
+    return buffer.str();
+  };
+  write(dir / "a.cdfg", kChainDesign);
+  write(dir / "d.cdfg", std::string(kDiamondDesign) +
+                            "edge 1 2 temporal\nedge 1 2 temporal\n");
+  write(dir / "s.txt", "0 0\n1 5\n2 6\n3 7\n");  // LW204 against a.cdfg
+  write(dir / "ws.manifest",
+        "locwm-workspace v1\nartifact a.cdfg\nartifact d.cdfg\n"
+        "artifact s.txt design=a.cdfg\n");
+  const fs::path cache = dir / ".locwm-cache";
+  const auto run = [&](bool use_cache, check::ProjectStats* stats = nullptr) {
+    check::Workspace ws =
+        check::Workspace::fromManifestFile((dir / "ws.manifest").string());
+    check::ProjectOptions options;
+    if (use_cache) {
+      options.cache_dir = cache.string();
+    }
+    const check::ProjectResult result = check::checkProject(ws, options);
+    if (stats != nullptr) {
+      *stats = result.stats;
+    }
+    return result.report.renderText() + result.report.renderJson() +
+           result.report.renderSarif();
+  };
+  const std::string fresh = run(false);
+  ASSERT_EQ(run(true), fresh);
+
+  // Truncate one entry and alter one byte of a diagnostic message in
+  // another: both probes miss, and the warm report is the uncached one.
+  const std::string needle = "\"message\": \"";
+  fs::path truncated;
+  fs::path edited;
+  for (const fs::directory_entry& e : fs::directory_iterator(cache)) {
+    std::string text = read(e.path());
+    const std::size_t at = text.find(needle);
+    if (edited.empty() && at != std::string::npos &&
+        text[at + needle.size()] != '"') {
+      char& byte = text[at + needle.size()];
+      byte = byte == 'X' ? 'Y' : 'X';
+      write(e.path(), text);
+      edited = e.path();
+    } else if (truncated.empty()) {
+      write(e.path(), text.substr(0, text.size() / 2));
+      truncated = e.path();
+    }
+  }
+  ASSERT_FALSE(edited.empty()) << "no cached entry carries a message";
+  ASSERT_FALSE(truncated.empty());
+  check::ProjectStats stats;
+  EXPECT_EQ(run(true, &stats), fresh);
+  EXPECT_EQ(stats.cache_probes - stats.cache_hits, 2u);
+  EXPECT_EQ(stats.cache_stores, 2u);
+  // The misses rewrote both entries: the next run is fully warm.
+  EXPECT_EQ(run(true, &stats), fresh);
+  EXPECT_EQ(stats.cache_hits, stats.cache_probes);
   fs::remove_all(dir);
 }
 

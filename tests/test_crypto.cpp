@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cstring>
+#include <string>
+#include <string_view>
 
 #include "crypto/bitstream.h"
 #include "crypto/rc4.h"
@@ -38,6 +40,35 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   h.update("hello ");
   h.update("world");
   EXPECT_EQ(toHex(h.finish()), toHex(Sha256::hash("hello world")));
+  // Chunks that straddle, fill and skip whole 64-byte blocks.
+  std::string text(300, '\0');
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>(i * 7);
+  }
+  for (const std::size_t chunk : {1UL, 63UL, 64UL, 65UL, 200UL}) {
+    Sha256 c;
+    for (std::size_t pos = 0; pos < text.size(); pos += chunk) {
+      c.update(std::string_view(text).substr(pos, chunk));
+    }
+    EXPECT_EQ(toHex(c.finish()), toHex(Sha256::hash(text))) << chunk;
+  }
+}
+
+TEST(Sha256, PortableAndExtensionRoundsAgree) {
+  // The x86 SHA-extension path (where the CPU has it) and the portable
+  // rounds give the same digests, one block boundary after another.
+  std::string text;
+  for (std::size_t n = 0; n < 300; ++n) {
+    detail::useShaExtensions(false);
+    const std::string portable = sha256Hex(text);
+    detail::useShaExtensions(true);
+    EXPECT_EQ(sha256Hex(text), portable) << n;
+    text += static_cast<char>(n * 37 + 11);
+  }
+  detail::useShaExtensions(false);
+  EXPECT_EQ(sha256Hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  detail::useShaExtensions(true);
 }
 
 TEST(Rc4, ClassicTestVectors) {

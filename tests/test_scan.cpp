@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "scan/keyring.h"
 #include "scan/scan.h"
 #include "sched/schedule_io.h"
+#include "store/store.h"
 
 namespace locwm::scan {
 namespace {
@@ -338,14 +340,41 @@ TEST(CorpusScan, CacheColdThenWarm) {
   }
   EXPECT_EQ(matchRowsOf(cold.rows), matchRowsOf(warm.rows));
 
-  // A corrupt cache entry is a miss, never a wrong answer.
-  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
-    std::ofstream os(e.path(), std::ios::binary | std::ios::trunc);
-    os << "locwm-scanfp-entry v1\nissues 0\ngarbage\n";
-  }
-  const ScanResult again = scanCorpus(corpus.items, corpus.ring, options);
-  EXPECT_EQ(again.stats.cache_cold, corpus.items.size());
-  EXPECT_EQ(matchRowsOf(again.rows), matchRowsOf(cold.rows));
+  // A damaged cache entry is a miss, never a wrong answer: each damage
+  // below, applied to every entry, makes the next scan all cold with the
+  // cold scan's rows.  (Each such scan rewrites the entries it missed.)
+  const auto damageEveryEntry = [&](const auto& damage) {
+    for (const std::string& name : store::listFiles(dir.string())) {
+      std::string text;
+      {
+        std::ifstream is(dir / name, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << is.rdbuf();
+        text = buffer.str();
+      }
+      damage(text);
+      std::ofstream os(dir / name, std::ios::binary | std::ios::trunc);
+      os << text;
+    }
+    const ScanResult again = scanCorpus(corpus.items, corpus.ring, options);
+    EXPECT_EQ(again.stats.cache_cold, corpus.items.size());
+    EXPECT_EQ(again.stats.cache_warm, 0u);
+    EXPECT_EQ(again.rows, cold.rows);
+  };
+  damageEveryEntry([](std::string& text) {
+    text = "locwm-scanfp-entry v1\nissues 0\ngarbage\n";
+  });
+  damageEveryEntry([](std::string& text) {  // cut after the `design` line
+    const std::size_t design = text.find("\ndesign ");
+    ASSERT_NE(design, std::string::npos);
+    text.resize(text.find('\n', design + 1) + 1);
+  });
+  damageEveryEntry([](std::string& text) {  // one hex digit of a root
+    const std::size_t root = text.find("\nroot ");
+    ASSERT_NE(root, std::string::npos);
+    char& digit = text[text.find('\n', root + 1) - 1];
+    digit = digit == '0' ? '1' : '0';
+  });
   fs::remove_all(dir);
 }
 
@@ -355,30 +384,70 @@ TEST(CorpusScan, DirectoryAndManifestLoadersAgree) {
   const BuiltCorpus corpus = smallCorpus(77, /*designs=*/6, /*ring=*/2);
   const fs::path dir = tempDir("loaders");
   writeCorpus(corpus, dir.string());
+  const auto writeManifest = [&](const char* name, const std::string& text) {
+    std::ofstream os(dir / name, std::ios::binary);
+    os << "locwm-workspace v1\n" << text;
+  };
 
-  std::string manifest;
-  for (const CorpusItem& item : corpus.items) {
-    manifest += "{\"design\": \"" + item.path + "\", \"schedule\": \"" +
-                item.schedule_path + "\"}\n";
+  // Without references, listed in reverse: pairing by stem, path order.
+  std::string plain;
+  for (auto it = corpus.items.rbegin(); it != corpus.items.rend(); ++it) {
+    plain += "artifact " + it->path + "\nartifact " + it->schedule_path + "\n";
   }
-  {
-    std::ofstream os(dir / "corpus.ndjson", std::ios::binary);
-    os << manifest;
+  writeManifest("plain.manifest", plain);
+  // With design= references to schedules under other names: the reference
+  // pairs them, a stem never could.
+  std::string refs;
+  fs::create_directories(dir / "s");
+  for (std::size_t i = 0; i < corpus.items.size(); ++i) {
+    const CorpusItem& item = corpus.items[i];
+    const std::string renamed = "s/x" + std::to_string(i) + ".txt";
+    fs::copy_file(dir / item.schedule_path, dir / renamed);
+    refs += "artifact " + item.path + "\nartifact " + renamed +
+            " design=" + item.path + "\n";
   }
+  writeManifest("refs.manifest", refs);
 
   const std::vector<CorpusItem> from_dir =
       loadCorpusFromDirectory(dir.string());
-  const std::vector<CorpusItem> from_manifest =
-      loadCorpusFromManifest((dir / "corpus.ndjson").string());
+  const std::vector<CorpusItem> from_plain =
+      loadCorpusFromManifest((dir / "plain.manifest").string());
+  const std::vector<CorpusItem> from_refs =
+      loadCorpusFromManifest((dir / "refs.manifest").string());
   ASSERT_EQ(from_dir.size(), corpus.items.size());
-  ASSERT_EQ(from_manifest.size(), corpus.items.size());
+  ASSERT_EQ(from_plain.size(), corpus.items.size());
+  ASSERT_EQ(from_refs.size(), corpus.items.size());
+  for (std::size_t i = 0; i < corpus.items.size(); ++i) {
+    EXPECT_EQ(from_dir[i].path, corpus.items[i].path);
+    EXPECT_EQ(from_dir[i].schedule_path, corpus.items[i].schedule_path);
+    EXPECT_EQ(from_plain[i].schedule_path, corpus.items[i].schedule_path);
+    EXPECT_EQ(from_refs[i].schedule_path, "s/x" + std::to_string(i) + ".txt");
+    EXPECT_EQ(from_refs[i].schedule_text, corpus.items[i].schedule_text);
+  }
 
   const KeyRing ring = KeyRing::fromFile((dir / "ring.keyring").string());
   ScanOptions options;  // no cache: identical rows either way
   const ScanResult a = scanCorpus(from_dir, ring, options);
-  const ScanResult b = scanCorpus(from_manifest, ring, options);
-  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(scanCorpus(from_plain, ring, options).rows, a.rows);
+  EXPECT_EQ(scanCorpus(from_refs, ring, options).rows, a.rows);
   EXPECT_GT(a.stats.match_pairs, 0u);
+
+  // A manifest load error (LW801) or an unreadable artifact throws Error,
+  // as an unreadable directory does.
+  writeManifest("bad-ref.manifest", "artifact d0000.cdfg bogus=1\n");
+  writeManifest("missing.manifest", "artifact d0000.cdfg\nartifact gone.cdfg\n");
+  EXPECT_THROW(static_cast<void>(loadCorpusFromManifest(
+                   (dir / "bad-ref.manifest").string())),
+               Error);
+  EXPECT_THROW(static_cast<void>(loadCorpusFromManifest(
+                   (dir / "missing.manifest").string())),
+               Error);
+  EXPECT_THROW(static_cast<void>(loadCorpusFromManifest(
+                   (dir / "absent.manifest").string())),
+               Error);
+  EXPECT_THROW(
+      static_cast<void>(loadCorpusFromDirectory((dir / "absent").string())),
+      Error);
   fs::remove_all(dir);
 }
 

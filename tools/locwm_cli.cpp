@@ -186,8 +186,8 @@ void note(const char* format, ...) {
       "                                 corpus scan: find every\n"
       "                                 (design, certificate) match\n"
       "                                 between the corpus (a directory\n"
-      "                                 or an ndjson manifest of designs)\n"
-      "                                 and a key ring.  Designs are\n"
+      "                                 or a workspace manifest, as for\n"
+      "                                 lint) and a key ring.  Designs are\n"
       "                                 lowered once and screened by an\n"
       "                                 O(1) locality-fingerprint\n"
       "                                 pre-filter (sound: recall 1.0);\n"
@@ -196,9 +196,9 @@ void note(const char* format, ...) {
       "                                 per design; blocks carry item\n"
       "                                 indices so --shard I/N outputs\n"
       "                                 concatenate byte-identically.\n"
-      "                                 Fingerprints are cached under\n"
-      "                                 DIR/.locwm-cache (--cache\n"
-      "                                 overrides, --no-cache disables).\n"
+      "                                 Fingerprints are cached as for\n"
+      "                                 lint (--cache overrides,\n"
+      "                                 --no-cache disables).\n"
       "                                 See docs/CORPUS_SCAN.md\n"
       "\n"
       "  version                        print version and build info\n"
@@ -235,11 +235,17 @@ void note(const char* format, ...) {
   std::exit(2);
 }
 
-cdfg::Cdfg loadDesign(const std::string& path) {
+/// Opens an input file, or exits 2 with "cannot open <what> '<path>'".
+std::ifstream openInput(const std::string& path, const char* what) {
   std::ifstream in(path);
   if (!in) {
-    die("cannot open design file '" + path + "'");
+    die("cannot open " + std::string(what) + " '" + path + "'");
   }
+  return in;
+}
+
+cdfg::Cdfg loadDesign(const std::string& path) {
+  std::ifstream in = openInput(path, "design file");
   return cdfg::parse(in);
 }
 
@@ -249,24 +255,6 @@ void saveText(const std::string& path, const std::string& text) {
     die("cannot write '" + path + "'");
   }
   out << text;
-}
-
-sched::Schedule loadSchedule(const std::string& path, std::size_t nodes) {
-  std::ifstream in(path);
-  if (!in) {
-    die("cannot open schedule file '" + path + "'");
-  }
-  sched::Schedule s(nodes);
-  std::uint32_t node = 0;
-  std::uint32_t step = 0;
-  while (in >> node >> step) {
-    if (node >= nodes) {
-      die("schedule references node " + std::to_string(node) +
-          " outside the design");
-    }
-    s.set(cdfg::NodeId(node), step);
-  }
-  return s;
 }
 
 /// Pulls "-x value" / "--flag value" style options out of argv.
@@ -480,17 +468,15 @@ int cmdDetect(const Args& args) {
     die("detect: need <design> <schedule> <certificate>...");
   }
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
+  std::ifstream sched_in = openInput(args.positional[1], "schedule file");
   const sched::Schedule s =
-      loadSchedule(args.positional[1], suspect.nodeCount());
+      sched::parseSchedule(sched_in, suspect.nodeCount());
   const auto sig = signatureOf(args);
   const wm::SchedulingWatermarker marker(sig);
 
   int found = 0;
   for (std::size_t i = 2; i < args.positional.size(); ++i) {
-    std::ifstream in(args.positional[i]);
-    if (!in) {
-      die("cannot open certificate '" + args.positional[i] + "'");
-    }
+    std::ifstream in = openInput(args.positional[i], "certificate");
     const auto cert = wm::parseSchedCertificate(in);
     const auto det = marker.detect(suspect, s, cert);
     // Proof strength: the locality's schedule-count ratio, times the
@@ -518,10 +504,7 @@ int cmdDetect(const Args& args) {
 
 regbind::Binding loadBinding(const std::string& path,
                              const regbind::LifetimeTable& table) {
-  std::ifstream in(path);
-  if (!in) {
-    die("cannot open binding file '" + path + "'");
-  }
+  std::ifstream in = openInput(path, "binding file");
   return regbind::parseBinding(in, table);
 }
 
@@ -530,8 +513,8 @@ int cmdEmbedReg(const Args& args) {
     die("embed-reg: need <design> <schedule>");
   }
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
-  const sched::Schedule s =
-      loadSchedule(args.positional[1], g.nodeCount());
+  std::ifstream sched_in = openInput(args.positional[1], "schedule file");
+  const sched::Schedule s = sched::parseSchedule(sched_in, g.nodeCount());
   wm::RegisterWatermarker marker(signatureOf(args));
   wm::RegWmParams params;
   params.locality.min_size = 5;
@@ -557,17 +540,15 @@ int cmdDetectReg(const Args& args) {
     die("detect-reg: need <design> <schedule> <binding> <certificate>...");
   }
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
+  std::ifstream sched_in = openInput(args.positional[1], "schedule file");
   const sched::Schedule s =
-      loadSchedule(args.positional[1], suspect.nodeCount());
+      sched::parseSchedule(sched_in, suspect.nodeCount());
   const auto table = regbind::computeLifetimes(suspect, s);
   const auto binding = loadBinding(args.positional[2], table);
   wm::RegisterWatermarker marker(signatureOf(args));
   int found = 0;
   for (std::size_t i = 3; i < args.positional.size(); ++i) {
-    std::ifstream in(args.positional[i]);
-    if (!in) {
-      die("cannot open certificate '" + args.positional[i] + "'");
-    }
+    std::ifstream in = openInput(args.positional[i], "certificate");
     const auto cert = wm::parseRegCertificate(in);
     const auto det = marker.detect(suspect, table, binding, cert);
     note("%-24s %s (%zu/%zu pairs, %zu shape matches)\n",
@@ -580,10 +561,7 @@ int cmdDetectReg(const Args& args) {
 
 tm::TemplateLibrary loadLibrary(const Args& args) {
   if (const auto path = args.get("--lib")) {
-    std::ifstream in(*path);
-    if (!in) {
-      die("cannot open template library '" + *path + "'");
-    }
+    std::ifstream in = openInput(*path, "template library");
     return tm::parseLibrary(in);
   }
   return tm::TemplateLibrary::basicDsp();
@@ -625,18 +603,12 @@ int cmdDetectTm(const Args& args) {
   }
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
   const tm::TemplateLibrary lib = loadLibrary(args);
-  std::ifstream cin_(args.positional[1]);
-  if (!cin_) {
-    die("cannot open cover '" + args.positional[1] + "'");
-  }
+  std::ifstream cin_ = openInput(args.positional[1], "cover");
   const auto cover = tm::parseCover(cin_, lib, suspect.nodeCount());
   wm::TemplateWatermarker marker(signatureOf(args), lib);
   int found = 0;
   for (std::size_t i = 2; i < args.positional.size(); ++i) {
-    std::ifstream in(args.positional[i]);
-    if (!in) {
-      die("cannot open certificate '" + args.positional[i] + "'");
-    }
+    std::ifstream in = openInput(args.positional[i], "certificate");
     const auto cert = wm::parseTmCertificate(in);
     const auto det = marker.detect(suspect, cover, cert);
     note("%-24s %s (%zu/%zu matchings)\n", args.positional[i].c_str(),
@@ -652,10 +624,7 @@ int cmdVerifyCert(const Args& args) {
   }
   int bad = 0;
   for (const std::string& path : args.positional) {
-    std::ifstream in(path);
-    if (!in) {
-      die("cannot open certificate '" + path + "'");
-    }
+    std::ifstream in = openInput(path, "certificate");
     std::stringstream buffer;
     buffer << in.rdbuf();
     const std::string text = buffer.str();
@@ -695,6 +664,16 @@ int cmdVerifyCert(const Args& args) {
   return bad == 0 ? 0 : 1;
 }
 
+/// The analysis-cache directory of `lint --project/--manifest` and `scan`:
+/// none with --no-cache, else --cache DIR, else ROOT/.locwm-cache where
+/// ROOT is the workspace directory or the manifest's directory.
+std::string cacheDirOf(const Args& args, const std::filesystem::path& root) {
+  if (args.has("--no-cache")) {
+    return {};
+  }
+  return args.get("--cache").value_or((root / ".locwm-cache").string());
+}
+
 int cmdLint(const Args& args) {
   const auto project_dir = args.get("--project");
   const auto manifest_path = args.get("--manifest");
@@ -704,14 +683,7 @@ int cmdLint(const Args& args) {
     std::fprintf(stderr, "locwm: lint: which artifacts?\n\n");
     usage();  // exits 2
   }
-  tm::TemplateLibrary library = tm::TemplateLibrary::basicDsp();
-  if (const auto path = args.get("--lib")) {
-    std::ifstream in(*path);
-    if (!in) {
-      die("cannot open template library '" + *path + "'");
-    }
-    library = tm::parseLibrary(in);
-  }
+  tm::TemplateLibrary library = loadLibrary(args);
   check::Report report;
   check::ProjectStats project_stats;
   if (project_mode) {
@@ -726,10 +698,7 @@ int cmdLint(const Args& args) {
               : check::Workspace::fromDirectory(project_dir.value_or("."));
       check::ProjectOptions options;
       options.library = std::move(library);
-      if (!args.has("--no-cache")) {
-        options.cache_dir = args.get("--cache").value_or(
-            (std::filesystem::path(ws.root()) / ".locwm-cache").string());
-      }
+      options.cache_dir = cacheDirOf(args, ws.root());
       check::ProjectResult result = check::checkProject(ws, options);
       report = std::move(result.report);
       project_stats = result.stats;
@@ -758,10 +727,7 @@ int cmdLint(const Args& args) {
     return 0;
   }
   if (baseline_path) {
-    std::ifstream in(*baseline_path);
-    if (!in) {
-      die("cannot open baseline '" + *baseline_path + "'");
-    }
+    std::ifstream in = openInput(*baseline_path, "baseline");
     std::stringstream buffer;
     buffer << in.rdbuf();
     check::Baseline baseline;
@@ -803,10 +769,7 @@ int cmdDiff(const Args& args) {
   const cdfg::Cdfg marked = loadDesign(args.positional[1]);
   std::vector<wm::WatermarkCertificate> certs;
   for (std::size_t i = 2; i < args.positional.size(); ++i) {
-    std::ifstream in(args.positional[i]);
-    if (!in) {
-      die("cannot open certificate '" + args.positional[i] + "'");
-    }
+    std::ifstream in = openInput(args.positional[i], "certificate");
     certs.push_back(wm::parseSchedCertificate(in));
   }
   check::DiffResult diff;
@@ -1112,7 +1075,7 @@ int cmdDelta(const Args& args) {
 
 int cmdScan(const Args& args) {
   if (args.positional.empty()) {
-    die("scan: which corpus (directory or ndjson manifest)?");
+    die("scan: which corpus (directory or workspace manifest)?");
   }
   const std::string target = args.positional[0];
   const std::string ring_path = args.require("--keys", "key-ring file");
@@ -1137,14 +1100,8 @@ int cmdScan(const Args& args) {
     options.shard_count = static_cast<std::uint32_t>(shard_count);
   }
   const bool is_dir = std::filesystem::is_directory(target);
-  if (args.has("--no-cache")) {
-    // cache off
-  } else if (const auto cache = args.get("--cache")) {
-    options.cache_dir = *cache;
-  } else if (is_dir) {
-    options.cache_dir =
-        (std::filesystem::path(target) / ".locwm-cache").string();
-  }
+  const std::filesystem::path root(target);
+  options.cache_dir = cacheDirOf(args, is_dir ? root : root.parent_path());
 
   scan::KeyRing ring;
   std::vector<scan::CorpusItem> items;

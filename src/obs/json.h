@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -76,7 +77,7 @@ inline std::string jsonNumber(double value) {
 
 /// Reads the JSON subset the writers above emit: objects, arrays, strings
 /// (`\u` escapes only up to U+00FF, as appendJsonEscaped writes them),
-/// unsigned integers and booleans.  Anything else throws
+/// unsigned integers up to 2^64 - 1 and booleans.  Anything else throws
 /// std::runtime_error saying what was expected.
 class JsonReader {
  public:
@@ -162,7 +163,11 @@ class JsonReader {
     }
     std::uint64_t value = 0;
     while (pos_ < text_.size() && isDigit(text_[pos_])) {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_++] - '0');
+      const auto digit = static_cast<std::uint64_t>(text_[pos_++] - '0');
+      if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+        fail("number out of range");
+      }
+      value = value * 10 + digit;
     }
     return value;
   }

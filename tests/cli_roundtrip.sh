@@ -225,6 +225,19 @@ grep -q '"full_rebuild": true' delta.out
 printf '{"op": "add-edge", "src": 0, "dst": 1, "kind": "temporal"}\n' \
     | "$LW" delta core.cdfg -q > /dev/null 2>&1
 
+# ...a node id past 32 bits is an input error that leaves the design
+# unchanged (it used to wrap and remove node 0), as is a negative one.
+cp core.cdfg wrap.cdfg
+for id in 4294967296 -1; do
+  RC=0
+  printf '{"op": "remove-node", "node": %s}\n' "$id" \
+      | "$LW" delta wrap.cdfg -o wrap.cdfg > wrap.out 2> wrap.err || RC=$?
+  test "$RC" -eq 2
+  test ! -s wrap.out
+  grep -q 'delta: line 1:' wrap.err
+done
+cmp core.cdfg wrap.cdfg
+
 # Diff resume: the first run writes the state file, the second reuses
 # every certificate without re-running the shape matcher — with the same
 # watermark verdict.
@@ -236,6 +249,41 @@ grep -q 'no prior state' resume1.out
     --resume dstate.txt > resume2.out
 grep -q 'prior state reused; 2 certificate(s) reused, 0 matched' resume2.out
 grep -q 'LW706' resume2.out
+
+# Argument validation: malformed invocations exit 2 with empty stdout and
+# a stderr that names the offending option or argument.
+bad() {
+  want="$1"
+  shift
+  RC=0
+  "$LW" "$@" > bad.out 2> bad.err || RC=$?
+  if [ "$RC" -ne 2 ] || [ -s bad.out ] || ! grep -q -- "$want" bad.err; then
+    echo "locwm $*: exit $RC, expected 2 naming '$want'" >&2
+    cat bad.out bad.err >&2
+    exit 1
+  fi
+}
+EMBED="embed core.cdfg -i A -n N -o x.cdfg -c x.wmc"
+bad 'size' gen fir abc
+bad '--marks' $EMBED --marks -1
+bad '--deadline' $EMBED --deadline 4294967296
+bad '--kfrac' $EMBED --kfrac nan
+bad '--shard' scan ws --keys ring --shard 0/2x
+bad '--threads' info core.cdfg --threads 4x
+bad '--jsno' info core.cdfg --jsno x
+bad "'extra'" info core.cdfg extra
+bad '--deadline' schedule core.cdfg -o s.sched --deadline 9
+
+# Every command of the usage table, run without arguments, is a usage
+# error (version takes none and succeeds).
+"$LW" 2>&1 | sed -n 's/^  \([a-z][a-z-]*\) .*/\1/p; s/^  \([a-z][a-z-]*\)$/\1/p' \
+    > commands.txt
+test "$(wc -l < commands.txt)" -eq 18
+while read -r cmd; do
+  if [ "$cmd" != version ]; then
+    bad 'usage: locwm' "$cmd" < /dev/null
+  fi
+done < commands.txt
 
 # ...validated structurally when python3 and the repo checkout are around,
 # as is the OpenMetrics exposition (required families per ISSUE 7).

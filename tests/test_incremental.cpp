@@ -422,6 +422,17 @@ TEST(Baseline, ParseRejectsMalformedInput) {
       std::runtime_error);
 }
 
+TEST(Baseline, OverflowingNumberKeepsThePrefix) {
+  // 2^64 + 1 used to wrap to a schema_version of 1 and parse silently.
+  try {
+    static_cast<void>(check::Baseline::parse(
+        "{\"schema_version\": 18446744073709551617, \"findings\": []}"));
+    ADD_FAILURE() << "overflowing schema_version accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "baseline parse error: number out of range");
+  }
+}
+
 // ---------------------------------------------------------------------
 // DiffResume (`locwm diff --resume`)
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -17,6 +18,7 @@
 #include "json_checker.h"
 #include "core/sched_wm.h"
 #include "obs/events.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/openmetrics.h"
 #include "sched/list_scheduler.h"
@@ -397,6 +399,25 @@ TEST(PcString, NeverContainsAFractionalExponent) {
     ASSERT_NE(e, std::string::npos) << s;
     EXPECT_EQ(s.find('.', e), std::string::npos)
         << "fractional exponent in " << s;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// obs::JsonReader reads untrusted files (lint baselines, cache entries,
+// `delta` edit streams): a number past 2^64 - 1 is an error, never a
+// silently wrapped value.
+TEST(JsonReader, NumberRejectsOverflow) {
+  obs::JsonReader max("18446744073709551615");
+  EXPECT_EQ(max.number(), std::numeric_limits<std::uint64_t>::max());
+  for (const char* text : {"18446744073709551616", "18446744073709551617",
+                           "100000000000000000000"}) {
+    obs::JsonReader in(text);
+    try {
+      static_cast<void>(in.number());
+      ADD_FAILURE() << text << " did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "number out of range") << text;
+    }
   }
 }
 

@@ -13,22 +13,31 @@
 // Files: designs use the cdfg/io.h text format; certificates the
 // core/certificate_io.h format; schedules are lines of "<node> <step>".
 //
+// Each command is one entry of the command table (kCommands, at the end):
+// its arity, its options, its usage text and its handler.  parseArgs
+// checks every invocation against that entry; anything it does not
+// describe is a usage error (exit 2).
+//
 // Observability: `--trace FILE` writes a Chrome trace-event JSON of every
 // pass span (open in chrome://tracing or https://ui.perfetto.dev),
 // `--stats FILE` writes the counter/gauge/pass-timer snapshot as JSON,
 // `--metrics FILE` writes an OpenMetrics text exposition, `--events FILE`
 // streams ndjson telemetry events, `--report` prints the per-pass
 // wall-time table to stderr at exit.  See docs/OBSERVABILITY.md.
-#include <cctype>
+#include <algorithm>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,6 +69,7 @@
 #include "core/certificate_io.h"
 #include "core/tm_wm.h"
 #include "obs/events.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/openmetrics.h"
 #include "tm/cover.h"
@@ -74,6 +84,7 @@
 #include "scan/corpus.h"
 #include "scan/keyring.h"
 #include "scan/scan.h"
+#include "store/store.h"
 #include "sched/list_scheduler.h"
 #include "sched/schedule_io.h"
 #include "sched/timeframes.h"
@@ -104,137 +115,6 @@ void note(const char* format, ...) {
   va_end(args);
 }
 
-[[noreturn]] void usage() {
-  // Usage is a diagnostic (exit 2), so it belongs on stderr: piping the
-  // tool's real output stays clean when invoked wrongly.
-  std::fputs(
-      "usage: locwm <command> [args]\n"
-      "\n"
-      "commands:\n"
-      "  gen <kind> [size] -o FILE      generate a benchmark design\n"
-      "                                 kinds: iir4, fir, lattice, wave,\n"
-      "                                 cascade, dct8, wavelet, volterra,\n"
-      "                                 ctrl2, mediabench:<app>\n"
-      "  info FILE                      print design statistics\n"
-      "  dot FILE [-o FILE]             export Graphviz DOT\n"
-      "  embed FILE -i ID -n NONCE -o MARKED -c CERTBASE [--marks N]\n"
-      "                                 [--deadline D] [--kfrac F]\n"
-      "  schedule FILE -o SCHED [--deadline D]\n"
-      "  strip FILE -o FILE             remove temporal edges (publish)\n"
-      "  detect FILE SCHED CERT... -i ID -n NONCE\n"
-      "                                 scan a suspect for each certificate\n"
-      "  embed-reg FILE SCHED -i ID -n NONCE -c CERT -o BINDING\n"
-      "                                 bind registers with a watermark\n"
-      "  detect-reg FILE SCHED BINDING CERT... -i ID -n NONCE\n"
-      "                                 scan a register binding\n"
-      "  verify-cert CERT...            sanity-check certificate files\n"
-      "  gen-lib -o FILE                write the built-in template library\n"
-      "  embed-tm FILE -i ID -n NONCE -c CERT -o COVER [--lib FILE]\n"
-      "                                 cover the design with a watermark\n"
-      "  detect-tm FILE COVER CERT... -i ID -n NONCE [--lib FILE]\n"
-      "                                 scan a template cover\n"
-      "  lint FILE... [--json] [--sarif] [--werror] [--lib FILE]\n"
-      "       [--baseline FILE] [--update-baseline]\n"
-      "                                 statically check artifacts; kinds\n"
-      "                                 are sniffed (design, schedule,\n"
-      "                                 cover, binding, library, cert).\n"
-      "                                 Order matters: a design provides\n"
-      "                                 context for later artifacts.\n"
-      "                                 --baseline suppresses known\n"
-      "                                 findings (ratchet); add\n"
-      "                                 --update-baseline to regenerate\n"
-      "                                 the file from this run.  See\n"
-      "                                 docs/STATIC_ANALYSIS.md\n"
-      "  lint --project DIR | --manifest FILE [--cache DIR] [--no-cache]\n"
-      "       [--json] [--sarif] [--werror] [--lib FILE]\n"
-      "                                 cross-artifact workspace analysis:\n"
-      "                                 loads every artifact of a\n"
-      "                                 directory (or the manifest's\n"
-      "                                 list), resolves references\n"
-      "                                 between them, and runs the LW8xx\n"
-      "                                 rules on top of the per-artifact\n"
-      "                                 ones.  Results are cached under\n"
-      "                                 DIR/.locwm-cache (override with\n"
-      "                                 --cache) keyed by content digest,\n"
-      "                                 so warm re-runs skip unchanged\n"
-      "                                 artifacts\n"
-      "  diff ORIGINAL MARKED [CERT...] [--json] [--sarif] [--werror]\n"
-      "       [--resume FILE]           prove MARKED is ORIGINAL plus\n"
-      "                                 watermark temporal edges only;\n"
-      "                                 certificates attribute the extra\n"
-      "                                 edges (LW7xx diagnostics).\n"
-      "                                 --resume reuses/writes a state\n"
-      "                                 file so repeated diffs re-match\n"
-      "                                 only certificates whose edges\n"
-      "                                 were touched since the last run\n"
-      "  delta DESIGN [EDITS] [-o FILE] [--verify] [--json]\n"
-      "                                 apply an ndjson edit stream (from\n"
-      "                                 EDITS or stdin) to the design with\n"
-      "                                 the incremental analysis engine,\n"
-      "                                 reporting per-commit repair stats\n"
-      "                                 and the final LW6xx report.  Ops:\n"
-      "                                 {\"op\":\"add-node\",\"kind\":K,\n"
-      "                                 \"name\":S}, {\"op\":\"remove-node\",\n"
-      "                                 \"node\":N}, {\"op\":\"add-edge\",\n"
-      "                                 \"src\":A,\"dst\":B,\"kind\":K},\n"
-      "                                 {\"op\":\"remove-edge\",...},\n"
-      "                                 {\"op\":\"commit\"}.  --verify\n"
-      "                                 cross-checks every commit against\n"
-      "                                 a full recompute\n"
-      "  scan DIR|MANIFEST --keys RING [--json] [-o FILE] [--shard I/N]\n"
-      "       [--cache DIR] [--no-cache] [--no-prefilter]\n"
-      "                                 corpus scan: find every\n"
-      "                                 (design, certificate) match\n"
-      "                                 between the corpus (a directory\n"
-      "                                 or a workspace manifest, as for\n"
-      "                                 lint) and a key ring.  Designs are\n"
-      "                                 lowered once and screened by an\n"
-      "                                 O(1) locality-fingerprint\n"
-      "                                 pre-filter (sound: recall 1.0);\n"
-      "                                 only survivors get exact replay.\n"
-      "                                 --json emits one ndjson row block\n"
-      "                                 per design; blocks carry item\n"
-      "                                 indices so --shard I/N outputs\n"
-      "                                 concatenate byte-identically.\n"
-      "                                 Fingerprints are cached as for\n"
-      "                                 lint (--cache overrides,\n"
-      "                                 --no-cache disables).\n"
-      "                                 See docs/CORPUS_SCAN.md\n"
-      "\n"
-      "  version                        print version and build info\n"
-      "\n"
-      "global options (any command):\n"
-      "  -q, --quiet                    suppress informational output\n"
-      "  --trace FILE                   write Chrome trace-event JSON\n"
-      "                                 (chrome://tracing / Perfetto)\n"
-      "  --stats FILE                   write counters/gauges/pass times\n"
-      "                                 as JSON\n"
-      "  --metrics FILE                 write an OpenMetrics/Prometheus\n"
-      "                                 text exposition at exit\n"
-      "  --events FILE                  stream telemetry events (span\n"
-      "                                 begin/end, counters, histograms)\n"
-      "                                 as newline-delimited JSON\n"
-      "  --report                       print per-pass wall-time table to\n"
-      "                                 stderr at exit\n"
-      "  --threads N                    worker threads for the parallel\n"
-      "                                 passes; overrides LOCWM_THREADS,\n"
-      "                                 which overrides the hardware\n"
-      "                                 concurrency default\n"
-      "\n"
-      "exit codes:\n"
-      "  0  success; for detect commands: at least one mark detected\n"
-      "  1  detect commands: no mark detected (verify-cert: invalid\n"
-      "     cert; lint/diff: errors found, or warnings with --werror)\n"
-      "  2  usage or I/O error\n"
-      "\n"
-      "environment:\n"
-      "  LOCWM_CHECK_PASSES=1           audit every embed/detect pass\n"
-      "                                 product with the lint rules\n"
-      "                                 (findings go to stderr)\n",
-      stderr);
-  std::exit(2);
-}
-
 /// Opens an input file, or exits 2 with "cannot open <what> '<path>'".
 std::ifstream openInput(const std::string& path, const char* what) {
   std::ifstream in(path);
@@ -257,8 +137,123 @@ void saveText(const std::string& path, const std::string& text) {
   out << text;
 }
 
-/// Pulls "-x value" / "--flag value" style options out of argv.
+// --- The command table's types, the argument checks and usage errors ---
+
+/// What an option takes after its name.
+enum class Takes { kFlag, kString, kUnsigned, kFraction };
+
+/// One option a command accepts.
+struct Option {
+  const char* name;
+  Takes takes = Takes::kString;
+  std::uint64_t max = 0;  ///< kUnsigned: the largest value accepted
+};
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
+/// max_positional of a command taking any number of positionals.
+constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
+
+struct Args;
+
+/// One entry of the command table (kCommands): it drives argument
+/// validation, the usage text and dispatch.
+struct Command {
+  const char* name;
+  const char* synopsis;  ///< the arguments after the name; '\n' wraps
+  const char* help;      ///< '\n' wraps
+  std::size_t min_positional;
+  std::size_t max_positional;
+  std::vector<Option> options;
+  int (*run)(const Args&);
+};
+
+/// An option every command accepts, with its usage line.
+struct GlobalOption {
+  Option option;
+  const char* usage;  ///< nullptr: an alias shown with the entry above
+  const char* help;
+};
+
+const GlobalOption kGlobalOptions[] = {
+    {{"-q", Takes::kFlag}, "-q, --quiet", "suppress informational output"},
+    {{"--quiet", Takes::kFlag}, nullptr, nullptr},
+    {{"--threads", Takes::kUnsigned, kMaxSize}, "--threads N",
+     "worker threads for the parallel passes; overrides\n"
+     "LOCWM_THREADS, which overrides the hardware concurrency"},
+    {{"--trace"}, "--trace FILE",
+     "write Chrome trace-event JSON (chrome://tracing, Perfetto)"},
+    {{"--stats"}, "--stats FILE", "write counters, gauges and pass times"},
+    {{"--metrics"}, "--metrics FILE", "write an OpenMetrics text exposition"},
+    {{"--events"}, "--events FILE", "stream telemetry events as ndjson"},
+    {{"--report", Takes::kFlag}, "--report",
+     "print the per-pass wall-time table to stderr at exit"},
+};
+
+/// Writes `text` and a newline, indenting every line after the first by
+/// `indent` spaces.
+void printLines(std::FILE* out, std::string_view text, int indent) {
+  for (std::size_t nl = text.find('\n'); nl != std::string_view::npos;
+       nl = text.find('\n')) {
+    std::fprintf(out, "%.*s\n%*s", static_cast<int>(nl), text.data(), indent,
+                 "");
+    text.remove_prefix(nl + 1);
+  }
+  std::fprintf(out, "%.*s\n", static_cast<int>(text.size()), text.data());
+}
+
+/// Writes `prefix`, the command name and its synopsis.
+void printSynopsis(std::FILE* out, const char* prefix, const Command& c) {
+  const int width =
+      std::fprintf(out, "%s%s%s", prefix, c.name, *c.synopsis ? " " : "");
+  printLines(out, c.synopsis, width);
+}
+
+/// Exits 2 with `message` and the command's synopsis on stderr.
+[[noreturn]] void usageError(const Command& command,
+                             const std::string& message) {
+  std::fprintf(stderr, "locwm: %s: %s\n", command.name, message.c_str());
+  printSynopsis(stderr, "usage: locwm ", command);
+  std::exit(2);
+}
+
+/// The CLI's one number parser: the whole of `text` must be decimal
+/// digits naming a value of at most `max`.  Throws Error naming `what`.
+std::uint64_t parseUnsigned(const std::string& text, std::uint64_t max,
+                            const std::string& what) {
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+    throw Error(what + " needs an unsigned number, got '" + text + "'");
+  }
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > max / 10 || digit > max - value * 10) {
+      throw Error(what + " out of range: '" + text + "' exceeds " +
+                  std::to_string(max));
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+/// A decimal fraction in [0, 1]: digits with at most one '.'.
+double parseFraction(const std::string& text, const std::string& what) {
+  const bool well_formed =
+      text.find_first_not_of("0123456789.") == std::string::npos &&
+      std::count(text.begin(), text.end(), '.') <= 1 &&
+      text.find_first_of("0123456789") != std::string::npos;
+  const double value = well_formed ? std::strtod(text.c_str(), nullptr) : -1;
+  if (!(value >= 0 && value <= 1)) {
+    throw Error(what + " needs a fraction in [0, 1], got '" + text + "'");
+  }
+  return value;
+}
+
+/// A checked invocation: positionals, and (option, value) pairs in
+/// command-line order (flags have empty values).
 struct Args {
+  const Command* command;
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> options;
 
@@ -278,46 +273,81 @@ struct Args {
                                     const std::string& what) const {
     const auto v = get(name);
     if (!v) {
-      die("missing " + name + " (" + what + ")");
+      usageError(*command, "missing " + name + " (" + what + ")");
     }
     return *v;
   }
+  /// A kUnsigned option's value (range-checked by parseArgs).
+  [[nodiscard]] std::uint64_t number(const std::string& name,
+                                     std::uint64_t fallback) const {
+    const auto v = get(name);
+    return v ? parseUnsigned(*v, kMaxU64, name) : fallback;
+  }
 };
 
-bool isBooleanFlag(const std::string& name) {
-  return name == "-q" || name == "--quiet" || name == "--report" ||
-         name == "--json" || name == "--werror" || name == "--sarif" ||
-         name == "--verify" || name == "--update-baseline" ||
-         name == "--no-cache" || name == "--no-prefilter";
+const Option* findOption(const Command& command, const std::string& name) {
+  for (const Option& option : command.options) {
+    if (name == option.name) {
+      return &option;
+    }
+  }
+  for (const GlobalOption& global : kGlobalOptions) {
+    if (name == global.option.name) {
+      return &global.option;
+    }
+  }
+  return nullptr;
 }
 
-Args parseArgs(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.size() > 1 && a.front() == '-') {
-      if (isBooleanFlag(a)) {
-        args.options.emplace_back(a, "");
-        continue;
-      }
-      if (i + 1 >= argc) {
-        die("option " + a + " needs a value");
-      }
-      args.options.emplace_back(a, argv[++i]);
-    } else {
-      args.positional.push_back(a);
+/// Checks argv[2..] against `command`: every option known and given its
+/// value, every number well formed and in range, and the positional count
+/// within bounds.  Anything else is a usage error.
+Args parseArgs(const Command& command, int argc, char** argv) {
+  Args args{&command, {}, {}};
+  for (int i = 2; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.size() < 2 || arg.front() != '-') {
+      args.positional.push_back(std::move(arg));
+      continue;
     }
+    const Option* option = findOption(command, arg);
+    if (option == nullptr) {
+      usageError(command, "unknown option '" + arg + "'");
+    }
+    std::string value;
+    if (option->takes != Takes::kFlag) {
+      if (i + 1 >= argc) {
+        usageError(command, "option " + arg + " needs a value");
+      }
+      value = argv[++i];
+    }
+    try {
+      if (option->takes == Takes::kUnsigned) {
+        parseUnsigned(value, option->max, arg);
+      } else if (option->takes == Takes::kFraction) {
+        parseFraction(value, arg);
+      }
+    } catch (const Error& e) {
+      usageError(command, e.what());
+    }
+    args.options.emplace_back(std::move(arg), std::move(value));
+  }
+  if (args.positional.size() > command.max_positional) {
+    usageError(command, "unexpected argument '" +
+                            args.positional[command.max_positional] + "'");
+  }
+  if (args.positional.size() < command.min_positional) {
+    usageError(command, "missing arguments");
   }
   return args;
 }
 
 int cmdGen(const Args& args) {
-  if (args.positional.empty()) {
-    die("gen: which design?");
-  }
   const std::string kind = args.positional[0];
   const std::size_t size =
-      args.positional.size() > 1 ? std::stoul(args.positional[1]) : 8;
+      args.positional.size() > 1
+          ? parseUnsigned(args.positional[1], kMaxSize, "gen: size")
+          : 8;
   cdfg::Cdfg g;
   if (kind == "iir4") {
     g = workloads::iir4Parallel();
@@ -359,9 +389,6 @@ int cmdGen(const Args& args) {
 }
 
 int cmdInfo(const Args& args) {
-  if (args.positional.empty()) {
-    die("info: which file?");
-  }
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
   const cdfg::StructuralAnalysis an(g);
   std::size_t real = 0;
@@ -384,9 +411,6 @@ int cmdInfo(const Args& args) {
 }
 
 int cmdDot(const Args& args) {
-  if (args.positional.empty()) {
-    die("dot: which file?");
-  }
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
   const std::string dot = cdfg::toDot(g);
   if (const auto out = args.get("-o")) {
@@ -403,25 +427,20 @@ crypto::AuthorSignature signatureOf(const Args& args) {
 }
 
 int cmdEmbed(const Args& args) {
-  if (args.positional.empty()) {
-    die("embed: which design?");
-  }
   cdfg::Cdfg g = loadDesign(args.positional[0]);
   const auto sig = signatureOf(args);
   wm::SchedulingWatermarker marker(sig);
 
   wm::SchedWmParams params;
   const sched::TimeFrames tf(g, params.latency);
-  params.deadline = args.get("--deadline")
-                        ? std::stoul(*args.get("--deadline"))
-                        : tf.criticalPathSteps() + 3;
+  params.deadline = static_cast<std::uint32_t>(
+      args.number("--deadline", tf.criticalPathSteps() + 3));
   if (const auto kf = args.get("--kfrac")) {
-    params.k_fraction = std::stod(*kf);
+    params.k_fraction = parseFraction(*kf, "--kfrac");
   }
   params.locality.min_size = 4;
   params.min_eligible = 2;
-  const std::size_t count =
-      args.get("--marks") ? std::stoul(*args.get("--marks")) : 1;
+  const std::size_t count = args.number("--marks", 1);
 
   const auto marks = marker.embedMany(g, count, params);
   if (marks.empty()) {
@@ -441,9 +460,6 @@ int cmdEmbed(const Args& args) {
 }
 
 int cmdSchedule(const Args& args) {
-  if (args.positional.empty()) {
-    die("schedule: which design?");
-  }
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
   const sched::Schedule s = sched::listSchedule(g);
   saveText(args.require("-o", "schedule output"),
@@ -454,9 +470,6 @@ int cmdSchedule(const Args& args) {
 }
 
 int cmdStrip(const Args& args) {
-  if (args.positional.empty()) {
-    die("strip: which design?");
-  }
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
   saveText(args.require("-o", "published design output"),
            cdfg::printToString(g.stripTemporalEdges()));
@@ -464,9 +477,6 @@ int cmdStrip(const Args& args) {
 }
 
 int cmdDetect(const Args& args) {
-  if (args.positional.size() < 3) {
-    die("detect: need <design> <schedule> <certificate>...");
-  }
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
   std::ifstream sched_in = openInput(args.positional[1], "schedule file");
   const sched::Schedule s =
@@ -509,9 +519,6 @@ regbind::Binding loadBinding(const std::string& path,
 }
 
 int cmdEmbedReg(const Args& args) {
-  if (args.positional.size() < 2) {
-    die("embed-reg: need <design> <schedule>");
-  }
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
   std::ifstream sched_in = openInput(args.positional[1], "schedule file");
   const sched::Schedule s = sched::parseSchedule(sched_in, g.nodeCount());
@@ -536,9 +543,6 @@ int cmdEmbedReg(const Args& args) {
 }
 
 int cmdDetectReg(const Args& args) {
-  if (args.positional.size() < 4) {
-    die("detect-reg: need <design> <schedule> <binding> <certificate>...");
-  }
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
   std::ifstream sched_in = openInput(args.positional[1], "schedule file");
   const sched::Schedule s =
@@ -574,9 +578,6 @@ int cmdGenLib(const Args& args) {
 }
 
 int cmdEmbedTm(const Args& args) {
-  if (args.positional.empty()) {
-    die("embed-tm: which design?");
-  }
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
   const tm::TemplateLibrary lib = loadLibrary(args);
   wm::TemplateWatermarker marker(signatureOf(args), lib);
@@ -598,9 +599,6 @@ int cmdEmbedTm(const Args& args) {
 }
 
 int cmdDetectTm(const Args& args) {
-  if (args.positional.size() < 3) {
-    die("detect-tm: need <design> <cover> <certificate>...");
-  }
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
   const tm::TemplateLibrary lib = loadLibrary(args);
   std::ifstream cin_ = openInput(args.positional[1], "cover");
@@ -619,15 +617,13 @@ int cmdDetectTm(const Args& args) {
 }
 
 int cmdVerifyCert(const Args& args) {
-  if (args.positional.empty()) {
-    die("verify-cert: which file?");
-  }
   int bad = 0;
   for (const std::string& path : args.positional) {
-    std::ifstream in = openInput(path, "certificate");
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
+    const auto file = store::readFile(path);
+    if (!file) {
+      die("cannot open certificate '" + path + "'");
+    }
+    const std::string& text = *file;
     try {
       const auto cert = wm::parseSchedCertificate(text);
       std::printf("%-24s sched: %zu-op locality, %zu constraints",
@@ -674,14 +670,33 @@ std::string cacheDirOf(const Args& args, const std::filesystem::path& root) {
   return args.get("--cache").value_or((root / ".locwm-cache").string());
 }
 
+/// The tail of lint, diff and delta: prints `report` as --sarif, --json or
+/// text (text only when not quiet or not clean) and returns the exit code,
+/// 1 on errors or on warnings under --werror.  With `json_rows` the
+/// command's --json output is its own rows, not the report.
+int printReport(const Args& args, const check::Report& report,
+                bool json_rows = false) {
+  if (args.has("--sarif")) {
+    std::fputs(report.renderSarif().c_str(), stdout);
+  } else if (args.has("--json")) {
+    if (!json_rows) {
+      std::fputs(report.renderJson().c_str(), stdout);
+    }
+  } else if (!report.empty() || !g_quiet) {
+    std::fputs(report.renderText().c_str(), stdout);
+  }
+  const bool fail =
+      report.hasErrors() || (args.has("--werror") && report.hasWarnings());
+  return fail ? 1 : 0;
+}
+
 int cmdLint(const Args& args) {
   const auto project_dir = args.get("--project");
   const auto manifest_path = args.get("--manifest");
   const bool project_mode =
       project_dir.has_value() || manifest_path.has_value();
   if (!project_mode && args.positional.empty()) {
-    std::fprintf(stderr, "locwm: lint: which artifacts?\n\n");
-    usage();  // exits 2
+    usageError(*args.command, "which artifacts?");
   }
   tm::TemplateLibrary library = loadLibrary(args);
   check::Report report;
@@ -691,20 +706,16 @@ int cmdLint(const Args& args) {
       die("lint: --project/--manifest and positional artifacts are "
           "mutually exclusive");
     }
-    try {
-      check::Workspace ws =
-          manifest_path
-              ? check::Workspace::fromManifestFile(*manifest_path)
-              : check::Workspace::fromDirectory(project_dir.value_or("."));
-      check::ProjectOptions options;
-      options.library = std::move(library);
-      options.cache_dir = cacheDirOf(args, ws.root());
-      check::ProjectResult result = check::checkProject(ws, options);
-      report = std::move(result.report);
-      project_stats = result.stats;
-    } catch (const Error& e) {
-      die(e.what());
-    }
+    check::Workspace ws =
+        manifest_path
+            ? check::Workspace::fromManifestFile(*manifest_path)
+            : check::Workspace::fromDirectory(project_dir.value_or("."));
+    check::ProjectOptions options;
+    options.library = std::move(library);
+    options.cache_dir = cacheDirOf(args, ws.root());
+    check::ProjectResult result = check::checkProject(ws, options);
+    report = std::move(result.report);
+    project_stats = result.stats;
   } else {
     check::LintOptions options;
     options.library = std::move(library);
@@ -727,28 +738,18 @@ int cmdLint(const Args& args) {
     return 0;
   }
   if (baseline_path) {
-    std::ifstream in = openInput(*baseline_path, "baseline");
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    check::Baseline baseline;
-    try {
-      baseline = check::Baseline::parse(buffer.str());
-    } catch (const std::exception& e) {
-      die(e.what());
+    const auto text = store::readFile(*baseline_path);
+    if (!text) {
+      die("cannot open baseline '" + *baseline_path + "'");
     }
+    const check::Baseline baseline = check::Baseline::parse(*text);
     const std::size_t before = report.diagnostics().size();
     report = baseline.filterNew(report);
     note("baseline: %zu of %zu finding(s) suppressed\n",
          before - report.diagnostics().size(), before);
   }
 
-  if (args.has("--sarif")) {
-    std::fputs(report.renderSarif().c_str(), stdout);
-  } else if (args.has("--json")) {
-    std::fputs(report.renderJson().c_str(), stdout);
-  } else if (!report.empty() || !g_quiet) {
-    std::fputs(report.renderText().c_str(), stdout);
-  }
+  const int rc = printReport(args, report);
   if (project_mode) {
     note("project: %zu artifact(s), %zu finding(s), cache %zu/%zu hit(s) "
          "(%.1f%%)\n",
@@ -756,15 +757,10 @@ int cmdLint(const Args& args) {
          project_stats.cache_hits, project_stats.cache_probes,
          project_stats.hitRatePct());
   }
-  const bool fail =
-      report.hasErrors() || (args.has("--werror") && report.hasWarnings());
-  return fail ? 1 : 0;
+  return rc;
 }
 
 int cmdDiff(const Args& args) {
-  if (args.positional.size() < 2) {
-    die("diff: need <original> <marked> [certificate...]");
-  }
   const cdfg::Cdfg original = loadDesign(args.positional[0]);
   const cdfg::Cdfg marked = loadDesign(args.positional[1]);
   std::vector<wm::WatermarkCertificate> certs;
@@ -774,17 +770,11 @@ int cmdDiff(const Args& args) {
   }
   check::DiffResult diff;
   if (const auto state_path = args.get("--resume")) {
+    const auto state = store::readFile(*state_path);
+    const bool have_prior = state.has_value();
     check::DiffResumeState prior;
-    bool have_prior = false;
-    if (std::ifstream in(*state_path); in) {
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      try {
-        prior = check::parseDiffState(buffer.str());
-        have_prior = true;
-      } catch (const std::exception& e) {
-        die(e.what());
-      }
+    if (have_prior) {
+      prior = check::parseDiffState(*state);
     }
     check::DiffResumeState next;
     diff = check::resumeDiff(original, marked, certs,
@@ -800,120 +790,89 @@ int cmdDiff(const Args& args) {
     diff = check::diffDesigns(original, marked, certs, args.positional[0],
                               args.positional[1]);
   }
-  if (args.has("--sarif")) {
-    std::fputs(diff.report.renderSarif().c_str(), stdout);
-  } else if (args.has("--json")) {
-    std::fputs(diff.report.renderJson().c_str(), stdout);
-  } else if (!diff.report.empty() || !g_quiet) {
-    std::fputs(diff.report.renderText().c_str(), stdout);
-  }
+  const int rc = printReport(args, diff.report);
   note("core %s; %zu extra temporal edge(s), %zu explained by %zu "
        "certificate(s)\n",
        diff.identical_core ? "identical" : "DIFFERS",
        diff.extra_temporal.size(), diff.explained, certs.size());
-  const bool fail = diff.report.hasErrors() ||
-                    (args.has("--werror") && diff.report.hasWarnings());
-  return fail ? 1 : 0;
+  return rc;
 }
 
 // --- `locwm delta`: ndjson edit stream against the incremental engine ---
 
-/// Parses one flat ndjson object ({"key": "string" | number, ...}) into
-/// key/value pairs (numbers kept as their literal text).  The edit
-/// vocabulary needs nothing deeper.  Blank lines yield an empty list.
-std::vector<std::pair<std::string, std::string>> parseEditLine(
-    const std::string& line, std::size_t lineno) {
-  const auto fail = [lineno](const std::string& why) {
-    die("delta: line " + std::to_string(lineno) + ": " + why);
-  };
-  std::vector<std::pair<std::string, std::string>> fields;
-  std::size_t pos = 0;
-  const auto skipWs = [&] {
-    while (pos < line.size() &&
-           (line[pos] == ' ' || line[pos] == '\t' || line[pos] == '\r')) {
-      ++pos;
-    }
-  };
-  const auto parseString = [&]() -> std::string {
-    ++pos;  // opening quote, checked by the caller
-    std::string out;
-    while (pos < line.size() && line[pos] != '"') {
-      char c = line[pos++];
-      if (c == '\\') {
-        if (pos >= line.size()) {
-          fail("dangling escape");
-        }
-        c = line[pos++];
-        if (c == 'n') {
-          c = '\n';
-        } else if (c == 't') {
-          c = '\t';
-        } else if (c != '"' && c != '\\' && c != '/') {
-          fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (pos >= line.size()) {
-      fail("unterminated string");
-    }
-    ++pos;  // closing quote
-    return out;
-  };
-  skipWs();
-  if (pos == line.size()) {
+/// One line of a `delta` edit stream: a flat JSON object whose values are
+/// strings or unsigned numbers (kept as decimal text).  A blank line has
+/// no fields.  Throws std::runtime_error on anything else.
+std::map<std::string, std::string> readEditLine(const std::string& line) {
+  obs::JsonReader in(line);
+  std::map<std::string, std::string> fields;
+  if (in.peek() == '\0') {
     return fields;
   }
-  if (line[pos] != '{') {
-    fail("expected '{'");
+  in.expect('{');
+  for (bool first = true; !in.consume('}'); first = false) {
+    if (!first) {
+      in.expect(',');
+    }
+    std::string key = in.string();
+    in.expect(':');
+    fields.emplace(std::move(key), in.peek() == '"'
+                                       ? in.string()
+                                       : std::to_string(in.number()));
   }
-  ++pos;
-  skipWs();
-  if (pos < line.size() && line[pos] == '}') {
-    return fields;
+  if (in.peek() != '\0') {
+    throw Error("unexpected text after '}'");
   }
-  for (;;) {
-    skipWs();
-    if (pos >= line.size() || line[pos] != '"') {
-      fail("expected field name");
-    }
-    const std::string key = parseString();
-    skipWs();
-    if (pos >= line.size() || line[pos] != ':') {
-      fail("expected ':'");
-    }
-    ++pos;
-    skipWs();
-    std::string value;
-    if (pos < line.size() && line[pos] == '"') {
-      value = parseString();
-    } else {
-      while (pos < line.size() &&
-             (std::isdigit(static_cast<unsigned char>(line[pos])) != 0 ||
-                                   line[pos] == '-' || line[pos] == '+')) {
-        value += line[pos++];
-      }
-      if (value.empty()) {
-        fail("expected string or number value");
-      }
-    }
-    fields.emplace_back(key, value);
-    skipWs();
-    if (pos < line.size() && line[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (pos < line.size() && line[pos] == '}') {
-      return fields;
-    }
-    fail("expected ',' or '}'");
+  return fields;
+}
+
+/// The edit a line of the stream asks for; nullopt for a commit.  Throws
+/// Error on an unknown op or kind and on a node id that is not an
+/// unsigned 32-bit number.
+std::optional<cdfg::EditOp> editOf(
+    const std::map<std::string, std::string>& fields) {
+  const auto get = [&fields](const std::string& key, const char* fallback) {
+    const auto it = fields.find(key);
+    return it == fields.end() ? std::string(fallback) : it->second;
+  };
+  const auto node = [&get](const std::string& key) {
+    return cdfg::NodeId(static_cast<std::uint32_t>(
+        parseUnsigned(get(key, ""), kMaxU32, '"' + key + '"')));
+  };
+  const std::string op = get("op", "");
+  if (op == "commit") {
+    return std::nullopt;
   }
+  if (op == "add-node") {
+    const std::string kind_name = get("kind", "");
+    const auto kind = cdfg::opFromName(kind_name);
+    if (!kind) {
+      throw Error("unknown operation kind '" + kind_name + "'");
+    }
+    return cdfg::EditOp::addNode(*kind, get("name", ""));
+  }
+  if (op == "remove-node") {
+    return cdfg::EditOp::removeNode(node("node"));
+  }
+  if (op != "add-edge" && op != "remove-edge") {
+    throw Error("unknown op '" + op + "'");
+  }
+  const std::string kind_name = get("kind", "data");
+  cdfg::EdgeKind kind = cdfg::EdgeKind::kData;
+  if (kind_name == "control") {
+    kind = cdfg::EdgeKind::kControl;
+  } else if (kind_name == "temporal") {
+    kind = cdfg::EdgeKind::kTemporal;
+  } else if (kind_name != "data") {
+    throw Error("unknown edge kind '" + kind_name + "'");
+  }
+  const cdfg::NodeId src = node("src");
+  const cdfg::NodeId dst = node("dst");
+  return op == "add-edge" ? cdfg::EditOp::addEdge(src, dst, kind)
+                          : cdfg::EditOp::removeEdge(src, dst, kind);
 }
 
 int cmdDelta(const Args& args) {
-  if (args.positional.empty()) {
-    die("delta: which design?");
-  }
   cdfg::Cdfg g = loadDesign(args.positional[0]);
   const bool verify = args.has("--verify");
   const bool json = args.has("--json");
@@ -989,78 +948,29 @@ int cmdDelta(const Args& args) {
     batch_lines.clear();
   };
 
-  const auto number = [](const std::string& value, const char* what,
-                         std::size_t at) -> std::uint32_t {
-    try {
-      return static_cast<std::uint32_t>(std::stoul(value));
-    } catch (const std::exception&) {
-      die("delta: line " + std::to_string(at) + ": " + what +
-          " needs a number, got '" + value + "'");
-    }
-  };
-
   std::string line;
   while (std::getline(*in, line)) {
     ++lineno;
-    const auto fields = parseEditLine(line, lineno);
-    if (fields.empty()) {
-      continue;
-    }
-    const auto get = [&fields](const char* key) -> std::optional<std::string> {
-      for (const auto& [k, v] : fields) {
-        if (k == key) {
-          return v;
-        }
+    std::optional<cdfg::EditOp> edit;
+    try {
+      const auto fields = readEditLine(line);
+      if (fields.empty()) {
+        continue;
       }
-      return std::nullopt;
-    };
-    const std::string op = get("op").value_or("");
-    if (op == "commit") {
+      edit = editOf(fields);
+    } catch (const std::runtime_error& e) {
+      die("delta: line " + std::to_string(lineno) + ": " + e.what());
+    }
+    if (!edit) {
       commit();
       continue;
     }
-    if (op == "add-node") {
-      const std::string kind_name = get("kind").value_or("");
-      const auto kind = cdfg::opFromName(kind_name);
-      if (!kind) {
-        die("delta: line " + std::to_string(lineno) +
-            ": unknown operation kind '" + kind_name + "'");
-      }
-      batch.ops.push_back(
-          cdfg::EditOp::addNode(*kind, get("name").value_or("")));
-    } else if (op == "remove-node") {
-      batch.ops.push_back(cdfg::EditOp::removeNode(cdfg::NodeId(
-          number(get("node").value_or(""), "\"node\"", lineno))));
-    } else if (op == "add-edge" || op == "remove-edge") {
-      const std::string kind_name = get("kind").value_or("data");
-      cdfg::EdgeKind kind = cdfg::EdgeKind::kData;
-      if (kind_name == "control") {
-        kind = cdfg::EdgeKind::kControl;
-      } else if (kind_name == "temporal") {
-        kind = cdfg::EdgeKind::kTemporal;
-      } else if (kind_name != "data") {
-        die("delta: line " + std::to_string(lineno) +
-            ": unknown edge kind '" + kind_name + "'");
-      }
-      const cdfg::NodeId src(
-          number(get("src").value_or(""), "\"src\"", lineno));
-      const cdfg::NodeId dst(
-          number(get("dst").value_or(""), "\"dst\"", lineno));
-      batch.ops.push_back(op == "add-edge"
-                              ? cdfg::EditOp::addEdge(src, dst, kind)
-                              : cdfg::EditOp::removeEdge(src, dst, kind));
-    } else {
-      die("delta: line " + std::to_string(lineno) + ": unknown op '" + op +
-          "'");
-    }
+    batch.ops.push_back(*edit);
     batch_lines.push_back(lineno);
   }
   commit();  // implicit trailing commit
 
-  const check::Report& report = engine.semanticReport();
-  if (!json && (!report.empty() || !g_quiet)) {
-    std::fputs(engine.semanticReportText().c_str(), stdout);
-  }
+  const int rc = printReport(args, engine.semanticReport(), json);
   note("%zu commit(s), %zu rejected op(s); design now %zu live node(s), "
        "%zu edge(s)\n",
        commits, rejected_total, engine.graph().liveNodeCount(),
@@ -1068,15 +978,10 @@ int cmdDelta(const Args& args) {
   if (const auto out = args.get("-o")) {
     saveText(*out, cdfg::printToString(engine.graph()));
   }
-  const bool fail =
-      report.hasErrors() || (args.has("--werror") && report.hasWarnings());
-  return fail ? 1 : 0;
+  return rc;
 }
 
 int cmdScan(const Args& args) {
-  if (args.positional.empty()) {
-    die("scan: which corpus (directory or workspace manifest)?");
-  }
   const std::string target = args.positional[0];
   const std::string ring_path = args.require("--keys", "key-ring file");
 
@@ -1084,34 +989,28 @@ int cmdScan(const Args& args) {
   options.prefilter = !args.has("--no-prefilter");
   if (const auto shard = args.get("--shard")) {
     const std::size_t slash = shard->find('/');
-    std::size_t shard_index = 0;
-    std::size_t shard_count = 0;
     try {
-      shard_index = std::stoul(shard->substr(0, slash));
-      shard_count =
-          slash == std::string::npos ? 0 : std::stoul(shard->substr(slash + 1));
-    } catch (const std::exception&) {
-      shard_count = 0;
+      options.shard_index = static_cast<std::uint32_t>(
+          parseUnsigned(shard->substr(0, slash), kMaxU32, "--shard"));
+      options.shard_count = static_cast<std::uint32_t>(parseUnsigned(
+          slash == std::string::npos ? "" : shard->substr(slash + 1),
+          kMaxU32, "--shard"));
+    } catch (const Error&) {
+      options.shard_count = 0;
     }
-    if (shard_count == 0 || shard_index >= shard_count) {
+    if (options.shard_count == 0 ||
+        options.shard_index >= options.shard_count) {
       die("scan: --shard wants I/N with 0 <= I < N, got '" + *shard + "'");
     }
-    options.shard_index = static_cast<std::uint32_t>(shard_index);
-    options.shard_count = static_cast<std::uint32_t>(shard_count);
   }
   const bool is_dir = std::filesystem::is_directory(target);
   const std::filesystem::path root(target);
   options.cache_dir = cacheDirOf(args, is_dir ? root : root.parent_path());
 
-  scan::KeyRing ring;
-  std::vector<scan::CorpusItem> items;
-  try {
-    ring = scan::KeyRing::fromFile(ring_path);
-    items = is_dir ? scan::loadCorpusFromDirectory(target)
-                   : scan::loadCorpusFromManifest(target);
-  } catch (const Error& e) {
-    die(e.what());
-  }
+  const scan::KeyRing ring = scan::KeyRing::fromFile(ring_path);
+  const std::vector<scan::CorpusItem> items =
+      is_dir ? scan::loadCorpusFromDirectory(target)
+             : scan::loadCorpusFromManifest(target);
   const scan::ScanResult result = scan::scanCorpus(items, ring, options);
 
   std::ofstream file;
@@ -1138,69 +1037,130 @@ int cmdScan(const Args& args) {
   return st.match_pairs > 0 ? 0 : 1;
 }
 
-int cmdVersion() {
+int cmdVersion(const Args& /*args*/) {
   std::printf("locwm %s (%s, %s)\n", LOCWM_VERSION, LOCWM_GIT_DESCRIBE,
               LOCWM_BUILD_TYPE);
   return 0;
 }
 
-int runCommand(const std::string& cmd, const Args& args) {
-  LOCWM_OBS_LATENCY("cli.command_ns");
-  if (cmd == "version" || cmd == "--version") {
-    return cmdVersion();
+// --- The command table: validation, usage and dispatch ---
+
+const Command kCommands[] = {
+    {"gen", "KIND [SIZE] -o FILE",
+     "generate a benchmark design; KIND is iir4, fir, lattice, wave,\n"
+     "cascade, dct8, wavelet, volterra, ctrl2 or mediabench:APP",
+     1, 2, {{"-o"}}, cmdGen},
+    {"info", "FILE", "print design statistics", 1, 1, {}, cmdInfo},
+    {"dot", "FILE [-o FILE]", "export Graphviz DOT", 1, 1, {{"-o"}}, cmdDot},
+    {"embed",
+     "FILE -i ID -n NONCE -o MARKED -c CERTBASE [--marks N]\n"
+     "[--deadline D] [--kfrac F]",
+     "embed N scheduling watermarks (certificates CERTBASE.0, .1, ...\n"
+     "when N > 1) under deadline D; F in [0, 1] is the share of\n"
+     "eligible nodes each mark constrains",
+     1, 1,
+     {{"-i"}, {"-n"}, {"-o"}, {"-c"},
+      {"--marks", Takes::kUnsigned, kMaxSize},
+      {"--deadline", Takes::kUnsigned, kMaxU32},
+      {"--kfrac", Takes::kFraction}},
+     cmdEmbed},
+    {"schedule", "FILE -o SCHED", "list-schedule a design", 1, 1, {{"-o"}},
+     cmdSchedule},
+    {"strip", "FILE -o FILE", "remove temporal edges (publish)", 1, 1,
+     {{"-o"}}, cmdStrip},
+    {"detect", "FILE SCHED CERT... -i ID -n NONCE",
+     "scan a suspect for each certificate", 3, kAny, {{"-i"}, {"-n"}},
+     cmdDetect},
+    {"embed-reg", "FILE SCHED -i ID -n NONCE -c CERT -o BINDING",
+     "bind registers with a watermark", 2, 2,
+     {{"-i"}, {"-n"}, {"-c"}, {"-o"}}, cmdEmbedReg},
+    {"detect-reg", "FILE SCHED BINDING CERT... -i ID -n NONCE",
+     "scan a register binding", 4, kAny, {{"-i"}, {"-n"}}, cmdDetectReg},
+    {"verify-cert", "CERT...", "sanity-check certificate files", 1, kAny, {},
+     cmdVerifyCert},
+    {"gen-lib", "-o FILE", "write the built-in template library", 0, 0,
+     {{"-o"}}, cmdGenLib},
+    {"embed-tm", "FILE -i ID -n NONCE -c CERT -o COVER [--lib FILE]",
+     "cover the design with a watermark", 1, 1,
+     {{"-i"}, {"-n"}, {"-c"}, {"-o"}, {"--lib"}}, cmdEmbedTm},
+    {"detect-tm", "FILE COVER CERT... -i ID -n NONCE [--lib FILE]",
+     "scan a template cover", 3, kAny, {{"-i"}, {"-n"}, {"--lib"}},
+     cmdDetectTm},
+    {"lint",
+     "FILE... | --project DIR | --manifest FILE\n"
+     "[--json] [--sarif] [--werror] [--lib FILE] [--cache DIR]\n"
+     "[--no-cache] [--baseline FILE] [--update-baseline]",
+     "statically check artifacts (kinds are sniffed; a design gives\n"
+     "context to the artifacts after it), or a whole workspace with the\n"
+     "cross-artifact LW8xx rules, cached by content digest under\n"
+     "DIR/.locwm-cache; --baseline suppresses known findings and\n"
+     "--update-baseline rewrites it.  See docs/STATIC_ANALYSIS.md",
+     0, kAny,
+     {{"--json", Takes::kFlag}, {"--sarif", Takes::kFlag},
+      {"--werror", Takes::kFlag}, {"--lib"}, {"--project"}, {"--manifest"},
+      {"--cache"}, {"--no-cache", Takes::kFlag}, {"--baseline"},
+      {"--update-baseline", Takes::kFlag}},
+     cmdLint},
+    {"diff",
+     "ORIGINAL MARKED [CERT...] [--json] [--sarif] [--werror]\n"
+     "[--resume FILE]",
+     "prove MARKED is ORIGINAL plus watermark temporal edges only;\n"
+     "certificates attribute the extra edges (LW7xx).  --resume keeps\n"
+     "a state file so repeated diffs re-match only touched certificates",
+     2, kAny,
+     {{"--json", Takes::kFlag}, {"--sarif", Takes::kFlag},
+      {"--werror", Takes::kFlag}, {"--resume"}},
+     cmdDiff},
+    {"delta", "DESIGN [EDITS] [-o FILE] [--verify] [--json] [--werror]",
+     "apply an ndjson edit stream (EDITS or stdin) with the incremental\n"
+     "engine: add-node, remove-node, add-edge, remove-edge and commit\n"
+     "ops (docs/STATIC_ANALYSIS.md); node ids are unsigned 32-bit.\n"
+     "--verify cross-checks every commit against a full recompute",
+     1, 2,
+     {{"-o"}, {"--verify", Takes::kFlag}, {"--json", Takes::kFlag},
+      {"--werror", Takes::kFlag}},
+     cmdDelta},
+    {"scan",
+     "DIR|MANIFEST --keys RING [--json] [-o FILE] [--shard I/N]\n"
+     "[--cache DIR] [--no-cache] [--no-prefilter]",
+     "find every (design, certificate) match between a corpus and a key\n"
+     "ring; a sound fingerprint pre-filter leaves exact replay to the\n"
+     "survivors.  --json rows of the --shard I/N runs concatenate\n"
+     "byte-identically.  See docs/CORPUS_SCAN.md",
+     1, 1,
+     {{"--keys"}, {"--json", Takes::kFlag}, {"-o"}, {"--shard"}, {"--cache"},
+      {"--no-cache", Takes::kFlag}, {"--no-prefilter", Takes::kFlag}},
+     cmdScan},
+    {"version", "", "print version and build info", 0, 0, {}, cmdVersion},
+};
+
+/// The full usage, generated from the tables; exits 2.
+[[noreturn]] void usage() {
+  std::fputs("usage: locwm <command> [args]\n\ncommands:\n", stderr);
+  for (const Command& command : kCommands) {
+    printSynopsis(stderr, "  ", command);
+    std::fputs("      ", stderr);
+    printLines(stderr, command.help, 6);
   }
-  if (cmd == "gen") {
-    return cmdGen(args);
+  std::fputs("\nglobal options (any command):\n", stderr);
+  for (const GlobalOption& global : kGlobalOptions) {
+    if (global.usage != nullptr) {
+      std::fprintf(stderr, "  %-16s", global.usage);
+      printLines(stderr, global.help, 18);
+    }
   }
-  if (cmd == "info") {
-    return cmdInfo(args);
-  }
-  if (cmd == "dot") {
-    return cmdDot(args);
-  }
-  if (cmd == "embed") {
-    return cmdEmbed(args);
-  }
-  if (cmd == "schedule") {
-    return cmdSchedule(args);
-  }
-  if (cmd == "strip") {
-    return cmdStrip(args);
-  }
-  if (cmd == "detect") {
-    return cmdDetect(args);
-  }
-  if (cmd == "embed-reg") {
-    return cmdEmbedReg(args);
-  }
-  if (cmd == "detect-reg") {
-    return cmdDetectReg(args);
-  }
-  if (cmd == "verify-cert") {
-    return cmdVerifyCert(args);
-  }
-  if (cmd == "gen-lib") {
-    return cmdGenLib(args);
-  }
-  if (cmd == "embed-tm") {
-    return cmdEmbedTm(args);
-  }
-  if (cmd == "detect-tm") {
-    return cmdDetectTm(args);
-  }
-  if (cmd == "lint") {
-    return cmdLint(args);
-  }
-  if (cmd == "diff") {
-    return cmdDiff(args);
-  }
-  if (cmd == "delta") {
-    return cmdDelta(args);
-  }
-  if (cmd == "scan") {
-    return cmdScan(args);
-  }
-  usage();
+  std::fputs(
+      "\nUnknown options and malformed numbers are usage errors.\n"
+      "\nexit codes:\n"
+      "  0  success; for detect commands: at least one mark detected\n"
+      "  1  detect commands: no mark detected (verify-cert: invalid\n"
+      "     cert; lint/diff/delta: errors found, or warnings with --werror)\n"
+      "  2  usage or I/O error\n"
+      "\nenvironment:\n"
+      "  LOCWM_CHECK_PASSES=1  audit every embed/detect pass product with\n"
+      "                        the lint rules (findings go to stderr)\n",
+      stderr);
+  std::exit(2);
 }
 
 }  // namespace
@@ -1209,17 +1169,22 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     usage();
   }
-  const std::string cmd = argv[1];
-  const Args args = parseArgs(argc, argv, 2);
-
-  g_quiet = args.has("-q") || args.has("--quiet");
-  if (const auto threads = args.get("--threads")) {
-    try {
-      rt::setThreadCount(std::stoul(*threads));
-    } catch (const std::exception&) {
-      die("--threads needs a number, got '" + *threads + "'");
+  const std::string name =
+      std::strcmp(argv[1], "--version") == 0 ? "version" : argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (name == c.name) {
+      command = &c;
     }
   }
+  if (command == nullptr) {
+    std::fprintf(stderr, "locwm: unknown command '%s'\n\n", name.c_str());
+    usage();
+  }
+  const Args args = parseArgs(*command, argc, argv);
+
+  g_quiet = args.has("-q") || args.has("--quiet");
+  rt::setThreadCount(args.number("--threads", 0));
   const std::optional<std::string> trace_path = args.get("--trace");
   const std::optional<std::string> stats_path = args.get("--stats");
   const std::optional<std::string> metrics_path = args.get("--metrics");
@@ -1235,7 +1200,8 @@ int main(int argc, char** argv) {
 
   int rc = 2;
   try {
-    rc = runCommand(cmd, args);
+    LOCWM_OBS_LATENCY("cli.command_ns");
+    rc = command->run(args);
   } catch (const std::exception& e) {
     die(e.what());
   }

@@ -145,8 +145,12 @@ int main(int argc, char** argv) {
       std::vector<Measurement> runs;
       for (const std::size_t t : kThreadCounts) {
         runs.push_back(measure(t, [&] {
-          const wm::SchedDetector detector(marker, published,
-                                           r->certificate);
+          // Every candidate root through the replay primitive: this row
+          // times re-derivation, not the fingerprint screen.
+          const wm::LocalityDeriver deriver(published);
+          const wm::SchedDetector detector(marker.signature(), deriver,
+                                           r->certificate,
+                                           deriver.candidateRoots());
           const auto det = detector.check(s);
           return std::to_string(det.shape_matches) + "/" +
                  std::to_string(det.satisfied) + "/" +

@@ -14,8 +14,9 @@
 //     analogue of a temporal edge: invisible locally, statistically
 //     improbable globally (a random binder co-locates a compatible pair
 //     with probability ≈ 1/R);
-//   * detection: re-derive the locality in the suspect and check the
-//     pairs share registers in the suspect's binding.
+//   * detection: re-derive the locality at the suspect roots the
+//     fingerprint screen (core/screen.h) keeps and check the pairs share
+//     registers in the suspect's binding.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "cdfg/graph.h"
 #include "core/locality.h"
 #include "core/sched_wm.h"  // RankConstraint
+#include "core/screen.h"
 #include "crypto/bitstream.h"
 #include "regbind/binding.h"
 #include "sched/schedule.h"
@@ -89,6 +91,14 @@ class RegisterWatermarker {
   [[nodiscard]] RegDetectResult detect(
       const cdfg::Cdfg& suspect, const regbind::LifetimeTable& table,
       const regbind::Binding& binding,
+      const RegCertificate& certificate) const;
+
+  /// As above, against a caller-built deriver and design index of the
+  /// suspect (index from `deriver` at a radius >= the certificate's
+  /// max_distance), so many certificates share one lowering and one index.
+  [[nodiscard]] RegDetectResult detect(
+      const LocalityDeriver& deriver, const DesignIndex& index,
+      const regbind::LifetimeTable& table, const regbind::Binding& binding,
       const RegCertificate& certificate) const;
 
  private:

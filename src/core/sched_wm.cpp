@@ -7,7 +7,6 @@
 #include "cdfg/error.h"
 #include "core/pass_audit.h"
 #include "obs/obs.h"
-#include "rt/rt.h"
 #include "sched/timeframes.h"
 
 namespace locwm::wm {
@@ -278,24 +277,37 @@ std::vector<SchedEmbedResult> SchedulingWatermarker::embedMany(
 SchedDetectResult SchedulingWatermarker::detect(
     const cdfg::Cdfg& suspect, const sched::Schedule& schedule,
     const WatermarkCertificate& certificate) const {
+  const LocalityDeriver deriver(suspect);
+  return detect(deriver,
+                buildDesignIndex(deriver,
+                                 certificate.locality_params.max_distance),
+                schedule, certificate);
+}
+
+SchedDetectResult SchedulingWatermarker::detect(
+    const LocalityDeriver& deriver, const DesignIndex& index,
+    const sched::Schedule& schedule,
+    const WatermarkCertificate& certificate) const {
   auditCertificate("sched-wm/detect", certificate);
-  return SchedDetector(*this, suspect, certificate).check(schedule);
+  return SchedDetector(*this, deriver, index, certificate).check(schedule);
 }
 
 SchedDetector::SchedDetector(const SchedulingWatermarker& marker,
                              const cdfg::Cdfg& suspect,
-                             const WatermarkCertificate& certificate)
-    : certificate_(&certificate) {
-  LOCWM_OBS_SPAN("core.sched_wm.detect_scan");
+                             const WatermarkCertificate& certificate) {
   const LocalityDeriver deriver(suspect);
-  const std::vector<NodeId> roots = deriver.candidateRoots();
-  LOCWM_OBS_COUNT("core.sched_wm.detect_roots_scanned", roots.size());
-  matches_ = scanShapeMatches(
-      deriver, marker.signature(), certificate.context,
-      certificate.locality_params, certificate.shape,
-      certificate.shape.node(NodeId(certificate.root_rank)).kind, roots);
-  LOCWM_OBS_COUNT("core.sched_wm.detect_shape_matches", matches_.size());
+  *this = SchedDetector(
+      marker, deriver,
+      buildDesignIndex(deriver, certificate.locality_params.max_distance),
+      certificate);
 }
+
+SchedDetector::SchedDetector(const SchedulingWatermarker& marker,
+                             const LocalityDeriver& deriver,
+                             const DesignIndex& index,
+                             const WatermarkCertificate& certificate)
+    : SchedDetector(marker.signature(), deriver, certificate,
+                    screenRoots(index, certScreen(certificate))) {}
 
 SchedDetector::SchedDetector(const crypto::AuthorSignature& signature,
                              const LocalityDeriver& deriver,

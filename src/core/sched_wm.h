@@ -6,9 +6,10 @@
 // that satisfies them.  The author keeps a WatermarkCertificate — the
 // locality's structural fingerprint plus the constraints as canonical-rank
 // pairs.  Detection scans a suspect design for a root whose re-derived
-// locality matches the certificate and checks the suspect *schedule*
-// honours every constraint; the temporal edges themselves are stripped
-// from the published design (Fig. 1) and never travel with it.
+// locality matches the certificate — replaying only the roots the
+// fingerprint screen (core/screen.h) keeps — and checks the suspect
+// *schedule* honours every constraint; the temporal edges themselves are
+// stripped from the published design (Fig. 1) and never travel with it.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 
 #include "cdfg/graph.h"
 #include "core/locality.h"
+#include "core/screen.h"
 #include "crypto/bitstream.h"
 #include "sched/latency.h"
 #include "sched/schedule.h"
@@ -137,6 +139,15 @@ class SchedulingWatermarker {
       const cdfg::Cdfg& suspect, const sched::Schedule& schedule,
       const WatermarkCertificate& certificate) const;
 
+  /// As above, against a caller-built deriver and design index of the
+  /// suspect, so many certificates share one lowering and one index.  The
+  /// index must come from `deriver` at a radius >= the certificate's
+  /// max_distance.
+  [[nodiscard]] SchedDetectResult detect(
+      const LocalityDeriver& deriver, const DesignIndex& index,
+      const sched::Schedule& schedule,
+      const WatermarkCertificate& certificate) const;
+
   [[nodiscard]] const crypto::AuthorSignature& signature() const noexcept {
     return signature_;
   }
@@ -148,8 +159,8 @@ class SchedulingWatermarker {
 /// Precomputed detector for one (suspect design, certificate) pair.
 ///
 /// The expensive part of detection — re-deriving the locality at every
-/// candidate root — depends only on the suspect's *structure*, not on the
-/// schedule under test.  When many schedules of the same suspect are
+/// root the screen keeps — depends only on the suspect's *structure*, not
+/// on the schedule under test.  When many schedules of the same suspect are
 /// checked (tamper experiments, monitoring a stream of builds), construct
 /// this once and call check() per schedule: each check is O(K).
 class SchedDetector {
@@ -158,11 +169,18 @@ class SchedDetector {
                 const cdfg::Cdfg& suspect,
                 const WatermarkCertificate& certificate);
 
-  /// Scan variant for corpus drivers that lower the suspect once: reuses a
-  /// caller-owned deriver and restricts the scan to `roots` (e.g. the
-  /// survivors of a fingerprint pre-filter).  Behaviour is identical to
-  /// the full constructor when `roots` contains every shape-matching root.
-  /// The deriver and certificate must outlive the detector.
+  /// Screened scan against a caller-built deriver and design index (see
+  /// SchedulingWatermarker::detect).  The certificate must outlive the
+  /// detector.
+  SchedDetector(const SchedulingWatermarker& marker,
+                const LocalityDeriver& deriver, const DesignIndex& index,
+                const WatermarkCertificate& certificate);
+
+  /// The replay primitive: re-derives at exactly `roots` (e.g. the screen's
+  /// survivors, or every candidate root for an unscreened oracle), reusing
+  /// a caller-owned deriver.  Behaviour is identical to the screened
+  /// constructors when `roots` contains every shape-matching root.  The
+  /// deriver and certificate must outlive the detector.
   SchedDetector(const crypto::AuthorSignature& signature,
                 const LocalityDeriver& deriver,
                 const WatermarkCertificate& certificate,
@@ -183,7 +201,7 @@ class SchedDetector {
 
  private:
   std::vector<ShapeHit> matches_;
-  const WatermarkCertificate* certificate_;
+  const WatermarkCertificate* certificate_ = nullptr;
 };
 
 }  // namespace locwm::wm

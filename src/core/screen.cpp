@@ -1,0 +1,135 @@
+#include "core/screen.h"
+
+#include "cdfg/error.h"
+#include "core/reg_wm.h"
+#include "core/sched_wm.h"
+#include "core/tm_wm.h"
+#include "obs/obs.h"
+#include "rt/rt.h"
+
+namespace locwm::wm {
+
+namespace {
+
+constexpr std::array<std::uint32_t, 6> kThresholds{1, 2, 3, 4, 6, 8};
+
+/// Screen of a certificate that records its anchor's canonical rank.
+CertScreen anchoredScreen(const cdfg::Cdfg& shape, std::uint32_t root_rank,
+                          std::uint32_t radius) {
+  CertScreen sc;
+  sc.fp = shapeFingerprint(shape);
+  // The shape is itself a Cdfg (all real nodes), so the deriver's ball
+  // semantics apply verbatim: shape-predecessors of the anchor are direct
+  // real predecessors of any matching design root.
+  const LocalityDeriver deriver(shape);
+  sc.fp1 = fingerprintOfCounts(
+      deriver.faninKindCounts(cdfg::NodeId(root_rank), 1));
+  sc.root_kind = shape.node(cdfg::NodeId(root_rank)).kind;
+  sc.radius = radius;
+  return sc;
+}
+
+}  // namespace
+
+KindFingerprint fingerprintOfCounts(
+    const std::array<std::uint32_t, cdfg::kOpKindCount>& counts) noexcept {
+  KindFingerprint fp;
+  for (std::size_t kind = 0; kind < cdfg::kOpKindCount; ++kind) {
+    for (std::size_t t = 0; t < kThresholds.size(); ++t) {
+      if (counts[kind] >= kThresholds[t]) {
+        const std::size_t bit = kind * kThresholds.size() + t;
+        fp.bits[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+      }
+    }
+  }
+  return fp;
+}
+
+KindFingerprint shapeFingerprint(const cdfg::Cdfg& shape) {
+  std::array<std::uint32_t, cdfg::kOpKindCount> counts{};
+  for (const cdfg::Node& n : shape.nodes()) {
+    counts[static_cast<std::size_t>(n.kind)] += 1;
+  }
+  return fingerprintOfCounts(counts);
+}
+
+DesignIndex buildDesignIndex(const LocalityDeriver& deriver,
+                             std::uint32_t radius) {
+  LOCWM_OBS_LATENCY("scan.fingerprint.build_ns");
+  DesignIndex index;
+  index.radius = radius;
+  index.roots = deriver.candidateRoots();
+  index.root_kinds.resize(index.roots.size());
+  index.root_fps.resize(index.roots.size());
+  index.root_fps1.resize(index.roots.size());
+  rt::parallel_for(0, index.roots.size(), /*grain=*/8, [&](std::size_t i) {
+    const cdfg::NodeId root = index.roots[i];
+    index.root_kinds[i] =
+        static_cast<std::uint8_t>(deriver.csr().kind(root));
+    index.root_fps[i] =
+        fingerprintOfCounts(deriver.faninKindCounts(root, radius));
+    index.root_fps1[i] =
+        fingerprintOfCounts(deriver.faninKindCounts(root, 1));
+  });
+  for (std::size_t i = 0; i < index.roots.size(); ++i) {
+    index.kind_union[index.root_kinds[i]].merge(index.root_fps[i]);
+  }
+  index.design_fp = fingerprintOfCounts(deriver.realKindCounts());
+  LOCWM_OBS_COUNT("scan.fingerprint.roots", index.roots.size());
+  return index;
+}
+
+CertScreen certScreen(const WatermarkCertificate& certificate) {
+  return anchoredScreen(certificate.shape, certificate.root_rank,
+                        certificate.locality_params.max_distance);
+}
+
+CertScreen certScreen(const RegCertificate& certificate) {
+  return anchoredScreen(certificate.shape, certificate.root_rank,
+                        certificate.locality_params.max_distance);
+}
+
+CertScreen certScreen(const TmCertificate& certificate) {
+  CertScreen sc;
+  sc.fp = shapeFingerprint(certificate.shape);
+  sc.whole_design = certificate.whole_design;
+  sc.radius = certificate.locality_params.max_distance;
+  return sc;
+}
+
+std::vector<cdfg::NodeId> screenRoots(const DesignIndex& index,
+                                      const CertScreen& screen) {
+  detail::check<WatermarkError>(index.radius >= screen.radius,
+                                "screenRoots: design index radius is below "
+                                "the certificate's max_distance");
+  // Design-level screen first: the per-kind union for anchored
+  // certificates; the whole-design fingerprint (a superset of every fanin
+  // ball) for unanchored ones.
+  const bool design_level =
+      screen.root_kind.has_value()
+          ? index.kind_union[static_cast<std::size_t>(*screen.root_kind)]
+                .covers(screen.fp)
+          : index.design_fp.covers(screen.fp);
+  std::size_t considered = 0;
+  std::vector<cdfg::NodeId> kept;
+  for (std::size_t k = 0; k < index.roots.size(); ++k) {
+    if (screen.root_kind.has_value() &&
+        index.root_kinds[k] != static_cast<std::uint8_t>(*screen.root_kind)) {
+      continue;
+    }
+    ++considered;
+    if (design_level && index.root_fps[k].covers(screen.fp) &&
+        (!screen.fp1.has_value() || index.root_fps1[k].covers(*screen.fp1))) {
+      kept.push_back(index.roots[k]);
+    }
+  }
+  LOCWM_OBS_COUNT("core.screen.roots", considered);
+  LOCWM_OBS_COUNT("core.screen.survivors", kept.size());
+  return kept;
+}
+
+bool screenWholeDesign(const DesignIndex& index, const CertScreen& screen) {
+  return index.design_fp.covers(screen.fp);
+}
+
+}  // namespace locwm::wm

@@ -7,8 +7,9 @@
 // remain visible, so no competing module may hide it: the covering
 // optimizer is steered into reproducing the chosen matchings.  The author
 // memorizes the locality fingerprint plus the enforced matchings as
-// canonical-rank pairs; detection re-derives the locality in a suspect
-// design and checks its template cover contains every enforced matching.
+// canonical-rank pairs; detection re-derives the locality at the suspect
+// roots the fingerprint screen (core/screen.h) keeps and checks the
+// suspect's template cover contains every enforced matching.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 
 #include "cdfg/graph.h"
 #include "core/locality.h"
+#include "core/screen.h"
 #include "crypto/bitstream.h"
 #include "tm/cover.h"
 #include "tm/matching.h"
@@ -110,6 +112,16 @@ class TemplateWatermarker {
   /// shape-matching root.
   [[nodiscard]] TmDetectResult detect(
       const cdfg::Cdfg& suspect, const std::vector<tm::Matching>& cover,
+      const TmCertificate& certificate) const;
+
+  /// As above, against a caller-built deriver and design index of the
+  /// suspect (index from `deriver` at a radius >= the certificate's
+  /// max_distance), so many certificates share one lowering and one index.
+  /// A whole-design certificate derives nothing unless the design
+  /// fingerprint covers its shape.
+  [[nodiscard]] TmDetectResult detect(
+      const LocalityDeriver& deriver, const DesignIndex& index,
+      const std::vector<tm::Matching>& cover,
       const TmCertificate& certificate) const;
 
   [[nodiscard]] const tm::TemplateLibrary& library() const noexcept {

@@ -4,14 +4,9 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/obs.h"
-#include "rt/rt.h"
-
 namespace locwm::scan {
 
 namespace {
-
-constexpr std::array<std::uint32_t, 6> kThresholds{1, 2, 3, 4, 6, 8};
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -40,54 +35,6 @@ bool parseHex64(const std::string& token, std::uint64_t& out) {
 }
 
 }  // namespace
-
-KindFingerprint fingerprintOfCounts(
-    const std::array<std::uint32_t, cdfg::kOpKindCount>& counts) noexcept {
-  KindFingerprint fp;
-  for (std::size_t kind = 0; kind < cdfg::kOpKindCount; ++kind) {
-    for (std::size_t t = 0; t < kThresholds.size(); ++t) {
-      if (counts[kind] >= kThresholds[t]) {
-        const std::size_t bit = kind * kThresholds.size() + t;
-        fp.bits[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-      }
-    }
-  }
-  return fp;
-}
-
-KindFingerprint shapeFingerprint(const cdfg::Cdfg& shape) {
-  std::array<std::uint32_t, cdfg::kOpKindCount> counts{};
-  for (const cdfg::Node& n : shape.nodes()) {
-    counts[static_cast<std::size_t>(n.kind)] += 1;
-  }
-  return fingerprintOfCounts(counts);
-}
-
-DesignIndex buildDesignIndex(const wm::LocalityDeriver& deriver,
-                             std::uint32_t radius) {
-  LOCWM_OBS_LATENCY("scan.fingerprint.build_ns");
-  DesignIndex index;
-  index.radius = radius;
-  index.roots = deriver.candidateRoots();
-  index.root_kinds.resize(index.roots.size());
-  index.root_fps.resize(index.roots.size());
-  index.root_fps1.resize(index.roots.size());
-  rt::parallel_for(0, index.roots.size(), /*grain=*/8, [&](std::size_t i) {
-    const cdfg::NodeId root = index.roots[i];
-    index.root_kinds[i] =
-        static_cast<std::uint8_t>(deriver.csr().kind(root));
-    index.root_fps[i] =
-        fingerprintOfCounts(deriver.faninKindCounts(root, radius));
-    index.root_fps1[i] =
-        fingerprintOfCounts(deriver.faninKindCounts(root, 1));
-  });
-  for (std::size_t i = 0; i < index.roots.size(); ++i) {
-    index.kind_union[index.root_kinds[i]].merge(index.root_fps[i]);
-  }
-  index.design_fp = fingerprintOfCounts(deriver.realKindCounts());
-  LOCWM_OBS_COUNT("scan.fingerprint.roots", index.roots.size());
-  return index;
-}
 
 std::string indexToString(const DesignIndex& index) {
   std::ostringstream os;

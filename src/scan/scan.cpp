@@ -24,53 +24,22 @@ namespace {
 constexpr const char* kCacheFormat = "locwm-scanfp-entry v3";
 
 /// Certificate-side screen data, computed once per ring entry and shared
-/// by every design (the "certificate-side digest" of the pre-filter).
-/// `root_kind` is set only for certificates that record their anchor's
-/// canonical rank (sched/reg) — rooted tm certificates carry no root rank,
-/// so they screen against every root regardless of kind.
-struct CertScreen {
-  KindFingerprint fp;
-  /// Radius-1 fingerprint around the shape's anchor (certificates with a
-  /// recorded root rank only) — the sharp per-root screen.
-  std::optional<KindFingerprint> fp1;
-  std::optional<cdfg::OpKind> root_kind;
-  bool whole_design = false;
-};
-
-KindFingerprint anchorFingerprint(const cdfg::Cdfg& shape,
-                                  std::uint32_t root_rank) {
-  // The shape is itself a Cdfg (all real nodes), so the deriver's ball
-  // semantics apply verbatim: shape-predecessors of the anchor are direct
-  // real predecessors of any matching design root.
-  const wm::LocalityDeriver deriver(shape);
-  return fingerprintOfCounts(
-      deriver.faninKindCounts(cdfg::NodeId(root_rank), 1));
-}
-
-std::vector<CertScreen> buildScreens(const KeyRing& ring) {
-  std::vector<CertScreen> screens;
+/// by every design.
+std::vector<wm::CertScreen> buildScreens(const KeyRing& ring) {
+  std::vector<wm::CertScreen> screens;
   screens.reserve(ring.size());
   for (const KeyRingEntry& entry : ring.entries()) {
-    CertScreen sc;
     switch (entry.kind) {
       case CertKind::kSched:
-        sc.fp = shapeFingerprint(entry.sched->shape);
-        sc.fp1 = anchorFingerprint(entry.sched->shape, entry.sched->root_rank);
-        sc.root_kind =
-            entry.sched->shape.node(cdfg::NodeId(entry.sched->root_rank)).kind;
+        screens.push_back(wm::certScreen(*entry.sched));
         break;
       case CertKind::kTm:
-        sc.fp = shapeFingerprint(entry.tm->shape);
-        sc.whole_design = entry.tm->whole_design;
+        screens.push_back(wm::certScreen(*entry.tm));
         break;
       case CertKind::kReg:
-        sc.fp = shapeFingerprint(entry.reg->shape);
-        sc.fp1 = anchorFingerprint(entry.reg->shape, entry.reg->root_rank);
-        sc.root_kind =
-            entry.reg->shape.node(cdfg::NodeId(entry.reg->root_rank)).kind;
+        screens.push_back(wm::certScreen(*entry.reg));
         break;
     }
-    screens.push_back(sc);
   }
   return screens;
 }
@@ -151,7 +120,7 @@ std::string matchRow(const CorpusItem& item, const KeyRingEntry& entry,
 }
 
 void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
-             const std::vector<CertScreen>& screens, std::uint32_t radius,
+             const std::vector<wm::CertScreen>& screens, std::uint32_t radius,
              const store::CacheDir& cache, const ScanOptions& options,
              Slot& s) {
   LOCWM_OBS_LATENCY("scan.design.latency_ns");
@@ -256,7 +225,7 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
   std::vector<wm::WatermarkCertificate> pc_certs;
   for (std::size_t j = 0; j < ring.size(); ++j) {
     const KeyRingEntry& entry = ring.entries()[j];
-    const CertScreen& sc = screens[j];
+    const wm::CertScreen& sc = screens[j];
     ++s.pairs;
 
     // Screen: O(1) on the design-level aggregate, then per-root subset
@@ -265,32 +234,10 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
     if (options.prefilter) {
       bool survives = false;
       if (sc.whole_design) {
-        survives = fp_index->design_fp.covers(sc.fp);
+        survives = wm::screenWholeDesign(*fp_index, sc);
       } else {
-        // Design-level screen first: the per-kind union for anchored
-        // certificates; the whole-design fingerprint (a superset of every
-        // fanin ball) for unanchored ones.
-        const bool design_level =
-            sc.root_kind.has_value()
-                ? fp_index
-                      ->kind_union[static_cast<std::size_t>(*sc.root_kind)]
-                      .covers(sc.fp)
-                : fp_index->design_fp.covers(sc.fp);
-        if (design_level) {
-          for (std::size_t k = 0; k < fp_index->roots.size(); ++k) {
-            if (sc.root_kind.has_value() &&
-                fp_index->root_kinds[k] !=
-                    static_cast<std::uint8_t>(*sc.root_kind)) {
-              continue;
-            }
-            if (fp_index->root_fps[k].covers(sc.fp) &&
-                (!sc.fp1.has_value() ||
-                 fp_index->root_fps1[k].covers(*sc.fp1))) {
-              candidates.push_back(fp_index->roots[k]);
-            }
-          }
-          survives = !candidates.empty();
-        }
+        candidates = wm::screenRoots(*fp_index, sc);
+        survives = !candidates.empty();
       }
       if (!survives) {
         ++s.pruned;
@@ -407,7 +354,7 @@ ScanResult scanCorpus(const std::vector<CorpusItem>& items,
                        "scan: shard index out of range");
   // One design-side radius, sound for every certificate in the ring.
   const std::uint32_t radius = std::max<std::uint32_t>(1, ring.maxRadius());
-  const std::vector<CertScreen> screens = buildScreens(ring);
+  const std::vector<wm::CertScreen> screens = buildScreens(ring);
   // The cache holds pre-filter indexes, so it is off with the pre-filter.
   const store::CacheDir cache(options.prefilter ? options.cache_dir : "");
 

@@ -32,6 +32,15 @@ RC=0
 test "$RC" -eq 2
 grep -q 'schedule parse error' bad-sched.err
 
+# ...every certificate is parsed before any verdict is printed, so a bad
+# one after a good one exits 2 with empty stdout...
+printf 'not a certificate\n' > bad.wmc
+RC=0
+"$LW" detect published.cdfg core.sched cert.wmc.0 bad.wmc -i "CI Author" \
+    -n it-1 > bad-cert.out 2> /dev/null || RC=$?
+test "$RC" -eq 2
+test ! -s bad-cert.out
+
 # ...including quietly (exit code carries the verdict; stdout is empty)...
 OUT=$("$LW" detect published.cdfg core.sched cert.wmc.0 -i "CI Author" -n it-1 -q)
 test -z "$OUT"
@@ -68,6 +77,25 @@ grep -q '"type":"span_end"' events.ndjson
 "$LW" embed-reg published.cdfg pub.sched -i "CI Author" -n it-1 -c reg.wmc -o reg.bind
 "$LW" verify-cert reg.wmc
 "$LW" detect-reg published.cdfg pub.sched reg.bind reg.wmc -i "CI Author" -n it-1
+
+# Every derivation replays a root the fingerprint screen kept, and the
+# screen keeps fewer roots than an unscreened replay would derive at.
+counter() { sed -n "s/^ *\"$2\": *\([0-9]*\).*/\1/p" "$1"; }
+screened() {
+  D=$(counter "$1" core.locality.derive_calls)
+  K=$(counter "$1" core.screen.survivors)
+  R=$(counter "$1" core.screen.roots)
+  test -n "$D" && test "$D" -eq "$K" && test "$K" -lt "$R" || {
+    echo "$1: derive_calls=$D screen.survivors=$K screen.roots=$R" >&2
+    exit 1
+  }
+}
+"$LW" detect published.cdfg core.sched cert.wmc.0 cert.wmc.1 -i "CI Author" \
+    -n it-1 --stats detect-stats.json > /dev/null
+screened detect-stats.json
+"$LW" detect-reg published.cdfg pub.sched reg.bind reg.wmc -i "CI Author" \
+    -n it-1 --stats reg-stats.json > /dev/null
+screened reg-stats.json
 
 # Template-matching round trip.
 "$LW" gen-lib -o lib.tml

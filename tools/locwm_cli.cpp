@@ -476,6 +476,32 @@ int cmdStrip(const Args& args) {
   return 0;
 }
 
+/// Parses every certificate argument from positional `first` on, before
+/// any verdict is printed: a bad certificate exits 2 with empty stdout.
+template <typename Cert>
+std::vector<Cert> loadCertificates(
+    const Args& args, std::size_t first,
+    Cert (*parse)(std::istream&, wm::CertValidation, const std::string&)) {
+  std::vector<Cert> certs;
+  for (std::size_t i = first; i < args.positional.size(); ++i) {
+    std::ifstream in = openInput(args.positional[i], "certificate");
+    certs.push_back(parse(in, wm::CertValidation::kStrict, {}));
+  }
+  return certs;
+}
+
+/// The one fingerprint index every certificate of a detect call is
+/// screened against, at the widest locality radius among them.
+template <typename Cert>
+wm::DesignIndex screenIndex(const wm::LocalityDeriver& deriver,
+                            const std::vector<Cert>& certs) {
+  std::uint32_t radius = 0;
+  for (const Cert& cert : certs) {
+    radius = std::max(radius, cert.locality_params.max_distance);
+  }
+  return wm::buildDesignIndex(deriver, radius);
+}
+
 int cmdDetect(const Args& args) {
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
   std::ifstream sched_in = openInput(args.positional[1], "schedule file");
@@ -483,12 +509,14 @@ int cmdDetect(const Args& args) {
       sched::parseSchedule(sched_in, suspect.nodeCount());
   const auto sig = signatureOf(args);
   const wm::SchedulingWatermarker marker(sig);
+  const auto certs = loadCertificates(args, 2, wm::parseSchedCertificate);
+  const wm::LocalityDeriver deriver(suspect);
+  const wm::DesignIndex index = screenIndex(deriver, certs);
 
   int found = 0;
-  for (std::size_t i = 2; i < args.positional.size(); ++i) {
-    std::ifstream in = openInput(args.positional[i], "certificate");
-    const auto cert = wm::parseSchedCertificate(in);
-    const auto det = marker.detect(suspect, s, cert);
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    const wm::WatermarkCertificate& cert = certs[i];
+    const auto det = marker.detect(deriver, index, s, cert);
     // Proof strength: the locality's schedule-count ratio, times the
     // number of places the locality shape occurs ("the number of nodes
     // from which one can find the subtree T", §IV-B's multiplier).
@@ -505,7 +533,7 @@ int cmdDetect(const Args& args) {
       }
     }
     note("%-24s %s (%zu/%zu constraints, %zu shape matches, %s)\n",
-         args.positional[i].c_str(), det.found ? "DETECTED" : "not found",
+         args.positional[i + 2].c_str(), det.found ? "DETECTED" : "not found",
          det.satisfied, det.total, det.shape_matches, strength.c_str());
     found += det.found;
   }
@@ -550,13 +578,14 @@ int cmdDetectReg(const Args& args) {
   const auto table = regbind::computeLifetimes(suspect, s);
   const auto binding = loadBinding(args.positional[2], table);
   wm::RegisterWatermarker marker(signatureOf(args));
+  const auto certs = loadCertificates(args, 3, wm::parseRegCertificate);
+  const wm::LocalityDeriver deriver(suspect);
+  const wm::DesignIndex index = screenIndex(deriver, certs);
   int found = 0;
-  for (std::size_t i = 3; i < args.positional.size(); ++i) {
-    std::ifstream in = openInput(args.positional[i], "certificate");
-    const auto cert = wm::parseRegCertificate(in);
-    const auto det = marker.detect(suspect, table, binding, cert);
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    const auto det = marker.detect(deriver, index, table, binding, certs[i]);
     note("%-24s %s (%zu/%zu pairs, %zu shape matches)\n",
-         args.positional[i].c_str(), det.found ? "DETECTED" : "not found",
+         args.positional[i + 3].c_str(), det.found ? "DETECTED" : "not found",
          det.shared, det.total, det.shape_matches);
     found += det.found;
   }
@@ -604,12 +633,13 @@ int cmdDetectTm(const Args& args) {
   std::ifstream cin_ = openInput(args.positional[1], "cover");
   const auto cover = tm::parseCover(cin_, lib, suspect.nodeCount());
   wm::TemplateWatermarker marker(signatureOf(args), lib);
+  const auto certs = loadCertificates(args, 2, wm::parseTmCertificate);
+  const wm::LocalityDeriver deriver(suspect);
+  const wm::DesignIndex index = screenIndex(deriver, certs);
   int found = 0;
-  for (std::size_t i = 2; i < args.positional.size(); ++i) {
-    std::ifstream in = openInput(args.positional[i], "certificate");
-    const auto cert = wm::parseTmCertificate(in);
-    const auto det = marker.detect(suspect, cover, cert);
-    note("%-24s %s (%zu/%zu matchings)\n", args.positional[i].c_str(),
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    const auto det = marker.detect(deriver, index, cover, certs[i]);
+    note("%-24s %s (%zu/%zu matchings)\n", args.positional[i + 2].c_str(),
          det.found ? "DETECTED" : "not found", det.present, det.total);
     found += det.found;
   }

@@ -149,6 +149,8 @@ int main(int argc, char** argv) {
               exact_only.stats.survivor_pairs);
   std::printf("%-28s %12zu %12zu\n", "candidate roots",
               st.candidate_roots, exact_only.stats.candidate_roots);
+  std::printf("%-28s %12zu %12zu\n", "contexts identified", st.contexts,
+              exact_only.stats.contexts);
   std::printf("\nspeedup %.2fx, precision %.4f, recall (planted) %.4f, "
               "match rows identical: %s\n",
               speedup, precision, recall_planted,
@@ -168,6 +170,8 @@ int main(int argc, char** argv) {
             {"pruned_pairs", st.pruned_pairs},
             {"survivor_pairs", st.survivor_pairs},
             {"precision", precision},
+            {"pre_contexts", st.contexts},
+            {"exact_contexts", exact_only.stats.contexts},
             {"pre_ms", pre_ms},
             {"exact_ms", exact_ms},
             {"pre_designs_per_sec", pre_dps},

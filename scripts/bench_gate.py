@@ -121,6 +121,10 @@ CONFIG = {
             "pruned_pairs": {"kind": "exact"},
             "survivor_pairs": {"kind": "exact"},
             "precision": {"kind": "exact"},
+            # Identification contexts each scan built: one per distinct
+            # (root, radius) the replay reached — deterministic work.
+            "pre_contexts": {"kind": "exact"},
+            "exact_contexts": {"kind": "exact"},
             "pre_ms": {"kind": "lower_better", "tol": WALL_TOL},
             "exact_ms": {"kind": "lower_better", "tol": WALL_TOL},
             # Wall-clock ratio on one machine: far more stable than the

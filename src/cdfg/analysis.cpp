@@ -115,4 +115,33 @@ std::vector<std::uint8_t> StructuralAnalysis::functionalitySignature(
   return sig;
 }
 
+std::vector<std::uint32_t> levelsOf(const LocalCsr& g) {
+  // Kahn's algorithm; the levels are the same in any topological order.
+  const std::size_t n = g.size();
+  std::vector<std::uint32_t> level(n, 0);
+  std::vector<std::uint32_t> indegree(n);
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    indegree[v] = static_cast<std::uint32_t>(g.predecessors(v).size());
+    if (indegree[v] == 0) {
+      ready.push_back(v);
+    }
+  }
+  std::size_t done = 0;
+  while (!ready.empty()) {
+    const std::uint32_t v = ready.back();
+    ready.pop_back();
+    ++done;
+    level[v] += isPseudoOp(g.kinds[v]) ? 0u : 1u;
+    for (const std::uint32_t s : g.successors(v)) {
+      level[s] = std::max(level[s], level[v]);
+      if (--indegree[s] == 0) {
+        ready.push_back(s);
+      }
+    }
+  }
+  detail::check<GraphError>(done == n, "CDFG contains a dependence cycle");
+  return level;
+}
+
 }  // namespace locwm::cdfg

@@ -88,4 +88,9 @@ class StructuralAnalysis {
   std::uint32_t critical_path_ = 0;
 };
 
+/// Levels (see StructuralAnalysis::level) of every node of a local CSR,
+/// counted within it.  Throws GraphError on a dependence cycle, like the
+/// builder's topological order.
+[[nodiscard]] std::vector<std::uint32_t> levelsOf(const LocalCsr& g);
+
 }  // namespace locwm::cdfg

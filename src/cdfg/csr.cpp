@@ -76,4 +76,22 @@ CsrView::CsrView(const Cdfg& g) {
   LOCWM_OBS_GAUGE_MAX("cdfg.csr.arena_bytes", memoryBytes());
 }
 
+void LocalCsr::buildInLists() {
+  const std::size_t n = kinds.size();
+  in_off.assign(n + 1, 0);
+  for (const std::uint32_t dst : out) {
+    ++in_off[dst + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    in_off[v + 1] += in_off[v];
+  }
+  in.resize(out.size());
+  std::vector<std::uint32_t> cursor(in_off.begin(), in_off.end() - 1);
+  for (std::uint32_t src = 0; src < n; ++src) {
+    for (std::uint32_t e = out_off[src]; e < out_off[src + 1]; ++e) {
+      in[cursor[out[e]]++] = src;
+    }
+  }
+}
+
 }  // namespace locwm::cdfg

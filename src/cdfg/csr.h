@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "cdfg/graph.h"
 #include "cdfg/ids.h"
@@ -173,6 +174,35 @@ class CsrView {
   const NodeId* in_node_ = nullptr;
   const EdgeId* in_edge_ = nullptr;
   const std::uint8_t* kinds_ = nullptr;
+};
+
+/// A small CSR over dense local ids 0..n-1 with data/control edges only:
+/// the form identification contexts and the canonical ordering work on,
+/// built straight from a node subset without a builder graph.  Out-lists
+/// keep insertion order and edge kinds; in-lists keep multiplicity
+/// (parallel edges appear once per edge).
+struct LocalCsr {
+  std::vector<OpKind> kinds;
+  std::vector<std::uint32_t> out_off{0};  ///< n + 1 offsets into out/out_kind
+  std::vector<std::uint32_t> out;
+  std::vector<EdgeKind> out_kind;
+  std::vector<std::uint32_t> in_off{0};   ///< n + 1 offsets into in
+  std::vector<std::uint32_t> in;
+
+  [[nodiscard]] std::size_t size() const noexcept { return kinds.size(); }
+  [[nodiscard]] std::span<const std::uint32_t> successors(
+      std::uint32_t v) const noexcept {
+    return {out.data() + out_off[v], out_off[v + 1] - out_off[v]};
+  }
+  [[nodiscard]] std::span<const std::uint32_t> predecessors(
+      std::uint32_t v) const noexcept {
+    return {in.data() + in_off[v], in_off[v + 1] - in_off[v]};
+  }
+
+  /// Derives in_off/in from the out-lists.  Build protocol: push every
+  /// node's kind, then per node in id order append its out-edges and push
+  /// out.size() onto out_off; then call this once.
+  void buildInLists();
 };
 
 /// The EdgeSel whose span equals filtering by `kind` alone.

@@ -1,37 +1,15 @@
 #include "cdfg/ordering.h"
 
 #include <algorithm>
-#include <tuple>
+#include <compare>
+#include <numeric>
 
 #include "obs/obs.h"
 
 namespace locwm::cdfg {
 
-namespace {
-
-/// Refinement key of one node in one round: its current rank plus the
-/// sorted multisets of its predecessor and successor ranks (within the
-/// ordered node set).  Rank vectors are ordinal, so the keys — and the
-/// ranks derived from them — are identical on any isomorphic copy of the
-/// structure, which is what detection-by-re-derivation requires.
-struct RefineKey {
-  std::uint32_t own = 0;
-  std::vector<std::uint32_t> preds;
-  std::vector<std::uint32_t> succs;
-
-  friend bool operator<(const RefineKey& a, const RefineKey& b) {
-    return std::tie(a.own, a.preds, a.succs) <
-           std::tie(b.own, b.preds, b.succs);
-  }
-  friend bool operator==(const RefineKey& a, const RefineKey& b) {
-    return a.own == b.own && a.preds == b.preds && a.succs == b.succs;
-  }
-};
-
-}  // namespace
-
-NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
-                             const std::vector<NodeId>& nodes,
+NodeOrdering computeOrdering(const LocalCsr& graph,
+                             std::span<const std::uint32_t> levels,
                              std::uint32_t maxDepth) {
   // The base colour implements the paper's first criteria directly:
   // C1 (level) refined by the node's own functionality (the D0 signature).
@@ -41,113 +19,104 @@ NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
   // structure, which fanin-only criteria cannot see (two taps feeding the
   // same adder are separated by *who consumes them*, not by their inputs).
   LOCWM_OBS_SPAN("cdfg.ordering");
-  const auto& g = analysis.graph();
-  const CsrView& csr = analysis.csr();
-  NodeOrdering result;
-  result.ordered = nodes;
-  const std::size_t n = nodes.size();
+  const std::size_t n = graph.size();
+  std::vector<std::uint32_t> idx(n);
+  std::iota(idx.begin(), idx.end(), 0u);
 
-  // Membership map: graph node value -> index in `nodes`, or npos.
-  constexpr std::uint32_t kOutside = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> index_of(g.nodeCount(), kOutside);
-  for (std::size_t i = 0; i < n; ++i) {
-    index_of[nodes[i].value()] = static_cast<std::uint32_t>(i);
-  }
-
-  // ranks[i] = current colour of nodes[i].
+  // ranks[i] = current colour of local node i.  Colours are ordinal, so
+  // they — and the ranks derived from them — are identical on any
+  // isomorphic copy of the structure, which is what detection-by-
+  // re-derivation requires.
   std::vector<std::uint32_t> ranks(n, 0);
+  std::uint32_t top = 0;
   {
-    std::vector<std::pair<std::pair<std::uint32_t, std::uint8_t>,
-                          std::size_t>>
-        base;
-    base.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      base.push_back({{analysis.level(nodes[i]),
-                       functionalityId(csr.kind(nodes[i]))},
-                      i});
-    }
-    std::sort(base.begin(), base.end());
-    std::uint32_t r = 0;
-    for (std::size_t k = 0; k < base.size(); ++k) {
-      if (k > 0 && base[k].first != base[k - 1].first) {
-        ++r;
-      }
-      ranks[base[k].second] = r;
+    const auto base = [&](std::uint32_t i) {
+      return std::pair(levels[i], functionalityId(graph.kinds[i]));
+    };
+    std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return base(a) < base(b);
+    });
+    for (std::size_t k = 1; k < n; ++k) {
+      top += base(idx[k]) != base(idx[k - 1]) ? 1u : 0u;
+      ranks[idx[k]] = top;
     }
   }
+  std::size_t classes = n == 0 ? 0 : std::size_t{top} + 1;
 
-  auto classCount = [&]() {
-    return ranks.empty()
-               ? std::size_t{0}
-               : static_cast<std::size_t>(
-                     *std::max_element(ranks.begin(), ranks.end())) +
-                     1;
+  // Refinement key of node i in one round: its rank, then the sorted
+  // multiset of its predecessor ranks, then that of its successor ranks,
+  // compared lexicographically.  The multisets live in one flat buffer
+  // (preds at [key_lo, key_mid), succs at [key_mid, key_lo of i + 1)) so a
+  // round allocates nothing.
+  std::vector<std::uint32_t> key_lo(n + 1, 0);
+  std::vector<std::uint32_t> key_mid(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    key_mid[i] = key_lo[i] +
+                 static_cast<std::uint32_t>(graph.predecessors(i).size());
+    key_lo[i + 1] =
+        key_mid[i] + static_cast<std::uint32_t>(graph.successors(i).size());
+  }
+  std::vector<std::uint32_t> keys(key_lo[n]);
+  std::vector<std::uint32_t> next(n);
+  const auto compareKeys = [&](std::uint32_t a, std::uint32_t b) {
+    if (ranks[a] != ranks[b]) {
+      return ranks[a] <=> ranks[b];
+    }
+    const auto* k = keys.data();
+    const auto preds = std::lexicographical_compare_three_way(
+        k + key_lo[a], k + key_mid[a], k + key_lo[b], k + key_mid[b]);
+    if (preds != 0) {
+      return preds;
+    }
+    return std::lexicographical_compare_three_way(
+        k + key_mid[a], k + key_lo[a + 1], k + key_mid[b], k + key_lo[b + 1]);
   };
 
   std::uint32_t depth = 0;
-  std::size_t classes = classCount();
   while (classes < n && depth < maxDepth) {
     ++depth;
-    std::vector<std::pair<RefineKey, std::size_t>> keyed;
-    keyed.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      RefineKey key;
-      key.own = ranks[i];
-      // CSR spans instead of the builder's per-call vectors: this loop
-      // runs rounds × nodes times and dominated the refinement cost.
-      // The keys sort their rank multisets, so the kind-grouped span
-      // order is immaterial.
-      for (const NodeId p :
-           csr.predecessors(nodes[i], EdgeSel::kDataControl)) {
-        const std::uint32_t j = index_of[p.value()];
-        if (j != kOutside) {
-          key.preds.push_back(ranks[j]);
-        }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::uint32_t* out = keys.data() + key_lo[i];
+      for (const std::uint32_t p : graph.predecessors(i)) {
+        *out++ = ranks[p];
       }
-      for (const NodeId s : csr.successors(nodes[i], EdgeSel::kDataControl)) {
-        const std::uint32_t j = index_of[s.value()];
-        if (j != kOutside) {
-          key.succs.push_back(ranks[j]);
-        }
+      for (const std::uint32_t s : graph.successors(i)) {
+        *out++ = ranks[s];
       }
-      std::sort(key.preds.begin(), key.preds.end());
-      std::sort(key.succs.begin(), key.succs.end());
-      keyed.push_back({std::move(key), i});
+      std::sort(keys.begin() + key_lo[i], keys.begin() + key_mid[i]);
+      std::sort(keys.begin() + key_mid[i], keys.begin() + key_lo[i + 1]);
     }
-    std::sort(keyed.begin(), keyed.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::uint32_t r = 0;
-    for (std::size_t k = 0; k < keyed.size(); ++k) {
-      if (k > 0 && !(keyed[k].first == keyed[k - 1].first)) {
-        ++r;
-      }
-      ranks[keyed[k].second] = r;
+    std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return compareKeys(a, b) < 0;
+    });
+    top = 0;
+    next[idx[0]] = 0;
+    for (std::size_t k = 1; k < n; ++k) {
+      top += compareKeys(idx[k - 1], idx[k]) != 0 ? 1u : 0u;
+      next[idx[k]] = top;
     }
-    const std::size_t now = classCount();
+    ranks.swap(next);
+    const std::size_t now = std::size_t{top} + 1;
     if (now == classes) {
       break;  // refinement converged; remaining ties are automorphic
     }
     classes = now;
   }
 
-  // Order nodes by final rank; ties (automorphic nodes) fall back to node
-  // id, which keeps the output deterministic but NOT canonical — callers
-  // must consult `ranks`/`unique` before relying on tied positions.
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    perm[i] = i;
-  }
-  std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-    if (ranks[a] != ranks[b]) {
-      return ranks[a] < ranks[b];
-    }
-    return nodes[a] < nodes[b];
-  });
+  // Order nodes by final rank; ties (automorphic nodes) fall back to the
+  // local id, which keeps the output deterministic but NOT canonical —
+  // callers must consult `ranks`/`unique` before relying on tied
+  // positions.
+  std::iota(idx.begin(), idx.end(), 0u);
+  std::stable_sort(idx.begin(), idx.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return ranks[a] < ranks[b];
+                   });
   NodeOrdering out;
   out.ordered.reserve(n);
   out.ranks.reserve(n);
-  for (const std::size_t i : perm) {
-    out.ordered.push_back(nodes[i]);
+  for (const std::uint32_t i : idx) {
+    out.ordered.emplace_back(i);
     out.ranks.push_back(ranks[i]);
   }
   out.unique = classes == n;
@@ -155,6 +124,46 @@ NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
   LOCWM_OBS_COUNT("cdfg.ordering.refine_rounds", depth);
   LOCWM_OBS_COUNT("cdfg.ordering.runs", 1);
   return out;
+}
+
+NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
+                             const std::vector<NodeId>& nodes,
+                             std::uint32_t maxDepth) {
+  // Local ids follow ascending node id, so the core's local-id tie-break
+  // is a node-id tie-break.  Levels are the enclosing graph's; the
+  // refinement sees only neighbours inside the set.
+  std::vector<NodeId> sorted = nodes;
+  std::sort(sorted.begin(), sorted.end());
+  const CsrView& csr = analysis.csr();
+  constexpr std::uint32_t kOutside = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> local_of(csr.nodeCount(), kOutside);
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    local_of[sorted[i].value()] = static_cast<std::uint32_t>(i);
+  }
+  LocalCsr local;
+  std::vector<std::uint32_t> levels;
+  levels.reserve(sorted.size());
+  for (const NodeId v : sorted) {
+    local.kinds.push_back(csr.kind(v));
+    levels.push_back(analysis.level(v));
+  }
+  for (const NodeId v : sorted) {
+    for (const EdgeKind kind : {EdgeKind::kData, EdgeKind::kControl}) {
+      for (const NodeId s : csr.successors(v, edgeSelOf(kind))) {
+        if (local_of[s.value()] != kOutside) {
+          local.out.push_back(local_of[s.value()]);
+          local.out_kind.push_back(kind);
+        }
+      }
+    }
+    local.out_off.push_back(static_cast<std::uint32_t>(local.out.size()));
+  }
+  local.buildInLists();
+  NodeOrdering ordering = computeOrdering(local, levels, maxDepth);
+  for (NodeId& v : ordering.ordered) {
+    v = sorted[v.value()];
+  }
+  return ordering;
 }
 
 NodeOrdering computeOrdering(const StructuralAnalysis& analysis,

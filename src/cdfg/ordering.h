@@ -28,9 +28,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cdfg/analysis.h"
+#include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "cdfg/ids.h"
 
@@ -49,6 +51,16 @@ struct NodeOrdering {
   /// Largest neighbourhood radius Dx the criteria had to examine.
   std::uint32_t max_depth_used = 0;
 };
+
+/// Orders every node of a local CSR canonically: the one refinement the
+/// overloads below share.  `levels` supplies criterion C1 per local node
+/// (levelsOf() for a self-contained context, the enclosing graph's levels
+/// for a subset of it).  Refinement reads only the CSR's data/control
+/// neighbours.  Ties fall back to the local id, so `ordered` holds local
+/// ids as NodeIds.
+[[nodiscard]] NodeOrdering computeOrdering(
+    const LocalCsr& graph, std::span<const std::uint32_t> levels,
+    std::uint32_t maxDepth = 64);
 
 /// Orders `nodes` (a subset of `analysis.graph()`'s nodes) canonically.
 ///

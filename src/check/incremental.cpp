@@ -445,13 +445,12 @@ void IncrementalAnalysis::repairClosure(const cdfg::AppliedDelta& applied,
   for (const Edge& e : applied.removed_edges) {
     seeds.push_back(e.dst);
   }
-  // Serial: the closure is gated at kClosureNodeLimit nodes, and row
-  // recomputation shares one scratch row.
-  BitRows scratch(1, n);
   stats.closure_rows += propagateRanked(
       rank_, /*forward=*/true, n, seeds,
       [&](NodeId v) {
-        scratch.clearRow(0);
+        // A row per recompute: wide rank levels recompute in parallel, so
+        // no two nodes may share scratch.
+        BitRows scratch(1, n);
         csr_.forEachIn(v, EdgeSel::kAll,
                        [&](NodeId src, EdgeId, EdgeKind) {
                          scratch.set(0, src.value());

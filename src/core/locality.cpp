@@ -1,10 +1,11 @@
 #include "core/locality.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <tuple>
 
+#include "cdfg/analysis.h"
 #include "cdfg/error.h"
-#include "cdfg/subgraph.h"
+#include "cdfg/ordering.h"
 #include "obs/obs.h"
 #include "rt/rt.h"
 
@@ -16,9 +17,8 @@ bool shapeEquals(const cdfg::Cdfg& a, const cdfg::Cdfg& b) {
   if (a.nodeCount() != b.nodeCount() || a.edgeCount() != b.edgeCount()) {
     return false;
   }
-  // Direct table walks: this runs once per shape-matching candidate root
-  // during detection scans, so the allNodes()/allEdges() id vectors the
-  // convenience API allocates are worth avoiding.
+  // Direct table walks: the convenience API's allNodes()/allEdges() id
+  // vectors are not worth allocating here.
   const std::vector<cdfg::Node>& an = a.nodes();
   const std::vector<cdfg::Node>& bn = b.nodes();
   for (std::size_t i = 0; i < an.size(); ++i) {
@@ -44,6 +44,8 @@ bool Locality::sameShape(const Locality& other) const {
 
 namespace {
 
+using Edge3 = std::tuple<std::uint32_t, std::uint32_t, cdfg::EdgeKind>;
+
 /// True for kinds the identification treats as wires, not operations:
 /// pseudo-ops (the port boundary) and register-to-register copies.  Copy
 /// transparency makes the cheapest structural attack — splitting edges
@@ -52,58 +54,133 @@ bool isTransparentKind(cdfg::OpKind kind) {
   return cdfg::isPseudoOp(kind) || kind == cdfg::OpKind::kCopy;
 }
 
-/// Copy-transparent walk shared by realPreds/realSuccs: collects real
-/// operations, expands copies, stops at pseudo-ops.  `seen` membership is
-/// a linear scan — the walks touch a handful of local nodes, so a small
-/// vector beats the O(graph) bitmap the old builder-based helpers zeroed
-/// on every call.
-template <typename Expand>
-std::vector<NodeId> realNeighbourWalk(const cdfg::CsrView& v, NodeId start,
-                                      Expand&& neighbours) {
-  std::vector<NodeId> out;
+/// Per-lane scratch of the identification walks.  Membership of a design
+/// node in the current ball is an epoch stamp (`mark[v] == epoch`), so a
+/// root costs what its ball touches — not an O(design) bitmap per root.
+/// Sized to the largest design the lane has walked; holds no context.
+struct Scratch {
+  std::vector<std::uint32_t> mark;
+  /// Local id of a marked design node (valid where mark == epoch).
+  std::vector<std::uint32_t> local;
+  std::uint32_t epoch = 0;
+  std::vector<NodeId> frontier;
+  std::vector<NodeId> next;
+  std::vector<NodeId> to_nodes;
+  // Copy-transparent neighbour walks.
+  std::vector<NodeId> walk;
   std::vector<NodeId> seen;
   std::vector<NodeId> stack;
+  // Carve: carved[local] is 0, or the node's position in the carve + 1.
+  std::vector<std::uint32_t> carved;
+  std::vector<std::uint32_t> carve_frontier;
+  std::vector<std::uint32_t> carve_next;
+  std::vector<std::uint32_t> carve_list;
+  std::vector<Edge3> edges;
+
+  /// Starts a new membership epoch over a design of `n` nodes.
+  std::uint32_t newEpoch(std::size_t n) {
+    if (mark.size() < n) {
+      mark.resize(n, 0);
+      local.resize(n, 0);
+    }
+    if (++epoch == 0) {
+      std::fill(mark.begin(), mark.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  }
+};
+
+Scratch& laneScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+/// Copy-transparent walk from `start`: fills `s.walk` with the real
+/// operations reached through `neighbours`, expanding copies and stopping
+/// at pseudo-ops.  Unordered, possibly with repeats; `seen` is a linear
+/// scan because a walk touches a handful of nodes.
+template <typename Expand>
+void realWalk(const cdfg::CsrView& v, NodeId start, Scratch& s,
+              Expand&& neighbours) {
+  s.walk.clear();
+  s.seen.clear();
   {
     const auto first = neighbours(start);
-    stack.assign(first.begin(), first.end());
+    s.stack.assign(first.begin(), first.end());
   }
-  while (!stack.empty()) {
-    const NodeId p = stack.back();
-    stack.pop_back();
-    if (std::find(seen.begin(), seen.end(), p) != seen.end()) {
+  while (!s.stack.empty()) {
+    const NodeId p = s.stack.back();
+    s.stack.pop_back();
+    if (std::find(s.seen.begin(), s.seen.end(), p) != s.seen.end()) {
       continue;
     }
-    seen.push_back(p);
+    s.seen.push_back(p);
     const cdfg::OpKind kind = v.kind(p);
     if (cdfg::isPseudoOp(kind)) {
       continue;
     }
     if (kind == cdfg::OpKind::kCopy) {
       for (const NodeId q : neighbours(p)) {
-        stack.push_back(q);
+        s.stack.push_back(q);
       }
       continue;
     }
-    out.push_back(p);
+    s.walk.push_back(p);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
-/// Real-operation predecessors (via data/control edges), walking *through*
-/// copy chains, deduplicated, ascending by id.  Pseudo-ops terminate the
-/// walk (they are the traversal boundary).
-std::vector<NodeId> realPreds(const cdfg::CsrView& v, NodeId n) {
-  return realNeighbourWalk(v, n, [&](NodeId x) {
+void realPredWalk(const cdfg::CsrView& v, NodeId n, Scratch& s) {
+  realWalk(v, n, s, [&](NodeId x) {
     return v.predecessors(x, cdfg::EdgeSel::kDataControl);
   });
 }
 
+void realSuccWalk(const cdfg::CsrView& v, NodeId n, Scratch& s) {
+  realWalk(v, n, s, [&](NodeId x) {
+    return v.successors(x, cdfg::EdgeSel::kDataControl);
+  });
+}
+
+/// The ball of `radius` around `root` over real neighbours (predecessors,
+/// plus successors when `undirected`), root included, in `out` unordered.
+/// Leaves its members stamped with the returned epoch.
+std::uint32_t ball(const cdfg::CsrView& view, NodeId root,
+                   std::uint32_t radius, bool undirected, Scratch& s,
+                   std::vector<NodeId>& out) {
+  const std::uint32_t epoch = s.newEpoch(view.nodeCount());
+  out.assign(1, root);
+  s.mark[root.value()] = epoch;
+  s.frontier.assign(1, root);
+  const auto visit = [&]() {
+    for (const NodeId p : s.walk) {
+      if (s.mark[p.value()] != epoch) {
+        s.mark[p.value()] = epoch;
+        s.next.push_back(p);
+        out.push_back(p);
+      }
+    }
+  };
+  for (std::uint32_t d = 0; d < radius && !s.frontier.empty(); ++d) {
+    s.next.clear();
+    for (const NodeId v : s.frontier) {
+      realPredWalk(view, v, s);
+      visit();
+      if (undirected) {
+        realSuccWalk(view, v, s);
+        visit();
+      }
+    }
+    s.frontier.swap(s.next);
+  }
+  return epoch;
+}
+
 /// Calls f(dst, kind) for every data/control edge leaving `n`, in edge
 /// *insertion* order — merging the kind-grouped CSR segments by edge id
-/// reproduces exactly the order the builder's outEdges() walk visits, so
-/// graphs built from this traversal have identical edge numbering.
+/// reproduces the order the builder's outEdges() walk visits, so the
+/// contracted graph's edge order (and every shape built from it) is the
+/// one the builder-graph derivation produced.
 template <typename F>
 void forEachDataControlOut(const cdfg::CsrView& v, NodeId n, F&& f) {
   const auto dn = v.successors(n, cdfg::EdgeSel::kData);
@@ -124,139 +201,56 @@ void forEachDataControlOut(const cdfg::CsrView& v, NodeId n, F&& f) {
   }
 }
 
-/// Builds the *contracted* identification graph over `members` (sorted,
-/// all non-transparent): direct edges keep their kind; edges that pass
-/// through copy chains are contracted to data edges, preserving path
-/// multiplicity (x + x through a copy stays a double edge).  All
-/// identification — ordering, carving, shapes — happens on this graph, so
-/// splitting edges with copies cannot perturb detection.
-cdfg::Cdfg buildContracted(const cdfg::CsrView& view,
-                           const std::vector<NodeId>& members,
-                           cdfg::NodeMap* map_out) {
-  cdfg::Cdfg c;
-  cdfg::NodeMap map;
-  map.reserve(members.size());
+/// Contracts the design onto `members` (sorted, all non-transparent,
+/// stamped with `epoch`, s.local = their index) into the empty `out`:
+/// direct edges keep their kind; edges through copy chains become data
+/// edges, path multiplicity kept (x + x through a copy stays a double
+/// edge).
+void contract(const cdfg::CsrView& view, const std::vector<NodeId>& members,
+              std::uint32_t epoch, Scratch& s, cdfg::LocalCsr& out) {
   for (const NodeId v : members) {
-    map.emplace(v, c.addNode(view.kind(v)));
+    out.kinds.push_back(view.kind(v));
   }
+  const auto inside = [&](NodeId q) { return s.mark[q.value()] == epoch; };
   for (const NodeId v : members) {
-    // forEachDataControlOut replays the builder's edge-insertion order,
-    // so the contracted graph's edge numbering is identical to what the
-    // pre-CSR implementation produced.
     forEachDataControlOut(view, v, [&](NodeId dst, cdfg::EdgeKind kind) {
-      const auto direct = map.find(dst);
-      if (direct != map.end()) {
-        c.addEdge(map.at(v), direct->second, kind);
+      if (inside(dst)) {
+        out.out.push_back(s.local[dst.value()]);
+        out.out_kind.push_back(kind);
         return;
       }
       if (view.kind(dst) != cdfg::OpKind::kCopy) {
         return;  // boundary (pseudo-op or outside the member set)
       }
       // Expand the copy chain, preserving multiplicity (no dedup).
-      std::vector<NodeId> stack{dst};
+      s.stack.assign(1, dst);
       std::size_t guard = 0;
-      while (!stack.empty() && ++guard < 4096) {
-        const NodeId p = stack.back();
-        stack.pop_back();
+      while (!s.stack.empty() && ++guard < 4096) {
+        const NodeId p = s.stack.back();
+        s.stack.pop_back();
         forEachDataControlOut(view, p, [&](NodeId q, cdfg::EdgeKind) {
           if (view.kind(q) == cdfg::OpKind::kCopy) {
-            stack.push_back(q);
-          } else if (const auto it = map.find(q); it != map.end()) {
-            c.addEdge(map.at(v), it->second, cdfg::EdgeKind::kData);
+            s.stack.push_back(q);
+          } else if (inside(q)) {
+            out.out.push_back(s.local[q.value()]);
+            out.out_kind.push_back(cdfg::EdgeKind::kData);
           }
         });
       }
     });
+    out.out_off.push_back(static_cast<std::uint32_t>(out.out.size()));
   }
-  if (map_out != nullptr) {
-    *map_out = std::move(map);
-  }
-  return c;
+  out.buildInLists();
 }
 
-/// Real-operation successors with the same copy transparency.
-std::vector<NodeId> realSuccs(const cdfg::CsrView& v, NodeId n) {
-  return realNeighbourWalk(v, n, [&](NodeId x) {
-    return v.successors(x, cdfg::EdgeSel::kDataControl);
-  });
-}
-
-}  // namespace
-
-std::optional<Locality> LocalityDeriver::derive(
-    NodeId root, const LocalityParams& params,
-    crypto::KeyedBitstream& bits) const {
-  LOCWM_OBS_SPAN("core.locality.derive");
-  LOCWM_OBS_COUNT("core.locality.derive_calls", 1);
-  const cdfg::CsrView& view = csr_;
-  if (isTransparentKind(view.kind(root))) {
-    LOCWM_OBS_COUNT("core.locality.rejected", 1);
-    return std::nullopt;
-  }
-
-  auto realNeighbours = [&](NodeId v, bool undirected) {
-    std::vector<NodeId> out = realPreds(view, v);
-    if (undirected) {
-      const std::vector<NodeId> succs = realSuccs(view, v);
-      out.insert(out.end(), succs.begin(), succs.end());
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
-    return out;
-  };
-  auto ball = [&](std::uint32_t radius, bool undirected) {
-    std::vector<NodeId> members;
-    std::vector<bool> seen(view.nodeCount(), false);
-    std::vector<NodeId> frontier{root};
-    seen[root.value()] = true;
-    members.push_back(root);
-    for (std::uint32_t d = 0; d < radius && !frontier.empty(); ++d) {
-      std::vector<NodeId> next;
-      for (const NodeId v : frontier) {
-        for (const NodeId p : realNeighbours(v, undirected)) {
-          if (!seen[p.value()]) {
-            seen[p.value()] = true;
-            next.push_back(p);
-          }
-        }
-      }
-      std::sort(next.begin(), next.end());
-      members.insert(members.end(), next.begin(), next.end());
-      frontier = std::move(next);
-    }
-    std::sort(members.begin(), members.end());
-    return members;
-  };
-
-  // --- Step 1a: the fanin tree To of max-distance Δ, real ops only — the
-  // set the carve may select from (the paper's To).
-  const std::vector<NodeId> to_nodes = ball(params.max_distance,
-                                            /*undirected=*/false);
-  if (to_nodes.size() < params.min_size) {
-    LOCWM_OBS_COUNT("core.locality.rejected", 1);
-    return std::nullopt;
-  }
-  // --- Step 1b: the *identification context*: the undirected ball of the
-  // same radius.  Fanin-only context cannot tell symmetric taps apart
-  // (their difference lies in who consumes them); the undirected ball is
-  // still root-anchored and structural, so the detector re-derives it
-  // identically.  Pseudo-ops (the design's port boundary) are never
-  // crossed, keeping the context invariant under host embedding.
-  const std::vector<NodeId> ctx_nodes = ball(params.max_distance,
-                                             /*undirected=*/true);
-
-  // --- Step 2: canonical ordering of the context's induced subgraph. ---
-  // Automorphic nodes (tied ranks) cannot be identified reproducibly on a
-  // re-indexed copy, so they are barred from the carve; the root itself
-  // must be uniquely identified.
-  cdfg::NodeMap to_map;  // graph -> contracted (context coordinates)
-  const cdfg::Cdfg to_graph = buildContracted(view, ctx_nodes, &to_map);
-  const cdfg::StructuralAnalysis to_analysis(to_graph);
-  const cdfg::NodeOrdering ordering = cdfg::computeOrdering(to_analysis);
-  // rank_of[induced node value] = canonical rank; kTied marks automorphic
-  // nodes excluded from the locality.
-  constexpr std::uint32_t kTied = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> rank_of(to_graph.nodeCount(), kTied);
+/// Canonical ranks of a contracted graph: rank_of[local] is its rank, or
+/// kTied for automorphic nodes, which no locality may contain.  Returns
+/// the ordering (local ids by ascending rank).
+cdfg::NodeOrdering rankContracted(const cdfg::LocalCsr& graph,
+                                  std::vector<std::uint32_t>& rank_of) {
+  const std::vector<std::uint32_t> levels = cdfg::levelsOf(graph);
+  cdfg::NodeOrdering ordering = cdfg::computeOrdering(graph, levels);
+  rank_of.assign(graph.size(), IdentContext::kTied);
   for (std::size_t i = 0; i < ordering.ordered.size(); ++i) {
     const bool tied_prev =
         i > 0 && ordering.ranks[i] == ordering.ranks[i - 1];
@@ -266,146 +260,284 @@ std::optional<Locality> LocalityDeriver::derive(
       rank_of[ordering.ordered[i].value()] = ordering.ranks[i];
     }
   }
-  const NodeId root_in_to = to_map.at(root);
-  if (rank_of[root_in_to.value()] == kTied) {
-    LOCWM_OBS_COUNT("core.locality.rejected", 1);
-    return std::nullopt;
+  return ordering;
+}
+
+/// Builds the identification context of (root, Δ).  When To has fewer
+/// than `min_to_size` members no carve can reach its minimum size, so
+/// the context stops there, unidentified.
+IdentContext identify(const cdfg::CsrView& view, NodeId root,
+                      std::uint32_t max_distance, std::size_t min_to_size) {
+  IdentContext ctx;
+  ctx.root = root;
+  ctx.max_distance = max_distance;
+  if (isTransparentKind(view.kind(root))) {
+    return ctx;
+  }
+  LOCWM_OBS_SPAN("core.locality.context");
+  Scratch& s = laneScratch();
+  // --- Step 1a: the fanin tree To of max-distance Δ, real ops only — the
+  // set the carve may select from (the paper's To).
+  ball(view, root, max_distance, /*undirected=*/false, s, s.to_nodes);
+  ctx.to_size = s.to_nodes.size();
+  if (ctx.to_size < min_to_size) {
+    return ctx;
+  }
+  // --- Step 1b: the *identification context*: the undirected ball of the
+  // same radius.  Fanin-only context cannot tell symmetric taps apart
+  // (their difference lies in who consumes them); the undirected ball is
+  // still root-anchored and structural, so the detector re-derives it
+  // identically.  Pseudo-ops (the design's port boundary) are never
+  // crossed, keeping the context invariant under host embedding.
+  const std::uint32_t epoch =
+      ball(view, root, max_distance, /*undirected=*/true, s, ctx.members);
+  std::sort(ctx.members.begin(), ctx.members.end());
+  for (std::size_t i = 0; i < ctx.members.size(); ++i) {
+    s.local[ctx.members[i].value()] = static_cast<std::uint32_t>(i);
+  }
+  ctx.root_local = s.local[root.value()];
+  ctx.in_to.assign(ctx.members.size(), 0);
+  for (const NodeId v : s.to_nodes) {  // To ⊆ the undirected ball
+    ctx.in_to[s.local[v.value()]] = 1;
   }
 
-  // --- Step 3: keyed breadth-first carve of T ⊆ To. ---
-  std::vector<bool> in_to(to_graph.nodeCount(), false);
-  for (const NodeId v : to_nodes) {
-    in_to[to_map.at(v).value()] = true;
+  // --- Step 2: canonical ordering of the contracted context.  Automorphic
+  // nodes (tied ranks) cannot be identified reproducibly on a re-indexed
+  // copy, so they are barred from the carve; the root itself must be
+  // uniquely identified.
+  contract(view, ctx.members, epoch, s, ctx.graph);
+  (void)rankContracted(ctx.graph, ctx.rank_of);
+  LOCWM_OBS_COUNT("core.locality.contexts", 1);
+  ctx.identified = ctx.rank_of[ctx.root_local] != IdentContext::kTied;
+
+  // Carve candidates per To member: distinct predecessors in To, untied,
+  // by rank.  Key-independent, so every carve of the context shares them.
+  const std::size_t n = ctx.members.size();
+  ctx.select_off.assign(n + 1, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (ctx.in_to[v] != 0) {
+      const std::size_t from = ctx.select.size();
+      for (const std::uint32_t p : ctx.graph.predecessors(v)) {
+        if (ctx.in_to[p] != 0 && ctx.rank_of[p] != IdentContext::kTied) {
+          ctx.select.push_back(p);
+        }
+      }
+      const auto byRank = [&](std::uint32_t a, std::uint32_t b) {
+        return ctx.rank_of[a] < ctx.rank_of[b];
+      };
+      std::sort(ctx.select.begin() + static_cast<std::ptrdiff_t>(from),
+                ctx.select.end(), byRank);
+      ctx.select.erase(
+          std::unique(ctx.select.begin() + static_cast<std::ptrdiff_t>(from),
+                      ctx.select.end()),
+          ctx.select.end());
+    }
+    ctx.select_off[v + 1] = static_cast<std::uint32_t>(ctx.select.size());
   }
-  const NodeId root_local = root_in_to;
-  std::vector<bool> carved(to_graph.nodeCount(), false);
-  carved[root_local.value()] = true;
-  std::vector<NodeId> frontier{root_local};
-  while (!frontier.empty()) {
+  return ctx;
+}
+
+/// Step 3: the keyed breadth-first carve of T ⊆ To.  On success
+/// s.carve_list holds T's local ids by ascending rank and s.carved[v] is
+/// v's position in it + 1 (0 for uncarved nodes).
+bool carveLocal(const IdentContext& ctx, const LocalityParams& params,
+                crypto::KeyedBitstream& bits, Scratch& s) {
+  LOCWM_OBS_SPAN("core.locality.derive");
+  LOCWM_OBS_COUNT("core.locality.derive_calls", 1);
+  if (!ctx.identified || ctx.to_size < params.min_size) {
+    LOCWM_OBS_COUNT("core.locality.rejected", 1);
+    return false;
+  }
+  const auto byRank = [&](std::uint32_t a, std::uint32_t b) {
+    return ctx.rank_of[a] < ctx.rank_of[b];
+  };
+  s.carved.assign(ctx.members.size(), 0);
+  s.carved[ctx.root_local] = 1;
+  s.carve_list.assign(1, ctx.root_local);
+  s.carve_frontier.assign(1, ctx.root_local);
+  while (!s.carve_frontier.empty()) {
     // Deterministic frontier order: ascending canonical rank.
-    std::sort(frontier.begin(), frontier.end(), [&](NodeId a, NodeId b) {
-      return rank_of[a.value()] < rank_of[b.value()];
-    });
-    std::vector<NodeId> next;
-    for (const NodeId v : frontier) {
-      // to_analysis already lowered the contracted graph — reuse its view.
-      std::vector<NodeId> preds = realPreds(to_analysis.csr(), v);
-      // Only fanin-tree members are selectable, and automorphic
-      // predecessors are invisible to the carve.
-      std::erase_if(preds, [&](NodeId p) {
-        return !in_to[p.value()] || rank_of[p.value()] == kTied;
-      });
-      std::sort(preds.begin(), preds.end(), [&](NodeId a, NodeId b) {
-        return rank_of[a.value()] < rank_of[b.value()];
-      });
-      if (preds.empty()) {
+    std::sort(s.carve_frontier.begin(), s.carve_frontier.end(), byRank);
+    s.carve_next.clear();
+    for (const std::uint32_t v : s.carve_frontier) {
+      const std::uint32_t lo = ctx.select_off[v];
+      const std::uint32_t count = ctx.select_off[v + 1] - lo;
+      if (count == 0) {
         continue;
       }
-      // At least one input is always included...
-      const std::size_t keep = bits.below(preds.size());
-      // ...each remaining input is excluded with a fixed probability.
-      for (std::size_t i = 0; i < preds.size(); ++i) {
-        bool include;
-        if (i == keep) {
-          include = true;
-        } else {
-          include = !bits.chance(params.exclude_prob_256, 256);
-        }
-        if (include && !carved[preds[i].value()]) {
-          carved[preds[i].value()] = true;
-          next.push_back(preds[i]);
+      // At least one input is always included; each remaining input is
+      // excluded with a fixed probability.
+      const std::size_t keep = bits.below(count);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const bool include =
+            i == keep || !bits.chance(params.exclude_prob_256, 256);
+        const std::uint32_t p = ctx.select[lo + i];
+        if (include && s.carved[p] == 0) {
+          s.carved[p] = 1;
+          s.carve_next.push_back(p);
+          s.carve_list.push_back(p);
         }
       }
     }
-    frontier = std::move(next);
+    s.carve_frontier.swap(s.carve_next);
   }
-
-  // --- Step 4: assemble the locality in canonical-rank order. ---
-  std::vector<NodeId> carved_local;  // induced-graph ids, by ascending rank
-  for (const NodeId v : ordering.ordered) {
-    if (carved[v.value()]) {
-      carved_local.push_back(v);
-    }
-  }
-  if (carved_local.size() < params.min_size) {
+  if (s.carve_list.size() < params.min_size) {
     LOCWM_OBS_COUNT("core.locality.rejected", 1);
-    return std::nullopt;
+    return false;
   }
-
-  // Map induced ids back to source-graph ids.
-  std::unordered_map<NodeId, NodeId> inverse;  // induced -> graph
-  for (const auto& [orig, local] : to_map) {
-    inverse.emplace(local, orig);
-  }
-
-  Locality result;
-  result.root = root;
-  result.nodes.reserve(carved_local.size());
-  for (const NodeId v : carved_local) {
-    result.nodes.push_back(inverse.at(v));
-  }
-  // Shape: induced subgraph of T with node id == rank.  inducedSubgraph
-  // numbers nodes by position in the input vector, so passing the nodes in
-  // rank order yields exactly the rank numbering.  Temporal edges (from
-  // previously embedded watermarks) are stripped: the published design
-  // carries none, and the fingerprint must match it.
-  result.shape =
-      cdfg::inducedSubgraph(to_graph, carved_local).stripTemporalEdges();
-  // Scrub labels: shape identity must not leak source names.
-  for (const NodeId v : result.shape.allNodes()) {
-    result.shape.setNodeName(v, {});
+  std::sort(s.carve_list.begin(), s.carve_list.end(), byRank);
+  for (std::size_t i = 0; i < s.carve_list.size(); ++i) {
+    s.carved[s.carve_list[i]] = static_cast<std::uint32_t>(i) + 1;
   }
   LOCWM_OBS_COUNT("core.locality.accepted", 1);
-  LOCWM_OBS_COUNT("core.locality.nodes_carved", result.nodes.size());
+  LOCWM_OBS_COUNT("core.locality.nodes_carved", s.carve_list.size());
+  return true;
+}
+
+/// Materializes the locality of `list` (local ids in rank order; `slot`
+/// maps a local id to its position + 1, or 0 outside the list).  The shape
+/// is the induced contracted subgraph with node id == position, edges in
+/// the contracted graph's order, no labels.
+Locality assemble(NodeId root, const std::vector<NodeId>& members,
+                  const cdfg::LocalCsr& graph,
+                  const std::vector<std::uint32_t>& list,
+                  const std::vector<std::uint32_t>& slot) {
+  Locality result;
+  result.root = root;
+  result.nodes.reserve(list.size());
+  for (const std::uint32_t v : list) {
+    result.nodes.push_back(members[v]);
+    (void)result.shape.addNode(graph.kinds[v]);
+  }
+  for (std::uint32_t u = 0; u < graph.size(); ++u) {
+    if (slot[u] == 0) {
+      continue;
+    }
+    for (std::uint32_t e = graph.out_off[u]; e < graph.out_off[u + 1]; ++e) {
+      const std::uint32_t w = graph.out[e];
+      if (slot[w] != 0) {
+        (void)result.shape.addEdge(NodeId(slot[u] - 1), NodeId(slot[w] - 1),
+                                   graph.out_kind[e]);
+      }
+    }
+  }
   return result;
+}
+
+/// A certificate shape in the form a carve compares against: kinds per
+/// rank and the sorted (src, dst, kind) edge list — shapeEquals() without
+/// building the carved shape.
+struct ShapeTarget {
+  std::size_t node_count = 0;
+  std::size_t edge_count = 0;
+  std::vector<cdfg::OpKind> kinds;
+  std::vector<Edge3> edges;
+
+  explicit ShapeTarget(const cdfg::Cdfg& shape)
+      : node_count(shape.nodeCount()), edge_count(shape.edgeCount()) {
+    for (const cdfg::Node& n : shape.nodes()) {
+      kinds.push_back(n.kind);
+    }
+    for (const cdfg::Edge& ed : shape.edges()) {
+      edges.emplace_back(ed.src.value(), ed.dst.value(), ed.kind);
+    }
+    std::sort(edges.begin(), edges.end());
+  }
+
+  /// True when the carve in `s` (carveLocal succeeded) has this shape.
+  [[nodiscard]] bool matches(const IdentContext& ctx, Scratch& s) const {
+    if (s.carve_list.size() != node_count) {
+      return false;
+    }
+    for (std::size_t i = 0; i < node_count; ++i) {
+      if (ctx.graph.kinds[s.carve_list[i]] != kinds[i]) {
+        return false;
+      }
+    }
+    s.edges.clear();
+    for (const std::uint32_t u : s.carve_list) {
+      const std::uint32_t lo = ctx.graph.out_off[u];
+      const std::uint32_t hi = ctx.graph.out_off[u + 1];
+      for (std::uint32_t e = lo; e < hi; ++e) {
+        const std::uint32_t w = ctx.graph.out[e];
+        if (s.carved[w] != 0) {
+          if (s.edges.size() == edge_count) {
+            return false;
+          }
+          s.edges.emplace_back(s.carved[u] - 1, s.carved[w] - 1,
+                               ctx.graph.out_kind[e]);
+        }
+      }
+    }
+    if (s.edges.size() != edge_count) {
+      return false;
+    }
+    std::sort(s.edges.begin(), s.edges.end());
+    return s.edges == edges;
+  }
+};
+
+}  // namespace
+
+IdentContext LocalityDeriver::context(NodeId root,
+                                      std::uint32_t max_distance) const {
+  return identify(csr_, root, max_distance, /*min_to_size=*/0);
+}
+
+std::optional<Locality> LocalityDeriver::carve(
+    const IdentContext& context, const LocalityParams& params,
+    crypto::KeyedBitstream& bits) const {
+  detail::check<WatermarkError>(
+      context.max_distance == params.max_distance,
+      "carve: the context was built at another max_distance");
+  Scratch& s = laneScratch();
+  if (!carveLocal(context, params, bits, s)) {
+    return std::nullopt;
+  }
+  return assemble(context.root, context.members, context.graph, s.carve_list,
+                  s.carved);
+}
+
+std::optional<Locality> LocalityDeriver::derive(
+    NodeId root, const LocalityParams& params,
+    crypto::KeyedBitstream& bits) const {
+  return carve(identify(csr_, root, params.max_distance, params.min_size),
+               params, bits);
 }
 
 std::optional<Locality> LocalityDeriver::wholeDesign(
     std::size_t minSize) const {
+  Scratch& s = laneScratch();
   std::vector<NodeId> real;
   const std::size_t n = csr_.nodeCount();
+  const std::uint32_t epoch = s.newEpoch(n);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId v(static_cast<std::uint32_t>(i));
     if (!isTransparentKind(csr_.kind(v))) {
+      s.mark[i] = epoch;
+      s.local[i] = static_cast<std::uint32_t>(real.size());
       real.push_back(v);
     }
   }
   if (real.size() < minSize) {
     return std::nullopt;
   }
-  cdfg::NodeMap map;
-  const cdfg::Cdfg sub = buildContracted(csr_, real, &map);
-  const cdfg::StructuralAnalysis analysis(sub);
-  const cdfg::NodeOrdering ordering = cdfg::computeOrdering(analysis);
-
-  std::unordered_map<NodeId, NodeId> inverse;  // induced -> graph
-  for (const auto& [orig, local] : map) {
-    inverse.emplace(local, orig);
-  }
-  std::vector<NodeId> untied_local;
-  for (std::size_t i = 0; i < ordering.ordered.size(); ++i) {
-    const bool tied_prev =
-        i > 0 && ordering.ranks[i] == ordering.ranks[i - 1];
-    const bool tied_next = i + 1 < ordering.ranks.size() &&
-                           ordering.ranks[i] == ordering.ranks[i + 1];
-    if (!tied_prev && !tied_next) {
-      untied_local.push_back(ordering.ordered[i]);
+  cdfg::LocalCsr graph;
+  contract(csr_, real, epoch, s, graph);
+  std::vector<std::uint32_t> rank_of;
+  const cdfg::NodeOrdering ordering = rankContracted(graph, rank_of);
+  std::vector<std::uint32_t> untied;
+  std::vector<std::uint32_t> slot(graph.size(), 0);
+  for (const NodeId v : ordering.ordered) {
+    if (rank_of[v.value()] != IdentContext::kTied) {
+      untied.push_back(v.value());
+      slot[v.value()] = static_cast<std::uint32_t>(untied.size());
     }
   }
-  if (untied_local.size() < minSize) {
+  if (untied.size() < minSize) {
     return std::nullopt;
   }
-  Locality result;
-  result.root = NodeId::invalid();
-  for (const NodeId v : untied_local) {
-    result.nodes.push_back(inverse.at(v));
-  }
-  result.shape =
-      cdfg::inducedSubgraph(sub, untied_local).stripTemporalEdges();
-  for (const NodeId v : result.shape.allNodes()) {
-    result.shape.setNodeName(v, {});
-  }
-  return result;
+  return assemble(NodeId::invalid(), real, graph, untied, slot);
 }
 
 std::array<std::uint32_t, cdfg::kOpKindCount> LocalityDeriver::faninKindCounts(
@@ -414,26 +546,11 @@ std::array<std::uint32_t, cdfg::kOpKindCount> LocalityDeriver::faninKindCounts(
   if (isTransparentKind(csr_.kind(root))) {
     return counts;
   }
-  // Mirror of derive()'s Step 1a ball(radius, /*undirected=*/false): a
-  // breadth-first walk over copy-transparent real predecessors.  Membership
-  // is all that matters here, so the per-level sorting derive() does for
-  // determinism of *order* is unnecessary — the counted set is identical.
-  std::vector<bool> seen(csr_.nodeCount(), false);
-  std::vector<NodeId> frontier{root};
-  seen[root.value()] = true;
-  counts[static_cast<std::size_t>(csr_.kind(root))] += 1;
-  for (std::uint32_t d = 0; d < radius && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
-    for (const NodeId v : frontier) {
-      for (const NodeId p : realPreds(csr_, v)) {
-        if (!seen[p.value()]) {
-          seen[p.value()] = true;
-          counts[static_cast<std::size_t>(csr_.kind(p))] += 1;
-          next.push_back(p);
-        }
-      }
-    }
-    frontier = std::move(next);
+  // Exactly the member set of the context's To.
+  Scratch& s = laneScratch();
+  ball(csr_, root, radius, /*undirected=*/false, s, s.to_nodes);
+  for (const NodeId v : s.to_nodes) {
+    counts[static_cast<std::size_t>(csr_.kind(v))] += 1;
   }
   return counts;
 }
@@ -453,17 +570,110 @@ std::array<std::uint32_t, cdfg::kOpKindCount> LocalityDeriver::realKindCounts()
 
 std::vector<NodeId> LocalityDeriver::candidateRoots() const {
   std::vector<NodeId> roots;
+  Scratch& s = laneScratch();
   const std::size_t n = csr_.nodeCount();
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId v(static_cast<std::uint32_t>(i));
     if (isTransparentKind(csr_.kind(v))) {
       continue;
     }
-    if (!realPreds(csr_, v).empty()) {
+    realPredWalk(csr_, v, s);
+    if (!s.walk.empty()) {
       roots.push_back(v);
     }
   }
   return roots;
+}
+
+ReplayResult replayShapeMatches(const LocalityDeriver& deriver,
+                                const std::vector<ShapeQuery>& queries) {
+  LOCWM_OBS_SPAN("core.locality.shape_scan");
+  const cdfg::CsrView& view = deriver.csr();
+  std::vector<ShapeTarget> targets;
+  std::vector<std::string> carve_contexts;
+  targets.reserve(queries.size());
+  carve_contexts.reserve(queries.size());
+  // One work item per (query, root occurrence) that a serial replay would
+  // derive at, sorted root-major so each (root, Δ) is one contiguous group.
+  struct Item {
+    std::uint32_t root;
+    std::uint32_t delta;
+    std::uint32_t query;
+    std::uint32_t index;
+    auto operator<=>(const Item&) const = default;
+  };
+  std::vector<Item> items;
+  std::vector<std::size_t> slot_base(queries.size() + 1, 0);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const ShapeQuery& query = queries[q];
+    targets.emplace_back(*query.shape);
+    carve_contexts.push_back(*query.context + "/carve");
+    LOCWM_OBS_COUNT("core.locality.shape_scan_roots", query.roots.size());
+    for (std::size_t i = 0; i < query.roots.size(); ++i) {
+      const NodeId root = query.roots[i];
+      if (!query.root_kind.has_value() || view.kind(root) == *query.root_kind) {
+        items.push_back({root.value(), query.params.max_distance,
+                         static_cast<std::uint32_t>(q),
+                         static_cast<std::uint32_t>(i)});
+      }
+    }
+    slot_base[q + 1] = slot_base[q] + query.roots.size();
+  }
+  std::sort(items.begin(), items.end());
+  std::vector<std::size_t> groups;  // start of each (root, Δ) group
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    if (k == 0 || items[k].root != items[k - 1].root ||
+        items[k].delta != items[k - 1].delta) {
+      groups.push_back(k);
+    }
+  }
+  groups.push_back(items.size());
+
+  // Each slot (query, root occurrence) and each group flag is written by
+  // exactly one task; the serial fold below restores `roots` order.
+  std::vector<std::optional<std::vector<NodeId>>> found(slot_base.back());
+  std::vector<std::uint8_t> built(groups.size() - 1, 0);
+  rt::parallel_for(0, groups.size() - 1, /*grain=*/1, [&](std::size_t g) {
+    const std::size_t lo = groups[g];
+    const std::size_t hi = groups[g + 1];
+    std::size_t min_size = queries[items[lo].query].params.min_size;
+    for (std::size_t k = lo + 1; k < hi; ++k) {
+      min_size = std::min(min_size, queries[items[k].query].params.min_size);
+    }
+    const IdentContext ctx =
+        identify(view, NodeId(items[lo].root), items[lo].delta, min_size);
+    built[g] = ctx.graph.size() > 0 ? 1 : 0;
+    Scratch& s = laneScratch();
+    for (std::size_t k = lo; k < hi; ++k) {
+      const Item& it = items[k];
+      const ShapeQuery& query = queries[it.query];
+      crypto::KeyedBitstream bits(*query.signature, carve_contexts[it.query]);
+      if (carveLocal(ctx, query.params, bits, s) &&
+          targets[it.query].matches(ctx, s)) {
+        std::vector<NodeId>& nodes = found[slot_base[it.query] + it.index]
+                                         .emplace();
+        for (const std::uint32_t v : s.carve_list) {
+          nodes.push_back(ctx.members[v]);
+        }
+      }
+    }
+  });
+
+  ReplayResult result;
+  result.hits.resize(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    for (std::size_t i = 0; i < queries[q].roots.size(); ++i) {
+      std::optional<std::vector<NodeId>>& hit = found[slot_base[q] + i];
+      if (hit.has_value()) {
+        result.hits[q].push_back(
+            ShapeHit{queries[q].roots[i], std::move(*hit)});
+      }
+    }
+  }
+  for (const std::uint8_t b : built) {
+    result.contexts += b;
+  }
+  return result;
 }
 
 std::vector<ShapeHit> scanShapeMatches(const LocalityDeriver& deriver,
@@ -473,31 +683,9 @@ std::vector<ShapeHit> scanShapeMatches(const LocalityDeriver& deriver,
                                        const cdfg::Cdfg& shape,
                                        std::optional<cdfg::OpKind> root_kind,
                                        const std::vector<NodeId>& roots) {
-  LOCWM_OBS_SPAN("core.locality.shape_scan");
-  LOCWM_OBS_COUNT("core.locality.shape_scan_roots", roots.size());
-  // Each slot is written by exactly one task; the serial fold below
-  // preserves `roots` order regardless of scheduling.
-  std::vector<std::optional<ShapeHit>> found(roots.size());
-  rt::parallel_for(0, roots.size(), /*grain=*/1, [&](std::size_t i) {
-    const NodeId root = roots[i];
-    if (root_kind.has_value() && deriver.csr().kind(root) != *root_kind) {
-      return;
-    }
-    crypto::KeyedBitstream carve_bits(signature, context + "/carve");
-    const std::optional<Locality> loc =
-        deriver.derive(root, params, carve_bits);
-    if (!loc || !shapeEquals(loc->shape, shape)) {
-      return;
-    }
-    found[i] = ShapeHit{root, loc->nodes};
-  });
-  std::vector<ShapeHit> hits;
-  for (std::optional<ShapeHit>& hit : found) {
-    if (hit.has_value()) {
-      hits.push_back(std::move(*hit));
-    }
-  }
-  return hits;
+  std::vector<ShapeQuery> query(1);
+  query[0] = {&signature, &context, params, &shape, root_kind, roots};
+  return std::move(replayShapeMatches(deriver, query).hits.front());
 }
 
 }  // namespace locwm::wm

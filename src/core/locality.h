@@ -17,6 +17,21 @@
 //     of the memorized locality identifies the watermark even when the
 //     protected core is a small part of a large system (§I).
 //
+// Derivation has the paper's two halves (§IV-A), split so the expensive
+// one is paid once per root:
+//
+//  * identification — LocalityDeriver::context(root, Δ) — depends only on
+//    the design, the root and Δ: the fanin tree To, the undirected context
+//    ball, its copy-contracted graph and the canonical ranks.  No key is
+//    read.
+//  * selection — LocalityDeriver::carve(context, params, bits) — the
+//    keyed breadth-first carve of T ⊆ To.  It is the only step that reads
+//    the author's key, and it is cheap.
+//
+// derive() is carve(context(root, Δ)).  Detection replays many keys at the
+// same roots, so replayShapeMatches() builds each (root, Δ) context once,
+// carves it for every certificate that replays there, and drops it.
+//
 // Traversal walks data/control predecessors of *real* operations only;
 // pseudo-ops (primary inputs, constants) are the core's boundary and are
 // neither included nor crossed, so stitching the core's inputs into a host
@@ -30,11 +45,9 @@
 #include <string>
 #include <vector>
 
-#include "cdfg/analysis.h"
 #include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "cdfg/operation.h"
-#include "cdfg/ordering.h"
 #include "crypto/bitstream.h"
 
 namespace locwm::wm {
@@ -71,6 +84,41 @@ struct Locality {
 /// per rank and same (src, dst, kind) edge multiset.
 [[nodiscard]] bool shapeEquals(const cdfg::Cdfg& a, const cdfg::Cdfg& b);
 
+/// The key-independent half of a derivation: the identification context
+/// of one (root, Δ).  Built by LocalityDeriver::context(); consumed by
+/// carve().  Local ids number `members` (ascending design id).
+struct IdentContext {
+  /// Canonical rank of automorphic nodes, which the carve never selects.
+  static constexpr std::uint32_t kTied = 0xFFFFFFFFu;
+
+  cdfg::NodeId root;
+  /// The Δ the context was built at.
+  std::uint32_t max_distance = 0;
+  /// |To|: the directed copy-transparent fanin ball of radius Δ, root
+  /// included — the set the carve selects from.
+  std::size_t to_size = 0;
+  /// False when no carve can succeed here: a transparent root, an
+  /// automorphic root, or (replay only) a To smaller than every carve
+  /// asked for, in which case nothing past To was built.
+  bool identified = false;
+  /// Local id -> design node: the undirected context ball of radius Δ.
+  std::vector<cdfg::NodeId> members;
+  std::uint32_t root_local = 0;
+  /// To membership per local id.
+  std::vector<std::uint8_t> in_to;
+  /// The contracted identification graph over `members`: direct edges
+  /// keep their kind; paths through copy chains become data edges with
+  /// multiplicity kept, so splitting edges with copies perturbs nothing.
+  cdfg::LocalCsr graph;
+  /// Canonical rank per local id (kTied for automorphic nodes).
+  std::vector<std::uint32_t> rank_of;
+  /// Carve candidates of each To member: its distinct contracted
+  /// predecessors in To that are not tied, by ascending rank (CSR over
+  /// local ids; `select_off` has members.size() + 1 entries).
+  std::vector<std::uint32_t> select_off;
+  std::vector<std::uint32_t> select;
+};
+
 /// Derives localities from a graph.
 ///
 /// Construction lowers a CSR snapshot of the graph; every traversal the
@@ -85,12 +133,26 @@ class LocalityDeriver {
       : graph_(&graph), csr_(graph) {}
 
   /// Derives the locality anchored at `root`, consuming carve decisions
-  /// from `bits`.  Returns nullopt when the fanin tree cannot be uniquely
-  /// ordered (automorphic nodes) or the carve is smaller than
-  /// params.min_size.  The number of bits consumed is identical for
-  /// identical structures — the detection replay guarantee.
+  /// from `bits`: carve(context(root, params.max_distance), params, bits).
+  /// Returns nullopt when the fanin tree cannot be uniquely ordered
+  /// (automorphic nodes) or the carve is smaller than params.min_size.
+  /// The number of bits consumed is identical for identical structures —
+  /// the detection replay guarantee.
   [[nodiscard]] std::optional<Locality> derive(
       cdfg::NodeId root, const LocalityParams& params,
+      crypto::KeyedBitstream& bits) const;
+
+  /// Domain identification at (root, Δ): everything derive() computes
+  /// before it reads a key.  Counts `core.locality.contexts` when the
+  /// canonical ordering runs.
+  [[nodiscard]] IdentContext context(cdfg::NodeId root,
+                                     std::uint32_t max_distance) const;
+
+  /// Domain selection: the keyed carve of `context` (built by this
+  /// deriver at params.max_distance).  Same result and bit consumption
+  /// as derive() at the context's root.
+  [[nodiscard]] std::optional<Locality> carve(
+      const IdentContext& context, const LocalityParams& params,
       crypto::KeyedBitstream& bits) const;
 
   /// All plausible roots: real operations with at least one real
@@ -131,21 +193,48 @@ class LocalityDeriver {
   cdfg::CsrView csr_;
 };
 
-/// One hit found by scanShapeMatches: the root the shape re-derived at and
-/// the matched suspect nodes in canonical-rank order (nodes[i] has rank i).
+/// One hit found by a replay: the root the shape re-derived at and the
+/// matched suspect nodes in canonical-rank order (nodes[i] has rank i).
 struct ShapeHit {
   cdfg::NodeId root;
   std::vector<cdfg::NodeId> nodes;
 };
 
+/// One certificate's replay: re-derive its keyed locality at every root in
+/// `roots` and keep those whose shape equals `*shape`.  When `root_kind` is
+/// set (certificates that record their anchor's rank), roots of another
+/// operation kind are skipped without deriving; nullopt replays every
+/// root (rooted tm).  The pointees must outlive the replay.
+struct ShapeQuery {
+  const crypto::AuthorSignature* signature = nullptr;
+  /// The certificate's bitstream context; the carve keys "<context>/carve".
+  const std::string* context = nullptr;
+  LocalityParams params;
+  const cdfg::Cdfg* shape = nullptr;
+  std::optional<cdfg::OpKind> root_kind;
+  std::vector<cdfg::NodeId> roots;
+};
+
+struct ReplayResult {
+  /// hits[q]: query q's shape matches, in its `roots` order.
+  std::vector<std::vector<ShapeHit>> hits;
+  /// Identification contexts built (distinct (root, Δ) pairs that got as
+  /// far as the canonical ordering).
+  std::size_t contexts = 0;
+};
+
 /// The structural core shared by the sched/reg/tm detectors and the corpus
-/// scanner: re-derive the keyed locality at every root in `roots` and
-/// collect those whose shape equals `shape`.  When `root_kind` is set
-/// (certificates that record their anchor's rank), roots of the wrong
-/// operation kind are skipped without deriving; pass nullopt for
-/// certificates with no recorded anchor (rooted tm).  Roots are scanned in
-/// parallel on the rt pool with hits folded back in `roots` order, so the
-/// result is identical to a serial left-to-right scan at any thread count.
+/// scanner, root-major: every distinct (root, Δ) any query replays gets one
+/// identification context, carved once per (query, root) with its own
+/// keyed bitstream, then dropped — at most one context per lane is alive.
+/// Contexts run in parallel on the rt pool and hits fold back per query in
+/// `roots` order, so the result equals one serial derive() per (query,
+/// root) at any thread count.  Duplicate roots replay, and hit, once per
+/// occurrence.
+[[nodiscard]] ReplayResult replayShapeMatches(
+    const LocalityDeriver& deriver, const std::vector<ShapeQuery>& queries);
+
+/// replayShapeMatches for one query.
 [[nodiscard]] std::vector<ShapeHit> scanShapeMatches(
     const LocalityDeriver& deriver, const crypto::AuthorSignature& signature,
     const std::string& context, const LocalityParams& params,

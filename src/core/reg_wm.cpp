@@ -149,19 +149,36 @@ RegDetectResult RegisterWatermarker::detect(
     const LocalityDeriver& deriver, const DesignIndex& index,
     const regbind::LifetimeTable& table, const regbind::Binding& binding,
     const RegCertificate& certificate) const {
+  return detectAll(deriver, index, table, binding, {&certificate, 1}).front();
+}
+
+std::vector<RegDetectResult> RegisterWatermarker::detectAll(
+    const LocalityDeriver& deriver, const DesignIndex& index,
+    const regbind::LifetimeTable& table, const regbind::Binding& binding,
+    std::span<const RegCertificate> certificates) const {
   LOCWM_OBS_SPAN("core.reg_wm.detect");
-  auditCertificate("reg-wm/detect", certificate);
+  std::vector<ShapeQuery> queries;
+  for (const RegCertificate& certificate : certificates) {
+    auditCertificate("reg-wm/detect", certificate);
+    queries.push_back(replayQuery(
+        signature_, certificate,
+        screenRoots(index, certScreen(certificate))));
+  }
+  const ReplayResult replay = replayShapeMatches(deriver, queries);
+  std::vector<RegDetectResult> results;
+  for (std::size_t i = 0; i < certificates.size(); ++i) {
+    results.push_back(
+        detectFromHits(certificates[i], replay.hits[i], table, binding));
+  }
+  return results;
+}
+
+RegDetectResult RegisterWatermarker::detectFromHits(
+    const RegCertificate& certificate, const std::vector<ShapeHit>& hits,
+    const regbind::LifetimeTable& table, const regbind::Binding& binding) {
   RegDetectResult best;
   best.total = certificate.pairs.size();
   best.root = NodeId::invalid();
-
-  const std::vector<ShapeHit> hits = scanShapeMatches(
-      deriver, signature_, certificate.context, certificate.locality_params,
-      certificate.shape,
-      certificate.shape.node(NodeId(certificate.root_rank)).kind,
-      screenRoots(index, certScreen(certificate)));
-  // Hits come in root order, so the first root with the most shared pairs
-  // wins, as in a serial scan.
   for (const ShapeHit& hit : hits) {
     std::size_t shared = 0;
     for (const RankConstraint& c : certificate.pairs) {
@@ -181,6 +198,17 @@ RegDetectResult RegisterWatermarker::detect(
   best.found =
       best.root.isValid() && best.shared == best.total && best.total > 0;
   return best;
+}
+
+ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
+                       const RegCertificate& certificate,
+                       std::vector<NodeId> roots) {
+  return {&signature,
+          &certificate.context,
+          certificate.locality_params,
+          &certificate.shape,
+          certificate.shape.node(NodeId(certificate.root_rank)).kind,
+          std::move(roots)};
 }
 
 double approxBindingLog10Pc(std::size_t pairs, std::uint32_t register_count) {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,9 +102,29 @@ class RegisterWatermarker {
       const regbind::LifetimeTable& table, const regbind::Binding& binding,
       const RegCertificate& certificate) const;
 
+  /// Every certificate of one detect call as one root-major replay
+  /// (replayShapeMatches).  results[i] equals detect(deriver, index,
+  /// table, binding, certificates[i]).
+  [[nodiscard]] std::vector<RegDetectResult> detectAll(
+      const LocalityDeriver& deriver, const DesignIndex& index,
+      const regbind::LifetimeTable& table, const regbind::Binding& binding,
+      std::span<const RegCertificate> certificates) const;
+
+  /// Folds the binding evidence at shape matches a replay already found
+  /// (in root order: the first root with the most shared pairs wins).
+  [[nodiscard]] static RegDetectResult detectFromHits(
+      const RegCertificate& certificate, const std::vector<ShapeHit>& hits,
+      const regbind::LifetimeTable& table, const regbind::Binding& binding);
+
  private:
   crypto::AuthorSignature signature_;
 };
+
+/// The replay of `certificate` under `signature` at `roots`, anchored at
+/// the kind of the certificate's root rank.
+[[nodiscard]] ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
+                                     const RegCertificate& certificate,
+                                     std::vector<cdfg::NodeId> roots);
 
 /// Coincidence likelihood of a binding watermark: each compatible pair is
 /// co-located by an oblivious binder with probability ≈ 1/R, so

@@ -288,8 +288,27 @@ SchedDetectResult SchedulingWatermarker::detect(
     const LocalityDeriver& deriver, const DesignIndex& index,
     const sched::Schedule& schedule,
     const WatermarkCertificate& certificate) const {
-  auditCertificate("sched-wm/detect", certificate);
-  return SchedDetector(*this, deriver, index, certificate).check(schedule);
+  return detectAll(deriver, index, schedule, {&certificate, 1}).front();
+}
+
+std::vector<SchedDetectResult> SchedulingWatermarker::detectAll(
+    const LocalityDeriver& deriver, const DesignIndex& index,
+    const sched::Schedule& schedule,
+    std::span<const WatermarkCertificate> certificates) const {
+  std::vector<ShapeQuery> queries;
+  for (const WatermarkCertificate& certificate : certificates) {
+    auditCertificate("sched-wm/detect", certificate);
+    queries.push_back(replayQuery(
+        signature_, certificate,
+        screenRoots(index, certScreen(certificate))));
+  }
+  ReplayResult replay = replayShapeMatches(deriver, queries);
+  std::vector<SchedDetectResult> results;
+  for (std::size_t i = 0; i < certificates.size(); ++i) {
+    results.push_back(SchedDetector(certificates[i], std::move(replay.hits[i]))
+                          .check(schedule));
+  }
+  return results;
 }
 
 SchedDetector::SchedDetector(const SchedulingWatermarker& marker,
@@ -313,14 +332,27 @@ SchedDetector::SchedDetector(const crypto::AuthorSignature& signature,
                              const LocalityDeriver& deriver,
                              const WatermarkCertificate& certificate,
                              const std::vector<NodeId>& roots)
-    : certificate_(&certificate) {
-  LOCWM_OBS_SPAN("core.sched_wm.detect_scan");
-  LOCWM_OBS_COUNT("core.sched_wm.detect_roots_scanned", roots.size());
-  matches_ = scanShapeMatches(
-      deriver, signature, certificate.context, certificate.locality_params,
-      certificate.shape,
-      certificate.shape.node(NodeId(certificate.root_rank)).kind, roots);
+    : SchedDetector(certificate,
+                    std::move(replayShapeMatches(
+                                  deriver, {replayQuery(signature, certificate,
+                                                        roots)})
+                                  .hits.front())) {}
+
+SchedDetector::SchedDetector(const WatermarkCertificate& certificate,
+                             std::vector<ShapeHit> matches)
+    : matches_(std::move(matches)), certificate_(&certificate) {
   LOCWM_OBS_COUNT("core.sched_wm.detect_shape_matches", matches_.size());
+}
+
+ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
+                       const WatermarkCertificate& certificate,
+                       std::vector<NodeId> roots) {
+  return {&signature,
+          &certificate.context,
+          certificate.locality_params,
+          &certificate.shape,
+          certificate.shape.node(NodeId(certificate.root_rank)).kind,
+          std::move(roots)};
 }
 
 SchedDetectResult SchedDetector::check(const sched::Schedule& schedule) const {

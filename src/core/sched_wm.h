@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,15 @@ class SchedulingWatermarker {
       const sched::Schedule& schedule,
       const WatermarkCertificate& certificate) const;
 
+  /// Every certificate of one detect call as one root-major replay
+  /// (replayShapeMatches): each (root, Δ) the screen keeps for any of them
+  /// is identified once.  results[i] equals detect(deriver, index,
+  /// schedule, certificates[i]).
+  [[nodiscard]] std::vector<SchedDetectResult> detectAll(
+      const LocalityDeriver& deriver, const DesignIndex& index,
+      const sched::Schedule& schedule,
+      std::span<const WatermarkCertificate> certificates) const;
+
   [[nodiscard]] const crypto::AuthorSignature& signature() const noexcept {
     return signature_;
   }
@@ -186,6 +196,12 @@ class SchedDetector {
                 const WatermarkCertificate& certificate,
                 const std::vector<cdfg::NodeId>& roots);
 
+  /// Folds shape matches a replay already found (one query of
+  /// replayShapeMatches at the certificate's replayQuery()).  The
+  /// certificate must outlive the detector.
+  SchedDetector(const WatermarkCertificate& certificate,
+                std::vector<ShapeHit> matches);
+
   /// Evaluates one schedule of the suspect against the certificate.
   [[nodiscard]] SchedDetectResult check(const sched::Schedule& s) const;
 
@@ -203,5 +219,12 @@ class SchedDetector {
   std::vector<ShapeHit> matches_;
   const WatermarkCertificate* certificate_ = nullptr;
 };
+
+/// The replay of `certificate` under `signature` at `roots`, anchored at
+/// the kind of the certificate's root rank.  The certificate and signature
+/// must outlive the query.
+[[nodiscard]] ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
+                                     const WatermarkCertificate& certificate,
+                                     std::vector<cdfg::NodeId> roots);
 
 }  // namespace locwm::wm

@@ -248,27 +248,45 @@ TmDetectResult TemplateWatermarker::detect(
     const LocalityDeriver& deriver, const DesignIndex& index,
     const std::vector<tm::Matching>& cover,
     const TmCertificate& certificate) const {
+  return detectAll(deriver, index, cover, {&certificate, 1}).front();
+}
+
+std::vector<TmDetectResult> TemplateWatermarker::detectAll(
+    const LocalityDeriver& deriver, const DesignIndex& index,
+    const std::vector<tm::Matching>& cover,
+    std::span<const TmCertificate> certificates) const {
   LOCWM_OBS_SPAN("core.tm_wm.detect");
-  auditCertificate("tm-wm/detect", certificate);
+  // A whole-design certificate replays no root: its query stays empty and
+  // its one rootless hit comes from wholeDesignHits().
+  std::vector<ShapeQuery> queries;
+  for (const TmCertificate& certificate : certificates) {
+    auditCertificate("tm-wm/detect", certificate);
+    std::vector<NodeId> roots;
+    if (!certificate.whole_design) {
+      roots = screenRoots(index, certScreen(certificate));
+    }
+    queries.push_back(replayQuery(signature_, certificate, std::move(roots)));
+  }
+  const ReplayResult replay = replayShapeMatches(deriver, queries);
+  std::vector<TmDetectResult> results;
+  for (std::size_t i = 0; i < certificates.size(); ++i) {
+    const TmCertificate& certificate = certificates[i];
+    results.push_back(detectFromHits(
+        certificate,
+        certificate.whole_design
+            ? wholeDesignHits(deriver, index, certificate)
+            : replay.hits[i],
+        cover));
+  }
+  return results;
+}
+
+TmDetectResult TemplateWatermarker::detectFromHits(
+    const TmCertificate& certificate, const std::vector<ShapeHit>& hits,
+    const std::vector<tm::Matching>& cover) {
   TmDetectResult best;
   best.total = certificate.matchings.size();
   best.root = NodeId::invalid();
-
-  // A whole-design match is one hit with no root.
-  const CertScreen screen = certScreen(certificate);
-  std::vector<ShapeHit> hits;
-  if (!certificate.whole_design) {
-    hits = scanShapeMatches(deriver, signature_, certificate.context,
-                            certificate.locality_params, certificate.shape,
-                            std::nullopt, screenRoots(index, screen));
-  } else if (screenWholeDesign(index, screen)) {
-    std::optional<Locality> loc =
-        deriver.wholeDesign(certificate.locality_params.min_size);
-    if (loc && shapeEquals(loc->shape, certificate.shape)) {
-      hits.push_back(ShapeHit{NodeId::invalid(), std::move(loc->nodes)});
-    }
-  }
-
   // Index the suspect cover by node↔op correspondence for O(1) lookups.
   std::unordered_set<std::string> cover_keys;
   for (const tm::Matching& m : cover) {
@@ -301,6 +319,31 @@ TmDetectResult TemplateWatermarker::detect(
   best.found = best.shape_matches > 0 && best.present == best.total &&
                best.total > 0;
   return best;
+}
+
+ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
+                       const TmCertificate& certificate,
+                       std::vector<NodeId> roots) {
+  return {&signature,
+          &certificate.context,
+          certificate.locality_params,
+          &certificate.shape,
+          std::nullopt,
+          std::move(roots)};
+}
+
+std::vector<ShapeHit> wholeDesignHits(const LocalityDeriver& deriver,
+                                      const DesignIndex& index,
+                                      const TmCertificate& certificate) {
+  std::vector<ShapeHit> hits;
+  if (screenWholeDesign(index, certScreen(certificate))) {
+    std::optional<Locality> loc =
+        deriver.wholeDesign(certificate.locality_params.min_size);
+    if (loc && shapeEquals(loc->shape, certificate.shape)) {
+      hits.push_back(ShapeHit{NodeId::invalid(), std::move(loc->nodes)});
+    }
+  }
+  return hits;
 }
 
 }  // namespace locwm::wm

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,6 +125,20 @@ class TemplateWatermarker {
       const std::vector<tm::Matching>& cover,
       const TmCertificate& certificate) const;
 
+  /// Every certificate of one detect call; the rooted ones as one
+  /// root-major replay (replayShapeMatches).  results[i] equals
+  /// detect(deriver, index, cover, certificates[i]).
+  [[nodiscard]] std::vector<TmDetectResult> detectAll(
+      const LocalityDeriver& deriver, const DesignIndex& index,
+      const std::vector<tm::Matching>& cover,
+      std::span<const TmCertificate> certificates) const;
+
+  /// Folds the cover evidence at shape matches already found (in root
+  /// order: the later of two equally good roots wins).
+  [[nodiscard]] static TmDetectResult detectFromHits(
+      const TmCertificate& certificate, const std::vector<ShapeHit>& hits,
+      const std::vector<tm::Matching>& cover);
+
   [[nodiscard]] const tm::TemplateLibrary& library() const noexcept {
     return *library_;
   }
@@ -132,5 +147,18 @@ class TemplateWatermarker {
   crypto::AuthorSignature signature_;
   const tm::TemplateLibrary* library_;
 };
+
+/// The replay of a rooted `certificate` under `signature` at `roots`.  Tm
+/// certificates record no root rank, so every root replays.
+[[nodiscard]] ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
+                                     const TmCertificate& certificate,
+                                     std::vector<cdfg::NodeId> roots);
+
+/// The shape match of a whole-design certificate: one rootless hit when
+/// the design fingerprint in `index` covers the shape and wholeDesign()
+/// equals it; none otherwise.
+[[nodiscard]] std::vector<ShapeHit> wholeDesignHits(
+    const LocalityDeriver& deriver, const DesignIndex& index,
+    const TmCertificate& certificate);
 
 }  // namespace locwm::wm

@@ -97,6 +97,7 @@ struct Slot {
   std::size_t survivors = 0;
   std::size_t candidates = 0;
   std::size_t matches = 0;
+  std::size_t contexts = 0;
   bool parse_failure = false;
   int cache_state = 0;  // 0 off, 1 cold, 2 warm
   bool scanned = false;
@@ -221,15 +222,18 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
     return *all_roots;
   };
 
-  std::vector<std::string> match_rows;
-  std::vector<wm::WatermarkCertificate> pc_certs;
+  // Screen every ring entry first: O(1) on the design-level aggregate,
+  // then per-root subset tests collect the roots exact replay may visit.
+  // Survivors of every entry then replay as one root-major batch, so each
+  // (root, Δ) is identified once for all the certificates that kept it.
+  // A whole-design entry replays no root (its query stays empty).
+  std::vector<wm::ShapeQuery> queries;
+  std::vector<std::size_t> entry_of;  // ring index per query
   for (std::size_t j = 0; j < ring.size(); ++j) {
     const KeyRingEntry& entry = ring.entries()[j];
     const wm::CertScreen& sc = screens[j];
     ++s.pairs;
 
-    // Screen: O(1) on the design-level aggregate, then per-root subset
-    // tests to collect the candidate roots exact replay may visit.
     std::vector<cdfg::NodeId> candidates;
     if (options.prefilter) {
       bool survives = false;
@@ -253,13 +257,38 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
       candidates = allRoots();
     }
     s.candidates += sc.whole_design ? 1 : candidates.size();
+    switch (entry.kind) {
+      case CertKind::kSched:
+        queries.push_back(wm::replayQuery(entry.signature, *entry.sched,
+                                          std::move(candidates)));
+        break;
+      case CertKind::kTm:
+        queries.push_back(wm::replayQuery(entry.signature, *entry.tm,
+                                          std::move(candidates)));
+        break;
+      case CertKind::kReg:
+        queries.push_back(wm::replayQuery(entry.signature, *entry.reg,
+                                          std::move(candidates)));
+        break;
+    }
+    entry_of.push_back(j);
+  }
+  wm::ReplayResult replay;
+  if (!queries.empty()) {
+    replay = wm::replayShapeMatches(*deriver, queries);
+  }
+  s.contexts = replay.contexts;
 
-    // Exact replay at the surviving roots.
+  // Evidence, in ring order.
+  std::vector<std::string> match_rows;
+  std::vector<wm::WatermarkCertificate> pc_certs;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const KeyRingEntry& entry = ring.entries()[entry_of[q]];
+    std::vector<wm::ShapeHit>& hits = replay.hits[q];
     switch (entry.kind) {
       case CertKind::kSched: {
         const wm::WatermarkCertificate& cert = *entry.sched;
-        const wm::SchedDetector det(entry.signature, *deriver, cert,
-                                    candidates);
+        const wm::SchedDetector det(cert, std::move(hits));
         if (det.shapeMatches() == 0) {
           break;
         }
@@ -291,9 +320,9 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
           }
           break;
         }
-        const std::vector<wm::ShapeHit> hits = wm::scanShapeMatches(
-            *deriver, entry.signature, cert.context, cert.locality_params,
-            cert.shape, sc.root_kind, candidates);
+        [[fallthrough]];
+      }
+      case CertKind::kReg:
         if (!hits.empty()) {
           ++s.matches;
           match_rows.push_back(matchRow(item, entry, true, "shape",
@@ -301,20 +330,6 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
                                         hits.size()));
         }
         break;
-      }
-      case CertKind::kReg: {
-        const wm::RegCertificate& cert = *entry.reg;
-        const std::vector<wm::ShapeHit> hits = wm::scanShapeMatches(
-            *deriver, entry.signature, cert.context, cert.locality_params,
-            cert.shape, sc.root_kind, candidates);
-        if (!hits.empty()) {
-          ++s.matches;
-          match_rows.push_back(matchRow(item, entry, true, "shape",
-                                        hits.front().root.value(), 0, 0,
-                                        hits.size()));
-        }
-        break;
-      }
     }
   }
 
@@ -379,6 +394,7 @@ ScanResult scanCorpus(const std::vector<CorpusItem>& items,
     out.stats.survivor_pairs += s.survivors;
     out.stats.candidate_roots += s.candidates;
     out.stats.match_pairs += s.matches;
+    out.stats.contexts += s.contexts;
     out.stats.parse_failures += s.parse_failure ? 1 : 0;
     out.stats.cache_cold += s.cache_state == 1 ? 1 : 0;
     out.stats.cache_warm += s.cache_state == 2 ? 1 : 0;

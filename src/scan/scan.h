@@ -51,6 +51,7 @@ struct ScanStats {
   std::size_t survivor_pairs = 0;   ///< pairs sent to exact replay
   std::size_t candidate_roots = 0;  ///< roots exact replay had to visit
   std::size_t match_pairs = 0;      ///< pairs with at least one shape match
+  std::size_t contexts = 0;         ///< identification contexts replay built
   std::size_t parse_failures = 0;   ///< designs that failed to parse
   std::size_t cache_cold = 0;       ///< fingerprint cache misses (stored)
   std::size_t cache_warm = 0;       ///< fingerprint cache hits

@@ -302,6 +302,33 @@ bad '--jsno' info core.cdfg --jsno x
 bad "'extra'" info core.cdfg extra
 bad '--deadline' schedule core.cdfg -o s.sched --deadline 9
 
+# Global options may precede the command: the prefix form of a scan is
+# byte-identical to the suffix form, and an unknown leading option is still
+# a usage error.
+{
+  echo 'locwm-keyring v1'
+  for c in cert.wmc.0 cert.wmc.1 reg.wmc tm.wmc; do
+    echo "key \"CI Author\" it-1 $c"
+  done
+} > scan.keyring
+mkdir sc
+cp published.cdfg sc/d0.cdfg
+cp core.sched sc/d0.sched
+cp core.cdfg sc/d1.cdfg
+"$LW" scan sc --keys scan.keyring --no-cache --json -o scan-suffix.ndjson \
+    --threads 4 --stats scan-suffix.json > scan-suffix.out
+"$LW" --threads 4 --stats scan-prefix.json scan sc --keys scan.keyring \
+    --no-cache --json -o scan-prefix.ndjson > scan-prefix.out
+grep -q '"found":true' scan-prefix.ndjson
+cmp scan-suffix.ndjson scan-prefix.ndjson
+cmp scan-suffix.out scan-prefix.out
+for c in core.locality.derive_calls core.locality.contexts cdfg.ordering.runs; do
+  test "$(counter scan-prefix.json $c)" -eq "$(counter scan-suffix.json $c)"
+done
+"$LW" -q version | grep -q '^locwm '
+bad "unknown command '--bogus'" --bogus scan sc --keys scan.keyring
+bad "unknown command '--bogus'" --threads 4 --bogus scan sc --keys scan.keyring
+
 # Every command of the usage table, run without arguments, is a usage
 # error (version takes none and succeeds).
 "$LW" 2>&1 | sed -n 's/^  \([a-z][a-z-]*\) .*/\1/p; s/^  \([a-z][a-z-]*\)$/\1/p' \

@@ -295,6 +295,43 @@ TEST(Incremental, NodeRemovalMatchesOracle) {
             engine.semanticReportText());
 }
 
+TEST(Incremental, WideRankBatchClosureMatchesOracle) {
+  // 48 adds share rank 1; one delta feeds a third input into every one of
+  // them, so the closure repair recomputes a rank level of 48 rows (at
+  // least the parallel batch width of 24) at once, then their 48 outputs.
+  Cdfg g;
+  const NodeId a = g.addNode(OpKind::kInput, "a");
+  const NodeId b = g.addNode(OpKind::kInput, "b");
+  const NodeId c = g.addNode(OpKind::kInput, "c");
+  EditDelta delta;
+  for (int i = 0; i < 48; ++i) {
+    const NodeId add = g.addNode(OpKind::kAdd);
+    g.addEdge(a, add, EdgeKind::kData);
+    g.addEdge(b, add, EdgeKind::kData);
+    g.addEdge(add, g.addNode(OpKind::kOutput), EdgeKind::kData);
+    delta.ops.push_back(EditOp::addEdge(c, add, EdgeKind::kData));
+  }
+  for (const std::size_t threads : {1U, 8U}) {
+    rt::setThreadCount(threads);
+    check::delta::IncrementalAnalysis engine(g, "<design>");
+    ASSERT_TRUE(engine.closureEnabled());
+    const check::delta::DeltaStats stats = engine.applyDelta(delta);
+    EXPECT_EQ(stats.closure_rows, 96U) << "threads=" << threads;
+    const check::PrecedenceClosure oracle =
+        check::computePrecedenceClosure(engine.graph());
+    for (const NodeId x : engine.graph().allNodes()) {
+      for (const NodeId y : engine.graph().allNodes()) {
+        ASSERT_EQ(engine.precedes(x, y), oracle.precedes(x, y))
+            << x.value() << " -> " << y.value() << " threads=" << threads;
+      }
+    }
+    EXPECT_EQ(check::checkSemantics(engine.graph(), engine.artifact())
+                  .renderText(),
+              engine.semanticReportText());
+  }
+  rt::setThreadCount(0);  // restore automatic sizing for other tests
+}
+
 // ---------------------------------------------------------------------
 // CsrDelta patching semantics
 

@@ -285,18 +285,22 @@ struct Args {
   }
 };
 
-const Option* findOption(const Command& command, const std::string& name) {
-  for (const Option& option : command.options) {
-    if (name == option.name) {
-      return &option;
-    }
-  }
+const Option* findGlobal(std::string_view name) {
   for (const GlobalOption& global : kGlobalOptions) {
     if (name == global.option.name) {
       return &global.option;
     }
   }
   return nullptr;
+}
+
+const Option* findOption(const Command& command, const std::string& name) {
+  for (const Option& option : command.options) {
+    if (name == option.name) {
+      return &option;
+    }
+  }
+  return findGlobal(name);
 }
 
 /// Checks argv[2..] against `command`: every option known and given its
@@ -513,10 +517,12 @@ int cmdDetect(const Args& args) {
   const wm::LocalityDeriver deriver(suspect);
   const wm::DesignIndex index = screenIndex(deriver, certs);
 
+  const auto dets = marker.detectAll(deriver, index, s, certs);
+
   int found = 0;
   for (std::size_t i = 0; i < certs.size(); ++i) {
     const wm::WatermarkCertificate& cert = certs[i];
-    const auto det = marker.detect(deriver, index, s, cert);
+    const wm::SchedDetectResult& det = dets[i];
     // Proof strength: the locality's schedule-count ratio, times the
     // number of places the locality shape occurs ("the number of nodes
     // from which one can find the subtree T", §IV-B's multiplier).
@@ -581,9 +587,10 @@ int cmdDetectReg(const Args& args) {
   const auto certs = loadCertificates(args, 3, wm::parseRegCertificate);
   const wm::LocalityDeriver deriver(suspect);
   const wm::DesignIndex index = screenIndex(deriver, certs);
+  const auto dets = marker.detectAll(deriver, index, table, binding, certs);
   int found = 0;
   for (std::size_t i = 0; i < certs.size(); ++i) {
-    const auto det = marker.detect(deriver, index, table, binding, certs[i]);
+    const wm::RegDetectResult& det = dets[i];
     note("%-24s %s (%zu/%zu pairs, %zu shape matches)\n",
          args.positional[i + 3].c_str(), det.found ? "DETECTED" : "not found",
          det.shared, det.total, det.shape_matches);
@@ -636,9 +643,10 @@ int cmdDetectTm(const Args& args) {
   const auto certs = loadCertificates(args, 2, wm::parseTmCertificate);
   const wm::LocalityDeriver deriver(suspect);
   const wm::DesignIndex index = screenIndex(deriver, certs);
+  const auto dets = marker.detectAll(deriver, index, cover, certs);
   int found = 0;
   for (std::size_t i = 0; i < certs.size(); ++i) {
-    const auto det = marker.detect(deriver, index, cover, certs[i]);
+    const wm::TmDetectResult& det = dets[i];
     note("%-24s %s (%zu/%zu matchings)\n", args.positional[i + 2].c_str(),
          det.found ? "DETECTED" : "not found", det.present, det.total);
     found += det.found;
@@ -1172,7 +1180,8 @@ const Command kCommands[] = {
     std::fputs("      ", stderr);
     printLines(stderr, command.help, 6);
   }
-  std::fputs("\nglobal options (any command):\n", stderr);
+  std::fputs("\nglobal options (any command, before or after its name):\n",
+             stderr);
   for (const GlobalOption& global : kGlobalOptions) {
     if (global.usage != nullptr) {
       std::fprintf(stderr, "  %-16s", global.usage);
@@ -1193,9 +1202,36 @@ const Command kCommands[] = {
   std::exit(2);
 }
 
+/// Global options may also precede the command name: `locwm --threads 4
+/// scan …` means `locwm scan --threads 4 …`.  Returns argv with those
+/// options moved behind the command name; a leading argument that is not
+/// a global option is taken as the command name.
+std::vector<char*> commandFirst(int argc, char** argv) {
+  std::vector<char*> leading;
+  int i = 1;
+  while (i < argc) {
+    const Option* global = findGlobal(argv[i]);
+    const int width =
+        global == nullptr ? 0 : (global->takes == Takes::kFlag ? 1 : 2);
+    if (width == 0 || i + width >= argc) {
+      break;  // the command name (or a usage error parseArgs reports)
+    }
+    leading.insert(leading.end(), argv + i, argv + i + width);
+    i += width;
+  }
+  std::vector<char*> out{argv[0]};
+  out.insert(out.end(), argv + i, argv + std::min(i + 1, argc));
+  out.insert(out.end(), leading.begin(), leading.end());
+  out.insert(out.end(), argv + std::min(i + 1, argc), argv + argc);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::vector<char*> reordered = commandFirst(argc, argv);
+  argc = static_cast<int>(reordered.size());
+  argv = reordered.data();
   if (argc < 2) {
     usage();
   }

@@ -58,10 +58,8 @@ NodeOrdering computeOrdering(const LocalCsr& graph,
   }
   std::vector<std::uint32_t> keys(key_lo[n]);
   std::vector<std::uint32_t> next(n);
+  // Compares two nodes of one colour class, whose keys built this round.
   const auto compareKeys = [&](std::uint32_t a, std::uint32_t b) {
-    if (ranks[a] != ranks[b]) {
-      return ranks[a] <=> ranks[b];
-    }
     const auto* k = keys.data();
     const auto preds = std::lexicographical_compare_three_way(
         k + key_lo[a], k + key_mid[a], k + key_lo[b], k + key_mid[b]);
@@ -72,28 +70,46 @@ NodeOrdering computeOrdering(const LocalCsr& graph,
         k + key_mid[a], k + key_lo[a + 1], k + key_mid[b], k + key_lo[b + 1]);
   };
 
+  // idx stays sorted by colour, so each colour class is a run of idx.
+  // The key leads with the colour, so the global key order is the classes
+  // in colour order, each sorted on its own: a singleton class keeps its
+  // place without a key, and only classes of two or more nodes build keys
+  // and sort.
   std::uint32_t depth = 0;
   while (classes < n && depth < maxDepth) {
     ++depth;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::uint32_t* out = keys.data() + key_lo[i];
-      for (const std::uint32_t p : graph.predecessors(i)) {
-        *out++ = ranks[p];
-      }
-      for (const std::uint32_t s : graph.successors(i)) {
-        *out++ = ranks[s];
-      }
-      std::sort(keys.begin() + key_lo[i], keys.begin() + key_mid[i]);
-      std::sort(keys.begin() + key_mid[i], keys.begin() + key_lo[i + 1]);
-    }
-    std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return compareKeys(a, b) < 0;
-    });
     top = 0;
-    next[idx[0]] = 0;
-    for (std::size_t k = 1; k < n; ++k) {
-      top += compareKeys(idx[k - 1], idx[k]) != 0 ? 1u : 0u;
-      next[idx[k]] = top;
+    for (std::size_t lo = 0; lo < n;) {
+      std::size_t hi = lo + 1;
+      while (hi < n && ranks[idx[hi]] == ranks[idx[lo]]) {
+        ++hi;
+      }
+      top += lo > 0 ? 1u : 0u;
+      if (hi - lo > 1) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          const std::uint32_t i = idx[k];
+          std::uint32_t* out = keys.data() + key_lo[i];
+          for (const std::uint32_t p : graph.predecessors(i)) {
+            *out++ = ranks[p];
+          }
+          for (const std::uint32_t s : graph.successors(i)) {
+            *out++ = ranks[s];
+          }
+          std::sort(keys.begin() + key_lo[i], keys.begin() + key_mid[i]);
+          std::sort(keys.begin() + key_mid[i], keys.begin() + key_lo[i + 1]);
+        }
+        const auto first = idx.begin() + static_cast<std::ptrdiff_t>(lo);
+        const auto last = idx.begin() + static_cast<std::ptrdiff_t>(hi);
+        std::sort(first, last, [&](std::uint32_t a, std::uint32_t b) {
+          return compareKeys(a, b) < 0;
+        });
+      }
+      next[idx[lo]] = top;
+      for (std::size_t k = lo + 1; k < hi; ++k) {
+        top += compareKeys(idx[k - 1], idx[k]) != 0 ? 1u : 0u;
+        next[idx[k]] = top;
+      }
+      lo = hi;
     }
     ranks.swap(next);
     const std::size_t now = std::size_t{top} + 1;

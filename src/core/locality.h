@@ -98,8 +98,9 @@ struct IdentContext {
   /// included — the set the carve selects from.
   std::size_t to_size = 0;
   /// False when no carve can succeed here: a transparent root, an
-  /// automorphic root, or (replay only) a To smaller than every carve
-  /// asked for, in which case nothing past To was built.
+  /// automorphic root, or — inside derive() and the replay, which know
+  /// the carves to come — a To smaller than every carve's min_size, in
+  /// which case nothing past To was built.
   bool identified = false;
   /// Local id -> design node: the undirected context ball of radius Δ.
   std::vector<cdfg::NodeId> members;

@@ -309,6 +309,9 @@ IdentContext identify(const cdfg::CsrView& view, NodeId root,
   (void)rankContracted(ctx.graph, ctx.rank_of);
   LOCWM_OBS_COUNT("core.locality.contexts", 1);
   ctx.identified = ctx.rank_of[ctx.root_local] != IdentContext::kTied;
+  if (!ctx.identified) {
+    return ctx;
+  }
 
   // Carve candidates per To member: distinct predecessors in To, untied,
   // by rank.  Key-independent, so every carve of the context shares them.

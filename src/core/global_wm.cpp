@@ -12,28 +12,9 @@ using cdfg::NodeId;
 
 namespace {
 
-bool reachesGlobal(const cdfg::Cdfg& g, NodeId from, NodeId to) {
-  if (from == to) {
-    return true;
-  }
-  std::vector<bool> seen(g.nodeCount(), false);
-  std::vector<NodeId> stack{from};
-  seen[from.value()] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const NodeId s : g.successors(v, /*includeTemporal=*/true)) {
-      if (s == to) {
-        return true;
-      }
-      if (!seen[s.value()]) {
-        seen[s.value()] = true;
-        stack.push_back(s);
-      }
-    }
-  }
-  return false;
-}
+/// The baseline identifies at least this many operations (embed) and
+/// demands as many of a suspect (detect).
+constexpr std::size_t kMinIdentified = 4;
 
 }  // namespace
 
@@ -41,7 +22,7 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
     cdfg::Cdfg& g, const GlobalWmParams& params) const {
   const std::string context = "global-wm";
   const LocalityDeriver deriver(g);
-  std::optional<Locality> loc = deriver.wholeDesign(4);
+  std::optional<Locality> loc = deriver.wholeDesign(kMinIdentified);
   if (!loc) {
     return std::nullopt;
   }
@@ -80,7 +61,7 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
       const NodeId nk = loc->nodes[other];
       if (!frames.lifetimesOverlap(ni, nk) ||
           g.hasEdge(ni, nk, cdfg::EdgeKind::kTemporal) ||
-          reachesGlobal(g, nk, ni) || reachesGlobal(g, ni, nk) ||
+          reaches(g, nk, ni) || reaches(g, ni, nk) ||
           frames.asap(ni) + 1 > frames.alap(nk)) {
         continue;
       }
@@ -108,26 +89,15 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
 SchedDetectResult GlobalWatermarker::detect(
     const cdfg::Cdfg& suspect, const sched::Schedule& schedule,
     const WatermarkCertificate& certificate) const {
-  SchedDetectResult det;
-  det.total = certificate.constraints.size();
-  det.root = NodeId::invalid();
-
-  const LocalityDeriver deriver(suspect);
-  const std::optional<Locality> loc = deriver.wholeDesign(4);
-  if (!loc || !shapeEquals(loc->shape, certificate.shape)) {
-    return det;  // the whole design no longer matches: detection fails
-  }
-  det.shape_matches = 1;
-  for (const RankConstraint& c : certificate.constraints) {
-    const NodeId before = loc->nodes[c.before_rank];
-    const NodeId after = loc->nodes[c.after_rank];
-    if (schedule.isSet(before) && schedule.isSet(after) &&
-        schedule.at(before) < schedule.at(after)) {
-      ++det.satisfied;
-    }
-  }
-  det.found = det.satisfied == det.total && det.total > 0;
-  return det;
+  // One whole-design query, unscreened: the suspect must BE the design.
+  ShapeQuery query = replayQuery(signature_, certificate);
+  query.root_rank.reset();
+  query.whole_design = true;
+  query.params.min_size = kMinIdentified;
+  Identification id =
+      Identifier({query}).run(LocalityDeriver(suspect), /*index=*/nullptr);
+  return SchedDetector(certificate, std::move(id.hits.front()))
+      .check(schedule);
 }
 
 }  // namespace locwm::wm

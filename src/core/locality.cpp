@@ -612,9 +612,10 @@ ReplayResult replayShapeMatches(const LocalityDeriver& deriver,
     targets.emplace_back(*query.shape);
     carve_contexts.push_back(*query.context + "/carve");
     LOCWM_OBS_COUNT("core.locality.shape_scan_roots", query.roots.size());
+    const std::optional<cdfg::OpKind> root_kind = query.rootKind();
     for (std::size_t i = 0; i < query.roots.size(); ++i) {
       const NodeId root = query.roots[i];
-      if (!query.root_kind.has_value() || view.kind(root) == *query.root_kind) {
+      if (!root_kind.has_value() || view.kind(root) == *root_kind) {
         items.push_back({root.value(), query.params.max_distance,
                          static_cast<std::uint32_t>(q),
                          static_cast<std::uint32_t>(i)});
@@ -677,18 +678,6 @@ ReplayResult replayShapeMatches(const LocalityDeriver& deriver,
     result.contexts += b;
   }
   return result;
-}
-
-std::vector<ShapeHit> scanShapeMatches(const LocalityDeriver& deriver,
-                                       const crypto::AuthorSignature& signature,
-                                       const std::string& context,
-                                       const LocalityParams& params,
-                                       const cdfg::Cdfg& shape,
-                                       std::optional<cdfg::OpKind> root_kind,
-                                       const std::vector<NodeId>& roots) {
-  std::vector<ShapeQuery> query(1);
-  query[0] = {&signature, &context, params, &shape, root_kind, roots};
-  return std::move(replayShapeMatches(deriver, query).hits.front());
 }
 
 }  // namespace locwm::wm

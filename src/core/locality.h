@@ -202,18 +202,31 @@ struct ShapeHit {
 };
 
 /// One certificate's replay: re-derive its keyed locality at every root in
-/// `roots` and keep those whose shape equals `*shape`.  When `root_kind` is
+/// `roots` and keep those whose shape equals `*shape`.  When `root_rank` is
 /// set (certificates that record their anchor's rank), roots of another
-/// operation kind are skipped without deriving; nullopt replays every
-/// root (rooted tm).  The pointees must outlive the replay.
+/// operation kind than the shape's anchor are skipped without deriving;
+/// nullopt replays every root (rooted tm).  A `whole_design` query (the
+/// T = CDFG locality) has no root: the detection driver (core/screen.h)
+/// matches it against the whole design and gives it no roots to replay.
+/// The pointees must outlive the replay.
 struct ShapeQuery {
   const crypto::AuthorSignature* signature = nullptr;
   /// The certificate's bitstream context; the carve keys "<context>/carve".
   const std::string* context = nullptr;
   LocalityParams params;
   const cdfg::Cdfg* shape = nullptr;
-  std::optional<cdfg::OpKind> root_kind;
+  /// Canonical rank of the locality's root within `*shape`.
+  std::optional<std::uint32_t> root_rank;
+  bool whole_design = false;
   std::vector<cdfg::NodeId> roots;
+
+  /// The anchor's operation kind, when the query has an anchor.
+  [[nodiscard]] std::optional<cdfg::OpKind> rootKind() const {
+    if (!root_rank.has_value()) {
+      return std::nullopt;
+    }
+    return shape->node(cdfg::NodeId(*root_rank)).kind;
+  }
 };
 
 struct ReplayResult {
@@ -234,12 +247,5 @@ struct ReplayResult {
 /// occurrence.
 [[nodiscard]] ReplayResult replayShapeMatches(
     const LocalityDeriver& deriver, const std::vector<ShapeQuery>& queries);
-
-/// replayShapeMatches for one query.
-[[nodiscard]] std::vector<ShapeHit> scanShapeMatches(
-    const LocalityDeriver& deriver, const crypto::AuthorSignature& signature,
-    const std::string& context, const LocalityParams& params,
-    const cdfg::Cdfg& shape, std::optional<cdfg::OpKind> root_kind,
-    const std::vector<cdfg::NodeId>& roots);
 
 }  // namespace locwm::wm

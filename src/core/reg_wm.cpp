@@ -138,44 +138,16 @@ std::optional<RegEmbedResult> RegisterWatermarker::embed(
 RegDetectResult RegisterWatermarker::detect(
     const cdfg::Cdfg& suspect, const regbind::LifetimeTable& table,
     const regbind::Binding& binding, const RegCertificate& certificate) const {
-  const LocalityDeriver deriver(suspect);
-  return detect(deriver,
-                buildDesignIndex(deriver,
-                                 certificate.locality_params.max_distance),
-                table, binding, certificate);
-}
-
-RegDetectResult RegisterWatermarker::detect(
-    const LocalityDeriver& deriver, const DesignIndex& index,
-    const regbind::LifetimeTable& table, const regbind::Binding& binding,
-    const RegCertificate& certificate) const {
-  return detectAll(deriver, index, table, binding, {&certificate, 1}).front();
-}
-
-std::vector<RegDetectResult> RegisterWatermarker::detectAll(
-    const LocalityDeriver& deriver, const DesignIndex& index,
-    const regbind::LifetimeTable& table, const regbind::Binding& binding,
-    std::span<const RegCertificate> certificates) const {
-  LOCWM_OBS_SPAN("core.reg_wm.detect");
-  std::vector<ShapeQuery> queries;
-  for (const RegCertificate& certificate : certificates) {
-    auditCertificate("reg-wm/detect", certificate);
-    queries.push_back(replayQuery(
-        signature_, certificate,
-        screenRoots(index, certScreen(certificate))));
-  }
-  const ReplayResult replay = replayShapeMatches(deriver, queries);
-  std::vector<RegDetectResult> results;
-  for (std::size_t i = 0; i < certificates.size(); ++i) {
-    results.push_back(
-        detectFromHits(certificates[i], replay.hits[i], table, binding));
-  }
-  return results;
+  const Identification id = identify(LocalityDeriver(suspect),
+                                     {replayQuery(signature_, certificate)});
+  return detectFromHits(certificate, id.hits.front(), table, binding);
 }
 
 RegDetectResult RegisterWatermarker::detectFromHits(
     const RegCertificate& certificate, const std::vector<ShapeHit>& hits,
     const regbind::LifetimeTable& table, const regbind::Binding& binding) {
+  LOCWM_OBS_SPAN("core.reg_wm.detect");
+  auditCertificate("reg-wm/detect", certificate);
   RegDetectResult best;
   best.total = certificate.pairs.size();
   best.root = NodeId::invalid();
@@ -207,7 +179,8 @@ ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
           &certificate.context,
           certificate.locality_params,
           &certificate.shape,
-          certificate.shape.node(NodeId(certificate.root_rank)).kind,
+          certificate.root_rank,
+          /*whole_design=*/false,
           std::move(roots)};
 }
 

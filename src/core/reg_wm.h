@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -94,24 +93,9 @@ class RegisterWatermarker {
       const regbind::Binding& binding,
       const RegCertificate& certificate) const;
 
-  /// As above, against a caller-built deriver and design index of the
-  /// suspect (index from `deriver` at a radius >= the certificate's
-  /// max_distance), so many certificates share one lowering and one index.
-  [[nodiscard]] RegDetectResult detect(
-      const LocalityDeriver& deriver, const DesignIndex& index,
-      const regbind::LifetimeTable& table, const regbind::Binding& binding,
-      const RegCertificate& certificate) const;
-
-  /// Every certificate of one detect call as one root-major replay
-  /// (replayShapeMatches).  results[i] equals detect(deriver, index,
-  /// table, binding, certificates[i]).
-  [[nodiscard]] std::vector<RegDetectResult> detectAll(
-      const LocalityDeriver& deriver, const DesignIndex& index,
-      const regbind::LifetimeTable& table, const regbind::Binding& binding,
-      std::span<const RegCertificate> certificates) const;
-
-  /// Folds the binding evidence at shape matches a replay already found
-  /// (in root order: the first root with the most shared pairs wins).
+  /// Folds the binding evidence at shape matches identification already
+  /// found (the hits of the certificate's replayQuery(), in root order:
+  /// the first root with the most shared pairs wins).
   [[nodiscard]] static RegDetectResult detectFromHits(
       const RegCertificate& certificate, const std::vector<ShapeHit>& hits,
       const regbind::LifetimeTable& table, const regbind::Binding& binding);
@@ -120,11 +104,11 @@ class RegisterWatermarker {
   crypto::AuthorSignature signature_;
 };
 
-/// The replay of `certificate` under `signature` at `roots`, anchored at
-/// the kind of the certificate's root rank.
+/// The replay of `certificate` under `signature` at `roots` (none: the
+/// detection driver chooses them), anchored at its root rank.
 [[nodiscard]] ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
                                      const RegCertificate& certificate,
-                                     std::vector<cdfg::NodeId> roots);
+                                     std::vector<cdfg::NodeId> roots = {});
 
 /// Coincidence likelihood of a binding watermark: each compatible pair is
 /// co-located by an oblivious binder with probability ≈ 1/R, so

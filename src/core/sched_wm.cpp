@@ -13,18 +13,12 @@ namespace locwm::wm {
 
 using cdfg::NodeId;
 
-namespace {
-
-/// True when `to` is reachable from `from` over data/control/temporal
-/// edges.  Used to keep added temporal edges acyclic and non-vacuous.
-/// Queried between temporal-edge insertions, so it must read the live
-/// builder (a CSR snapshot would miss the edges just added); iterating
-/// outEdges() directly keeps it allocation-free per visited node where
-/// successors() built a vector each time.
 bool reaches(const cdfg::Cdfg& g, NodeId from, NodeId to) {
   if (from == to) {
     return true;
   }
+  // Iterating outEdges() directly keeps the walk allocation-free per
+  // visited node.
   std::vector<bool> seen(g.nodeCount(), false);
   std::vector<NodeId> stack{from};
   seen[from.value()] = true;
@@ -44,8 +38,6 @@ bool reaches(const cdfg::Cdfg& g, NodeId from, NodeId to) {
   }
   return false;
 }
-
-}  // namespace
 
 cdfg::Cdfg realizeWithDummyOps(const cdfg::Cdfg& marked,
                                std::vector<NodeId>* dummies) {
@@ -277,56 +269,17 @@ std::vector<SchedEmbedResult> SchedulingWatermarker::embedMany(
 SchedDetectResult SchedulingWatermarker::detect(
     const cdfg::Cdfg& suspect, const sched::Schedule& schedule,
     const WatermarkCertificate& certificate) const {
-  const LocalityDeriver deriver(suspect);
-  return detect(deriver,
-                buildDesignIndex(deriver,
-                                 certificate.locality_params.max_distance),
-                schedule, certificate);
-}
-
-SchedDetectResult SchedulingWatermarker::detect(
-    const LocalityDeriver& deriver, const DesignIndex& index,
-    const sched::Schedule& schedule,
-    const WatermarkCertificate& certificate) const {
-  return detectAll(deriver, index, schedule, {&certificate, 1}).front();
-}
-
-std::vector<SchedDetectResult> SchedulingWatermarker::detectAll(
-    const LocalityDeriver& deriver, const DesignIndex& index,
-    const sched::Schedule& schedule,
-    std::span<const WatermarkCertificate> certificates) const {
-  std::vector<ShapeQuery> queries;
-  for (const WatermarkCertificate& certificate : certificates) {
-    auditCertificate("sched-wm/detect", certificate);
-    queries.push_back(replayQuery(
-        signature_, certificate,
-        screenRoots(index, certScreen(certificate))));
-  }
-  ReplayResult replay = replayShapeMatches(deriver, queries);
-  std::vector<SchedDetectResult> results;
-  for (std::size_t i = 0; i < certificates.size(); ++i) {
-    results.push_back(SchedDetector(certificates[i], std::move(replay.hits[i]))
-                          .check(schedule));
-  }
-  return results;
+  return SchedDetector(*this, suspect, certificate).check(schedule);
 }
 
 SchedDetector::SchedDetector(const SchedulingWatermarker& marker,
                              const cdfg::Cdfg& suspect,
-                             const WatermarkCertificate& certificate) {
-  const LocalityDeriver deriver(suspect);
-  *this = SchedDetector(
-      marker, deriver,
-      buildDesignIndex(deriver, certificate.locality_params.max_distance),
-      certificate);
-}
-
-SchedDetector::SchedDetector(const SchedulingWatermarker& marker,
-                             const LocalityDeriver& deriver,
-                             const DesignIndex& index,
                              const WatermarkCertificate& certificate)
-    : SchedDetector(marker.signature(), deriver, certificate,
-                    screenRoots(index, certScreen(certificate))) {}
+    : SchedDetector(
+          certificate,
+          std::move(identify(LocalityDeriver(suspect),
+                             {replayQuery(marker.signature(), certificate)})
+                        .hits.front())) {}
 
 SchedDetector::SchedDetector(const crypto::AuthorSignature& signature,
                              const LocalityDeriver& deriver,
@@ -341,6 +294,7 @@ SchedDetector::SchedDetector(const crypto::AuthorSignature& signature,
 SchedDetector::SchedDetector(const WatermarkCertificate& certificate,
                              std::vector<ShapeHit> matches)
     : matches_(std::move(matches)), certificate_(&certificate) {
+  auditCertificate("sched-wm/detect", certificate);
   LOCWM_OBS_COUNT("core.sched_wm.detect_shape_matches", matches_.size());
 }
 
@@ -351,7 +305,8 @@ ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
           &certificate.context,
           certificate.locality_params,
           &certificate.shape,
-          certificate.shape.node(NodeId(certificate.root_rank)).kind,
+          certificate.root_rank,
+          /*whole_design=*/false,
           std::move(roots)};
 }
 
@@ -360,7 +315,8 @@ SchedDetectResult SchedDetector::check(const sched::Schedule& schedule) const {
   best.total = certificate_->constraints.size();
   best.root = NodeId::invalid();
   best.shape_matches = matches_.size();
-  for (const ShapeHit& m : matches_) {
+  for (std::size_t i = 0; i < matches_.size(); ++i) {
+    const ShapeHit& m = matches_[i];
     std::size_t satisfied = 0;
     for (const RankConstraint& c : certificate_->constraints) {
       const NodeId before = m.nodes[c.before_rank];
@@ -370,12 +326,12 @@ SchedDetectResult SchedDetector::check(const sched::Schedule& schedule) const {
         ++satisfied;
       }
     }
-    if (satisfied > best.satisfied || !best.root.isValid()) {
+    if (i == 0 || satisfied > best.satisfied) {
       best.satisfied = satisfied;
       best.root = m.root;
     }
   }
-  best.found = best.root.isValid() && best.satisfied == best.total &&
+  best.found = !matches_.empty() && best.satisfied == best.total &&
                best.total > 0;
   return best;
 }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -140,24 +139,6 @@ class SchedulingWatermarker {
       const cdfg::Cdfg& suspect, const sched::Schedule& schedule,
       const WatermarkCertificate& certificate) const;
 
-  /// As above, against a caller-built deriver and design index of the
-  /// suspect, so many certificates share one lowering and one index.  The
-  /// index must come from `deriver` at a radius >= the certificate's
-  /// max_distance.
-  [[nodiscard]] SchedDetectResult detect(
-      const LocalityDeriver& deriver, const DesignIndex& index,
-      const sched::Schedule& schedule,
-      const WatermarkCertificate& certificate) const;
-
-  /// Every certificate of one detect call as one root-major replay
-  /// (replayShapeMatches): each (root, Δ) the screen keeps for any of them
-  /// is identified once.  results[i] equals detect(deriver, index,
-  /// schedule, certificates[i]).
-  [[nodiscard]] std::vector<SchedDetectResult> detectAll(
-      const LocalityDeriver& deriver, const DesignIndex& index,
-      const sched::Schedule& schedule,
-      std::span<const WatermarkCertificate> certificates) const;
-
   [[nodiscard]] const crypto::AuthorSignature& signature() const noexcept {
     return signature_;
   }
@@ -179,30 +160,25 @@ class SchedDetector {
                 const cdfg::Cdfg& suspect,
                 const WatermarkCertificate& certificate);
 
-  /// Screened scan against a caller-built deriver and design index (see
-  /// SchedulingWatermarker::detect).  The certificate must outlive the
-  /// detector.
-  SchedDetector(const SchedulingWatermarker& marker,
-                const LocalityDeriver& deriver, const DesignIndex& index,
-                const WatermarkCertificate& certificate);
-
-  /// The replay primitive: re-derives at exactly `roots` (e.g. the screen's
-  /// survivors, or every candidate root for an unscreened oracle), reusing
-  /// a caller-owned deriver.  Behaviour is identical to the screened
-  /// constructors when `roots` contains every shape-matching root.  The
-  /// deriver and certificate must outlive the detector.
+  /// The replay primitive: re-derives at exactly `roots` (e.g. every
+  /// candidate root for an unscreened oracle), reusing a caller-owned
+  /// deriver.  Behaviour is identical to the screened constructor when
+  /// `roots` contains every shape-matching root.  The deriver and
+  /// certificate must outlive the detector.
   SchedDetector(const crypto::AuthorSignature& signature,
                 const LocalityDeriver& deriver,
                 const WatermarkCertificate& certificate,
                 const std::vector<cdfg::NodeId>& roots);
 
-  /// Folds shape matches a replay already found (one query of
-  /// replayShapeMatches at the certificate's replayQuery()).  The
-  /// certificate must outlive the detector.
+  /// Folds shape matches identification already found (the hits of the
+  /// certificate's replayQuery(); a whole-design match has an invalid
+  /// root).  The certificate must outlive the detector.
   SchedDetector(const WatermarkCertificate& certificate,
                 std::vector<ShapeHit> matches);
 
-  /// Evaluates one schedule of the suspect against the certificate.
+  /// Evaluates one schedule of the suspect against the certificate: the
+  /// first match with the most satisfied constraints wins, and `found`
+  /// requires a match that satisfies all of them.
   [[nodiscard]] SchedDetectResult check(const sched::Schedule& s) const;
 
   /// Number of locality-shape matches found in the suspect.
@@ -220,11 +196,18 @@ class SchedDetector {
   const WatermarkCertificate* certificate_ = nullptr;
 };
 
-/// The replay of `certificate` under `signature` at `roots`, anchored at
-/// the kind of the certificate's root rank.  The certificate and signature
-/// must outlive the query.
+/// The replay of `certificate` under `signature` at `roots` (none: the
+/// detection driver chooses them), anchored at its root rank.  The
+/// certificate and signature must outlive the query.
 [[nodiscard]] ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
                                      const WatermarkCertificate& certificate,
-                                     std::vector<cdfg::NodeId> roots);
+                                     std::vector<cdfg::NodeId> roots = {});
+
+/// True when `to` is reachable from `from` (or equal to it) over every edge
+/// kind, temporal included.  The scheduling embedders (local and global)
+/// use it to keep added temporal edges acyclic and non-vacuous; it reads
+/// the live builder, so edges added a moment ago count.
+[[nodiscard]] bool reaches(const cdfg::Cdfg& g, cdfg::NodeId from,
+                           cdfg::NodeId to);
 
 }  // namespace locwm::wm

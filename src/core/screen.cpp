@@ -1,9 +1,8 @@
 #include "core/screen.h"
 
+#include <algorithm>
+
 #include "cdfg/error.h"
-#include "core/reg_wm.h"
-#include "core/sched_wm.h"
-#include "core/tm_wm.h"
 #include "obs/obs.h"
 #include "rt/rt.h"
 
@@ -12,22 +11,6 @@ namespace locwm::wm {
 namespace {
 
 constexpr std::array<std::uint32_t, 6> kThresholds{1, 2, 3, 4, 6, 8};
-
-/// Screen of a certificate that records its anchor's canonical rank.
-CertScreen anchoredScreen(const cdfg::Cdfg& shape, std::uint32_t root_rank,
-                          std::uint32_t radius) {
-  CertScreen sc;
-  sc.fp = shapeFingerprint(shape);
-  // The shape is itself a Cdfg (all real nodes), so the deriver's ball
-  // semantics apply verbatim: shape-predecessors of the anchor are direct
-  // real predecessors of any matching design root.
-  const LocalityDeriver deriver(shape);
-  sc.fp1 = fingerprintOfCounts(
-      deriver.faninKindCounts(cdfg::NodeId(root_rank), 1));
-  sc.root_kind = shape.node(cdfg::NodeId(root_rank)).kind;
-  sc.radius = radius;
-  return sc;
-}
 
 }  // namespace
 
@@ -79,21 +62,20 @@ DesignIndex buildDesignIndex(const LocalityDeriver& deriver,
   return index;
 }
 
-CertScreen certScreen(const WatermarkCertificate& certificate) {
-  return anchoredScreen(certificate.shape, certificate.root_rank,
-                        certificate.locality_params.max_distance);
-}
-
-CertScreen certScreen(const RegCertificate& certificate) {
-  return anchoredScreen(certificate.shape, certificate.root_rank,
-                        certificate.locality_params.max_distance);
-}
-
-CertScreen certScreen(const TmCertificate& certificate) {
+CertScreen certScreen(const ShapeQuery& query) {
   CertScreen sc;
-  sc.fp = shapeFingerprint(certificate.shape);
-  sc.whole_design = certificate.whole_design;
-  sc.radius = certificate.locality_params.max_distance;
+  sc.fp = shapeFingerprint(*query.shape);
+  sc.whole_design = query.whole_design;
+  sc.radius = query.params.max_distance;
+  if (query.root_rank.has_value()) {
+    // The shape is itself a Cdfg (all real nodes), so the deriver's ball
+    // semantics apply verbatim: shape-predecessors of the anchor are
+    // direct real predecessors of any matching design root.
+    const LocalityDeriver deriver(*query.shape);
+    sc.fp1 = fingerprintOfCounts(
+        deriver.faninKindCounts(cdfg::NodeId(*query.root_rank), 1));
+    sc.root_kind = query.rootKind();
+  }
   return sc;
 }
 
@@ -130,6 +112,86 @@ std::vector<cdfg::NodeId> screenRoots(const DesignIndex& index,
 
 bool screenWholeDesign(const DesignIndex& index, const CertScreen& screen) {
   return index.design_fp.covers(screen.fp);
+}
+
+Identifier::Identifier(std::vector<ShapeQuery> queries)
+    : queries_(std::move(queries)) {
+  for (const ShapeQuery& query : queries_) {
+    screens_.push_back(certScreen(query));
+    radius_ = std::max(radius_, query.params.max_distance);
+  }
+}
+
+std::optional<Identification> Identifier::run(
+    const DesignIndex* index,
+    const std::function<const LocalityDeriver*()>& lower) const {
+  const LocalityDeriver* deriver = nullptr;
+  if (index == nullptr && (deriver = lower()) == nullptr) {
+    return std::nullopt;
+  }
+  Identification id;
+  id.hits.resize(queries_.size());
+  std::optional<std::vector<cdfg::NodeId>> all_roots;
+  std::vector<ShapeQuery> survivors;
+  std::vector<std::size_t> query_of;
+  for (std::size_t q = 0; q < queries_.size(); ++q) {
+    ShapeQuery query = queries_[q];
+    if (index != nullptr) {
+      bool kept = false;
+      if (query.whole_design) {
+        kept = screenWholeDesign(*index, screens_[q]);
+      } else {
+        query.roots = screenRoots(*index, screens_[q]);
+        kept = !query.roots.empty();
+      }
+      if (!kept) {
+        ++id.pruned;
+        continue;
+      }
+    } else if (!query.whole_design) {
+      if (!all_roots.has_value()) {
+        all_roots = deriver->candidateRoots();
+      }
+      query.roots = *all_roots;
+    }
+    ++id.survivors;
+    id.candidates += query.whole_design ? 1 : query.roots.size();
+    survivors.push_back(std::move(query));
+    query_of.push_back(q);
+  }
+  if (survivors.empty()) {
+    return id;
+  }
+  if (deriver == nullptr && (deriver = lower()) == nullptr) {
+    return std::nullopt;
+  }
+  ReplayResult replay = replayShapeMatches(*deriver, survivors);
+  id.contexts = replay.contexts;
+  for (std::size_t k = 0; k < survivors.size(); ++k) {
+    const ShapeQuery& query = survivors[k];
+    std::vector<ShapeHit>& hits = id.hits[query_of[k]];
+    if (!query.whole_design) {
+      hits = std::move(replay.hits[k]);
+      continue;
+    }
+    std::optional<Locality> loc = deriver->wholeDesign(query.params.min_size);
+    if (loc && shapeEquals(loc->shape, *query.shape)) {
+      hits.push_back(ShapeHit{cdfg::NodeId::invalid(), std::move(loc->nodes)});
+    }
+  }
+  return id;
+}
+
+Identification Identifier::run(const LocalityDeriver& deriver,
+                               const DesignIndex* index) const {
+  return run(index, [&deriver] { return &deriver; }).value();
+}
+
+Identification identify(const LocalityDeriver& deriver,
+                        std::vector<ShapeQuery> queries) {
+  const Identifier identifier(std::move(queries));
+  const DesignIndex index = buildDesignIndex(deriver, identifier.radius());
+  return identifier.run(deriver, &index);
 }
 
 }  // namespace locwm::wm

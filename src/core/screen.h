@@ -1,6 +1,16 @@
-// The locality-fingerprint screen — the one root filter every detector
-// shares: `detect`, `detect-reg`, `detect-tm` and the corpus scan replay
-// only the roots it keeps.
+// The detection driver — the identification half every detector shares.
+// `detect`, `detect-reg`, `detect-tm`, the corpus scan and the global
+// baseline each turn their certificates into ShapeQuery values
+// (core/locality.h) and hand them to one Identifier, which
+//
+//  1. screens each query against the design's fingerprint index (or, with
+//     no index, gives it every candidate root — the unscreened oracle);
+//  2. answers whole-design (T = CDFG) queries itself;
+//  3. replays the rest root-major through replayShapeMatches();
+//
+// and returns per-query shape hits plus pruned/survivor/candidate/context
+// counts.  The per-kind code that differs — schedule, binding or cover
+// evidence at those hits — stays with each watermarker (§III, §IV-A/B).
 //
 // The screen rests on one invariant of locality derivation (locality.cpp,
 // derive() Step 1a/3): every carved node is a member of the directed
@@ -20,7 +30,7 @@
 //  * per root kind, OR-ing root fingerprints equals the encoding of the
 //    component-wise max histogram, giving a design-level screen per
 //    (certificate, root kind) before any per-root work;
-//  * whole-design (tm) certificates screen against the design's real-op
+//  * whole-design certificates screen against the design's real-op
 //    histogram, the superset wholeDesign() selects from.
 //
 // The screen can therefore never drop a true match (proven by the
@@ -29,6 +39,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -37,10 +48,6 @@
 #include "core/locality.h"
 
 namespace locwm::wm {
-
-struct WatermarkCertificate;
-struct RegCertificate;
-struct TmCertificate;
 
 /// Saturating threshold encoding of an operation-kind histogram:
 /// bit (kind*6 + t) is set iff count(kind) >= {1, 2, 3, 4, 6, 8}[t].  With
@@ -115,11 +122,11 @@ struct DesignIndex {
 [[nodiscard]] DesignIndex buildDesignIndex(const LocalityDeriver& deriver,
                                            std::uint32_t radius);
 
-/// Certificate-side screen data, computed once per certificate and
-/// shared by every design it is screened against.  `root_kind` and `fp1`
-/// are set only for certificates that record their anchor's canonical
-/// rank (sched/reg) — rooted tm certificates carry no root rank, so they
-/// screen against every root regardless of kind.
+/// Certificate-side screen data, computed once per query and shared by
+/// every design it is screened against.  `root_kind` and `fp1` are set
+/// only for queries that record their anchor's canonical rank (sched/reg)
+/// — rooted tm certificates carry no root rank, so they screen against
+/// every root regardless of kind.
 struct CertScreen {
   KindFingerprint fp;
   /// Radius-1 fingerprint around the shape's anchor — the sharp per-root
@@ -132,9 +139,7 @@ struct CertScreen {
   std::uint32_t radius = 0;
 };
 
-[[nodiscard]] CertScreen certScreen(const WatermarkCertificate& certificate);
-[[nodiscard]] CertScreen certScreen(const RegCertificate& certificate);
-[[nodiscard]] CertScreen certScreen(const TmCertificate& certificate);
+[[nodiscard]] CertScreen certScreen(const ShapeQuery& query);
 
 /// The roots of `index` at which a rooted certificate can match,
 /// ascending: a superset of its shape-matching roots, so replaying only
@@ -153,5 +158,56 @@ struct CertScreen {
 /// run.
 [[nodiscard]] bool screenWholeDesign(const DesignIndex& index,
                                      const CertScreen& screen);
+
+/// What identification found in one design for a batch of queries.
+struct Identification {
+  /// hits[q]: query q's shape matches in root order.  A whole-design match
+  /// is one hit with an invalid root.
+  std::vector<std::vector<ShapeHit>> hits;
+  std::size_t pruned = 0;      ///< queries the screen ruled out
+  std::size_t survivors = 0;   ///< queries identified
+  std::size_t candidates = 0;  ///< roots replayed (1 per whole-design query)
+  std::size_t contexts = 0;    ///< identification contexts the replay built
+};
+
+/// The detection driver for a fixed batch of queries — one detect call's
+/// certificates, or a scan's key ring.  Screens are computed once, at
+/// construction; run() then identifies the batch in any number of designs.
+class Identifier {
+ public:
+  /// `queries` carry no roots; the driver chooses them per design.
+  explicit Identifier(std::vector<ShapeQuery> queries);
+
+  /// The design-index radius sound for every query: the widest locality
+  /// max_distance, at least 1.
+  [[nodiscard]] std::uint32_t radius() const noexcept { return radius_; }
+
+  /// Identifies every query in one design.  With an `index` (built at a
+  /// radius >= radius()), a rooted query replays only the roots
+  /// screenRoots() keeps and a whole-design query runs only when
+  /// screenWholeDesign() passes; a query left with nothing to replay is
+  /// pruned.  With no index, every query survives and a rooted one replays
+  /// every candidate root.  `lower` supplies the design's deriver; it is
+  /// called at most once, and only when the design has no index or some
+  /// query survives, so a design the index prunes entirely is never
+  /// lowered.  Returns nullopt when `lower` returns nullptr.
+  [[nodiscard]] std::optional<Identification> run(
+      const DesignIndex* index,
+      const std::function<const LocalityDeriver*()>& lower) const;
+
+  /// run() on an already lowered design.
+  [[nodiscard]] Identification run(const LocalityDeriver& deriver,
+                                   const DesignIndex* index) const;
+
+ private:
+  std::vector<ShapeQuery> queries_;
+  std::vector<CertScreen> screens_;
+  std::uint32_t radius_ = 1;
+};
+
+/// One detect call: screens `queries` against an index of `deriver`'s
+/// design built at the batch's radius(), then identifies them.
+[[nodiscard]] Identification identify(const LocalityDeriver& deriver,
+                                      std::vector<ShapeQuery> queries);
 
 }  // namespace locwm::wm

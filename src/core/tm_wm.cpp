@@ -237,53 +237,16 @@ tm::CoverResult TemplateWatermarker::applyCover(const cdfg::Cdfg& g,
 TmDetectResult TemplateWatermarker::detect(
     const cdfg::Cdfg& suspect, const std::vector<tm::Matching>& cover,
     const TmCertificate& certificate) const {
-  const LocalityDeriver deriver(suspect);
-  return detect(deriver,
-                buildDesignIndex(deriver,
-                                 certificate.locality_params.max_distance),
-                cover, certificate);
-}
-
-TmDetectResult TemplateWatermarker::detect(
-    const LocalityDeriver& deriver, const DesignIndex& index,
-    const std::vector<tm::Matching>& cover,
-    const TmCertificate& certificate) const {
-  return detectAll(deriver, index, cover, {&certificate, 1}).front();
-}
-
-std::vector<TmDetectResult> TemplateWatermarker::detectAll(
-    const LocalityDeriver& deriver, const DesignIndex& index,
-    const std::vector<tm::Matching>& cover,
-    std::span<const TmCertificate> certificates) const {
-  LOCWM_OBS_SPAN("core.tm_wm.detect");
-  // A whole-design certificate replays no root: its query stays empty and
-  // its one rootless hit comes from wholeDesignHits().
-  std::vector<ShapeQuery> queries;
-  for (const TmCertificate& certificate : certificates) {
-    auditCertificate("tm-wm/detect", certificate);
-    std::vector<NodeId> roots;
-    if (!certificate.whole_design) {
-      roots = screenRoots(index, certScreen(certificate));
-    }
-    queries.push_back(replayQuery(signature_, certificate, std::move(roots)));
-  }
-  const ReplayResult replay = replayShapeMatches(deriver, queries);
-  std::vector<TmDetectResult> results;
-  for (std::size_t i = 0; i < certificates.size(); ++i) {
-    const TmCertificate& certificate = certificates[i];
-    results.push_back(detectFromHits(
-        certificate,
-        certificate.whole_design
-            ? wholeDesignHits(deriver, index, certificate)
-            : replay.hits[i],
-        cover));
-  }
-  return results;
+  const Identification id = identify(LocalityDeriver(suspect),
+                                     {replayQuery(signature_, certificate)});
+  return detectFromHits(certificate, id.hits.front(), cover);
 }
 
 TmDetectResult TemplateWatermarker::detectFromHits(
     const TmCertificate& certificate, const std::vector<ShapeHit>& hits,
     const std::vector<tm::Matching>& cover) {
+  LOCWM_OBS_SPAN("core.tm_wm.detect");
+  auditCertificate("tm-wm/detect", certificate);
   TmDetectResult best;
   best.total = certificate.matchings.size();
   best.root = NodeId::invalid();
@@ -329,21 +292,8 @@ ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
           certificate.locality_params,
           &certificate.shape,
           std::nullopt,
+          certificate.whole_design,
           std::move(roots)};
-}
-
-std::vector<ShapeHit> wholeDesignHits(const LocalityDeriver& deriver,
-                                      const DesignIndex& index,
-                                      const TmCertificate& certificate) {
-  std::vector<ShapeHit> hits;
-  if (screenWholeDesign(index, certScreen(certificate))) {
-    std::optional<Locality> loc =
-        deriver.wholeDesign(certificate.locality_params.min_size);
-    if (loc && shapeEquals(loc->shape, certificate.shape)) {
-      hits.push_back(ShapeHit{NodeId::invalid(), std::move(loc->nodes)});
-    }
-  }
-  return hits;
 }
 
 }  // namespace locwm::wm

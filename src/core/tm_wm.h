@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -115,26 +114,9 @@ class TemplateWatermarker {
       const cdfg::Cdfg& suspect, const std::vector<tm::Matching>& cover,
       const TmCertificate& certificate) const;
 
-  /// As above, against a caller-built deriver and design index of the
-  /// suspect (index from `deriver` at a radius >= the certificate's
-  /// max_distance), so many certificates share one lowering and one index.
-  /// A whole-design certificate derives nothing unless the design
-  /// fingerprint covers its shape.
-  [[nodiscard]] TmDetectResult detect(
-      const LocalityDeriver& deriver, const DesignIndex& index,
-      const std::vector<tm::Matching>& cover,
-      const TmCertificate& certificate) const;
-
-  /// Every certificate of one detect call; the rooted ones as one
-  /// root-major replay (replayShapeMatches).  results[i] equals
-  /// detect(deriver, index, cover, certificates[i]).
-  [[nodiscard]] std::vector<TmDetectResult> detectAll(
-      const LocalityDeriver& deriver, const DesignIndex& index,
-      const std::vector<tm::Matching>& cover,
-      std::span<const TmCertificate> certificates) const;
-
-  /// Folds the cover evidence at shape matches already found (in root
-  /// order: the later of two equally good roots wins).
+  /// Folds the cover evidence at shape matches identification already
+  /// found (the hits of the certificate's replayQuery(), in root order:
+  /// the later of two equally good roots wins).
   [[nodiscard]] static TmDetectResult detectFromHits(
       const TmCertificate& certificate, const std::vector<ShapeHit>& hits,
       const std::vector<tm::Matching>& cover);
@@ -148,17 +130,11 @@ class TemplateWatermarker {
   const tm::TemplateLibrary* library_;
 };
 
-/// The replay of a rooted `certificate` under `signature` at `roots`.  Tm
-/// certificates record no root rank, so every root replays.
+/// The replay of `certificate` under `signature` at `roots` (none: the
+/// detection driver chooses them).  Tm certificates record no root rank,
+/// so every root replays; a whole-design certificate replays none.
 [[nodiscard]] ShapeQuery replayQuery(const crypto::AuthorSignature& signature,
                                      const TmCertificate& certificate,
-                                     std::vector<cdfg::NodeId> roots);
-
-/// The shape match of a whole-design certificate: one rootless hit when
-/// the design fingerprint in `index` covers the shape and wholeDesign()
-/// equals it; none otherwise.
-[[nodiscard]] std::vector<ShapeHit> wholeDesignHits(
-    const LocalityDeriver& deriver, const DesignIndex& index,
-    const TmCertificate& certificate);
+                                     std::vector<cdfg::NodeId> roots = {});
 
 }  // namespace locwm::wm

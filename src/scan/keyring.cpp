@@ -26,16 +26,16 @@ const char* certKindName(CertKind kind) noexcept {
   return "?";
 }
 
-const wm::LocalityParams& KeyRingEntry::localityParams() const {
+wm::ShapeQuery KeyRingEntry::query() const {
   switch (kind) {
     case CertKind::kTm:
-      return tm->locality_params;
+      return wm::replayQuery(signature, *tm);
     case CertKind::kReg:
-      return reg->locality_params;
+      return wm::replayQuery(signature, *reg);
     case CertKind::kSched:
       break;
   }
-  return sched->locality_params;
+  return wm::replayQuery(signature, *sched);
 }
 
 namespace {
@@ -277,7 +277,7 @@ std::string KeyRing::toText() const {
 std::uint32_t KeyRing::maxRadius() const noexcept {
   std::uint32_t radius = 0;
   for (const KeyRingEntry& entry : entries_) {
-    radius = std::max(radius, entry.localityParams().max_distance);
+    radius = std::max(radius, entry.query().params.max_distance);
   }
   return radius;
 }

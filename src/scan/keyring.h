@@ -43,8 +43,9 @@ struct KeyRingEntry {
   std::optional<wm::TmCertificate> tm;
   std::optional<wm::RegCertificate> reg;
 
-  /// The entry's locality parameters, whichever certificate kind holds it.
-  [[nodiscard]] const wm::LocalityParams& localityParams() const;
+  /// The certificate's detection query, whichever kind holds it.  The
+  /// entry must outlive the query.
+  [[nodiscard]] wm::ShapeQuery query() const;
 };
 
 class KeyRing {

@@ -23,27 +23,6 @@ namespace {
 /// Bumping this invalidates every cached fingerprint entry.
 constexpr const char* kCacheFormat = "locwm-scanfp-entry v3";
 
-/// Certificate-side screen data, computed once per ring entry and shared
-/// by every design.
-std::vector<wm::CertScreen> buildScreens(const KeyRing& ring) {
-  std::vector<wm::CertScreen> screens;
-  screens.reserve(ring.size());
-  for (const KeyRingEntry& entry : ring.entries()) {
-    switch (entry.kind) {
-      case CertKind::kSched:
-        screens.push_back(wm::certScreen(*entry.sched));
-        break;
-      case CertKind::kTm:
-        screens.push_back(wm::certScreen(*entry.tm));
-        break;
-      case CertKind::kReg:
-        screens.push_back(wm::certScreen(*entry.reg));
-        break;
-    }
-  }
-  return screens;
-}
-
 /// The fingerprint-cache entry wraps the DesignIndex with the design's
 /// lenient-parse issue count, so a warm re-scan reports the same `issues`
 /// field without re-parsing.
@@ -121,11 +100,11 @@ std::string matchRow(const CorpusItem& item, const KeyRingEntry& entry,
 }
 
 void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
-             const std::vector<wm::CertScreen>& screens, std::uint32_t radius,
-             const store::CacheDir& cache, const ScanOptions& options,
-             Slot& s) {
+             const wm::Identifier& identifier, const store::CacheDir& cache,
+             const ScanOptions& options, Slot& s) {
   LOCWM_OBS_LATENCY("scan.design.latency_ns");
   s.scanned = true;
+  const std::uint32_t radius = identifier.radius();
 
   // Fingerprint cache probe — keyed by everything the entry depends on.
   store::KeyFields cache_key;
@@ -194,8 +173,26 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
     issue_count = issues.size();
   }
 
-  // Lazy per-design state shared by replay: the schedule (parsed at most
-  // once) and, with the pre-filter off, the full candidate-root list.
+  // Screen every ring entry against the index, then replay the survivors
+  // as one root-major batch, so each (root, Δ) is identified once for all
+  // the certificates that kept it.  The design is parsed only when an
+  // entry survives.
+  std::optional<wm::Identification> id = identifier.run(
+      fp_index.has_value() ? &*fp_index : nullptr,
+      [&]() -> const wm::LocalityDeriver* {
+        return ensureLowered() ? &*deriver : nullptr;
+      });
+  if (!id.has_value()) {
+    emitErrorRow();
+    return;
+  }
+  s.pairs = ring.size();
+  s.pruned = id->pruned;
+  s.survivors = id->survivors;
+  s.candidates = id->candidates;
+  s.contexts = id->contexts;
+
+  // The schedule, parsed at most once and only for a scheduling match.
   std::optional<sched::Schedule> schedule;
   bool schedule_tried = false;
   const auto ensureSchedule = [&]() -> const sched::Schedule* {
@@ -214,122 +211,35 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
     }
     return schedule.has_value() ? &*schedule : nullptr;
   };
-  std::optional<std::vector<cdfg::NodeId>> all_roots;
-  const auto allRoots = [&]() -> const std::vector<cdfg::NodeId>& {
-    if (!all_roots.has_value()) {
-      all_roots = deriver->candidateRoots();
-    }
-    return *all_roots;
-  };
 
-  // Screen every ring entry first: O(1) on the design-level aggregate,
-  // then per-root subset tests collect the roots exact replay may visit.
-  // Survivors of every entry then replay as one root-major batch, so each
-  // (root, Δ) is identified once for all the certificates that kept it.
-  // A whole-design entry replays no root (its query stays empty).
-  std::vector<wm::ShapeQuery> queries;
-  std::vector<std::size_t> entry_of;  // ring index per query
-  for (std::size_t j = 0; j < ring.size(); ++j) {
-    const KeyRingEntry& entry = ring.entries()[j];
-    const wm::CertScreen& sc = screens[j];
-    ++s.pairs;
-
-    std::vector<cdfg::NodeId> candidates;
-    if (options.prefilter) {
-      bool survives = false;
-      if (sc.whole_design) {
-        survives = wm::screenWholeDesign(*fp_index, sc);
-      } else {
-        candidates = wm::screenRoots(*fp_index, sc);
-        survives = !candidates.empty();
-      }
-      if (!survives) {
-        ++s.pruned;
-        continue;
-      }
-    }
-    ++s.survivors;
-    if (!ensureLowered()) {
-      emitErrorRow();
-      return;
-    }
-    if (!options.prefilter && !sc.whole_design) {
-      candidates = allRoots();
-    }
-    s.candidates += sc.whole_design ? 1 : candidates.size();
-    switch (entry.kind) {
-      case CertKind::kSched:
-        queries.push_back(wm::replayQuery(entry.signature, *entry.sched,
-                                          std::move(candidates)));
-        break;
-      case CertKind::kTm:
-        queries.push_back(wm::replayQuery(entry.signature, *entry.tm,
-                                          std::move(candidates)));
-        break;
-      case CertKind::kReg:
-        queries.push_back(wm::replayQuery(entry.signature, *entry.reg,
-                                          std::move(candidates)));
-        break;
-    }
-    entry_of.push_back(j);
-  }
-  wm::ReplayResult replay;
-  if (!queries.empty()) {
-    replay = wm::replayShapeMatches(*deriver, queries);
-  }
-  s.contexts = replay.contexts;
-
-  // Evidence, in ring order.
+  // Evidence, in ring order: schedule-level for a scheduling certificate
+  // when the design has a schedule, shape-level otherwise.
   std::vector<std::string> match_rows;
   std::vector<wm::WatermarkCertificate> pc_certs;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const KeyRingEntry& entry = ring.entries()[entry_of[q]];
-    std::vector<wm::ShapeHit>& hits = replay.hits[q];
-    switch (entry.kind) {
-      case CertKind::kSched: {
-        const wm::WatermarkCertificate& cert = *entry.sched;
-        const wm::SchedDetector det(cert, std::move(hits));
-        if (det.shapeMatches() == 0) {
-          break;
-        }
-        ++s.matches;
-        if (const sched::Schedule* sch = ensureSchedule()) {
-          const wm::SchedDetectResult r = det.check(*sch);
-          match_rows.push_back(matchRow(item, entry, r.found, "schedule",
-                                        r.root.value(), r.satisfied, r.total,
-                                        r.shape_matches));
-          if (r.found) {
-            pc_certs.push_back(cert);
-          }
-        } else {
-          match_rows.push_back(matchRow(item, entry, true, "shape",
-                                        det.matches().front().root.value(), 0,
-                                        0, det.shapeMatches()));
-        }
-        break;
-      }
-      case CertKind::kTm: {
-        const wm::TmCertificate& cert = *entry.tm;
-        if (cert.whole_design) {
-          const std::optional<wm::Locality> loc =
-              deriver->wholeDesign(cert.locality_params.min_size);
-          if (loc.has_value() && wm::shapeEquals(loc->shape, cert.shape)) {
-            ++s.matches;
-            match_rows.push_back(
-                matchRow(item, entry, true, "shape", -1, 0, 0, 1));
-          }
-          break;
-        }
-        [[fallthrough]];
-      }
-      case CertKind::kReg:
-        if (!hits.empty()) {
-          ++s.matches;
-          match_rows.push_back(matchRow(item, entry, true, "shape",
-                                        hits.front().root.value(), 0, 0,
-                                        hits.size()));
-        }
-        break;
+  for (std::size_t j = 0; j < ring.size(); ++j) {
+    std::vector<wm::ShapeHit>& hits = id->hits[j];
+    if (hits.empty()) {
+      continue;
+    }
+    ++s.matches;
+    const KeyRingEntry& entry = ring.entries()[j];
+    const sched::Schedule* sch =
+        entry.kind == CertKind::kSched ? ensureSchedule() : nullptr;
+    if (sch == nullptr) {
+      const cdfg::NodeId root = hits.front().root;
+      match_rows.push_back(matchRow(item, entry, true, "shape",
+                                    root.isValid() ? std::int64_t{root.value()}
+                                                   : std::int64_t{-1},
+                                    0, 0, hits.size()));
+      continue;
+    }
+    const wm::SchedDetectResult r =
+        wm::SchedDetector(*entry.sched, std::move(hits)).check(*sch);
+    match_rows.push_back(matchRow(item, entry, r.found, "schedule",
+                                  r.root.value(), r.satisfied, r.total,
+                                  r.shape_matches));
+    if (r.found) {
+      pc_certs.push_back(*entry.sched);
     }
   }
 
@@ -367,9 +277,12 @@ ScanResult scanCorpus(const std::vector<CorpusItem>& items,
   const std::uint32_t shard_count = std::max<std::uint32_t>(1, options.shard_count);
   detail::check<Error>(options.shard_index < shard_count,
                        "scan: shard index out of range");
-  // One design-side radius, sound for every certificate in the ring.
-  const std::uint32_t radius = std::max<std::uint32_t>(1, ring.maxRadius());
-  const std::vector<wm::CertScreen> screens = buildScreens(ring);
+  // Every entry's screen, computed once for the whole corpus.
+  std::vector<wm::ShapeQuery> queries;
+  for (const KeyRingEntry& entry : ring.entries()) {
+    queries.push_back(entry.query());
+  }
+  const wm::Identifier identifier(std::move(queries));
   // The cache holds pre-filter indexes, so it is off with the pre-filter.
   const store::CacheDir cache(options.prefilter ? options.cache_dir : "");
 
@@ -378,7 +291,7 @@ ScanResult scanCorpus(const std::vector<CorpusItem>& items,
     if (i % shard_count != options.shard_index) {
       return;
     }
-    scanOne(items[i], i, ring, screens, radius, cache, options, slots[i]);
+    scanOne(items[i], i, ring, identifier, cache, options, slots[i]);
   });
 
   // Serial fold in item order: byte-identical rows and stats at any

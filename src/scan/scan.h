@@ -1,9 +1,11 @@
 // The sharded corpus-scan driver (ROADMAP item 2): given a corpus of
 // designs and a key ring of certificates, find every (design, certificate)
-// match.  Each design is lowered to a CsrView once; candidate pairs pass
-// through the O(1) locality-fingerprint screen (scan/fingerprint.h) and
-// only the survivors go to exact detector replay.  The screen is *sound*:
-// a pruned pair can never be a true match, so recall is always 1.0.
+// match.  Each design is lowered to a CsrView at most once and handed to
+// the detection driver every detector shares (wm::Identifier,
+// core/screen.h): candidate pairs pass through the O(1)
+// locality-fingerprint screen and only the survivors go to exact replay.
+// The screen is *sound*: a pruned pair can never be a true match, so
+// recall is always 1.0.
 //
 // Output is one ndjson row block per design — a `design` summary row
 // followed by one `match` row per detected certificate, in ring order.

@@ -325,6 +325,38 @@ cmp scan-suffix.out scan-prefix.out
 for c in core.locality.derive_calls core.locality.contexts cdfg.ordering.runs; do
   test "$(counter scan-prefix.json $c)" -eq "$(counter scan-suffix.json $c)"
 done
+
+# Detection and scan run one engine: on the published design, each scan
+# match row carries the numbers detect and detect-reg print for the same
+# certificate.
+"$LW" detect published.cdfg core.sched cert.wmc.0 cert.wmc.1 -i "CI Author" \
+    -n it-1 > detect.out
+"$LW" detect-reg published.cdfg pub.sched reg.bind reg.wmc -i "CI Author" \
+    -n it-1 > detect-reg.out
+scanrow() {
+  sed -n "s/.*\"cert\":\"$1\",\"design\":\"d0.cdfg\".*\"satisfied\":\([0-9]*\),\"shape_matches\":\([0-9]*\),\"total\":\([0-9]*\).*/$2/p" \
+      scan-prefix.ndjson
+}
+agree() {
+  test -n "$2" && test "$2" = "$3" || {
+    echo "$1: detect says '$2', scan says '$3'" >&2
+    exit 1
+  }
+}
+for c in cert.wmc.0 cert.wmc.1; do
+  agree "$c" \
+      "$(sed -n "s/^$c .*(\([0-9]*\/[0-9]*\) constraints, \([0-9]*\) shape.*/\1 \2/p" detect.out)" \
+      "$(scanrow "$c" '\1\/\3 \2')"
+done
+agree reg.wmc \
+    "$(sed -n 's/^reg.wmc .*pairs, \([0-9]*\) shape matches.*/\1/p' detect-reg.out)" \
+    "$(scanrow reg.wmc '\2')"
+# A whole-design certificate orders the design once and derives nothing.
+"$LW" detect-tm published.cdfg tm.cover tm.wmc -i "CI Author" -n it-1 \
+    --lib lib.tml --stats tm-stats.json > /dev/null
+D=$(counter tm-stats.json core.locality.derive_calls)
+test -z "$D" || test "$D" -eq 0
+test "$(counter tm-stats.json cdfg.ordering.runs)" -eq 1
 "$LW" -q version | grep -q '^locwm '
 bad "unknown command '--bogus'" --bogus scan sc --keys scan.keyring
 bad "unknown command '--bogus'" --threads 4 --bogus scan sc --keys scan.keyring

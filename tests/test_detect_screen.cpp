@@ -345,15 +345,27 @@ std::string oracle(const LocalityDeriver& deriver, const Evidence& ev,
 
 // --- screened detection ---------------------------------------------------
 
-/// Both screened entry points: the shared deriver and index a detect call
-/// builds, and the per-certificate convenience overload.  They must agree.
+/// The detection driver over the shared deriver and index a detect call
+/// builds.
+template <typename Cert>
+std::vector<ShapeHit> driverHits(const LocalityDeriver& deriver,
+                                 const DesignIndex& index,
+                                 const crypto::AuthorSignature& sig,
+                                 const Cert& cert) {
+  return Identifier({replayQuery(sig, cert)}).run(deriver, &index).hits.front();
+}
+
+/// Both screened entry points: the driver over the shared deriver and
+/// index, folded as the CLI folds it, and the per-certificate convenience
+/// overload.  They must agree.
 std::string screened(const Suspect& s, const LocalityDeriver& deriver,
                      const DesignIndex& index, const Evidence& ev,
                      const crypto::AuthorSignature& sig,
                      const WatermarkCertificate& cert) {
   const SchedulingWatermarker marker(sig);
   const std::string shared =
-      render(marker.detect(deriver, index, ev.schedule, cert));
+      render(SchedDetector(cert, driverHits(deriver, index, sig, cert))
+                 .check(ev.schedule));
   EXPECT_EQ(render(marker.detect(s.g, ev.schedule, cert)), shared);
   EXPECT_EQ(render(SchedDetector(marker, s.g, cert).check(ev.schedule)),
             shared);
@@ -365,8 +377,8 @@ std::string screened(const Suspect& s, const LocalityDeriver& deriver,
                      const crypto::AuthorSignature& sig,
                      const RegCertificate& cert) {
   const RegisterWatermarker marker(sig);
-  const std::string shared =
-      render(marker.detect(deriver, index, ev.table, ev.binding, cert));
+  const std::string shared = render(RegisterWatermarker::detectFromHits(
+      cert, driverHits(deriver, index, sig, cert), ev.table, ev.binding));
   EXPECT_EQ(render(marker.detect(s.g, ev.table, ev.binding, cert)), shared);
   return shared;
 }
@@ -376,8 +388,8 @@ std::string screened(const Suspect& s, const LocalityDeriver& deriver,
                      const crypto::AuthorSignature& sig,
                      const TmCertificate& cert) {
   const TemplateWatermarker marker(sig, library());
-  const std::string shared =
-      render(marker.detect(deriver, index, ev.cover, cert));
+  const std::string shared = render(TemplateWatermarker::detectFromHits(
+      cert, driverHits(deriver, index, sig, cert), ev.cover));
   EXPECT_EQ(render(marker.detect(s.g, ev.cover, cert)), shared);
   return shared;
 }
@@ -390,7 +402,7 @@ std::size_t expectPrunedRootsReplayEmpty(const LocalityDeriver& deriver,
                                          const crypto::AuthorSignature& sig,
                                          const Cert& cert,
                                          const std::string& what) {
-  const CertScreen screen = certScreen(cert);
+  const CertScreen screen = certScreen(replayQuery(sig, cert));
   if (screen.whole_design) {
     if (screenWholeDesign(index, screen)) {
       return 0;
@@ -409,9 +421,8 @@ std::size_t expectPrunedRootsReplayEmpty(const LocalityDeriver& deriver,
       pruned.push_back(root);
     }
   }
-  EXPECT_TRUE(scanShapeMatches(deriver, sig, cert.context,
-                               cert.locality_params, cert.shape,
-                               screen.root_kind, pruned)
+  EXPECT_TRUE(replayShapeMatches(deriver, {replayQuery(sig, cert, pruned)})
+                  .hits.front()
                   .empty())
       << what << ": a pruned root has a shape match — the screen is unsound";
   return pruned.size();
@@ -574,9 +585,9 @@ TEST(DetectScreen, IndexBelowCertificateRadiusThrows) {
   const LocalityDeriver deriver(m.published);
   const DesignIndex narrow =
       buildDesignIndex(deriver, cert.locality_params.max_distance - 1);
-  EXPECT_THROW((void)screenRoots(narrow, certScreen(cert)), WatermarkError);
-  EXPECT_THROW((void)SchedulingWatermarker(m.sig).detect(deriver, narrow,
-                                                         m.schedule, cert),
+  const ShapeQuery query = replayQuery(m.sig, cert);
+  EXPECT_THROW((void)screenRoots(narrow, certScreen(query)), WatermarkError);
+  EXPECT_THROW((void)Identifier({query}).run(deriver, &narrow),
                WatermarkError);
 }
 

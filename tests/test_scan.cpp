@@ -16,8 +16,12 @@
 #include "cdfg/error.h"
 #include "cdfg/io.h"
 #include "cdfg/random_dfg.h"
+#include "core/certificate_io.h"
 #include "core/locality.h"
+#include "core/reg_wm.h"
 #include "core/sched_wm.h"
+#include "core/screen.h"
+#include "core/tm_wm.h"
 #include "rt/rt.h"
 #include "scan/corpus.h"
 #include "scan/fingerprint.h"
@@ -25,6 +29,7 @@
 #include "scan/scan.h"
 #include "sched/schedule_io.h"
 #include "store/store.h"
+#include "tm/template.h"
 
 namespace locwm::scan {
 namespace {
@@ -101,6 +106,53 @@ BuiltCorpus smallCorpus(std::uint64_t seed, std::size_t designs = 16,
   spec.ops_min = 40;
   spec.ops_max = 72;
   return buildRandomCorpus(spec, seed);
+}
+
+/// smallCorpus with register, rooted-template and whole-design-template
+/// marks embedded on a few of its designs, so the ring mixes all four
+/// kinds.  Those marks live in the binding and the cover, not in the
+/// design, so every design text stays as published and each planted pair
+/// is a shape-level match.
+BuiltCorpus mixedCorpus(std::uint64_t seed, std::size_t designs = 16,
+                        std::size_t ring = 5) {
+  BuiltCorpus corpus = smallCorpus(seed, designs, ring);
+  static const tm::TemplateLibrary library = tm::TemplateLibrary::basicDsp();
+  std::size_t reg = 0;
+  std::size_t rooted = 0;
+  std::size_t whole = 0;
+  for (std::size_t i = 1; i < corpus.items.size(); i += 4) {
+    const CorpusItem& item = corpus.items[i];
+    const cdfg::Cdfg g = cdfg::parseString(item.design_text);
+    const crypto::AuthorSignature sig{"mixed-author", item.path};
+    const auto plant = [&](const std::string& tag, const auto& cert) {
+      corpus.planted.emplace_back(i, corpus.ring.size());
+      corpus.ring.add(sig, "certs/" + tag + "-" + item.path + ".cert", cert);
+      corpus.cert_texts.push_back(wm::certificateToString(cert));
+    };
+    wm::RegWmParams rp;
+    rp.locality.min_size = 5;
+    const sched::Schedule s =
+        sched::parseScheduleString(item.schedule_text, g.nodeCount());
+    if (const auto r = wm::RegisterWatermarker(sig).embed(g, s, rp)) {
+      plant("reg", r->certificate);
+      ++reg;
+    }
+    for (const bool whole_design : {false, true}) {
+      wm::TmWmParams tp;
+      tp.locality.min_size = 4;
+      tp.beta = 0.0;
+      tp.z_explicit = 2;
+      tp.whole_design = whole_design;
+      if (const auto r = wm::TemplateWatermarker(sig, library).embed(g, tp)) {
+        plant(whole_design ? "tm-whole" : "tm", r->certificate);
+        ++(whole_design ? whole : rooted);
+      }
+    }
+  }
+  EXPECT_GT(reg, 0u) << "seed " << seed << ": no register mark embedded";
+  EXPECT_GT(rooted, 0u) << "seed " << seed << ": no rooted tm mark embedded";
+  EXPECT_GT(whole, 0u) << "seed " << seed << ": no whole-design tm mark";
+  return corpus;
 }
 
 fs::path tempDir(const char* tag) {
@@ -191,8 +243,12 @@ std::vector<std::string> matchRowsOf(const std::vector<std::string>& rows) {
 }
 
 TEST(CorpusScan, OracleZeroMissedMatches) {
+  std::vector<std::pair<std::string, BuiltCorpus>> inputs;
   for (const std::uint64_t seed : {5u, 99u, 1234u}) {
-    const BuiltCorpus corpus = smallCorpus(seed);
+    inputs.emplace_back("seed " + std::to_string(seed), smallCorpus(seed));
+  }
+  inputs.emplace_back("mixed-kind ring", mixedCorpus(5));
+  for (const auto& [label, corpus] : inputs) {
     const ScanResult filtered = scanCorpus(corpus.items, corpus.ring, {});
     ScanOptions exact;
     exact.prefilter = false;
@@ -201,7 +257,7 @@ TEST(CorpusScan, OracleZeroMissedMatches) {
     // The match rows must be byte-identical: the screen may only prune
     // pairs the exact replay would reject anyway.
     EXPECT_EQ(matchRowsOf(filtered.rows), matchRowsOf(oracle.rows))
-        << "seed " << seed;
+        << label;
     EXPECT_EQ(filtered.stats.pairs,
               filtered.stats.pruned_pairs + filtered.stats.survivor_pairs);
 
@@ -217,18 +273,19 @@ TEST(CorpusScan, OracleZeroMissedMatches) {
           break;
         }
       }
-      EXPECT_TRUE(found) << "seed " << seed << ": planted pair (item "
+      EXPECT_TRUE(found) << label << ": planted pair (item "
                          << item << ", entry " << entry << ") missed";
     }
   }
 }
 
 TEST(CorpusScan, PrunedPairsReplayEmpty) {
-  // Replay every pair WITHOUT a match row through the full exact detector
-  // (all candidate roots): none may produce a shape match.  This is the
-  // direct form of the soundness claim, independent of the scanner's own
-  // exact-replay path.
-  const BuiltCorpus corpus = smallCorpus(7, /*designs=*/10, /*ring=*/4);
+  // Replay every pair WITHOUT a match row, of every certificate kind,
+  // through the detection driver's unscreened path (all candidate roots;
+  // whole-design certificates against the whole design): none may produce
+  // a shape match.  This is the direct form of the soundness claim,
+  // independent of the screen.
+  const BuiltCorpus corpus = mixedCorpus(7, /*designs=*/10, /*ring=*/4);
   const ScanResult filtered = scanCorpus(corpus.items, corpus.ring, {});
   for (std::size_t i = 0; i < corpus.items.size(); ++i) {
     std::vector<cdfg::ParseIssue> issues;
@@ -249,9 +306,9 @@ TEST(CorpusScan, PrunedPairsReplayEmpty) {
       if (reported) {
         continue;
       }
-      const wm::SchedDetector det(entry.signature, deriver, *entry.sched,
-                                  deriver.candidateRoots());
-      EXPECT_EQ(det.shapeMatches(), 0u)
+      const wm::Identification id =
+          wm::Identifier({entry.query()}).run(deriver, /*index=*/nullptr);
+      EXPECT_TRUE(id.hits.front().empty())
           << corpus.items[i].path << " x " << entry.cert_path
           << ": pruned pair has a shape match — the screen is unsound";
     }
@@ -261,15 +318,17 @@ TEST(CorpusScan, PrunedPairsReplayEmpty) {
 // --- determinism pins -----------------------------------------------------
 
 TEST(CorpusScan, RowsIdenticalAcrossThreadCounts) {
-  const BuiltCorpus corpus = smallCorpus(42);
-  std::vector<std::string> reference;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    rt::setThreadCount(threads);
-    const ScanResult r = scanCorpus(corpus.items, corpus.ring, {});
-    if (reference.empty()) {
-      reference = r.rows;
-    } else {
-      EXPECT_EQ(r.rows, reference) << "threads=" << threads;
+  for (const BuiltCorpus& corpus : {smallCorpus(42), mixedCorpus(42)}) {
+    std::vector<std::string> reference;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      rt::setThreadCount(threads);
+      const ScanResult r = scanCorpus(corpus.items, corpus.ring, {});
+      if (reference.empty()) {
+        reference = r.rows;
+      } else {
+        EXPECT_EQ(r.rows, reference)
+            << corpus.ring.size() << "-entry ring, threads=" << threads;
+      }
     }
   }
   rt::setThreadCount(0);  // restore automatic sizing for other tests

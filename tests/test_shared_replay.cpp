@@ -365,7 +365,7 @@ std::vector<ShapeHit> replayOracle(const Cdfg& g, const ShapeQuery& q) {
   const cdfg::CsrView view(g);
   std::vector<ShapeHit> hits;
   for (const NodeId root : q.roots) {
-    if (q.root_kind.has_value() && view.kind(root) != *q.root_kind) {
+    if (q.root_rank.has_value() && view.kind(root) != *q.rootKind()) {
       continue;
     }
     crypto::KeyedBitstream bits(*q.signature, *q.context + "/carve");
@@ -594,33 +594,35 @@ void buildBatch(const Design& d, const LocalityDeriver& deriver,
       {&b.bob, 0, {6, 96, 7}, true, &odd},
   };
   // Shapes first (the queries point into b.shapes).
-  std::vector<std::optional<cdfg::OpKind>> kinds;
+  std::vector<std::optional<std::uint32_t>> ranks;
   for (std::size_t k = 0; k < specs.size(); ++k) {
     const Spec& sp = specs[k];
     Cdfg shape;
-    std::optional<cdfg::OpKind> kind;
+    std::optional<std::uint32_t> rank;
     for (std::size_t i = (k * 5) % std::max<std::size_t>(1, roots.size());
          i < roots.size(); ++i) {
       crypto::KeyedBitstream bits(*sp.sig, b.contexts[sp.context] + "/carve");
       if (const auto loc = deriver.derive(roots[i], sp.params, bits)) {
         shape = loc->shape;
-        kind = d.g.node(roots[i]).kind;
+        rank = static_cast<std::uint32_t>(
+            std::find(loc->nodes.begin(), loc->nodes.end(), roots[i]) -
+            loc->nodes.begin());
         break;
       }
     }
     b.shapes.push_back(std::move(shape));
-    kinds.push_back(sp.anchored ? kind : std::nullopt);
+    ranks.push_back(sp.anchored ? rank : std::nullopt);
   }
   b.shapes.emplace_back();  // matches nowhere
   for (std::size_t k = 0; k < specs.size(); ++k) {
     const Spec& sp = specs[k];
     b.queries.push_back({sp.sig, &b.contexts[sp.context], sp.params,
-                         &b.shapes[k], kinds[k], *sp.roots});
+                         &b.shapes[k], ranks[k], false, *sp.roots});
   }
   b.queries.push_back({&b.alice, &b.contexts[0], {6, 96, 4}, &b.shapes.back(),
-                       std::nullopt, roots});
+                       std::nullopt, false, roots});
   b.queries.push_back({&b.bob, &b.contexts[1], {5, 96, 4}, &b.shapes[0],
-                       std::nullopt, {}});
+                       std::nullopt, false, {}});
 }
 
 /// Contexts a batch must build: distinct (root, Δ) over the roots the
@@ -631,7 +633,7 @@ std::size_t expectedContexts(const LocalityDeriver& deriver,
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> min_size;
   for (const ShapeQuery& q : queries) {
     for (const NodeId root : q.roots) {
-      if (q.root_kind && deriver.csr().kind(root) != *q.root_kind) {
+      if (q.root_rank && deriver.csr().kind(root) != *q.rootKind()) {
         continue;
       }
       const auto key = std::pair(root.value(), q.params.max_distance);
@@ -679,11 +681,9 @@ void expectBatchMatchesOracle(const std::vector<Design>& designs) {
             << d.name << " query " << q << " threads=" << threads;
       }
       EXPECT_EQ(got.contexts, contexts) << d.name << " threads=" << threads;
-      // The one-query entry point is the same replay.
-      const ShapeQuery& q0 = b.queries.front();
-      EXPECT_EQ(render(scanShapeMatches(deriver, *q0.signature, *q0.context,
-                                        q0.params, *q0.shape, q0.root_kind,
-                                        q0.roots)),
+      // A one-query batch is the same replay.
+      EXPECT_EQ(render(replayShapeMatches(deriver, {b.queries.front()})
+                           .hits.front()),
                 want.front())
           << d.name << " threads=" << threads;
     }

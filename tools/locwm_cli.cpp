@@ -494,16 +494,17 @@ std::vector<Cert> loadCertificates(
   return certs;
 }
 
-/// The one fingerprint index every certificate of a detect call is
-/// screened against, at the widest locality radius among them.
+/// Identifies every certificate of a detect call in one pass of the
+/// detection driver over the suspect: one lowering, one screen index.
 template <typename Cert>
-wm::DesignIndex screenIndex(const wm::LocalityDeriver& deriver,
-                            const std::vector<Cert>& certs) {
-  std::uint32_t radius = 0;
+wm::Identification identifyAll(const cdfg::Cdfg& suspect,
+                               const crypto::AuthorSignature& signature,
+                               const std::vector<Cert>& certs) {
+  std::vector<wm::ShapeQuery> queries;
   for (const Cert& cert : certs) {
-    radius = std::max(radius, cert.locality_params.max_distance);
+    queries.push_back(wm::replayQuery(signature, cert));
   }
-  return wm::buildDesignIndex(deriver, radius);
+  return wm::identify(wm::LocalityDeriver(suspect), std::move(queries));
 }
 
 int cmdDetect(const Args& args) {
@@ -512,17 +513,14 @@ int cmdDetect(const Args& args) {
   const sched::Schedule s =
       sched::parseSchedule(sched_in, suspect.nodeCount());
   const auto sig = signatureOf(args);
-  const wm::SchedulingWatermarker marker(sig);
   const auto certs = loadCertificates(args, 2, wm::parseSchedCertificate);
-  const wm::LocalityDeriver deriver(suspect);
-  const wm::DesignIndex index = screenIndex(deriver, certs);
-
-  const auto dets = marker.detectAll(deriver, index, s, certs);
+  wm::Identification id = identifyAll(suspect, sig, certs);
 
   int found = 0;
   for (std::size_t i = 0; i < certs.size(); ++i) {
     const wm::WatermarkCertificate& cert = certs[i];
-    const wm::SchedDetectResult& det = dets[i];
+    const wm::SchedDetectResult det =
+        wm::SchedDetector(cert, std::move(id.hits[i])).check(s);
     // Proof strength: the locality's schedule-count ratio, times the
     // number of places the locality shape occurs ("the number of nodes
     // from which one can find the subtree T", §IV-B's multiplier).
@@ -583,14 +581,13 @@ int cmdDetectReg(const Args& args) {
       sched::parseSchedule(sched_in, suspect.nodeCount());
   const auto table = regbind::computeLifetimes(suspect, s);
   const auto binding = loadBinding(args.positional[2], table);
-  wm::RegisterWatermarker marker(signatureOf(args));
+  const auto sig = signatureOf(args);
   const auto certs = loadCertificates(args, 3, wm::parseRegCertificate);
-  const wm::LocalityDeriver deriver(suspect);
-  const wm::DesignIndex index = screenIndex(deriver, certs);
-  const auto dets = marker.detectAll(deriver, index, table, binding, certs);
+  const wm::Identification id = identifyAll(suspect, sig, certs);
   int found = 0;
   for (std::size_t i = 0; i < certs.size(); ++i) {
-    const wm::RegDetectResult& det = dets[i];
+    const wm::RegDetectResult det = wm::RegisterWatermarker::detectFromHits(
+        certs[i], id.hits[i], table, binding);
     note("%-24s %s (%zu/%zu pairs, %zu shape matches)\n",
          args.positional[i + 3].c_str(), det.found ? "DETECTED" : "not found",
          det.shared, det.total, det.shape_matches);
@@ -639,14 +636,13 @@ int cmdDetectTm(const Args& args) {
   const tm::TemplateLibrary lib = loadLibrary(args);
   std::ifstream cin_ = openInput(args.positional[1], "cover");
   const auto cover = tm::parseCover(cin_, lib, suspect.nodeCount());
-  wm::TemplateWatermarker marker(signatureOf(args), lib);
+  const auto sig = signatureOf(args);
   const auto certs = loadCertificates(args, 2, wm::parseTmCertificate);
-  const wm::LocalityDeriver deriver(suspect);
-  const wm::DesignIndex index = screenIndex(deriver, certs);
-  const auto dets = marker.detectAll(deriver, index, cover, certs);
+  const wm::Identification id = identifyAll(suspect, sig, certs);
   int found = 0;
   for (std::size_t i = 0; i < certs.size(); ++i) {
-    const wm::TmDetectResult& det = dets[i];
+    const wm::TmDetectResult det =
+        wm::TemplateWatermarker::detectFromHits(certs[i], id.hits[i], cover);
     note("%-24s %s (%zu/%zu matchings)\n", args.positional[i + 2].c_str(),
          det.found ? "DETECTED" : "not found", det.present, det.total);
     found += det.found;

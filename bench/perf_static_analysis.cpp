@@ -1,14 +1,13 @@
 // PERF-STATIC — throughput of the static-analysis subsystem on random
 // DFGs from 1k to 50k operations (or one size via --ops N, up to 10^6):
-// the dataflow engine's concrete analyses (precedence closure,
-// reachability, ASAP/ALAP slack) timed on BOTH graph representations —
-// the mutable Cdfg builder (legacy) and the cdfg::CsrView snapshot (the
-// CSR/SoA fast path) — plus the semantic rule pack (checkSemantics,
-// LW6xx, CSR-backed internally) and the full text-level lint (parse +
-// every rule).  Not a paper table; documents that `locwm lint` scales to
-// million-node designs, pins the closure's node-count gate, and records
-// the per-pass CSR speedup plus the view's memory cost (bytes/node) and
-// the process peak RSS in every --json row.
+// CSR lowering, the dataflow engine's concrete analyses over the
+// cdfg::CsrView snapshot (precedence closure, reachability, ASAP/ALAP
+// slack), the semantic rule pack (checkSemantics, LW6xx) and the full
+// text-level lint (parse + every rule).  Not a paper table; documents
+// that `locwm lint` scales to million-node designs, pins the closure's
+// node-count gate, and records the engine's deterministic work (worklist
+// visits of the reachability and slack passes, exact-gated), the view's
+// memory cost (bytes/node) and the process peak RSS in every --json row.
 //
 // Closure rows stop at check::kClosureNodeLimit (the bit-matrix gate —
 // larger graphs take the per-query DFS fallback); full-lint rows stop at
@@ -103,26 +102,20 @@ std::string cell(double ms) {
   return buf;
 }
 
-double speedup(double legacy_ms, double csr_ms) {
-  return (legacy_ms < 0 || csr_ms <= 0) ? -1.0 : legacy_ms / csr_ms;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::applyThreadsFlag(argc, argv);
   const std::uint64_t seed = bench::seedArg(argc, argv, /*fallback=*/7);
   bench::JsonReport json("perf_static_analysis", argc, argv);
-  bench::banner("PERF-STATIC: lint + dataflow throughput, builder vs CSR",
+  bench::banner("PERF-STATIC: lint + dataflow throughput on CSR",
                 "static-analysis subsystem (docs/STATIC_ANALYSIS.md, "
                 "docs/GRAPH_CORE.md)");
-  std::printf("%8s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n", "ops", "lower",
-              "clos/leg", "clos/csr", "rch/leg", "rch/csr", "slk/leg",
-              "slk/csr", "semantic", "lint");
-  std::printf("%8s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n", "", "(ms)",
-              "(ms)", "(ms)", "(ms)", "(ms)", "(ms)", "(ms)", "(ms)",
-              "(ms)");
-  bench::rule(108);
+  std::printf("%8s %9s %9s %9s %9s %9s %9s\n", "ops", "lower", "closure",
+              "reach", "slack", "semantic", "lint");
+  std::printf("%8s %9s %9s %9s %9s %9s %9s\n", "", "(ms)", "(ms)", "(ms)",
+              "(ms)", "(ms)", "(ms)");
+  bench::rule(72);
 
   std::vector<std::size_t> sizes{1000, 5000, 20000, 50000};
   if (const std::size_t ops = opsArg(argc, argv); ops != 0) {
@@ -138,17 +131,13 @@ int main(int argc, char** argv) {
     const cdfg::CsrView view(g);
     const double lower_ms = millisSince(tl);
 
-    double closure_legacy_ms = -1.0;
     double closure_csr_ms = -1.0;
     std::uint64_t closure_kib = 0;
     if (g.nodeCount() <= check::kClosureNodeLimit) {
       const auto t0 = std::chrono::steady_clock::now();
-      const auto closure = check::computePrecedenceClosure(g);
-      closure_legacy_ms = millisSince(t0);
+      const auto closure = check::computePrecedenceClosure(view);
+      closure_csr_ms = millisSince(t0);
       closure_kib = closure.domain.ancestors.memoryBytes() / 1024;
-      const auto t0c = std::chrono::steady_clock::now();
-      const auto closure_csr = check::computePrecedenceClosure(view);
-      closure_csr_ms = millisSince(t0c);
     }
 
     std::vector<cdfg::NodeId> sources;
@@ -159,20 +148,12 @@ int main(int argc, char** argv) {
     }
     const auto t1 = std::chrono::steady_clock::now();
     const auto reach = check::computeReachability(
-        g, sources, check::Direction::kForward);
-    const double reach_legacy_ms = millisSince(t1);
-    const auto t1c = std::chrono::steady_clock::now();
-    const auto reach_csr = check::computeReachability(
         view, sources, check::Direction::kForward);
-    const double reach_csr_ms = millisSince(t1c);
+    const double reach_csr_ms = millisSince(t1);
 
     const auto t2 = std::chrono::steady_clock::now();
-    const auto slack = check::computeSlack(g, sched::LatencyModel::unit());
-    const double slack_legacy_ms = millisSince(t2);
-    const auto t2c = std::chrono::steady_clock::now();
-    const auto slack_csr =
-        check::computeSlack(view, sched::LatencyModel::unit());
-    const double slack_csr_ms = millisSince(t2c);
+    const auto slack = check::computeSlack(view, sched::LatencyModel::unit());
+    const double slack_csr_ms = millisSince(t2);
 
     const auto t3 = std::chrono::steady_clock::now();
     const auto semantic = check::checkSemantics(g);
@@ -203,12 +184,10 @@ int main(int argc, char** argv) {
       lint_findings = linter.report().diagnostics().size();
     }
 
-    std::printf("%8zu %s %s %s %s %s %s %s %s %s\n", g.nodeCount(),
-                cell(lower_ms).c_str(), cell(closure_legacy_ms).c_str(),
-                cell(closure_csr_ms).c_str(), cell(reach_legacy_ms).c_str(),
-                cell(reach_csr_ms).c_str(), cell(slack_legacy_ms).c_str(),
-                cell(slack_csr_ms).c_str(), cell(semantic_ms).c_str(),
-                cell(lint_ms).c_str());
+    std::printf("%8zu %s %s %s %s %s %s\n", g.nodeCount(),
+                cell(lower_ms).c_str(), cell(closure_csr_ms).c_str(),
+                cell(reach_csr_ms).c_str(), cell(slack_csr_ms).c_str(),
+                cell(semantic_ms).c_str(), cell(lint_ms).c_str());
 
     json.row({{"ops", static_cast<std::uint64_t>(g.nodeCount())},
               {"edges", static_cast<std::uint64_t>(g.edgeCount())},
@@ -216,23 +195,20 @@ int main(int argc, char** argv) {
               {"threads", static_cast<std::uint64_t>(rt::threadCount())},
               {"lower_ms", lower_ms},
               {"csr_bytes_per_node", view.bytesPerNode()},
-              {"closure_legacy_ms", closure_legacy_ms},
               {"closure_csr_ms", closure_csr_ms},
-              {"closure_speedup",
-               speedup(closure_legacy_ms, closure_csr_ms)},
               {"closure_kib", closure_kib},
               {"closure_gated",
                g.nodeCount() > check::kClosureNodeLimit},
-              {"reach_legacy_ms", reach_legacy_ms},
               {"reach_csr_ms", reach_csr_ms},
-              {"reach_speedup", speedup(reach_legacy_ms, reach_csr_ms)},
-              {"reach_converged",
-               reach.stats.converged && reach_csr.stats.converged},
-              {"slack_legacy_ms", slack_legacy_ms},
+              {"reach_converged", reach.stats.converged},
+              {"reach_visits",
+               static_cast<std::uint64_t>(reach.stats.visits)},
               {"slack_csr_ms", slack_csr_ms},
-              {"slack_speedup", speedup(slack_legacy_ms, slack_csr_ms)},
-              {"slack_converged",
-               slack.converged() && slack_csr.converged()},
+              {"slack_converged", slack.converged()},
+              {"slack_fwd_visits",
+               static_cast<std::uint64_t>(slack.forward_stats.visits)},
+              {"slack_bwd_visits",
+               static_cast<std::uint64_t>(slack.backward_stats.visits)},
               {"semantic_ms", semantic_ms},
               {"semantic_findings",
                static_cast<std::uint64_t>(semantic.diagnostics().size())},
@@ -243,7 +219,7 @@ int main(int argc, char** argv) {
               {"p99_ms", bench::percentile(batch_samples, 0.99)},
               {"peak_rss_mib", peakRssMib()}});
   }
-  bench::rule(108);
+  bench::rule(72);
   std::printf("closure is gated at %zu nodes (bit-matrix memory); '-' "
               "means skipped\n", check::kClosureNodeLimit);
   std::printf("peak RSS %.1f MiB\n", peakRssMib());

@@ -14,9 +14,7 @@ using cdfg::NodeId;
 // BitRows
 
 BitRows::BitRows(std::size_t rows, std::size_t bits)
-    : rows_(rows), words_per_row_((bits + 63) / 64) {
-  bits_.assign(rows_ * words_per_row_, 0);
-}
+    : words_per_row_((bits + 63) / 64), bits_(rows * words_per_row_, 0) {}
 
 bool BitRows::test(std::size_t row, std::size_t bit) const {
   return (bits_[row * words_per_row_ + bit / 64] >> (bit % 64)) & 1u;
@@ -33,40 +31,19 @@ bool BitRows::set(std::size_t row, std::size_t bit) {
 }
 
 bool BitRows::unionInto(std::size_t dst, std::size_t src) {
-  std::uint64_t* d = bits_.data() + dst * words_per_row_;
-  const std::uint64_t* s = bits_.data() + src * words_per_row_;
-  bool changed = false;
-  for (std::size_t i = 0; i < words_per_row_; ++i) {
-    const std::uint64_t merged = d[i] | s[i];
-    changed |= merged != d[i];
-    d[i] = merged;
-  }
-  return changed;
+  return unionRowFrom(*this, dst, src);
 }
 
-std::size_t BitRows::popcount(std::size_t row) const {
+std::size_t BitRows::nextSetBit(std::size_t row, std::size_t from) const {
   const std::uint64_t* r = bits_.data() + row * words_per_row_;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < words_per_row_; ++i) {
-    total += static_cast<std::size_t>(std::popcount(r[i]));
-  }
-  return total;
-}
-
-bool BitRows::intersects(std::size_t a, std::size_t b) const {
-  const std::uint64_t* ra = bits_.data() + a * words_per_row_;
-  const std::uint64_t* rb = bits_.data() + b * words_per_row_;
-  for (std::size_t i = 0; i < words_per_row_; ++i) {
-    if ((ra[i] & rb[i]) != 0) {
-      return true;
+  for (std::size_t w = from / 64; w < words_per_row_; ++w) {
+    const std::uint64_t bits =
+        w == from / 64 ? r[w] & (~std::uint64_t{0} << (from % 64)) : r[w];
+    if (bits != 0) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
     }
   }
-  return false;
-}
-
-void BitRows::clearRow(std::size_t row) {
-  std::uint64_t* r = bits_.data() + row * words_per_row_;
-  std::fill(r, r + words_per_row_, 0);
+  return npos;
 }
 
 void BitRows::copyRowFrom(const BitRows& other, std::size_t dst,
@@ -99,78 +76,6 @@ bool BitRows::rowEquals(const BitRows& other, std::size_t a,
 // ---------------------------------------------------------------------------
 // Closure / reachability wrappers
 
-PrecedenceClosure computePrecedenceClosure(const cdfg::Cdfg& g,
-                                           const EdgeMask& mask) {
-  PrecedenceClosure result{ClosureDomain(g.nodeCount()), {}};
-  const std::size_t n = g.nodeCount();
-  if (n == 0) {
-    return result;
-  }
-
-  // Kahn layering over the masked edges.  On a DAG (the CDFG norm) every
-  // node lands in a level; rows within one level have all their masked
-  // predecessors in strictly earlier levels, so the per-row unions of a
-  // level are independent and sweep in parallel.  Row writes are disjoint
-  // (each task owns its own row) and reads touch only finalized rows.
-  std::vector<std::uint32_t> indegree(n, 0);
-  for (const EdgeId e : g.allEdges()) {
-    if (mask.accepts(g.edge(e).kind)) {
-      ++indegree[g.edge(e).dst.value()];
-    }
-  }
-  std::vector<std::uint32_t> order;  // level-contiguous topological order
-  order.reserve(n);
-  std::vector<std::size_t> level_start{0};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) {
-      order.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  while (level_start.back() < order.size()) {
-    const std::size_t lo = level_start.back();
-    const std::size_t hi = order.size();
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (const EdgeId e : g.outEdges(NodeId(order[i]))) {
-        const cdfg::Edge& ed = g.edge(e);
-        if (mask.accepts(ed.kind) && --indegree[ed.dst.value()] == 0) {
-          order.push_back(ed.dst.value());
-        }
-      }
-    }
-    level_start.push_back(order.size());
-  }
-
-  if (order.size() < n) {
-    // Cyclic garbage from lenient parsing: no level structure to exploit.
-    // The worklist engine terminates via its visit cap and reports
-    // converged=false, which is the behaviour the rules rely on.
-    result.stats =
-        solveFixpoint(g, Direction::kForward, mask, result.domain);
-    return result;
-  }
-
-  BitRows& rows = result.domain.ancestors;
-  for (std::size_t lv = 0; lv + 1 < level_start.size(); ++lv) {
-    const std::size_t lo = level_start[lv];
-    const std::size_t hi = level_start[lv + 1];
-    rt::parallel_for(lo, hi, /*grain=*/16, [&](std::size_t i) {
-      const NodeId v(order[i]);
-      for (const EdgeId e : g.inEdges(v)) {
-        const cdfg::Edge& ed = g.edge(e);
-        if (!mask.accepts(ed.kind)) {
-          continue;
-        }
-        rows.set(v.value(), ed.src.value());
-        rows.unionInto(v.value(), ed.src.value());
-      }
-    });
-  }
-  result.stats.visits = n;
-  result.stats.updates = n;
-  result.stats.converged = true;
-  return result;
-}
-
 PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
                                            const EdgeMask& mask) {
   PrecedenceClosure result{ClosureDomain(v.nodeCount()), {}};
@@ -179,11 +84,13 @@ PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
     return result;
   }
 
-  // Same Kahn layering + per-level parallel row unions as the builder
-  // path, over contiguous CSR spans.  Determinism: each task owns its
-  // row, all rows it reads were finalized in an earlier level, and the
-  // result is independent of in-level execution order — byte-identical
-  // at any thread count.
+  // Kahn layering over the masked edges.  On a DAG (the CDFG norm) every
+  // node lands in a level; rows within one level have all their masked
+  // predecessors in strictly earlier levels, so the per-row unions of a
+  // level are independent and sweep in parallel.  Determinism: each task
+  // owns its row, all rows it reads were finalized in an earlier level,
+  // and the result is independent of in-level execution order —
+  // byte-identical at any thread count.
   std::vector<std::uint32_t> indegree(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId node(static_cast<std::uint32_t>(i));
@@ -194,7 +101,7 @@ PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
       }
     }
   }
-  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> order;  // level-contiguous topological order
   order.reserve(n);
   std::vector<std::size_t> level_start{0};
   for (std::size_t i = 0; i < n; ++i) {
@@ -222,6 +129,9 @@ PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
   }
 
   if (order.size() < n) {
+    // Cyclic garbage from lenient parsing: no level structure to exploit.
+    // The worklist engine terminates via its visit cap and reports
+    // converged=false, which is the behaviour the rules rely on.
     result.stats =
         solveFixpoint(v, Direction::kForward, mask, result.domain);
     return result;
@@ -251,19 +161,6 @@ PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
   return result;
 }
 
-Reachability computeReachability(const cdfg::Cdfg& g,
-                                 const std::vector<NodeId>& seeds,
-                                 Direction dir, const EdgeMask& mask) {
-  Reachability result{ReachDomain(g.nodeCount()), {}};
-  for (const NodeId s : seeds) {
-    if (s.isValid() && s.value() < g.nodeCount()) {
-      result.domain.mark[s.value()] = 1;
-    }
-  }
-  result.stats = solveFixpoint(g, dir, mask, result.domain);
-  return result;
-}
-
 Reachability computeReachability(const cdfg::CsrView& v,
                                  const std::vector<NodeId>& seeds,
                                  Direction dir, const EdgeMask& mask) {
@@ -282,28 +179,14 @@ Reachability computeReachability(const cdfg::CsrView& v,
 
 namespace {
 
-/// Node-kind lookup shared by the slack domains: 40-byte Node structs on
-/// the builder path, the 1-byte SoA table on the CSR path.
-struct BuilderKinds {
-  const cdfg::Cdfg& g;
-  [[nodiscard]] cdfg::OpKind operator()(NodeId v) const {
-    return g.node(v).kind;
-  }
-};
-struct CsrKinds {
-  const cdfg::CsrView& v;
-  [[nodiscard]] cdfg::OpKind operator()(NodeId n) const { return v.kind(n); }
-};
-
 /// Max-plus forward: asap[dst] >= asap[src] + edgeGap(src).
-template <typename Kinds>
 struct AsapDomain {
-  Kinds kinds;
+  const cdfg::CsrView& v;
   const sched::LatencyModel& lat;
   std::vector<std::uint32_t>& asap;
 
   bool edgeTransfer(NodeId from, NodeId to, cdfg::EdgeKind kind) {
-    const std::uint32_t gap = lat.edgeGap(kinds(from), kind);
+    const std::uint32_t gap = lat.edgeGap(v.kind(from), kind);
     const std::uint32_t candidate = asap[from.value()] + gap;
     if (candidate > asap[to.value()]) {
       asap[to.value()] = candidate;
@@ -316,14 +199,13 @@ struct AsapDomain {
 /// Min-plus backward: alap[src] <= alap[dst] - edgeGap(src).  Backward
 /// solving hands us (from=dst, to=src); the gap is keyed on the *source*
 /// node's kind, i.e. `to` here — same convention as sched::TimeFrames.
-template <typename Kinds>
 struct AlapDomain {
-  Kinds kinds;
+  const cdfg::CsrView& v;
   const sched::LatencyModel& lat;
   std::vector<std::uint32_t>& alap;
 
   bool edgeTransfer(NodeId from, NodeId to, cdfg::EdgeKind kind) {
-    const std::uint32_t gap = lat.edgeGap(kinds(to), kind);
+    const std::uint32_t gap = lat.edgeGap(v.kind(to), kind);
     const std::uint32_t succ = alap[from.value()];
     const std::uint32_t candidate = succ >= gap ? succ - gap : 0u;
     if (candidate < alap[to.value()]) {
@@ -334,86 +216,39 @@ struct AlapDomain {
   }
 };
 
-/// Both computeSlack overloads are this one algorithm; `graph` is either
-/// representation and `kinds` the matching node-kind lookup.
-template <typename Graph, typename Kinds>
-SlackAnalysis slackImpl(const Graph& graph, Kinds kinds, std::size_t n,
-                        const sched::LatencyModel& lat,
-                        std::optional<std::uint32_t> deadline,
-                        const EdgeMask& mask) {
+}  // namespace
+
+SlackAnalysis computeSlack(const cdfg::CsrView& v,
+                           const sched::LatencyModel& lat,
+                           std::optional<std::uint32_t> deadline,
+                           const EdgeMask& mask) {
+  const std::size_t n = v.nodeCount();
   SlackAnalysis out;
   out.asap.assign(n, 0);
   out.alap.assign(n, 0);
 
-  AsapDomain<Kinds> fwd{kinds, lat, out.asap};
-  out.forward_stats = solveFixpoint(graph, Direction::kForward, mask, fwd);
+  AsapDomain fwd{v, lat, out.asap};
+  out.forward_stats = solveFixpoint(v, Direction::kForward, mask, fwd);
 
   for (std::size_t i = 0; i < n; ++i) {
-    out.critical = std::max(
-        out.critical,
-        out.asap[i] + lat.latency(kinds(NodeId(static_cast<std::uint32_t>(i)))));
+    const cdfg::OpKind k = v.kind(NodeId(static_cast<std::uint32_t>(i)));
+    out.critical = std::max(out.critical, out.asap[i] + lat.latency(k));
   }
   // A lint analysis clamps an infeasible deadline instead of throwing —
   // the schedule rules report the violation separately.
   out.deadline = std::max(deadline.value_or(out.critical), out.critical);
 
   for (std::size_t i = 0; i < n; ++i) {
-    out.alap[i] = out.deadline -
-                  lat.latency(kinds(NodeId(static_cast<std::uint32_t>(i))));
+    const cdfg::OpKind k = v.kind(NodeId(static_cast<std::uint32_t>(i)));
+    out.alap[i] = out.deadline - lat.latency(k);
   }
-  AlapDomain<Kinds> bwd{kinds, lat, out.alap};
-  out.backward_stats = solveFixpoint(graph, Direction::kBackward, mask, bwd);
+  AlapDomain bwd{v, lat, out.alap};
+  out.backward_stats = solveFixpoint(v, Direction::kBackward, mask, bwd);
   return out;
 }
 
-}  // namespace
-
-SlackAnalysis computeSlack(const cdfg::Cdfg& g, const sched::LatencyModel& lat,
-                           std::optional<std::uint32_t> deadline,
-                           const EdgeMask& mask) {
-  return slackImpl(g, BuilderKinds{g}, g.nodeCount(), lat, deadline, mask);
-}
-
-SlackAnalysis computeSlack(const cdfg::CsrView& v,
-                           const sched::LatencyModel& lat,
-                           std::optional<std::uint32_t> deadline,
-                           const EdgeMask& mask) {
-  return slackImpl(v, CsrKinds{v}, v.nodeCount(), lat, deadline, mask);
-}
-
 // ---------------------------------------------------------------------------
-// Per-query path oracle
-
-bool hasPathSkipping(const cdfg::Cdfg& g, NodeId from, NodeId to, EdgeId skip,
-                     const EdgeMask& mask) {
-  if (!from.isValid() || !to.isValid() || from == to) {
-    return from == to;
-  }
-  std::vector<char> seen(g.nodeCount(), 0);
-  std::vector<NodeId> stack{from};
-  seen[from.value()] = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const EdgeId e : g.outEdges(v)) {
-      if (e == skip) {
-        continue;
-      }
-      const cdfg::Edge& ed = g.edge(e);
-      if (!mask.accepts(ed.kind)) {
-        continue;
-      }
-      if (ed.dst == to) {
-        return true;
-      }
-      if (seen[ed.dst.value()] == 0) {
-        seen[ed.dst.value()] = 1;
-        stack.push_back(ed.dst);
-      }
-    }
-  }
-  return false;
-}
+// Path queries
 
 bool hasPathSkipping(const cdfg::CsrView& view, NodeId from, NodeId to,
                      EdgeId skip, const EdgeMask& mask) {

@@ -1,6 +1,7 @@
-// Generic worklist/fixpoint dataflow engine over cdfg::Cdfg, plus the
-// concrete analyses the semantic rules (LW6xx) and the differential
-// verifier are built on.
+// Generic worklist/fixpoint dataflow engine over a cdfg::CsrView, plus
+// the concrete analyses the semantic rules (LW6xx), the workspace
+// precedence-closure rule (LW804) and the differential verifier are built
+// on.
 //
 // The engine solves monotone dataflow problems: a *domain* owns one
 // abstract state per node and a transfer function over edges; the engine
@@ -10,13 +11,11 @@
 // on cyclic garbage from lenient parsing the visit cap guarantees
 // termination and the stats report non-convergence instead of hanging.
 //
-// The engine runs over either representation of the same graph: the
-// mutable cdfg::Cdfg builder (the seed implementation, kept as the
-// differential oracle) or a cdfg::CsrView snapshot (the fast path the
-// rules use — see csr.h and docs/GRAPH_CORE.md).  Both overloads solve
-// the same problem; the masked-edge visit order differs but every domain
-// here is a confluent (join-semilattice) problem, so the fixpoint —
-// and therefore every report built from it — is identical.
+// Every analysis runs on the CSR snapshot only (csr.h, docs/GRAPH_CORE.md):
+// callers lower a cdfg::Cdfg once and pass the view.  The tests check each
+// analysis against a reference that shares none of this code — plain DFS
+// over the builder graph (tests/naive_oracles.h) for closure, reachability
+// and path queries, sched::TimeFrames for slack.
 //
 // Domain contract (duck-typed, see ClosureDomain for the smallest
 // example):
@@ -90,22 +89,23 @@ struct FixpointStats {
   bool converged = true;    ///< false when the visit cap was hit
 };
 
-/// Solves `domain` to fixpoint over `g`.  `max_visits` caps worklist pops
+/// Solves `domain` to fixpoint over `v`.  `max_visits` caps worklist pops
 /// (0 = automatic: generous enough for any monotone finite-height domain,
-/// small enough to terminate on a non-converging one).
+/// small enough to terminate on a non-converging one).  Neighbour visits
+/// walk the view's contiguous per-kind spans.
 template <typename Domain>
-FixpointStats solveFixpoint(const cdfg::Cdfg& g, Direction dir,
+FixpointStats solveFixpoint(const cdfg::CsrView& v, Direction dir,
                             const EdgeMask& mask, Domain& domain,
                             std::size_t max_visits = 0) {
   FixpointStats stats;
-  const std::size_t n = g.nodeCount();
+  const std::size_t n = v.nodeCount();
   if (n == 0) {
     return stats;
   }
   if (max_visits == 0) {
     // An N-bit-per-node domain changes each node's state at most N times;
     // every change re-queues at most one node.
-    max_visits = (n + 1) * (n + g.edgeCount() + 1);
+    max_visits = (n + 1) * (n + v.edgeCount() + 1);
   }
 
   std::vector<char> queued(n, 1);
@@ -125,71 +125,10 @@ FixpointStats solveFixpoint(const cdfg::Cdfg& g, Direction dir,
       stats.converged = false;
       return stats;
     }
-    const cdfg::NodeId v(fifo[head++]);
-    queued[v.value()] = 0;
-    ++stats.visits;
-    // Reclaim the consumed queue prefix occasionally.
-    if (head > n && head * 2 > fifo.size()) {
-      fifo.erase(fifo.begin(),
-                 fifo.begin() + static_cast<std::ptrdiff_t>(head));
-      head = 0;
-    }
-
-    const auto& edges =
-        dir == Direction::kForward ? g.outEdges(v) : g.inEdges(v);
-    for (const cdfg::EdgeId e : edges) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (!mask.accepts(ed.kind)) {
-        continue;
-      }
-      const cdfg::NodeId from = dir == Direction::kForward ? ed.src : ed.dst;
-      const cdfg::NodeId to = dir == Direction::kForward ? ed.dst : ed.src;
-      if (domain.edgeTransfer(from, to, ed.kind)) {
-        ++stats.updates;
-        if (queued[to.value()] == 0) {
-          queued[to.value()] = 1;
-          fifo.push_back(to.value());
-        }
-      }
-    }
-  }
-  return stats;
-}
-
-/// Same solver over a CsrView snapshot.  Neighbour visits walk contiguous
-/// per-kind spans instead of chasing edge ids through the builder's
-/// vector-of-vectors, which is where the speedup on large graphs comes
-/// from (bench/perf_static_analysis measures both paths).
-template <typename Domain>
-FixpointStats solveFixpoint(const cdfg::CsrView& v, Direction dir,
-                            const EdgeMask& mask, Domain& domain,
-                            std::size_t max_visits = 0) {
-  FixpointStats stats;
-  const std::size_t n = v.nodeCount();
-  if (n == 0) {
-    return stats;
-  }
-  if (max_visits == 0) {
-    max_visits = (n + 1) * (n + v.edgeCount() + 1);
-  }
-
-  std::vector<char> queued(n, 1);
-  std::vector<std::uint32_t> fifo;
-  fifo.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    fifo.push_back(static_cast<std::uint32_t>(
-        dir == Direction::kForward ? i : n - 1 - i));
-  }
-  std::size_t head = 0;
-
-  while (head < fifo.size()) {
-    if (stats.visits >= max_visits) {
-      stats.converged = false;
-      return stats;
-    }
     const cdfg::NodeId node(fifo[head++]);
     queued[node.value()] = 0;
     ++stats.visits;
+    // Reclaim the consumed queue prefix occasionally.
     if (head > n && head * 2 > fifo.size()) {
       fifo.erase(fifo.begin(),
                  fifo.begin() + static_cast<std::ptrdiff_t>(head));
@@ -230,12 +169,10 @@ class BitRows {
   bool set(std::size_t row, std::size_t bit);
   /// rows[dst] |= rows[src]; returns true iff rows[dst] changed.
   bool unionInto(std::size_t dst, std::size_t src);
-  /// Number of set bits in a row.
-  [[nodiscard]] std::size_t popcount(std::size_t row) const;
-  /// True when the rows share at least one set bit.
-  [[nodiscard]] bool intersects(std::size_t a, std::size_t b) const;
-  /// Clears every bit of a row.
-  void clearRow(std::size_t row);
+  /// Smallest set bit of a row at or above `from`; npos when none.
+  [[nodiscard]] std::size_t nextSetBit(std::size_t row,
+                                       std::size_t from) const;
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   /// rows[dst] = other.rows[src] (same bit width required).
   void copyRowFrom(const BitRows& other, std::size_t dst, std::size_t src);
   /// rows[dst] |= other.rows[src]; returns true iff rows[dst] changed.
@@ -244,13 +181,11 @@ class BitRows {
   [[nodiscard]] bool rowEquals(const BitRows& other, std::size_t a,
                                std::size_t b) const;
 
-  [[nodiscard]] std::size_t rowCount() const noexcept { return rows_; }
   [[nodiscard]] std::size_t memoryBytes() const noexcept {
     return bits_.size() * sizeof(std::uint64_t);
   }
 
  private:
-  std::size_t rows_ = 0;
   std::size_t words_per_row_ = 0;
   std::vector<std::uint64_t> bits_;
 };
@@ -286,9 +221,6 @@ struct PrecedenceClosure {
 inline constexpr std::size_t kClosureNodeLimit = 8192;
 
 [[nodiscard]] PrecedenceClosure computePrecedenceClosure(
-    const cdfg::Cdfg& g, const EdgeMask& mask = EdgeMask::all());
-/// CSR fast path; identical result (the closure is a confluent fixpoint).
-[[nodiscard]] PrecedenceClosure computePrecedenceClosure(
     const cdfg::CsrView& v, const EdgeMask& mask = EdgeMask::all());
 
 /// Boolean mark spreading from seeds.
@@ -317,9 +249,6 @@ struct Reachability {
 /// Marks everything reachable from `seeds` in direction `dir` over `mask`
 /// (seeds themselves included).
 [[nodiscard]] Reachability computeReachability(
-    const cdfg::Cdfg& g, const std::vector<cdfg::NodeId>& seeds,
-    Direction dir, const EdgeMask& mask = EdgeMask::dataControl());
-[[nodiscard]] Reachability computeReachability(
     const cdfg::CsrView& v, const std::vector<cdfg::NodeId>& seeds,
     Direction dir, const EdgeMask& mask = EdgeMask::dataControl());
 
@@ -346,22 +275,13 @@ struct SlackAnalysis {
 };
 
 [[nodiscard]] SlackAnalysis computeSlack(
-    const cdfg::Cdfg& g, const sched::LatencyModel& lat,
-    std::optional<std::uint32_t> deadline = std::nullopt,
-    const EdgeMask& mask = EdgeMask::all());
-[[nodiscard]] SlackAnalysis computeSlack(
     const cdfg::CsrView& v, const sched::LatencyModel& lat,
     std::optional<std::uint32_t> deadline = std::nullopt,
     const EdgeMask& mask = EdgeMask::all());
 
 /// True when a path `from` -> `to` exists over the masked edges that does
 /// not use edge `skip`.  Per-query DFS: the closure fallback for graphs
-/// above kClosureNodeLimit, and the redundancy oracle the closure-based
-/// fast path is validated against.
-[[nodiscard]] bool hasPathSkipping(
-    const cdfg::Cdfg& g, cdfg::NodeId from, cdfg::NodeId to,
-    cdfg::EdgeId skip = cdfg::EdgeId::invalid(),
-    const EdgeMask& mask = EdgeMask::all());
+/// above kClosureNodeLimit.
 [[nodiscard]] bool hasPathSkipping(
     const cdfg::CsrView& v, cdfg::NodeId from, cdfg::NodeId to,
     cdfg::EdgeId skip = cdfg::EdgeId::invalid(),

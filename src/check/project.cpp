@@ -9,8 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/error.h"
 #include "cdfg/io.h"
+#include "check/dataflow.h"
 #include "check/differ.h"
 #include "check/internal.h"
 #include "check/rules.h"
@@ -30,8 +32,8 @@ namespace {
 
 using detail::diag;
 
-/// LW804 falls back to per-edge checking above this many nodes: the
-/// closure is O(N^2/64) words of memory and time per schedule.
+/// LW804 does not run above this many nodes: the closure is O(N^2/64)
+/// words of memory and time per schedule.
 constexpr std::size_t kClosureNodeBound = 20000;
 
 // ---------------------------------------------------------------------------
@@ -517,8 +519,10 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
 /// and temporal edges) orders u before v, but the schedule starts v in an
 /// earlier step.  Catches inversions routed through unassigned or
 /// zero-latency intermediates that the per-edge LW202/LW203 checks cannot
-/// see.  At most one finding per violating node (its smallest-id
-/// transitive predecessor is reported).
+/// see.  At most one finding per violating node, naming its smallest-id
+/// scheduled transitive predecessor that starts later; findings are
+/// ordered by that predecessor, then by node.  A cyclic design yields
+/// none (LW103 territory).
 void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
                             const std::string& name,
                             std::vector<Diagnostic>& out) {
@@ -526,56 +530,36 @@ void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
   if (n == 0 || n > kClosureNodeBound) {
     return;
   }
-  std::vector<cdfg::NodeId> topo;
-  try {
-    topo = g.topologicalOrder(/*includeTemporal=*/true);
-  } catch (const Error&) {
-    return;  // cyclic: LW103 territory
-  }
-  const std::size_t words = (n + 63) / 64;
-  std::vector<std::uint64_t> reach(n * words, 0);
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const cdfg::NodeId u = *it;
-    std::uint64_t* row = reach.data() + u.value() * words;
-    for (const cdfg::EdgeId e : g.outEdges(u)) {
-      const cdfg::NodeId v = g.edge(e).dst;
-      row[v.value() / 64] |= 1ULL << (v.value() % 64);
-      const std::uint64_t* succ = reach.data() + v.value() * words;
-      for (std::size_t w = 0; w < words; ++w) {
-        row[w] |= succ[w];
-      }
+  const PrecedenceClosure closure =
+      computePrecedenceClosure(cdfg::CsrView(g), EdgeMask::all());
+  const BitRows& ancestors = closure.domain.ancestors;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (ancestors.test(v, v)) {
+      return;  // a node that precedes itself lies on a cycle
     }
-  }
-  std::vector<char> reported(n, 0);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    if (!s.isSet(cdfg::NodeId{u})) {
+    if (!s.isSet(cdfg::NodeId{v})) {
       continue;
     }
-    const std::uint32_t step_u = s.at(cdfg::NodeId{u});
-    const std::uint64_t* row = reach.data() + u * static_cast<std::size_t>(words);
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits != 0) {
-        const auto v = static_cast<std::uint32_t>(
-            w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
-        bits &= bits - 1;
-        if (reported[v] != 0 || !s.isSet(cdfg::NodeId{v})) {
-          continue;
-        }
-        if (s.at(cdfg::NodeId{v}) < step_u) {
-          reported[v] = 1;
-          out.push_back(diag(
-              "LW804", Severity::kError, name,
-              "node " + std::to_string(v),
-              "starts at step " + std::to_string(s.at(cdfg::NodeId{v})) +
-                  ", before transitive predecessor node " +
-                  std::to_string(u) + " (step " + std::to_string(step_u) +
-                  ")",
-              "the design's precedence closure orders these operations; "
-              "re-run the scheduler against this design"));
-        }
+    const std::uint32_t step_v = s.at(cdfg::NodeId{v});
+    for (std::size_t u = ancestors.nextSetBit(v, 0); u != BitRows::npos;
+         u = ancestors.nextSetBit(v, u + 1)) {
+      const cdfg::NodeId pred{static_cast<std::uint32_t>(u)};
+      if (s.isSet(pred) && s.at(pred) > step_v) {
+        found.emplace_back(pred.value(), v);
+        break;
       }
     }
+  }
+  std::sort(found.begin(), found.end());
+  for (const auto& [u, v] : found) {
+    out.push_back(diag(
+        "LW804", Severity::kError, name, "node " + std::to_string(v),
+        "starts at step " + std::to_string(s.at(cdfg::NodeId{v})) +
+            ", before transitive predecessor node " + std::to_string(u) +
+            " (step " + std::to_string(s.at(cdfg::NodeId{u})) + ")",
+        "the design's precedence closure orders these operations; "
+        "re-run the scheduler against this design"));
   }
 }
 
@@ -989,7 +973,20 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       // meta; dependents skip their checks.
     }
   });
-  std::vector<std::optional<sched::Schedule>> scheds(n);
+  // A schedule parsed for its bindings keeps its parse issues, so its own
+  // pair check reuses both instead of parsing the text again.
+  struct ParsedSchedule {
+    sched::Schedule schedule;
+    std::vector<sched::ScheduleParseIssue> issues;
+  };
+  const auto parseSched = [&](std::size_t i, const cdfg::Cdfg& dsg) {
+    ParsedSchedule p;
+    std::istringstream is(arts[i].text);
+    p.schedule =
+        sched::parseSchedule(is, dsg.nodeCount(), p.issues, arts[i].path);
+    return p;
+  };
+  std::vector<std::optional<ParsedSchedule>> scheds(n);
   rt::parallel_for(0, n, 1, [&](std::size_t i) {
     if (need_sched[i] == 0) {
       return;
@@ -1000,10 +997,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       return;
     }
     try {
-      std::vector<sched::ScheduleParseIssue> issues;
-      std::istringstream is(arts[i].text);
-      scheds[i] =
-          sched::parseSchedule(is, dsg->nodeCount(), issues, arts[i].path);
+      scheds[i] = parseSched(i, *dsg);
     } catch (const Error&) {
     }
   });
@@ -1021,12 +1015,13 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           if (!dsg.has_value()) {
             break;
           }
-          std::vector<sched::ScheduleParseIssue> issues;
-          std::istringstream is(a.text);
-          const sched::Schedule s =
-              sched::parseSchedule(is, dsg->nodeCount(), issues, a.path);
-          out = checkSchedule(*dsg, s, issues, a.path).diagnostics();
-          checkPrecedenceClosure(*dsg, s, a.path, out);
+          std::optional<ParsedSchedule> own;  // not parsed for a binding
+          const ParsedSchedule& p = scheds[i].has_value()
+                                        ? *scheds[i]
+                                        : own.emplace(parseSched(i, *dsg));
+          out = checkSchedule(*dsg, p.schedule, p.issues, a.path)
+                    .diagnostics();
+          checkPrecedenceClosure(*dsg, p.schedule, a.path, out);
           break;
         }
         case ArtifactKind::kCover: {
@@ -1058,7 +1053,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           }
           regbind::LifetimeTable table;
           try {
-            table = regbind::computeLifetimes(*dsg, *sch);
+            table = regbind::computeLifetimes(*dsg, sch->schedule);
           } catch (const Error& e) {
             out.push_back(diag(
                 "LW402", Severity::kError, a.path, {},
@@ -1070,7 +1065,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           std::istringstream is(a.text);
           const regbind::Binding binding =
               regbind::parseBinding(is, table, issues, a.path);
-          out = checkBinding(*dsg, *sch, binding, issues, a.path)
+          out = checkBinding(*dsg, sch->schedule, binding, issues, a.path)
                     .diagnostics();
           break;
         }

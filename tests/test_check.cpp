@@ -8,9 +8,12 @@
 // stable codes, never on message wording.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +23,7 @@
 
 #include "cdfg/graph.h"
 #include "cdfg/io.h"
+#include "cdfg/prng.h"
 #include "check/diagnostics.h"
 #include "check/linter.h"
 #include "check/pass_audit.h"
@@ -31,6 +35,8 @@
 #include "core/pass_audit.h"
 #include "core/sched_wm.h"
 #include "json_checker.h"
+#include "naive_oracles.h"
+#include "sched/latency.h"
 #include "sched/list_scheduler.h"
 #include "sched/timeframes.h"
 #include "workloads/hyper.h"
@@ -38,6 +44,7 @@
 namespace {
 
 using namespace locwm;
+using cdfg::NodeId;
 using check::Linter;
 using check::Report;
 using check::Severity;
@@ -743,6 +750,164 @@ TEST(CheckProject, LW804PrecedenceClosureViolation) {
   EXPECT_TRUE(hasCode(result.report, "LW804"))
       << result.report.renderText();
   EXPECT_FALSE(hasCode(result.report, "LW202"));
+}
+
+/// A random DFG with forward temporal edges.
+cdfg::Cdfg randomTemporalDfg(std::uint64_t seed, std::size_t ops) {
+  cdfg::Cdfg g = locwm::testing::smallRandomDfg(seed, ops);
+  locwm::testing::addTemporalEdges(g, ops / 8, seed * 7 + 1);
+  return g;
+}
+
+using Steps = std::vector<std::optional<std::uint32_t>>;
+
+/// ASAP steps over `g`, a quarter of the nodes left unset and a fifth
+/// moved to a random (often inverted) step.
+Steps perturbedSteps(const cdfg::Cdfg& g, std::uint64_t seed) {
+  const sched::TimeFrames tf(g, sched::LatencyModel::unit());
+  cdfg::SplitMix64 rng(seed);
+  Steps steps(g.nodeCount());
+  for (const NodeId v : g.allNodes()) {
+    const std::uint64_t roll = rng.below(20);
+    if (roll >= 9) {
+      steps[v.value()] = tf.asap(v);
+    } else if (roll >= 5) {
+      steps[v.value()] = static_cast<std::uint32_t>(
+          rng.below(tf.criticalPathSteps() + 1));
+    }
+  }
+  return steps;
+}
+
+std::string scheduleText(const Steps& steps) {
+  std::string text;
+  for (std::size_t v = 0; v < steps.size(); ++v) {
+    if (steps[v]) {
+      text += std::to_string(v) + " " + std::to_string(*steps[v]) + "\n";
+    }
+  }
+  return text;
+}
+
+/// LW804 by definition: for each scheduled node v, its smallest-id
+/// scheduled transitive predecessor u that starts later; findings ordered
+/// by u, then v; none when the design is cyclic.
+std::vector<std::string> naiveLw804(const cdfg::Cdfg& g, const Steps& steps) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
+  for (std::uint32_t v = 0; v < g.nodeCount(); ++v) {
+    const std::vector<char> anc = locwm::testing::naiveReach(
+        g, {NodeId(v)}, check::Direction::kBackward, check::EdgeMask::all());
+    if (anc[v] != 0) {
+      return {};  // v lies on a cycle
+    }
+    for (std::uint32_t u = 0; steps[v] && u < g.nodeCount(); ++u) {
+      if (anc[u] != 0 && steps[u] && *steps[u] > *steps[v]) {
+        found.emplace_back(u, v);
+        break;
+      }
+    }
+  }
+  std::sort(found.begin(), found.end());
+  std::vector<std::string> out;
+  for (const auto& [u, v] : found) {
+    out.push_back("node " + std::to_string(v) + ": starts at step " +
+                  std::to_string(*steps[v]) +
+                  ", before transitive predecessor node " +
+                  std::to_string(u) + " (step " + std::to_string(*steps[u]) +
+                  ")");
+  }
+  return out;
+}
+
+TEST(CheckProject, LW804MatchesNaiveOracleOnRandomDesigns) {
+  std::size_t findings = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const cdfg::Cdfg g = randomTemporalDfg(seed, 30 + 50 * seed);
+    check::Workspace ws;
+    ws.addArtifactText("design.cdfg", cdfg::printToString(g));
+    std::vector<std::vector<std::string>> expected;
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      const Steps steps = perturbedSteps(g, seed * 100 + k);
+      ws.addArtifactText("s" + std::to_string(k), scheduleText(steps));
+      expected.push_back(naiveLw804(g, steps));
+      findings += expected.back().size();
+    }
+    for (const std::size_t threads : {1u, 8u}) {
+      rt::setThreadCount(threads);
+      check::Workspace run = ws;
+      const Report report = check::checkProject(run).report;
+      std::vector<std::vector<std::string>> got(expected.size());
+      for (const auto& d : report.diagnostics()) {
+        if (d.code == "LW804") {
+          got[std::stoul(d.artifact.substr(1))].push_back(d.location + ": " +
+                                                          d.message);
+        }
+      }
+      EXPECT_EQ(got, expected) << "seed " << seed << " threads " << threads;
+    }
+  }
+  rt::setThreadCount(0);  // restore automatic sizing for other tests
+  EXPECT_GT(findings, 10u);
+}
+
+TEST(CheckProject, LW804SilentOnCyclicDesign) {
+  // 1 <-> 2 is a cycle; the schedule inverts 0 -> 1 -> 2 -> 3, which an
+  // acyclic design would report as LW804.
+  const auto result = projectCheck(
+      {{"design.cdfg",
+        "cdfg v1\nnode 0 input\nnode 1 add\nnode 2 add\nnode 3 output\n"
+        "edge 0 1 data\nedge 1 2 data\nedge 2 1 data\nedge 2 3 data\n"},
+       {"sched.txt", "0 5\n1 6\n2 7\n3 0\n"}});
+  EXPECT_TRUE(hasCode(result.report, "LW202"))  // the pair check ran
+      << result.report.renderText();
+  EXPECT_FALSE(hasCode(result.report, "LW804"))
+      << result.report.renderText();
+}
+
+TEST(CheckProject, ScheduleBindingPairsSameColdAndWarm) {
+  // Each schedule is read by its own pair check and by its binding's.
+  const cdfg::Cdfg g = randomTemporalDfg(5, 40);
+  check::Workspace ws;
+  ws.addArtifactText("design.cdfg", cdfg::printToString(g));
+  std::string binding = "registers 1\n";  // every value in register 0
+  for (const NodeId v : g.allNodes()) {
+    if (g.node(v).kind != cdfg::OpKind::kOutput) {
+      binding += std::to_string(v.value()) + " 0\n";
+    }
+  }
+  for (const std::string k : {"0", "1"}) {
+    ws.addArtifactText("s" + k + ".sched",
+                       scheduleText(perturbedSteps(g, std::stoul(k))));
+    ws.addArtifactText("b" + k + ".bind", binding);
+  }
+  for (auto& a : ws.artifacts()) {
+    if (a.path[0] == 's') {
+      a.ref_design = "design.cdfg";
+    } else if (a.path[0] == 'b') {
+      a.ref_schedule = "s" + a.path.substr(1, 1) + ".sched";
+    }
+  }
+  const std::string cache =
+      (std::filesystem::temp_directory_path() / "locwm-sched-binding-cache")
+          .string();
+  std::filesystem::remove_all(cache);
+  const auto run = [&](std::size_t threads, const std::string& dir) {
+    rt::setThreadCount(threads);
+    check::Workspace w = ws;
+    check::ProjectOptions options;
+    options.cache_dir = dir;
+    return check::checkProject(w, options);
+  };
+  const check::ProjectResult cold = run(1, cache);
+  const check::ProjectResult warm = run(8, cache);
+  const std::string text = cold.report.renderText();
+  EXPECT_EQ(text, warm.report.renderText());
+  EXPECT_EQ(text, run(8, "").report.renderText());
+  EXPECT_EQ(warm.stats.cache_hits, warm.stats.cache_probes);
+  EXPECT_TRUE(hasCode(cold.report, "LW804")) << text;
+  EXPECT_NE(text.find("b1.bind"), std::string::npos) << text;
+  rt::setThreadCount(0);  // restore automatic sizing for other tests
+  std::filesystem::remove_all(cache);
 }
 
 TEST(CheckProject, LW805LocalityCannotExist) {

@@ -2,10 +2,11 @@
 // oracle against the Cdfg builder it is lowered from (every node, every
 // selector, on random DFGs with temporal edges, parallel-edge and
 // post-stripTemporalEdges graphs), edge-id/neighbour span alignment,
-// empty/degenerate inputs, and the determinism pin — the CSR-backed
-// analyses (closure, reachability, slack, semantic rules, watermark
-// detection) must reproduce the builder-path results byte-identically
-// at 1, 2, and 8 runtime lanes.
+// empty/degenerate inputs, the CSR-backed analyses (closure,
+// reachability, slack, path queries) against independent references on
+// the builder graph, and the determinism pin — those analyses, the
+// semantic rules and watermark detection must produce byte-identical
+// results at 1, 2, and 8 runtime lanes.
 //
 // Self-loops are absent by construction: Cdfg::addEdge rejects
 // src == dst (pinned below), so the view never has to represent one.
@@ -19,10 +20,10 @@
 #include "cdfg/error.h"
 #include "cdfg/graph.h"
 #include "cdfg/prng.h"
-#include "cdfg/random_dfg.h"
 #include "check/dataflow.h"
 #include "check/rules.h"
 #include "core/sched_wm.h"
+#include "naive_oracles.h"
 #include "rt/rt.h"
 #include "sched/latency.h"
 #include "sched/list_scheduler.h"
@@ -38,26 +39,8 @@ using cdfg::EdgeKind;
 using cdfg::EdgeSel;
 using cdfg::NodeId;
 using locwm::GraphError;
-
-cdfg::Cdfg smallRandomDfg(std::uint64_t seed, std::size_t ops = 60) {
-  cdfg::RandomDfgOptions options;
-  options.operations = ops;
-  options.inputs = 4;
-  options.width = 6;
-  return cdfg::randomDfg(options, seed);
-}
-
-void addTemporalEdges(cdfg::Cdfg& g, std::size_t count, std::uint64_t seed) {
-  cdfg::SplitMix64 rng(seed);
-  const std::size_t n = g.nodeCount();
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto a = NodeId(static_cast<std::uint32_t>(rng.below(n)));
-    const auto b = NodeId(static_cast<std::uint32_t>(rng.below(n)));
-    if (a.value() < b.value() && !g.hasEdge(a, b, EdgeKind::kTemporal)) {
-      g.addEdge(a, b, EdgeKind::kTemporal);  // ids are topological
-    }
-  }
-}
+using locwm::testing::addTemporalEdges;
+using locwm::testing::smallRandomDfg;
 
 /// Builder-derived neighbour list for one (node, selector, direction),
 /// straight off the edge table — the oracle the CSR spans must match.
@@ -225,9 +208,10 @@ TEST(Csr, MemoryAccountingMatchesArenaFormula) {
 }
 
 // ---------------------------------------------------------------------------
-// Analysis equivalence: the CSR overloads must reproduce the builder
-// path exactly (closure precedes-matrix, reachability marks, slack
-// windows, path queries).
+// Analysis equivalence: the CSR analyses must match references computed
+// on the builder graph that share none of their code — the naive DFS of
+// naive_oracles.h (closure precedes-matrix, reachability marks, path
+// queries) and sched::TimeFrames (slack windows).
 
 TEST(Csr, AnalysesMatchBuilderPath) {
   for (const std::uint64_t seed : {21u, 22u}) {
@@ -236,14 +220,14 @@ TEST(Csr, AnalysesMatchBuilderPath) {
     const CsrView view(g);
     const std::size_t n = g.nodeCount();
 
-    const auto closure_b = check::computePrecedenceClosure(g);
-    const auto closure_v = check::computePrecedenceClosure(view);
+    const auto closure = check::computePrecedenceClosure(view);
     for (std::size_t i = 0; i < n; ++i) {
+      const NodeId a(static_cast<std::uint32_t>(i));
+      const std::vector<char> desc = locwm::testing::naiveReach(
+          g, {a}, check::Direction::kForward, check::EdgeMask::all());
       for (std::size_t j = 0; j < n; ++j) {
-        const NodeId a(static_cast<std::uint32_t>(i));
         const NodeId b(static_cast<std::uint32_t>(j));
-        ASSERT_EQ(closure_v.precedes(a, b), closure_b.precedes(a, b))
-            << i << " -> " << j;
+        ASSERT_EQ(closure.precedes(a, b), desc[j] != 0) << i << " -> " << j;
       }
     }
 
@@ -253,30 +237,36 @@ TEST(Csr, AnalysesMatchBuilderPath) {
         sources.push_back(v);
       }
     }
-    const auto reach_b =
-        check::computeReachability(g, sources, check::Direction::kForward);
-    const auto reach_v =
+    const auto reach =
         check::computeReachability(view, sources, check::Direction::kForward);
-    EXPECT_EQ(reach_v.domain.mark, reach_b.domain.mark);
+    std::vector<char> expected =
+        locwm::testing::naiveReach(g, sources, check::Direction::kForward,
+                                   check::EdgeMask::dataControl());
+    for (const NodeId s : sources) {
+      expected[s.value()] = 1;  // seeds count as reached
+    }
+    EXPECT_EQ(reach.domain.mark, expected);
 
-    const auto slack_b = check::computeSlack(g, sched::LatencyModel::unit());
-    const auto slack_v =
-        check::computeSlack(view, sched::LatencyModel::unit());
-    EXPECT_EQ(slack_v.asap, slack_b.asap);
-    EXPECT_EQ(slack_v.alap, slack_b.alap);
-    EXPECT_EQ(slack_v.critical, slack_b.critical);
-    EXPECT_EQ(slack_v.deadline, slack_b.deadline);
+    const auto slack = check::computeSlack(view, sched::LatencyModel::unit());
+    const sched::TimeFrames tf(g, sched::LatencyModel::unit());
+    EXPECT_EQ(slack.critical, tf.criticalPathSteps());
+    EXPECT_EQ(slack.deadline, tf.deadline());
+    for (const NodeId v : g.allNodes()) {
+      EXPECT_EQ(slack.asap[v.value()], tf.asap(v));
+      EXPECT_EQ(slack.alap[v.value()], tf.alap(v));
+    }
 
     cdfg::SplitMix64 rng(seed * 31);
     for (std::size_t q = 0; q < 64; ++q) {
       const NodeId from(static_cast<std::uint32_t>(rng.below(n)));
       const NodeId to(static_cast<std::uint32_t>(rng.below(n)));
       const EdgeId skip(static_cast<std::uint32_t>(rng.below(g.edgeCount())));
-      ASSERT_EQ(
-          check::hasPathSkipping(view, from, to, skip,
-                                 check::EdgeMask::dataControl()),
-          check::hasPathSkipping(g, from, to, skip,
-                                 check::EdgeMask::dataControl()));
+      const bool expected_path =
+          from == to || locwm::testing::naivePath(
+                            g, from, to, check::EdgeMask::dataControl(), skip);
+      ASSERT_EQ(check::hasPathSkipping(view, from, to, skip,
+                                       check::EdgeMask::dataControl()),
+                expected_path);
     }
   }
 }

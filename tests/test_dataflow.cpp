@@ -1,7 +1,8 @@
 // Dataflow engine (check/dataflow.h) and differential verifier
-// (check/differ.h): fixpoint properties on random DFGs (closure vs DFS
-// oracle, idempotence, monotonicity), SlackAnalysis equivalence with the
-// pinned sched::TimeFrames, liveness/reachability on handcrafted graphs,
+// (check/differ.h): fixpoint properties on random DFGs (closure vs the
+// naive DFS oracle of naive_oracles.h, idempotence, monotonicity),
+// SlackAnalysis equivalence with the pinned sched::TimeFrames,
+// liveness/reachability on handcrafted graphs,
 // cyclic-input degradation, and the diff-vs-mutation matrix — every
 // core/attack.h structural mutation must surface as an LW7xx error.
 #include <gtest/gtest.h>
@@ -11,14 +12,14 @@
 #include <string_view>
 #include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/graph.h"
-#include "cdfg/prng.h"
-#include "cdfg/random_dfg.h"
 #include "check/dataflow.h"
 #include "check/differ.h"
 #include "check/rules.h"
 #include "core/attack.h"
 #include "core/sched_wm.h"
+#include "naive_oracles.h"
 #include "sched/latency.h"
 #include "sched/timeframes.h"
 #include "workloads/hyper.h"
@@ -26,47 +27,24 @@
 namespace {
 
 using namespace locwm;
+using cdfg::CsrView;
 using check::Direction;
 using check::EdgeMask;
-
-cdfg::Cdfg smallRandomDfg(std::uint64_t seed, std::size_t ops = 40) {
-  cdfg::RandomDfgOptions options;
-  options.operations = ops;
-  options.inputs = 4;
-  options.width = 6;
-  return cdfg::randomDfg(options, seed);
-}
-
-/// Sprinkles topologically forward temporal edges over `g` (the watermark
-/// pattern the analyses must handle alongside data edges).
-void addTemporalEdges(cdfg::Cdfg& g, std::size_t count, std::uint64_t seed) {
-  cdfg::SplitMix64 rng(seed);
-  const std::size_t n = g.nodeCount();
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto a = cdfg::NodeId(static_cast<std::uint32_t>(rng.below(n)));
-    const auto b = cdfg::NodeId(static_cast<std::uint32_t>(rng.below(n)));
-    if (a.value() < b.value() &&
-        !g.hasEdge(a, b, cdfg::EdgeKind::kTemporal)) {
-      g.addEdge(a, b, cdfg::EdgeKind::kTemporal);  // ids are topological
-    }
-  }
-}
+using locwm::testing::addTemporalEdges;
+using locwm::testing::smallRandomDfg;
 
 // ---------------------------------------------------------------------------
-// Precedence closure vs the per-query DFS oracle.
+// Precedence closure vs the naive DFS oracle.
 
 TEST(Dataflow, ClosureMatchesDfsOracleOnRandomDfgs) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     cdfg::Cdfg g = smallRandomDfg(seed);
     addTemporalEdges(g, 6, seed * 77);
-    const auto closure = check::computePrecedenceClosure(g);
+    const auto closure = check::computePrecedenceClosure(CsrView(g));
     ASSERT_TRUE(closure.stats.converged);
     for (const cdfg::NodeId a : g.allNodes()) {
       for (const cdfg::NodeId b : g.allNodes()) {
-        if (a == b) {
-          continue;
-        }
-        EXPECT_EQ(closure.precedes(a, b), check::hasPathSkipping(g, a, b))
+        EXPECT_EQ(closure.precedes(a, b), locwm::testing::naivePath(g, a, b))
             << "seed " << seed << ": " << a.value() << " -> " << b.value();
       }
     }
@@ -80,9 +58,11 @@ TEST(Dataflow, ClosureRespectsEdgeMask) {
   const auto c = g.addNode(cdfg::OpKind::kAdd);
   g.addEdge(a, b, cdfg::EdgeKind::kData);
   g.addEdge(b, c, cdfg::EdgeKind::kTemporal);
-  const auto all = check::computePrecedenceClosure(g, EdgeMask::all());
+  const CsrView view(g);
+  const auto all = check::computePrecedenceClosure(view, EdgeMask::all());
   EXPECT_TRUE(all.precedes(a, c));
-  const auto dc = check::computePrecedenceClosure(g, EdgeMask::dataControl());
+  const auto dc =
+      check::computePrecedenceClosure(view, EdgeMask::dataControl());
   EXPECT_TRUE(dc.precedes(a, b));
   EXPECT_FALSE(dc.precedes(a, c));
   EXPECT_FALSE(dc.precedes(b, c));
@@ -92,27 +72,28 @@ TEST(Dataflow, FixpointIsIdempotent) {
   for (std::uint64_t seed = 10; seed <= 12; ++seed) {
     cdfg::Cdfg g = smallRandomDfg(seed);
     addTemporalEdges(g, 4, seed);
+    const CsrView view(g);
     check::ClosureDomain closure(g.nodeCount());
-    const auto first =
-        check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), closure);
+    const auto first = check::solveFixpoint(view, Direction::kForward,
+                                            EdgeMask::all(), closure);
     ASSERT_TRUE(first.converged);
-    const auto second =
-        check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), closure);
+    const auto second = check::solveFixpoint(view, Direction::kForward,
+                                             EdgeMask::all(), closure);
     EXPECT_TRUE(second.converged);
     EXPECT_EQ(second.updates, 0u) << "seed " << seed;
 
     check::ReachDomain reach(g.nodeCount());
     reach.mark[0] = 1;
-    check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), reach);
+    check::solveFixpoint(view, Direction::kForward, EdgeMask::all(), reach);
     const auto rerun =
-        check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), reach);
+        check::solveFixpoint(view, Direction::kForward, EdgeMask::all(), reach);
     EXPECT_EQ(rerun.updates, 0u) << "seed " << seed;
   }
 }
 
 TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
   cdfg::Cdfg g = smallRandomDfg(21);
-  const auto before = check::computePrecedenceClosure(g);
+  const auto before = check::computePrecedenceClosure(CsrView(g));
   // A fresh forward edge between two unrelated nodes.
   cdfg::NodeId src = cdfg::NodeId::invalid();
   cdfg::NodeId dst = cdfg::NodeId::invalid();
@@ -127,7 +108,7 @@ TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
   }
   ASSERT_TRUE(src.isValid());
   g.addEdge(src, dst, cdfg::EdgeKind::kTemporal);
-  const auto after = check::computePrecedenceClosure(g);
+  const auto after = check::computePrecedenceClosure(CsrView(g));
   EXPECT_TRUE(after.precedes(src, dst));
   for (const cdfg::NodeId a : g.allNodes()) {
     for (const cdfg::NodeId b : g.allNodes()) {
@@ -146,7 +127,7 @@ void expectSlackMatchesTimeFrames(const cdfg::Cdfg& g,
                                   const sched::LatencyModel& lat,
                                   std::optional<std::uint32_t> deadline) {
   const sched::TimeFrames tf(g, lat, deadline);
-  const auto slack = check::computeSlack(g, lat, deadline);
+  const auto slack = check::computeSlack(CsrView(g), lat, deadline);
   ASSERT_TRUE(slack.converged());
   EXPECT_EQ(slack.critical, tf.criticalPathSteps());
   EXPECT_EQ(slack.deadline, tf.deadline());
@@ -166,7 +147,8 @@ TEST(Dataflow, SlackMatchesTimeFramesOnRandomDfgs) {
     addTemporalEdges(g, 5, seed * 3);
     expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
                                  std::nullopt);
-    const auto tight = check::computeSlack(g, sched::LatencyModel::unit());
+    const auto tight =
+        check::computeSlack(CsrView(g), sched::LatencyModel::unit());
     expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
                                  tight.critical + 3);
   }
@@ -176,7 +158,8 @@ TEST(Dataflow, SlackClampsInfeasibleDeadline) {
   // A deadline below the critical path makes TimeFrames throw; the linter
   // analysis instead clamps to the critical path and reports that.
   const cdfg::Cdfg g = smallRandomDfg(5);
-  const auto slack = check::computeSlack(g, sched::LatencyModel::unit(), 1);
+  const auto slack =
+      check::computeSlack(CsrView(g), sched::LatencyModel::unit(), 1);
   EXPECT_TRUE(slack.converged());
   EXPECT_EQ(slack.deadline, slack.critical);
 }
@@ -198,15 +181,16 @@ TEST(Dataflow, ReachabilityForwardAndBackward) {
   g.addEdge(ghost, mid);
   g.addEdge(mid, dead);
 
+  const CsrView view(g);
   const auto fwd =
-      check::computeReachability(g, {in}, Direction::kForward);
+      check::computeReachability(view, {in}, Direction::kForward);
   EXPECT_TRUE(fwd.reached(mid));
   EXPECT_TRUE(fwd.reached(out));
   EXPECT_TRUE(fwd.reached(dead));
   EXPECT_FALSE(fwd.reached(ghost));
 
   const auto bwd =
-      check::computeReachability(g, {out}, Direction::kBackward);
+      check::computeReachability(view, {out}, Direction::kBackward);
   EXPECT_TRUE(bwd.reached(mid));
   EXPECT_TRUE(bwd.reached(in));
   EXPECT_TRUE(bwd.reached(ghost));
@@ -222,13 +206,14 @@ TEST(Dataflow, CyclicGraphTerminates) {
   const auto b = g.addNode(cdfg::OpKind::kAdd);
   g.addEdge(a, b);
   g.addEdge(b, a);
+  const CsrView view(g);
   // The closure converges (a and b precede each other)...
-  const auto closure = check::computePrecedenceClosure(g);
+  const auto closure = check::computePrecedenceClosure(view);
   EXPECT_TRUE(closure.stats.converged);
   EXPECT_TRUE(closure.precedes(a, b));
   EXPECT_TRUE(closure.precedes(b, a));
   // ...while the unbounded max-plus ASAP hits the visit cap.
-  const auto slack = check::computeSlack(g, sched::LatencyModel::unit());
+  const auto slack = check::computeSlack(view, sched::LatencyModel::unit());
   EXPECT_FALSE(slack.converged());
   // The semantic rules bail out cleanly (LW103 owns cyclic graphs).
   EXPECT_TRUE(check::checkSemantics(g).empty());
@@ -239,8 +224,9 @@ TEST(Dataflow, HasPathSkippingIgnoresTheSkippedEdge) {
   const auto a = g.addNode(cdfg::OpKind::kAdd);
   const auto b = g.addNode(cdfg::OpKind::kAdd);
   const auto e = g.addEdge(a, b, cdfg::EdgeKind::kTemporal);
-  EXPECT_TRUE(check::hasPathSkipping(g, a, b));
-  EXPECT_FALSE(check::hasPathSkipping(g, a, b, e));
+  const CsrView view(g);
+  EXPECT_TRUE(check::hasPathSkipping(view, a, b));
+  EXPECT_FALSE(check::hasPathSkipping(view, a, b, e));
 }
 
 // ---------------------------------------------------------------------------

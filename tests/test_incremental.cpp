@@ -318,7 +318,7 @@ TEST(Incremental, WideRankBatchClosureMatchesOracle) {
     const check::delta::DeltaStats stats = engine.applyDelta(delta);
     EXPECT_EQ(stats.closure_rows, 96U) << "threads=" << threads;
     const check::PrecedenceClosure oracle =
-        check::computePrecedenceClosure(engine.graph());
+        check::computePrecedenceClosure(cdfg::CsrView(engine.graph()));
     for (const NodeId x : engine.graph().allNodes()) {
       for (const NodeId y : engine.graph().allNodes()) {
         ASSERT_EQ(engine.precedes(x, y), oracle.precedes(x, y))

@@ -1,14 +1,17 @@
 // PERF — google-benchmark microbenchmarks of the passes themselves:
 // locality derivation, watermark embedding, detection scan, matching
-// enumeration, covering, scheduling, and schedule counting.  Not a paper
+// enumeration, covering, scheduling, schedule counting, and artifact
+// parsing.  Not a paper
 // table; documents the cost of adopting the library.
 #include <benchmark/benchmark.h>
 
 #include "core/sched_wm.h"
+#include "cdfg/io.h"
 #include "core/tm_wm.h"
 #include "sched/enumeration.h"
 #include "sched/force_directed.h"
 #include "sched/list_scheduler.h"
+#include "sched/schedule_io.h"
 #include "sched/timeframes.h"
 #include "tm/cover.h"
 #include "workloads/hyper.h"
@@ -132,6 +135,31 @@ void BM_CountSchedules(benchmark::State& state) {
 // Slacks 3 and 4 are where the plain exhaustive search blew up; the
 // memoized counter keeps them cheap.
 BENCHMARK(BM_CountSchedules)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+
+// Artifact parsing through the shared field cursor (cdfg/text.h), in
+// bytes of artifact text per second.
+void BM_ParseDesign(benchmark::State& state) {
+  const std::string text = cdfg::printToString(
+      mediabenchGraph(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cdfg::parseString(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseDesign)->Arg(3000);
+
+void BM_ParseSchedule(benchmark::State& state) {
+  const cdfg::Cdfg g =
+      mediabenchGraph(static_cast<std::size_t>(state.range(0)));
+  const std::string text = sched::scheduleToString(g, sched::listSchedule(g));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched::parseScheduleString(text, g.nodeCount()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseSchedule)->Arg(3000);
 
 }  // namespace
 

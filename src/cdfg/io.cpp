@@ -3,6 +3,9 @@
 #include <sstream>
 #include <vector>
 
+#include "cdfg/text.h"
+#include "obs/obs.h"
+
 namespace locwm::cdfg {
 
 void print(std::ostream& os, const Cdfg& g) {
@@ -30,30 +33,26 @@ std::string printToString(const Cdfg& g) {
 
 namespace {
 
-Cdfg parseImpl(std::istream& is, std::vector<ParseIssue>* issues,
+Cdfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues,
                const std::string& source = {}) {
+  LOCWM_OBS_SPAN("cdfg.parse");
   Cdfg g;
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader lines(text);
+  std::string_view line;
   bool sawHeader = false;
   const std::string where = source.empty() ? "" : source + ": ";
   auto fail = [&](const std::string& why) -> void {
     throw ParseError(where + "cdfg parse error at line " +
-                     std::to_string(lineno) + ": " + why);
+                     std::to_string(lines.lineno()) + ": " + why);
   };
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ls(line);
-    std::string word;
+  while (lines.next(line)) {
+    text::Fields ls(text::stripComment(line));
+    std::string_view word;
     if (!(ls >> word)) {
       continue;  // blank
     }
     if (word == "cdfg") {
-      std::string version;
+      std::string_view version;
       if (!(ls >> version) || version != "v1") {
         fail("unsupported version");
       }
@@ -63,8 +62,8 @@ Cdfg parseImpl(std::istream& is, std::vector<ParseIssue>* issues,
         fail("missing 'cdfg v1' header");
       }
       std::uint32_t index = 0;
-      std::string op;
-      std::string label;
+      std::string_view op;
+      std::string_view label;
       if (!(ls >> index >> op)) {
         fail("malformed node line");
       }
@@ -74,16 +73,16 @@ Cdfg parseImpl(std::istream& is, std::vector<ParseIssue>* issues,
       }
       const auto kind = opFromName(op);
       if (!kind) {
-        fail("unknown operation '" + op + "'");
+        fail("unknown operation '" + std::string(op) + "'");
       }
-      g.addNode(*kind, label);
+      g.addNode(*kind, std::string(label));
     } else if (word == "edge") {
       if (!sawHeader) {
         fail("missing 'cdfg v1' header");
       }
       std::uint32_t src = 0;
       std::uint32_t dst = 0;
-      std::string kindName;
+      std::string_view kindName;
       if (!(ls >> src >> dst >> kindName)) {
         fail("malformed edge line");
       }
@@ -95,8 +94,9 @@ Cdfg parseImpl(std::istream& is, std::vector<ParseIssue>* issues,
       } else if (kindName == "temporal") {
         kind = EdgeKind::kTemporal;
       } else {
-        fail("unknown edge kind '" + kindName + "'");
+        fail("unknown edge kind '" + std::string(kindName) + "'");
       }
+      const std::size_t lineno = lines.lineno();
       if (src >= g.nodeCount() || dst >= g.nodeCount()) {
         if (!issues) {
           fail("edge references undeclared node");
@@ -119,7 +119,7 @@ Cdfg parseImpl(std::istream& is, std::vector<ParseIssue>* issues,
       }
       g.addEdge(NodeId(src), NodeId(dst), kind);
     } else {
-      fail("unknown directive '" + word + "'");
+      fail("unknown directive '" + std::string(word) + "'");
     }
   }
   if (!sawHeader) {
@@ -140,22 +140,18 @@ Cdfg parseImpl(std::istream& is, std::vector<ParseIssue>* issues,
 
 }  // namespace
 
-Cdfg parse(std::istream& is) { return parseImpl(is, nullptr); }
+Cdfg parse(std::istream& is) { return parseImpl(text::readAll(is), nullptr); }
 
 Cdfg parse(std::istream& is, std::vector<ParseIssue>& issues,
            const std::string& source) {
-  return parseImpl(is, &issues, source);
+  return parseImpl(text::readAll(is), &issues, source);
 }
 
-Cdfg parseString(const std::string& text) {
-  std::istringstream is(text);
-  return parse(is);
-}
+Cdfg parseString(std::string_view text) { return parseImpl(text, nullptr); }
 
-Cdfg parseString(const std::string& text, std::vector<ParseIssue>& issues,
+Cdfg parseString(std::string_view text, std::vector<ParseIssue>& issues,
                  const std::string& source) {
-  std::istringstream is(text);
-  return parse(is, issues, source);
+  return parseImpl(text, &issues, source);
 }
 
 }  // namespace locwm::cdfg

@@ -14,6 +14,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdfg/graph.h"
@@ -62,9 +63,10 @@ struct ParseIssue {
 [[nodiscard]] Cdfg parse(std::istream& is, std::vector<ParseIssue>& issues,
                          const std::string& source = {});
 
-/// Parses a graph from a string.
-[[nodiscard]] Cdfg parseString(const std::string& text);
-[[nodiscard]] Cdfg parseString(const std::string& text,
+/// Parses a graph from text; the implementation the std::istream
+/// overloads delegate to (they read the stream into a string first).
+[[nodiscard]] Cdfg parseString(std::string_view text);
+[[nodiscard]] Cdfg parseString(std::string_view text,
                                std::vector<ParseIssue>& issues,
                                const std::string& source = {});
 

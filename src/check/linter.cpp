@@ -4,7 +4,6 @@
 #include <cctype>
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -120,9 +119,8 @@ void Linter::lintSchedule(const std::string& text, const std::string& name) {
   }
   const cdfg::Cdfg& design = *design_;
   std::vector<sched::ScheduleParseIssue> issues;
-  std::istringstream is(text);
   sched::Schedule s =
-      sched::parseSchedule(is, design.nodeCount(), issues, name);
+      sched::parseScheduleString(text, design.nodeCount(), issues, name);
   report_.merge(checkSchedule(design, s, issues, name));
   schedule_ = std::move(s);
 }
@@ -136,9 +134,8 @@ void Linter::lintCover(const std::string& text, const std::string& name) {
   }
   const cdfg::Cdfg& design = *design_;
   std::vector<tm::CoverParseIssue> issues;
-  std::istringstream is(text);
-  const std::vector<tm::Matching> cover =
-      tm::parseCover(is, options_.library, design.nodeCount(), issues, name);
+  const std::vector<tm::Matching> cover = tm::parseCoverString(
+      text, options_.library, design.nodeCount(), issues, name);
   report_.merge(checkCover(design, options_.library, cover, issues, name));
 }
 
@@ -165,26 +162,26 @@ void Linter::lintBinding(const std::string& text, const std::string& name) {
     return;
   }
   std::vector<regbind::BindingParseIssue> issues;
-  std::istringstream is(text);
   const regbind::Binding binding =
-      regbind::parseBinding(is, table, issues, name);
+      regbind::parseBindingString(text, table, issues, name);
   report_.merge(checkBinding(design, schedule, binding, issues, name));
 }
 
 void Linter::lintCertificate(const std::string& text, const std::string& name,
                              const std::string& kind) {
-  std::istringstream is(text);
   if (kind == "sched") {
     const wm::WatermarkCertificate cert =
-        wm::parseSchedCertificate(is, wm::CertValidation::kLenient, name);
+        wm::parseSchedCertificate(text, wm::CertValidation::kLenient, name);
     report_.merge(checkCertificate(cert, name));
     checkLocalityOverlap(cert, name);
   } else if (kind == "tm") {
     report_.merge(checkCertificate(
-        wm::parseTmCertificate(is, wm::CertValidation::kLenient, name), name));
+        wm::parseTmCertificate(text, wm::CertValidation::kLenient, name),
+        name));
   } else if (kind == "reg") {
     report_.merge(checkCertificate(
-        wm::parseRegCertificate(is, wm::CertValidation::kLenient, name), name));
+        wm::parseRegCertificate(text, wm::CertValidation::kLenient, name),
+        name));
   } else {
     report_.add(diag("LW001", Severity::kError, name, "'" + kind + "'",
                      "unknown certificate kind",

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -12,6 +10,7 @@
 #include "cdfg/csr.h"
 #include "cdfg/error.h"
 #include "cdfg/io.h"
+#include "cdfg/text.h"
 #include "check/dataflow.h"
 #include "check/differ.h"
 #include "check/internal.h"
@@ -271,27 +270,15 @@ std::optional<CacheEntry> parseEntry(const std::string& text) {
 /// Iterates the meaningful ('#'-stripped, non-blank) lines of `text`,
 /// calling fn(line, lineno).  Returns false when fn does.
 template <typename Fn>
-bool forEachLine(const std::string& text, Fn&& fn) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    bool blank = true;
-    for (const char c : line) {
-      if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-        blank = false;
-        break;
-      }
-    }
-    if (blank) {
+bool forEachLine(std::string_view text, Fn&& fn) {
+  text::LineReader lines(text);
+  std::string_view line;
+  while (lines.next(line)) {
+    line = text::stripComment(line);
+    if (std::all_of(line.begin(), line.end(), text::isSpace)) {
       continue;
     }
-    if (!fn(line, lineno)) {
+    if (!fn(line, lines.lineno())) {
       return false;
     }
   }
@@ -301,11 +288,11 @@ bool forEachLine(const std::string& text, Fn&& fn) {
 void scanScheduleMeta(const std::string& text, const std::string& name,
                       ArtifactMeta& m, std::vector<Diagnostic>& diags) {
   m.kind = ArtifactKind::kSchedule;
-  m.usable = forEachLine(text, [&](const std::string& line, std::size_t no) {
-    std::istringstream ls(line);
+  m.usable = forEachLine(text, [&](std::string_view line, std::size_t no) {
+    text::Fields ls(line);
     std::uint32_t node = 0;
     std::uint32_t step = 0;
-    std::string trailing;
+    std::string_view trailing;
     if (!(ls >> node >> step) || (ls >> trailing)) {
       diags.push_back(diag(
           "LW001", Severity::kError, name, "line " + std::to_string(no),
@@ -324,9 +311,9 @@ void scanCoverMeta(const std::string& text, ArtifactMeta& m) {
   m.kind = ArtifactKind::kCover;
   m.usable = true;  // syntax is validated by the pair-stage parse
   bool header_seen = false;
-  forEachLine(text, [&](const std::string& line, std::size_t) {
-    std::istringstream ls(line);
-    std::string word;
+  forEachLine(text, [&](std::string_view line, std::size_t) {
+    text::Fields ls(line);
+    std::string_view word;
     ls >> word;
     if (!header_seen) {
       header_seen = true;  // "tmcover v1", already sniffed
@@ -339,16 +326,16 @@ void scanCoverMeta(const std::string& text, ArtifactMeta& m) {
         m.max_node = std::max(m.max_node, node);
       }
     } else if (word == "use") {
-      std::string tid;
+      std::string_view tid;
       ls >> tid;
       ++m.entries;
-      std::string tok;
+      std::string_view tok;
       while (ls >> tok) {
         const std::size_t colon = tok.find(':');
-        if (colon == std::string::npos) {
+        if (colon == std::string_view::npos) {
           continue;
         }
-        std::istringstream ns(tok.substr(0, colon));
+        text::Fields ns(tok.substr(0, colon));
         std::uint32_t node = 0;
         if (ns >> node) {
           m.max_node = std::max(m.max_node, node);
@@ -363,11 +350,11 @@ void scanBindingMeta(const std::string& text, ArtifactMeta& m) {
   m.kind = ArtifactKind::kBinding;
   m.usable = true;  // syntax is validated by the pair-stage parse
   bool header_seen = false;
-  forEachLine(text, [&](const std::string& line, std::size_t) {
-    std::istringstream ls(line);
+  forEachLine(text, [&](std::string_view line, std::size_t) {
+    text::Fields ls(line);
     if (!header_seen) {
       header_seen = true;
-      std::string word;
+      std::string_view word;
       std::uint32_t count = 0;
       if ((ls >> word >> count) && word == "registers") {
         m.registers = count;
@@ -449,9 +436,8 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         break;
       }
       case ArtifactKind::kCertSched: {
-        std::istringstream is(text);
         const wm::WatermarkCertificate cert =
-            wm::parseSchedCertificate(is, wm::CertValidation::kLenient,
+            wm::parseSchedCertificate(text, wm::CertValidation::kLenient,
                                       path);
         m.usable = true;
         m.cert_context = cert.context;
@@ -461,9 +447,8 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         break;
       }
       case ArtifactKind::kCertTm: {
-        std::istringstream is(text);
         const wm::TmCertificate cert =
-            wm::parseTmCertificate(is, wm::CertValidation::kLenient, path);
+            wm::parseTmCertificate(text, wm::CertValidation::kLenient, path);
         m.usable = true;
         m.cert_context = cert.context;
         m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
@@ -472,9 +457,8 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         break;
       }
       case ArtifactKind::kCertReg: {
-        std::istringstream is(text);
         const wm::RegCertificate cert =
-            wm::parseRegCertificate(is, wm::CertValidation::kLenient, path);
+            wm::parseRegCertificate(text, wm::CertValidation::kLenient, path);
         m.usable = true;
         m.cert_context = cert.context;
         m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
@@ -522,17 +506,22 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
 /// see.  At most one finding per violating node, naming its smallest-id
 /// scheduled transitive predecessor that starts later; findings are
 /// ordered by that predecessor, then by node.  A cyclic design yields
-/// none (LW103 territory).
+/// none (LW103 territory).  The closure depends on the design alone: it
+/// is built into `closure` on first use and reused for the design's other
+/// schedules.
 void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
                             const std::string& name,
+                            std::optional<PrecedenceClosure>& closure,
                             std::vector<Diagnostic>& out) {
   const std::size_t n = g.nodeCount();
   if (n == 0 || n > kClosureNodeBound) {
     return;
   }
-  const PrecedenceClosure closure =
-      computePrecedenceClosure(cdfg::CsrView(g), EdgeMask::all());
-  const BitRows& ancestors = closure.domain.ancestors;
+  if (!closure.has_value()) {
+    closure = computePrecedenceClosure(cdfg::CsrView(g), EdgeMask::all());
+    LOCWM_OBS_COUNT("check.lw804.closures", 1);
+  }
+  const BitRows& ancestors = closure->domain.ancestors;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
   for (std::uint32_t v = 0; v < n; ++v) {
     if (ancestors.test(v, v)) {
@@ -981,9 +970,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
   };
   const auto parseSched = [&](std::size_t i, const cdfg::Cdfg& dsg) {
     ParsedSchedule p;
-    std::istringstream is(arts[i].text);
-    p.schedule =
-        sched::parseSchedule(is, dsg.nodeCount(), p.issues, arts[i].path);
+    p.schedule = sched::parseScheduleString(arts[i].text, dsg.nodeCount(),
+                                            p.issues, arts[i].path);
     return p;
   };
   std::vector<std::optional<ParsedSchedule>> scheds(n);
@@ -1001,10 +989,10 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     } catch (const Error&) {
     }
   });
-  rt::parallel_for(0, n, 1, [&](std::size_t i) {
-    if (pair_needed[i] == 0 || pair_hit[i] != 0) {
-      return;
-    }
+  // The pair checks of one artifact.  A schedule's LW804 check borrows
+  // its design's precedence closure from `closure`.
+  const auto checkPair = [&](std::size_t i,
+                             std::optional<PrecedenceClosure>& closure) {
     LOCWM_OBS_LATENCY("check.project.shard_ns");
     const WorkspaceArtifact& a = arts[i];
     std::vector<Diagnostic>& out = pair_diags[i];
@@ -1021,7 +1009,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
                                         : own.emplace(parseSched(i, *dsg));
           out = checkSchedule(*dsg, p.schedule, p.issues, a.path)
                     .diagnostics();
-          checkPrecedenceClosure(*dsg, p.schedule, a.path, out);
+          checkPrecedenceClosure(*dsg, p.schedule, a.path, closure, out);
           break;
         }
         case ArtifactKind::kCover: {
@@ -1038,9 +1026,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
             lib = &*l;
           }
           std::vector<tm::CoverParseIssue> issues;
-          std::istringstream is(a.text);
-          const std::vector<tm::Matching> cover =
-              tm::parseCover(is, *lib, dsg->nodeCount(), issues, a.path);
+          const std::vector<tm::Matching> cover = tm::parseCoverString(
+              a.text, *lib, dsg->nodeCount(), issues, a.path);
           out = checkCover(*dsg, *lib, cover, issues, a.path).diagnostics();
           break;
         }
@@ -1062,9 +1049,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
             break;
           }
           std::vector<regbind::BindingParseIssue> issues;
-          std::istringstream is(a.text);
           const regbind::Binding binding =
-              regbind::parseBinding(is, table, issues, a.path);
+              regbind::parseBindingString(a.text, table, issues, a.path);
           out = checkBinding(*dsg, sch->schedule, binding, issues, a.path)
                     .diagnostics();
           break;
@@ -1075,9 +1061,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           if (!dsg.has_value()) {
             break;
           }
-          std::istringstream is(a.text);
           const wm::WatermarkCertificate cert =
-              wm::parseSchedCertificate(is, wm::CertValidation::kLenient,
+              wm::parseSchedCertificate(a.text, wm::CertValidation::kLenient,
                                         a.path);
           checkLocalityExistence(cert, *dsg, a.path, arts[d].path, out);
           break;
@@ -1088,9 +1073,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           if (!dsg.has_value()) {
             break;
           }
-          std::istringstream is(a.text);
           const wm::TmCertificate cert =
-              wm::parseTmCertificate(is, wm::CertValidation::kLenient,
+              wm::parseTmCertificate(a.text, wm::CertValidation::kLenient,
                                      a.path);
           checkLocalityExistence(cert, *dsg, a.path, arts[d].path, out);
           break;
@@ -1101,9 +1085,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           if (!dsg.has_value()) {
             break;
           }
-          std::istringstream is(a.text);
           const wm::RegCertificate cert =
-              wm::parseRegCertificate(is, wm::CertValidation::kLenient,
+              wm::parseRegCertificate(a.text, wm::CertValidation::kLenient,
                                       a.path);
           checkLocalityExistence(cert, *dsg, a.path, arts[d].path, out);
           break;
@@ -1121,6 +1104,26 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       if (cache.put("pair", pair_key[i], entryToJson(entry))) {
         pair_stored[i] = 1;
       }
+    }
+  };
+  // Schedules run grouped by design, in the design's task: it builds the
+  // design's closure at most once and drops it before the task ends, so
+  // no closure outlives its design's checks.
+  std::vector<std::vector<std::size_t>> schedules_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pair_needed[i] != 0 && pair_hit[i] == 0 &&
+        arts[i].meta.kind == ArtifactKind::kSchedule) {
+      schedules_of[static_cast<std::size_t>(arts[i].design)].push_back(i);
+    }
+  }
+  rt::parallel_for(0, n, 1, [&](std::size_t i) {
+    std::optional<PrecedenceClosure> closure;
+    for (const std::size_t schedule : schedules_of[i]) {
+      checkPair(schedule, closure);
+    }
+    if (pair_needed[i] != 0 && pair_hit[i] == 0 &&
+        arts[i].meta.kind != ArtifactKind::kSchedule) {
+      checkPair(i, closure);
     }
   });
 

@@ -4,6 +4,8 @@
 
 #include "cdfg/error.h"
 #include "cdfg/io.h"
+#include "cdfg/text.h"
+#include "obs/obs.h"
 
 namespace locwm::wm {
 
@@ -21,38 +23,36 @@ void printShape(std::ostream& os, const cdfg::Cdfg& shape) {
 }
 
 /// Shared line-oriented reader with context-aware failure messages.
+/// Empty lines are skipped but counted.
 struct Reader {
-  std::istream& is;
-  std::size_t lineno = 0;
+  text::LineReader lines;
 
   [[noreturn]] void fail(const std::string& why) const {
     throw ParseError("certificate parse error at line " +
-                     std::to_string(lineno) + ": " + why);
+                     std::to_string(lines.lineno()) + ": " + why);
   }
 
-  /// Next non-empty line; nullopt at end of stream.
-  std::optional<std::string> next() {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++lineno;
+  /// Next non-empty line; false at the end of the text.
+  bool next(std::string_view& line) {
+    while (lines.next(line)) {
       if (!line.empty()) {
-        return line;
+        return true;
       }
     }
-    return std::nullopt;
+    return false;
   }
 };
 
-/// Parses the shared header; returns the kind word ("sched"/"tm").
-std::string parseHeader(Reader& r) {
-  const auto line = r.next();
-  if (!line) {
+/// Parses the shared header; returns the kind word ("sched"/"tm"/"reg").
+std::string_view parseHeader(Reader& r) {
+  std::string_view line;
+  if (!r.next(line)) {
     throw ParseError("certificate parse error: empty input");
   }
-  std::istringstream ls(*line);
-  std::string magic;
-  std::string version;
-  std::string kind;
+  text::Fields ls(line);
+  std::string_view magic;
+  std::string_view version;
+  std::string_view kind;
   if (!(ls >> magic >> version >> kind) || magic != "locwm-cert" ||
       version != "v1" ||
       (kind != "sched" && kind != "tm" && kind != "reg")) {
@@ -62,20 +62,38 @@ std::string parseHeader(Reader& r) {
 }
 
 /// Reads the shape block: assumes "shape-begin" was already consumed.
+/// The block's non-empty lines form the embedded design text, so its
+/// parse errors number lines within the block.
 cdfg::Cdfg parseShape(Reader& r) {
   std::string body;
+  std::string_view line;
   for (;;) {
-    const auto line = r.next();
-    if (!line) {
+    if (!r.next(line)) {
       r.fail("unterminated shape block");
     }
-    if (*line == "shape-end") {
+    if (line == "shape-end") {
       break;
     }
-    body += *line;
+    body += line;
     body += '\n';
   }
   return cdfg::parseString(body);
+}
+
+/// The text after a `context` directive, less the one separating space.
+std::string contextOf(const text::Fields& ls) {
+  std::string_view rest = ls.rest();
+  if (!rest.empty() && rest.front() == ' ') {
+    rest.remove_prefix(1);
+  }
+  return std::string(rest);
+}
+
+/// Reads `params <max_distance> <exclude_prob_256> <min_size>`.
+void parseParams(Reader& r, text::Fields& ls, LocalityParams& p) {
+  if (!(ls >> p.max_distance >> p.exclude_prob_256 >> p.min_size)) {
+    r.fail("malformed params");
+  }
 }
 
 }  // namespace
@@ -137,35 +155,23 @@ std::string certificateToString(const RegCertificate& c) {
 
 namespace {
 
-WatermarkCertificate parseSchedCertImpl(std::istream& is,
+WatermarkCertificate parseSchedCertImpl(std::string_view text,
                                         CertValidation validation) {
-  Reader r{is};
+  Reader r{text::LineReader(text)};
   if (parseHeader(r) != "sched") {
     r.fail("not a scheduling-watermark certificate");
   }
   WatermarkCertificate cert;
   bool have_shape = false;
-  for (;;) {
-    const auto line = r.next();
-    if (!line) {
-      break;
-    }
-    std::istringstream ls(*line);
-    std::string word;
+  std::string_view line;
+  while (r.next(line)) {
+    text::Fields ls(line);
+    std::string_view word;
     ls >> word;
     if (word == "context") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') {
-        rest.erase(rest.begin());
-      }
-      cert.context = rest;
+      cert.context = contextOf(ls);
     } else if (word == "params") {
-      if (!(ls >> cert.locality_params.max_distance >>
-            cert.locality_params.exclude_prob_256 >>
-            cert.locality_params.min_size)) {
-        r.fail("malformed params");
-      }
+      parseParams(r, ls, cert.locality_params);
     } else if (word == "root-rank") {
       if (!(ls >> cert.root_rank)) {
         r.fail("malformed root-rank");
@@ -180,7 +186,7 @@ WatermarkCertificate parseSchedCertImpl(std::istream& is,
       cert.shape = parseShape(r);
       have_shape = true;
     } else {
-      r.fail("unknown directive '" + word + "'");
+      r.fail("unknown directive '" + std::string(word) + "'");
     }
   }
   if (!have_shape) {
@@ -200,34 +206,23 @@ WatermarkCertificate parseSchedCertImpl(std::istream& is,
   return cert;
 }
 
-TmCertificate parseTmCertImpl(std::istream& is, CertValidation validation) {
-  Reader r{is};
+TmCertificate parseTmCertImpl(std::string_view text,
+                              CertValidation validation) {
+  Reader r{text::LineReader(text)};
   if (parseHeader(r) != "tm") {
     r.fail("not a template-watermark certificate");
   }
   TmCertificate cert;
   bool have_shape = false;
-  for (;;) {
-    const auto line = r.next();
-    if (!line) {
-      break;
-    }
-    std::istringstream ls(*line);
-    std::string word;
+  std::string_view line;
+  while (r.next(line)) {
+    text::Fields ls(line);
+    std::string_view word;
     ls >> word;
     if (word == "context") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') {
-        rest.erase(rest.begin());
-      }
-      cert.context = rest;
+      cert.context = contextOf(ls);
     } else if (word == "params") {
-      if (!(ls >> cert.locality_params.max_distance >>
-            cert.locality_params.exclude_prob_256 >>
-            cert.locality_params.min_size)) {
-        r.fail("malformed params");
-      }
+      parseParams(r, ls, cert.locality_params);
     } else if (word == "whole-design") {
       int flag = 0;
       if (!(ls >> flag) || (flag != 0 && flag != 1)) {
@@ -241,20 +236,14 @@ TmCertificate parseTmCertImpl(std::istream& is, CertValidation validation) {
         r.fail("malformed matching");
       }
       m.template_id = TemplateId(tid);
-      std::string pair;
+      std::string_view pair;
       while (ls >> pair) {
-        const std::size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
-          r.fail("malformed matching pair '" + pair + "'");
+        std::size_t rank = 0;
+        std::size_t op = 0;
+        if (!text::numberPair(pair, rank, op)) {
+          r.fail("malformed matching pair '" + std::string(pair) + "'");
         }
-        try {
-          const std::uint32_t rank = static_cast<std::uint32_t>(
-              std::stoul(pair.substr(0, colon)));
-          const std::size_t op = std::stoul(pair.substr(colon + 1));
-          m.pairs.emplace_back(rank, op);
-        } catch (const std::exception&) {
-          r.fail("malformed matching pair '" + pair + "'");
-        }
+        m.pairs.emplace_back(static_cast<std::uint32_t>(rank), op);
       }
       if (m.pairs.empty()) {
         r.fail("matching without pairs");
@@ -264,7 +253,7 @@ TmCertificate parseTmCertImpl(std::istream& is, CertValidation validation) {
       cert.shape = parseShape(r);
       have_shape = true;
     } else {
-      r.fail("unknown directive '" + word + "'");
+      r.fail("unknown directive '" + std::string(word) + "'");
     }
   }
   if (!have_shape) {
@@ -282,35 +271,23 @@ TmCertificate parseTmCertImpl(std::istream& is, CertValidation validation) {
   return cert;
 }
 
-RegCertificate parseRegCertImpl(std::istream& is,
+RegCertificate parseRegCertImpl(std::string_view text,
                                 CertValidation validation) {
-  Reader r{is};
+  Reader r{text::LineReader(text)};
   if (parseHeader(r) != "reg") {
     r.fail("not a register-binding-watermark certificate");
   }
   RegCertificate cert;
   bool have_shape = false;
-  for (;;) {
-    const auto line = r.next();
-    if (!line) {
-      break;
-    }
-    std::istringstream ls(*line);
-    std::string word;
+  std::string_view line;
+  while (r.next(line)) {
+    text::Fields ls(line);
+    std::string_view word;
     ls >> word;
     if (word == "context") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') {
-        rest.erase(rest.begin());
-      }
-      cert.context = rest;
+      cert.context = contextOf(ls);
     } else if (word == "params") {
-      if (!(ls >> cert.locality_params.max_distance >>
-            cert.locality_params.exclude_prob_256 >>
-            cert.locality_params.min_size)) {
-        r.fail("malformed params");
-      }
+      parseParams(r, ls, cert.locality_params);
     } else if (word == "root-rank") {
       if (!(ls >> cert.root_rank)) {
         r.fail("malformed root-rank");
@@ -325,7 +302,7 @@ RegCertificate parseRegCertImpl(std::istream& is,
       cert.shape = parseShape(r);
       have_shape = true;
     } else {
-      r.fail("unknown directive '" + word + "'");
+      r.fail("unknown directive '" + std::string(word) + "'");
     }
   }
   if (!have_shape) {
@@ -349,6 +326,7 @@ RegCertificate parseRegCertImpl(std::istream& is,
 /// so a thousand-file corpus scan can attribute the failure.
 template <typename F>
 auto withSource(const std::string& source, F&& parse) {
+  LOCWM_OBS_SPAN("core.cert.parse");
   try {
     return parse();
   } catch (const ParseError& e) {
@@ -364,33 +342,38 @@ auto withSource(const std::string& source, F&& parse) {
 WatermarkCertificate parseSchedCertificate(std::istream& is,
                                            CertValidation validation,
                                            const std::string& source) {
-  return withSource(source, [&] { return parseSchedCertImpl(is, validation); });
+  return parseSchedCertificate(text::readAll(is), validation, source);
 }
 
-WatermarkCertificate parseSchedCertificate(const std::string& text) {
-  std::istringstream is(text);
-  return parseSchedCertificate(is);
+WatermarkCertificate parseSchedCertificate(std::string_view text,
+                                           CertValidation validation,
+                                           const std::string& source) {
+  return withSource(source,
+                    [&] { return parseSchedCertImpl(text, validation); });
 }
 
 TmCertificate parseTmCertificate(std::istream& is, CertValidation validation,
                                  const std::string& source) {
-  return withSource(source, [&] { return parseTmCertImpl(is, validation); });
+  return parseTmCertificate(text::readAll(is), validation, source);
 }
 
-TmCertificate parseTmCertificate(const std::string& text) {
-  std::istringstream is(text);
-  return parseTmCertificate(is);
+TmCertificate parseTmCertificate(std::string_view text,
+                                 CertValidation validation,
+                                 const std::string& source) {
+  return withSource(source, [&] { return parseTmCertImpl(text, validation); });
 }
 
 RegCertificate parseRegCertificate(std::istream& is,
                                    CertValidation validation,
                                    const std::string& source) {
-  return withSource(source, [&] { return parseRegCertImpl(is, validation); });
+  return parseRegCertificate(text::readAll(is), validation, source);
 }
 
-RegCertificate parseRegCertificate(const std::string& text) {
-  std::istringstream is(text);
-  return parseRegCertificate(is);
+RegCertificate parseRegCertificate(std::string_view text,
+                                   CertValidation validation,
+                                   const std::string& source) {
+  return withSource(source,
+                    [&] { return parseRegCertImpl(text, validation); });
 }
 
 }  // namespace locwm::wm

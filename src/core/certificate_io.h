@@ -24,6 +24,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "core/reg_wm.h"
 #include "core/sched_wm.h"
@@ -57,19 +58,26 @@ enum class CertValidation : std::uint8_t { kStrict, kLenient };
 [[nodiscard]] WatermarkCertificate parseSchedCertificate(
     std::istream& is, CertValidation validation = CertValidation::kStrict,
     const std::string& source = {});
+/// Text overload: the implementation the std::istream overloads delegate
+/// to (they read the stream into a string first).
 [[nodiscard]] WatermarkCertificate parseSchedCertificate(
-    const std::string& text);
+    std::string_view text, CertValidation validation = CertValidation::kStrict,
+    const std::string& source = {});
 
 /// Parses a template-watermark certificate.
 [[nodiscard]] TmCertificate parseTmCertificate(
     std::istream& is, CertValidation validation = CertValidation::kStrict,
     const std::string& source = {});
-[[nodiscard]] TmCertificate parseTmCertificate(const std::string& text);
+[[nodiscard]] TmCertificate parseTmCertificate(
+    std::string_view text, CertValidation validation = CertValidation::kStrict,
+    const std::string& source = {});
 
 /// Parses a register-binding-watermark certificate.
 [[nodiscard]] RegCertificate parseRegCertificate(
     std::istream& is, CertValidation validation = CertValidation::kStrict,
     const std::string& source = {});
-[[nodiscard]] RegCertificate parseRegCertificate(const std::string& text);
+[[nodiscard]] RegCertificate parseRegCertificate(
+    std::string_view text, CertValidation validation = CertValidation::kStrict,
+    const std::string& source = {});
 
 }  // namespace locwm::wm

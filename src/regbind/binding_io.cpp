@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "cdfg/error.h"
+#include "cdfg/text.h"
+#include "obs/obs.h"
 
 namespace locwm::regbind {
 
@@ -24,34 +26,30 @@ std::string bindingToString(const LifetimeTable& table,
 
 namespace {
 
-Binding parseBindingImpl(std::istream& is, const LifetimeTable& table,
+Binding parseBindingImpl(std::string_view text, const LifetimeTable& table,
                          std::vector<BindingParseIssue>* issues,
                          const std::string& source = {}) {
+  LOCWM_OBS_SPAN("regbind.parse");
   Binding binding;
   binding.reg_of.assign(table.values.size(), 0);
   std::vector<bool> assigned(table.values.size(), false);
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader lines(text);
+  std::string_view line;
   bool have_header = false;
   const std::string where = source.empty() ? "" : source + ": ";
   const auto fail = [&](const std::string& why) {
     throw ParseError(where + "binding parse error at line " +
-                     std::to_string(lineno) + ": " + why);
+                     std::to_string(lines.lineno()) + ": " + why);
   };
   const auto reject = [&](const std::string& why) {
     if (!issues) {
       fail(why);
     }
-    issues->push_back({lineno, why, source});
+    issues->push_back({lines.lineno(), why, source});
   };
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ls(line);
-    std::string first;
+  while (lines.next(line)) {
+    text::Fields ls(text::stripComment(line));
+    std::string_view first;
     if (!(ls >> first)) {
       continue;  // blank/comment
     }
@@ -62,12 +60,13 @@ Binding parseBindingImpl(std::istream& is, const LifetimeTable& table,
       have_header = true;
       continue;
     }
+    // The node is the whole first word: a numeric prefix ("0abc") or a
+    // value beyond 32 bits would otherwise alias another node.
     std::uint32_t node = 0;
     std::uint32_t reg = 0;
-    try {
-      node = static_cast<std::uint32_t>(std::stoul(first));
-    } catch (const std::exception&) {
-      fail("malformed entry '" + first + "'");
+    text::Fields node_word(first);
+    if (!(node_word >> node) || !node_word.rest().empty()) {
+      fail("malformed entry '" + std::string(first) + "'");
     }
     if (!(ls >> reg)) {
       fail("entry for node " + std::to_string(node) + " lacks a register");
@@ -108,13 +107,23 @@ Binding parseBindingImpl(std::istream& is, const LifetimeTable& table,
 }  // namespace
 
 Binding parseBinding(std::istream& is, const LifetimeTable& table) {
-  return parseBindingImpl(is, table, nullptr);
+  return parseBindingImpl(text::readAll(is), table, nullptr);
 }
 
 Binding parseBinding(std::istream& is, const LifetimeTable& table,
                      std::vector<BindingParseIssue>& issues,
                      const std::string& source) {
-  return parseBindingImpl(is, table, &issues, source);
+  return parseBindingImpl(text::readAll(is), table, &issues, source);
+}
+
+Binding parseBindingString(std::string_view text, const LifetimeTable& table) {
+  return parseBindingImpl(text, table, nullptr);
+}
+
+Binding parseBindingString(std::string_view text, const LifetimeTable& table,
+                           std::vector<BindingParseIssue>& issues,
+                           const std::string& source) {
+  return parseBindingImpl(text, table, &issues, source);
 }
 
 }  // namespace locwm::regbind

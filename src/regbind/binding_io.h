@@ -14,6 +14,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "regbind/binding.h"
@@ -39,8 +40,9 @@ struct BindingParseIssue {
 };
 
 /// Parses a binding against `table`.  Throws ParseError on a malformed
-/// header or an entry whose node produces no register value.  Entries for
-/// values the file does not mention default to register 0.
+/// header, an entry whose node is not a whole 32-bit number ("malformed
+/// entry"), or an entry whose node produces no register value.  Entries
+/// for values the file does not mention default to register 0.
 [[nodiscard]] Binding parseBinding(std::istream& is,
                                    const LifetimeTable& table);
 
@@ -51,5 +53,13 @@ struct BindingParseIssue {
                                    const LifetimeTable& table,
                                    std::vector<BindingParseIssue>& issues,
                                    const std::string& source = {});
+
+/// Text overloads: the implementation the std::istream overloads
+/// delegate to (they read the stream into a string first).
+[[nodiscard]] Binding parseBindingString(std::string_view text,
+                                         const LifetimeTable& table);
+[[nodiscard]] Binding parseBindingString(
+    std::string_view text, const LifetimeTable& table,
+    std::vector<BindingParseIssue>& issues, const std::string& source = {});
 
 }  // namespace locwm::regbind

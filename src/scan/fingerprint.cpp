@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "cdfg/text.h"
+
 namespace locwm::scan {
 
 namespace {
@@ -14,7 +16,7 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-bool parseHex64(const std::string& token, std::uint64_t& out) {
+bool parseHex64(std::string_view token, std::uint64_t& out) {
   if (token.size() != 16) {
     return false;
   }
@@ -53,30 +55,30 @@ std::string indexToString(const DesignIndex& index) {
   return os.str();
 }
 
-std::optional<DesignIndex> parseIndex(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "locwm-scanfp v2") {
+std::optional<DesignIndex> parseIndex(std::string_view text) {
+  text::LineReader lines(text);
+  std::string_view line;
+  if (!lines.next(line) || line != "locwm-scanfp v2") {
     return std::nullopt;
   }
   DesignIndex index;
   bool have_radius = false;
   bool have_design = false;
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string word;
+  while (lines.next(line)) {
+    text::Fields ls(line);
+    std::string_view word;
     if (!(ls >> word)) {
       return std::nullopt;  // blank lines are not part of the format
     }
-    std::string trailing;
+    std::string_view trailing;
     if (word == "radius") {
       if (have_radius || !(ls >> index.radius) || (ls >> trailing)) {
         return std::nullopt;
       }
       have_radius = true;
     } else if (word == "design") {
-      std::string w0;
-      std::string w1;
+      std::string_view w0;
+      std::string_view w1;
       if (have_design || !(ls >> w0 >> w1) || (ls >> trailing) ||
           !parseHex64(w0, index.design_fp.bits[0]) ||
           !parseHex64(w1, index.design_fp.bits[1])) {
@@ -86,10 +88,10 @@ std::optional<DesignIndex> parseIndex(const std::string& text) {
     } else if (word == "root") {
       std::uint32_t id = 0;
       std::uint32_t kind = 0;
-      std::string w0;
-      std::string w1;
-      std::string r0;
-      std::string r1;
+      std::string_view w0;
+      std::string_view w1;
+      std::string_view r0;
+      std::string_view r1;
       KindFingerprint fp;
       KindFingerprint fp1;
       if (!(ls >> id >> kind >> w0 >> w1 >> r0 >> r1) || (ls >> trailing) ||

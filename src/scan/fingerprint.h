@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/screen.h"
 
@@ -24,6 +25,6 @@ using wm::shapeFingerprint;
 /// Strict inverse of indexToString: anything unexpected — wrong header,
 /// malformed line, trailing garbage — returns nullopt (a cache miss,
 /// never a wrong answer).
-[[nodiscard]] std::optional<DesignIndex> parseIndex(const std::string& text);
+[[nodiscard]] std::optional<DesignIndex> parseIndex(std::string_view text);
 
 }  // namespace locwm::scan

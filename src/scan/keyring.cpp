@@ -150,19 +150,18 @@ KeyRingEntry loadEntry(crypto::AuthorSignature signature,
   entry.signature = std::move(signature);
   entry.cert_path = std::move(cert_path);
   entry.kind = *kind;
-  std::istringstream cs(text);
   switch (*kind) {
     case CertKind::kSched:
       entry.sched = wm::parseSchedCertificate(
-          cs, wm::CertValidation::kStrict, resolved);
+          text, wm::CertValidation::kStrict, resolved);
       break;
     case CertKind::kTm:
       entry.tm =
-          wm::parseTmCertificate(cs, wm::CertValidation::kStrict, resolved);
+          wm::parseTmCertificate(text, wm::CertValidation::kStrict, resolved);
       break;
     case CertKind::kReg:
       entry.reg =
-          wm::parseRegCertificate(cs, wm::CertValidation::kStrict, resolved);
+          wm::parseRegCertificate(text, wm::CertValidation::kStrict, resolved);
       break;
   }
   return entry;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "cdfg/error.h"
 #include "cdfg/io.h"
+#include "cdfg/text.h"
 #include "core/pc.h"
 #include "crypto/sha256.h"
 #include "obs/json.h"
@@ -36,16 +36,16 @@ std::string cachedIndexToString(const CachedIndex& cached) {
          indexToString(cached.index);
 }
 
-std::optional<CachedIndex> parseCachedIndex(const std::string& body,
+std::optional<CachedIndex> parseCachedIndex(std::string_view body,
                                             std::uint32_t radius) {
   const std::size_t eol = body.find('\n');
-  if (eol == std::string::npos) {
+  if (eol == std::string_view::npos) {
     return std::nullopt;
   }
-  std::istringstream il(body.substr(0, eol));
-  std::string word;
+  text::Fields il(body.substr(0, eol));
+  std::string_view word;
   CachedIndex cached;
-  std::string trailing;
+  std::string_view trailing;
   if (!(il >> word >> cached.issues) || word != "issues" || (il >> trailing)) {
     return std::nullopt;
   }
@@ -200,10 +200,11 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
       schedule_tried = true;
       if (!item.schedule_text.empty() && parsed.has_value()) {
         try {
-          std::istringstream is(item.schedule_text);
           std::vector<sched::ScheduleParseIssue> sched_issues;
-          schedule = sched::parseSchedule(is, parsed->nodeCount(), sched_issues,
-                                          item.schedule_path);
+          schedule = sched::parseScheduleString(item.schedule_text,
+                                                parsed->nodeCount(),
+                                                sched_issues,
+                                                item.schedule_path);
         } catch (const Error&) {
           schedule.reset();  // fall back to shape-level evidence
         }

@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "cdfg/error.h"
+#include "cdfg/text.h"
+#include "obs/obs.h"
 
 namespace locwm::sched {
 
@@ -20,20 +22,17 @@ std::string scheduleToString(const cdfg::Cdfg& g, const Schedule& s) {
 
 namespace {
 
-Schedule parseScheduleImpl(std::istream& is, std::size_t nodeCount,
+Schedule parseScheduleImpl(std::string_view text, std::size_t nodeCount,
                            std::vector<ScheduleParseIssue>* issues,
                            const std::string& source = {}) {
+  LOCWM_OBS_SPAN("sched.parse");
   Schedule s(nodeCount);
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader lines(text);
+  std::string_view line;
   const std::string where = source.empty() ? "" : source + ": ";
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ls(line);
+  while (lines.next(line)) {
+    const std::size_t lineno = lines.lineno();
+    text::Fields ls(text::stripComment(line));
     std::uint32_t node = 0;
     std::uint32_t step = 0;
     if (!(ls >> node)) {
@@ -43,7 +42,7 @@ Schedule parseScheduleImpl(std::istream& is, std::size_t nodeCount,
       throw ParseError(where + "schedule parse error at line " +
                        std::to_string(lineno) + ": missing step");
     }
-    std::string trailing;
+    std::string_view trailing;
     if (ls >> trailing) {
       throw ParseError(where + "schedule parse error at line " +
                        std::to_string(lineno) + ": trailing tokens");
@@ -65,18 +64,23 @@ Schedule parseScheduleImpl(std::istream& is, std::size_t nodeCount,
 }  // namespace
 
 Schedule parseSchedule(std::istream& is, std::size_t nodeCount) {
-  return parseScheduleImpl(is, nodeCount, nullptr);
+  return parseScheduleImpl(text::readAll(is), nodeCount, nullptr);
 }
 
 Schedule parseSchedule(std::istream& is, std::size_t nodeCount,
                        std::vector<ScheduleParseIssue>& issues,
                        const std::string& source) {
-  return parseScheduleImpl(is, nodeCount, &issues, source);
+  return parseScheduleImpl(text::readAll(is), nodeCount, &issues, source);
 }
 
-Schedule parseScheduleString(const std::string& text, std::size_t nodeCount) {
-  std::istringstream is(text);
-  return parseSchedule(is, nodeCount);
+Schedule parseScheduleString(std::string_view text, std::size_t nodeCount) {
+  return parseScheduleImpl(text, nodeCount, nullptr);
+}
+
+Schedule parseScheduleString(std::string_view text, std::size_t nodeCount,
+                             std::vector<ScheduleParseIssue>& issues,
+                             const std::string& source) {
+  return parseScheduleImpl(text, nodeCount, &issues, source);
 }
 
 }  // namespace locwm::sched

@@ -8,6 +8,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdfg/graph.h"
@@ -42,7 +43,12 @@ struct ScheduleParseIssue {
 [[nodiscard]] Schedule parseSchedule(std::istream& is, std::size_t nodeCount,
                                      std::vector<ScheduleParseIssue>& issues,
                                      const std::string& source = {});
-[[nodiscard]] Schedule parseScheduleString(const std::string& text,
+/// Text overloads: the implementation the std::istream overloads
+/// delegate to (they read the stream into a string first).
+[[nodiscard]] Schedule parseScheduleString(std::string_view text,
                                            std::size_t nodeCount);
+[[nodiscard]] Schedule parseScheduleString(
+    std::string_view text, std::size_t nodeCount,
+    std::vector<ScheduleParseIssue>& issues, const std::string& source = {});
 
 }  // namespace locwm::sched

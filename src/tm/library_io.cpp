@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "cdfg/error.h"
+#include "cdfg/text.h"
+#include "obs/obs.h"
 #include "tm/cover.h"
 
 namespace locwm::tm {
@@ -12,14 +14,6 @@ namespace {
 [[noreturn]] void fail(std::size_t lineno, const std::string& why) {
   throw ParseError("template-io parse error at line " +
                    std::to_string(lineno) + ": " + why);
-}
-
-std::string stripComment(std::string line) {
-  const std::size_t hash = line.find('#');
-  if (hash != std::string::npos) {
-    line.resize(hash);
-  }
-  return line;
 }
 
 }  // namespace
@@ -46,21 +40,21 @@ std::string libraryToString(const TemplateLibrary& lib) {
   return os.str();
 }
 
-TemplateLibrary parseLibrary(std::istream& is) {
+TemplateLibrary parseLibraryString(std::string_view text) {
   TemplateLibrary lib;
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader lines(text);
+  std::string_view line;
   bool header = false;
   std::optional<Template> current;
-  while (std::getline(is, line)) {
-    ++lineno;
-    std::istringstream ls(stripComment(line));
-    std::string word;
+  while (lines.next(line)) {
+    const std::size_t lineno = lines.lineno();
+    text::Fields ls(text::stripComment(line));
+    std::string_view word;
     if (!(ls >> word)) {
       continue;
     }
     if (word == "tmlib") {
-      std::string version;
+      std::string_view version;
       if (!(ls >> version) || version != "v1") {
         fail(lineno, "unsupported version");
       }
@@ -81,7 +75,7 @@ TemplateLibrary parseLibrary(std::istream& is) {
         fail(lineno, "op outside a template");
       }
       std::size_t index = 0;
-      std::string opname;
+      std::string_view opname;
       if (!(ls >> index >> opname)) {
         fail(lineno, "malformed op line");
       }
@@ -90,7 +84,7 @@ TemplateLibrary parseLibrary(std::istream& is) {
       }
       const auto kind = cdfg::opFromName(opname);
       if (!kind) {
-        fail(lineno, "unknown operation '" + opname + "'");
+        fail(lineno, "unknown operation '" + std::string(opname) + "'");
       }
       TemplateOp op;
       op.kind = *kind;
@@ -110,7 +104,7 @@ TemplateLibrary parseLibrary(std::istream& is) {
       }
       current.reset();
     } else {
-      fail(lineno, "unknown directive '" + word + "'");
+      fail(lineno, "unknown directive '" + std::string(word) + "'");
     }
   }
   if (!header) {
@@ -122,9 +116,8 @@ TemplateLibrary parseLibrary(std::istream& is) {
   return lib;
 }
 
-TemplateLibrary parseLibraryString(const std::string& text) {
-  std::istringstream is(text);
-  return parseLibrary(is);
+TemplateLibrary parseLibrary(std::istream& is) {
+  return parseLibraryString(text::readAll(is));
 }
 
 void printCover(std::ostream& os, const std::vector<Matching>& cover) {
@@ -150,32 +143,33 @@ std::string coverToString(const std::vector<Matching>& cover) {
 
 namespace {
 
-std::vector<Matching> parseCoverImpl(std::istream& is,
+std::vector<Matching> parseCoverImpl(std::string_view text,
                                      const TemplateLibrary& lib,
                                      std::size_t nodeCount,
                                      std::vector<CoverParseIssue>* issues,
                                      const std::string& source = {}) {
+  LOCWM_OBS_SPAN("tm.cover.parse");
   std::vector<Matching> cover;
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader lines(text);
+  std::string_view line;
   bool header = false;
   // Semantic rejection: in lenient mode the entry is recorded and dropped;
   // in strict mode it throws like any other parse failure.
   const auto reject = [&](const std::string& why) {
     if (!issues) {
-      fail(lineno, why);
+      fail(lines.lineno(), why);
     }
-    issues->push_back({lineno, why, source});
+    issues->push_back({lines.lineno(), why, source});
   };
-  while (std::getline(is, line)) {
-    ++lineno;
-    std::istringstream ls(stripComment(line));
-    std::string word;
+  while (lines.next(line)) {
+    const std::size_t lineno = lines.lineno();
+    text::Fields ls(text::stripComment(line));
+    std::string_view word;
     if (!(ls >> word)) {
       continue;
     }
     if (word == "tmcover") {
-      std::string version;
+      std::string_view version;
       if (!(ls >> version) || version != "v1") {
         fail(lineno, "unsupported version");
       }
@@ -209,27 +203,21 @@ std::vector<Matching> parseCoverImpl(std::istream& is,
       Matching m;
       m.template_id = TemplateId(tid);
       bool dropped = false;
-      std::string pair;
+      std::string_view pair;
       while (ls >> pair) {
-        const std::size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
-          fail(lineno, "malformed pair '" + pair + "'");
+        std::size_t node = 0;
+        std::size_t op = 0;
+        if (!text::numberPair(pair, node, op)) {
+          fail(lineno, "malformed pair '" + std::string(pair) + "'");
         }
-        try {
-          const auto node = static_cast<std::uint32_t>(
-              std::stoul(pair.substr(0, colon)));
-          const std::size_t op = std::stoul(pair.substr(colon + 1));
-          if (node >= nodeCount || op >= lib.get(m.template_id).size()) {
-            reject("pair out of range '" + pair + "'");
-            dropped = true;
-            break;
-          }
-          m.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
-        } catch (const std::invalid_argument&) {
-          fail(lineno, "malformed pair '" + pair + "'");
-        } catch (const std::out_of_range&) {
-          fail(lineno, "malformed pair '" + pair + "'");
+        // A node beyond 32 bits wraps, like a certificate's matching rank.
+        const auto node32 = static_cast<std::uint32_t>(node);
+        if (node32 >= nodeCount || op >= lib.get(m.template_id).size()) {
+          reject("pair out of range '" + std::string(pair) + "'");
+          dropped = true;
+          break;
         }
+        m.pairs.push_back(MatchPair{cdfg::NodeId(node32), op});
       }
       if (dropped) {
         continue;
@@ -239,7 +227,7 @@ std::vector<Matching> parseCoverImpl(std::istream& is,
       }
       cover.push_back(std::move(m));
     } else {
-      fail(lineno, "unknown directive '" + word + "'");
+      fail(lineno, "unknown directive '" + std::string(word) + "'");
     }
   }
   if (!header) {
@@ -252,21 +240,28 @@ std::vector<Matching> parseCoverImpl(std::istream& is,
 
 std::vector<Matching> parseCover(std::istream& is, const TemplateLibrary& lib,
                                  std::size_t nodeCount) {
-  return parseCoverImpl(is, lib, nodeCount, nullptr);
+  return parseCoverImpl(text::readAll(is), lib, nodeCount, nullptr);
 }
 
 std::vector<Matching> parseCover(std::istream& is, const TemplateLibrary& lib,
                                  std::size_t nodeCount,
                                  std::vector<CoverParseIssue>& issues,
                                  const std::string& source) {
-  return parseCoverImpl(is, lib, nodeCount, &issues, source);
+  return parseCoverImpl(text::readAll(is), lib, nodeCount, &issues, source);
 }
 
-std::vector<Matching> parseCoverString(const std::string& text,
+std::vector<Matching> parseCoverString(std::string_view text,
                                        const TemplateLibrary& lib,
                                        std::size_t nodeCount) {
-  std::istringstream is(text);
-  return parseCover(is, lib, nodeCount);
+  return parseCoverImpl(text, lib, nodeCount, nullptr);
+}
+
+std::vector<Matching> parseCoverString(std::string_view text,
+                                       const TemplateLibrary& lib,
+                                       std::size_t nodeCount,
+                                       std::vector<CoverParseIssue>& issues,
+                                       const std::string& source) {
+  return parseCoverImpl(text, lib, nodeCount, &issues, source);
 }
 
 }  // namespace locwm::tm

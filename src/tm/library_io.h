@@ -19,6 +19,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tm/matching.h"
@@ -32,7 +33,7 @@ void printLibrary(std::ostream& os, const TemplateLibrary& lib);
 
 /// Parses a template library.
 [[nodiscard]] TemplateLibrary parseLibrary(std::istream& is);
-[[nodiscard]] TemplateLibrary parseLibraryString(const std::string& text);
+[[nodiscard]] TemplateLibrary parseLibraryString(std::string_view text);
 
 /// Writes a cover (a list of matchings, trivial singletons included).
 void printCover(std::ostream& os, const std::vector<Matching>& cover);
@@ -57,8 +58,12 @@ struct CoverParseIssue {
 [[nodiscard]] std::vector<Matching> parseCover(
     std::istream& is, const TemplateLibrary& lib, std::size_t nodeCount,
     std::vector<CoverParseIssue>& issues, const std::string& source = {});
+/// Text overloads: the implementation the std::istream overloads
+/// delegate to (they read the stream into a string first).
 [[nodiscard]] std::vector<Matching> parseCoverString(
-    const std::string& text, const TemplateLibrary& lib,
-    std::size_t nodeCount);
+    std::string_view text, const TemplateLibrary& lib, std::size_t nodeCount);
+[[nodiscard]] std::vector<Matching> parseCoverString(
+    std::string_view text, const TemplateLibrary& lib, std::size_t nodeCount,
+    std::vector<CoverParseIssue>& issues, const std::string& source = {});
 
 }  // namespace locwm::tm

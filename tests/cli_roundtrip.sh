@@ -78,6 +78,23 @@ grep -q '"type":"span_end"' events.ndjson
 "$LW" verify-cert reg.wmc
 "$LW" detect-reg published.cdfg pub.sched reg.bind reg.wmc -i "CI Author" -n it-1
 
+# A binding entry's node is its whole first word: a numeric prefix or a
+# value beyond 32 bits is a malformed entry (exit 2 for detect-reg, an
+# error for lint), never an alias of another node.
+for WORD in 4294967296 0abc; do
+  { cat reg.bind; echo "$WORD 0"; } > alias.bind
+  RC=0
+  "$LW" detect-reg published.cdfg pub.sched alias.bind reg.wmc \
+      -i "CI Author" -n it-1 > /dev/null 2> alias.err || RC=$?
+  test "$RC" -eq 2
+  grep -q "malformed entry '$WORD'" alias.err
+  if "$LW" lint published.cdfg pub.sched alias.bind > alias-lint.out 2>&1; then
+    echo "lint accepted binding node word '$WORD'" >&2
+    exit 1
+  fi
+  grep -q "malformed entry '$WORD'" alias-lint.out
+done
+
 # Every derivation replays a root the fingerprint screen kept, and the
 # screen keeps fewer roots than an unscreened replay would derive at.
 counter() { sed -n "s/^ *\"$2\": *\([0-9]*\).*/\1/p" "$1"; }

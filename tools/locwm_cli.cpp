@@ -115,18 +115,17 @@ void note(const char* format, ...) {
   va_end(args);
 }
 
-/// Opens an input file, or exits 2 with "cannot open <what> '<path>'".
-std::ifstream openInput(const std::string& path, const char* what) {
-  std::ifstream in(path);
-  if (!in) {
+/// Reads an input file, or exits 2 with "cannot open <what> '<path>'".
+std::string readInput(const std::string& path, const char* what) {
+  std::optional<std::string> text = store::readFile(path);
+  if (!text) {
     die("cannot open " + std::string(what) + " '" + path + "'");
   }
-  return in;
+  return std::move(*text);
 }
 
 cdfg::Cdfg loadDesign(const std::string& path) {
-  std::ifstream in = openInput(path, "design file");
-  return cdfg::parse(in);
+  return cdfg::parseString(readInput(path, "design file"));
 }
 
 void saveText(const std::string& path, const std::string& text) {
@@ -485,11 +484,11 @@ int cmdStrip(const Args& args) {
 template <typename Cert>
 std::vector<Cert> loadCertificates(
     const Args& args, std::size_t first,
-    Cert (*parse)(std::istream&, wm::CertValidation, const std::string&)) {
+    Cert (*parse)(std::string_view, wm::CertValidation, const std::string&)) {
   std::vector<Cert> certs;
   for (std::size_t i = first; i < args.positional.size(); ++i) {
-    std::ifstream in = openInput(args.positional[i], "certificate");
-    certs.push_back(parse(in, wm::CertValidation::kStrict, {}));
+    certs.push_back(parse(readInput(args.positional[i], "certificate"),
+                          wm::CertValidation::kStrict, {}));
   }
   return certs;
 }
@@ -509,9 +508,8 @@ wm::Identification identifyAll(const cdfg::Cdfg& suspect,
 
 int cmdDetect(const Args& args) {
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
-  std::ifstream sched_in = openInput(args.positional[1], "schedule file");
-  const sched::Schedule s =
-      sched::parseSchedule(sched_in, suspect.nodeCount());
+  const sched::Schedule s = sched::parseScheduleString(
+      readInput(args.positional[1], "schedule file"), suspect.nodeCount());
   const auto sig = signatureOf(args);
   const auto certs = loadCertificates(args, 2, wm::parseSchedCertificate);
   wm::Identification id = identifyAll(suspect, sig, certs);
@@ -546,14 +544,13 @@ int cmdDetect(const Args& args) {
 
 regbind::Binding loadBinding(const std::string& path,
                              const regbind::LifetimeTable& table) {
-  std::ifstream in = openInput(path, "binding file");
-  return regbind::parseBinding(in, table);
+  return regbind::parseBindingString(readInput(path, "binding file"), table);
 }
 
 int cmdEmbedReg(const Args& args) {
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
-  std::ifstream sched_in = openInput(args.positional[1], "schedule file");
-  const sched::Schedule s = sched::parseSchedule(sched_in, g.nodeCount());
+  const sched::Schedule s = sched::parseScheduleString(
+      readInput(args.positional[1], "schedule file"), g.nodeCount());
   wm::RegisterWatermarker marker(signatureOf(args));
   wm::RegWmParams params;
   params.locality.min_size = 5;
@@ -576,9 +573,8 @@ int cmdEmbedReg(const Args& args) {
 
 int cmdDetectReg(const Args& args) {
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
-  std::ifstream sched_in = openInput(args.positional[1], "schedule file");
-  const sched::Schedule s =
-      sched::parseSchedule(sched_in, suspect.nodeCount());
+  const sched::Schedule s = sched::parseScheduleString(
+      readInput(args.positional[1], "schedule file"), suspect.nodeCount());
   const auto table = regbind::computeLifetimes(suspect, s);
   const auto binding = loadBinding(args.positional[2], table);
   const auto sig = signatureOf(args);
@@ -598,8 +594,7 @@ int cmdDetectReg(const Args& args) {
 
 tm::TemplateLibrary loadLibrary(const Args& args) {
   if (const auto path = args.get("--lib")) {
-    std::ifstream in = openInput(*path, "template library");
-    return tm::parseLibrary(in);
+    return tm::parseLibraryString(readInput(*path, "template library"));
   }
   return tm::TemplateLibrary::basicDsp();
 }
@@ -634,8 +629,8 @@ int cmdEmbedTm(const Args& args) {
 int cmdDetectTm(const Args& args) {
   const cdfg::Cdfg suspect = loadDesign(args.positional[0]);
   const tm::TemplateLibrary lib = loadLibrary(args);
-  std::ifstream cin_ = openInput(args.positional[1], "cover");
-  const auto cover = tm::parseCover(cin_, lib, suspect.nodeCount());
+  const auto cover = tm::parseCoverString(
+      readInput(args.positional[1], "cover"), lib, suspect.nodeCount());
   const auto sig = signatureOf(args);
   const auto certs = loadCertificates(args, 2, wm::parseTmCertificate);
   const wm::Identification id = identifyAll(suspect, sig, certs);
@@ -799,8 +794,8 @@ int cmdDiff(const Args& args) {
   const cdfg::Cdfg marked = loadDesign(args.positional[1]);
   std::vector<wm::WatermarkCertificate> certs;
   for (std::size_t i = 2; i < args.positional.size(); ++i) {
-    std::ifstream in = openInput(args.positional[i], "certificate");
-    certs.push_back(wm::parseSchedCertificate(in));
+    certs.push_back(wm::parseSchedCertificate(
+        readInput(args.positional[i], "certificate")));
   }
   check::DiffResult diff;
   if (const auto state_path = args.get("--resume")) {

@@ -140,13 +140,6 @@ Cdfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues,
 
 }  // namespace
 
-Cdfg parse(std::istream& is) { return parseImpl(text::readAll(is), nullptr); }
-
-Cdfg parse(std::istream& is, std::vector<ParseIssue>& issues,
-           const std::string& source) {
-  return parseImpl(text::readAll(is), &issues, source);
-}
-
 Cdfg parseString(std::string_view text) { return parseImpl(text, nullptr); }
 
 Cdfg parseString(std::string_view text, std::vector<ParseIssue>& issues,

@@ -7,11 +7,10 @@
 //   edge <src-index> <dst-index> <data|control|temporal>
 //
 // Node indices must be dense and ascending.  The format round-trips
-// exactly: parse(print(g)) is structurally identical to g.
+// exactly: parseString(printToString(g)) is structurally identical to g.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -28,7 +27,7 @@ void print(std::ostream& os, const Cdfg& g);
 [[nodiscard]] std::string printToString(const Cdfg& g);
 
 /// One structural problem found while parsing in lenient mode (see the
-/// two-argument parse() overload).  The offending edge is dropped and
+/// lenient parseString() overload).  The offending edge is dropped and
 /// parsing continues, so a linter can report every problem with a stable
 /// diagnostic code instead of stopping at the first.
 struct ParseIssue {
@@ -52,7 +51,7 @@ struct ParseIssue {
 
 /// Parses a graph from the text format.  Throws ParseError on malformed
 /// input.
-[[nodiscard]] Cdfg parse(std::istream& is);
+[[nodiscard]] Cdfg parseString(std::string_view text);
 
 /// Lenient parse for static analysis: structural violations (dangling or
 /// self edges, duplicate temporal edges, cycles) are recorded in `issues`
@@ -60,12 +59,6 @@ struct ParseIssue {
 /// kept.  Syntax errors still throw ParseError.  `source` names the
 /// artifact being parsed: it is stamped on every recorded issue and
 /// prefixed to thrown ParseError messages.
-[[nodiscard]] Cdfg parse(std::istream& is, std::vector<ParseIssue>& issues,
-                         const std::string& source = {});
-
-/// Parses a graph from text; the implementation the std::istream
-/// overloads delegate to (they read the stream into a string first).
-[[nodiscard]] Cdfg parseString(std::string_view text);
 [[nodiscard]] Cdfg parseString(std::string_view text,
                                std::vector<ParseIssue>& issues,
                                const std::string& source = {});

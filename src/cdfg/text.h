@@ -25,8 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <istream>
-#include <iterator>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -42,12 +40,6 @@ constexpr bool isSpace(char c) noexcept {
 /// `line` up to its first '#' (the formats' comment marker).
 constexpr std::string_view stripComment(std::string_view line) noexcept {
   return line.substr(0, line.find('#'));
-}
-
-/// Reads the rest of `is` into a string, for the std::istream overloads
-/// that delegate to a text parser.
-inline std::string readAll(std::istream& is) {
-  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
 }
 
 /// Splits text into lines the way repeated std::getline does.

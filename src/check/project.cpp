@@ -506,22 +506,17 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
 /// see.  At most one finding per violating node, naming its smallest-id
 /// scheduled transitive predecessor that starts later; findings are
 /// ordered by that predecessor, then by node.  A cyclic design yields
-/// none (LW103 territory).  The closure depends on the design alone: it
-/// is built into `closure` on first use and reused for the design's other
-/// schedules.
+/// none (LW103 territory).
 void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
                             const std::string& name,
-                            std::optional<PrecedenceClosure>& closure,
                             std::vector<Diagnostic>& out) {
   const std::size_t n = g.nodeCount();
   if (n == 0 || n > kClosureNodeBound) {
     return;
   }
-  if (!closure.has_value()) {
-    closure = computePrecedenceClosure(cdfg::CsrView(g), EdgeMask::all());
-    LOCWM_OBS_COUNT("check.lw804.closures", 1);
-  }
-  const BitRows& ancestors = closure->domain.ancestors;
+  const PrecedenceClosure closure =
+      computePrecedenceClosure(cdfg::CsrView(g), EdgeMask::all());
+  const BitRows& ancestors = closure.domain.ancestors;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
   for (std::uint32_t v = 0; v < n; ++v) {
     if (ancestors.test(v, v)) {
@@ -989,10 +984,10 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     } catch (const Error&) {
     }
   });
-  // The pair checks of one artifact.  A schedule's LW804 check borrows
-  // its design's precedence closure from `closure`.
-  const auto checkPair = [&](std::size_t i,
-                             std::optional<PrecedenceClosure>& closure) {
+  rt::parallel_for(0, n, 1, [&](std::size_t i) {
+    if (pair_needed[i] == 0 || pair_hit[i] != 0) {
+      return;
+    }
     LOCWM_OBS_LATENCY("check.project.shard_ns");
     const WorkspaceArtifact& a = arts[i];
     std::vector<Diagnostic>& out = pair_diags[i];
@@ -1009,7 +1004,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
                                         : own.emplace(parseSched(i, *dsg));
           out = checkSchedule(*dsg, p.schedule, p.issues, a.path)
                     .diagnostics();
-          checkPrecedenceClosure(*dsg, p.schedule, a.path, closure, out);
+          checkPrecedenceClosure(*dsg, p.schedule, a.path, out);
           break;
         }
         case ArtifactKind::kCover: {
@@ -1104,26 +1099,6 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       if (cache.put("pair", pair_key[i], entryToJson(entry))) {
         pair_stored[i] = 1;
       }
-    }
-  };
-  // Schedules run grouped by design, in the design's task: it builds the
-  // design's closure at most once and drops it before the task ends, so
-  // no closure outlives its design's checks.
-  std::vector<std::vector<std::size_t>> schedules_of(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pair_needed[i] != 0 && pair_hit[i] == 0 &&
-        arts[i].meta.kind == ArtifactKind::kSchedule) {
-      schedules_of[static_cast<std::size_t>(arts[i].design)].push_back(i);
-    }
-  }
-  rt::parallel_for(0, n, 1, [&](std::size_t i) {
-    std::optional<PrecedenceClosure> closure;
-    for (const std::size_t schedule : schedules_of[i]) {
-      checkPair(schedule, closure);
-    }
-    if (pair_needed[i] != 0 && pair_hit[i] == 0 &&
-        arts[i].meta.kind != ArtifactKind::kSchedule) {
-      checkPair(i, closure);
     }
   });
 

@@ -339,12 +339,6 @@ auto withSource(const std::string& source, F&& parse) {
 
 }  // namespace
 
-WatermarkCertificate parseSchedCertificate(std::istream& is,
-                                           CertValidation validation,
-                                           const std::string& source) {
-  return parseSchedCertificate(text::readAll(is), validation, source);
-}
-
 WatermarkCertificate parseSchedCertificate(std::string_view text,
                                            CertValidation validation,
                                            const std::string& source) {
@@ -352,21 +346,10 @@ WatermarkCertificate parseSchedCertificate(std::string_view text,
                     [&] { return parseSchedCertImpl(text, validation); });
 }
 
-TmCertificate parseTmCertificate(std::istream& is, CertValidation validation,
-                                 const std::string& source) {
-  return parseTmCertificate(text::readAll(is), validation, source);
-}
-
 TmCertificate parseTmCertificate(std::string_view text,
                                  CertValidation validation,
                                  const std::string& source) {
   return withSource(source, [&] { return parseTmCertImpl(text, validation); });
-}
-
-RegCertificate parseRegCertificate(std::istream& is,
-                                   CertValidation validation,
-                                   const std::string& source) {
-  return parseRegCertificate(text::readAll(is), validation, source);
 }
 
 RegCertificate parseRegCertificate(std::string_view text,

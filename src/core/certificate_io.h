@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -56,26 +55,15 @@ enum class CertValidation : std::uint8_t { kStrict, kLenient };
 /// names the artifact and is prefixed to ParseError messages so failures
 /// stay attributable in a multi-file corpus.
 [[nodiscard]] WatermarkCertificate parseSchedCertificate(
-    std::istream& is, CertValidation validation = CertValidation::kStrict,
-    const std::string& source = {});
-/// Text overload: the implementation the std::istream overloads delegate
-/// to (they read the stream into a string first).
-[[nodiscard]] WatermarkCertificate parseSchedCertificate(
     std::string_view text, CertValidation validation = CertValidation::kStrict,
     const std::string& source = {});
 
 /// Parses a template-watermark certificate.
 [[nodiscard]] TmCertificate parseTmCertificate(
-    std::istream& is, CertValidation validation = CertValidation::kStrict,
-    const std::string& source = {});
-[[nodiscard]] TmCertificate parseTmCertificate(
     std::string_view text, CertValidation validation = CertValidation::kStrict,
     const std::string& source = {});
 
 /// Parses a register-binding-watermark certificate.
-[[nodiscard]] RegCertificate parseRegCertificate(
-    std::istream& is, CertValidation validation = CertValidation::kStrict,
-    const std::string& source = {});
 [[nodiscard]] RegCertificate parseRegCertificate(
     std::string_view text, CertValidation validation = CertValidation::kStrict,
     const std::string& source = {});

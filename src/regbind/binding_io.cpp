@@ -1,5 +1,6 @@
 #include "regbind/binding_io.h"
 
+#include <iterator>
 #include <sstream>
 
 #include "cdfg/error.h"
@@ -60,12 +61,15 @@ Binding parseBindingImpl(std::string_view text, const LifetimeTable& table,
       have_header = true;
       continue;
     }
-    // The node is the whole first word: a numeric prefix ("0abc") or a
-    // value beyond 32 bits would otherwise alias another node.
+    // The node is the whole first word, all decimal digits: a numeric
+    // prefix ("0abc"), a value beyond 32 bits or a sign ("-4294967295",
+    // which an unsigned field wraps to 1) would otherwise alias another
+    // node.
     std::uint32_t node = 0;
     std::uint32_t reg = 0;
     text::Fields node_word(first);
-    if (!(node_word >> node) || !node_word.rest().empty()) {
+    if (first[0] < '0' || first[0] > '9' || !(node_word >> node) ||
+        !node_word.rest().empty()) {
       fail("malformed entry '" + std::string(first) + "'");
     }
     if (!(ls >> reg)) {
@@ -107,13 +111,9 @@ Binding parseBindingImpl(std::string_view text, const LifetimeTable& table,
 }  // namespace
 
 Binding parseBinding(std::istream& is, const LifetimeTable& table) {
-  return parseBindingImpl(text::readAll(is), table, nullptr);
-}
-
-Binding parseBinding(std::istream& is, const LifetimeTable& table,
-                     std::vector<BindingParseIssue>& issues,
-                     const std::string& source) {
-  return parseBindingImpl(text::readAll(is), table, &issues, source);
+  const std::string text{std::istreambuf_iterator<char>(is),
+                         std::istreambuf_iterator<char>()};
+  return parseBindingImpl(text, table, nullptr);
 }
 
 Binding parseBindingString(std::string_view text, const LifetimeTable& table) {

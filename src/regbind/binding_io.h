@@ -40,24 +40,20 @@ struct BindingParseIssue {
 };
 
 /// Parses a binding against `table`.  Throws ParseError on a malformed
-/// header, an entry whose node is not a whole 32-bit number ("malformed
-/// entry"), or an entry whose node produces no register value.  Entries
+/// header, an entry whose node is not a word of decimal digits below 2^32
+/// ("malformed entry"), or an entry whose node produces no register value.  Entries
 /// for values the file does not mention default to register 0.
 [[nodiscard]] Binding parseBinding(std::istream& is,
                                    const LifetimeTable& table);
 
+/// Text overload: the implementation the std::istream overload delegates
+/// to (it reads the stream into a string first).
+[[nodiscard]] Binding parseBindingString(std::string_view text,
+                                         const LifetimeTable& table);
+
 /// Lenient overload: invalid entries (non-value nodes, registers at or
 /// above the declared count) and values left unassigned are recorded in
 /// `issues` instead of throwing.  Syntax errors still throw.
-[[nodiscard]] Binding parseBinding(std::istream& is,
-                                   const LifetimeTable& table,
-                                   std::vector<BindingParseIssue>& issues,
-                                   const std::string& source = {});
-
-/// Text overloads: the implementation the std::istream overloads
-/// delegate to (they read the stream into a string first).
-[[nodiscard]] Binding parseBindingString(std::string_view text,
-                                         const LifetimeTable& table);
 [[nodiscard]] Binding parseBindingString(
     std::string_view text, const LifetimeTable& table,
     std::vector<BindingParseIssue>& issues, const std::string& source = {});

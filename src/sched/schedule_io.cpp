@@ -63,16 +63,6 @@ Schedule parseScheduleImpl(std::string_view text, std::size_t nodeCount,
 
 }  // namespace
 
-Schedule parseSchedule(std::istream& is, std::size_t nodeCount) {
-  return parseScheduleImpl(text::readAll(is), nodeCount, nullptr);
-}
-
-Schedule parseSchedule(std::istream& is, std::size_t nodeCount,
-                       std::vector<ScheduleParseIssue>& issues,
-                       const std::string& source) {
-  return parseScheduleImpl(text::readAll(is), nodeCount, &issues, source);
-}
-
 Schedule parseScheduleString(std::string_view text, std::size_t nodeCount) {
   return parseScheduleImpl(text, nodeCount, nullptr);
 }

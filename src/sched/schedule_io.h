@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -36,17 +35,11 @@ struct ScheduleParseIssue {
 /// Parses a schedule for a design with `nodeCount` nodes.  Throws
 /// ParseError on malformed input or out-of-range node indices.  The result
 /// may be partial; validate() reports unassigned nodes.
-[[nodiscard]] Schedule parseSchedule(std::istream& is, std::size_t nodeCount);
+[[nodiscard]] Schedule parseScheduleString(std::string_view text,
+                                           std::size_t nodeCount);
 /// Lenient overload: out-of-range node indices are recorded in `issues`
 /// and skipped instead of throwing.  Syntax errors still throw.  `source`
 /// names the artifact: stamped on issues, prefixed to ParseError messages.
-[[nodiscard]] Schedule parseSchedule(std::istream& is, std::size_t nodeCount,
-                                     std::vector<ScheduleParseIssue>& issues,
-                                     const std::string& source = {});
-/// Text overloads: the implementation the std::istream overloads
-/// delegate to (they read the stream into a string first).
-[[nodiscard]] Schedule parseScheduleString(std::string_view text,
-                                           std::size_t nodeCount);
 [[nodiscard]] Schedule parseScheduleString(
     std::string_view text, std::size_t nodeCount,
     std::vector<ScheduleParseIssue>& issues, const std::string& source = {});

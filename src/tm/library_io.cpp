@@ -116,10 +116,6 @@ TemplateLibrary parseLibraryString(std::string_view text) {
   return lib;
 }
 
-TemplateLibrary parseLibrary(std::istream& is) {
-  return parseLibraryString(text::readAll(is));
-}
-
 void printCover(std::ostream& os, const std::vector<Matching>& cover) {
   os << "tmcover v1\n";
   for (const Matching& m : cover) {
@@ -237,18 +233,6 @@ std::vector<Matching> parseCoverImpl(std::string_view text,
 }
 
 }  // namespace
-
-std::vector<Matching> parseCover(std::istream& is, const TemplateLibrary& lib,
-                                 std::size_t nodeCount) {
-  return parseCoverImpl(text::readAll(is), lib, nodeCount, nullptr);
-}
-
-std::vector<Matching> parseCover(std::istream& is, const TemplateLibrary& lib,
-                                 std::size_t nodeCount,
-                                 std::vector<CoverParseIssue>& issues,
-                                 const std::string& source) {
-  return parseCoverImpl(text::readAll(is), lib, nodeCount, &issues, source);
-}
 
 std::vector<Matching> parseCoverString(std::string_view text,
                                        const TemplateLibrary& lib,

@@ -16,7 +16,6 @@
 // Both round-trip exactly.  Malformed input throws ParseError.
 #pragma once
 
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -32,7 +31,6 @@ void printLibrary(std::ostream& os, const TemplateLibrary& lib);
 [[nodiscard]] std::string libraryToString(const TemplateLibrary& lib);
 
 /// Parses a template library.
-[[nodiscard]] TemplateLibrary parseLibrary(std::istream& is);
 [[nodiscard]] TemplateLibrary parseLibraryString(std::string_view text);
 
 /// Writes a cover (a list of matchings, trivial singletons included).
@@ -49,19 +47,11 @@ struct CoverParseIssue {
 
 /// Parses a cover for a design with `nodeCount` nodes against `lib`
 /// (template ids and op indices are validated).
-[[nodiscard]] std::vector<Matching> parseCover(std::istream& is,
-                                               const TemplateLibrary& lib,
-                                               std::size_t nodeCount);
+[[nodiscard]] std::vector<Matching> parseCoverString(
+    std::string_view text, const TemplateLibrary& lib, std::size_t nodeCount);
 /// Lenient overload: entries referencing unknown templates, out-of-range
 /// template ops, or nodes outside the design are recorded in `issues` and
 /// skipped instead of throwing.  Syntax errors still throw.
-[[nodiscard]] std::vector<Matching> parseCover(
-    std::istream& is, const TemplateLibrary& lib, std::size_t nodeCount,
-    std::vector<CoverParseIssue>& issues, const std::string& source = {});
-/// Text overloads: the implementation the std::istream overloads
-/// delegate to (they read the stream into a string first).
-[[nodiscard]] std::vector<Matching> parseCoverString(
-    std::string_view text, const TemplateLibrary& lib, std::size_t nodeCount);
 [[nodiscard]] std::vector<Matching> parseCoverString(
     std::string_view text, const TemplateLibrary& lib, std::size_t nodeCount,
     std::vector<CoverParseIssue>& issues, const std::string& source = {});

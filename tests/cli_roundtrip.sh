@@ -78,10 +78,11 @@ grep -q '"type":"span_end"' events.ndjson
 "$LW" verify-cert reg.wmc
 "$LW" detect-reg published.cdfg pub.sched reg.bind reg.wmc -i "CI Author" -n it-1
 
-# A binding entry's node is its whole first word: a numeric prefix or a
-# value beyond 32 bits is a malformed entry (exit 2 for detect-reg, an
-# error for lint), never an alias of another node.
-for WORD in 4294967296 0abc; do
+# A binding entry's node is its whole first word, decimal digits only: a
+# numeric prefix, a sign or a value beyond 32 bits is a malformed entry
+# (exit 2 for detect-reg, an error for lint), never an alias of another
+# node.
+for WORD in 4294967296 0abc -4294967295; do
   { cat reg.bind; echo "$WORD 0"; } > alias.bind
   RC=0
   "$LW" detect-reg published.cdfg pub.sched alias.bind reg.wmc \

@@ -7,6 +7,7 @@
 // oracle on seeded mutants of real artifacts.
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <exception>
 #include <istream>
@@ -189,9 +190,10 @@ inline sched::Schedule parseSchedule(
 
 /// How the binding oracle reads an entry's node word.  kStoul is the old
 /// rule: std::stoul then a 32-bit cast, so "0abc" and "4294967296" both
-/// name node 0.  kWholeWord is the library's rule since the cursor port:
-/// the word must extract whole as a 32-bit field ("malformed entry"
-/// otherwise) — the one intended difference between library and oracle.
+/// name node 0, and "-4294967295" wraps to node 1.  kWholeWord is the
+/// library's rule since the cursor port: the word must start with a digit
+/// and extract whole as a 32-bit field ("malformed entry" otherwise) — the
+/// one intended difference between library and oracle.
 enum class BindingNodeWord : std::uint8_t { kStoul, kWholeWord };
 
 inline regbind::Binding parseBinding(
@@ -245,7 +247,8 @@ inline regbind::Binding parseBinding(
       }
     } else {
       std::istringstream ns(first);
-      if (!(ns >> node) || ns.peek() != std::char_traits<char>::eof()) {
+      if (!std::isdigit(static_cast<unsigned char>(first[0])) ||
+          !(ns >> node) || ns.peek() != std::char_traits<char>::eof()) {
         fail("malformed entry '" + first + "'");
       }
     }

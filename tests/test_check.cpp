@@ -36,8 +36,6 @@
 #include "core/sched_wm.h"
 #include "json_checker.h"
 #include "naive_oracles.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "sched/latency.h"
 #include "sched/list_scheduler.h"
 #include "sched/timeframes.h"
@@ -850,69 +848,6 @@ TEST(CheckProject, LW804MatchesNaiveOracleOnRandomDesigns) {
   }
   rt::setThreadCount(0);  // restore automatic sizing for other tests
   EXPECT_GT(findings, 10u);
-}
-
-/// The diagnostics of artifact `path`, one "code location: message" line
-/// each, in report order.
-std::vector<std::string> diagnosticsOf(const Report& report,
-                                       const std::string& path) {
-  std::vector<std::string> out;
-  for (const auto& d : report.diagnostics()) {
-    if (d.artifact == path) {
-      out.push_back(d.code + " " + d.location + ": " + d.message);
-    }
-  }
-  return out;
-}
-
-TEST(CheckProject, LW804BuildsOneClosurePerDesign) {
-  // The closure depends on the design alone, so four schedules of one
-  // design share one; each schedule still gets the diagnostics it gets
-  // checked alone against the design.
-  const cdfg::Cdfg g = randomTemporalDfg(4, 160);
-  const std::string design = cdfg::printToString(g);
-  check::Workspace ws;
-  ws.addArtifactText("design.cdfg", design);
-  std::vector<std::vector<std::string>> alone;
-  std::size_t lw804 = 0;
-  for (std::uint64_t k = 0; k < 4; ++k) {
-    const std::string path = "s" + std::to_string(k);
-    const std::string text = scheduleText(perturbedSteps(g, 40 + k));
-    ws.addArtifactText(path, text);
-    check::Workspace one;
-    one.addArtifactText("design.cdfg", design);
-    one.addArtifactText(path, text);
-    alone.push_back(diagnosticsOf(check::checkProject(one).report, path));
-    lw804 += static_cast<std::size_t>(std::count_if(
-        alone.back().begin(), alone.back().end(),
-        [](const std::string& d) { return d.rfind("LW804", 0) == 0; }));
-  }
-  EXPECT_GT(lw804, 4u);
-  std::optional<std::string> rendered;
-  for (const std::size_t threads : {1u, 8u}) {
-    rt::setThreadCount(threads);
-#if LOCWM_OBS_ENABLED
-    obs::setEnabled(true);
-    const obs::Counter& closures =
-        obs::MetricsRegistry::instance().counter("check.lw804.closures");
-    const std::uint64_t before = closures.value();
-#endif
-    check::Workspace run = ws;
-    const Report report = check::checkProject(run).report;
-#if LOCWM_OBS_ENABLED
-    EXPECT_EQ(closures.value() - before, 1u) << "threads " << threads;
-    obs::setEnabled(false);
-#endif
-    for (std::size_t k = 0; k < alone.size(); ++k) {
-      EXPECT_EQ(diagnosticsOf(report, "s" + std::to_string(k)), alone[k])
-          << "schedule " << k << " threads " << threads;
-    }
-    if (!rendered) {
-      rendered = report.renderText();
-    }
-    EXPECT_EQ(report.renderText(), *rendered) << "threads " << threads;
-  }
-  rt::setThreadCount(0);  // restore automatic sizing for other tests
 }
 
 TEST(CheckProject, LW804SilentOnCyclicDesign) {

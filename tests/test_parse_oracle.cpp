@@ -202,10 +202,10 @@ class Mutator {
   }
 
  private:
-  static constexpr std::array<std::string_view, 13> kInjected = {
-      "-1",   "+7", "4294967296", "12abc", "\r", "\v",
-      std::string_view("\0", 1),  "-4294967297", "18446744073709551616",
-      "0x1f", "#",  "\n",         " "};
+  static constexpr std::array<std::string_view, 14> kInjected = {
+      "-1", "+7", "4294967296", "12abc", "\r", "\v",
+      std::string_view("\0", 1), "-4294967295", "-4294967297",
+      "18446744073709551616", "0x1f", "#", "\n", " "};
 
   std::size_t pos(const std::string& t) { return rng_.below(t.size() + 1); }
 
@@ -692,7 +692,7 @@ TEST(BindingIo, NodeWordMustBeAWhole32BitNumber) {
       example, sched::parseScheduleString(schedule, example.nodeCount()));
   const std::string binding = readExample("binding.txt");
   EXPECT_NO_THROW((void)regbind::parseBindingString(binding, table));
-  for (const std::string word : {"4294967296", "0abc"}) {
+  for (const std::string word : {"4294967296", "0abc", "-4294967295", "+1"}) {
     const std::string text = binding + word + " 0\n";
     const auto last_line = std::count(text.begin(), text.end(), '\n');
     const std::string want = "binding parse error at line " +

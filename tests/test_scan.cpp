@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -213,10 +212,9 @@ TEST(ParseIssuePaths, DesignAndScheduleIssuesAreStamped) {
   ASSERT_FALSE(issues.empty());
   EXPECT_EQ(issues.front().path, "corpus/x.cdfg");
 
-  std::istringstream sched("0 1\n99 2\n");
   std::vector<sched::ScheduleParseIssue> sched_issues;
-  static_cast<void>(
-      sched::parseSchedule(sched, g.nodeCount(), sched_issues, "x.sched"));
+  static_cast<void>(sched::parseScheduleString("0 1\n99 2\n", g.nodeCount(),
+                                               sched_issues, "x.sched"));
   ASSERT_FALSE(sched_issues.empty());
   EXPECT_EQ(sched_issues.front().path, "x.sched");
 

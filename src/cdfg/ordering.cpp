@@ -122,18 +122,22 @@ NodeOrdering computeOrdering(const LocalCsr& graph,
   // Order nodes by final rank; ties (automorphic nodes) fall back to the
   // local id, which keeps the output deterministic but NOT canonical —
   // callers must consult `ranks`/`unique` before relying on tied
-  // positions.
-  std::iota(idx.begin(), idx.end(), 0u);
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return ranks[a] < ranks[b];
-                   });
+  // positions.  The ranks are dense in [0, classes), so this is a counting
+  // sort: bucket starts by prefix sum, then nodes placed in local-id order.
+  std::vector<std::uint32_t> start(classes + 1, 0);
+  for (const std::uint32_t r : ranks) {
+    ++start[r + 1];
+  }
+  for (std::size_t r = 0; r < classes; ++r) {
+    start[r + 1] += start[r];
+  }
   NodeOrdering out;
-  out.ordered.reserve(n);
-  out.ranks.reserve(n);
-  for (const std::uint32_t i : idx) {
-    out.ordered.emplace_back(i);
-    out.ranks.push_back(ranks[i]);
+  out.ordered.resize(n);
+  out.ranks.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t pos = start[ranks[i]]++;
+    out.ordered[pos] = NodeId(i);
+    out.ranks[pos] = ranks[i];
   }
   out.unique = classes == n;
   out.max_depth_used = depth;

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -166,16 +167,24 @@ class Fields {
   bool ok_ = true;
 };
 
-/// Splits `word` at its first ':' and reads each side as a number field
-/// (so as std::stoul reads it: the longest digit prefix, overflow fails) —
-/// the `<a>:<b>` pairs of certificate matchings and covers.  False when
-/// there is no ':' or a side holds no number.
-inline bool numberPair(std::string_view word, std::size_t& first,
-                       std::size_t& second) noexcept {
+/// Reads `word` whole as a 32-bit field of decimal digits: a sign, a
+/// numeric prefix ("12abc") or a value beyond 32 bits fails, so no word
+/// aliases another number.  The node words of bindings and both sides of
+/// the `<a>:<b>` pairs of certificate matchings and covers.
+inline bool wholeNumber(std::string_view word, std::uint32_t& value) noexcept {
+  Fields f(word);
+  return !word.empty() && word[0] >= '0' && word[0] <= '9' &&
+         static_cast<bool>(f >> value) && f.rest().empty();
+}
+
+/// Splits `word` at its first ':' and reads each side with wholeNumber().
+/// False when there is no ':' or a side is not a whole number.
+inline bool numberPair(std::string_view word, std::uint32_t& first,
+                       std::uint32_t& second) noexcept {
   const std::size_t colon = word.find(':');
   return colon != std::string_view::npos &&
-         static_cast<bool>(Fields(word.substr(0, colon)) >> first) &&
-         static_cast<bool>(Fields(word.substr(colon + 1)) >> second);
+         wholeNumber(word.substr(0, colon), first) &&
+         wholeNumber(word.substr(colon + 1), second);
 }
 
 }  // namespace locwm::text

@@ -23,7 +23,9 @@ void printShape(std::ostream& os, const cdfg::Cdfg& shape) {
 }
 
 /// Shared line-oriented reader with context-aware failure messages.
-/// Empty lines are skipped but counted.
+/// Empty lines are skipped but counted.  One trailing '\r' per line is
+/// dropped, so a CRLF certificate reads as its LF original (its shape-end
+/// closes the block, its context keeps no '\r').
 struct Reader {
   text::LineReader lines;
 
@@ -35,6 +37,9 @@ struct Reader {
   /// Next non-empty line; false at the end of the text.
   bool next(std::string_view& line) {
     while (lines.next(line)) {
+      if (line.ends_with('\r')) {
+        line.remove_suffix(1);
+      }
       if (!line.empty()) {
         return true;
       }
@@ -238,12 +243,12 @@ TmCertificate parseTmCertImpl(std::string_view text,
       m.template_id = TemplateId(tid);
       std::string_view pair;
       while (ls >> pair) {
-        std::size_t rank = 0;
-        std::size_t op = 0;
+        std::uint32_t rank = 0;
+        std::uint32_t op = 0;
         if (!text::numberPair(pair, rank, op)) {
           r.fail("malformed matching pair '" + std::string(pair) + "'");
         }
-        m.pairs.emplace_back(static_cast<std::uint32_t>(rank), op);
+        m.pairs.emplace_back(rank, op);
       }
       if (m.pairs.empty()) {
         r.fail("matching without pairs");

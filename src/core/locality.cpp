@@ -66,7 +66,7 @@ struct Scratch {
   std::vector<NodeId> frontier;
   std::vector<NodeId> next;
   std::vector<NodeId> to_nodes;
-  // Copy-transparent neighbour walks.
+  // Copy-transparent neighbour walks (adjacency build, contraction).
   std::vector<NodeId> walk;
   std::vector<NodeId> seen;
   std::vector<NodeId> stack;
@@ -99,7 +99,8 @@ Scratch& laneScratch() {
 /// Copy-transparent walk from `start`: fills `s.walk` with the real
 /// operations reached through `neighbours`, expanding copies and stopping
 /// at pseudo-ops.  Unordered, possibly with repeats; `seen` is a linear
-/// scan because a walk touches a handful of nodes.
+/// scan because a walk touches a handful of nodes.  Runs only while the
+/// deriver builds its RealAdjacency.
 template <typename Expand>
 void realWalk(const cdfg::CsrView& v, NodeId start, Scratch& s,
               Expand&& neighbours) {
@@ -130,30 +131,52 @@ void realWalk(const cdfg::CsrView& v, NodeId start, Scratch& s,
   }
 }
 
-void realPredWalk(const cdfg::CsrView& v, NodeId n, Scratch& s) {
-  realWalk(v, n, s, [&](NodeId x) {
-    return v.predecessors(x, cdfg::EdgeSel::kDataControl);
-  });
+/// One direction of the RealAdjacency: the deduplicated walk of every
+/// real operation, ascending, into `off` / `list`.
+template <typename Expand>
+void buildLists(const cdfg::CsrView& v, Scratch& s, Expand&& neighbours,
+                std::vector<std::uint32_t>& off, std::vector<NodeId>& list) {
+  const std::size_t n = v.nodeCount();
+  off.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId node(static_cast<std::uint32_t>(i));
+    if (!isTransparentKind(v.kind(node))) {
+      realWalk(v, node, s, neighbours);
+      std::sort(s.walk.begin(), s.walk.end());
+      list.insert(list.end(), s.walk.begin(),
+                  std::unique(s.walk.begin(), s.walk.end()));
+    }
+    off[i + 1] = static_cast<std::uint32_t>(list.size());
+  }
 }
 
-void realSuccWalk(const cdfg::CsrView& v, NodeId n, Scratch& s) {
-  realWalk(v, n, s, [&](NodeId x) {
-    return v.successors(x, cdfg::EdgeSel::kDataControl);
-  });
+RealAdjacency buildAdjacency(const cdfg::CsrView& v) {
+  RealAdjacency adj;
+  Scratch& s = laneScratch();
+  buildLists(
+      v, s,
+      [&](NodeId x) { return v.predecessors(x, cdfg::EdgeSel::kDataControl); },
+      adj.pred_off, adj.pred);
+  buildLists(
+      v, s,
+      [&](NodeId x) { return v.successors(x, cdfg::EdgeSel::kDataControl); },
+      adj.succ_off, adj.succ);
+  return adj;
 }
 
 /// The ball of `radius` around `root` over real neighbours (predecessors,
-/// plus successors when `undirected`), root included, in `out` unordered.
-/// Leaves its members stamped with the returned epoch.
-std::uint32_t ball(const cdfg::CsrView& view, NodeId root,
+/// plus successors when `undirected`), root included, in `out` unordered:
+/// a layered search of the RealAdjacency.  Leaves its members stamped with
+/// the returned epoch.
+std::uint32_t ball(const RealAdjacency& adj, NodeId root,
                    std::uint32_t radius, bool undirected, Scratch& s,
                    std::vector<NodeId>& out) {
-  const std::uint32_t epoch = s.newEpoch(view.nodeCount());
+  const std::uint32_t epoch = s.newEpoch(adj.pred_off.size() - 1);
   out.assign(1, root);
   s.mark[root.value()] = epoch;
   s.frontier.assign(1, root);
-  const auto visit = [&]() {
-    for (const NodeId p : s.walk) {
+  const auto visit = [&](std::span<const NodeId> neighbours) {
+    for (const NodeId p : neighbours) {
       if (s.mark[p.value()] != epoch) {
         s.mark[p.value()] = epoch;
         s.next.push_back(p);
@@ -164,11 +187,9 @@ std::uint32_t ball(const cdfg::CsrView& view, NodeId root,
   for (std::uint32_t d = 0; d < radius && !s.frontier.empty(); ++d) {
     s.next.clear();
     for (const NodeId v : s.frontier) {
-      realPredWalk(view, v, s);
-      visit();
+      visit(adj.predecessors(v));
       if (undirected) {
-        realSuccWalk(view, v, s);
-        visit();
+        visit(adj.successors(v));
       }
     }
     s.frontier.swap(s.next);
@@ -266,8 +287,9 @@ cdfg::NodeOrdering rankContracted(const cdfg::LocalCsr& graph,
 /// Builds the identification context of (root, Δ).  When To has fewer
 /// than `min_to_size` members no carve can reach its minimum size, so
 /// the context stops there, unidentified.
-IdentContext identify(const cdfg::CsrView& view, NodeId root,
-                      std::uint32_t max_distance, std::size_t min_to_size) {
+IdentContext identify(const cdfg::CsrView& view, const RealAdjacency& adj,
+                      NodeId root, std::uint32_t max_distance,
+                      std::size_t min_to_size) {
   IdentContext ctx;
   ctx.root = root;
   ctx.max_distance = max_distance;
@@ -278,7 +300,7 @@ IdentContext identify(const cdfg::CsrView& view, NodeId root,
   Scratch& s = laneScratch();
   // --- Step 1a: the fanin tree To of max-distance Δ, real ops only — the
   // set the carve may select from (the paper's To).
-  ball(view, root, max_distance, /*undirected=*/false, s, s.to_nodes);
+  ball(adj, root, max_distance, /*undirected=*/false, s, s.to_nodes);
   ctx.to_size = s.to_nodes.size();
   if (ctx.to_size < min_to_size) {
     return ctx;
@@ -290,7 +312,7 @@ IdentContext identify(const cdfg::CsrView& view, NodeId root,
   // identically.  Pseudo-ops (the design's port boundary) are never
   // crossed, keeping the context invariant under host embedding.
   const std::uint32_t epoch =
-      ball(view, root, max_distance, /*undirected=*/true, s, ctx.members);
+      ball(adj, root, max_distance, /*undirected=*/true, s, ctx.members);
   std::sort(ctx.members.begin(), ctx.members.end());
   for (std::size_t i = 0; i < ctx.members.size(); ++i) {
     s.local[ctx.members[i].value()] = static_cast<std::uint32_t>(i);
@@ -482,9 +504,12 @@ struct ShapeTarget {
 
 }  // namespace
 
+LocalityDeriver::LocalityDeriver(const cdfg::Cdfg& graph)
+    : graph_(&graph), csr_(graph), adjacency_(buildAdjacency(csr_)) {}
+
 IdentContext LocalityDeriver::context(NodeId root,
                                       std::uint32_t max_distance) const {
-  return identify(csr_, root, max_distance, /*min_to_size=*/0);
+  return identify(csr_, adjacency_, root, max_distance, /*min_to_size=*/0);
 }
 
 std::optional<Locality> LocalityDeriver::carve(
@@ -504,7 +529,8 @@ std::optional<Locality> LocalityDeriver::carve(
 std::optional<Locality> LocalityDeriver::derive(
     NodeId root, const LocalityParams& params,
     crypto::KeyedBitstream& bits) const {
-  return carve(identify(csr_, root, params.max_distance, params.min_size),
+  return carve(identify(csr_, adjacency_, root, params.max_distance,
+                        params.min_size),
                params, bits);
 }
 
@@ -551,7 +577,7 @@ std::array<std::uint32_t, cdfg::kOpKindCount> LocalityDeriver::faninKindCounts(
   }
   // Exactly the member set of the context's To.
   Scratch& s = laneScratch();
-  ball(csr_, root, radius, /*undirected=*/false, s, s.to_nodes);
+  ball(adjacency_, root, radius, /*undirected=*/false, s, s.to_nodes);
   for (const NodeId v : s.to_nodes) {
     counts[static_cast<std::size_t>(csr_.kind(v))] += 1;
   }
@@ -573,15 +599,10 @@ std::array<std::uint32_t, cdfg::kOpKindCount> LocalityDeriver::realKindCounts()
 
 std::vector<NodeId> LocalityDeriver::candidateRoots() const {
   std::vector<NodeId> roots;
-  Scratch& s = laneScratch();
   const std::size_t n = csr_.nodeCount();
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId v(static_cast<std::uint32_t>(i));
-    if (isTransparentKind(csr_.kind(v))) {
-      continue;
-    }
-    realPredWalk(csr_, v, s);
-    if (!s.walk.empty()) {
+    if (!adjacency_.predecessors(v).empty()) {
       roots.push_back(v);
     }
   }
@@ -593,9 +614,12 @@ ReplayResult replayShapeMatches(const LocalityDeriver& deriver,
   LOCWM_OBS_SPAN("core.locality.shape_scan");
   const cdfg::CsrView& view = deriver.csr();
   std::vector<ShapeTarget> targets;
-  std::vector<std::string> carve_contexts;
   targets.reserve(queries.size());
-  carve_contexts.reserve(queries.size());
+  // Each carve draws from a copy of its query's keyed carve stream: the
+  // one the query brings, or one keyed here for a query that replays
+  // somewhere and brings none.
+  std::vector<std::optional<crypto::KeyedBitstream>> keyed(queries.size());
+  std::vector<const crypto::KeyedBitstream*> carve_bits(queries.size());
   // One work item per (query, root occurrence) that a serial replay would
   // derive at, sorted root-major so each (root, Δ) is one contiguous group.
   struct Item {
@@ -610,9 +634,9 @@ ReplayResult replayShapeMatches(const LocalityDeriver& deriver,
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const ShapeQuery& query = queries[q];
     targets.emplace_back(*query.shape);
-    carve_contexts.push_back(*query.context + "/carve");
     LOCWM_OBS_COUNT("core.locality.shape_scan_roots", query.roots.size());
     const std::optional<cdfg::OpKind> root_kind = query.rootKind();
+    const std::size_t first_item = items.size();
     for (std::size_t i = 0; i < query.roots.size(); ++i) {
       const NodeId root = query.roots[i];
       if (!root_kind.has_value() || view.kind(root) == *root_kind) {
@@ -620,6 +644,11 @@ ReplayResult replayShapeMatches(const LocalityDeriver& deriver,
                          static_cast<std::uint32_t>(q),
                          static_cast<std::uint32_t>(i)});
       }
+    }
+    carve_bits[q] = query.carve_bits;
+    if (carve_bits[q] == nullptr && items.size() > first_item) {
+      carve_bits[q] =
+          &keyed[q].emplace(*query.signature, *query.context + "/carve");
     }
     slot_base[q + 1] = slot_base[q] + query.roots.size();
   }
@@ -644,14 +673,15 @@ ReplayResult replayShapeMatches(const LocalityDeriver& deriver,
     for (std::size_t k = lo + 1; k < hi; ++k) {
       min_size = std::min(min_size, queries[items[k].query].params.min_size);
     }
-    const IdentContext ctx =
-        identify(view, NodeId(items[lo].root), items[lo].delta, min_size);
+    const IdentContext ctx = identify(view, deriver.adjacency(),
+                                      NodeId(items[lo].root), items[lo].delta,
+                                      min_size);
     built[g] = ctx.graph.size() > 0 ? 1 : 0;
     Scratch& s = laneScratch();
     for (std::size_t k = lo; k < hi; ++k) {
       const Item& it = items[k];
       const ShapeQuery& query = queries[it.query];
-      crypto::KeyedBitstream bits(*query.signature, carve_contexts[it.query]);
+      crypto::KeyedBitstream bits = *carve_bits[it.query];
       if (carveLocal(ctx, query.params, bits, s) &&
           targets[it.query].matches(ctx, s)) {
         std::vector<NodeId>& nodes = found[slot_base[it.query] + it.index]

@@ -32,16 +32,23 @@
 // same roots, so replayShapeMatches() builds each (root, Δ) context once,
 // carves it for every certificate that replays there, and drops it.
 //
-// Traversal walks data/control predecessors of *real* operations only;
+// Traversal visits data/control neighbours of *real* operations only;
 // pseudo-ops (primary inputs, constants) are the core's boundary and are
 // neither included nor crossed, so stitching the core's inputs into a host
-// design does not perturb derivation.  Temporal edges are never followed:
-// the locality must not depend on previously embedded watermarks.
+// design does not perturb derivation.  Copies are wires: a real
+// operation's neighbours are the real operations reached through copy
+// chains.  The deriver resolves those chains once, at lowering, into a
+// real-op adjacency (copy-transparent predecessor and successor lists per
+// real operation); the balls (To, the context ball, the screen's fanin
+// counts) and candidateRoots() are plain layered searches over it, so no
+// traversal re-walks a chain.  Temporal edges are never followed: the
+// locality must not depend on previously embedded watermarks.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,18 +127,40 @@ struct IdentContext {
   std::vector<std::uint32_t> select;
 };
 
+/// Copy-transparent real neighbours of every real operation: its distinct
+/// real predecessors and successors reached through copy chains over
+/// data/control edges, ascending.  Pseudo-ops and copies have empty lists.
+/// CSR-style: per direction, nodeCount + 1 offsets into one flat list.
+struct RealAdjacency {
+  std::vector<std::uint32_t> pred_off;
+  std::vector<cdfg::NodeId> pred;
+  std::vector<std::uint32_t> succ_off;
+  std::vector<cdfg::NodeId> succ;
+
+  [[nodiscard]] std::span<const cdfg::NodeId> predecessors(
+      cdfg::NodeId v) const noexcept {
+    return {pred.data() + pred_off[v.value()],
+            pred.data() + pred_off[v.value() + 1]};
+  }
+  [[nodiscard]] std::span<const cdfg::NodeId> successors(
+      cdfg::NodeId v) const noexcept {
+    return {succ.data() + succ_off[v.value()],
+            succ.data() + succ_off[v.value() + 1]};
+  }
+};
+
 /// Derives localities from a graph.
 ///
-/// Construction lowers a CSR snapshot of the graph; every traversal the
-/// deriver performs (fanin balls, copy-chain walks, root scans) runs on
-/// that snapshot.  The snapshot stays semantically valid across *temporal*
-/// edge additions — the only mutation the embedders perform between
-/// derivations — because derivation never follows temporal edges (see the
-/// file comment).  Any other mutation requires constructing a new deriver.
+/// Construction lowers a CSR snapshot of the graph and, from it, the
+/// real-op adjacency (see the file comment); every traversal the deriver
+/// performs (fanin balls, copy-chain contraction, root scans) runs on
+/// those two.  Both stay semantically valid across *temporal* edge
+/// additions — the only mutation the embedders perform between
+/// derivations — because they hold data/control edges only.  Any other
+/// mutation requires constructing a new deriver.
 class LocalityDeriver {
  public:
-  explicit LocalityDeriver(const cdfg::Cdfg& graph)
-      : graph_(&graph), csr_(graph) {}
+  explicit LocalityDeriver(const cdfg::Cdfg& graph);
 
   /// Derives the locality anchored at `root`, consuming carve decisions
   /// from `bits`: carve(context(root, params.max_distance), params, bits).
@@ -156,8 +185,9 @@ class LocalityDeriver {
       const IdentContext& context, const LocalityParams& params,
       crypto::KeyedBitstream& bits) const;
 
-  /// All plausible roots: real operations with at least one real
-  /// predecessor (a root with an empty fanin tree carries no watermark).
+  /// All plausible roots: real operations with a non-empty real
+  /// predecessor list (a root with an empty fanin tree carries no
+  /// watermark).
   [[nodiscard]] std::vector<cdfg::NodeId> candidateRoots() const;
 
   /// The degenerate "T = CDFG" locality the paper's Table II uses: every
@@ -189,9 +219,15 @@ class LocalityDeriver {
   [[nodiscard]] std::array<std::uint32_t, cdfg::kOpKindCount> realKindCounts()
       const;
 
+  /// The real-op adjacency built at construction.
+  [[nodiscard]] const RealAdjacency& adjacency() const noexcept {
+    return adjacency_;
+  }
+
  private:
   const cdfg::Cdfg* graph_;
   cdfg::CsrView csr_;
+  RealAdjacency adjacency_;
 };
 
 /// One hit found by a replay: the root the shape re-derived at and the
@@ -219,6 +255,10 @@ struct ShapeQuery {
   std::optional<std::uint32_t> root_rank;
   bool whole_design = false;
   std::vector<cdfg::NodeId> roots;
+  /// The carve stream, already keyed from `signature` and `context`: each
+  /// carve draws from a copy.  Null makes the replay key it, once per
+  /// call.  The detection driver keys it once per batch.
+  const crypto::KeyedBitstream* carve_bits = nullptr;
 
   /// The anchor's operation kind, when the query has an anchor.
   [[nodiscard]] std::optional<cdfg::OpKind> rootKind() const {
@@ -239,8 +279,9 @@ struct ReplayResult {
 
 /// The structural core shared by the sched/reg/tm detectors and the corpus
 /// scanner, root-major: every distinct (root, Δ) any query replays gets one
-/// identification context, carved once per (query, root) with its own
-/// keyed bitstream, then dropped — at most one context per lane is alive.
+/// identification context, carved once per (query, root) with a fresh copy
+/// of the query's keyed carve stream, then dropped — at most one context
+/// per lane is alive.
 /// Contexts run in parallel on the rt pool and hits fold back per query in
 /// `roots` order, so the result equals one serial derive() per (query,
 /// root) at any thread count.  Duplicate roots replay, and hit, once per

@@ -115,10 +115,16 @@ bool screenWholeDesign(const DesignIndex& index, const CertScreen& screen) {
 }
 
 Identifier::Identifier(std::vector<ShapeQuery> queries)
-    : queries_(std::move(queries)) {
-  for (const ShapeQuery& query : queries_) {
+    : queries_(std::move(queries)), carve_bits_(queries_.size()) {
+  for (std::size_t q = 0; q < queries_.size(); ++q) {
+    const ShapeQuery& query = queries_[q];
     screens_.push_back(certScreen(query));
     radius_ = std::max(radius_, query.params.max_distance);
+    // An empty identity keys no stream; the replay then keys it, and
+    // fails, at the query's first carve, as a per-carve keying would.
+    if (!query.whole_design && !query.signature->identity.empty()) {
+      carve_bits_[q].emplace(*query.signature, *query.context + "/carve");
+    }
   }
 }
 
@@ -156,6 +162,9 @@ std::optional<Identification> Identifier::run(
     }
     ++id.survivors;
     id.candidates += query.whole_design ? 1 : query.roots.size();
+    if (carve_bits_[q].has_value()) {
+      query.carve_bits = &*carve_bits_[q];
+    }
     survivors.push_back(std::move(query));
     query_of.push_back(q);
   }

@@ -171,8 +171,10 @@ struct Identification {
 };
 
 /// The detection driver for a fixed batch of queries — one detect call's
-/// certificates, or a scan's key ring.  Screens are computed once, at
-/// construction; run() then identifies the batch in any number of designs.
+/// certificates, or a scan's key ring.  Screens and the carve streams of
+/// rooted queries are computed once, at construction (the SHA-256 +
+/// RC4-drop keying is then paid once per query, not once per carve); run()
+/// identifies the batch in any number of designs.
 class Identifier {
  public:
   /// `queries` carry no roots; the driver chooses them per design.
@@ -202,6 +204,8 @@ class Identifier {
  private:
   std::vector<ShapeQuery> queries_;
   std::vector<CertScreen> screens_;
+  /// Per query: its keyed carve stream (none for whole-design queries).
+  std::vector<std::optional<crypto::KeyedBitstream>> carve_bits_;
   std::uint32_t radius_ = 1;
 };
 

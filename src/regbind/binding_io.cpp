@@ -67,9 +67,7 @@ Binding parseBindingImpl(std::string_view text, const LifetimeTable& table,
     // node.
     std::uint32_t node = 0;
     std::uint32_t reg = 0;
-    text::Fields node_word(first);
-    if (first[0] < '0' || first[0] > '9' || !(node_word >> node) ||
-        !node_word.rest().empty()) {
+    if (!text::wholeNumber(first, node)) {
       fail("malformed entry '" + std::string(first) + "'");
     }
     if (!(ls >> reg)) {

@@ -32,11 +32,18 @@ Schedule parseScheduleImpl(std::string_view text, std::size_t nodeCount,
   const std::string where = source.empty() ? "" : source + ": ";
   while (lines.next(line)) {
     const std::size_t lineno = lines.lineno();
-    text::Fields ls(text::stripComment(line));
+    const std::string_view body = text::stripComment(line);
+    text::Fields ls(body);
     std::uint32_t node = 0;
     std::uint32_t step = 0;
     if (!(ls >> node)) {
-      continue;  // blank/comment line
+      std::string_view word;
+      if (!(text::Fields(body) >> word)) {
+        continue;  // blank/comment line
+      }
+      throw ParseError(where + "schedule parse error at line " +
+                       std::to_string(lineno) + ": malformed entry '" +
+                       std::string(word) + "'");
     }
     if (!(ls >> step)) {
       throw ParseError(where + "schedule parse error at line " +

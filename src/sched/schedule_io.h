@@ -33,7 +33,8 @@ struct ScheduleParseIssue {
 };
 
 /// Parses a schedule for a design with `nodeCount` nodes.  Throws
-/// ParseError on malformed input or out-of-range node indices.  The result
+/// ParseError on malformed input (a line whose first word is not a node
+/// index included) or out-of-range node indices.  The result
 /// may be partial; validate() reports unassigned nodes.
 [[nodiscard]] Schedule parseScheduleString(std::string_view text,
                                            std::size_t nodeCount);

@@ -201,19 +201,17 @@ std::vector<Matching> parseCoverImpl(std::string_view text,
       bool dropped = false;
       std::string_view pair;
       while (ls >> pair) {
-        std::size_t node = 0;
-        std::size_t op = 0;
+        std::uint32_t node = 0;
+        std::uint32_t op = 0;
         if (!text::numberPair(pair, node, op)) {
           fail(lineno, "malformed pair '" + std::string(pair) + "'");
         }
-        // A node beyond 32 bits wraps, like a certificate's matching rank.
-        const auto node32 = static_cast<std::uint32_t>(node);
-        if (node32 >= nodeCount || op >= lib.get(m.template_id).size()) {
+        if (node >= nodeCount || op >= lib.get(m.template_id).size()) {
           reject("pair out of range '" + std::string(pair) + "'");
           dropped = true;
           break;
         }
-        m.pairs.push_back(MatchPair{cdfg::NodeId(node32), op});
+        m.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
       }
       if (dropped) {
         continue;

@@ -121,6 +121,67 @@ screened reg-stats.json
 "$LW" detect-tm published.cdfg tm.cover tm.wmc -i "CI Author" -n it-1 --lib lib.tml
 "$LW" verify-cert tm.wmc
 
+# A cover pair's node is a whole 32-bit number: the first pair's node plus
+# 2^32 is a malformed pair (exit 2 for detect-tm, an error for lint), never
+# an alias of the node it wraps to.
+FIRST=$(sed -n 's/^use [0-9]* \([0-9]*:[0-9]*\).*/\1/p' tm.cover | head -n 1)
+test -n "$FIRST"
+WIDE="$((${FIRST%%:*} + 4294967296)):${FIRST#*:}"
+awk -v from=" $FIRST" -v to=" $WIDE" \
+    '!done && /^use / { sub(from, to); done = 1 } { print }' tm.cover > wide.cover
+RC=0
+"$LW" detect-tm published.cdfg wide.cover tm.wmc -i "CI Author" -n it-1 \
+    --lib lib.tml > /dev/null 2> wide.err || RC=$?
+test "$RC" -eq 2
+grep -q "malformed pair '$WIDE'" wide.err
+if "$LW" lint published.cdfg lib.tml wide.cover > wide-lint.out 2>&1; then
+  echo "lint accepted cover pair '$WIDE'" >&2
+  exit 1
+fi
+grep -q "malformed pair '$WIDE'" wide-lint.out
+
+# CRLF certificates read as their LF originals: every detector prints the
+# same verdicts and Pc strings, with the same exit code.
+mkdir crlf
+for F in cert.wmc.0 cert.wmc.1 reg.wmc tm.wmc; do
+  sed 's/$/\r/' "$F" > "crlf/$F"
+done
+detectAll() {
+  "$LW" detect ../published.cdfg ../core.sched cert.wmc.0 cert.wmc.1 \
+      -i "CI Author" -n it-1
+  "$LW" detect-reg ../published.cdfg ../pub.sched ../reg.bind reg.wmc \
+      -i "CI Author" -n it-1
+  "$LW" detect-tm ../published.cdfg ../tm.cover tm.wmc -i "CI Author" \
+      -n it-1 --lib ../lib.tml
+}
+mkdir lf
+cp cert.wmc.0 cert.wmc.1 reg.wmc tm.wmc lf/
+(cd lf && detectAll) > lf-detect.out
+(cd crlf && detectAll) > crlf-detect.out
+grep -q 'Pc<=' lf-detect.out
+cmp lf-detect.out crlf-detect.out
+
+# A schedule line that opens with a non-number is malformed, not blank:
+# detect on the mpeg2 schedule with "abc 5" inserted exits 2, and
+# single-file and workspace lint each report the line once (LW001).
+"$LW" gen mediabench:mpeg2 -o mpeg2.cdfg
+"$LW" embed mpeg2.cdfg -i "CI Author" -n it-1 -o mpeg2-marked.cdfg \
+    -c mpeg2.wmc
+"$LW" schedule mpeg2-marked.cdfg -o mpeg2.sched
+"$LW" strip mpeg2-marked.cdfg -o mpeg2-pub.cdfg
+"$LW" detect mpeg2-pub.cdfg mpeg2.sched mpeg2.wmc -i "CI Author" -n it-1
+{ head -n 3 mpeg2.sched; echo 'abc 5'; tail -n +4 mpeg2.sched; } > abc.sched
+RC=0
+"$LW" detect mpeg2-pub.cdfg abc.sched mpeg2.wmc -i "CI Author" -n it-1 \
+    > abc.out 2> abc.err || RC=$?
+test "$RC" -eq 2
+test ! -s abc.out
+grep -q "line 4: malformed entry 'abc'" abc.err
+test "$("$LW" lint mpeg2-pub.cdfg abc.sched | grep -c LW001)" -eq 1
+mkdir abc-project
+cp mpeg2-pub.cdfg abc.sched abc-project/
+test "$("$LW" lint --project abc-project --no-cache | grep -c LW001)" -eq 1
+
 # DOT export parses as a digraph.
 "$LW" dot published.cdfg -o out.dot
 grep -q "digraph" out.dot

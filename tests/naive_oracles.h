@@ -1,15 +1,18 @@
-// Naive reference implementations of the check/dataflow analyses, for
-// tests only, plus the random DFGs the oracle tests draw.  Each reference
-// is a plain DFS over the mutable cdfg::Cdfg builder (edge ids through
-// inEdges/outEdges), so it shares no code with the CsrView engine it
-// validates.  Slack has its own independent reference, sched::TimeFrames.
+// Naive reference implementations of the check/dataflow analyses and of
+// the locality deriver's copy-transparent balls, for tests only, plus the
+// random DFGs the oracle tests draw.  Each reference is a plain DFS over
+// the mutable cdfg::Cdfg builder, so it shares no code with the CsrView
+// engine or the real-op adjacency it validates.  Slack has its own
+// independent reference, sched::TimeFrames.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "cdfg/graph.h"
 #include "cdfg/ids.h"
+#include "cdfg/operation.h"
 #include "cdfg/prng.h"
 #include "cdfg/random_dfg.h"
 #include "check/dataflow.h"
@@ -76,6 +79,78 @@ inline bool naivePath(const cdfg::Cdfg& g, cdfg::NodeId from,
                       cdfg::EdgeId skip = cdfg::EdgeId::invalid()) {
   return naiveReach(g, {from}, check::Direction::kForward, mask,
                     skip)[to.value()] != 0;
+}
+
+/// Copy-transparent real neighbours of `start` over data/control edges —
+/// predecessors, or successors when `forward` — walked afresh: copies are
+/// expanded, pseudo-ops stop the walk.  Unordered, possibly with repeats.
+/// The walk the locality deriver ran from every ball frontier node before
+/// it resolved copy chains once per design.
+inline std::vector<cdfg::NodeId> naiveRealWalk(const cdfg::Cdfg& g,
+                                               cdfg::NodeId start,
+                                               bool forward) {
+  const auto next = [&](cdfg::NodeId x) {
+    return forward ? g.successors(x, /*includeTemporal=*/false)
+                   : g.predecessors(x, /*includeTemporal=*/false);
+  };
+  std::vector<cdfg::NodeId> walk;
+  std::vector<cdfg::NodeId> seen;
+  std::vector<cdfg::NodeId> stack = next(start);
+  while (!stack.empty()) {
+    const cdfg::NodeId p = stack.back();
+    stack.pop_back();
+    if (std::find(seen.begin(), seen.end(), p) != seen.end()) {
+      continue;
+    }
+    seen.push_back(p);
+    const cdfg::OpKind kind = g.node(p).kind;
+    if (cdfg::isPseudoOp(kind)) {
+      continue;
+    }
+    if (kind == cdfg::OpKind::kCopy) {
+      for (const cdfg::NodeId q : next(p)) {
+        stack.push_back(q);
+      }
+      continue;
+    }
+    walk.push_back(p);
+  }
+  return walk;
+}
+
+/// The ball of `radius` around the real operation `root` over real
+/// neighbours (predecessors, plus successors when `undirected`), root
+/// included, ascending: the fanin tree To, or the undirected context ball,
+/// one naiveRealWalk() per frontier node.
+inline std::vector<cdfg::NodeId> naiveBall(const cdfg::Cdfg& g,
+                                           cdfg::NodeId root,
+                                           std::uint32_t radius,
+                                           bool undirected) {
+  std::vector<char> in(g.nodeCount(), 0);
+  std::vector<cdfg::NodeId> out{root};
+  std::vector<cdfg::NodeId> frontier{root};
+  in[root.value()] = 1;
+  for (std::uint32_t d = 0; d < radius && !frontier.empty(); ++d) {
+    std::vector<cdfg::NodeId> next;
+    const auto visit = [&](const std::vector<cdfg::NodeId>& around) {
+      for (const cdfg::NodeId p : around) {
+        if (in[p.value()] == 0) {
+          in[p.value()] = 1;
+          next.push_back(p);
+          out.push_back(p);
+        }
+      }
+    };
+    for (const cdfg::NodeId v : frontier) {
+      visit(naiveRealWalk(g, v, /*forward=*/false));
+      if (undirected) {
+        visit(naiveRealWalk(g, v, /*forward=*/true));
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace locwm::testing

@@ -1,10 +1,15 @@
 // The artifact readers as first written — one std::istringstream per
 // line — kept as differential oracles for the string_view cursor
 // (cdfg/text.h) that the library's parsers now share.  Each function is
-// the old implementation with only its name, namespace and, for the
-// binding reader, the node-word rule (see BindingNodeWord) changed.
-// Tests only; test_parse_oracle.cpp compares every parser with its
-// oracle on seeded mutants of real artifacts.
+// the old implementation with only its name and namespace changed, plus
+// the rules the library has changed since, each selectable so the tests
+// can show the old and new rule differ only where intended: the binding
+// node word (BindingNodeWord), the sides of cover and tm-certificate pairs
+// (PairSide) and schedule lines that open with a non-number
+// (ScheduleLine).  The certificate reader also drops one trailing '\r'
+// per line, as the library's does.  Tests only; test_parse_oracle.cpp
+// compares every parser with its oracle on seeded mutants of real
+// artifacts.
 #pragma once
 
 #include <cctype>
@@ -142,10 +147,16 @@ inline cdfg::Cdfg parseDesign(std::istream& is,
 
 // --- Schedule (sched/schedule_io) ------------------------------------------
 
+/// What the schedule oracle does with a non-blank line whose first word is
+/// not a number ("abc 5").  kSkip is the old rule: such a line reads as
+/// blank.  kReject is the library's: "malformed entry '<word>'".
+enum class ScheduleLine : std::uint8_t { kSkip, kReject };
+
 inline sched::Schedule parseSchedule(
     std::istream& is, std::size_t nodeCount,
     std::vector<sched::ScheduleParseIssue>* issues,
-    const std::string& source = {}) {
+    const std::string& source = {},
+    ScheduleLine non_numeric = ScheduleLine::kSkip) {
   using namespace sched;
   Schedule s(nodeCount);
   std::string line;
@@ -161,7 +172,14 @@ inline sched::Schedule parseSchedule(
     std::uint32_t node = 0;
     std::uint32_t step = 0;
     if (!(ls >> node)) {
-      continue;  // blank/comment line
+      std::istringstream ws(line);
+      std::string word;
+      if (non_numeric == ScheduleLine::kSkip || !(ws >> word)) {
+        continue;  // blank/comment line
+      }
+      throw ParseError(where + "schedule parse error at line " +
+                       std::to_string(lineno) + ": malformed entry '" + word +
+                       "'");
     }
     if (!(ls >> step)) {
       throw ParseError(where + "schedule parse error at line " +
@@ -192,9 +210,23 @@ inline sched::Schedule parseSchedule(
 /// rule: std::stoul then a 32-bit cast, so "0abc" and "4294967296" both
 /// name node 0, and "-4294967295" wraps to node 1.  kWholeWord is the
 /// library's rule since the cursor port: the word must start with a digit
-/// and extract whole as a 32-bit field ("malformed entry" otherwise) — the
-/// one intended difference between library and oracle.
+/// and extract whole as a 32-bit field ("malformed entry" otherwise).
 enum class BindingNodeWord : std::uint8_t { kStoul, kWholeWord };
+
+/// The whole-word rule: `word` starts with a digit and extracts whole as
+/// a 32-bit field.
+inline bool wholeWord(const std::string& word, std::uint32_t& value) {
+  std::istringstream ns(word);
+  return !word.empty() && std::isdigit(static_cast<unsigned char>(word[0])) &&
+         (ns >> value) && ns.peek() == std::char_traits<char>::eof();
+}
+
+/// How the cover and tm-certificate oracles read each side of an
+/// `<a>:<b>` pair.  kStoul is the old rule: std::stoul, the node or rank
+/// then cast to 32 bits, so "4294967315:0" names node 19.  kWholeWord is
+/// the library's: each side is a whole 32-bit word (wholeWord), a
+/// malformed pair otherwise.
+enum class PairSide : std::uint8_t { kStoul, kWholeWord };
 
 inline regbind::Binding parseBinding(
     std::istream& is, const regbind::LifetimeTable& table,
@@ -245,12 +277,8 @@ inline regbind::Binding parseBinding(
       } catch (const std::exception&) {
         fail("malformed entry '" + first + "'");
       }
-    } else {
-      std::istringstream ns(first);
-      if (!std::isdigit(static_cast<unsigned char>(first[0])) ||
-          !(ns >> node) || ns.peek() != std::char_traits<char>::eof()) {
-        fail("malformed entry '" + first + "'");
-      }
+    } else if (!wholeWord(first, node)) {
+      fail("malformed entry '" + first + "'");
     }
     if (!(ls >> reg)) {
       fail("entry for node " + std::to_string(node) + " lacks a register");
@@ -304,6 +332,9 @@ struct CertReader {
     std::string line;
     while (std::getline(is, line)) {
       ++lineno;
+      if (!line.empty() && line.back() == '\r') {
+        line.pop_back();
+      }
       if (!line.empty()) {
         return line;
       }
@@ -411,7 +442,8 @@ inline wm::WatermarkCertificate parseSchedCertImpl(
 }
 
 inline wm::TmCertificate parseTmCertImpl(std::istream& is,
-                                         wm::CertValidation validation) {
+                                         wm::CertValidation validation,
+                                         PairSide pair_side) {
   using namespace wm;
   CertReader r{is};
   if (parseCertHeader(r) != "tm") {
@@ -458,6 +490,16 @@ inline wm::TmCertificate parseTmCertImpl(std::istream& is,
         const std::size_t colon = pair.find(':');
         if (colon == std::string::npos) {
           r.fail("malformed matching pair '" + pair + "'");
+        }
+        if (pair_side == PairSide::kWholeWord) {
+          std::uint32_t rank = 0;
+          std::uint32_t op = 0;
+          if (!wholeWord(pair.substr(0, colon), rank) ||
+              !wholeWord(pair.substr(colon + 1), op)) {
+            r.fail("malformed matching pair '" + pair + "'");
+          }
+          m.pairs.emplace_back(rank, op);
+          continue;
         }
         try {
           const std::uint32_t rank = static_cast<std::uint32_t>(
@@ -576,10 +618,12 @@ inline wm::WatermarkCertificate parseSchedCertificate(
   return withSource(source, [&] { return parseSchedCertImpl(is, validation); });
 }
 
-inline wm::TmCertificate parseTmCertificate(std::istream& is,
-                                            wm::CertValidation validation,
-                                            const std::string& source = {}) {
-  return withSource(source, [&] { return parseTmCertImpl(is, validation); });
+inline wm::TmCertificate parseTmCertificate(
+    std::istream& is, wm::CertValidation validation,
+    const std::string& source = {}, PairSide pair_side = PairSide::kStoul) {
+  return withSource(source, [&] {
+    return parseTmCertImpl(is, validation, pair_side);
+  });
 }
 
 inline wm::RegCertificate parseRegCertificate(
@@ -682,7 +726,8 @@ inline tm::TemplateLibrary parseLibrary(std::istream& is) {
 
 inline std::vector<tm::Matching> parseCover(
     std::istream& is, const tm::TemplateLibrary& lib, std::size_t nodeCount,
-    std::vector<tm::CoverParseIssue>* issues, const std::string& source = {}) {
+    std::vector<tm::CoverParseIssue>* issues, const std::string& source = {},
+    PairSide pair_side = PairSide::kStoul) {
   using namespace tm;
   std::vector<Matching> cover;
   std::string line;
@@ -743,6 +788,21 @@ inline std::vector<tm::Matching> parseCover(
         const std::size_t colon = pair.find(':');
         if (colon == std::string::npos) {
           tmFail(lineno, "malformed pair '" + pair + "'");
+        }
+        if (pair_side == PairSide::kWholeWord) {
+          std::uint32_t node = 0;
+          std::uint32_t op = 0;
+          if (!wholeWord(pair.substr(0, colon), node) ||
+              !wholeWord(pair.substr(colon + 1), op)) {
+            tmFail(lineno, "malformed pair '" + pair + "'");
+          }
+          if (node >= nodeCount || op >= lib.get(m.template_id).size()) {
+            reject("pair out of range '" + pair + "'");
+            dropped = true;
+            break;
+          }
+          m.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
+          continue;
         }
         try {
           const auto node = static_cast<std::uint32_t>(

@@ -131,6 +131,86 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WlVsOrbits,
                          ::testing::Range<std::uint64_t>(1, 21));
 
 // ---------------------------------------------------------------------------
+// The final order: ascending rank, ties by ascending local id — pinned
+// against std::stable_sort on graphs built to tie heavily.
+// ---------------------------------------------------------------------------
+
+/// `copies` identical random components of `size` nodes over two kinds,
+/// plus `isolated` lone adds: every component's nodes tie with their
+/// counterparts in the others, and the lone adds all tie.
+LocalCsr tiedGraph(std::uint64_t seed, std::size_t copies, std::size_t size,
+                   std::size_t isolated) {
+  SplitMix64 rng(seed);
+  std::vector<OpKind> kinds;
+  std::vector<std::vector<std::uint32_t>> succ(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    kinds.push_back(rng.below(2) == 0 ? OpKind::kAdd : OpKind::kMul);
+    for (std::size_t j = i + 1; j < size; ++j) {
+      if (rng.below(4) == 0) {
+        succ[i].push_back(static_cast<std::uint32_t>(j));
+      }
+    }
+  }
+  LocalCsr g;
+  for (std::size_t c = 0; c < copies; ++c) {
+    g.kinds.insert(g.kinds.end(), kinds.begin(), kinds.end());
+  }
+  g.kinds.insert(g.kinds.end(), isolated, OpKind::kAdd);
+  for (std::size_t c = 0; c < copies; ++c) {
+    const auto base = static_cast<std::uint32_t>(c * size);
+    for (std::size_t i = 0; i < size; ++i) {
+      for (const std::uint32_t j : succ[i]) {
+        g.out.push_back(base + j);
+        g.out_kind.push_back(EdgeKind::kData);
+      }
+      g.out_off.push_back(static_cast<std::uint32_t>(g.out.size()));
+    }
+  }
+  for (std::size_t i = 0; i < isolated; ++i) {
+    g.out_off.push_back(static_cast<std::uint32_t>(g.out.size()));
+  }
+  g.buildInLists();
+  return g;
+}
+
+TEST(Ordering, FinalOrderMatchesStableSortUnderHeavyTies) {
+  std::size_t tied_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const LocalCsr g = tiedGraph(seed, 1 + seed % 5, 3 + seed % 9, seed % 7);
+    const std::vector<std::uint32_t> levels = levelsOf(g);
+    for (const std::uint32_t depth : {0u, 1u, 64u}) {
+      const NodeOrdering ord = computeOrdering(g, levels, depth);
+      ASSERT_EQ(ord.ordered.size(), g.size());
+      ASSERT_EQ(ord.ranks.size(), g.size());
+      std::vector<std::uint32_t> rank_of(g.size(), 0);
+      for (std::size_t i = 0; i < ord.ordered.size(); ++i) {
+        rank_of[ord.ordered[i].value()] = ord.ranks[i];
+      }
+      std::vector<std::uint32_t> want(g.size());
+      std::iota(want.begin(), want.end(), 0u);
+      std::stable_sort(want.begin(), want.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return rank_of[a] < rank_of[b];
+                       });
+      std::vector<std::uint32_t> got;
+      for (std::size_t i = 0; i < ord.ordered.size(); ++i) {
+        got.push_back(ord.ordered[i].value());
+        ASSERT_EQ(ord.ranks[i], rank_of[got.back()]);
+      }
+      EXPECT_EQ(got, want) << "seed " << seed << " depth " << depth;
+      // Ranks are dense: 0 .. classes - 1, each used.
+      std::vector<std::uint32_t> distinct = ord.ranks;
+      distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                     distinct.end());
+      ASSERT_FALSE(distinct.empty());
+      EXPECT_EQ(distinct.back() + 1, distinct.size());
+      tied_runs += distinct.size() < g.size() ? 1U : 0U;
+    }
+  }
+  EXPECT_GT(tied_runs, 60u);  // the graphs do tie
+}
+
+// ---------------------------------------------------------------------------
 // Parser robustness: mutated inputs must either parse or throw the library
 // error types — never crash or hang.
 // ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@
 #include "naive_oracles.h"
 #include "sched/latency.h"
 #include "sched/list_scheduler.h"
+#include "sched/schedule_io.h"
 #include "sched/timeframes.h"
 #include "workloads/hyper.h"
 
@@ -724,6 +725,36 @@ TEST(CheckProject, LW801WrongKindReference) {
   const auto result = check::checkProject(ws);
   EXPECT_TRUE(hasCode(result.report, "LW801"))
       << result.report.renderText();
+}
+
+TEST(CheckProject, NonNumericScheduleLineIsOneLW001) {
+  // A schedule line whose first word is not a node index ("abc 5") is
+  // malformed, not blank: both parsers reject it naming the line, and
+  // single-file and workspace lint each report it once, as LW001.
+  const std::string sched = "0 0\nabc 5\n1 1\n2 2\n";
+  const std::string want =
+      "schedule parse error at line 2: malformed entry 'abc'";
+  try {
+    (void)sched::parseScheduleString(sched, 3);
+    ADD_FAILURE() << "strict parse accepted the line";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+  std::vector<sched::ScheduleParseIssue> issues;
+  try {
+    (void)sched::parseScheduleString(sched, 3, issues, "s.sched");
+    ADD_FAILURE() << "lenient parse accepted the line";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.what(), "s.sched: " + want);
+  }
+  check::Linter linter;
+  linter.lintText(kTinyDesign, "d.cdfg");
+  linter.lintText(sched, "s.sched");
+  EXPECT_EQ(countCode(linter.report(), "LW001"), 1u)
+      << linter.report().renderText();
+  const Report project =
+      projectCheck({{"d.cdfg", kTinyDesign}, {"s.sched", sched}}).report;
+  EXPECT_EQ(countCode(project, "LW001"), 1u) << project.renderText();
 }
 
 TEST(CheckProject, LW802DanglingReference) {

@@ -134,6 +134,32 @@ TEST(Bitstream, DeterministicReplay) {
   }
 }
 
+TEST(Bitstream, CopyDrawsWhatAFreshlyKeyedStreamDraws) {
+  // Detection keys each carve stream once and carves from copies, so a
+  // copy must replay the fresh stream exactly — bits, integers, Bernoulli
+  // draws and the consumed-bit count — however many copies are drawn from,
+  // in any order, and without disturbing the stream it was copied from.
+  const AuthorSignature sig{"alice", "design-1"};
+  const KeyedBitstream keyed(sig, "sched-wm/0/carve");
+  const auto draws = [](KeyedBitstream bits) {
+    std::string out;
+    for (int i = 0; i < 300; ++i) {
+      out += std::to_string(bits.below(static_cast<std::uint64_t>(i % 13) + 1));
+      out += bits.chance(96, 256) ? '+' : '-';
+      out += bits.nextBit() ? '1' : '0';
+      out += ' ';
+    }
+    return out + std::to_string(bits.bitsConsumed());
+  };
+  const std::string fresh = draws(KeyedBitstream(sig, "sched-wm/0/carve"));
+  for (int copy = 0; copy < 3; ++copy) {
+    KeyedBitstream bits = keyed;
+    EXPECT_EQ(draws(bits), fresh) << "copy " << copy;
+  }
+  EXPECT_EQ(keyed.bitsConsumed(), 0u);
+  EXPECT_NE(draws(KeyedBitstream(sig, "sched-wm/1/carve")), fresh);
+}
+
 TEST(Bitstream, ContextSeparatesStreams) {
   const AuthorSignature sig{"alice", "design-1"};
   KeyedBitstream a(sig, "ctx-1");

@@ -348,6 +348,28 @@ void differential(const std::vector<std::string>& seeds, std::uint64_t seed,
   EXPECT_LT(accepted, kMutants);
 }
 
+/// Runs kMutants mutants of `seeds` through an oracle under a changed rule
+/// (`now`) and under the old one (`was`): they must differ on some mutant,
+/// and wherever they differ the new rule must reject with `why`.
+void ruleChangeOnlyRejects(const std::vector<std::string>& seeds,
+                           std::uint64_t seed, const Render& now,
+                           const Render& was, const std::string& why) {
+  Mutator mutator(seed);
+  int diverged = 0;
+  for (int k = 0; k < kMutants; ++k) {
+    const std::string t = mutator.mutate(seeds);
+    const std::string a = outcome([&] { return now(t); });
+    const std::string b = outcome([&] { return was(t); });
+    if (a != b) {
+      ++diverged;
+      EXPECT_EQ(a.rfind("error\n", 0), 0u) << a << "\nmutant:\n" << printable(t);
+      EXPECT_NE(a.find(why), std::string::npos)
+          << a << "\nvs.\n" << b << "\nmutant:\n" << printable(t);
+    }
+  }
+  EXPECT_GT(diverged, 0);
+}
+
 // Renderings of parsed objects and issue lists.
 
 std::string render(const std::vector<cdfg::ParseIssue>& issues) {
@@ -504,28 +526,39 @@ TEST(ParseOracle, Schedule) {
       sched::scheduleToString(random, sched::listSchedule(random)),
       "# leading comment\n0 1\n1 2 # trailing comment\n\n2 3\n"};
   const std::size_t n = example.nodeCount();
-  differential(
-      seeds, 3,
-      [&](const std::string& t) {
-        return render(sched::parseScheduleString(t, n), {});
-      },
-      [&](const std::string& t) {
-        std::istringstream is(t);
-        return render(oracle::parseSchedule(is, n, nullptr), {});
-      });
-  differential(
-      seeds, 4,
-      [&](const std::string& t) {
-        std::vector<sched::ScheduleParseIssue> issues;
-        const auto s = sched::parseScheduleString(t, n, issues, "m.sched");
-        return render(s, issues);
-      },
-      [&](const std::string& t) {
-        std::istringstream is(t);
-        std::vector<sched::ScheduleParseIssue> issues;
-        const auto s = oracle::parseSchedule(is, n, &issues, "m.sched");
-        return render(s, issues);
-      });
+  const auto oracleRun = [&](const std::string& t, bool lenient,
+                             oracle::ScheduleLine rule) {
+    std::istringstream is(t);
+    std::vector<sched::ScheduleParseIssue> issues;
+    const auto s = oracle::parseSchedule(is, n, lenient ? &issues : nullptr,
+                                         lenient ? "m.sched" : "", rule);
+    return render(s, issues);
+  };
+  for (const bool lenient : {false, true}) {
+    // The library rejects a line that opens with a non-number...
+    differential(
+        seeds, lenient ? 4 : 3,
+        [&](const std::string& t) {
+          std::vector<sched::ScheduleParseIssue> issues;
+          const auto s =
+              lenient ? sched::parseScheduleString(t, n, issues, "m.sched")
+                      : sched::parseScheduleString(t, n);
+          return render(s, issues);
+        },
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, oracle::ScheduleLine::kReject);
+        });
+    // ...which the old rule read as blank; nothing else differs.
+    ruleChangeOnlyRejects(
+        seeds, lenient ? 12 : 11,
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, oracle::ScheduleLine::kReject);
+        },
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, oracle::ScheduleLine::kSkip);
+        },
+        ": malformed entry '");
+  }
 }
 
 TEST(ParseOracle, Binding) {
@@ -560,31 +593,27 @@ TEST(ParseOracle, Binding) {
         });
     // ...which differs from the old stoul rule only by rejecting, as a
     // malformed entry, node words the old rule aliased.
-    Mutator mutator(lenient ? 8 : 7);
-    int diverged = 0;
-    for (int k = 0; k < kMutants; ++k) {
-      const std::string t = mutator.mutate(seeds);
-      const std::string whole = outcome([&] {
-        return oracleRun(t, lenient, oracle::BindingNodeWord::kWholeWord);
-      });
-      const std::string stoul = outcome([&] {
-        return oracleRun(t, lenient, oracle::BindingNodeWord::kStoul);
-      });
-      if (whole != stoul) {
-        ++diverged;
-        EXPECT_NE(whole.find(": malformed entry '"), std::string::npos)
-            << whole << "\nvs.\n" << stoul << "\nmutant:\n" << printable(t);
-      }
-    }
-    EXPECT_GT(diverged, 0);
+    ruleChangeOnlyRejects(
+        seeds, lenient ? 8 : 7,
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, oracle::BindingNodeWord::kWholeWord);
+        },
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, oracle::BindingNodeWord::kStoul);
+        },
+        ": malformed entry '");
   }
 }
+
+template <typename Cert>
+using CertOracle = std::function<Cert(std::istream&, wm::CertValidation,
+                                      const std::string&)>;
 
 template <typename Cert>
 void certificateDifferential(
     const std::vector<std::string>& seeds, std::uint64_t seed,
     Cert (*library)(std::string_view, wm::CertValidation, const std::string&),
-    Cert (*reference)(std::istream&, wm::CertValidation, const std::string&)) {
+    const CertOracle<Cert>& reference) {
   for (const wm::CertValidation v :
        {wm::CertValidation::kStrict, wm::CertValidation::kLenient}) {
     const std::string source =
@@ -608,9 +637,31 @@ TEST(ParseOracle, SchedCertificate) {
 }
 
 TEST(ParseOracle, TmCertificate) {
+  const std::vector<std::string> seeds = {
+      readExample("tm.cert"), wm::certificateToString(tmCertificate())};
+  const auto oracleRun = [](oracle::PairSide rule) {
+    return [rule](std::istream& is, wm::CertValidation v,
+                  const std::string& source) {
+      return oracle::parseTmCertificate(is, v, source, rule);
+    };
+  };
+  // The library reads each side of a matching pair as a whole word...
   certificateDifferential<wm::TmCertificate>(
-      {readExample("tm.cert"), wm::certificateToString(tmCertificate())}, 20,
-      wm::parseTmCertificate, oracle::parseTmCertificate);
+      seeds, 20, wm::parseTmCertificate,
+      oracleRun(oracle::PairSide::kWholeWord));
+  // ...which differs from the old stoul rule only by rejecting, as a
+  // malformed pair, the sides the old rule aliased or cut short.
+  const auto render = [](const CertOracle<wm::TmCertificate>& parse) {
+    return [parse](const std::string& t) {
+      std::istringstream is(t);
+      return wm::certificateToString(
+          parse(is, wm::CertValidation::kLenient, "m.cert"));
+    };
+  };
+  ruleChangeOnlyRejects(seeds, 23,
+                        render(oracleRun(oracle::PairSide::kWholeWord)),
+                        render(oracleRun(oracle::PairSide::kStoul)),
+                        ": malformed matching pair '");
 }
 
 TEST(ParseOracle, RegCertificate) {
@@ -639,7 +690,16 @@ TEST(ParseOracle, LibraryAndCover) {
   const std::vector<std::string> cover_seeds = {
       readExample("cover.txt"),
       "tmcover v1\nsingle 0\nuse 0 1:0 2:1 # comment\nsingle 3\n"};
+  const auto oracleRun = [&](const std::string& t, bool lenient,
+                             oracle::PairSide rule) {
+    std::istringstream is(t);
+    std::vector<tm::CoverParseIssue> issues;
+    const auto c = oracle::parseCover(is, lib, n, lenient ? &issues : nullptr,
+                                      "m.cover", rule);
+    return render(c, issues);
+  };
   for (const bool lenient : {false, true}) {
+    // The library reads each side of a pair as a whole word...
     differential(
         cover_seeds, lenient ? 42 : 41,
         [&](const std::string& t) {
@@ -650,12 +710,19 @@ TEST(ParseOracle, LibraryAndCover) {
           return render(c, issues);
         },
         [&](const std::string& t) {
-          std::istringstream is(t);
-          std::vector<tm::CoverParseIssue> issues;
-          const auto c = oracle::parseCover(
-              is, lib, n, lenient ? &issues : nullptr, "m.cover");
-          return render(c, issues);
+          return oracleRun(t, lenient, oracle::PairSide::kWholeWord);
         });
+    // ...which differs from the old stoul rule only by rejecting, as a
+    // malformed pair, the sides the old rule aliased or cut short.
+    ruleChangeOnlyRejects(
+        cover_seeds, lenient ? 44 : 43,
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, oracle::PairSide::kWholeWord);
+        },
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, oracle::PairSide::kStoul);
+        },
+        ": malformed pair '");
   }
 }
 
@@ -722,6 +789,132 @@ TEST(BindingIo, NodeWordMustBeAWhole32BitNumber) {
               std::string::npos)
         << report.renderText();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pair sides: each side of a cover or tm-certificate pair is a whole
+// 32-bit number, so a node or rank beyond 32 bits no longer aliases
+// another (4294967315 once read as 19).
+
+/// `text` with its first occurrence of `from` replaced by `to`.
+std::string replaceFirst(std::string text, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+/// Expects `parse` to throw a ParseError that mentions `needle`.
+void expectRejected(const std::function<void()>& parse,
+                    const std::string& needle, const std::string& what) {
+  try {
+    parse();
+    ADD_FAILURE() << what << " accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+/// Lints `artifacts` (name, text) in order; expects one error naming
+/// `needle`.
+void expectLintError(
+    const std::vector<std::pair<std::string, std::string>>& artifacts,
+    const std::string& needle) {
+  check::Linter linter;
+  for (const auto& [name, text] : artifacts) {
+    linter.lintText(text, name);
+  }
+  const check::Report& report = linter.report();
+  EXPECT_EQ(report.count(check::Severity::kError), 1u) << report.renderText();
+  EXPECT_NE(report.renderText().find(needle), std::string::npos)
+      << report.renderText();
+}
+
+const std::vector<std::string> kAliasingSides = {
+    "4294967315:0", "19:4294967296", "19abc:0", "+19:0", "-1:0", "19:0:1"};
+
+TEST(PairIo, CoverPairSidesMustBeWhole32BitNumbers) {
+  const tm::TemplateLibrary lib =
+      tm::parseLibraryString(readExample("library.tmlib"));
+  const std::string design = readExample("design.cdfg");
+  const std::size_t n = cdfg::parseString(design).nodeCount();
+  const std::string cover = readExample("cover.txt");
+  EXPECT_NO_THROW((void)tm::parseCoverString(cover, lib, n));
+  for (const std::string& pair : kAliasingSides) {
+    const std::string text = replaceFirst(cover, "24:0", pair);
+    const std::string needle = "malformed pair '" + pair + "'";
+    expectRejected([&] { (void)tm::parseCoverString(text, lib, n); }, needle,
+                   "strict cover parse of '" + pair + "'");
+    std::vector<tm::CoverParseIssue> issues;
+    expectRejected(
+        [&] { (void)tm::parseCoverString(text, lib, n, issues, "c.txt"); },
+        needle, "lenient cover parse of '" + pair + "'");
+    expectLintError({{"design.cdfg", design},
+                     {"library.tmlib", readExample("library.tmlib")},
+                     {"cover.txt", text}},
+                    needle);
+  }
+}
+
+TEST(PairIo, TmMatchingPairSidesMustBeWhole32BitNumbers) {
+  const std::string cert = readExample("tm.cert");
+  EXPECT_NO_THROW((void)wm::parseTmCertificate(cert));
+  for (const std::string& pair : kAliasingSides) {
+    const std::string text = replaceFirst(cert, "22:0", pair);
+    const std::string needle = "malformed matching pair '" + pair + "'";
+    for (const wm::CertValidation v :
+         {wm::CertValidation::kStrict, wm::CertValidation::kLenient}) {
+      expectRejected([&] { (void)wm::parseTmCertificate(text, v, "t.cert"); },
+                     needle, "tm certificate parse of '" + pair + "'");
+    }
+    expectLintError({{"tm.cert", text}}, needle);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRLF certificates read as their LF originals.
+
+/// `text` with every '\n' turned into "\r\n".
+std::string crlf(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    out += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  }
+  return out;
+}
+
+template <typename Cert>
+void expectCrlfReadsAsLf(
+    const std::string& text,
+    Cert (*parse)(std::string_view, wm::CertValidation, const std::string&)) {
+  for (const wm::CertValidation v :
+       {wm::CertValidation::kStrict, wm::CertValidation::kLenient}) {
+    const Cert lf = parse(text, v, {});
+    Cert got;
+    ASSERT_NO_THROW(got = parse(crlf(text), v, {}));
+    EXPECT_EQ(wm::certificateToString(got), wm::certificateToString(lf));
+    EXPECT_EQ(got.context, lf.context);
+    EXPECT_EQ(got.context.find('\r'), std::string::npos);
+  }
+}
+
+TEST(CertIoCrlf, EveryKindParsesToTheSameCertificate) {
+  expectCrlfReadsAsLf(readExample("sched.cert"), wm::parseSchedCertificate);
+  expectCrlfReadsAsLf(wm::certificateToString(schedCertificate()),
+                      wm::parseSchedCertificate);
+  expectCrlfReadsAsLf(readExample("tm.cert"), wm::parseTmCertificate);
+  expectCrlfReadsAsLf(wm::certificateToString(tmCertificate()),
+                      wm::parseTmCertificate);
+  expectCrlfReadsAsLf(readExample("reg.cert"), wm::parseRegCertificate);
+  expectCrlfReadsAsLf(wm::certificateToString(regCertificate()),
+                      wm::parseRegCertificate);
+  // Only one '\r' per line is a line end: "shape-end\r\r" still does not
+  // close the shape block.
+  const std::string doubled =
+      replaceFirst(readExample("sched.cert"), "shape-end\n", "shape-end\r\r\n");
+  expectRejected([&] { (void)wm::parseSchedCertificate(doubled); },
+                 "unterminated shape block", "a shape-end with two '\\r'");
 }
 
 }  // namespace

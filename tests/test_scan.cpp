@@ -21,6 +21,7 @@
 #include "core/sched_wm.h"
 #include "core/screen.h"
 #include "core/tm_wm.h"
+#include "obs/obs.h"
 #include "rt/rt.h"
 #include "scan/corpus.h"
 #include "scan/fingerprint.h"
@@ -331,6 +332,54 @@ TEST(CorpusScan, RowsIdenticalAcrossThreadCounts) {
   }
   rt::setThreadCount(0);  // restore automatic sizing for other tests
 }
+
+#if LOCWM_OBS_ENABLED
+/// Rooted queries of `ring`: the ones that carve, and so key a stream.
+std::size_t carvingQueries(const KeyRing& ring) {
+  std::size_t n = 0;
+  for (const KeyRingEntry& entry : ring.entries()) {
+    n += entry.query().whole_design ? 0U : 1U;
+  }
+  return n;
+}
+
+TEST(CorpusScan, KeysEachCarvingQueryOnce) {
+  // The carve stream is keyed once per query of a detect call or a scan,
+  // not once per carve: crypto.bitstream.streams_keyed counts carving
+  // queries at any thread count, while the carves number far more.
+  obs::setEnabled(true);
+  auto& registry = obs::MetricsRegistry::instance();
+  obs::Counter& keyed = registry.counter("crypto.bitstream.streams_keyed");
+  obs::Counter& carves = registry.counter("core.locality.derive_calls");
+  const BuiltCorpus corpus = mixedCorpus(42);
+  const std::size_t carving = carvingQueries(corpus.ring);
+  ASSERT_LT(carving, corpus.ring.size());  // whole-design entries key none
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    rt::setThreadCount(threads);
+    const std::uint64_t keyed0 = keyed.value();
+    const std::uint64_t carves0 = carves.value();
+    (void)scanCorpus(corpus.items, corpus.ring, {});
+    EXPECT_EQ(keyed.value() - keyed0, carving) << "scan, threads=" << threads;
+    EXPECT_GT(carves.value() - carves0, 2 * carving)
+        << "scan, threads=" << threads;
+
+    // One detect call: every ring entry against one design.
+    std::vector<wm::ShapeQuery> queries;
+    for (const KeyRingEntry& entry : corpus.ring.entries()) {
+      queries.push_back(entry.query());
+    }
+    const cdfg::Cdfg g = cdfg::parseString(corpus.items[1].design_text);
+    const std::uint64_t detect0 = keyed.value();
+    const wm::Identification id =
+        wm::identify(wm::LocalityDeriver(g), std::move(queries));
+    EXPECT_EQ(keyed.value() - detect0, carving)
+        << "detect, threads=" << threads;
+    EXPECT_GT(id.candidates, carving);
+  }
+  rt::setThreadCount(0);
+  obs::setEnabled(false);
+}
+#endif  // LOCWM_OBS_ENABLED
 
 TEST(CorpusScan, ShardSplitsMergeToUnshardedRows) {
   const BuiltCorpus corpus = smallCorpus(64);

@@ -11,7 +11,11 @@
 //    query, on batches mixing Δ, min_size and exclude_prob_256, anchored
 //    and unanchored queries, unsorted, duplicate, overlapping and
 //    transparent roots, at 1, 2 and 8 lanes, and it builds exactly one
-//    context per distinct (root, Δ) that reaches the ordering.
+//    context per distinct (root, Δ) that reaches the ordering;
+//  * per design, the balls read off the deriver's real-op adjacency (To,
+//    the context ball, the screen's fanin counts) and candidateRoots()
+//    equal the walk-per-frontier-node reference of naive_oracles.h at
+//    every real root and every radius 1..Δ.
 //
 // Designs: seeded random DFGs, the HYPER suite, scaled MediaBench mixes,
 // copy-split variants (the contraction path) and the core/attack
@@ -32,6 +36,7 @@
 #include "cdfg/subgraph.h"
 #include "core/attack.h"
 #include "core/locality.h"
+#include "naive_oracles.h"
 #include "rt/rt.h"
 #include "workloads/hyper.h"
 #include "workloads/mediabench.h"
@@ -46,51 +51,6 @@ using cdfg::NodeId;
 
 bool isTransparent(cdfg::OpKind kind) {
   return cdfg::isPseudoOp(kind) || kind == cdfg::OpKind::kCopy;
-}
-
-/// Copy-transparent real neighbours, sorted and unique.
-template <typename Expand>
-std::vector<NodeId> realNeighbours(const cdfg::CsrView& v, NodeId start,
-                                   Expand&& neighbours) {
-  std::vector<NodeId> out;
-  std::vector<NodeId> seen;
-  std::vector<NodeId> stack;
-  for (const NodeId p : neighbours(start)) {
-    stack.push_back(p);
-  }
-  while (!stack.empty()) {
-    const NodeId p = stack.back();
-    stack.pop_back();
-    if (std::find(seen.begin(), seen.end(), p) != seen.end()) {
-      continue;
-    }
-    seen.push_back(p);
-    if (cdfg::isPseudoOp(v.kind(p))) {
-      continue;
-    }
-    if (v.kind(p) == cdfg::OpKind::kCopy) {
-      for (const NodeId q : neighbours(p)) {
-        stack.push_back(q);
-      }
-      continue;
-    }
-    out.push_back(p);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<NodeId> realPreds(const cdfg::CsrView& v, NodeId n) {
-  return realNeighbours(v, n, [&](NodeId x) {
-    return v.predecessors(x, cdfg::EdgeSel::kDataControl);
-  });
-}
-
-std::vector<NodeId> realSuccs(const cdfg::CsrView& v, NodeId n) {
-  return realNeighbours(v, n, [&](NodeId x) {
-    return v.successors(x, cdfg::EdgeSel::kDataControl);
-  });
 }
 
 /// The contracted identification graph as a builder graph, edges added in
@@ -224,36 +184,11 @@ Cdfg shapeOracle(const Cdfg& contracted, const std::vector<NodeId>& carved) {
 std::optional<Locality> deriveOracle(const Cdfg& g, NodeId root,
                                      const LocalityParams& params,
                                      crypto::KeyedBitstream& bits) {
-  const cdfg::CsrView view(g);
-  if (isTransparent(view.kind(root))) {
+  if (isTransparent(g.node(root).kind)) {
     return std::nullopt;
   }
   const auto ball = [&](bool undirected) {
-    std::vector<bool> seen(view.nodeCount(), false);
-    std::vector<NodeId> members{root};
-    std::vector<NodeId> frontier{root};
-    seen[root.value()] = true;
-    for (std::uint32_t d = 0; d < params.max_distance && !frontier.empty();
-         ++d) {
-      std::vector<NodeId> next;
-      for (const NodeId v : frontier) {
-        std::vector<NodeId> around = realPreds(view, v);
-        if (undirected) {
-          const std::vector<NodeId> succs = realSuccs(view, v);
-          around.insert(around.end(), succs.begin(), succs.end());
-        }
-        for (const NodeId p : around) {
-          if (!seen[p.value()]) {
-            seen[p.value()] = true;
-            next.push_back(p);
-          }
-        }
-      }
-      members.insert(members.end(), next.begin(), next.end());
-      frontier = std::move(next);
-    }
-    std::sort(members.begin(), members.end());
-    return members;
+    return testing::naiveBall(g, root, params.max_distance, undirected);
   };
   const std::vector<NodeId> to_nodes = ball(false);
   if (to_nodes.size() < params.min_size) {
@@ -543,6 +478,127 @@ TEST(SharedReplay, DeriveMatchesBuilderOracleOnMediaBenchMixes) {
 TEST(SharedReplay, DeriveMatchesBuilderOracleUnderAttacks) {
   for (const Design& d : attackedDesigns()) {
     expectDeriveMatchesOracle(d);
+  }
+}
+
+// --- real-op adjacency oracle --------------------------------------------
+
+/// Splits every data edge with a copy chain of 1..6 copies; every third
+/// edge instead branches off the middle of its source's first chain, so
+/// copies fan out and chains share prefixes.
+Cdfg withCopyChains(const Cdfg& g) {
+  Cdfg out;
+  for (const NodeId v : g.allNodes()) {
+    out.addNode(g.node(v).kind, g.node(v).name);
+  }
+  std::unordered_map<std::uint32_t, std::vector<NodeId>> chain_of;
+  for (const cdfg::EdgeId e : g.allEdges()) {
+    const cdfg::Edge& ed = g.edge(e);
+    if (ed.kind != cdfg::EdgeKind::kData) {
+      out.addEdge(ed.src, ed.dst, ed.kind);
+      continue;
+    }
+    const auto it = chain_of.find(ed.src.value());
+    if (it != chain_of.end() && e.value() % 3 == 0) {
+      out.addEdge(it->second[it->second.size() / 2], ed.dst,
+                  cdfg::EdgeKind::kData);
+      continue;
+    }
+    std::vector<NodeId> chain;
+    NodeId from = ed.src;
+    for (std::uint32_t k = 0; k <= e.value() % 6; ++k) {
+      const NodeId mov = out.addNode(cdfg::OpKind::kCopy);
+      out.addEdge(from, mov, cdfg::EdgeKind::kData);
+      chain.push_back(mov);
+      from = mov;
+    }
+    out.addEdge(from, ed.dst, cdfg::EdgeKind::kData);
+    chain_of.emplace(ed.src.value(), std::move(chain));
+  }
+  return out;
+}
+
+/// Δ of the certificates the CLI embeds (LocalityParams{}).
+constexpr std::uint32_t kDelta = LocalityParams{}.max_distance;
+
+void expectAdjacencyMatchesWalkOracle(const Design& d) {
+  const LocalityDeriver deriver(d.g);
+  std::vector<NodeId> want_roots;
+  for (const NodeId v : d.g.allNodes()) {
+    if (!isTransparent(d.g.node(v).kind) &&
+        !testing::naiveRealWalk(d.g, v, /*forward=*/false).empty()) {
+      want_roots.push_back(v);
+    }
+  }
+  ASSERT_EQ(deriver.candidateRoots(), want_roots) << d.name;
+  std::size_t checked = 0;
+  for (const NodeId root : d.g.allNodes()) {
+    if (isTransparent(d.g.node(root).kind)) {
+      continue;
+    }
+    for (std::uint32_t radius = 1; radius <= kDelta; ++radius) {
+      const std::string where = d.name + " root " +
+                                std::to_string(root.value()) + " radius " +
+                                std::to_string(radius);
+      const std::vector<NodeId> to =
+          testing::naiveBall(d.g, root, radius, /*undirected=*/false);
+      const IdentContext ctx = deriver.context(root, radius);
+      ASSERT_EQ(ctx.members,
+                testing::naiveBall(d.g, root, radius, /*undirected=*/true))
+          << where;
+      std::vector<NodeId> got_to;
+      for (std::size_t i = 0; i < ctx.members.size(); ++i) {
+        if (ctx.in_to[i] != 0) {
+          got_to.push_back(ctx.members[i]);
+        }
+      }
+      ASSERT_EQ(got_to, to) << where;
+      ASSERT_EQ(ctx.to_size, to.size()) << where;
+      std::array<std::uint32_t, cdfg::kOpKindCount> counts{};
+      for (const NodeId v : to) {
+        ++counts[static_cast<std::size_t>(d.g.node(v).kind)];
+      }
+      ASSERT_EQ(deriver.faninKindCounts(root, radius), counts) << where;
+      checked += to.size() > 1 ? 1U : 0U;
+    }
+  }
+  EXPECT_GT(checked, 0u) << d.name << ": every ball is trivial";
+}
+
+std::vector<Design> copyChainDesigns() {
+  std::vector<Design> out;
+  for (Design& d : randomDesigns()) {
+    if (d.name.find('+') == std::string::npos) {
+      Cdfg chained = withCopyChains(d.g);
+      testing::addTemporalEdges(chained, 40, /*seed=*/d.g.nodeCount());
+      out.push_back({d.name + "+chains+temporal", std::move(chained)});
+      out.push_back({d.name + "+chains", withCopyChains(d.g)});
+    }
+  }
+  return out;
+}
+
+TEST(RealAdjacency, MatchesWalkOracleOnRandomDesigns) {
+  for (const Design& d : randomDesigns()) {
+    expectAdjacencyMatchesWalkOracle(d);
+  }
+}
+
+TEST(RealAdjacency, MatchesWalkOracleOnLongCopyChains) {
+  for (const Design& d : copyChainDesigns()) {
+    expectAdjacencyMatchesWalkOracle(d);
+  }
+}
+
+TEST(RealAdjacency, MatchesWalkOracleOnHyperSuite) {
+  for (const Design& d : hyperDesigns()) {
+    expectAdjacencyMatchesWalkOracle(d);
+  }
+}
+
+TEST(RealAdjacency, MatchesWalkOracleOnMediaBenchMixes) {
+  for (const Design& d : mediaBenchDesigns()) {
+    expectAdjacencyMatchesWalkOracle(d);
   }
 }
 

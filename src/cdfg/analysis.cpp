@@ -1,7 +1,6 @@
 #include "cdfg/analysis.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace locwm::cdfg {
 
@@ -65,54 +64,6 @@ std::uint32_t StructuralAnalysis::laxity(NodeId n) const {
 std::uint32_t StructuralAnalysis::slack(NodeId n) const {
   const std::uint32_t lax = laxity(n);
   return critical_path_ >= lax ? critical_path_ - lax : 0u;
-}
-
-std::size_t StructuralAnalysis::transitiveFaninCount(NodeId n,
-                                                     std::uint32_t dist) const {
-  return faninTree(n, dist).size() - 1;  // exclude n itself
-}
-
-std::vector<NodeId> StructuralAnalysis::faninTree(NodeId n,
-                                                  std::uint32_t dist) const {
-  detail::check<GraphError>(n.isValid() && n.value() < graph_->nodeCount(),
-                            "faninTree(): node id out of range");
-  std::vector<bool> seen(graph_->nodeCount(), false);
-  std::vector<NodeId> result;
-  // Frontier-by-frontier BFS so distances are exact; within a frontier,
-  // nodes are visited in ascending id order for determinism.
-  std::vector<NodeId> frontier{n};
-  seen[n.value()] = true;
-  result.push_back(n);
-  for (std::uint32_t d = 0; d < dist && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
-    for (const NodeId v : frontier) {
-      for (const NodeId p : csr_.predecessors(v, EdgeSel::kDataControl)) {
-        if (!seen[p.value()]) {
-          seen[p.value()] = true;
-          next.push_back(p);
-        }
-      }
-    }
-    std::sort(next.begin(), next.end());
-    result.insert(result.end(), next.begin(), next.end());
-    frontier = std::move(next);
-  }
-  return result;
-}
-
-std::vector<std::uint8_t> StructuralAnalysis::functionalitySignature(
-    NodeId n, std::uint32_t dist) const {
-  const std::vector<NodeId> tree = faninTree(n, dist);
-  std::vector<std::uint8_t> sig;
-  sig.reserve(tree.size());
-  for (const NodeId v : tree) {
-    if (v == n) {
-      continue;
-    }
-    sig.push_back(functionalityId(graph_->node(v).kind));
-  }
-  std::sort(sig.begin(), sig.end());
-  return sig;
 }
 
 std::vector<std::uint32_t> levelsOf(const LocalCsr& g) {

@@ -1,5 +1,5 @@
-// Structural analyses over a CDFG: levels, heights, critical path, laxity,
-// transitive-fanin neighbourhoods, and fanin-tree extraction.
+// Structural analyses over a CDFG: levels, heights, critical path, and
+// laxity.
 //
 // Everything in this header is *unit-weight* (path lengths counted in
 // operations), matching the paper's use: ordering criterion C1 levels,
@@ -50,24 +50,6 @@ class StructuralAnalysis {
 
   /// Slack of a node: criticalPathLength() - laxity(n).
   [[nodiscard]] std::uint32_t slack(NodeId n) const;
-
-  /// Number of nodes in the transitive fanin of `n` restricted to distance
-  /// <= dist (n itself excluded).  This is ordering criterion C2's |TF|.
-  [[nodiscard]] std::size_t transitiveFaninCount(NodeId n,
-                                                 std::uint32_t dist) const;
-
-  /// The nodes of the fanin tree of `n` with max-distance `dist`:
-  /// every node reachable from `n` by walking data/control edges backwards
-  /// at most `dist` steps, including `n` itself.  Deterministic order:
-  /// breadth-first, ties by ascending node id.
-  [[nodiscard]] std::vector<NodeId> faninTree(NodeId n,
-                                              std::uint32_t dist) const;
-
-  /// Sorted multiset of functionality ids (see functionalityId()) of the
-  /// fanin tree of `n` at max-distance `dist`, *excluding* n itself.  This
-  /// is ordering criterion C3's F(Dx) realized as a comparable value.
-  [[nodiscard]] std::vector<std::uint8_t> functionalitySignature(
-      NodeId n, std::uint32_t dist) const;
 
   /// The graph the analysis was built over.
   [[nodiscard]] const Cdfg& graph() const noexcept { return *graph_; }

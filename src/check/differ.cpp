@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <optional>
-#include <sstream>
 #include <tuple>
 
 #include "cdfg/analysis.h"
-#include "cdfg/error.h"
 #include "cdfg/operation.h"
 #include "cdfg/ordering.h"
 #include "check/internal.h"
-#include "core/certificate_io.h"
-#include "crypto/sha256.h"
 
 namespace locwm::check {
 namespace {
@@ -255,126 +251,6 @@ struct ShapeMatcher {
   }
 };
 
-// -------------------------------------------------------------------------
-// Resume support
-
-/// SHA-256 hex over everything certificate attribution reads from the two
-/// designs: the original in full and the marked design's data/control
-/// side.  The marked temporal edges are deliberately excluded — appending
-/// watermark edges is exactly the delta resume must survive.
-std::string designDigestHex(const cdfg::Cdfg& original,
-                            const cdfg::Cdfg& marked) {
-  crypto::Sha256 h;
-  const auto feed = [&h](const cdfg::Cdfg& g, bool include_temporal) {
-    std::string text = "design " + std::to_string(g.nodeCount()) + "\n";
-    for (const NodeId n : g.allNodes()) {
-      text += g.nodeAlive(n) ? cdfg::opName(g.node(n).kind) : "<dead>";
-      text += '\n';
-    }
-    const std::size_t table = g.edgeTableSize();
-    for (std::size_t id = 0; id < table; ++id) {
-      const EdgeId e(static_cast<std::uint32_t>(id));
-      if (!g.edgeAlive(e)) {
-        continue;
-      }
-      const cdfg::Edge& ed = g.edge(e);
-      if (!include_temporal && ed.kind == cdfg::EdgeKind::kTemporal) {
-        continue;
-      }
-      text += std::to_string(ed.src.value()) + ' ' +
-              std::to_string(ed.dst.value()) + ' ' +
-              std::to_string(static_cast<int>(ed.kind)) + '\n';
-    }
-    h.update(text);
-  };
-  feed(original, true);
-  feed(marked, false);
-  return crypto::toHex(h.finish());
-}
-
-std::string certDigestHex(const wm::WatermarkCertificate& cert) {
-  return crypto::sha256Hex(wm::certificateToString(cert));
-}
-
-/// Re-checks a stored witness against the current design: kind-exact,
-/// injective, constraints landing on distinct anchors, induced-exact —
-/// the same acceptance conditions ShapeMatcher enforces, without the
-/// search.  O(shape + incident edges).
-bool validateWitness(const cdfg::Cdfg& design,
-                     const std::vector<std::pair<NodeId, NodeId>>& anchors,
-                     const wm::WatermarkCertificate& cert,
-                     const std::vector<NodeId>& phi) {
-  const cdfg::Cdfg& shape = cert.shape;
-  if (phi.size() != shape.nodeCount()) {
-    return false;
-  }
-  std::vector<char> used(design.nodeCount(), 0);
-  for (std::size_t rank = 0; rank < phi.size(); ++rank) {
-    const NodeId n = phi[rank];
-    if (!n.isValid() || n.value() >= design.nodeCount() ||
-        !design.nodeAlive(n) || used[n.value()] != 0 ||
-        shape.node(NodeId(static_cast<std::uint32_t>(rank))).kind !=
-            design.node(n).kind) {
-      return false;
-    }
-    used[n.value()] = 1;
-  }
-  std::vector<char> anchor_used(anchors.size(), 0);
-  for (const wm::RankConstraint& c : cert.constraints) {
-    if (c.before_rank >= phi.size() || c.after_rank >= phi.size()) {
-      return false;
-    }
-    const NodeId a = phi[c.before_rank];
-    const NodeId b = phi[c.after_rank];
-    bool found = false;
-    for (std::size_t ai = 0; ai < anchors.size(); ++ai) {
-      if (anchor_used[ai] == 0 && anchors[ai].first == a &&
-          anchors[ai].second == b) {
-        anchor_used[ai] = 1;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return false;
-    }
-  }
-  // Induced exactness, as ShapeMatcher::verify.
-  std::vector<EdgeTriple> want;
-  want.reserve(shape.edgeCount());
-  for (const EdgeId e : shape.allEdges()) {
-    const cdfg::Edge& ed = shape.edge(e);
-    if (ed.kind == cdfg::EdgeKind::kTemporal) {
-      return false;
-    }
-    want.emplace_back(ed.src.value(), ed.dst.value(), ed.kind);
-  }
-  std::vector<std::uint32_t> rank_of(design.nodeCount(), 0);
-  for (std::size_t rank = 0; rank < phi.size(); ++rank) {
-    rank_of[phi[rank].value()] = static_cast<std::uint32_t>(rank);
-  }
-  std::vector<EdgeTriple> have;
-  for (std::size_t rank = 0; rank < phi.size(); ++rank) {
-    for (const EdgeId e : design.outEdges(phi[rank])) {
-      const cdfg::Edge& ed = design.edge(e);
-      if (ed.kind == cdfg::EdgeKind::kTemporal || used[ed.dst.value()] == 0) {
-        continue;
-      }
-      have.emplace_back(static_cast<std::uint32_t>(rank),
-                        rank_of[ed.dst.value()], ed.kind);
-    }
-  }
-  std::sort(want.begin(), want.end());
-  std::sort(have.begin(), have.end());
-  return want == have;
-}
-
-DiffResult diffImpl(const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
-                    const std::vector<wm::WatermarkCertificate>& certs,
-                    const DiffResumeState* prior, DiffResumeState* next,
-                    const std::string& original_name,
-                    const std::string& marked_name);
-
 }  // namespace
 
 ShapeMatch matchCertificateShape(
@@ -394,18 +270,12 @@ ShapeMatch matchCertificateShape(
   return result;
 }
 
-namespace {
-
-DiffResult diffImpl(const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
-                    const std::vector<wm::WatermarkCertificate>& certs,
-                    const DiffResumeState* prior, DiffResumeState* next,
-                    const std::string& original_name,
-                    const std::string& marked_name) {
+DiffResult diffDesigns(const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
+                       const std::vector<wm::WatermarkCertificate>& certs,
+                       const std::string& original_name,
+                       const std::string& marked_name) {
   DiffResult res;
   Report& r = res.report;
-  if (next != nullptr) {
-    *next = DiffResumeState{};
-  }
 
   if (original.nodeCount() != marked.nodeCount()) {
     r.add(diag("LW701", Severity::kError, marked_name, {},
@@ -541,75 +411,12 @@ DiffResult diffImpl(const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
     anchors.emplace_back(e.src, e.dst);
   }
 
-  // Fingerprints of this run's attribution inputs — compared against
-  // `prior` and recorded into `next`.  Skipped entirely for plain diffs.
-  std::string core_digest;
-  std::vector<std::string> cert_digests;
-  if (prior != nullptr || next != nullptr) {
-    core_digest = designDigestHex(original, marked);
-    cert_digests.reserve(certs.size());
-    for (const wm::WatermarkCertificate& cert : certs) {
-      cert_digests.push_back(certDigestHex(cert));
-    }
-  }
-  bool resumed = false;
-  std::size_t prior_anchor_count = 0;
-  if (prior != nullptr && prior->core_digest == core_digest &&
-      prior->extra.size() <= res.extra_temporal.size() &&
-      prior->certs.size() <= certs.size()) {
-    resumed = true;
-    for (std::size_t i = 0; i < prior->extra.size(); ++i) {
-      resumed = resumed &&
-                prior->extra[i].first == res.extra_temporal[i].src.value() &&
-                prior->extra[i].second == res.extra_temporal[i].dst.value();
-    }
-    for (std::size_t i = 0; i < prior->certs.size(); ++i) {
-      resumed = resumed && prior->certs[i].digest == cert_digests[i];
-    }
-    prior_anchor_count = prior->extra.size();
-  }
-  res.resumed = resumed;
-  if (next != nullptr) {
-    next->core_digest = core_digest;
-    next->extra.reserve(res.extra_temporal.size());
-    for (const ExtraTemporalEdge& e : res.extra_temporal) {
-      next->extra.emplace_back(e.src.value(), e.dst.value());
-    }
-  }
-
   for (std::size_t ci = 0; ci < certs.size(); ++ci) {
     const wm::WatermarkCertificate& cert = certs[ci];
     if (cert.constraints.empty()) {
-      if (next != nullptr) {
-        next->certs.push_back({cert_digests[ci], false, {}});
-      }
       continue;
     }
-    ShapeMatch match;
-    bool outcome_known = false;
-    if (resumed && ci < prior->certs.size()) {
-      const CertResumeEntry& entry = prior->certs[ci];
-      if (entry.matched &&
-          validateWitness(marked, anchors, cert, entry.nodes)) {
-        match.matched = true;
-        match.nodes = entry.nodes;
-        outcome_known = true;
-        ++res.certs_reused;
-      } else if (!entry.matched && anchors.size() == prior_anchor_count) {
-        // The matcher reads only the marked core, the anchors, and the
-        // certificate — all digest-checked and unchanged — so the prior
-        // failed search would fail identically.
-        outcome_known = true;
-        ++res.certs_reused;
-      }
-    }
-    if (!outcome_known) {
-      match = matchCertificateShape(marked, anchors, cert);
-      ++res.certs_matched;
-    }
-    if (next != nullptr) {
-      next->certs.push_back({cert_digests[ci], match.matched, match.nodes});
-    }
+    const ShapeMatch match = matchCertificateShape(marked, anchors, cert);
     if (!match.matched) {
       r.add(diag("LW707", Severity::kError, marked_name,
                  "certificate " + std::to_string(ci),
@@ -658,122 +465,6 @@ DiffResult diffImpl(const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
     }
   }
   return res;
-}
-
-}  // namespace
-
-DiffResult diffDesigns(const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
-                       const std::vector<wm::WatermarkCertificate>& certs,
-                       const std::string& original_name,
-                       const std::string& marked_name) {
-  return diffImpl(original, marked, certs, nullptr, nullptr, original_name,
-                  marked_name);
-}
-
-DiffResult resumeDiff(const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
-                      const std::vector<wm::WatermarkCertificate>& certs,
-                      const DiffResumeState* prior, DiffResumeState* next,
-                      const std::string& original_name,
-                      const std::string& marked_name) {
-  return diffImpl(original, marked, certs, prior, next, original_name,
-                  marked_name);
-}
-
-std::string diffStateToString(const DiffResumeState& state) {
-  std::string out = "locwm-diffstate v1\n";
-  out += "core " + (state.core_digest.empty() ? "-" : state.core_digest) +
-         "\n";
-  out += "extra " + std::to_string(state.extra.size()) + "\n";
-  for (const auto& [src, dst] : state.extra) {
-    out += "e " + std::to_string(src) + ' ' + std::to_string(dst) + '\n';
-  }
-  out += "certs " + std::to_string(state.certs.size()) + "\n";
-  for (const CertResumeEntry& entry : state.certs) {
-    out += "cert " + (entry.digest.empty() ? "-" : entry.digest) +
-           (entry.matched ? " 1 " : " 0 ") +
-           std::to_string(entry.nodes.size());
-    for (const cdfg::NodeId n : entry.nodes) {
-      out += ' ' + std::to_string(n.value());
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-DiffResumeState parseDiffState(const std::string& text) {
-  const auto fail = [](const std::string& why) -> void {
-    throw ParseError("diffstate: " + why);
-  };
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "locwm-diffstate v1") {
-    fail("bad header");
-  }
-  DiffResumeState state;
-  std::string word;
-  std::string digest;
-  std::istringstream ls;
-  const auto lineStream = [&](const std::string& keyword) -> std::istringstream& {
-    if (!std::getline(is, line)) {
-      fail("truncated after '" + keyword + "'");
-    }
-    ls.clear();
-    ls.str(line);
-    if (!(ls >> word) || word != keyword) {
-      fail("expected '" + keyword + "' line");
-    }
-    return ls;
-  };
-  {
-    std::istringstream& s = lineStream("core");
-    if (!(s >> digest)) {
-      fail("missing core digest");
-    }
-    state.core_digest = digest == "-" ? std::string() : digest;
-  }
-  std::size_t extra_count = 0;
-  if (!(lineStream("extra") >> extra_count)) {
-    fail("missing extra count");
-  }
-  state.extra.reserve(extra_count);
-  for (std::size_t i = 0; i < extra_count; ++i) {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    if (!(lineStream("e") >> src >> dst)) {
-      fail("malformed extra edge");
-    }
-    state.extra.emplace_back(src, dst);
-  }
-  std::size_t cert_count = 0;
-  if (!(lineStream("certs") >> cert_count)) {
-    fail("missing certs count");
-  }
-  state.certs.reserve(cert_count);
-  for (std::size_t i = 0; i < cert_count; ++i) {
-    std::istringstream& s = lineStream("cert");
-    CertResumeEntry entry;
-    int matched = 0;
-    std::size_t node_count = 0;
-    if (!(s >> digest >> matched >> node_count) ||
-        (matched != 0 && matched != 1)) {
-      fail("malformed cert entry");
-    }
-    entry.digest = digest == "-" ? std::string() : digest;
-    entry.matched = matched == 1;
-    entry.nodes.reserve(node_count);
-    for (std::size_t v = 0; v < node_count; ++v) {
-      std::uint32_t value = 0;
-      if (!(s >> value)) {
-        fail("malformed cert witness");
-      }
-      entry.nodes.emplace_back(value);
-    }
-    state.certs.push_back(std::move(entry));
-  }
-  if (std::getline(is, line) && !line.empty()) {
-    fail("trailing content");
-  }
-  return state;
 }
 
 }  // namespace locwm::check

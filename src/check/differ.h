@@ -20,10 +20,11 @@
 // Matching is signature-free — the differ verifies the *artifact
 // relation*; proving authorship still requires detection with the key.
 // Copy-contracted shapes (designs using kCopy chains inside a locality)
-// conservatively fail to match.
+// conservatively fail to match.  The report is a pure function of the two
+// designs and the certificates: nothing is cached or carried across runs.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,13 +54,6 @@ struct DiffResult {
   std::vector<ExtraTemporalEdge> extra_temporal;
   /// How many of them a certificate explains.
   std::size_t explained = 0;
-  /// True when a prior resume state was accepted (digest + prefix checks).
-  bool resumed = false;
-  /// Certificates whose prior outcome was reused without re-matching.
-  std::size_t certs_reused = 0;
-  /// Certificates the shape matcher actually ran on (all of them when not
-  /// resuming or when the prior state was rejected).
-  std::size_t certs_matched = 0;
 };
 
 /// Compares `marked` against `original`, verifying the superset relation
@@ -88,63 +82,5 @@ struct ShapeMatch {
     const cdfg::Cdfg& design,
     const std::vector<std::pair<cdfg::NodeId, cdfg::NodeId>>& anchors,
     const wm::WatermarkCertificate& cert, std::size_t budget = 200000);
-
-// -------------------------------------------------------------------------
-// Resume (`locwm diff --resume`) — delta diff across repeated runs.
-//
-// A diff run's dominant cost is certificate attribution (backtracking
-// shape matches).  DiffResumeState captures everything a later run needs
-// to skip the certificates nothing touched: a digest of the inputs the
-// attribution depends on, the extra-temporal edge list in matcher order,
-// and each certificate's outcome (with the matched witness).  resumeDiff
-// accepts the prior state when
-//
-//   * the digest of the original design and the marked core still match,
-//   * the prior extra-temporal list is a prefix of the current one (the
-//     edit only appended watermark edges — matcher anchors are visited in
-//     that order, so earlier anchors keep their indices), and
-//   * the prior certificates are a digest-identical prefix of the current
-//     list (certificates are only appended, never edited);
-//
-// and then re-validates each previously matched witness directly against
-// the current design (O(shape), no search) instead of re-matching, and
-// re-runs the matcher only for appended certificates and for previously
-// unmatched ones that new anchors could now satisfy.  Any check failing
-// falls back to a full diff — resume is an optimization, never a change
-// in meaning.  The rebuilt report equals the full diff's whenever each
-// reused witness is the one the full matcher would find first (always the
-// case for the embed flow, where every certificate anchors its own edges).
-struct CertResumeEntry {
-  /// SHA-256 hex of the certificate's canonical text serialization.
-  std::string digest;
-  bool matched = false;
-  /// Witness mapping (shape rank -> marked node) when matched.
-  std::vector<cdfg::NodeId> nodes;
-};
-
-/// Everything `locwm diff --resume` persists between runs.
-struct DiffResumeState {
-  /// SHA-256 hex over the original design and the marked core.
-  std::string core_digest;
-  /// Extra temporal edges of the prior run, in matcher-anchor order.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> extra;
-  std::vector<CertResumeEntry> certs;
-};
-
-/// Serializes a resume state ("locwm-diffstate v1", line oriented).
-[[nodiscard]] std::string diffStateToString(const DiffResumeState& state);
-
-/// Parses a resume state; throws ParseError on malformed input.
-[[nodiscard]] DiffResumeState parseDiffState(const std::string& text);
-
-/// diffDesigns with resume: reuses `prior` (may be null) as described
-/// above and, when `next` is non-null, fills it with the state of this
-/// run for the next one.
-[[nodiscard]] DiffResult resumeDiff(
-    const cdfg::Cdfg& original, const cdfg::Cdfg& marked,
-    const std::vector<wm::WatermarkCertificate>& certs,
-    const DiffResumeState* prior, DiffResumeState* next,
-    const std::string& original_name = "<original>",
-    const std::string& marked_name = "<marked>");
 
 }  // namespace locwm::check

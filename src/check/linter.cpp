@@ -87,9 +87,7 @@ void Linter::lintText(const std::string& text, const std::string& name) {
         break;
     }
   } catch (const Error& e) {
-    report_.add(diag("LW001", Severity::kError, name, {}, e.what(),
-                     "fix the artifact's syntax; semantic problems are "
-                     "reported as individual diagnostics"));
+    report_.add(syntaxErrorDiag(name, e.what()));
   }
 }
 

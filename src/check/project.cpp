@@ -294,11 +294,9 @@ void scanScheduleMeta(const std::string& text, const std::string& name,
     std::uint32_t step = 0;
     std::string_view trailing;
     if (!(ls >> node >> step) || (ls >> trailing)) {
-      diags.push_back(diag(
-          "LW001", Severity::kError, name, "line " + std::to_string(no),
-          "schedule entry is malformed (expected '<node> <step>')",
-          "fix the artifact's syntax; semantic problems are reported as "
-          "individual diagnostics"));
+      diags.push_back(syntaxErrorDiag(
+          name, "schedule entry is malformed (expected '<node> <step>')",
+          "line " + std::to_string(no)));
       return false;
     }
     ++m.entries;
@@ -382,11 +380,6 @@ std::array<std::uint32_t, cdfg::kOpKindCount> opHistogram(
     }
   }
   return h;
-}
-
-std::string lw001Hint() {
-  return "fix the artifact's syntax; semantic problems are reported as "
-         "individual diagnostics";
 }
 
 /// Per-artifact self analysis (everything that needs no second artifact).
@@ -490,8 +483,7 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
     }
   } catch (const Error& e) {
     m.usable = false;
-    out.diags.push_back(
-        diag("LW001", Severity::kError, path, {}, e.what(), lw001Hint()));
+    out.diags.push_back(syntaxErrorDiag(path, e.what()));
   }
   return out;
 }
@@ -610,9 +602,9 @@ std::string refNoun(ArtifactKind kind) {
 }  // namespace
 
 std::string ruleSetVersion() {
-  // v2: parse-error diagnostics carry the source path, so cached entries
-  // rendered under v1 would differ textually.
-  return "lw" + std::to_string(allRules().size()) + ".v2";
+  // v3: parse-error LW001 messages name the artifact once (v2 entries
+  // repeat the path), so cached entries rendered under v2 differ textually.
+  return "lw" + std::to_string(allRules().size()) + ".v3";
 }
 
 ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
@@ -1090,8 +1082,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           break;
       }
     } catch (const Error& e) {
-      out.push_back(
-          diag("LW001", Severity::kError, a.path, {}, e.what(), lw001Hint()));
+      out.push_back(syntaxErrorDiag(a.path, e.what()));
     }
     if (cached) {
       CacheEntry entry;

@@ -154,6 +154,18 @@ Diagnostic unknownKindDiag(const std::string& artifact,
               "certificate");
 }
 
+Diagnostic syntaxErrorDiag(const std::string& artifact,
+                           std::string_view message, std::string location) {
+  if (!artifact.empty() && message.starts_with(artifact) &&
+      message.substr(artifact.size()).starts_with(": ")) {
+    message.remove_prefix(artifact.size() + 2);
+  }
+  return diag("LW001", Severity::kError, artifact, std::move(location),
+              std::string(message),
+              "fix the artifact's syntax; semantic problems are reported as "
+              "individual diagnostics");
+}
+
 Workspace Workspace::fromDirectory(const std::string& dir) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec) || ec) {

@@ -81,6 +81,13 @@ struct SniffResult {
 [[nodiscard]] Diagnostic unknownKindDiag(const std::string& artifact,
                                          const SniffResult& sniff);
 
+/// The LW001 diagnostic for an artifact that does not parse.  A parser
+/// prefixes its error with the source path; the diagnostic already names
+/// the artifact, so a leading "<artifact>: " is dropped from `message`.
+[[nodiscard]] Diagnostic syntaxErrorDiag(const std::string& artifact,
+                                         std::string_view message,
+                                         std::string location = {});
+
 /// Cheap per-artifact metadata: everything reference resolution and the
 /// ring-level LW8xx rules need, extractable without a full parse context
 /// and durable enough to live in the analysis cache.  Fields not

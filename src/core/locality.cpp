@@ -505,7 +505,7 @@ struct ShapeTarget {
 }  // namespace
 
 LocalityDeriver::LocalityDeriver(const cdfg::Cdfg& graph)
-    : graph_(&graph), csr_(graph), adjacency_(buildAdjacency(csr_)) {}
+    : csr_(graph), adjacency_(buildAdjacency(csr_)) {}
 
 IdentContext LocalityDeriver::context(NodeId root,
                                       std::uint32_t max_distance) const {

@@ -225,7 +225,6 @@ class LocalityDeriver {
   }
 
  private:
-  const cdfg::Cdfg* graph_;
   cdfg::CsrView csr_;
   RealAdjacency adjacency_;
 };

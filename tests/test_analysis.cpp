@@ -65,33 +65,6 @@ TEST(Analysis, LaxityAndSlack) {
   EXPECT_EQ(an.slack(a), 0u);
 }
 
-TEST(Analysis, FaninTreeRespectsDistance) {
-  const Cdfg g = chain(5);
-  const StructuralAnalysis a(g);
-  // From a4 (node id 5), distance 2: {a4, a3, a2}.
-  EXPECT_EQ(a.faninTree(NodeId(5), 2).size(), 3u);
-  EXPECT_EQ(a.transitiveFaninCount(NodeId(5), 2), 2u);
-  // Unlimited distance reaches the input too.
-  EXPECT_EQ(a.faninTree(NodeId(5), 10).size(), 6u);
-}
-
-TEST(Analysis, FunctionalitySignatureSorted) {
-  Cdfg g;
-  const NodeId in = g.addNode(OpKind::kInput);
-  const NodeId m = g.addNode(OpKind::kMul);
-  const NodeId a = g.addNode(OpKind::kAdd);
-  const NodeId r = g.addNode(OpKind::kAdd);
-  g.addEdge(in, m);
-  g.addEdge(in, a);
-  g.addEdge(m, r);
-  g.addEdge(a, r);
-  const StructuralAnalysis an(g);
-  const auto sig = an.functionalitySignature(r, 1);
-  ASSERT_EQ(sig.size(), 2u);
-  EXPECT_EQ(sig[0], functionalityId(OpKind::kAdd));
-  EXPECT_EQ(sig[1], functionalityId(OpKind::kMul));
-}
-
 TEST(Analysis, TemporalEdgesExcluded) {
   Cdfg g = chain(3);
   // A temporal edge must not affect structural levels.

@@ -757,6 +757,39 @@ TEST(CheckProject, NonNumericScheduleLineIsOneLW001) {
   EXPECT_EQ(countCode(project, "LW001"), 1u) << project.renderText();
 }
 
+TEST(CheckProject, LW001NamesTheArtifactOnce) {
+  // The lenient parsers prefix their errors with the source path; the
+  // diagnostic already names the artifact, so its message does not repeat
+  // it, in single-file and workspace lint alike.
+  const std::string sched = "0 0\nabc 5\n1 1\n2 2\n";
+  const std::string cert =
+      "locwm-cert v1 sched\ncontext c/0\nconstraint x y\n";
+  const auto lw001 = [](const Report& r, const std::string& artifact) {
+    for (const auto& d : r.diagnostics()) {
+      if (d.code == "LW001" && d.artifact == artifact) {
+        return d.message;
+      }
+    }
+    return std::string("<no LW001>");
+  };
+  const std::string cert_error =
+      "certificate parse error at line 3: malformed constraint";
+  check::Linter linter;
+  linter.lintText(kTinyDesign, "d.cdfg");
+  linter.lintText(sched, "s.sched");
+  linter.lintText(cert, "c.wmc");
+  EXPECT_EQ(lw001(linter.report(), "s.sched"),
+            "schedule parse error at line 2: malformed entry 'abc'");
+  EXPECT_EQ(lw001(linter.report(), "c.wmc"), cert_error);
+  const Report project =
+      projectCheck({{"d.cdfg", kTinyDesign}, {"c.wmc", cert}}).report;
+  EXPECT_EQ(lw001(project, "c.wmc"), cert_error);
+  // A message that does not open with the path is kept whole.
+  EXPECT_EQ(check::syntaxErrorDiag("c.wmc", "c.wmcx: y").message,
+            "c.wmcx: y");
+  EXPECT_EQ(check::syntaxErrorDiag("c.wmc", "c.wmc: y").message, "y");
+}
+
 TEST(CheckProject, LW802DanglingReference) {
   const auto result = projectCheck(
       {{"design.cdfg", kChainDesign}, {"sched.txt", "9 0\n"}});

@@ -338,6 +338,35 @@ TEST(Differ, EveryStructuralMutationIsDetected) {
   }
 }
 
+TEST(Differ, AppendedMarksAreEachExplained) {
+  // Two marks embedded one after the other into the same design: after
+  // each, the core is unchanged and every extra temporal edge is explained
+  // by the certificates embedded so far.
+  const cdfg::Cdfg original = workloads::waveFilter(8);
+  cdfg::Cdfg marked = original;
+  wm::SchedulingWatermarker marker({"alice", "design"});
+  std::vector<wm::WatermarkCertificate> certs;
+  std::size_t extra_before = 0;
+  for (std::size_t mark = 0; mark < 2; ++mark) {
+    wm::SchedWmParams params;
+    params.locality.min_size = 4;
+    params.min_eligible = 2;
+    params.deadline =
+        sched::TimeFrames(marked, params.latency).criticalPathSteps() + 3;
+    const auto result = marker.embed(marked, params, mark);
+    ASSERT_TRUE(result.has_value()) << "mark " << mark;
+    certs.push_back(result->certificate);
+    const auto diff = check::diffDesigns(original, marked, certs);
+    EXPECT_FALSE(diff.report.hasErrors())
+        << "mark " << mark << "\n" << diff.report.renderText();
+    EXPECT_TRUE(diff.identical_core) << "mark " << mark;
+    EXPECT_GT(diff.extra_temporal.size(), extra_before) << "mark " << mark;
+    EXPECT_EQ(diff.explained, diff.extra_temporal.size())
+        << "mark " << mark << "\n" << diff.report.renderText();
+    extra_before = diff.extra_temporal.size();
+  }
+}
+
 TEST(Differ, ShapeMatcherLocatesTheEmbeddedLocality) {
   const MarkedFixture f = embedFixture();
   std::vector<std::pair<cdfg::NodeId, cdfg::NodeId>> anchors;

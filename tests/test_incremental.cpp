@@ -5,8 +5,7 @@
 // These tests hammer that contract with randomized edit scripts (adds and
 // removals of nodes and edges of every kind, including cycle-inducing
 // edges and rejected ops) and with targeted cases for each repair path.
-// The Baseline and DiffResume suites cover the lint-ratchet and the
-// `locwm diff --resume` state machinery that ride on the same PR.
+// The Baseline suite covers the lint ratchet (check/baseline.h).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,14 +18,10 @@
 #include "cdfg/random_dfg.h"
 #include "check/baseline.h"
 #include "check/dataflow.h"
-#include "check/differ.h"
 #include "check/incremental.h"
 #include "check/rules.h"
-#include "core/sched_wm.h"
 #include "rt/rt.h"
 #include "sched/latency.h"
-#include "sched/timeframes.h"
-#include "workloads/hyper.h"
 #include "workloads/iir4.h"
 
 namespace locwm {
@@ -468,109 +463,6 @@ TEST(Baseline, OverflowingNumberKeepsThePrefix) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "baseline parse error: number out of range");
   }
-}
-
-// ---------------------------------------------------------------------
-// DiffResume (`locwm diff --resume`)
-
-wm::SchedWmParams diffParams(const Cdfg& g) {
-  wm::SchedWmParams p;
-  p.locality.min_size = 4;
-  p.min_eligible = 2;
-  const sched::TimeFrames tf(g, p.latency);
-  p.deadline = tf.criticalPathSteps() + 3;
-  return p;
-}
-
-TEST(DiffResume, StateStringRoundTrip) {
-  check::DiffResumeState state;
-  state.core_digest = "abc123";
-  state.extra = {{1, 2}, {7, 9}};
-  state.certs.push_back({"d1", true, {NodeId(3), NodeId(5)}});
-  state.certs.push_back({"d2", false, {}});
-  const check::DiffResumeState parsed =
-      check::parseDiffState(check::diffStateToString(state));
-  EXPECT_EQ(parsed.core_digest, state.core_digest);
-  EXPECT_EQ(parsed.extra, state.extra);
-  ASSERT_EQ(parsed.certs.size(), 2U);
-  EXPECT_EQ(parsed.certs[0].digest, "d1");
-  EXPECT_TRUE(parsed.certs[0].matched);
-  EXPECT_EQ(parsed.certs[0].nodes, state.certs[0].nodes);
-  EXPECT_FALSE(parsed.certs[1].matched);
-}
-
-TEST(DiffResume, ParseRejectsMalformedState) {
-  EXPECT_THROW(check::parseDiffState("garbage"), ParseError);
-  EXPECT_THROW(check::parseDiffState("locwm-diffstate v1\ncore x\n"),
-               ParseError);
-  EXPECT_THROW(
-      check::parseDiffState(
-          "locwm-diffstate v1\ncore x\nextra 1\ne 1\ncerts 0\n"),
-      ParseError);
-}
-
-TEST(DiffResume, AppendOnlyEditReusesPriorCertificates) {
-  const Cdfg original = workloads::waveFilter(8);
-  Cdfg marked = workloads::waveFilter(8);
-  wm::SchedulingWatermarker marker({"alice", "design"});
-
-  const auto first = marker.embed(marked, diffParams(marked), 0);
-  ASSERT_TRUE(first.has_value());
-  std::vector<wm::WatermarkCertificate> certs{first->certificate};
-
-  check::DiffResumeState state1;
-  const check::DiffResult run1 = check::resumeDiff(
-      original, marked, certs, nullptr, &state1);
-  EXPECT_FALSE(run1.resumed);
-  EXPECT_EQ(run1.certs_matched, 1U);
-  ASSERT_TRUE(run1.identical_core);
-  EXPECT_EQ(run1.explained, run1.extra_temporal.size());
-
-  // Second watermark appended on top — only it should need matching.
-  const auto second = marker.embed(marked, diffParams(marked), 1);
-  ASSERT_TRUE(second.has_value());
-  certs.push_back(second->certificate);
-
-  check::DiffResumeState state2;
-  const check::DiffResult resumed = check::resumeDiff(
-      original, marked, certs, &state1, &state2);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.certs_reused, 1U);
-  EXPECT_EQ(resumed.certs_matched, 1U);
-
-  const check::DiffResult full = check::diffDesigns(original, marked, certs);
-  EXPECT_EQ(full.report.renderText(), resumed.report.renderText());
-  EXPECT_EQ(full.explained, resumed.explained);
-  EXPECT_EQ(full.identical_core, resumed.identical_core);
-
-  // Third run with nothing changed: everything reuses.
-  check::DiffResumeState state3;
-  const check::DiffResult idle = check::resumeDiff(
-      original, marked, certs, &state2, &state3);
-  EXPECT_TRUE(idle.resumed);
-  EXPECT_EQ(idle.certs_reused, 2U);
-  EXPECT_EQ(idle.certs_matched, 0U);
-  EXPECT_EQ(full.report.renderText(), idle.report.renderText());
-}
-
-TEST(DiffResume, StaleStateFallsBackToFullDiff) {
-  const Cdfg original = workloads::waveFilter(8);
-  Cdfg marked = workloads::waveFilter(8);
-  wm::SchedulingWatermarker marker({"alice", "design"});
-  const auto mark = marker.embed(marked, diffParams(marked), 0);
-  ASSERT_TRUE(mark.has_value());
-  const std::vector<wm::WatermarkCertificate> certs{mark->certificate};
-
-  check::DiffResumeState stale;
-  stale.core_digest = "0000";  // cannot match any real digest
-  check::DiffResumeState next;
-  const check::DiffResult res = check::resumeDiff(
-      original, marked, certs, &stale, &next);
-  EXPECT_FALSE(res.resumed);
-  EXPECT_EQ(res.certs_reused, 0U);
-  EXPECT_EQ(res.certs_matched, 1U);
-  EXPECT_EQ(check::diffDesigns(original, marked, certs).report.renderText(),
-            res.report.renderText());
 }
 
 }  // namespace

@@ -653,34 +653,40 @@ int cmdVerifyCert(const Args& args) {
       die("cannot open certificate '" + path + "'");
     }
     const std::string& text = *file;
+    // The header names the kind, so only that kind's parser reads the
+    // file and its error is the one reported.  A file that is no
+    // certificate at all fails the header check of whichever parser runs.
     try {
-      const auto cert = wm::parseSchedCertificate(text);
-      std::printf("%-24s sched: %zu-op locality, %zu constraints",
-                  path.c_str(), cert.shape.nodeCount(),
-                  cert.constraints.size());
-      try {
-        const auto pc = wm::exactSchedulingPc(cert, 2);
-        std::printf(", Pc = %.2e\n", pc.pc());
-      } catch (const Error&) {
-        std::printf(", Pc not enumerable\n");
+      switch (check::sniffArtifact(text).kind) {
+        case check::ArtifactKind::kCertTm: {
+          const auto cert = wm::parseTmCertificate(text);
+          std::printf("%-24s tm: %zu-op locality, %zu matchings%s\n",
+                      path.c_str(), cert.shape.nodeCount(),
+                      cert.matchings.size(),
+                      cert.whole_design ? " (whole-design)" : "");
+          break;
+        }
+        case check::ArtifactKind::kCertReg: {
+          const auto cert = wm::parseRegCertificate(text);
+          std::printf("%-24s reg: %zu-op locality, %zu shared pairs\n",
+                      path.c_str(), cert.shape.nodeCount(),
+                      cert.pairs.size());
+          break;
+        }
+        default: {
+          const auto cert = wm::parseSchedCertificate(text);
+          std::printf("%-24s sched: %zu-op locality, %zu constraints",
+                      path.c_str(), cert.shape.nodeCount(),
+                      cert.constraints.size());
+          try {
+            const auto pc = wm::exactSchedulingPc(cert, 2);
+            std::printf(", Pc = %.2e\n", pc.pc());
+          } catch (const Error&) {
+            std::printf(", Pc not enumerable\n");
+          }
+          break;
+        }
       }
-      continue;
-    } catch (const ParseError&) {
-    }
-    try {
-      const auto cert = wm::parseTmCertificate(text);
-      std::printf("%-24s tm: %zu-op locality, %zu matchings%s\n",
-                  path.c_str(), cert.shape.nodeCount(),
-                  cert.matchings.size(),
-                  cert.whole_design ? " (whole-design)" : "");
-      continue;
-    } catch (const ParseError&) {
-    }
-    try {
-      const auto cert = wm::parseRegCertificate(text);
-      std::printf("%-24s reg: %zu-op locality, %zu shared pairs\n",
-                  path.c_str(), cert.shape.nodeCount(), cert.pairs.size());
-      continue;
     } catch (const ParseError& e) {
       std::printf("%-24s INVALID: %s\n", path.c_str(), e.what());
       ++bad;
@@ -797,28 +803,8 @@ int cmdDiff(const Args& args) {
     certs.push_back(wm::parseSchedCertificate(
         readInput(args.positional[i], "certificate")));
   }
-  check::DiffResult diff;
-  if (const auto state_path = args.get("--resume")) {
-    const auto state = store::readFile(*state_path);
-    const bool have_prior = state.has_value();
-    check::DiffResumeState prior;
-    if (have_prior) {
-      prior = check::parseDiffState(*state);
-    }
-    check::DiffResumeState next;
-    diff = check::resumeDiff(original, marked, certs,
-                             have_prior ? &prior : nullptr, &next,
-                             args.positional[0], args.positional[1]);
-    saveText(*state_path, check::diffStateToString(next));
-    note("resume: %s; %zu certificate(s) reused, %zu matched\n",
-         diff.resumed ? "prior state reused"
-                      : (have_prior ? "prior state stale, full diff"
-                                    : "no prior state, full diff"),
-         diff.certs_reused, diff.certs_matched);
-  } else {
-    diff = check::diffDesigns(original, marked, certs, args.positional[0],
-                              args.positional[1]);
-  }
+  const check::DiffResult diff = check::diffDesigns(
+      original, marked, certs, args.positional[0], args.positional[1]);
   const int rc = printReport(args, diff.report);
   note("core %s; %zu extra temporal edge(s), %zu explained by %zu "
        "certificate(s)\n",
@@ -1131,14 +1117,12 @@ const Command kCommands[] = {
       {"--update-baseline", Takes::kFlag}},
      cmdLint},
     {"diff",
-     "ORIGINAL MARKED [CERT...] [--json] [--sarif] [--werror]\n"
-     "[--resume FILE]",
+     "ORIGINAL MARKED [CERT...] [--json] [--sarif] [--werror]",
      "prove MARKED is ORIGINAL plus watermark temporal edges only;\n"
-     "certificates attribute the extra edges (LW7xx).  --resume keeps\n"
-     "a state file so repeated diffs re-match only touched certificates",
+     "certificates attribute the extra edges (LW7xx)",
      2, kAny,
      {{"--json", Takes::kFlag}, {"--sarif", Takes::kFlag},
-      {"--werror", Takes::kFlag}, {"--resume"}},
+      {"--werror", Takes::kFlag}},
      cmdDiff},
     {"delta", "DESIGN [EDITS] [-o FILE] [--verify] [--json] [--werror]",
      "apply an ndjson edit stream (EDITS or stdin) with the incremental\n"

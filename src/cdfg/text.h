@@ -172,9 +172,19 @@ class Fields {
 /// aliases another number.  The node words of bindings and both sides of
 /// the `<a>:<b>` pairs of certificate matchings and covers.
 inline bool wholeNumber(std::string_view word, std::uint32_t& value) noexcept {
-  Fields f(word);
-  return !word.empty() && word[0] >= '0' && word[0] <= '9' &&
-         static_cast<bool>(f >> value) && f.rest().empty();
+  std::uint32_t v = 0;
+  for (const char c : word) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    const auto digit = static_cast<std::uint32_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint32_t>::max() - digit) / 10U) {
+      return false;
+    }
+    v = v * 10U + digit;
+  }
+  value = v;
+  return !word.empty();
 }
 
 /// Splits `word` at its first ':' and reads each side with wholeNumber().

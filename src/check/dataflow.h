@@ -76,9 +76,6 @@ struct EdgeMask {
   [[nodiscard]] static constexpr EdgeMask dataControl() {
     return {true, true, false};
   }
-  [[nodiscard]] static constexpr EdgeMask dataOnly() {
-    return {true, false, false};
-  }
 };
 
 /// What one fixpoint run did.  `updates == 0` on a rerun over an already

@@ -106,14 +106,6 @@ class IncrementalAnalysis {
   [[nodiscard]] bool precedes(cdfg::NodeId a, cdfg::NodeId b) const {
     return anc_.test(b.value(), a.value());
   }
-  /// Forward reachability from inputs/constants over data+control.
-  [[nodiscard]] bool reachableFromSources(cdfg::NodeId n) const {
-    return fwd_mark_[n.value()] != 0;
-  }
-  /// Backward liveness into outputs/side effects over data+control.
-  [[nodiscard]] bool liveIntoSinks(cdfg::NodeId n) const {
-    return bwd_mark_[n.value()] != 0;
-  }
   [[nodiscard]] std::uint32_t asap(cdfg::NodeId n) const {
     return asap_[n.value()];
   }

@@ -10,7 +10,6 @@
 #include "cdfg/csr.h"
 #include "cdfg/error.h"
 #include "cdfg/io.h"
-#include "cdfg/text.h"
 #include "check/dataflow.h"
 #include "check/differ.h"
 #include "check/internal.h"
@@ -45,7 +44,7 @@ constexpr std::size_t kClosureNodeBound = 20000;
 // carry the entry format and the rule-set version.
 
 /// Bumping this invalidates every cached entry.
-constexpr const char* kEntryFormat = "locwm-lint-entry v1";
+constexpr const char* kEntryFormat = "locwm-lint-entry v2";
 
 struct CacheEntry {
   bool has_meta = false;
@@ -118,8 +117,6 @@ std::string entryToJson(const CacheEntry& e) {
     out += '{';
     appendKey(out, "cert_context", /*first=*/true);
     out += obs::jsonString(m.cert_context);
-    appendKey(out, "constraints");
-    out += std::to_string(m.constraints);
     appendKey(out, "entries");
     out += std::to_string(m.entries);
     appendKey(out, "kind");
@@ -128,16 +125,8 @@ std::string entryToJson(const CacheEntry& e) {
     out += std::to_string(m.max_node);
     appendKey(out, "node_count");
     out += std::to_string(m.node_count);
-    appendKey(out, "real_ops");
-    out += std::to_string(m.real_ops);
-    appendKey(out, "registers");
-    out += std::to_string(m.registers);
     appendKey(out, "shape_nodes");
     out += std::to_string(m.shape_nodes);
-    appendKey(out, "templates");
-    out += std::to_string(m.templates);
-    appendKey(out, "temporal_edges");
-    out += std::to_string(m.temporal_edges);
     appendKey(out, "usable");
     out += m.usable ? "true" : "false";
     out += '}';
@@ -169,24 +158,14 @@ ArtifactMeta parseMeta(obs::JsonReader& sc) {
       m.kind = *kind;
     } else if (key == "usable") {
       m.usable = sc.boolean();
-    } else if (key == "constraints") {
-      m.constraints = static_cast<std::uint32_t>(sc.number());
     } else if (key == "entries") {
       m.entries = static_cast<std::uint32_t>(sc.number());
     } else if (key == "max_node") {
       m.max_node = static_cast<std::uint32_t>(sc.number());
     } else if (key == "node_count") {
       m.node_count = static_cast<std::uint32_t>(sc.number());
-    } else if (key == "real_ops") {
-      m.real_ops = static_cast<std::uint32_t>(sc.number());
-    } else if (key == "registers") {
-      m.registers = static_cast<std::uint32_t>(sc.number());
     } else if (key == "shape_nodes") {
       m.shape_nodes = static_cast<std::uint32_t>(sc.number());
-    } else if (key == "templates") {
-      m.templates = static_cast<std::uint32_t>(sc.number());
-    } else if (key == "temporal_edges") {
-      m.temporal_edges = static_cast<std::uint32_t>(sc.number());
     } else {
       badEntry();
     }
@@ -262,111 +241,15 @@ std::optional<CacheEntry> parseEntry(const std::string& text) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Self-stage metadata scans.  Schedules, covers, and bindings cannot be
-// fully parsed without their context artifact, so reference resolution
-// works off a cheap text scan of the entry lines instead.
-
-/// Iterates the meaningful ('#'-stripped, non-blank) lines of `text`,
-/// calling fn(line, lineno).  Returns false when fn does.
-template <typename Fn>
-bool forEachLine(std::string_view text, Fn&& fn) {
-  text::LineReader lines(text);
-  std::string_view line;
-  while (lines.next(line)) {
-    line = text::stripComment(line);
-    if (std::all_of(line.begin(), line.end(), text::isSpace)) {
-      continue;
-    }
-    if (!fn(line, lines.lineno())) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void scanScheduleMeta(const std::string& text, const std::string& name,
-                      ArtifactMeta& m, std::vector<Diagnostic>& diags) {
-  m.kind = ArtifactKind::kSchedule;
-  m.usable = forEachLine(text, [&](std::string_view line, std::size_t no) {
-    text::Fields ls(line);
-    std::uint32_t node = 0;
-    std::uint32_t step = 0;
-    std::string_view trailing;
-    if (!(ls >> node >> step) || (ls >> trailing)) {
-      diags.push_back(syntaxErrorDiag(
-          name, "schedule entry is malformed (expected '<node> <step>')",
-          "line " + std::to_string(no)));
-      return false;
-    }
+/// Counts the entries a schedule's or binding's syntax walk yields and
+/// the highest node they name.
+template <typename Reader, typename Entry>
+void countEntries(Reader reader, Entry e, ArtifactMeta& m) {
+  while (reader.next(e)) {
     ++m.entries;
-    m.max_node = std::max(m.max_node, node);
-    return true;
-  });
-}
-
-void scanCoverMeta(const std::string& text, ArtifactMeta& m) {
-  m.kind = ArtifactKind::kCover;
-  m.usable = true;  // syntax is validated by the pair-stage parse
-  bool header_seen = false;
-  forEachLine(text, [&](std::string_view line, std::size_t) {
-    text::Fields ls(line);
-    std::string_view word;
-    ls >> word;
-    if (!header_seen) {
-      header_seen = true;  // "tmcover v1", already sniffed
-      return true;
-    }
-    if (word == "single") {
-      std::uint32_t node = 0;
-      if (ls >> node) {
-        ++m.entries;
-        m.max_node = std::max(m.max_node, node);
-      }
-    } else if (word == "use") {
-      std::string_view tid;
-      ls >> tid;
-      ++m.entries;
-      std::string_view tok;
-      while (ls >> tok) {
-        const std::size_t colon = tok.find(':');
-        if (colon == std::string_view::npos) {
-          continue;
-        }
-        text::Fields ns(tok.substr(0, colon));
-        std::uint32_t node = 0;
-        if (ns >> node) {
-          m.max_node = std::max(m.max_node, node);
-        }
-      }
-    }
-    return true;
-  });
-}
-
-void scanBindingMeta(const std::string& text, ArtifactMeta& m) {
-  m.kind = ArtifactKind::kBinding;
-  m.usable = true;  // syntax is validated by the pair-stage parse
-  bool header_seen = false;
-  forEachLine(text, [&](std::string_view line, std::size_t) {
-    text::Fields ls(line);
-    if (!header_seen) {
-      header_seen = true;
-      std::string_view word;
-      std::uint32_t count = 0;
-      if ((ls >> word >> count) && word == "registers") {
-        m.registers = count;
-      }
-      return true;
-    }
-    std::uint32_t node = 0;
-    std::uint32_t reg = 0;
-    if (ls >> node >> reg) {
-      ++m.entries;
-      m.max_node = std::max(m.max_node, node);
-    }
-    return true;
-  });
+    m.max_node = std::max(m.max_node, e.node);
+  }
+  m.usable = true;
 }
 
 /// Live-node operation-kind histogram; the LW805 existence screen.
@@ -398,14 +281,6 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         const cdfg::Cdfg g = cdfg::parseString(text, issues, path);
         m.usable = true;
         m.node_count = static_cast<std::uint32_t>(g.nodeCount());
-        for (std::size_t i = 0; i < g.nodeCount(); ++i) {
-          const cdfg::NodeId n{static_cast<std::uint32_t>(i)};
-          if (g.nodeAlive(n) && !cdfg::isPseudoOp(g.node(n).kind)) {
-            ++m.real_ops;
-          }
-        }
-        m.temporal_edges =
-            static_cast<std::uint32_t>(g.temporalEdges().size());
         Report structural = checkGraph(g, issues, path);
         Report semantic = checkSemantics(g, path);
         out.diags = structural.diagnostics();
@@ -413,21 +288,34 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
                          semantic.diagnostics().end());
         break;
       }
+      // A schedule, cover or binding cannot be fully parsed without its
+      // context artifact; its format's syntax walk yields the entry count
+      // and highest node that reference resolution works from, and throws
+      // the parser's own error on a malformed line.
       case ArtifactKind::kSchedule:
-        scanScheduleMeta(text, path, m, out.diags);
+        countEntries(sched::ScheduleReader(text, path), sched::ScheduleEntry{},
+                     m);
         break;
-      case ArtifactKind::kCover:
-        scanCoverMeta(text, m);
-        break;
-      case ArtifactKind::kBinding:
-        scanBindingMeta(text, m);
-        break;
-      case ArtifactKind::kLibrary: {
-        const tm::TemplateLibrary lib = tm::parseLibraryString(text);
+      case ArtifactKind::kCover: {
+        tm::CoverReader reader(text);
+        tm::CoverEntry e;
+        while (reader.next(e)) {
+          ++m.entries;
+          for (const tm::MatchPair& p : e.pairs) {
+            m.max_node = std::max(m.max_node, p.node.value());
+          }
+        }
         m.usable = true;
-        m.templates = static_cast<std::uint32_t>(lib.size());
         break;
       }
+      case ArtifactKind::kBinding:
+        countEntries(regbind::BindingReader(text, path),
+                     regbind::BindingEntry{}, m);
+        break;
+      case ArtifactKind::kLibrary:
+        (void)tm::parseLibraryString(text);
+        m.usable = true;
+        break;
       case ArtifactKind::kCertSched: {
         const wm::WatermarkCertificate cert =
             wm::parseSchedCertificate(text, wm::CertValidation::kLenient,
@@ -435,7 +323,6 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         m.usable = true;
         m.cert_context = cert.context;
         m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
-        m.constraints = static_cast<std::uint32_t>(cert.constraints.size());
         out.diags = checkCertificate(cert, path).diagnostics();
         break;
       }
@@ -445,7 +332,6 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         m.usable = true;
         m.cert_context = cert.context;
         m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
-        m.constraints = static_cast<std::uint32_t>(cert.matchings.size());
         out.diags = checkCertificate(cert, path).diagnostics();
         break;
       }
@@ -455,7 +341,6 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         m.usable = true;
         m.cert_context = cert.context;
         m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
-        m.constraints = static_cast<std::uint32_t>(cert.pairs.size());
         out.diags = checkCertificate(cert, path).diagnostics();
         break;
       }
@@ -602,9 +487,10 @@ std::string refNoun(ArtifactKind kind) {
 }  // namespace
 
 std::string ruleSetVersion() {
-  // v3: parse-error LW001 messages name the artifact once (v2 entries
-  // repeat the path), so cached entries rendered under v2 differ textually.
-  return "lw" + std::to_string(allRules().size()) + ".v3";
+  // v4: schedules, covers and bindings get their parse-error LW001 from
+  // the self stage, worded as the format's parser words it (v3 entries
+  // carry the scanner's wording or a pair-stage LW001).
+  return "lw" + std::to_string(allRules().size()) + ".v4";
 }
 
 ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {

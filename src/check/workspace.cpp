@@ -7,7 +7,9 @@
 #include <utility>
 
 #include "cdfg/error.h"
+#include "cdfg/text.h"
 #include "check/internal.h"
+#include "sched/schedule_io.h"
 #include "store/store.h"
 
 namespace locwm::check {
@@ -15,15 +17,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using detail::diag;
-
-/// True when the line is "<uint> <uint>" — the schedule entry shape.
-bool looksLikeScheduleEntry(const std::string& line) {
-  std::istringstream ls(line);
-  std::uint32_t node = 0;
-  std::uint32_t step = 0;
-  std::string trailing;
-  return (ls >> node >> step) && !(ls >> trailing);
-}
 
 }  // namespace
 
@@ -57,59 +50,48 @@ std::string_view artifactKindName(ArtifactKind kind) noexcept {
 
 SniffResult sniffArtifact(const std::string& text) {
   SniffResult r;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::size_t line_end = eol == std::string::npos ? text.size() : eol;
-    // Strip a '#' comment, then find the first non-whitespace byte.
-    std::size_t end = line_end;
-    for (std::size_t i = pos; i < line_end; ++i) {
-      if (text[i] == '#') {
-        end = i;
-        break;
-      }
+  text::LineReader lines(text);
+  std::string_view line;
+  while (lines.next(line)) {
+    text::Fields ls(text::stripComment(line));
+    std::string_view word;
+    if (!(ls >> word)) {
+      continue;
     }
-    std::size_t first = pos;
-    while (first < end &&
-           std::isspace(static_cast<unsigned char>(text[first])) != 0) {
-      ++first;
-    }
-    if (first < end) {
-      r.empty = false;
-      r.first_byte = text[first];
-      r.first_offset = first;
-      const std::string line = text.substr(first, end - first);
-      std::istringstream ls(line);
-      ls >> r.header_word;
-      if (r.header_word == "cdfg") {
-        r.kind = ArtifactKind::kDesign;
-      } else if (r.header_word == "tmcover") {
-        r.kind = ArtifactKind::kCover;
-      } else if (r.header_word == "tmlib") {
-        r.kind = ArtifactKind::kLibrary;
-      } else if (r.header_word == "registers") {
-        r.kind = ArtifactKind::kBinding;
-      } else if (r.header_word == "locwm-workspace") {
-        r.kind = ArtifactKind::kManifest;
-      } else if (r.header_word == "locwm-cert") {
-        std::string version;
-        ls >> version >> r.cert_kind;
-        if (r.cert_kind == "sched") {
-          r.kind = ArtifactKind::kCertSched;
-        } else if (r.cert_kind == "tm") {
-          r.kind = ArtifactKind::kCertTm;
-        } else if (r.cert_kind == "reg") {
-          r.kind = ArtifactKind::kCertReg;
-        }  // else: kUnknown, cert_kind records what defeated us
-      } else if (looksLikeScheduleEntry(line)) {
+    r.empty = false;
+    r.first_byte = word.front();
+    r.first_offset = static_cast<std::size_t>(word.data() - text.data());
+    r.header_word = word;
+    if (word == "cdfg") {
+      r.kind = ArtifactKind::kDesign;
+    } else if (word == "tmcover") {
+      r.kind = ArtifactKind::kCover;
+    } else if (word == "tmlib") {
+      r.kind = ArtifactKind::kLibrary;
+    } else if (word == "registers") {
+      r.kind = ArtifactKind::kBinding;
+    } else if (word == "locwm-workspace") {
+      r.kind = ArtifactKind::kManifest;
+    } else if (word == "locwm-cert") {
+      std::string_view version;
+      std::string_view kind;
+      ls >> version >> kind;
+      r.cert_kind = kind;
+      if (kind == "sched") {
+        r.kind = ArtifactKind::kCertSched;
+      } else if (kind == "tm") {
+        r.kind = ArtifactKind::kCertTm;
+      } else if (kind == "reg") {
+        r.kind = ArtifactKind::kCertReg;
+      }  // else: kUnknown, cert_kind records what defeated us
+    } else {
+      sched::ScheduleEntry entry;
+      if (sched::readScheduleLine(line, entry) ==
+          sched::ScheduleLine::kEntry) {
         r.kind = ArtifactKind::kSchedule;
       }
-      return r;
     }
-    if (eol == std::string::npos) {
-      break;
-    }
-    pos = eol + 1;
+    return r;
   }
   return r;
 }

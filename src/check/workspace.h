@@ -99,19 +99,12 @@ struct ArtifactMeta {
   bool usable = false;
   // design
   std::uint32_t node_count = 0;
-  std::uint32_t real_ops = 0;
-  std::uint32_t temporal_edges = 0;
   // schedule / cover / binding: entry count and highest node referenced
   std::uint32_t entries = 0;
   std::uint32_t max_node = 0;  ///< meaningful only when entries > 0
-  // binding
-  std::uint32_t registers = 0;
-  // library
-  std::uint32_t templates = 0;
   // certificate
   std::string cert_context;  ///< key-stream context ("sched-wm/0")
   std::uint32_t shape_nodes = 0;
-  std::uint32_t constraints = 0;
 };
 
 /// One artifact of a workspace.

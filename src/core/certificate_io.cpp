@@ -1,5 +1,6 @@
 #include "core/certificate_io.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "cdfg/error.h"
@@ -23,9 +24,11 @@ void printShape(std::ostream& os, const cdfg::Cdfg& shape) {
 }
 
 /// Shared line-oriented reader with context-aware failure messages.
-/// Empty lines are skipped but counted.  One trailing '\r' per line is
-/// dropped, so a CRLF certificate reads as its LF original (its shape-end
-/// closes the block, its context keeps no '\r').
+/// Empty lines and whole-line comments (first non-blank byte '#') are
+/// skipped but counted; a '#' after other bytes is content (a context may
+/// hold one).  One trailing '\r' per line is dropped, so a CRLF
+/// certificate reads as its LF original (its shape-end closes the block,
+/// its context keeps no '\r').
 struct Reader {
   text::LineReader lines;
 
@@ -34,13 +37,18 @@ struct Reader {
                      std::to_string(lines.lineno()) + ": " + why);
   }
 
-  /// Next non-empty line; false at the end of the text.
+  /// Next non-empty, non-comment line; false at the end of the text.
   bool next(std::string_view& line) {
     while (lines.next(line)) {
       if (line.ends_with('\r')) {
         line.remove_suffix(1);
       }
-      if (!line.empty()) {
+      if (line.empty()) {
+        continue;
+      }
+      const auto first = std::find_if_not(line.begin(), line.end(),
+                                          text::isSpace);
+      if (first == line.end() || *first != '#') {
         return true;
       }
     }

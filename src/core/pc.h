@@ -39,8 +39,6 @@ struct PcEstimate {
   std::uint64_t schedules_constrained = 0;
 
   [[nodiscard]] double pc() const;
-  /// Proof of authorship 1 − Pc, reported as "nines": −log10(Pc).
-  [[nodiscard]] double proofStrengthDigits() const { return -log10_pc; }
 };
 
 /// Exact Pc of a scheduling watermark by exhaustive enumeration over the

@@ -25,6 +25,46 @@ std::string bindingToString(const LifetimeTable& table,
   return os.str();
 }
 
+bool BindingReader::next(BindingEntry& entry) {
+  std::string_view line;
+  while (lines_.next(line)) {
+    text::Fields ls(text::stripComment(line));
+    std::string_view first;
+    if (!(ls >> first)) {
+      continue;  // blank/comment
+    }
+    if (!have_header_) {
+      if (first != "registers" || !(ls >> register_count_)) {
+        fail("missing 'registers N' header");
+      }
+      have_header_ = true;
+      continue;
+    }
+    // The node is the whole first word, all decimal digits: a numeric
+    // prefix ("0abc"), a value beyond 32 bits or a sign ("-4294967295",
+    // which an unsigned field wraps to 1) would otherwise alias another
+    // node.
+    if (!text::wholeNumber(first, entry.node)) {
+      fail("malformed entry '" + std::string(first) + "'");
+    }
+    if (!(ls >> entry.reg)) {
+      fail("entry for node " + std::to_string(entry.node) +
+           " lacks a register");
+    }
+    return true;
+  }
+  if (!have_header_) {
+    throw ParseError(where_ +
+                     "binding parse error: missing 'registers N' header");
+  }
+  return false;
+}
+
+void BindingReader::fail(const std::string& why) const {
+  throw ParseError(where_ + "binding parse error at line " +
+                   std::to_string(lineno()) + ": " + why);
+}
+
 namespace {
 
 Binding parseBindingImpl(std::string_view text, const LifetimeTable& table,
@@ -34,63 +74,30 @@ Binding parseBindingImpl(std::string_view text, const LifetimeTable& table,
   Binding binding;
   binding.reg_of.assign(table.values.size(), 0);
   std::vector<bool> assigned(table.values.size(), false);
-  text::LineReader lines(text);
-  std::string_view line;
-  bool have_header = false;
-  const std::string where = source.empty() ? "" : source + ": ";
-  const auto fail = [&](const std::string& why) {
-    throw ParseError(where + "binding parse error at line " +
-                     std::to_string(lines.lineno()) + ": " + why);
-  };
+  BindingReader reader(text, source);
   const auto reject = [&](const std::string& why) {
     if (!issues) {
-      fail(why);
+      reader.fail(why);
     }
-    issues->push_back({lines.lineno(), why, source});
+    issues->push_back({reader.lineno(), why, source});
   };
-  while (lines.next(line)) {
-    text::Fields ls(text::stripComment(line));
-    std::string_view first;
-    if (!(ls >> first)) {
-      continue;  // blank/comment
-    }
-    if (!have_header) {
-      if (first != "registers" || !(ls >> binding.register_count)) {
-        fail("missing 'registers N' header");
-      }
-      have_header = true;
+  BindingEntry e;
+  while (reader.next(e)) {
+    if (e.node >= table.index_of.size() ||
+        table.index_of[e.node] == LifetimeTable::npos) {
+      reject("node " + std::to_string(e.node) + " produces no register value");
       continue;
     }
-    // The node is the whole first word, all decimal digits: a numeric
-    // prefix ("0abc"), a value beyond 32 bits or a sign ("-4294967295",
-    // which an unsigned field wraps to 1) would otherwise alias another
-    // node.
-    std::uint32_t node = 0;
-    std::uint32_t reg = 0;
-    if (!text::wholeNumber(first, node)) {
-      fail("malformed entry '" + std::string(first) + "'");
-    }
-    if (!(ls >> reg)) {
-      fail("entry for node " + std::to_string(node) + " lacks a register");
-    }
-    if (node >= table.index_of.size() ||
-        table.index_of[node] == LifetimeTable::npos) {
-      reject("node " + std::to_string(node) + " produces no register value");
+    if (issues && e.reg >= reader.registerCount()) {
+      reject("register " + std::to_string(e.reg) + " of node " +
+             std::to_string(e.node) + " is outside the declared count " +
+             std::to_string(reader.registerCount()));
       continue;
     }
-    if (issues && reg >= binding.register_count) {
-      reject("register " + std::to_string(reg) + " of node " +
-             std::to_string(node) + " is outside the declared count " +
-             std::to_string(binding.register_count));
-      continue;
-    }
-    binding.reg_of[table.index_of[node]] = reg;
-    assigned[table.index_of[node]] = true;
+    binding.reg_of[table.index_of[e.node]] = e.reg;
+    assigned[table.index_of[e.node]] = true;
   }
-  if (!have_header) {
-    throw ParseError(where +
-                     "binding parse error: missing 'registers N' header");
-  }
+  binding.register_count = reader.registerCount();
   if (issues) {
     for (std::size_t i = 0; i < assigned.size(); ++i) {
       if (!assigned[i]) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "cdfg/error.h"
+#include "check/workspace.h"
 #include "core/certificate_io.h"
 #include "store/store.h"
 
@@ -102,40 +103,6 @@ std::string quoteToken(const std::string& token) {
   return out;
 }
 
-/// Reads the "locwm-cert v1 <kind>" header word of a certificate text.
-std::optional<CertKind> sniffCertKind(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ls(line);
-    std::string magic;
-    if (!(ls >> magic)) {
-      continue;
-    }
-    std::string version;
-    std::string kind;
-    if (magic != "locwm-cert" || !(ls >> version >> kind) ||
-        version != "v1") {
-      return std::nullopt;
-    }
-    if (kind == "sched") {
-      return CertKind::kSched;
-    }
-    if (kind == "tm") {
-      return CertKind::kTm;
-    }
-    if (kind == "reg") {
-      return CertKind::kReg;
-    }
-    return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 KeyRingEntry loadEntry(crypto::AuthorSignature signature,
                        std::string cert_path, const std::string& resolved) {
   const std::optional<std::string> file = store::readFile(resolved);
@@ -143,26 +110,27 @@ KeyRingEntry loadEntry(crypto::AuthorSignature signature,
     throw Error(resolved + ": cannot open certificate");
   }
   const std::string& text = *file;
-  const std::optional<CertKind> kind = sniffCertKind(text);
-  detail::check<ParseError>(kind.has_value(),
-                            resolved + ": not a locwm-cert v1 artifact");
   KeyRingEntry entry;
   entry.signature = std::move(signature);
   entry.cert_path = std::move(cert_path);
-  entry.kind = *kind;
-  switch (*kind) {
-    case CertKind::kSched:
+  switch (check::sniffArtifact(text).kind) {
+    case check::ArtifactKind::kCertSched:
+      entry.kind = CertKind::kSched;
       entry.sched = wm::parseSchedCertificate(
           text, wm::CertValidation::kStrict, resolved);
       break;
-    case CertKind::kTm:
+    case check::ArtifactKind::kCertTm:
+      entry.kind = CertKind::kTm;
       entry.tm =
           wm::parseTmCertificate(text, wm::CertValidation::kStrict, resolved);
       break;
-    case CertKind::kReg:
+    case check::ArtifactKind::kCertReg:
+      entry.kind = CertKind::kReg;
       entry.reg =
           wm::parseRegCertificate(text, wm::CertValidation::kStrict, resolved);
       break;
+    default:
+      throw ParseError(resolved + ": not a locwm-cert v1 artifact");
   }
   return entry;
 }

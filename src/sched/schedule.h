@@ -83,9 +83,6 @@ struct ResourceLimits {
   [[nodiscard]] static ResourceLimits of(std::uint32_t alu, std::uint32_t mul,
                                          std::uint32_t mem = 0,
                                          std::uint32_t branch = 0);
-  [[nodiscard]] std::uint32_t forClass(cdfg::FuClass fu) const noexcept {
-    return limit[static_cast<std::size_t>(fu)];
-  }
 };
 
 /// True when the schedule respects `limits` in every step.

@@ -20,6 +20,13 @@ std::string scheduleToString(const cdfg::Cdfg& g, const Schedule& s) {
   return os.str();
 }
 
+void ScheduleReader::fail(const std::string& why) const {
+  const std::string where =
+      source_.empty() ? std::string() : std::string(source_) + ": ";
+  throw ParseError(where + "schedule parse error at line " +
+                   std::to_string(lineno()) + ": " + why);
+}
+
 namespace {
 
 Schedule parseScheduleImpl(std::string_view text, std::size_t nodeCount,
@@ -27,43 +34,17 @@ Schedule parseScheduleImpl(std::string_view text, std::size_t nodeCount,
                            const std::string& source = {}) {
   LOCWM_OBS_SPAN("sched.parse");
   Schedule s(nodeCount);
-  text::LineReader lines(text);
-  std::string_view line;
-  const std::string where = source.empty() ? "" : source + ": ";
-  while (lines.next(line)) {
-    const std::size_t lineno = lines.lineno();
-    const std::string_view body = text::stripComment(line);
-    text::Fields ls(body);
-    std::uint32_t node = 0;
-    std::uint32_t step = 0;
-    if (!(ls >> node)) {
-      std::string_view word;
-      if (!(text::Fields(body) >> word)) {
-        continue;  // blank/comment line
-      }
-      throw ParseError(where + "schedule parse error at line " +
-                       std::to_string(lineno) + ": malformed entry '" +
-                       std::string(word) + "'");
-    }
-    if (!(ls >> step)) {
-      throw ParseError(where + "schedule parse error at line " +
-                       std::to_string(lineno) + ": missing step");
-    }
-    std::string_view trailing;
-    if (ls >> trailing) {
-      throw ParseError(where + "schedule parse error at line " +
-                       std::to_string(lineno) + ": trailing tokens");
-    }
-    if (node >= nodeCount) {
+  ScheduleReader reader(text, source);
+  ScheduleEntry e;
+  while (reader.next(e)) {
+    if (e.node >= nodeCount) {
       if (!issues) {
-        throw ParseError(where + "schedule parse error at line " +
-                         std::to_string(lineno) + ": node " +
-                         std::to_string(node) + " out of range");
+        reader.fail("node " + std::to_string(e.node) + " out of range");
       }
-      issues->push_back({lineno, node, step, source});
+      issues->push_back({reader.lineno(), e.node, e.step, source});
       continue;
     }
-    s.set(cdfg::NodeId(node), step);
+    s.set(cdfg::NodeId(e.node), e.step);
   }
   return s;
 }

@@ -137,6 +137,67 @@ std::string coverToString(const std::vector<Matching>& cover) {
   return os.str();
 }
 
+bool CoverReader::next(CoverEntry& entry) {
+  std::string_view line;
+  while (lines_.next(line)) {
+    text::Fields ls(text::stripComment(line));
+    std::string_view word;
+    if (!(ls >> word)) {
+      continue;
+    }
+    if (word == "tmcover") {
+      std::string_view version;
+      if (!(ls >> version) || version != "v1") {
+        fail(lineno(), "unsupported version");
+      }
+      header_ = true;
+      continue;
+    }
+    entry.pairs.clear();
+    entry.words.clear();
+    if (word == "single") {
+      if (!header_) {
+        fail(lineno(), "missing header");
+      }
+      std::uint32_t node = 0;
+      if (!(ls >> node)) {
+        fail(lineno(), "malformed 'single'");
+      }
+      entry.single = true;
+      entry.pairs.push_back(MatchPair{cdfg::NodeId(node), 0});
+      return true;
+    }
+    if (word != "use") {
+      fail(lineno(), "unknown directive '" + std::string(word) + "'");
+    }
+    if (!header_) {
+      fail(lineno(), "missing header");
+    }
+    entry.single = false;
+    if (!(ls >> entry.template_id)) {
+      fail(lineno(), "malformed 'use'");
+    }
+    std::string_view pair;
+    while (ls >> pair) {
+      std::uint32_t node = 0;
+      std::uint32_t op = 0;
+      if (!text::numberPair(pair, node, op)) {
+        fail(lineno(), "malformed pair '" + std::string(pair) + "'");
+      }
+      entry.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
+      entry.words.push_back(pair);
+    }
+    if (entry.pairs.empty()) {
+      fail(lineno(), "'use' without pairs");
+    }
+    return true;
+  }
+  if (!header_) {
+    throw ParseError("template-io parse error: empty input");
+  }
+  return false;
+}
+
 namespace {
 
 std::vector<Matching> parseCoverImpl(std::string_view text,
@@ -146,86 +207,42 @@ std::vector<Matching> parseCoverImpl(std::string_view text,
                                      const std::string& source = {}) {
   LOCWM_OBS_SPAN("tm.cover.parse");
   std::vector<Matching> cover;
-  text::LineReader lines(text);
-  std::string_view line;
-  bool header = false;
+  CoverReader reader(text);
   // Semantic rejection: in lenient mode the entry is recorded and dropped;
   // in strict mode it throws like any other parse failure.
   const auto reject = [&](const std::string& why) {
     if (!issues) {
-      fail(lines.lineno(), why);
+      fail(reader.lineno(), why);
     }
-    issues->push_back({lines.lineno(), why, source});
+    issues->push_back({reader.lineno(), why, source});
   };
-  while (lines.next(line)) {
-    const std::size_t lineno = lines.lineno();
-    text::Fields ls(text::stripComment(line));
-    std::string_view word;
-    if (!(ls >> word)) {
-      continue;
-    }
-    if (word == "tmcover") {
-      std::string_view version;
-      if (!(ls >> version) || version != "v1") {
-        fail(lineno, "unsupported version");
-      }
-      header = true;
-    } else if (word == "single") {
-      if (!header) {
-        fail(lineno, "missing header");
-      }
-      std::uint32_t node = 0;
-      if (!(ls >> node)) {
-        fail(lineno, "malformed 'single'");
-      }
-      if (node >= nodeCount) {
-        reject("'single' node " + std::to_string(node) +
+  CoverEntry e;
+  while (reader.next(e)) {
+    if (e.single) {
+      const cdfg::NodeId node = e.pairs.front().node;
+      if (node.value() >= nodeCount) {
+        reject("'single' node " + std::to_string(node.value()) +
                " outside the design");
         continue;
       }
-      cover.push_back(singletonMatching(cdfg::NodeId(node)));
-    } else if (word == "use") {
-      if (!header) {
-        fail(lineno, "missing header");
-      }
-      std::uint32_t tid = 0;
-      if (!(ls >> tid)) {
-        fail(lineno, "malformed 'use'");
-      }
-      if (tid >= lib.size()) {
-        reject("unknown template id " + std::to_string(tid));
-        continue;
-      }
-      Matching m;
-      m.template_id = TemplateId(tid);
-      bool dropped = false;
-      std::string_view pair;
-      while (ls >> pair) {
-        std::uint32_t node = 0;
-        std::uint32_t op = 0;
-        if (!text::numberPair(pair, node, op)) {
-          fail(lineno, "malformed pair '" + std::string(pair) + "'");
-        }
-        if (node >= nodeCount || op >= lib.get(m.template_id).size()) {
-          reject("pair out of range '" + std::string(pair) + "'");
-          dropped = true;
-          break;
-        }
-        m.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
-      }
-      if (dropped) {
-        continue;
-      }
-      if (m.pairs.empty()) {
-        fail(lineno, "'use' without pairs");
-      }
-      cover.push_back(std::move(m));
-    } else {
-      fail(lineno, "unknown directive '" + std::string(word) + "'");
+      cover.push_back(singletonMatching(node));
+      continue;
     }
-  }
-  if (!header) {
-    throw ParseError("template-io parse error: empty input");
+    if (e.template_id >= lib.size()) {
+      reject("unknown template id " + std::to_string(e.template_id));
+      continue;
+    }
+    const Template& t = lib.get(TemplateId(e.template_id));
+    std::size_t k = 0;
+    while (k < e.pairs.size() && e.pairs[k].node.value() < nodeCount &&
+           e.pairs[k].op_index < t.size()) {
+      ++k;
+    }
+    if (k < e.pairs.size()) {
+      reject("pair out of range '" + std::string(e.words[k]) + "'");
+      continue;
+    }
+    cover.push_back(Matching{TemplateId(e.template_id), e.pairs});
   }
   return cover;
 }

@@ -16,11 +16,13 @@
 // Both round-trip exactly.  Malformed input throws ParseError.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cdfg/text.h"
 #include "tm/matching.h"
 #include "tm/template.h"
 
@@ -36,6 +38,36 @@ void printLibrary(std::ostream& os, const TemplateLibrary& lib);
 /// Writes a cover (a list of matchings, trivial singletons included).
 void printCover(std::ostream& os, const std::vector<Matching>& cover);
 [[nodiscard]] std::string coverToString(const std::vector<Matching>& cover);
+
+/// One entry line of a cover, syntax-checked but not yet checked against
+/// a design or a library.
+struct CoverEntry {
+  bool single = false;  ///< "single <node>"; else "use <template> <pairs>"
+  std::uint32_t template_id = 0;  ///< "use" only
+  std::vector<MatchPair> pairs;   ///< "single": one pair, {node, 0}
+  std::vector<std::string_view> words;  ///< the "use" pairs as written
+};
+
+/// The one syntax walk over a cover, shared by the parsers and the
+/// workspace analyzer: checks the "tmcover v1" header and yields the entry
+/// lines in order, throwing ParseError at the first syntax error (a pair's
+/// sides are whole numbers, text::numberPair).  Template ids, ops and
+/// nodes are the caller's to range-check.  `text` must outlive the reader
+/// and the entries' words.
+class CoverReader {
+ public:
+  explicit CoverReader(std::string_view text) noexcept : lines_(text) {}
+
+  /// Stores the next entry in `entry`, reusing its storage; false at the
+  /// end of the text.
+  bool next(CoverEntry& entry);
+  /// 1-based line of the entry next() returned last.
+  [[nodiscard]] std::size_t lineno() const noexcept { return lines_.lineno(); }
+
+ private:
+  text::LineReader lines_;
+  bool header_ = false;
+};
 
 /// One invalid cover entry found while parsing in lenient mode: the entry
 /// is dropped and recorded so a linter can report it with a stable code.

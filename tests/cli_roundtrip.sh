@@ -207,6 +207,28 @@ grep -q "^abc.sched: error LW001: schedule parse error at line 4: malformed entr
 grep -q '^dmg.wmc: error LW001: certificate parse error at line 5: malformed constraint$' \
     abc-lint.out
 
+# Both words of a schedule entry are whole numbers: "-4294967295 0", which
+# an unsigned field would wrap to node 1, is a malformed entry, so detect
+# exits 2 and single-file and workspace lint give the same LW001.
+{ cat mpeg2.sched; echo '-4294967295 0'; } > wrap.sched
+RC=0
+"$LW" detect mpeg2-pub.cdfg wrap.sched mpeg2.wmc -i "CI Author" -n it-1 \
+    > /dev/null 2> wrap.err || RC=$?
+test "$RC" -eq 2
+grep -q "malformed entry '-4294967295'" wrap.err
+mkdir wrap-project
+cp mpeg2-pub.cdfg wrap.sched wrap-project/
+RC=0
+"$LW" lint mpeg2-pub.cdfg wrap.sched > wrap-lint.out || RC=$?
+test "$RC" -eq 1
+RC=0
+"$LW" lint --project wrap-project --no-cache > wrap-project.out || RC=$?
+test "$RC" -eq 1
+WRAP=$(sed -n 's/^wrap.sched: error LW001: //p' wrap-lint.out)
+N=$(($(wc -l < wrap.sched)))
+test "$WRAP" = "schedule parse error at line $N: malformed entry '-4294967295'"
+test "$(sed -n 's/^wrap.sched: error LW001: //p' wrap-project.out)" = "$WRAP"
+
 # DOT export parses as a digraph.
 "$LW" dot published.cdfg -o out.dot
 grep -q "digraph" out.dot
@@ -418,6 +440,21 @@ cmp scan-suffix.out scan-prefix.out
 for c in core.locality.derive_calls core.locality.contexts cdfg.ordering.runs; do
   test "$(counter scan-prefix.json $c)" -eq "$(counter scan-suffix.json $c)"
 done
+
+# A certificate may open with whole-line comments, as any artifact may:
+# verify-cert, detect, lint and a key ring all read it as its original.
+{ echo '# cert'; echo '  # of the marked core'; cat cert.wmc.0; } \
+    > commented.wmc
+"$LW" verify-cert commented.wmc | grep -q '^commented.wmc .* sched: 8-op'
+"$LW" detect published.cdfg core.sched commented.wmc -i "CI Author" -n it-1 \
+    | grep -q DETECTED
+"$LW" lint marked.cdfg core.sched commented.wmc > /dev/null
+{ echo 'locwm-keyring v1'; echo 'key "CI Author" it-1 commented.wmc'; } \
+    > commented.keyring
+"$LW" scan sc --keys commented.keyring --no-cache --json -o commented.ndjson \
+    > /dev/null
+grep -q '"cert":"commented.wmc","design":"d0.cdfg".*"found":true' \
+    commented.ndjson
 
 # Detection and scan run one engine: on the published design, each scan
 # match row carries the numbers detect and detect-reg print for the same

@@ -5,9 +5,11 @@
 // the rules the library has changed since, each selectable so the tests
 // can show the old and new rule differ only where intended: the binding
 // node word (BindingNodeWord), the sides of cover and tm-certificate pairs
-// (PairSide) and schedule lines that open with a non-number
-// (ScheduleLine).  The certificate reader also drops one trailing '\r'
-// per line, as the library's does.  Tests only; test_parse_oracle.cpp
+// (PairSide), schedule lines that open with a non-number (ScheduleLine),
+// the words of schedule entries (ScheduleWord) and whether a cover line's
+// syntax is checked before its context (CoverOrder).  The certificate
+// reader also drops one trailing '\r' per line and skips whole-line '#'
+// comments, as the library's does.  Tests only; test_parse_oracle.cpp
 // compares every parser with its oracle on seeded mutants of real
 // artifacts.
 #pragma once
@@ -152,16 +154,36 @@ inline cdfg::Cdfg parseDesign(std::istream& is,
 /// blank.  kReject is the library's: "malformed entry '<word>'".
 enum class ScheduleLine : std::uint8_t { kSkip, kReject };
 
+/// How the schedule oracle reads the node and step words of an entry.
+/// kPrefix is the old rule: `>>` extraction, so "-4294967295" wraps to
+/// node 1, "+1" is node 1, "1abc 0" reads node 1 and then fails on "abc"
+/// ("missing step").  kWholeWord is the library's: each word is a whole
+/// 32-bit number (wholeWord), "malformed entry '<word>'" otherwise.
+enum class ScheduleWord : std::uint8_t { kPrefix, kWholeWord };
+
+/// The whole-word rule: `word` starts with a digit and extracts whole as
+/// a 32-bit field.
+inline bool wholeWord(const std::string& word, std::uint32_t& value) {
+  std::istringstream ns(word);
+  return !word.empty() && std::isdigit(static_cast<unsigned char>(word[0])) &&
+         (ns >> value) && ns.peek() == std::char_traits<char>::eof();
+}
+
 inline sched::Schedule parseSchedule(
     std::istream& is, std::size_t nodeCount,
     std::vector<sched::ScheduleParseIssue>* issues,
     const std::string& source = {},
-    ScheduleLine non_numeric = ScheduleLine::kSkip) {
+    ScheduleLine non_numeric = ScheduleLine::kSkip,
+    ScheduleWord words = ScheduleWord::kPrefix) {
   using namespace sched;
   Schedule s(nodeCount);
   std::string line;
   std::size_t lineno = 0;
   const std::string where = source.empty() ? "" : source + ": ";
+  const auto fail = [&](const std::string& why) {
+    throw ParseError(where + "schedule parse error at line " +
+                     std::to_string(lineno) + ": " + why);
+  };
   while (std::getline(is, line)) {
     ++lineno;
     const std::size_t hash = line.find('#');
@@ -171,30 +193,41 @@ inline sched::Schedule parseSchedule(
     std::istringstream ls(line);
     std::uint32_t node = 0;
     std::uint32_t step = 0;
-    if (!(ls >> node)) {
-      std::istringstream ws(line);
-      std::string word;
-      if (non_numeric == ScheduleLine::kSkip || !(ws >> word)) {
+    if (words == ScheduleWord::kWholeWord) {
+      std::string node_word;
+      std::string step_word;
+      if (!(ls >> node_word)) {
         continue;  // blank/comment line
       }
-      throw ParseError(where + "schedule parse error at line " +
-                       std::to_string(lineno) + ": malformed entry '" + word +
-                       "'");
-    }
-    if (!(ls >> step)) {
-      throw ParseError(where + "schedule parse error at line " +
-                       std::to_string(lineno) + ": missing step");
+      if (!wholeWord(node_word, node)) {
+        fail("malformed entry '" + node_word + "'");
+      }
+      if (!(ls >> step_word)) {
+        fail("missing step");
+      }
+      if (!wholeWord(step_word, step)) {
+        fail("malformed entry '" + step_word + "'");
+      }
+    } else {
+      if (!(ls >> node)) {
+        std::istringstream ws(line);
+        std::string word;
+        if (non_numeric == ScheduleLine::kSkip || !(ws >> word)) {
+          continue;  // blank/comment line
+        }
+        fail("malformed entry '" + word + "'");
+      }
+      if (!(ls >> step)) {
+        fail("missing step");
+      }
     }
     std::string trailing;
     if (ls >> trailing) {
-      throw ParseError(where + "schedule parse error at line " +
-                       std::to_string(lineno) + ": trailing tokens");
+      fail("trailing tokens");
     }
     if (node >= nodeCount) {
       if (!issues) {
-        throw ParseError(where + "schedule parse error at line " +
-                         std::to_string(lineno) + ": node " +
-                         std::to_string(node) + " out of range");
+        fail("node " + std::to_string(node) + " out of range");
       }
       issues->push_back({lineno, node, step, source});
       continue;
@@ -212,14 +245,6 @@ inline sched::Schedule parseSchedule(
 /// library's rule since the cursor port: the word must start with a digit
 /// and extract whole as a 32-bit field ("malformed entry" otherwise).
 enum class BindingNodeWord : std::uint8_t { kStoul, kWholeWord };
-
-/// The whole-word rule: `word` starts with a digit and extracts whole as
-/// a 32-bit field.
-inline bool wholeWord(const std::string& word, std::uint32_t& value) {
-  std::istringstream ns(word);
-  return !word.empty() && std::isdigit(static_cast<unsigned char>(word[0])) &&
-         (ns >> value) && ns.peek() == std::char_traits<char>::eof();
-}
 
 /// How the cover and tm-certificate oracles read each side of an
 /// `<a>:<b>` pair.  kStoul is the old rule: std::stoul, the node or rank
@@ -327,7 +352,7 @@ struct CertReader {
                      std::to_string(lineno) + ": " + why);
   }
 
-  /// Next non-empty line; nullopt at end of stream.
+  /// Next non-empty, non-comment line; nullopt at end of stream.
   std::optional<std::string> next() {
     std::string line;
     while (std::getline(is, line)) {
@@ -335,7 +360,9 @@ struct CertReader {
       if (!line.empty() && line.back() == '\r') {
         line.pop_back();
       }
-      if (!line.empty()) {
+      const std::size_t first = line.find_first_not_of(" \t\n\v\f\r");
+      if (!line.empty() &&
+          (first == std::string::npos || line[first] != '#')) {
         return line;
       }
     }
@@ -724,10 +751,18 @@ inline tm::TemplateLibrary parseLibrary(std::istream& is) {
   return lib;
 }
 
+/// When the cover oracle checks the syntax of a `use` line.  kContextFirst
+/// is the old rule: the template id is range-checked before the pairs are
+/// read, and the first out-of-range pair drops the line unread.
+/// kSyntaxFirst is the library's: every pair is read, and a line without
+/// pairs fails, before any context check.
+enum class CoverOrder : std::uint8_t { kContextFirst, kSyntaxFirst };
+
 inline std::vector<tm::Matching> parseCover(
     std::istream& is, const tm::TemplateLibrary& lib, std::size_t nodeCount,
     std::vector<tm::CoverParseIssue>* issues, const std::string& source = {},
-    PairSide pair_side = PairSide::kStoul) {
+    PairSide pair_side = PairSide::kStoul,
+    CoverOrder order = CoverOrder::kContextFirst) {
   using namespace tm;
   std::vector<Matching> cover;
   std::string line;
@@ -740,6 +775,32 @@ inline std::vector<tm::Matching> parseCover(
       tmFail(lineno, why);
     }
     issues->push_back({lineno, why, source});
+  };
+  // Reads one `<node>:<op>` pair by the selected side rule.
+  const auto readPair = [&](const std::string& pair, std::uint32_t& node,
+                            std::size_t& op) {
+    const std::size_t colon = pair.find(':');
+    if (colon == std::string::npos) {
+      return false;
+    }
+    if (pair_side == PairSide::kWholeWord) {
+      std::uint32_t op32 = 0;
+      if (!wholeWord(pair.substr(0, colon), node) ||
+          !wholeWord(pair.substr(colon + 1), op32)) {
+        return false;
+      }
+      op = op32;
+      return true;
+    }
+    try {
+      node = static_cast<std::uint32_t>(std::stoul(pair.substr(0, colon)));
+      op = std::stoul(pair.substr(colon + 1));
+      return true;
+    } catch (const std::invalid_argument&) {
+      return false;
+    } catch (const std::out_of_range&) {
+      return false;
+    }
   };
   while (std::getline(is, line)) {
     ++lineno;
@@ -776,6 +837,22 @@ inline std::vector<tm::Matching> parseCover(
       if (!(ls >> tid)) {
         tmFail(lineno, "malformed 'use'");
       }
+      std::vector<std::string> pairs;
+      for (std::string pair; ls >> pair;) {
+        pairs.push_back(pair);
+      }
+      if (order == CoverOrder::kSyntaxFirst) {
+        for (const std::string& pair : pairs) {
+          std::uint32_t node = 0;
+          std::size_t op = 0;
+          if (!readPair(pair, node, op)) {
+            tmFail(lineno, "malformed pair '" + pair + "'");
+          }
+        }
+        if (pairs.empty()) {
+          tmFail(lineno, "'use' without pairs");
+        }
+      }
       if (tid >= lib.size()) {
         reject("unknown template id " + std::to_string(tid));
         continue;
@@ -783,42 +860,18 @@ inline std::vector<tm::Matching> parseCover(
       Matching m;
       m.template_id = TemplateId(tid);
       bool dropped = false;
-      std::string pair;
-      while (ls >> pair) {
-        const std::size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
+      for (const std::string& pair : pairs) {
+        std::uint32_t node = 0;
+        std::size_t op = 0;
+        if (!readPair(pair, node, op)) {
           tmFail(lineno, "malformed pair '" + pair + "'");
         }
-        if (pair_side == PairSide::kWholeWord) {
-          std::uint32_t node = 0;
-          std::uint32_t op = 0;
-          if (!wholeWord(pair.substr(0, colon), node) ||
-              !wholeWord(pair.substr(colon + 1), op)) {
-            tmFail(lineno, "malformed pair '" + pair + "'");
-          }
-          if (node >= nodeCount || op >= lib.get(m.template_id).size()) {
-            reject("pair out of range '" + pair + "'");
-            dropped = true;
-            break;
-          }
-          m.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
-          continue;
+        if (node >= nodeCount || op >= lib.get(m.template_id).size()) {
+          reject("pair out of range '" + pair + "'");
+          dropped = true;
+          break;
         }
-        try {
-          const auto node = static_cast<std::uint32_t>(
-              std::stoul(pair.substr(0, colon)));
-          const std::size_t op = std::stoul(pair.substr(colon + 1));
-          if (node >= nodeCount || op >= lib.get(m.template_id).size()) {
-            reject("pair out of range '" + pair + "'");
-            dropped = true;
-            break;
-          }
-          m.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
-        } catch (const std::invalid_argument&) {
-          tmFail(lineno, "malformed pair '" + pair + "'");
-        } catch (const std::out_of_range&) {
-          tmFail(lineno, "malformed pair '" + pair + "'");
-        }
+        m.pairs.push_back(MatchPair{cdfg::NodeId(node), op});
       }
       if (dropped) {
         continue;

@@ -727,63 +727,100 @@ TEST(CheckProject, LW801WrongKindReference) {
       << result.report.renderText();
 }
 
+/// The message of the first LW001 naming `artifact`.
+std::string lw001Message(const Report& r, const std::string& artifact) {
+  for (const auto& d : r.diagnostics()) {
+    if (d.code == "LW001" && d.artifact == artifact) {
+      return d.message;
+    }
+  }
+  return "<no LW001>";
+}
+
 TEST(CheckProject, NonNumericScheduleLineIsOneLW001) {
   // A schedule line whose first word is not a node index ("abc 5") is
-  // malformed, not blank: both parsers reject it naming the line, and
-  // single-file and workspace lint each report it once, as LW001.
-  const std::string sched = "0 0\nabc 5\n1 1\n2 2\n";
-  const std::string want =
-      "schedule parse error at line 2: malformed entry 'abc'";
-  try {
-    (void)sched::parseScheduleString(sched, 3);
-    ADD_FAILURE() << "strict parse accepted the line";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.what(), want);
+  // malformed, not blank, and so is an entry with a word that is not a
+  // whole number below 2^32 (a sign, a numeric prefix, a wider value):
+  // both parsers reject it naming the line and the word, and single-file
+  // and workspace lint each report it once, as the same LW001.
+  const std::vector<std::pair<std::string, std::string>> lines = {
+      {"abc 5", "abc"},   {"-4294967295 0", "-4294967295"},
+      {"+1 0", "+1"},     {"1abc 0", "1abc"},
+      {"0 -1", "-1"},     {"0 4294967296", "4294967296"}};
+  for (const auto& [line, word] : lines) {
+    const std::string sched = "0 0\n" + line + "\n1 1\n2 2\n";
+    const std::string want =
+        "schedule parse error at line 2: malformed entry '" + word + "'";
+    try {
+      (void)sched::parseScheduleString(sched, 3);
+      ADD_FAILURE() << "strict parse accepted '" << line << "'";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.what(), want);
+    }
+    std::vector<sched::ScheduleParseIssue> issues;
+    try {
+      (void)sched::parseScheduleString(sched, 3, issues, "s.sched");
+      ADD_FAILURE() << "lenient parse accepted '" << line << "'";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.what(), "s.sched: " + want);
+    }
+    check::Linter linter;
+    linter.lintText(kTinyDesign, "d.cdfg");
+    linter.lintText(sched, "s.sched");
+    EXPECT_EQ(countCode(linter.report(), "LW001"), 1u)
+        << linter.report().renderText();
+    EXPECT_EQ(lw001Message(linter.report(), "s.sched"), want);
+    const Report project =
+        projectCheck({{"d.cdfg", kTinyDesign}, {"s.sched", sched}}).report;
+    EXPECT_EQ(countCode(project, "LW001"), 1u) << project.renderText();
+    EXPECT_EQ(lw001Message(project, "s.sched"), want);
   }
-  std::vector<sched::ScheduleParseIssue> issues;
-  try {
-    (void)sched::parseScheduleString(sched, 3, issues, "s.sched");
-    ADD_FAILURE() << "lenient parse accepted the line";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.what(), "s.sched: " + want);
-  }
-  check::Linter linter;
-  linter.lintText(kTinyDesign, "d.cdfg");
-  linter.lintText(sched, "s.sched");
-  EXPECT_EQ(countCode(linter.report(), "LW001"), 1u)
-      << linter.report().renderText();
-  const Report project =
-      projectCheck({{"d.cdfg", kTinyDesign}, {"s.sched", sched}}).report;
-  EXPECT_EQ(countCode(project, "LW001"), 1u) << project.renderText();
 }
 
 TEST(CheckProject, LW001NamesTheArtifactOnce) {
   // The lenient parsers prefix their errors with the source path; the
   // diagnostic already names the artifact, so its message does not repeat
-  // it, in single-file and workspace lint alike.
+  // it, in single-file and workspace lint alike.  The workspace reads
+  // schedules, covers and bindings through their format's syntax walk, so
+  // it words a malformed line exactly as single-file lint does.
   const std::string sched = "0 0\nabc 5\n1 1\n2 2\n";
+  const std::string good_sched = "0 0\n1 1\n2 2\n";
+  const std::string cover = "tmcover v1\nsingle 0\nuse 0 zz\n";
+  const std::string binding = "registers 1\n1 0\nzz 3\n";
   const std::string cert =
       "locwm-cert v1 sched\ncontext c/0\nconstraint x y\n";
-  const auto lw001 = [](const Report& r, const std::string& artifact) {
-    for (const auto& d : r.diagnostics()) {
-      if (d.code == "LW001" && d.artifact == artifact) {
-        return d.message;
-      }
-    }
-    return std::string("<no LW001>");
-  };
-  const std::string cert_error =
-      "certificate parse error at line 3: malformed constraint";
   check::Linter linter;
   linter.lintText(kTinyDesign, "d.cdfg");
   linter.lintText(sched, "s.sched");
+  linter.lintText(cover, "c.cover");
   linter.lintText(cert, "c.wmc");
-  EXPECT_EQ(lw001(linter.report(), "s.sched"),
-            "schedule parse error at line 2: malformed entry 'abc'");
-  EXPECT_EQ(lw001(linter.report(), "c.wmc"), cert_error);
-  const Report project =
-      projectCheck({{"d.cdfg", kTinyDesign}, {"c.wmc", cert}}).report;
-  EXPECT_EQ(lw001(project, "c.wmc"), cert_error);
+  linter.lintText(good_sched, "g.sched");
+  linter.lintText(binding, "b.bind");
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"s.sched", "schedule parse error at line 2: malformed entry 'abc'"},
+      {"c.cover", "template-io parse error at line 3: malformed pair 'zz'"},
+      {"b.bind", "binding parse error at line 3: malformed entry 'zz'"},
+      {"c.wmc", "certificate parse error at line 3: malformed constraint"}};
+  const Report project = projectCheck({{"d.cdfg", kTinyDesign},
+                                       {"s.sched", sched},
+                                       {"c.cover", cover},
+                                       {"c.wmc", cert},
+                                       {"g.sched", good_sched},
+                                       {"b.bind", binding}})
+                             .report;
+  for (const auto& [artifact, message] : want) {
+    EXPECT_EQ(lw001Message(linter.report(), artifact), message);
+    EXPECT_EQ(lw001Message(project, artifact), message)
+        << project.renderText();
+  }
+  EXPECT_EQ(countCode(project, "LW001"), want.size()) << project.renderText();
+  // Syntax needs no context: a malformed binding with no schedule and a
+  // malformed cover with no design get the same LW001, not LW802.
+  const Report alone =
+      projectCheck({{"b.bind", binding}, {"c.cover", cover}}).report;
+  EXPECT_EQ(lw001Message(alone, "b.bind"), want[2].second);
+  EXPECT_EQ(lw001Message(alone, "c.cover"), want[1].second);
+  EXPECT_FALSE(hasCode(alone, "LW802")) << alone.renderText();
   // A message that does not open with the path is kept whole.
   EXPECT_EQ(check::syntaxErrorDiag("c.wmc", "c.wmcx: y").message,
             "c.wmcx: y");

@@ -527,15 +527,19 @@ TEST(ParseOracle, Schedule) {
       "# leading comment\n0 1\n1 2 # trailing comment\n\n2 3\n"};
   const std::size_t n = example.nodeCount();
   const auto oracleRun = [&](const std::string& t, bool lenient,
-                             oracle::ScheduleLine rule) {
+                             oracle::ScheduleLine line,
+                             oracle::ScheduleWord words) {
     std::istringstream is(t);
     std::vector<sched::ScheduleParseIssue> issues;
     const auto s = oracle::parseSchedule(is, n, lenient ? &issues : nullptr,
-                                         lenient ? "m.sched" : "", rule);
+                                         lenient ? "m.sched" : "", line,
+                                         words);
     return render(s, issues);
   };
+  using oracle::ScheduleLine;
+  using oracle::ScheduleWord;
   for (const bool lenient : {false, true}) {
-    // The library rejects a line that opens with a non-number...
+    // The library reads both words of an entry as whole numbers...
     differential(
         seeds, lenient ? 4 : 3,
         [&](const std::string& t) {
@@ -546,16 +550,33 @@ TEST(ParseOracle, Schedule) {
           return render(s, issues);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::ScheduleLine::kReject);
+          return oracleRun(t, lenient, ScheduleLine::kReject,
+                           ScheduleWord::kWholeWord);
         });
-    // ...which the old rule read as blank; nothing else differs.
+    // ...which differs from the old `>>` rule only by rejecting, as a
+    // malformed entry, the words the old rule wrapped or cut short...
+    ruleChangeOnlyRejects(
+        seeds, lenient ? 14 : 13,
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, ScheduleLine::kReject,
+                           ScheduleWord::kWholeWord);
+        },
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, ScheduleLine::kReject,
+                           ScheduleWord::kPrefix);
+        },
+        ": malformed entry '");
+    // ...and rejects a line that opens with a non-number, which the
+    // first rule read as blank; nothing else differs.
     ruleChangeOnlyRejects(
         seeds, lenient ? 12 : 11,
         [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::ScheduleLine::kReject);
+          return oracleRun(t, lenient, ScheduleLine::kReject,
+                           ScheduleWord::kPrefix);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::ScheduleLine::kSkip);
+          return oracleRun(t, lenient, ScheduleLine::kSkip,
+                           ScheduleWord::kPrefix);
         },
         ": malformed entry '");
   }
@@ -691,15 +712,18 @@ TEST(ParseOracle, LibraryAndCover) {
       readExample("cover.txt"),
       "tmcover v1\nsingle 0\nuse 0 1:0 2:1 # comment\nsingle 3\n"};
   const auto oracleRun = [&](const std::string& t, bool lenient,
-                             oracle::PairSide rule) {
+                             oracle::PairSide side, oracle::CoverOrder order) {
     std::istringstream is(t);
     std::vector<tm::CoverParseIssue> issues;
     const auto c = oracle::parseCover(is, lib, n, lenient ? &issues : nullptr,
-                                      "m.cover", rule);
+                                      "m.cover", side, order);
     return render(c, issues);
   };
+  using oracle::CoverOrder;
+  using oracle::PairSide;
   for (const bool lenient : {false, true}) {
-    // The library reads each side of a pair as a whole word...
+    // The library reads each side of a pair as a whole word and checks a
+    // line's syntax before its context...
     differential(
         cover_seeds, lenient ? 42 : 41,
         [&](const std::string& t) {
@@ -710,17 +734,33 @@ TEST(ParseOracle, LibraryAndCover) {
           return render(c, issues);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::PairSide::kWholeWord);
+          return oracleRun(t, lenient, PairSide::kWholeWord,
+                           CoverOrder::kSyntaxFirst);
         });
-    // ...which differs from the old stoul rule only by rejecting, as a
-    // malformed pair, the sides the old rule aliased or cut short.
+    // ...which differs from checking the context first only by rejecting,
+    // as a syntax error, a line the old order dropped or range-failed...
+    ruleChangeOnlyRejects(
+        cover_seeds, lenient ? 46 : 45,
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, PairSide::kWholeWord,
+                           CoverOrder::kSyntaxFirst);
+        },
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, PairSide::kWholeWord,
+                           CoverOrder::kContextFirst);
+        },
+        "template-io parse error at line ");
+    // ...and from the old stoul rule only by rejecting, as a malformed
+    // pair, the sides the old rule aliased or cut short.
     ruleChangeOnlyRejects(
         cover_seeds, lenient ? 44 : 43,
         [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::PairSide::kWholeWord);
+          return oracleRun(t, lenient, PairSide::kWholeWord,
+                           CoverOrder::kContextFirst);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::PairSide::kStoul);
+          return oracleRun(t, lenient, PairSide::kStoul,
+                           CoverOrder::kContextFirst);
         },
         ": malformed pair '");
   }

@@ -253,6 +253,16 @@ struct ShapeMatcher {
 
 }  // namespace
 
+std::vector<std::pair<NodeId, NodeId>> temporalAnchors(
+    const cdfg::Cdfg& design) {
+  std::vector<std::pair<NodeId, NodeId>> anchors;
+  for (const cdfg::EdgeId e : design.temporalEdges()) {
+    const cdfg::Edge& ed = design.edge(e);
+    anchors.emplace_back(ed.src, ed.dst);
+  }
+  return anchors;
+}
+
 ShapeMatch matchCertificateShape(
     const cdfg::Cdfg& design,
     const std::vector<std::pair<NodeId, NodeId>>& anchors,

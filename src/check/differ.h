@@ -72,6 +72,11 @@ struct ShapeMatch {
   std::vector<cdfg::NodeId> nodes;
 };
 
+/// The (src, dst) pair of every temporal edge of `design`: the anchors of
+/// a design that still carries its watermark edges.
+[[nodiscard]] std::vector<std::pair<cdfg::NodeId, cdfg::NodeId>>
+temporalAnchors(const cdfg::Cdfg& design);
+
 /// Locates `cert`'s shape in `design`, requiring every rank constraint to
 /// land on one of `anchors` (candidate (before, after) node pairs — the
 /// extra temporal edges).  Kind-exact, injective, induced-exact (the

@@ -195,16 +195,11 @@ void Linter::checkLocalityOverlap(const wm::WatermarkCertificate& cert,
   if (!design_ || cert.constraints.empty()) {
     return;
   }
-  const cdfg::Cdfg& design = *design_;
-  std::vector<std::pair<cdfg::NodeId, cdfg::NodeId>> anchors;
-  for (const cdfg::EdgeId e : design.temporalEdges()) {
-    const cdfg::Edge& ed = design.edge(e);
-    anchors.emplace_back(ed.src, ed.dst);
-  }
+  const auto anchors = temporalAnchors(*design_);
   if (anchors.empty()) {
     return;
   }
-  const ShapeMatch match = matchCertificateShape(design, anchors, cert);
+  const ShapeMatch match = matchCertificateShape(*design_, anchors, cert);
   if (!match.matched) {
     return;
   }

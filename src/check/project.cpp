@@ -455,11 +455,7 @@ void checkLocalityExistence(const Cert& cert, const cdfg::Cdfg& design,
     if (cert.constraints.empty()) {
       return;
     }
-    std::vector<std::pair<cdfg::NodeId, cdfg::NodeId>> anchors;
-    for (const cdfg::EdgeId e : design.temporalEdges()) {
-      const cdfg::Edge& ed = design.edge(e);
-      anchors.emplace_back(ed.src, ed.dst);
-    }
+    const auto anchors = temporalAnchors(design);
     if (anchors.empty()) {
       return;  // published design: constraints have nothing to anchor on
     }
@@ -487,10 +483,10 @@ std::string refNoun(ArtifactKind kind) {
 }  // namespace
 
 std::string ruleSetVersion() {
-  // v4: schedules, covers and bindings get their parse-error LW001 from
-  // the self stage, worded as the format's parser words it (v3 entries
-  // carry the scanner's wording or a pair-stage LW001).
-  return "lw" + std::to_string(allRules().size()) + ".v4";
+  // v5: a number is a whole word of digits in every format (cdfg/text.h),
+  // so an artifact with a signed, prefixed or out-of-range number word is
+  // an LW001 (v4 entries read it as another number).
+  return "lw" + std::to_string(allRules().size()) + ".v5";
 }
 
 ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
@@ -644,12 +640,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     if (takes_design) {
       if (a.ref_design.has_value()) {
         a.design = resolveExplicit(i, *a.ref_design, ArtifactKind::kDesign);
-      } else if (m.kind == ArtifactKind::kSchedule) {
-        a.design =
-            resolveInferred(i, ArtifactKind::kDesign, [&](const ArtifactMeta& d) {
-              return m.entries == 0 || m.max_node < d.node_count;
-            });
-      } else if (m.kind == ArtifactKind::kCover) {
+      } else if (m.kind == ArtifactKind::kSchedule ||
+                 m.kind == ArtifactKind::kCover) {
         a.design =
             resolveInferred(i, ArtifactKind::kDesign, [&](const ArtifactMeta& d) {
               return m.entries == 0 || m.max_node < d.node_count;

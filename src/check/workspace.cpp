@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <sstream>
 #include <utility>
 
 #include "cdfg/error.h"
@@ -180,9 +179,7 @@ Workspace Workspace::fromManifestText(const std::string& text,
                                       const std::string& base_dir) {
   Workspace ws;
   ws.root_ = base_dir;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader lines(text);
   bool saw_header = false;
   // References parsed before their target's "artifact" line are legal, so
   // unknown-reference checking waits until the whole manifest is read.
@@ -193,21 +190,17 @@ Workspace Workspace::fromManifestText(const std::string& text,
   };
   std::vector<PendingRef> refs;
   std::vector<std::string> load_order;  // display paths, manifest order
-  for (; std::getline(is, line); ) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ls(line);
-    std::string word;
+  for (std::string_view line; lines.next(line);) {
+    const std::size_t lineno = lines.lineno();
+    text::Fields ls(text::stripComment(line));
+    std::string_view word;
     if (!(ls >> word)) {
       continue;
     }
     const std::string at = "line " + std::to_string(lineno);
     if (!saw_header) {
-      std::string version;
-      std::string trailing;
+      std::string_view version;
+      std::string_view trailing;
       if (word != "locwm-workspace" || !(ls >> version) ||
           version != "v1" || (ls >> trailing)) {
         ws.load_report_.add(diag(
@@ -222,7 +215,7 @@ Workspace Workspace::fromManifestText(const std::string& text,
     if (word != "artifact") {
       ws.load_report_.add(diag(
           "LW801", Severity::kError, name, at,
-          "unknown manifest directive '" + word + "'",
+          "unknown manifest directive '" + std::string(word) + "'",
           "every manifest entry is 'artifact <path> [design=..] "
           "[schedule=..] [library=..]'"));
       continue;
@@ -242,21 +235,21 @@ Workspace Workspace::fromManifestText(const std::string& text,
     }
     WorkspaceArtifact entry;
     bool ok = true;
-    std::string opt;
-    while (ls >> opt) {
+    for (std::string_view opt; ls >> opt;) {
       const std::size_t eq = opt.find('=');
-      const std::string key = eq == std::string::npos ? opt : opt.substr(0, eq);
-      if (eq == std::string::npos || eq + 1 >= opt.size() ||
+      const std::string_view key = opt.substr(0, eq);
+      if (eq == std::string_view::npos || eq + 1 >= opt.size() ||
           (key != "design" && key != "schedule" && key != "library")) {
         ws.load_report_.add(diag(
             "LW801", Severity::kError, name, at,
-            "malformed reference '" + opt + "' on artifact '" + path + "'",
+            "malformed reference '" + std::string(opt) + "' on artifact '" +
+                path + "'",
             "references are design=<path>, schedule=<path>, or "
             "library=<path>"));
         ok = false;
         break;
       }
-      const std::string target = opt.substr(eq + 1);
+      const std::string target(opt.substr(eq + 1));
       std::optional<std::string>& slot = key == "design" ? entry.ref_design
                                          : key == "schedule"
                                              ? entry.ref_schedule
@@ -264,7 +257,9 @@ Workspace Workspace::fromManifestText(const std::string& text,
       if (slot) {
         ws.load_report_.add(diag(
             "LW801", Severity::kError, name, at,
-            "artifact '" + path + "' names two " + key + " references", {}));
+            "artifact '" + path + "' names two " + std::string(key) +
+                " references",
+            {}));
         ok = false;
         break;
       }

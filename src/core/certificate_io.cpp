@@ -237,8 +237,8 @@ TmCertificate parseTmCertImpl(std::string_view text,
     } else if (word == "params") {
       parseParams(r, ls, cert.locality_params);
     } else if (word == "whole-design") {
-      int flag = 0;
-      if (!(ls >> flag) || (flag != 0 && flag != 1)) {
+      std::uint32_t flag = 0;
+      if (!(ls >> flag) || flag > 1) {
         r.fail("malformed whole-design flag");
       }
       cert.whole_design = flag == 1;

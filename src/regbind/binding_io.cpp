@@ -40,10 +40,7 @@ bool BindingReader::next(BindingEntry& entry) {
       have_header_ = true;
       continue;
     }
-    // The node is the whole first word, all decimal digits: a numeric
-    // prefix ("0abc"), a value beyond 32 bits or a sign ("-4294967295",
-    // which an unsigned field wraps to 1) would otherwise alias another
-    // node.
+    // Read as a word so that the message can quote it.
     if (!text::wholeNumber(first, entry.node)) {
       fail("malformed entry '" + std::string(first) + "'");
     }

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "cdfg/text.h"
 #include "obs/obs.h"
 
 namespace locwm::rt {
@@ -33,17 +34,13 @@ std::size_t clampLanes(std::size_t n) noexcept {
   return std::clamp<std::size_t>(n, 1, kMaxLanes);
 }
 
+/// LOCWM_THREADS when it is a positive number (cdfg/text.h); 0 (use the
+/// hardware) when it is unset, zero or no number.
 std::size_t envThreads() noexcept {
   const char* raw = std::getenv("LOCWM_THREADS");
-  if (raw == nullptr || *raw == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(raw, &end, 10);
-  if (end == raw || v == 0) {
-    return 0;  // unparsable or zero: fall through to hardware
-  }
-  return static_cast<std::size_t>(v);
+  std::size_t v = 0;
+  return raw != nullptr && text::wholeNumber(std::string_view(raw), v) ? v
+                                                                       : 0;
 }
 
 /// Percent of wall time a lane spent executing chunks, out of the time it

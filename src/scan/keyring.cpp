@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "cdfg/error.h"
+#include "cdfg/text.h"
 #include "check/workspace.h"
 #include "core/certificate_io.h"
 #include "store/store.h"
@@ -41,54 +41,51 @@ wm::ShapeQuery KeyRingEntry::query() const {
 
 namespace {
 
-/// Splits a ring line into tokens: whitespace-separated, double quotes
-/// group, backslash escapes the next character inside quotes.  Returns
-/// nullopt on an unterminated quote.
-std::optional<std::vector<std::string>> tokenize(const std::string& line) {
+/// Splits a ring line into tokens: words as text::Fields splits them,
+/// except that a word opening with '"' runs to the closing quote (a
+/// backslash escapes the next byte inside the quotes) and that a '#'
+/// outside quotes starts a comment.  Returns nullopt on an unterminated
+/// quote.
+std::optional<std::vector<std::string>> tokenize(std::string_view line) {
   std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    if (line[i] == ' ' || line[i] == '\t') {
-      ++i;
+  text::Fields fields(line);
+  for (std::string_view word; fields >> word;) {
+    if (word.front() != '"') {
+      const std::size_t hash = word.find('#');
+      if (hash != 0) {
+        tokens.emplace_back(word.substr(0, hash));
+      }
+      if (hash != std::string_view::npos) {
+        break;
+      }
       continue;
     }
     std::string token;
-    if (line[i] == '"') {
-      ++i;
-      bool closed = false;
-      while (i < line.size()) {
-        if (line[i] == '\\' && i + 1 < line.size()) {
-          token.push_back(line[i + 1]);
-          i += 2;
-        } else if (line[i] == '"') {
-          ++i;
-          closed = true;
-          break;
-        } else {
-          token.push_back(line[i]);
-          ++i;
-        }
-      }
-      if (!closed) {
+    std::size_t i = static_cast<std::size_t>(word.data() - line.data()) + 1;
+    for (;; ++i) {
+      if (i >= line.size()) {
         return std::nullopt;
       }
-    } else {
-      while (i < line.size() && line[i] != ' ' && line[i] != '\t') {
-        token.push_back(line[i]);
+      if (line[i] == '"') {
+        break;
+      }
+      if (line[i] == '\\' && i + 1 < line.size()) {
         ++i;
       }
+      token.push_back(line[i]);
     }
     tokens.push_back(std::move(token));
+    fields = text::Fields(line.substr(i + 1));
   }
   return tokens;
 }
 
-/// Quotes a token for toText() when it contains whitespace, quotes, or a
-/// '#' (which would read back as a comment).
+/// Quotes a token for toText() when it is empty or contains whitespace, a
+/// quote, a backslash or a '#' (which would read back as a comment).
 std::string quoteToken(const std::string& token) {
   const bool needs =
-      token.empty() ||
-      token.find_first_of(" \t\"#\\") != std::string::npos;
+      token.empty() || std::any_of(token.begin(), token.end(), text::isSpace) ||
+      token.find_first_of("\"#\\") != std::string::npos;
   if (!needs) {
     return token;
   }
@@ -147,21 +144,14 @@ KeyRing KeyRing::fromFile(const std::string& path) {
 
 KeyRing KeyRing::fromText(const std::string& text, const std::string& name,
                           const std::string& base_dir) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader lines(text);
   bool have_header = false;
   KeyRing ring;
   const auto fail = [&](const std::string& why) -> void {
     throw ParseError(name + ": key-ring parse error at line " +
-                     std::to_string(lineno) + ": " + why);
+                     std::to_string(lines.lineno()) + ": " + why);
   };
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
+  for (std::string_view line; lines.next(line);) {
     const std::optional<std::vector<std::string>> tokens = tokenize(line);
     if (!tokens.has_value()) {
       fail("unterminated quote");

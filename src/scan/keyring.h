@@ -2,14 +2,14 @@
 //
 // A ring names, per entry, the author signature a certificate was embedded
 // under and the certificate file itself; the scanner screens and replays
-// every (design, entry) pair.  On-disk format (line oriented, '#'
-// comments):
+// every (design, entry) pair.  On-disk format (line oriented, read
+// through cdfg/text.h; '#' comments outside quotes):
 //
 //   locwm-keyring v1
 //   key <identity> <nonce> <cert-path>
 //
-// Tokens may be double-quoted to carry spaces ("ACME Corp."); a backslash
-// escapes the next character inside quotes.  Certificate paths are
+// Tokens may be double-quoted to carry whitespace or '#' ("ACME #1"); a
+// backslash escapes the next character inside quotes.  Certificate paths are
 // resolved relative to the ring file's directory, so a ring travels with
 // its certificates.  All three certificate kinds (sched/tm/reg) are
 // accepted; the kind is sniffed from the certificate header.

@@ -20,8 +20,14 @@ namespace locwm::scan {
 
 namespace {
 
-/// Bumping this invalidates every cached fingerprint entry.
-constexpr const char* kCacheFormat = "locwm-scanfp-entry v3";
+/// Bumping this invalidates every cached fingerprint entry.  v4: a design
+/// with a number word that is not a whole number no longer parses.
+constexpr const char* kCacheFormat = "locwm-scanfp-entry v4";
+
+/// Enumeration budget for the aggregate Pc of fully-matched scheduling
+/// certificates (smaller than the detect-CLI default: a corpus scan ranks
+/// hits, it does not litigate them).
+constexpr std::uint64_t kPcMaxSteps = 200'000;
 
 /// The fingerprint-cache entry wraps the DesignIndex with the design's
 /// lenient-parse issue count, so a warm re-scan reports the same `issues`
@@ -245,11 +251,11 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
   }
 
   // Aggregate authorship proof over the fully-matched scheduling
-  // certificates (deadline slack 1, budgeted — see ScanOptions).
+  // certificates (deadline slack 1, budgeted by kPcMaxSteps).
   std::string pc = "null";
   if (!pc_certs.empty()) {
     const wm::AggregatePc agg = wm::aggregateSchedulingPc(
-        pc_certs, /*deadline_slack=*/1, options.pc_max_steps);
+        pc_certs, /*deadline_slack=*/1, kPcMaxSteps);
     if (agg.failed < pc_certs.size()) {
       pc = obs::jsonNumber(agg.combined.log10_pc);
     }

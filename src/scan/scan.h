@@ -39,10 +39,6 @@ struct ScanOptions {
   /// — and skip parsing entirely when every pair is pruned.  A damaged
   /// entry is a miss.
   std::string cache_dir;
-  /// Enumeration budget for the aggregate Pc of fully-matched scheduling
-  /// certificates (smaller than the detect-CLI default: a corpus scan
-  /// ranks hits, it does not litigate them).
-  std::uint64_t pc_max_steps = 200'000;
 };
 
 /// Counters for --stats (shard-local).

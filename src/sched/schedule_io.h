@@ -2,9 +2,9 @@
 // watermark once the temporal edges are stripped, so it needs a durable
 // interchange form.  Format: one "<node-index> <start-step>" pair per
 // line, '#' comments allowed; every node of the design must be assigned.
-// Both words of an entry are whole decimal numbers below 2^32
-// (text::wholeNumber): a sign, a numeric prefix ("1abc") or a wider value
-// is a malformed entry, never another node.
+// Both words of an entry are numbers below 2^32 (cdfg/text.h): a sign, a
+// numeric prefix ("1abc") or a wider value is a malformed entry that
+// names the word, never another node.
 #pragma once
 
 #include <cstdint>

@@ -88,8 +88,11 @@ TemplateLibrary parseLibraryString(std::string_view text) {
       }
       TemplateOp op;
       op.kind = *kind;
-      std::size_t child = 0;
-      while (ls >> child) {
+      for (std::string_view child_word; ls >> child_word;) {
+        std::size_t child = 0;
+        if (!text::wholeNumber(child_word, child)) {
+          fail(lineno, "malformed child '" + std::string(child_word) + "'");
+        }
         op.children.push_back(child);
       }
       current->ops.push_back(std::move(op));

@@ -456,6 +456,23 @@ done
 grep -q '"cert":"commented.wmc","design":"d0.cdfg".*"found":true' \
     commented.ndjson
 
+# A key ring with CRLF line ends scans as its LF original, and a quoted
+# path or identity may hold a '#' (one outside quotes starts a comment).
+awk '{ printf "%s\r\n", $0 }' scan.keyring > crlf.keyring
+"$LW" scan sc --keys crlf.keyring --no-cache --json -o crlf.ndjson > crlf.out
+cmp scan-suffix.ndjson crlf.ndjson
+cmp scan-suffix.out crlf.out
+cp cert.wmc.0 'mark #1.wmc'
+{ echo 'locwm-keyring v1'; echo 'key "CI Author" it-1 "mark #1.wmc" # ours'; } \
+    > hash.keyring
+"$LW" scan sc --keys hash.keyring --no-cache --json -o hash.ndjson > /dev/null
+grep -q '"cert":"mark #1.wmc","design":"d0.cdfg","found":true' hash.ndjson
+# ...and "CI #1" is one identity: its key finds no mark (exit 1, not 2).
+{ echo 'locwm-keyring v1'; echo 'key "CI #1" it-1 cert.wmc.0'; } > id.keyring
+RC=0
+"$LW" scan sc --keys id.keyring --no-cache > /dev/null || RC=$?
+test "$RC" -eq 1
+
 # Detection and scan run one engine: on the published design, each scan
 # match row carries the numbers detect and detect-reg print for the same
 # certificate.

@@ -3,15 +3,13 @@
 // (cdfg/text.h) that the library's parsers now share.  Each function is
 // the old implementation with only its name and namespace changed, plus
 // the rules the library has changed since, each selectable so the tests
-// can show the old and new rule differ only where intended: the binding
-// node word (BindingNodeWord), the sides of cover and tm-certificate pairs
-// (PairSide), schedule lines that open with a non-number (ScheduleLine),
-// the words of schedule entries (ScheduleWord) and whether a cover line's
-// syntax is checked before its context (CoverOrder).  The certificate
-// reader also drops one trailing '\r' per line and skips whole-line '#'
-// comments, as the library's does.  Tests only; test_parse_oracle.cpp
-// compares every parser with its oracle on seeded mutants of real
-// artifacts.
+// can show the old and new rule differ only where intended: how every
+// numeric field reads its word (NumberRule), schedule lines that open
+// with a non-number (ScheduleLine) and whether a cover line's syntax is
+// checked before its context (CoverOrder).  The certificate reader also
+// drops one trailing '\r' per line and skips whole-line '#' comments, as
+// the library's does.  Tests only; test_parse_oracle.cpp compares every
+// parser with its oracle on seeded mutants of real artifacts.
 #pragma once
 
 #include <cctype>
@@ -35,11 +33,47 @@
 
 namespace locwm::oracle {
 
+/// How a numeric field reads its word.  kOld is the rule each field was
+/// first read by: `>>` extraction for most, so "-4294967295" wraps to 1,
+/// "+1" is 1 and "1abc" reads 1 and leaves "abc" for the next field; the
+/// binding node and both sides of `<a>:<b>` pairs used std::stoul and a
+/// 32-bit cast, so "4294967296" and "0abc" both read 0.  kWholeWord is
+/// the library's one rule: the field's word, whole, is decimal digits that
+/// fit the field (wholeWord), and any other word fails the field.
+enum class NumberRule : std::uint8_t { kOld, kWholeWord };
+
+/// The whole-word rule: `word` starts with a digit and extracts whole as
+/// a field of type T.
+template <typename T>
+bool wholeWord(const std::string& word, T& value) {
+  std::istringstream ns(word);
+  return !word.empty() && std::isdigit(static_cast<unsigned char>(word[0])) &&
+         (ns >> value) && ns.peek() == std::char_traits<char>::eof();
+}
+
+/// Extracts the next field of `ls` into `value` by `rule`; a failure
+/// fails the stream, as `>>` does.
+template <typename T>
+bool readNumber(std::istream& ls, T& value, NumberRule rule) {
+  if (rule == NumberRule::kOld) {
+    return static_cast<bool>(ls >> value);
+  }
+  std::string word;
+  T v{};
+  if (!(ls >> word) || !wholeWord(word, v)) {
+    ls.setstate(std::ios::failbit);
+    return false;
+  }
+  value = v;
+  return true;
+}
+
 // --- Design (cdfg/io) ----------------------------------------------------
 
 inline cdfg::Cdfg parseDesign(std::istream& is,
                               std::vector<cdfg::ParseIssue>* issues,
-                              const std::string& source = {}) {
+                              const std::string& source = {},
+                              NumberRule numbers = NumberRule::kWholeWord) {
   using namespace cdfg;
   Cdfg g;
   std::string line;
@@ -74,7 +108,7 @@ inline cdfg::Cdfg parseDesign(std::istream& is,
       std::uint32_t index = 0;
       std::string op;
       std::string label;
-      if (!(ls >> index >> op)) {
+      if (!readNumber(ls, index, numbers) || !(ls >> op)) {
         fail("malformed node line");
       }
       ls >> label;  // optional
@@ -93,7 +127,8 @@ inline cdfg::Cdfg parseDesign(std::istream& is,
       std::uint32_t src = 0;
       std::uint32_t dst = 0;
       std::string kindName;
-      if (!(ls >> src >> dst >> kindName)) {
+      if (!readNumber(ls, src, numbers) || !readNumber(ls, dst, numbers) ||
+          !(ls >> kindName)) {
         fail("malformed edge line");
       }
       EdgeKind kind = EdgeKind::kData;
@@ -154,27 +189,12 @@ inline cdfg::Cdfg parseDesign(std::istream& is,
 /// blank.  kReject is the library's: "malformed entry '<word>'".
 enum class ScheduleLine : std::uint8_t { kSkip, kReject };
 
-/// How the schedule oracle reads the node and step words of an entry.
-/// kPrefix is the old rule: `>>` extraction, so "-4294967295" wraps to
-/// node 1, "+1" is node 1, "1abc 0" reads node 1 and then fails on "abc"
-/// ("missing step").  kWholeWord is the library's: each word is a whole
-/// 32-bit number (wholeWord), "malformed entry '<word>'" otherwise.
-enum class ScheduleWord : std::uint8_t { kPrefix, kWholeWord };
-
-/// The whole-word rule: `word` starts with a digit and extracts whole as
-/// a 32-bit field.
-inline bool wholeWord(const std::string& word, std::uint32_t& value) {
-  std::istringstream ns(word);
-  return !word.empty() && std::isdigit(static_cast<unsigned char>(word[0])) &&
-         (ns >> value) && ns.peek() == std::char_traits<char>::eof();
-}
-
 inline sched::Schedule parseSchedule(
     std::istream& is, std::size_t nodeCount,
     std::vector<sched::ScheduleParseIssue>* issues,
     const std::string& source = {},
     ScheduleLine non_numeric = ScheduleLine::kSkip,
-    ScheduleWord words = ScheduleWord::kPrefix) {
+    NumberRule numbers = NumberRule::kWholeWord) {
   using namespace sched;
   Schedule s(nodeCount);
   std::string line;
@@ -193,7 +213,8 @@ inline sched::Schedule parseSchedule(
     std::istringstream ls(line);
     std::uint32_t node = 0;
     std::uint32_t step = 0;
-    if (words == ScheduleWord::kWholeWord) {
+    // The library names the word that is no number, so it reads words.
+    if (numbers == NumberRule::kWholeWord) {
       std::string node_word;
       std::string step_word;
       if (!(ls >> node_word)) {
@@ -239,25 +260,11 @@ inline sched::Schedule parseSchedule(
 
 // --- Binding (regbind/binding_io) --------------------------------------------
 
-/// How the binding oracle reads an entry's node word.  kStoul is the old
-/// rule: std::stoul then a 32-bit cast, so "0abc" and "4294967296" both
-/// name node 0, and "-4294967295" wraps to node 1.  kWholeWord is the
-/// library's rule since the cursor port: the word must start with a digit
-/// and extract whole as a 32-bit field ("malformed entry" otherwise).
-enum class BindingNodeWord : std::uint8_t { kStoul, kWholeWord };
-
-/// How the cover and tm-certificate oracles read each side of an
-/// `<a>:<b>` pair.  kStoul is the old rule: std::stoul, the node or rank
-/// then cast to 32 bits, so "4294967315:0" names node 19.  kWholeWord is
-/// the library's: each side is a whole 32-bit word (wholeWord), a
-/// malformed pair otherwise.
-enum class PairSide : std::uint8_t { kStoul, kWholeWord };
-
 inline regbind::Binding parseBinding(
     std::istream& is, const regbind::LifetimeTable& table,
     std::vector<regbind::BindingParseIssue>* issues,
     const std::string& source = {},
-    BindingNodeWord node_word = BindingNodeWord::kStoul) {
+    NumberRule numbers = NumberRule::kWholeWord) {
   using namespace regbind;
   Binding binding;
   binding.reg_of.assign(table.values.size(), 0);
@@ -288,7 +295,8 @@ inline regbind::Binding parseBinding(
       continue;  // blank/comment
     }
     if (!have_header) {
-      if (first != "registers" || !(ls >> binding.register_count)) {
+      if (first != "registers" ||
+          !readNumber(ls, binding.register_count, numbers)) {
         fail("missing 'registers N' header");
       }
       have_header = true;
@@ -296,7 +304,7 @@ inline regbind::Binding parseBinding(
     }
     std::uint32_t node = 0;
     std::uint32_t reg = 0;
-    if (node_word == BindingNodeWord::kStoul) {
+    if (numbers == NumberRule::kOld) {
       try {
         node = static_cast<std::uint32_t>(std::stoul(first));
       } catch (const std::exception&) {
@@ -305,7 +313,7 @@ inline regbind::Binding parseBinding(
     } else if (!wholeWord(first, node)) {
       fail("malformed entry '" + first + "'");
     }
-    if (!(ls >> reg)) {
+    if (!readNumber(ls, reg, numbers)) {
       fail("entry for node " + std::to_string(node) + " lacks a register");
     }
     if (node >= table.index_of.size() ||
@@ -345,6 +353,7 @@ inline regbind::Binding parseBinding(
 
 struct CertReader {
   std::istream& is;
+  NumberRule numbers;
   std::size_t lineno = 0;
 
   [[noreturn]] void fail(const std::string& why) const {
@@ -401,13 +410,22 @@ inline cdfg::Cdfg parseCertShape(CertReader& r) {
     body += '\n';
   }
   std::istringstream bs(body);
-  return parseDesign(bs, nullptr);
+  return parseDesign(bs, nullptr, {}, r.numbers);
+}
+
+inline void parseCertParams(CertReader& r, std::istream& ls,
+                            wm::LocalityParams& p) {
+  if (!readNumber(ls, p.max_distance, r.numbers) ||
+      !readNumber(ls, p.exclude_prob_256, r.numbers) ||
+      !readNumber(ls, p.min_size, r.numbers)) {
+    r.fail("malformed params");
+  }
 }
 
 inline wm::WatermarkCertificate parseSchedCertImpl(
-    std::istream& is, wm::CertValidation validation) {
+    std::istream& is, wm::CertValidation validation, NumberRule numbers) {
   using namespace wm;
-  CertReader r{is};
+  CertReader r{is, numbers};
   if (parseCertHeader(r) != "sched") {
     r.fail("not a scheduling-watermark certificate");
   }
@@ -429,18 +447,15 @@ inline wm::WatermarkCertificate parseSchedCertImpl(
       }
       cert.context = rest;
     } else if (word == "params") {
-      if (!(ls >> cert.locality_params.max_distance >>
-            cert.locality_params.exclude_prob_256 >>
-            cert.locality_params.min_size)) {
-        r.fail("malformed params");
-      }
+      parseCertParams(r, ls, cert.locality_params);
     } else if (word == "root-rank") {
-      if (!(ls >> cert.root_rank)) {
+      if (!readNumber(ls, cert.root_rank, r.numbers)) {
         r.fail("malformed root-rank");
       }
     } else if (word == "constraint") {
       RankConstraint c;
-      if (!(ls >> c.before_rank >> c.after_rank)) {
+      if (!readNumber(ls, c.before_rank, r.numbers) ||
+          !readNumber(ls, c.after_rank, r.numbers)) {
         r.fail("malformed constraint");
       }
       cert.constraints.push_back(c);
@@ -470,9 +485,9 @@ inline wm::WatermarkCertificate parseSchedCertImpl(
 
 inline wm::TmCertificate parseTmCertImpl(std::istream& is,
                                          wm::CertValidation validation,
-                                         PairSide pair_side) {
+                                         NumberRule numbers) {
   using namespace wm;
-  CertReader r{is};
+  CertReader r{is, numbers};
   if (parseCertHeader(r) != "tm") {
     r.fail("not a template-watermark certificate");
   }
@@ -494,21 +509,21 @@ inline wm::TmCertificate parseTmCertImpl(std::istream& is,
       }
       cert.context = rest;
     } else if (word == "params") {
-      if (!(ls >> cert.locality_params.max_distance >>
-            cert.locality_params.exclude_prob_256 >>
-            cert.locality_params.min_size)) {
-        r.fail("malformed params");
-      }
+      parseCertParams(r, ls, cert.locality_params);
     } else if (word == "whole-design") {
+      // The first reader's field was an int; the library's is unsigned.
       int flag = 0;
-      if (!(ls >> flag) || (flag != 0 && flag != 1)) {
+      std::uint32_t word_flag = 0;
+      if (r.numbers == NumberRule::kOld
+              ? !(ls >> flag) || (flag != 0 && flag != 1)
+              : !readNumber(ls, word_flag, r.numbers) || word_flag > 1) {
         r.fail("malformed whole-design flag");
       }
-      cert.whole_design = flag == 1;
+      cert.whole_design = flag == 1 || word_flag == 1;
     } else if (word == "matching") {
       EnforcedMatching m;
       std::uint32_t tid = 0;
-      if (!(ls >> tid)) {
+      if (!readNumber(ls, tid, r.numbers)) {
         r.fail("malformed matching");
       }
       m.template_id = TemplateId(tid);
@@ -518,7 +533,7 @@ inline wm::TmCertificate parseTmCertImpl(std::istream& is,
         if (colon == std::string::npos) {
           r.fail("malformed matching pair '" + pair + "'");
         }
-        if (pair_side == PairSide::kWholeWord) {
+        if (r.numbers == NumberRule::kWholeWord) {
           std::uint32_t rank = 0;
           std::uint32_t op = 0;
           if (!wholeWord(pair.substr(0, colon), rank) ||
@@ -564,9 +579,9 @@ inline wm::TmCertificate parseTmCertImpl(std::istream& is,
 }
 
 inline wm::RegCertificate parseRegCertImpl(
-    std::istream& is, wm::CertValidation validation) {
+    std::istream& is, wm::CertValidation validation, NumberRule numbers) {
   using namespace wm;
-  CertReader r{is};
+  CertReader r{is, numbers};
   if (parseCertHeader(r) != "reg") {
     r.fail("not a register-binding-watermark certificate");
   }
@@ -588,18 +603,15 @@ inline wm::RegCertificate parseRegCertImpl(
       }
       cert.context = rest;
     } else if (word == "params") {
-      if (!(ls >> cert.locality_params.max_distance >>
-            cert.locality_params.exclude_prob_256 >>
-            cert.locality_params.min_size)) {
-        r.fail("malformed params");
-      }
+      parseCertParams(r, ls, cert.locality_params);
     } else if (word == "root-rank") {
-      if (!(ls >> cert.root_rank)) {
+      if (!readNumber(ls, cert.root_rank, r.numbers)) {
         r.fail("malformed root-rank");
       }
     } else if (word == "share") {
       RankConstraint c;
-      if (!(ls >> c.before_rank >> c.after_rank)) {
+      if (!readNumber(ls, c.before_rank, r.numbers) ||
+          !readNumber(ls, c.after_rank, r.numbers)) {
         r.fail("malformed share pair");
       }
       cert.pairs.push_back(c);
@@ -641,22 +653,29 @@ inline auto withSource(const std::string& source, F&& parse) {
 
 inline wm::WatermarkCertificate parseSchedCertificate(
     std::istream& is, wm::CertValidation validation,
-    const std::string& source = {}) {
-  return withSource(source, [&] { return parseSchedCertImpl(is, validation); });
+    const std::string& source = {},
+    NumberRule numbers = NumberRule::kWholeWord) {
+  return withSource(source, [&] {
+    return parseSchedCertImpl(is, validation, numbers);
+  });
 }
 
 inline wm::TmCertificate parseTmCertificate(
     std::istream& is, wm::CertValidation validation,
-    const std::string& source = {}, PairSide pair_side = PairSide::kStoul) {
+    const std::string& source = {},
+    NumberRule numbers = NumberRule::kWholeWord) {
   return withSource(source, [&] {
-    return parseTmCertImpl(is, validation, pair_side);
+    return parseTmCertImpl(is, validation, numbers);
   });
 }
 
 inline wm::RegCertificate parseRegCertificate(
     std::istream& is, wm::CertValidation validation,
-    const std::string& source = {}) {
-  return withSource(source, [&] { return parseRegCertImpl(is, validation); });
+    const std::string& source = {},
+    NumberRule numbers = NumberRule::kWholeWord) {
+  return withSource(source, [&] {
+    return parseRegCertImpl(is, validation, numbers);
+  });
 }
 
 // --- Template library and cover (tm/library_io) ------------------------------
@@ -674,7 +693,8 @@ inline std::string stripComment(std::string line) {
   return line;
 }
 
-inline tm::TemplateLibrary parseLibrary(std::istream& is) {
+inline tm::TemplateLibrary parseLibrary(
+    std::istream& is, NumberRule numbers = NumberRule::kWholeWord) {
   using namespace tm;
   TemplateLibrary lib;
   std::string line;
@@ -711,7 +731,7 @@ inline tm::TemplateLibrary parseLibrary(std::istream& is) {
       }
       std::size_t index = 0;
       std::string opname;
-      if (!(ls >> index >> opname)) {
+      if (!readNumber(ls, index, numbers) || !(ls >> opname)) {
         tmFail(lineno, "malformed op line");
       }
       if (index != current->ops.size()) {
@@ -724,8 +744,19 @@ inline tm::TemplateLibrary parseLibrary(std::istream& is) {
       TemplateOp op;
       op.kind = *kind;
       std::size_t child = 0;
-      while (ls >> child) {
-        op.children.push_back(child);
+      if (numbers == NumberRule::kOld) {
+        while (ls >> child) {
+          op.children.push_back(child);
+        }
+      } else {
+        // Every word after the operation is a child, so one that is no
+        // number fails the line rather than ending the list.
+        for (std::string child_word; ls >> child_word;) {
+          if (!wholeWord(child_word, child)) {
+            tmFail(lineno, "malformed child '" + child_word + "'");
+          }
+          op.children.push_back(child);
+        }
       }
       current->ops.push_back(std::move(op));
     } else if (word == "end") {
@@ -761,7 +792,7 @@ enum class CoverOrder : std::uint8_t { kContextFirst, kSyntaxFirst };
 inline std::vector<tm::Matching> parseCover(
     std::istream& is, const tm::TemplateLibrary& lib, std::size_t nodeCount,
     std::vector<tm::CoverParseIssue>* issues, const std::string& source = {},
-    PairSide pair_side = PairSide::kStoul,
+    NumberRule numbers = NumberRule::kWholeWord,
     CoverOrder order = CoverOrder::kContextFirst) {
   using namespace tm;
   std::vector<Matching> cover;
@@ -783,7 +814,7 @@ inline std::vector<tm::Matching> parseCover(
     if (colon == std::string::npos) {
       return false;
     }
-    if (pair_side == PairSide::kWholeWord) {
+    if (numbers == NumberRule::kWholeWord) {
       std::uint32_t op32 = 0;
       if (!wholeWord(pair.substr(0, colon), node) ||
           !wholeWord(pair.substr(colon + 1), op32)) {
@@ -820,7 +851,7 @@ inline std::vector<tm::Matching> parseCover(
         tmFail(lineno, "missing header");
       }
       std::uint32_t node = 0;
-      if (!(ls >> node)) {
+      if (!readNumber(ls, node, numbers)) {
         tmFail(lineno, "malformed 'single'");
       }
       if (node >= nodeCount) {
@@ -834,7 +865,7 @@ inline std::vector<tm::Matching> parseCover(
         tmFail(lineno, "missing header");
       }
       std::uint32_t tid = 0;
-      if (!(ls >> tid)) {
+      if (!readNumber(ls, tid, numbers)) {
         tmFail(lineno, "malformed 'use'");
       }
       std::vector<std::string> pairs;
@@ -912,7 +943,8 @@ inline bool parseHex64(const std::string& token, std::uint64_t& out) {
   return true;
 }
 
-inline std::optional<scan::DesignIndex> parseIndex(const std::string& text) {
+inline std::optional<scan::DesignIndex> parseIndex(
+    const std::string& text, NumberRule numbers = NumberRule::kWholeWord) {
   using namespace scan;
   std::istringstream is(text);
   std::string line;
@@ -930,7 +962,8 @@ inline std::optional<scan::DesignIndex> parseIndex(const std::string& text) {
     }
     std::string trailing;
     if (word == "radius") {
-      if (have_radius || !(ls >> index.radius) || (ls >> trailing)) {
+      if (have_radius || !readNumber(ls, index.radius, numbers) ||
+          (ls >> trailing)) {
         return std::nullopt;
       }
       have_radius = true;
@@ -952,7 +985,8 @@ inline std::optional<scan::DesignIndex> parseIndex(const std::string& text) {
       std::string r1;
       KindFingerprint fp;
       KindFingerprint fp1;
-      if (!(ls >> id >> kind >> w0 >> w1 >> r0 >> r1) || (ls >> trailing) ||
+      if (!readNumber(ls, id, numbers) || !readNumber(ls, kind, numbers) ||
+          !(ls >> w0 >> w1 >> r0 >> r1) || (ls >> trailing) ||
           kind >= cdfg::kOpKindCount || !parseHex64(w0, fp.bits[0]) ||
           !parseHex64(w1, fp.bits[1]) || !parseHex64(r0, fp1.bits[0]) ||
           !parseHex64(r1, fp1.bits[1])) {

@@ -1011,6 +1011,36 @@ TEST(CheckProject, ScheduleBindingPairsSameColdAndWarm) {
   std::filesystem::remove_all(cache);
 }
 
+TEST(CheckProject, SignedNumberDesignLintsAlikeWarmAndUncached) {
+  // A design whose edge names its source as "-4294967295" (once read as
+  // node 1) is an LW001; a warm cache must not bring back a reading of it.
+  const cdfg::Cdfg g = randomTemporalDfg(6, 30);
+  check::Workspace ws;
+  ws.addArtifactText("good.cdfg", cdfg::printToString(g));
+  ws.addArtifactText("bent.cdfg",
+                     cdfg::printToString(g) + "edge -4294967295 2 data\n");
+  ws.addArtifactText("good.sched", scheduleText(perturbedSteps(g, 0)));
+  const std::string cache =
+      (std::filesystem::temp_directory_path() / "locwm-bent-number-cache")
+          .string();
+  std::filesystem::remove_all(cache);
+  const auto run = [&](const std::string& dir) {
+    check::Workspace w = ws;
+    check::ProjectOptions options;
+    options.cache_dir = dir;
+    return check::checkProject(w, options);
+  };
+  const std::string uncached = run("").report.renderText();
+  EXPECT_NE(uncached.find("bent.cdfg: error LW001: cdfg parse error at line"),
+            std::string::npos)
+      << uncached;
+  EXPECT_EQ(run(cache).report.renderText(), uncached);
+  const check::ProjectResult warm = run(cache);
+  EXPECT_EQ(warm.report.renderText(), uncached);
+  EXPECT_GT(warm.stats.cache_hits, 0u);
+  std::filesystem::remove_all(cache);
+}
+
 TEST(CheckProject, LW805LocalityCannotExist) {
   const char* const cert =
       "locwm-cert v1 sched\n"

@@ -20,6 +20,8 @@
 #include "cdfg/random_dfg.h"
 #include "cdfg/text.h"
 #include "check/linter.h"
+#include "check/project.h"
+#include "check/workspace.h"
 #include "core/certificate_io.h"
 #include "core/locality.h"
 #include "core/reg_wm.h"
@@ -29,6 +31,7 @@
 #include "regbind/binding.h"
 #include "regbind/binding_io.h"
 #include "regbind/lifetime.h"
+#include "scan/keyring.h"
 #include "scan/fingerprint.h"
 #include "sched/list_scheduler.h"
 #include "sched/schedule_io.h"
@@ -53,47 +56,55 @@ TEST(TextCursor, WhitespaceIsTheCLocaleSet) {
   EXPECT_EQ(a, std::string_view("ab\0c", 4));  // a failed field is untouched
 }
 
-TEST(TextCursor, NumberTakesTheLongestDigitPrefix) {
-  text::Fields f("12abc 0x1f");
+TEST(TextCursor, NumberIsAWholeWord) {
+  text::Fields f("12 007 12abc 5");
   std::uint32_t n = 0;
-  std::string_view w;
-  ASSERT_TRUE(f >> n >> w);
+  std::uint32_t m = 0;
+  ASSERT_TRUE(f >> n >> m);
   EXPECT_EQ(n, 12u);
-  EXPECT_EQ(w, "abc");
-  ASSERT_TRUE(f >> n >> w);
-  EXPECT_EQ(n, 0u);
-  EXPECT_EQ(w, "x1f");
+  EXPECT_EQ(m, 7u);
+  EXPECT_FALSE(f >> n);  // "12abc" is no number and fails the cursor
+  EXPECT_EQ(n, 12u);
+  for (const std::string_view word : {"0x1f", "1:2", "1.0", "", " "}) {
+    EXPECT_FALSE(text::Fields(word) >> n) << "'" << word << "'";
+  }
 }
 
-TEST(TextCursor, UnsignedFieldsWrapNegativeValues) {
-  std::uint32_t u32 = 0;
-  std::size_t u64 = 0;
-  EXPECT_TRUE(text::Fields("-1") >> u32);
-  EXPECT_EQ(u32, std::numeric_limits<std::uint32_t>::max());
-  EXPECT_TRUE(text::Fields("-4294967295") >> u32);
-  EXPECT_EQ(u32, 1u);
-  EXPECT_TRUE(text::Fields("-1") >> u64);
-  EXPECT_EQ(u64, std::numeric_limits<std::size_t>::max());
-  EXPECT_TRUE(text::Fields("+7") >> u32);
-  EXPECT_EQ(u32, 7u);
+TEST(TextCursor, SignedWordsAreNoNumbers) {
+  for (const std::string_view word :
+       {"-1", "-4294967295", "+7", "-0", "+0", "-", "+"}) {
+    std::uint32_t u32 = 3;
+    std::size_t u64 = 3;
+    EXPECT_FALSE(text::Fields(word) >> u32) << word;
+    EXPECT_FALSE(text::Fields(word) >> u64) << word;
+    EXPECT_EQ(u32, 3u);
+    EXPECT_EQ(u64, 3u);
+    EXPECT_FALSE(text::wholeNumber(word, u32)) << word;
+  }
 }
 
 TEST(TextCursor, OverflowFailsAndFailureIsSticky) {
   text::Fields f("4294967296 5 x");
-  std::uint32_t n = 0;
+  std::uint32_t n = 3;
   std::uint32_t m = 9;
   std::string_view w;
   EXPECT_FALSE(f >> n);
-  EXPECT_EQ(n, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(n, 3u);  // a failed field is untouched
   EXPECT_FALSE(f >> m >> w);
   EXPECT_EQ(m, 9u);
-  EXPECT_FALSE(text::Fields("-4294967296") >> n);
-  int i = 0;
-  EXPECT_TRUE(text::Fields("-2147483648") >> i);
-  EXPECT_EQ(i, std::numeric_limits<int>::min());
-  EXPECT_FALSE(text::Fields("2147483648") >> i);
-  EXPECT_FALSE(text::Fields("-") >> i);
-  EXPECT_EQ(i, 0);
+  // The range is the field's own.
+  std::size_t u64 = 0;
+  EXPECT_TRUE(text::Fields("4294967296") >> u64);
+  EXPECT_EQ(u64, 4294967296u);
+  EXPECT_TRUE(text::Fields("18446744073709551615") >> u64);
+  EXPECT_EQ(u64, std::numeric_limits<std::size_t>::max());
+  EXPECT_FALSE(text::Fields("18446744073709551616") >> u64);
+  std::uint16_t u16 = 0;
+  EXPECT_TRUE(text::wholeNumber("65535", u16));
+  EXPECT_EQ(u16, 65535u);
+  EXPECT_FALSE(text::wholeNumber("65536", u16));
+  EXPECT_FALSE(text::wholeNumber("000000000000000000000065536", u16));
+  EXPECT_TRUE(text::wholeNumber("000000000000000000000065535", u16));
 }
 
 TEST(TextCursor, RestKeepsTheUnreadText) {
@@ -123,21 +134,24 @@ TEST(TextCursor, LinesNumberLikeGetline) {
 }
 
 /// One extraction from an istringstream and from a cursor, rendered: the
-/// value when it succeeds, "fail" once failed.
+/// value when it succeeds, "fail" once failed.  The stream reads a word
+/// and then applies the whole-word rule to it.
 template <typename T>
 void extractBoth(std::istringstream& is, text::Fields& f, std::string& a,
                  std::string& b) {
   T x{};
   T y{};
-  a += (is >> x) ? std::to_string(x) + ";" : "fail;";
+  a += oracle::readNumber(is, x, oracle::NumberRule::kWholeWord)
+           ? std::to_string(x) + ";"
+           : "fail;";
   b += (f >> y) ? std::to_string(y) + ";" : "fail;";
 }
 
 TEST(TextCursor, MatchesIstringstreamOnRandomLines) {
-  static constexpr std::array<std::string_view, 14> kPieces = {
+  static constexpr std::array<std::string_view, 15> kPieces = {
       "0",  "7",  "-",    "+",          "12abc", "4294967295", "4294967296",
       " ",  "\t", "\v\r", "x",          ":",     "-1",
-      "18446744073709551616"};
+      "18446744073709551616", "65536"};
   cdfg::SplitMix64 rng(2024);
   for (int round = 0; round < 4000; ++round) {
     std::string line;
@@ -158,7 +172,7 @@ TEST(TextCursor, MatchesIstringstreamOnRandomLines) {
           extractBoth<std::size_t>(is, f, a, b);
           break;
         case 2:
-          extractBoth<int>(is, f, a, b);
+          extractBoth<std::uint16_t>(is, f, a, b);
           break;
         default: {
           std::string x;
@@ -176,9 +190,11 @@ TEST(TextCursor, MatchesIstringstreamOnRandomLines) {
 // ---------------------------------------------------------------------------
 // The seeded mutator.
 
+const std::string kExampleDir =
+    std::string(LOCWM_SOURCE_DIR) + "/examples/artifacts";
+
 std::string readExample(const std::string& name) {
-  std::ifstream in(std::string(LOCWM_SOURCE_DIR) + "/examples/artifacts/" +
-                   name);
+  std::ifstream in(kExampleDir + "/" + name);
   EXPECT_TRUE(in) << name;
   std::ostringstream os;
   os << in.rdbuf();
@@ -348,12 +364,35 @@ void differential(const std::vector<std::string>& seeds, std::uint64_t seed,
   EXPECT_LT(accepted, kMutants);
 }
 
+/// True when `text` carries a word that the old number rule read as a
+/// number, or part of one, and the one rule rejects: a sign before a digit
+/// ("-1", "+7"), a digit followed by another byte ("12abc", "0x1f", and
+/// also every "<a>:<b>" pair), or a digit run beyond 32 bits.
+bool bendsANumber(const std::string& text) {
+  std::istringstream is(text);
+  for (std::string w; is >> w;) {
+    const std::size_t first = w[0] == '+' || w[0] == '-' ? 1 : 0;
+    if (first >= w.size() || w[first] < '0' || w[first] > '9') {
+      continue;
+    }
+    std::uint32_t v = 0;
+    if (first == 1 || !text::wholeNumber(w, v)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Runs kMutants mutants of `seeds` through an oracle under a changed rule
 /// (`now`) and under the old one (`was`): they must differ on some mutant,
-/// and wherever they differ the new rule must reject with `why`.
-void ruleChangeOnlyRejects(const std::vector<std::string>& seeds,
-                           std::uint64_t seed, const Render& now,
-                           const Render& was, const std::string& why) {
+/// and wherever they differ the new rule must reject with a message that
+/// holds one of `why`.  With `explains`, every mutant the old rule accepted
+/// and the new one rejects must satisfy it; where both reject, only the
+/// wording may differ.
+void ruleChangeOnlyRejects(
+    const std::vector<std::string>& seeds, std::uint64_t seed,
+    const Render& now, const Render& was, const std::vector<std::string>& why,
+    const std::function<bool(const std::string&)>& explains = {}) {
   Mutator mutator(seed);
   int diverged = 0;
   for (int k = 0; k < kMutants; ++k) {
@@ -363,11 +402,56 @@ void ruleChangeOnlyRejects(const std::vector<std::string>& seeds,
     if (a != b) {
       ++diverged;
       EXPECT_EQ(a.rfind("error\n", 0), 0u) << a << "\nmutant:\n" << printable(t);
-      EXPECT_NE(a.find(why), std::string::npos)
+      EXPECT_TRUE(std::any_of(why.begin(), why.end(),
+                              [&](const std::string& w) {
+                                return a.find(w) != std::string::npos;
+                              }))
+          << a << "\nvs.\n" << b << "\nmutant:\n" << printable(t);
+      EXPECT_TRUE(!explains || b.rfind("ok\n", 0) != 0 || explains(t))
           << a << "\nvs.\n" << b << "\nmutant:\n" << printable(t);
     }
   }
   EXPECT_GT(diverged, 0);
+}
+
+/// ruleChangeOnlyRejects for the number rule: `parse(text, rule)` under the
+/// one rule and the old one, every newly rejected mutant carrying a word
+/// that bends a number (or satisfying `explains`, when given).
+void numberRuleOnlyRejects(
+    const std::vector<std::string>& seeds, std::uint64_t seed,
+    const std::function<std::string(const std::string&, oracle::NumberRule)>&
+        parse,
+    const std::vector<std::string>& why,
+    const std::function<bool(const std::string&)>& explains = bendsANumber) {
+  ruleChangeOnlyRejects(
+      seeds, seed,
+      [&](const std::string& t) {
+        return parse(t, oracle::NumberRule::kWholeWord);
+      },
+      [&](const std::string& t) { return parse(t, oracle::NumberRule::kOld); },
+      why, explains);
+}
+
+/// True when an `op` line of library `text` has a word after its operation
+/// that is no number: the old reader ended the child list there, the one
+/// rule rejects the line.
+bool hasNonNumberChild(const std::string& text) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream ls(line.substr(0, line.find('#')));
+    std::string word;
+    std::vector<std::string> words;
+    while (ls >> word) {
+      words.push_back(word);
+    }
+    std::size_t child = 0;
+    for (std::size_t k = 3; k < words.size() && words[0] == "op"; ++k) {
+      if (!text::wholeNumber(words[k], child)) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 // Renderings of parsed objects and issue lists.
@@ -492,30 +576,43 @@ wm::RegCertificate regCertificate() {
 // ---------------------------------------------------------------------------
 // Differential tests: library parser vs. istream oracle on every mutant.
 
+// Each format is read the same by its library parser and by its oracle
+// under the one number rule; the oracle under the old rule differs from
+// it only by rejecting, with a malformed-field message, mutants that carry
+// a word the old rule bent into another number.
+
+using oracle::NumberRule;
+
 TEST(ParseOracle, Design) {
   const auto seeds = designSeeds();
-  differential(
-      seeds, 1,
-      [](const std::string& t) {
-        return cdfg::printToString(cdfg::parseString(t));
-      },
-      [](const std::string& t) {
-        std::istringstream is(t);
-        return cdfg::printToString(oracle::parseDesign(is, nullptr));
-      });
-  differential(
-      seeds, 2,
-      [](const std::string& t) {
-        std::vector<cdfg::ParseIssue> issues;
-        const cdfg::Cdfg g = cdfg::parseString(t, issues, "m.cdfg");
-        return cdfg::printToString(g) + render(issues);
-      },
-      [](const std::string& t) {
-        std::istringstream is(t);
-        std::vector<cdfg::ParseIssue> issues;
-        const cdfg::Cdfg g = oracle::parseDesign(is, &issues, "m.cdfg");
-        return cdfg::printToString(g) + render(issues);
-      });
+  const auto oracleRun = [](const std::string& t, bool lenient,
+                            NumberRule rule) {
+    std::istringstream is(t);
+    std::vector<cdfg::ParseIssue> issues;
+    const cdfg::Cdfg g = oracle::parseDesign(
+        is, lenient ? &issues : nullptr, lenient ? "m.cdfg" : "", rule);
+    return cdfg::printToString(g) + render(issues);
+  };
+  for (const bool lenient : {false, true}) {
+    differential(
+        seeds, lenient ? 2 : 1,
+        [&](const std::string& t) {
+          std::vector<cdfg::ParseIssue> issues;
+          const cdfg::Cdfg g = lenient
+                                   ? cdfg::parseString(t, issues, "m.cdfg")
+                                   : cdfg::parseString(t);
+          return cdfg::printToString(g) + render(issues);
+        },
+        [&](const std::string& t) {
+          return oracleRun(t, lenient, NumberRule::kWholeWord);
+        });
+    numberRuleOnlyRejects(
+        seeds, lenient ? 62 : 61,
+        [&](const std::string& t, NumberRule rule) {
+          return oracleRun(t, lenient, rule);
+        },
+        {"malformed node line", "malformed edge line"});
+  }
 }
 
 TEST(ParseOracle, Schedule) {
@@ -527,19 +624,16 @@ TEST(ParseOracle, Schedule) {
       "# leading comment\n0 1\n1 2 # trailing comment\n\n2 3\n"};
   const std::size_t n = example.nodeCount();
   const auto oracleRun = [&](const std::string& t, bool lenient,
-                             oracle::ScheduleLine line,
-                             oracle::ScheduleWord words) {
+                             oracle::ScheduleLine line, NumberRule rule) {
     std::istringstream is(t);
     std::vector<sched::ScheduleParseIssue> issues;
     const auto s = oracle::parseSchedule(is, n, lenient ? &issues : nullptr,
                                          lenient ? "m.sched" : "", line,
-                                         words);
+                                         rule);
     return render(s, issues);
   };
   using oracle::ScheduleLine;
-  using oracle::ScheduleWord;
   for (const bool lenient : {false, true}) {
-    // The library reads both words of an entry as whole numbers...
     differential(
         seeds, lenient ? 4 : 3,
         [&](const std::string& t) {
@@ -551,34 +645,26 @@ TEST(ParseOracle, Schedule) {
         },
         [&](const std::string& t) {
           return oracleRun(t, lenient, ScheduleLine::kReject,
-                           ScheduleWord::kWholeWord);
+                           NumberRule::kWholeWord);
         });
-    // ...which differs from the old `>>` rule only by rejecting, as a
-    // malformed entry, the words the old rule wrapped or cut short...
-    ruleChangeOnlyRejects(
+    numberRuleOnlyRejects(
         seeds, lenient ? 14 : 13,
-        [&](const std::string& t) {
-          return oracleRun(t, lenient, ScheduleLine::kReject,
-                           ScheduleWord::kWholeWord);
+        [&](const std::string& t, NumberRule rule) {
+          return oracleRun(t, lenient, ScheduleLine::kReject, rule);
         },
-        [&](const std::string& t) {
-          return oracleRun(t, lenient, ScheduleLine::kReject,
-                           ScheduleWord::kPrefix);
-        },
-        ": malformed entry '");
-    // ...and rejects a line that opens with a non-number, which the
-    // first rule read as blank; nothing else differs.
+        {": malformed entry '"});
+    // A line that opens with a non-number, which the first rule read as
+    // blank, is rejected too; nothing else differs.
     ruleChangeOnlyRejects(
         seeds, lenient ? 12 : 11,
         [&](const std::string& t) {
           return oracleRun(t, lenient, ScheduleLine::kReject,
-                           ScheduleWord::kPrefix);
+                           NumberRule::kOld);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, ScheduleLine::kSkip,
-                           ScheduleWord::kPrefix);
+          return oracleRun(t, lenient, ScheduleLine::kSkip, NumberRule::kOld);
         },
-        ": malformed entry '");
+        {": malformed entry '"});
   }
 }
 
@@ -591,7 +677,7 @@ TEST(ParseOracle, Binding) {
       readExample("binding.txt"),
       regbind::bindingToString(table, regbind::bindRegisters(table))};
   const auto oracleRun = [&](const std::string& t, bool lenient,
-                             oracle::BindingNodeWord rule) {
+                             NumberRule rule) {
     std::istringstream is(t);
     std::vector<regbind::BindingParseIssue> issues;
     const auto b = oracle::parseBinding(is, table, lenient ? &issues : nullptr,
@@ -599,7 +685,6 @@ TEST(ParseOracle, Binding) {
     return render(b, issues);
   };
   for (const bool lenient : {false, true}) {
-    // The library follows the whole-word node rule...
     differential(
         seeds, lenient ? 6 : 5,
         [&](const std::string& t) {
@@ -610,26 +695,24 @@ TEST(ParseOracle, Binding) {
           return render(b, issues);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::BindingNodeWord::kWholeWord);
+          return oracleRun(t, lenient, NumberRule::kWholeWord);
         });
-    // ...which differs from the old stoul rule only by rejecting, as a
-    // malformed entry, node words the old rule aliased.
-    ruleChangeOnlyRejects(
+    numberRuleOnlyRejects(
         seeds, lenient ? 8 : 7,
-        [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::BindingNodeWord::kWholeWord);
+        [&](const std::string& t, NumberRule rule) {
+          return oracleRun(t, lenient, rule);
         },
-        [&](const std::string& t) {
-          return oracleRun(t, lenient, oracle::BindingNodeWord::kStoul);
-        },
-        ": malformed entry '");
+        {": malformed entry '", " lacks a register",
+         "missing 'registers N' header"});
   }
 }
 
 template <typename Cert>
 using CertOracle = std::function<Cert(std::istream&, wm::CertValidation,
-                                      const std::string&)>;
+                                      const std::string&, NumberRule)>;
 
+/// The library's certificate parser against its oracle, and the oracle's
+/// one number rule against its old one, strict and lenient.
 template <typename Cert>
 void certificateDifferential(
     const std::vector<std::string>& seeds, std::uint64_t seed,
@@ -639,15 +722,20 @@ void certificateDifferential(
        {wm::CertValidation::kStrict, wm::CertValidation::kLenient}) {
     const std::string source =
         v == wm::CertValidation::kLenient ? "m.cert" : "";
+    const auto oracleRun = [&](const std::string& t, NumberRule rule) {
+      std::istringstream is(t);
+      return wm::certificateToString(reference(is, v, source, rule));
+    };
     differential(
         seeds, seed + static_cast<std::uint64_t>(v),
         [&](const std::string& t) {
           return wm::certificateToString(library(t, v, source));
         },
         [&](const std::string& t) {
-          std::istringstream is(t);
-          return wm::certificateToString(reference(is, v, source));
+          return oracleRun(t, NumberRule::kWholeWord);
         });
+    numberRuleOnlyRejects(seeds, seed + 5 + static_cast<std::uint64_t>(v),
+                          oracleRun, {"malformed "});
   }
 }
 
@@ -658,31 +746,9 @@ TEST(ParseOracle, SchedCertificate) {
 }
 
 TEST(ParseOracle, TmCertificate) {
-  const std::vector<std::string> seeds = {
-      readExample("tm.cert"), wm::certificateToString(tmCertificate())};
-  const auto oracleRun = [](oracle::PairSide rule) {
-    return [rule](std::istream& is, wm::CertValidation v,
-                  const std::string& source) {
-      return oracle::parseTmCertificate(is, v, source, rule);
-    };
-  };
-  // The library reads each side of a matching pair as a whole word...
   certificateDifferential<wm::TmCertificate>(
-      seeds, 20, wm::parseTmCertificate,
-      oracleRun(oracle::PairSide::kWholeWord));
-  // ...which differs from the old stoul rule only by rejecting, as a
-  // malformed pair, the sides the old rule aliased or cut short.
-  const auto render = [](const CertOracle<wm::TmCertificate>& parse) {
-    return [parse](const std::string& t) {
-      std::istringstream is(t);
-      return wm::certificateToString(
-          parse(is, wm::CertValidation::kLenient, "m.cert"));
-    };
-  };
-  ruleChangeOnlyRejects(seeds, 23,
-                        render(oracleRun(oracle::PairSide::kWholeWord)),
-                        render(oracleRun(oracle::PairSide::kStoul)),
-                        ": malformed matching pair '");
+      {readExample("tm.cert"), wm::certificateToString(tmCertificate())}, 20,
+      wm::parseTmCertificate, oracle::parseTmCertificate);
 }
 
 TEST(ParseOracle, RegCertificate) {
@@ -695,14 +761,22 @@ TEST(ParseOracle, LibraryAndCover) {
   const std::vector<std::string> lib_seeds = {
       readExample("library.tmlib"),
       tm::libraryToString(tm::TemplateLibrary::basicDsp())};
+  const auto libraryOracle = [](const std::string& t, NumberRule rule) {
+    std::istringstream is(t);
+    return tm::libraryToString(oracle::parseLibrary(is, rule));
+  };
   differential(
       lib_seeds, 40,
       [](const std::string& t) {
         return tm::libraryToString(tm::parseLibraryString(t));
       },
+      [&](const std::string& t) {
+        return libraryOracle(t, NumberRule::kWholeWord);
+      });
+  numberRuleOnlyRejects(
+      lib_seeds, 47, libraryOracle, {"malformed op line", "malformed child '"},
       [](const std::string& t) {
-        std::istringstream is(t);
-        return tm::libraryToString(oracle::parseLibrary(is));
+        return bendsANumber(t) || hasNonNumberChild(t);
       });
 
   const tm::TemplateLibrary lib =
@@ -712,18 +786,16 @@ TEST(ParseOracle, LibraryAndCover) {
       readExample("cover.txt"),
       "tmcover v1\nsingle 0\nuse 0 1:0 2:1 # comment\nsingle 3\n"};
   const auto oracleRun = [&](const std::string& t, bool lenient,
-                             oracle::PairSide side, oracle::CoverOrder order) {
+                             NumberRule rule, oracle::CoverOrder order) {
     std::istringstream is(t);
     std::vector<tm::CoverParseIssue> issues;
     const auto c = oracle::parseCover(is, lib, n, lenient ? &issues : nullptr,
-                                      "m.cover", side, order);
+                                      "m.cover", rule, order);
     return render(c, issues);
   };
   using oracle::CoverOrder;
-  using oracle::PairSide;
   for (const bool lenient : {false, true}) {
-    // The library reads each side of a pair as a whole word and checks a
-    // line's syntax before its context...
+    // The library checks a line's syntax before its context...
     differential(
         cover_seeds, lenient ? 42 : 41,
         [&](const std::string& t) {
@@ -734,35 +806,28 @@ TEST(ParseOracle, LibraryAndCover) {
           return render(c, issues);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, PairSide::kWholeWord,
+          return oracleRun(t, lenient, NumberRule::kWholeWord,
                            CoverOrder::kSyntaxFirst);
         });
     // ...which differs from checking the context first only by rejecting,
-    // as a syntax error, a line the old order dropped or range-failed...
+    // as a syntax error, a line the old order dropped or range-failed.
     ruleChangeOnlyRejects(
         cover_seeds, lenient ? 46 : 45,
         [&](const std::string& t) {
-          return oracleRun(t, lenient, PairSide::kWholeWord,
+          return oracleRun(t, lenient, NumberRule::kWholeWord,
                            CoverOrder::kSyntaxFirst);
         },
         [&](const std::string& t) {
-          return oracleRun(t, lenient, PairSide::kWholeWord,
+          return oracleRun(t, lenient, NumberRule::kWholeWord,
                            CoverOrder::kContextFirst);
         },
-        "template-io parse error at line ");
-    // ...and from the old stoul rule only by rejecting, as a malformed
-    // pair, the sides the old rule aliased or cut short.
-    ruleChangeOnlyRejects(
+        {"template-io parse error at line "});
+    numberRuleOnlyRejects(
         cover_seeds, lenient ? 44 : 43,
-        [&](const std::string& t) {
-          return oracleRun(t, lenient, PairSide::kWholeWord,
-                           CoverOrder::kContextFirst);
+        [&](const std::string& t, NumberRule rule) {
+          return oracleRun(t, lenient, rule, CoverOrder::kContextFirst);
         },
-        [&](const std::string& t) {
-          return oracleRun(t, lenient, PairSide::kStoul,
-                           CoverOrder::kContextFirst);
-        },
-        ": malformed pair '");
+        {"malformed 'single'", "malformed 'use'", ": malformed pair '"});
   }
 }
 
@@ -777,15 +842,22 @@ TEST(ParseOracle, FingerprintIndex) {
   // still needs both outcomes, so "nullopt" counts as the rejecting one.
   Mutator mutator(50);
   int accepted = 0;
+  int diverged = 0;
   for (int k = 0; k < kMutants; ++k) {
     const std::string t = mutator.mutate(seeds);
     const std::string got = render(scan::parseIndex(t));
     ASSERT_EQ(got, render(oracle::parseIndex(t)))
         << "mutant " << k << ":\n" << printable(t);
     accepted += got != "nullopt" ? 1 : 0;
+    if (got != render(oracle::parseIndex(t, NumberRule::kOld))) {
+      ++diverged;
+      EXPECT_EQ(got, "nullopt") << printable(t);
+      EXPECT_TRUE(bendsANumber(t)) << printable(t);
+    }
   }
   EXPECT_GT(accepted, kMutants / 50);
   EXPECT_LT(accepted, kMutants);
+  EXPECT_GT(diverged, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -909,6 +981,229 @@ TEST(PairIo, TmMatchingPairSidesMustBeWhole32BitNumbers) {
                      needle, "tm certificate parse of '" + pair + "'");
     }
     expectLintError({{"tm.cert", text}}, needle);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The key ring and the workspace manifest: seeded mutants must fail only
+// in the ways each promises.
+
+TEST(ParseFuzz, KeyRingThrowsOnlyLocwmErrors) {
+  scan::KeyRing ring;
+  ring.add({"alice", "demo"}, "sched.cert",
+           wm::parseSchedCertificate(readExample("sched.cert")));
+  ring.add({"Acme #1", "n \"1\" \\"}, "tm.cert",
+           wm::parseTmCertificate(readExample("tm.cert")));
+  ring.add({"a\tb", "n#2"}, "reg.cert",
+           wm::parseRegCertificate(readExample("reg.cert")));
+  const std::vector<std::string> seeds = {
+      ring.toText(),
+      "# ring\nlocwm-keyring v1\r\nkey alice demo sched.cert # c\r\n"
+      "key \"Acme #1\" n1 \"tm.cert\"\n"};
+  Mutator mutator(70);
+  int loaded = 0;
+  for (int k = 0; k < kMutants; ++k) {
+    const std::string t = mutator.mutate(seeds);
+    const std::string got = outcome([&] {
+      return scan::KeyRing::fromText(t, "m.keyring", kExampleDir).toText();
+    });
+    ASSERT_NE(got.rfind("foreign\n", 0), 0u)
+        << got << "\nmutant " << k << ":\n" << printable(t);
+    loaded += got.rfind("ok\n", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(loaded, kMutants / 50);
+  EXPECT_LT(loaded, kMutants);
+}
+
+TEST(ParseFuzz, ManifestGivesOnlyLoadDiagnostics) {
+  const std::vector<std::string> seeds = {
+      readExample("workspace.manifest"),
+      "locwm-workspace v1 # header\nartifact design.cdfg\n"
+      "artifact cover.txt design=design.cdfg\n"
+      "artifact schedule.txt design=design.cdfg # pinned\n"};
+  Mutator mutator(71);
+  int clean = 0;
+  for (int k = 0; k < kMutants; ++k) {
+    const std::string t = mutator.mutate(seeds);
+    const check::Workspace ws =
+        check::Workspace::fromManifestText(t, "m.manifest", kExampleDir);
+    for (const check::Diagnostic& d : ws.loadReport().diagnostics()) {
+      // A manifest finding, or an artifact it names that cannot be read.
+      EXPECT_TRUE(d.code == "LW801" ||
+                  (d.code == "LW001" && d.message == "cannot open file"))
+          << d.code << " " << d.message << "\nmutant " << k << ":\n"
+          << printable(t);
+    }
+    clean += ws.loadReport().empty() ? 1 : 0;
+  }
+  EXPECT_GT(clean, kMutants / 50);
+  EXPECT_LT(clean, kMutants);
+}
+
+// ---------------------------------------------------------------------------
+// Number words: in every numeric field of every format, a signed, prefixed
+// or out-of-range word is a parse error (LW001 in both lint modes), never
+// another number.
+
+struct NumberField {
+  std::string file;     ///< example artifact holding the field
+  std::string line;     ///< text of it around the field
+  std::string bent;     ///< that text with '@' for the field's word
+  std::string message;  ///< the parse error, '@' for the word
+  bool wide = false;    ///< a 64-bit field (4294967296 fits)
+};
+
+const std::vector<NumberField> kNumberFields = {
+    {"design.cdfg", "\nnode 3 cmul c1\n", "\nnode @ cmul c1\n",
+     "malformed node line"},
+    {"design.cdfg", "\nedge 0 2 data\n", "\nedge @ 2 data\n",
+     "malformed edge line"},
+    {"design.cdfg", "\nedge 0 2 data\n", "\nedge 0 @ data\n",
+     "malformed edge line"},
+    {"sched.cert", "\nparams 6 96 4\n", "\nparams @ 96 4\n",
+     "malformed params"},
+    {"sched.cert", "\nparams 6 96 4\n", "\nparams 6 96 @\n",
+     "malformed params", true},
+    {"sched.cert", "\nroot-rank 9\n", "\nroot-rank @\n",
+     "malformed root-rank"},
+    {"sched.cert", "\nconstraint 3 6\n", "\nconstraint @ 6\n",
+     "malformed constraint"},
+    {"sched.cert", "\nconstraint 3 6\n", "\nconstraint 3 @\n",
+     "malformed constraint"},
+    {"sched.cert", "\nshape-begin\ncdfg v1\nnode 0 sub\n",
+     "\nshape-begin\ncdfg v1\nnode @ sub\n", "malformed node line"},
+    {"tm.cert", "\nwhole-design 1\n", "\nwhole-design @\n",
+     "malformed whole-design flag"},
+    {"tm.cert", "\nmatching 6 22:0", "\nmatching @ 22:0",
+     "malformed matching"},
+    {"reg.cert", "\nroot-rank 6\n", "\nroot-rank @\n", "malformed root-rank"},
+    {"reg.cert", "\nshare 1 5\n", "\nshare @ 5\n", "malformed share pair"},
+    {"library.tmlib", "\n  op 0 add 1\n", "\n  op @ add 1\n",
+     "malformed op line", true},
+    {"library.tmlib", "\n  op 0 add 1\n", "\n  op 0 add @\n",
+     "malformed child '@'", true},
+    {"cover.txt", "\nsingle 2\n", "\nsingle @\n", "malformed 'single'"},
+    {"cover.txt", "\nuse 6 24:0", "\nuse @ 24:0", "malformed 'use'"},
+    {"binding.txt", "registers 10\n", "registers @\n",
+     "missing 'registers N' header"},
+    {"binding.txt", "\n1 1\n", "\n1 @\n", "lacks a register"},
+};
+
+/// The artifacts linted before `file`, as its context.
+std::vector<std::string> lintContextOf(const std::string& file) {
+  if (file == "cover.txt") {
+    return {"design.cdfg", "library.tmlib"};
+  }
+  if (file == "binding.txt") {
+    return {"marked.cdfg", "schedule.txt"};
+  }
+  return {};
+}
+
+/// Every parse of `file`'s format, strict and lenient, over `text`.
+std::vector<std::function<void()>> parsesOf(const std::string& file,
+                                            const std::string& text) {
+  using V = wm::CertValidation;
+  if (file == "design.cdfg") {
+    return {[=] { (void)cdfg::parseString(text); },
+            [=] {
+              std::vector<cdfg::ParseIssue> issues;
+              (void)cdfg::parseString(text, issues, file);
+            }};
+  }
+  if (file == "sched.cert" || file == "tm.cert" || file == "reg.cert") {
+    std::vector<std::function<void()>> out;
+    for (const V v : {V::kStrict, V::kLenient}) {
+      out.push_back([=] {
+        if (file == "sched.cert") {
+          (void)wm::parseSchedCertificate(text, v);
+        } else if (file == "tm.cert") {
+          (void)wm::parseTmCertificate(text, v);
+        } else {
+          (void)wm::parseRegCertificate(text, v);
+        }
+      });
+    }
+    return out;
+  }
+  if (file == "library.tmlib") {
+    return {[=] { (void)tm::parseLibraryString(text); }};
+  }
+  if (file == "cover.txt") {
+    const tm::TemplateLibrary lib =
+        tm::parseLibraryString(readExample("library.tmlib"));
+    const std::size_t n =
+        cdfg::parseString(readExample("design.cdfg")).nodeCount();
+    return {[=] { (void)tm::parseCoverString(text, lib, n); },
+            [=] {
+              std::vector<tm::CoverParseIssue> issues;
+              (void)tm::parseCoverString(text, lib, n, issues, file);
+            }};
+  }
+  const cdfg::Cdfg marked = exampleDesign();
+  const regbind::LifetimeTable table = regbind::computeLifetimes(
+      marked, sched::parseScheduleString(readExample("schedule.txt"),
+                                         marked.nodeCount()));
+  return {[=] { (void)regbind::parseBindingString(text, table); },
+          [=] {
+            std::vector<regbind::BindingParseIssue> issues;
+            (void)regbind::parseBindingString(text, table, issues, file);
+          }};
+}
+
+/// `text` with every '@' replaced by `word`.
+std::string fill(std::string text, const std::string& word) {
+  for (std::size_t at; (at = text.find('@')) != std::string::npos;) {
+    text.replace(at, 1, word);
+  }
+  return text;
+}
+
+/// True when `report` holds an LW001 error on `path` naming `message`.
+bool hasSyntaxError(const check::Report& report, const std::string& path,
+                    const std::string& message) {
+  std::istringstream lines(report.renderText());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(path + ": error LW001: ", 0) == 0 &&
+        line.find(message) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(NumberWords, EveryNumericFieldRejectsBentWords) {
+  for (const NumberField& field : kNumberFields) {
+    const std::string original = readExample(field.file);
+    for (const auto& parse : parsesOf(field.file, original)) {
+      EXPECT_NO_THROW(parse()) << field.file;
+    }
+    const std::string out_of_range =
+        field.wide ? "18446744073709551616" : "4294967296";
+    for (const std::string& word :
+         {std::string("-4294967295"), std::string("+1"), std::string("1abc"),
+          out_of_range}) {
+      const std::string text =
+          replaceFirst(original, field.line, fill(field.bent, word));
+      const std::string message = fill(field.message, word);
+      const std::string what = field.file + " '" + fill(field.bent, word) + "'";
+      for (const auto& parse : parsesOf(field.file, text)) {
+        expectRejected(parse, message, what);
+      }
+      check::Linter linter;
+      check::Workspace ws;
+      for (const std::string& name : lintContextOf(field.file)) {
+        linter.lintText(readExample(name), name);
+        ws.addArtifactText(name, readExample(name));
+      }
+      linter.lintText(text, field.file);
+      ws.addArtifactText(field.file, text);
+      EXPECT_TRUE(hasSyntaxError(linter.report(), field.file, message))
+          << what << ":\n" << linter.report().renderText();
+      const check::ProjectResult project = check::checkProject(ws);
+      EXPECT_TRUE(hasSyntaxError(project.report, field.file, message))
+          << what << ":\n" << project.report.renderText();
+    }
   }
 }
 

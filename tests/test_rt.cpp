@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -261,6 +262,30 @@ TEST(Rt, ParallelClosureMatchesSequentialFixpoint) {
     }
   }
   rt::setThreadCount(0);
+}
+
+TEST(Rt, ThreadsVariableMustBeAWholeNumber) {
+  // threadCount() only resolves the lane count; no pool is built here.
+  rt::setThreadCount(0);
+  const char* saved = std::getenv("LOCWM_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const auto lanes = [](const char* value) {
+    setenv("LOCWM_THREADS", value, 1);
+    return rt::threadCount();
+  };
+  unsetenv("LOCWM_THREADS");
+  const std::size_t hardware = rt::threadCount();
+  EXPECT_EQ(lanes("3"), 3u);
+  EXPECT_EQ(lanes("300"), 256u);  // clamped to the lane maximum
+  for (const char* value :
+       {"", "0", "2abc", "-1", "+3", " 3", "0x10", "18446744073709551616"}) {
+    EXPECT_EQ(lanes(value), hardware) << "'" << value << "'";
+  }
+  if (saved != nullptr) {
+    setenv("LOCWM_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("LOCWM_THREADS");
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -199,6 +201,60 @@ TEST(KeyRing, RejectsMalformedRings) {
   EXPECT_THROW(static_cast<void>(KeyRing::fromText(
                    "locwm-keyring v1\nkey a b /no/such/cert\n", "t", "")),
                Error);
+}
+
+TEST(KeyRing, CrlfRingScansLikeItsLfOriginal) {
+  const BuiltCorpus corpus = smallCorpus(41, /*designs=*/6, /*ring=*/3);
+  const fs::path dir = tempDir("crlfring");
+  writeCorpus(corpus, dir.string());
+  const std::optional<std::string> lf =
+      store::readFile((dir / "ring.keyring").string());
+  ASSERT_TRUE(lf.has_value());
+  std::string crlf;
+  for (const char c : *lf) {
+    crlf += c == '\n' ? "\r\n" : std::string(1, c);
+  }
+  const KeyRing a = KeyRing::fromText(*lf, "lf", dir.string());
+  const KeyRing b = KeyRing::fromText(crlf, "crlf", dir.string());
+  EXPECT_EQ(b.toText(), a.toText());
+  EXPECT_EQ(scanCorpus(corpus.items, b, {}).rows,
+            scanCorpus(corpus.items, a, {}).rows);
+  fs::remove_all(dir);
+}
+
+TEST(KeyRing, QuotedTokensRoundTripSpacesQuotesBackslashesAndHashes) {
+  const BuiltCorpus corpus = smallCorpus(42, /*designs=*/2, /*ring=*/1);
+  const wm::WatermarkCertificate& cert = *corpus.ring.entries()[0].sched;
+  const fs::path dir = tempDir("quotering");
+  const std::vector<std::string> paths = {"Acme #1.cert", "a \"b\" \\c.cert",
+                                          "plain.cert"};
+  for (const std::string& path : paths) {
+    std::ofstream(dir / path) << wm::certificateToString(cert);
+  }
+  KeyRing ring;
+  ring.add({"Acme #1", "n#1"}, paths[0], cert);
+  ring.add({"a \"quoted\" \\ name", "tab\there"}, paths[1], cert);
+  ring.add({"plain", "n1"}, paths[2], cert);
+  const KeyRing back = KeyRing::fromText(ring.toText(), "q", dir.string());
+  ASSERT_EQ(back.size(), ring.size());
+  for (std::size_t j = 0; j < ring.size(); ++j) {
+    EXPECT_EQ(back.entries()[j].signature.identity,
+              ring.entries()[j].signature.identity);
+    EXPECT_EQ(back.entries()[j].signature.nonce,
+              ring.entries()[j].signature.nonce);
+    EXPECT_EQ(back.entries()[j].cert_path, paths[j]);
+  }
+  EXPECT_EQ(back.toText(), ring.toText());
+  // As written by hand: a '#' inside quotes is content, one outside starts
+  // a comment.
+  const KeyRing hand = KeyRing::fromText(
+      "locwm-keyring v1\nkey \"Acme #1\" n1 plain.cert # ours\n", "h",
+      dir.string());
+  ASSERT_EQ(hand.size(), 1u);
+  EXPECT_EQ(hand.entries()[0].signature.identity, "Acme #1");
+  EXPECT_EQ(hand.entries()[0].signature.nonce, "n1");
+  EXPECT_EQ(hand.entries()[0].cert_path, "plain.cert");
+  fs::remove_all(dir);
 }
 
 // --- satellite 1: lenient parse issues carry the source path --------------
@@ -482,6 +538,38 @@ TEST(CorpusScan, CacheColdThenWarm) {
     digit = digit == '0' ? '1' : '0';
   });
   fs::remove_all(dir);
+}
+
+/// `rows` with each design row's cache provenance tag blanked.
+std::vector<std::string> withoutCacheTags(std::vector<std::string> rows) {
+  for (std::string& row : rows) {
+    for (const char* tag : {"\"cache\":\"cold\"", "\"cache\":\"warm\"",
+                            "\"cache\":\"off\""}) {
+      const std::size_t at = row.find(tag);
+      if (at != std::string::npos) {
+        row.replace(at, std::string_view(tag).size(), "\"cache\":\"\"");
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(CorpusScan, SignedNumberDesignScansAlikeWarmAndUncached) {
+  // A design whose edge names its source as "-4294967295" (once read as
+  // node 1) fails to parse; a warm fingerprint cache must not bring back
+  // a reading of it.
+  BuiltCorpus corpus = smallCorpus(33, /*designs=*/6, /*ring=*/3);
+  corpus.items[2].design_text += "edge -4294967295 2 data\n";
+  const ScanResult uncached = scanCorpus(corpus.items, corpus.ring, {});
+  EXPECT_EQ(uncached.stats.parse_failures, 1u);
+  ScanOptions options;
+  options.cache_dir = tempDir("bentcache").string();
+  const ScanResult cold = scanCorpus(corpus.items, corpus.ring, options);
+  const ScanResult warm = scanCorpus(corpus.items, corpus.ring, options);
+  EXPECT_GT(warm.stats.cache_warm, 0u);
+  EXPECT_EQ(warm.stats.parse_failures, 1u);
+  EXPECT_EQ(withoutCacheTags(cold.rows), withoutCacheTags(uncached.rows));
+  EXPECT_EQ(withoutCacheTags(warm.rows), withoutCacheTags(uncached.rows));
 }
 
 // --- loaders + end-to-end over the filesystem -----------------------------

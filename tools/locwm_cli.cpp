@@ -58,6 +58,7 @@
 #include "cdfg/delta.h"
 #include "cdfg/dot.h"
 #include "cdfg/io.h"
+#include "cdfg/text.h"
 #include "check/baseline.h"
 #include "check/differ.h"
 #include "check/incremental.h"
@@ -225,13 +226,9 @@ std::uint64_t parseUnsigned(const std::string& text, std::uint64_t max,
     throw Error(what + " needs an unsigned number, got '" + text + "'");
   }
   std::uint64_t value = 0;
-  for (const char c : text) {
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > max / 10 || digit > max - value * 10) {
-      throw Error(what + " out of range: '" + text + "' exceeds " +
-                  std::to_string(max));
-    }
-    value = value * 10 + digit;
+  if (!text::wholeNumber(text, value) || value > max) {
+    throw Error(what + " out of range: '" + text + "' exceeds " +
+                std::to_string(max));
   }
   return value;
 }

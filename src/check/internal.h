@@ -2,7 +2,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cdfg/graph.h"
 #include "check/diagnostics.h"
@@ -26,38 +25,6 @@ inline std::string edgeRef(std::uint32_t src, std::uint32_t dst,
                            cdfg::EdgeKind kind) {
   return "edge " + std::to_string(src) + "->" + std::to_string(dst) + " (" +
          std::string(cdfg::edgeKindName(kind)) + ")";
-}
-
-/// True when a data/control path from `from` to `to` exists that uses no
-/// temporal edge and not the edge `skip`.  Iterative DFS; safe on cyclic
-/// graphs.
-inline bool hasDataControlPath(const cdfg::Cdfg& g, cdfg::NodeId from,
-                               cdfg::NodeId to,
-                               cdfg::EdgeId skip = cdfg::EdgeId::invalid()) {
-  std::vector<bool> seen(g.nodeCount(), false);
-  std::vector<cdfg::NodeId> stack{from};
-  seen[from.value()] = true;
-  while (!stack.empty()) {
-    const cdfg::NodeId n = stack.back();
-    stack.pop_back();
-    for (cdfg::EdgeId e : g.outEdges(n)) {
-      if (e == skip) {
-        continue;
-      }
-      const cdfg::Edge& edge = g.edge(e);
-      if (edge.kind == cdfg::EdgeKind::kTemporal) {
-        continue;
-      }
-      if (edge.dst == to) {
-        return true;
-      }
-      if (!seen[edge.dst.value()]) {
-        seen[edge.dst.value()] = true;
-        stack.push_back(edge.dst);
-      }
-    }
-  }
-  return false;
 }
 
 /// Builds a Diagnostic in one expression.

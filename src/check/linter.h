@@ -1,12 +1,24 @@
-// Artifact linter — the file-level driver of the static-analysis
-// subsystem (CLI command `locwm lint`).
+// Artifact lint — the per-artifact analysis of the static-analysis
+// subsystem, shared by both lint modes.
 //
-// The linter sniffs each artifact's kind from its header line, parses it
+// There is one free function per artifact kind.  Each parses its artifact
 // leniently (semantic violations become diagnostics instead of parse
-// failures), and runs the registered rules.  Artifact order matters:
+// failures) against the context it is handed, runs the kind's rule packs,
+// and appends the findings to `out` in emission order.  A syntax error
+// throws the parser's locwm::Error; the caller turns it into LW001
+// (syntaxErrorDiag).  `Linter` (CLI `locwm lint`) and `checkProject`
+// (`locwm lint --project`, check/project.h) both call exactly these, so
+// the two modes report the same codes with the same messages for an
+// artifact in the same context.
+//
+// `Linter` is the positional front end.  It sniffs each artifact's kind from
+// its header line and supplies the context from the command line:
 // schedules, covers, and bindings are checked against the most recent
-// *design* on the command line, and bindings also against the most recent
-// *schedule* — mirroring how the artifacts relate in the synthesis flow.
+// *design*, and bindings also against the most recent *schedule* —
+// mirroring how the artifacts relate in the synthesis flow.  What it adds
+// to the shared functions is that running context: LW003 when the context
+// is missing, and LW605 over the sched certificates it located in the
+// current design.
 //
 // Recognized artifacts (header line):
 //   cdfg v1            design graph
@@ -19,16 +31,78 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "cdfg/graph.h"
 #include "check/diagnostics.h"
 #include "check/rules.h"
+#include "check/workspace.h"
+#include "core/certificate_io.h"
 #include "sched/schedule.h"
 #include "tm/template.h"
 
 namespace locwm::check {
+
+/// Design: the structural (LW1xx) and semantic (LW6xx) rule packs, run
+/// concurrently and reported in that order.  Returns the parsed graph.
+[[nodiscard]] cdfg::Cdfg lintDesign(std::string_view text,
+                                    const std::string& name,
+                                    std::vector<Diagnostic>& out);
+
+/// Schedule rules (LW2xx) against `design`.  Returns the parsed schedule.
+[[nodiscard]] sched::Schedule lintSchedule(std::string_view text,
+                                           const cdfg::Cdfg& design,
+                                           const std::string& name,
+                                           std::vector<Diagnostic>& out);
+
+/// Cover rules (LW3xx) against `design` and `library`.
+void lintCover(std::string_view text, const cdfg::Cdfg& design,
+               const tm::TemplateLibrary& library, const std::string& name,
+               std::vector<Diagnostic>& out);
+
+/// Binding rules (LW4xx) against `design` scheduled by `schedule`.  A
+/// schedule that gives the values no lifetimes makes the binding
+/// uncheckable: one LW402, and the binding is not read.
+void lintBinding(std::string_view text, const cdfg::Cdfg& design,
+                 const sched::Schedule& schedule, const std::string& name,
+                 std::vector<Diagnostic>& out);
+
+/// Reads a certificate of type `Cert` (sched, tm, or reg) leniently.
+template <typename Cert>
+[[nodiscard]] Cert readCertificate(std::string_view text,
+                                   const std::string& name) {
+  constexpr wm::CertValidation kLenient = wm::CertValidation::kLenient;
+  if constexpr (std::is_same_v<Cert, wm::WatermarkCertificate>) {
+    return wm::parseSchedCertificate(text, kLenient, name);
+  } else if constexpr (std::is_same_v<Cert, wm::TmCertificate>) {
+    return wm::parseTmCertificate(text, kLenient, name);
+  } else {
+    static_assert(std::is_same_v<Cert, wm::RegCertificate>);
+    return wm::parseRegCertificate(text, kLenient, name);
+  }
+}
+
+/// Certificate rules (LW5xx).  Returns the certificate read.
+template <typename Cert>
+[[nodiscard]] Cert lintCertificate(std::string_view text,
+                                   const std::string& name,
+                                   std::vector<Diagnostic>& out) {
+  Cert cert = readCertificate<Cert>(text, name);
+  const Report found = checkCertificate(cert, name);
+  out.insert(out.end(), found.diagnostics().begin(),
+             found.diagnostics().end());
+  return cert;
+}
+
+/// The finding for an artifact whose kind sniffing did not recognize:
+/// LW001 for a certificate of an unknown kind, else LW002 for an empty
+/// artifact or one whose header names no kind (with the byte and offset
+/// that defeated the sniffer).
+[[nodiscard]] Diagnostic unrecognizedArtifactDiag(const std::string& name,
+                                                  const SniffResult& sniff);
 
 /// Options of the artifact linter.
 struct LintOptions {
@@ -51,17 +125,12 @@ class Linter {
   [[nodiscard]] const Report& report() const noexcept { return report_; }
 
  private:
-  void lintDesign(const std::string& text, const std::string& name);
-  void lintSchedule(const std::string& text, const std::string& name);
-  void lintCover(const std::string& text, const std::string& name);
-  void lintBinding(const std::string& text, const std::string& name);
-  void lintCertificate(const std::string& text, const std::string& name,
-                       const std::string& kind);
   /// LW605: locates a sched certificate's locality in the current design
   /// (when it still carries temporal edges) and warns when two
   /// certificates' localities overlap.
   void checkLocalityOverlap(const wm::WatermarkCertificate& cert,
-                            const std::string& name);
+                            const std::string& name,
+                            std::vector<Diagnostic>& out);
 
   LintOptions options_;
   Report report_;

@@ -13,13 +13,13 @@
 #include "check/dataflow.h"
 #include "check/differ.h"
 #include "check/internal.h"
+#include "check/linter.h"
 #include "check/rules.h"
 #include "core/certificate_io.h"
 #include "crypto/sha256.h"
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "regbind/binding_io.h"
-#include "regbind/lifetime.h"
 #include "rt/rt.h"
 #include "sched/schedule_io.h"
 #include "store/store.h"
@@ -274,20 +274,18 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
   out.has_meta = true;
   ArtifactMeta& m = out.meta;
   m.kind = sniff.kind;
+  const auto certMeta = [&m](const auto& cert) {
+    m.usable = true;
+    m.cert_context = cert.context;
+    m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
+  };
   try {
     switch (sniff.kind) {
-      case ArtifactKind::kDesign: {
-        std::vector<cdfg::ParseIssue> issues;
-        const cdfg::Cdfg g = cdfg::parseString(text, issues, path);
+      case ArtifactKind::kDesign:
+        m.node_count = static_cast<std::uint32_t>(
+            lintDesign(text, path, out.diags).nodeCount());
         m.usable = true;
-        m.node_count = static_cast<std::uint32_t>(g.nodeCount());
-        Report structural = checkGraph(g, issues, path);
-        Report semantic = checkSemantics(g, path);
-        out.diags = structural.diagnostics();
-        out.diags.insert(out.diags.end(), semantic.diagnostics().begin(),
-                         semantic.diagnostics().end());
         break;
-      }
       // A schedule, cover or binding cannot be fully parsed without its
       // context artifact; its format's syntax walk yields the entry count
       // and highest node that reference resolution works from, and throws
@@ -316,34 +314,16 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         (void)tm::parseLibraryString(text);
         m.usable = true;
         break;
-      case ArtifactKind::kCertSched: {
-        const wm::WatermarkCertificate cert =
-            wm::parseSchedCertificate(text, wm::CertValidation::kLenient,
-                                      path);
-        m.usable = true;
-        m.cert_context = cert.context;
-        m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
-        out.diags = checkCertificate(cert, path).diagnostics();
+      case ArtifactKind::kCertSched:
+        certMeta(lintCertificate<wm::WatermarkCertificate>(text, path,
+                                                           out.diags));
         break;
-      }
-      case ArtifactKind::kCertTm: {
-        const wm::TmCertificate cert =
-            wm::parseTmCertificate(text, wm::CertValidation::kLenient, path);
-        m.usable = true;
-        m.cert_context = cert.context;
-        m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
-        out.diags = checkCertificate(cert, path).diagnostics();
+      case ArtifactKind::kCertTm:
+        certMeta(lintCertificate<wm::TmCertificate>(text, path, out.diags));
         break;
-      }
-      case ArtifactKind::kCertReg: {
-        const wm::RegCertificate cert =
-            wm::parseRegCertificate(text, wm::CertValidation::kLenient, path);
-        m.usable = true;
-        m.cert_context = cert.context;
-        m.shape_nodes = static_cast<std::uint32_t>(cert.shape.nodeCount());
-        out.diags = checkCertificate(cert, path).diagnostics();
+      case ArtifactKind::kCertReg:
+        certMeta(lintCertificate<wm::RegCertificate>(text, path, out.diags));
         break;
-      }
       case ArtifactKind::kManifest:
         out.diags.push_back(diag(
             "LW002", Severity::kError, path, {},
@@ -352,16 +332,7 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
             "point --manifest at it instead"));
         break;
       case ArtifactKind::kUnknown:
-        if (sniff.header_word == "locwm-cert") {
-          out.diags.push_back(
-              diag("LW001", Severity::kError, path,
-                   "'" + sniff.cert_kind + "'", "unknown certificate kind",
-                   "expected sched, tm, or reg"));
-        } else if (sniff.empty) {
-          out.diags.push_back(emptyArtifactDiag(path));
-        } else {
-          out.diags.push_back(unknownKindDiag(path, sniff));
-        }
+        out.diags.push_back(unrecognizedArtifactDiag(path, sniff));
         break;
       case ArtifactKind::kUnreadable:
         break;  // LW001 already in the load report
@@ -483,10 +454,10 @@ std::string refNoun(ArtifactKind kind) {
 }  // namespace
 
 std::string ruleSetVersion() {
-  // v5: a number is a whole word of digits in every format (cdfg/text.h),
-  // so an artifact with a signed, prefixed or out-of-range number word is
-  // an LW001 (v4 entries read it as another number).
-  return "lw" + std::to_string(allRules().size()) + ".v5";
+  // v6: a binding entry's register word that is no number is an LW001
+  // naming the word ("malformed register '<word>'"); v5 entries word it as
+  // a missing register.
+  return "lw" + std::to_string(allRules().size()) + ".v6";
 }
 
 ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
@@ -806,6 +777,9 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     if (a.library >= 0) {
       need_lib[static_cast<std::size_t>(a.library)] = 1;
     }
+    if (a.meta.kind == ArtifactKind::kSchedule) {
+      need_sched[i] = 1;
+    }
     if (a.meta.kind == ArtifactKind::kBinding) {
       const auto s = static_cast<std::size_t>(a.schedule);
       need_sched[s] = 1;
@@ -827,19 +801,13 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       // meta; dependents skip their checks.
     }
   });
-  // A schedule parsed for its bindings keeps its parse issues, so its own
-  // pair check reuses both instead of parsing the text again.
-  struct ParsedSchedule {
-    sched::Schedule schedule;
-    std::vector<sched::ScheduleParseIssue> issues;
+  // Lint each schedule a missed pair check reads — its own or one of its
+  // bindings' — once; its bindings share the parsed schedule.
+  struct LintedSchedule {
+    std::optional<sched::Schedule> schedule;
+    std::vector<Diagnostic> diags;
   };
-  const auto parseSched = [&](std::size_t i, const cdfg::Cdfg& dsg) {
-    ParsedSchedule p;
-    p.schedule = sched::parseScheduleString(arts[i].text, dsg.nodeCount(),
-                                            p.issues, arts[i].path);
-    return p;
-  };
-  std::vector<std::optional<ParsedSchedule>> scheds(n);
+  std::vector<LintedSchedule> scheds(n);
   rt::parallel_for(0, n, 1, [&](std::size_t i) {
     if (need_sched[i] == 0) {
       return;
@@ -849,118 +817,79 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     if (!dsg.has_value()) {
       return;
     }
+    LintedSchedule& s = scheds[i];
     try {
-      scheds[i] = parseSched(i, *dsg);
-    } catch (const Error&) {
+      s.schedule = lintSchedule(arts[i].text, *dsg, arts[i].path, s.diags);
+    } catch (const Error& e) {
+      s.diags.push_back(syntaxErrorDiag(arts[i].path, e.what()));
     }
   });
+  // Artifact i's pair check against its resolved context.  A context that
+  // failed to parse (a poisoned cache meta) leaves it unchecked.
+  const auto pairCheck = [&](std::size_t i, std::vector<Diagnostic>& out) {
+    const WorkspaceArtifact& a = arts[i];
+    const auto d = static_cast<std::size_t>(
+        a.meta.kind == ArtifactKind::kBinding
+            ? arts[static_cast<std::size_t>(a.schedule)].design
+            : a.design);
+    const std::optional<cdfg::Cdfg>& dsg = designs[d];
+    if (!dsg.has_value()) {
+      return;
+    }
+    switch (a.meta.kind) {
+      case ArtifactKind::kSchedule:
+        out = std::move(scheds[i].diags);
+        if (scheds[i].schedule.has_value()) {
+          checkPrecedenceClosure(*dsg, *scheds[i].schedule, a.path, out);
+        }
+        break;
+      case ArtifactKind::kCover: {
+        const tm::TemplateLibrary* lib = &options.library;
+        if (a.library >= 0) {
+          const auto& l = libs[static_cast<std::size_t>(a.library)];
+          if (!l.has_value()) {
+            break;
+          }
+          lib = &*l;
+        }
+        lintCover(a.text, *dsg, *lib, a.path, out);
+        break;
+      }
+      case ArtifactKind::kBinding:
+        if (const auto& sch =
+                scheds[static_cast<std::size_t>(a.schedule)].schedule) {
+          lintBinding(a.text, *dsg, *sch, a.path, out);
+        }
+        break;
+      case ArtifactKind::kCertSched:
+        checkLocalityExistence(
+            readCertificate<wm::WatermarkCertificate>(a.text, a.path), *dsg,
+            a.path, arts[d].path, out);
+        break;
+      case ArtifactKind::kCertTm:
+        checkLocalityExistence(
+            readCertificate<wm::TmCertificate>(a.text, a.path), *dsg, a.path,
+            arts[d].path, out);
+        break;
+      case ArtifactKind::kCertReg:
+        checkLocalityExistence(
+            readCertificate<wm::RegCertificate>(a.text, a.path), *dsg,
+            a.path, arts[d].path, out);
+        break;
+      default:
+        break;
+    }
+  };
   rt::parallel_for(0, n, 1, [&](std::size_t i) {
     if (pair_needed[i] == 0 || pair_hit[i] != 0) {
       return;
     }
     LOCWM_OBS_LATENCY("check.project.shard_ns");
-    const WorkspaceArtifact& a = arts[i];
     std::vector<Diagnostic>& out = pair_diags[i];
     try {
-      switch (a.meta.kind) {
-        case ArtifactKind::kSchedule: {
-          const auto& dsg = designs[static_cast<std::size_t>(a.design)];
-          if (!dsg.has_value()) {
-            break;
-          }
-          std::optional<ParsedSchedule> own;  // not parsed for a binding
-          const ParsedSchedule& p = scheds[i].has_value()
-                                        ? *scheds[i]
-                                        : own.emplace(parseSched(i, *dsg));
-          out = checkSchedule(*dsg, p.schedule, p.issues, a.path)
-                    .diagnostics();
-          checkPrecedenceClosure(*dsg, p.schedule, a.path, out);
-          break;
-        }
-        case ArtifactKind::kCover: {
-          const auto& dsg = designs[static_cast<std::size_t>(a.design)];
-          if (!dsg.has_value()) {
-            break;
-          }
-          const tm::TemplateLibrary* lib = &options.library;
-          if (a.library >= 0) {
-            const auto& l = libs[static_cast<std::size_t>(a.library)];
-            if (!l.has_value()) {
-              break;
-            }
-            lib = &*l;
-          }
-          std::vector<tm::CoverParseIssue> issues;
-          const std::vector<tm::Matching> cover = tm::parseCoverString(
-              a.text, *lib, dsg->nodeCount(), issues, a.path);
-          out = checkCover(*dsg, *lib, cover, issues, a.path).diagnostics();
-          break;
-        }
-        case ArtifactKind::kBinding: {
-          const auto si = static_cast<std::size_t>(a.schedule);
-          const auto& dsg = designs[static_cast<std::size_t>(arts[si].design)];
-          const auto& sch = scheds[si];
-          if (!dsg.has_value() || !sch.has_value()) {
-            break;
-          }
-          regbind::LifetimeTable table;
-          try {
-            table = regbind::computeLifetimes(*dsg, sch->schedule);
-          } catch (const Error& e) {
-            out.push_back(diag(
-                "LW402", Severity::kError, a.path, {},
-                std::string("value lifetimes cannot be derived: ") + e.what(),
-                "fix the schedule first (see LW2xx diagnostics)"));
-            break;
-          }
-          std::vector<regbind::BindingParseIssue> issues;
-          const regbind::Binding binding =
-              regbind::parseBindingString(a.text, table, issues, a.path);
-          out = checkBinding(*dsg, sch->schedule, binding, issues, a.path)
-                    .diagnostics();
-          break;
-        }
-        case ArtifactKind::kCertSched: {
-          const auto d = static_cast<std::size_t>(a.design);
-          const auto& dsg = designs[d];
-          if (!dsg.has_value()) {
-            break;
-          }
-          const wm::WatermarkCertificate cert =
-              wm::parseSchedCertificate(a.text, wm::CertValidation::kLenient,
-                                        a.path);
-          checkLocalityExistence(cert, *dsg, a.path, arts[d].path, out);
-          break;
-        }
-        case ArtifactKind::kCertTm: {
-          const auto d = static_cast<std::size_t>(a.design);
-          const auto& dsg = designs[d];
-          if (!dsg.has_value()) {
-            break;
-          }
-          const wm::TmCertificate cert =
-              wm::parseTmCertificate(a.text, wm::CertValidation::kLenient,
-                                     a.path);
-          checkLocalityExistence(cert, *dsg, a.path, arts[d].path, out);
-          break;
-        }
-        case ArtifactKind::kCertReg: {
-          const auto d = static_cast<std::size_t>(a.design);
-          const auto& dsg = designs[d];
-          if (!dsg.has_value()) {
-            break;
-          }
-          const wm::RegCertificate cert =
-              wm::parseRegCertificate(a.text, wm::CertValidation::kLenient,
-                                      a.path);
-          checkLocalityExistence(cert, *dsg, a.path, arts[d].path, out);
-          break;
-        }
-        default:
-          break;
-      }
+      pairCheck(i, out);
     } catch (const Error& e) {
-      out.push_back(syntaxErrorDiag(a.path, e.what()));
+      out.push_back(syntaxErrorDiag(arts[i].path, e.what()));
     }
     if (cached) {
       CacheEntry entry;

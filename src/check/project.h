@@ -4,18 +4,25 @@
 // checkProject() runs the full pipeline over a loaded Workspace:
 //
 //   1. digest every artifact (SHA-256 of its bytes);
-//   2. per-artifact *self* analysis (sniff, lenient parse, the LW0-6xx
-//      rules that need no context, metadata extraction), sharded onto
+//   2. per-artifact *self* analysis (sniff, the per-artifact lint of the
+//      kinds that need no context, metadata extraction), sharded onto
 //      rt::Pool and served from the persistent cache when the artifact's
 //      digest is unchanged;
 //   3. reference resolution: explicit manifest references, then
 //      compatibility-based inference (LW801/LW802/LW803);
 //   4. *pair* analysis of each artifact against its resolved context
-//      (schedule/cover/binding rule packs, the LW804 precedence-closure
-//      check, the LW805 locality-existence check), also sharded + cached;
+//      (the per-artifact lint of schedules, covers and bindings, the
+//      LW804 precedence-closure check, the LW805 locality-existence
+//      check), also sharded + cached;
 //   5. ring rules over the whole collection (LW806-LW809);
 //   6. deterministic merge: load report, then per-artifact findings in
 //      path order (self, resolution, pair), then ring findings.
+//
+// The per-artifact lint is check/linter.h's, the one `locwm lint` runs,
+// so both modes report the same findings on an artifact in the same
+// context.  What this layer adds is the workspace: digests, metadata, the
+// cache, reference resolution, LW804, LW805 and the LW806-LW809 ring
+// rules, and one schedule parse per schedule that its bindings share.
 //
 // The report is byte-identical at any thread count and across cold/warm
 // cache runs — parallel stages write into per-artifact slots that are

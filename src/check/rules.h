@@ -76,14 +76,13 @@ struct RuleInfo {
     const std::vector<tm::CoverParseIssue>& issues = {},
     const std::string& artifact = "<cover>");
 
-/// Binding rules (LW4xx) for register binding `binding` of design `g`
-/// scheduled by `s` (the lifetime table is derived internally).
+/// Binding rules (LW4xx) for register binding `binding` of design `g`,
+/// whose scheduled values have the lifetimes `table`.
 [[nodiscard]] Report checkBinding(
-    const cdfg::Cdfg& g, const sched::Schedule& s,
+    const cdfg::Cdfg& g, const regbind::LifetimeTable& table,
     const regbind::Binding& binding,
     const std::vector<regbind::BindingParseIssue>& issues = {},
-    const std::string& artifact = "<binding>",
-    const sched::LatencyModel& lat = sched::LatencyModel::unit());
+    const std::string& artifact = "<binding>");
 
 /// Certificate rules (LW5xx), one checker per certificate kind.
 [[nodiscard]] Report checkCertificate(

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "cdfg/error.h"
 #include "check/internal.h"
 #include "check/rules.h"
 #include "regbind/binding.h"
@@ -15,11 +14,10 @@ namespace locwm::check {
 
 using detail::diag;
 
-Report checkBinding(const cdfg::Cdfg& g, const sched::Schedule& s,
+Report checkBinding(const cdfg::Cdfg& g, const regbind::LifetimeTable& table,
                     const regbind::Binding& binding,
                     const std::vector<regbind::BindingParseIssue>& issues,
-                    const std::string& artifact,
-                    const sched::LatencyModel& lat) {
+                    const std::string& artifact) {
   Report r;
 
   // LW402: entries the lenient parser flagged (non-value nodes, registers
@@ -31,16 +29,6 @@ Report checkBinding(const cdfg::Cdfg& g, const sched::Schedule& s,
                issue.what,
                "a binding assigns every register value exactly once, within "
                "the declared register count"));
-  }
-
-  regbind::LifetimeTable table;
-  try {
-    table = regbind::computeLifetimes(g, s, lat);
-  } catch (const Error& e) {
-    r.add(diag("LW402", Severity::kError, artifact, {},
-               std::string("value lifetimes cannot be derived: ") + e.what(),
-               "fix the schedule first (see LW2xx diagnostics)"));
-    return r;
   }
 
   if (binding.reg_of.size() != table.values.size()) {

@@ -12,12 +12,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/error.h"
+#include "check/dataflow.h"
 #include "check/internal.h"
 #include "check/rules.h"
 #include "core/pc.h"
@@ -135,6 +138,7 @@ void checkRankPairs(Report& r, const std::vector<wm::RankConstraint>& pairs,
                     const cdfg::Cdfg& shape, bool ordered,
                     const std::string& artifact) {
   std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
+  std::optional<cdfg::CsrView> view;  // lowered for the first LW505 test
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const wm::RankConstraint& c = pairs[i];
     const std::string loc =
@@ -166,10 +170,16 @@ void checkRankPairs(Report& r, const std::vector<wm::RankConstraint>& pairs,
     }
     // LW505: a precedence constraint already implied by the shape's data
     // structure is satisfied by every schedule — zero evidence.
-    if (ordered && c.before_rank < shape.nodeCount() &&
-        c.after_rank < shape.nodeCount() &&
-        detail::hasDataControlPath(shape, cdfg::NodeId(c.before_rank),
-                                   cdfg::NodeId(c.after_rank))) {
+    if (!ordered || c.before_rank >= shape.nodeCount() ||
+        c.after_rank >= shape.nodeCount()) {
+      continue;
+    }
+    if (!view) {
+      view.emplace(shape);
+    }
+    if (hasPathSkipping(*view, cdfg::NodeId(c.before_rank),
+                        cdfg::NodeId(c.after_rank), cdfg::EdgeId::invalid(),
+                        EdgeMask::dataControl())) {
       r.add(diag("LW505", Severity::kWarning, artifact, loc,
                  "constraint rank " + std::to_string(c.before_rank) +
                      " -> rank " + std::to_string(c.after_rank) +

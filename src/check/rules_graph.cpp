@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "cdfg/analysis.h"
+#include "cdfg/csr.h"
 #include "cdfg/ordering.h"
+#include "check/dataflow.h"
 #include "check/internal.h"
 #include "check/rules.h"
 
@@ -69,14 +71,20 @@ Report checkGraph(const cdfg::Cdfg& g,
   // data/control structure constrains nothing — it either leaked from a
   // buggy embedder or was never a watermark bit to begin with (§IV-A picks
   // pairs with *overlapping* lifetimes precisely to avoid this).
-  for (cdfg::EdgeId te : g.temporalEdges()) {
-    const cdfg::Edge& e = g.edge(te);
-    if (detail::hasDataControlPath(g, e.src, e.dst, te)) {
-      r.add(diag("LW104", Severity::kWarning, artifact,
-                 detail::edgeRef(e.src.value(), e.dst.value(), e.kind),
-                 "temporal edge is implied by an existing data/control path",
-                 "the constraint is satisfied by every schedule and carries "
-                 "no watermark information"));
+  // A published design has no temporal edge and is not lowered.
+  const std::vector<cdfg::EdgeId> temporal = g.temporalEdges();
+  if (!temporal.empty()) {
+    const cdfg::CsrView view(g);
+    for (const cdfg::EdgeId te : temporal) {
+      const cdfg::Edge& e = g.edge(te);
+      if (hasPathSkipping(view, e.src, e.dst, te, EdgeMask::dataControl())) {
+        r.add(diag("LW104", Severity::kWarning, artifact,
+                   detail::edgeRef(e.src.value(), e.dst.value(), e.kind),
+                   "temporal edge is implied by an existing data/control "
+                   "path",
+                   "the constraint is satisfied by every schedule and "
+                   "carries no watermark information"));
+      }
     }
   }
 

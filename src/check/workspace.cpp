@@ -1,7 +1,6 @@
 #include "check/workspace.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <utility>
 
@@ -93,46 +92,6 @@ SniffResult sniffArtifact(const std::string& text) {
     return r;
   }
   return r;
-}
-
-std::string sniffDetail(const SniffResult& sniff) {
-  if (sniff.empty) {
-    return {};
-  }
-  static const char kHex[] = "0123456789abcdef";
-  const auto byte = static_cast<unsigned char>(sniff.first_byte);
-  std::string out = "first non-whitespace byte ";
-  if (std::isprint(byte) != 0) {
-    out += '\'';
-    out += sniff.first_byte;
-    out += "' (";
-  } else {
-    out += '(';
-  }
-  out += "0x";
-  out += kHex[byte >> 4];
-  out += kHex[byte & 0xF];
-  out += ") at offset " + std::to_string(sniff.first_offset);
-  return out;
-}
-
-Diagnostic emptyArtifactDiag(const std::string& artifact) {
-  return diag("LW002", Severity::kError, artifact, {}, "artifact is empty",
-              "expected a design, schedule, cover, binding, library, or "
-              "certificate");
-}
-
-Diagnostic unknownKindDiag(const std::string& artifact,
-                           const SniffResult& sniff) {
-  std::string word = sniff.header_word;
-  if (word.size() > 40) {  // binary junk: keep the diagnostic readable
-    word.resize(40);
-    word += "...";
-  }
-  return diag("LW002", Severity::kError, artifact, "'" + word + "'",
-              "artifact kind cannot be recognized; " + sniffDetail(sniff),
-              "expected a design, schedule, cover, binding, library, or "
-              "certificate");
 }
 
 Diagnostic syntaxErrorDiag(const std::string& artifact,

@@ -68,19 +68,6 @@ struct SniffResult {
 /// Classifies artifact text by its header line.  Never throws.
 [[nodiscard]] SniffResult sniffArtifact(const std::string& text);
 
-/// Renders the "first non-whitespace byte 'X' (0x58) at offset 12" suffix
-/// of an LW002 diagnostic from a sniff result (empty for empty artifacts).
-[[nodiscard]] std::string sniffDetail(const SniffResult& sniff);
-
-/// The LW002 diagnostic for an empty artifact.  Shared by the per-file
-/// linter and the workspace analyzer so both report identical findings.
-[[nodiscard]] Diagnostic emptyArtifactDiag(const std::string& artifact);
-
-/// The LW002 diagnostic for an artifact whose kind sniffing could not
-/// recognize, carrying the byte/offset that defeated it.
-[[nodiscard]] Diagnostic unknownKindDiag(const std::string& artifact,
-                                         const SniffResult& sniff);
-
 /// The LW001 diagnostic for an artifact that does not parse.  A parser
 /// prefixes its error with the source path; the diagnostic already names
 /// the artifact, so a leading "<artifact>: " is dropped from `message`.

@@ -40,13 +40,17 @@ bool BindingReader::next(BindingEntry& entry) {
       have_header_ = true;
       continue;
     }
-    // Read as a word so that the message can quote it.
+    // Read as words so that the messages can quote them.
     if (!text::wholeNumber(first, entry.node)) {
       fail("malformed entry '" + std::string(first) + "'");
     }
-    if (!(ls >> entry.reg)) {
+    std::string_view reg;
+    if (!(ls >> reg)) {
       fail("entry for node " + std::to_string(entry.node) +
            " lacks a register");
+    }
+    if (!text::wholeNumber(reg, entry.reg)) {
+      fail("malformed register '" + std::string(reg) + "'");
     }
     return true;
   }

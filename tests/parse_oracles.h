@@ -9,9 +9,11 @@
 // checked before its context (CoverOrder).  The certificate reader also
 // drops one trailing '\r' per line and skips whole-line '#' comments, as
 // the library's does.  Tests only; test_parse_oracle.cpp compares every
-// parser with its oracle on seeded mutants of real artifacts.
+// parser with its oracle on seeded mutants of real artifacts (Mutator),
+// and test_check.cpp lints the same mutants in both lint modes.
 #pragma once
 
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <exception>
@@ -20,10 +22,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cdfg/error.h"
 #include "cdfg/io.h"
+#include "cdfg/prng.h"
+#include "cdfg/text.h"
 #include "core/certificate_io.h"
 #include "regbind/binding_io.h"
 #include "scan/fingerprint.h"
@@ -313,8 +319,18 @@ inline regbind::Binding parseBinding(
     } else if (!wholeWord(first, node)) {
       fail("malformed entry '" + first + "'");
     }
-    if (!readNumber(ls, reg, numbers)) {
-      fail("entry for node " + std::to_string(node) + " lacks a register");
+    if (numbers == NumberRule::kOld) {
+      if (!(ls >> reg)) {
+        fail("entry for node " + std::to_string(node) + " lacks a register");
+      }
+    } else {
+      std::string reg_word;
+      if (!(ls >> reg_word)) {
+        fail("entry for node " + std::to_string(node) + " lacks a register");
+      }
+      if (!wholeWord(reg_word, reg)) {
+        fail("malformed register '" + reg_word + "'");
+      }
     }
     if (node >= table.index_of.size() ||
         table.index_of[node] == LifetimeTable::npos) {
@@ -1011,5 +1027,119 @@ inline std::optional<scan::DesignIndex> parseIndex(
   }
   return index;
 }
+
+// --- Mutants -----------------------------------------------------------------
+
+/// Byte flips, truncations, splices of two seeds, token swaps, line drops
+/// and duplications, and injected tokens chosen to probe the istream
+/// quirks: signs, wrap-around, overflow, numeric prefixes, \r, \v, NUL.
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string mutate(const std::vector<std::string>& seeds) {
+    std::string text = seeds[rng_.below(seeds.size())];
+    const std::size_t ops = 1 + rng_.below(3);
+    for (std::size_t k = 0; k < ops; ++k) {
+      text = apply(text, seeds[rng_.below(seeds.size())]);
+    }
+    return text;
+  }
+
+ private:
+  static constexpr std::array<std::string_view, 14> kInjected = {
+      "-1", "+7", "4294967296", "12abc", "\r", "\v",
+      std::string_view("\0", 1), "-4294967295", "-4294967297",
+      "18446744073709551616", "0x1f", "#", "\n", " "};
+
+  std::size_t pos(const std::string& t) { return rng_.below(t.size() + 1); }
+
+  /// [begin, end) of every whitespace-delimited token.
+  static std::vector<std::pair<std::size_t, std::size_t>> tokens(
+      const std::string& t) {
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    std::size_t i = 0;
+    while (i < t.size()) {
+      while (i < t.size() && text::isSpace(t[i])) {
+        ++i;
+      }
+      const std::size_t b = i;
+      while (i < t.size() && !text::isSpace(t[i])) {
+        ++i;
+      }
+      if (i > b) {
+        out.emplace_back(b, i);
+      }
+    }
+    return out;
+  }
+
+  std::string apply(std::string t, const std::string& other) {
+    const auto toks = tokens(t);
+    switch (rng_.below(8)) {
+      case 0: {  // byte flip
+        if (!t.empty()) {
+          t[rng_.below(t.size())] = static_cast<char>(rng_.below(256));
+        }
+        return t;
+      }
+      case 1:  // truncation
+        return t.substr(0, pos(t));
+      case 2:  // splice: a prefix of this seed, a suffix of another
+        return t.substr(0, pos(t)) + other.substr(rng_.below(other.size() + 1));
+      case 3: {  // token swap
+        if (toks.size() < 2) {
+          return t;
+        }
+        auto a = toks[rng_.below(toks.size())];
+        auto b = toks[rng_.below(toks.size())];
+        if (a.first > b.first) {
+          std::swap(a, b);
+        }
+        if (a.first == b.first) {
+          return t;
+        }
+        return t.substr(0, a.first) + t.substr(b.first, b.second - b.first) +
+               t.substr(a.second, b.first - a.second) +
+               t.substr(a.first, a.second - a.first) + t.substr(b.second);
+      }
+      case 4: {  // replace a token with an injected one
+        const std::string_view inj = kInjected[rng_.below(kInjected.size())];
+        if (toks.empty()) {
+          return t + std::string(inj);
+        }
+        const auto [b, e] = toks[rng_.below(toks.size())];
+        return t.substr(0, b) + std::string(inj) + t.substr(e);
+      }
+      case 5: {  // insert an injected token anywhere
+        const std::size_t p = pos(t);
+        return t.substr(0, p) +
+               std::string(kInjected[rng_.below(kInjected.size())]) +
+               t.substr(p);
+      }
+      case 6: {  // append an injected token to a token ("5" -> "5abc")
+        if (toks.empty()) {
+          return t;
+        }
+        const std::size_t e = toks[rng_.below(toks.size())].second;
+        const std::string_view inj = rng_.below(2) == 0 ? "abc" : ":3";
+        return t.substr(0, e) + std::string(inj) + t.substr(e);
+      }
+      default: {  // drop or duplicate a line
+        const std::size_t p = t.find('\n', pos(t));
+        if (p == std::string::npos) {
+          return t;
+        }
+        const std::size_t b = t.rfind('\n', p == 0 ? 0 : p - 1);
+        const std::size_t start = b == std::string::npos || b >= p ? 0 : b + 1;
+        const std::string line = t.substr(start, p + 1 - start);
+        return rng_.below(2) == 0 ? t.erase(start, line.size())
+                                  : t.insert(start, line);
+      }
+    }
+  }
+
+  cdfg::SplitMix64 rng_;
+};
 
 }  // namespace locwm::oracle

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -36,6 +38,7 @@
 #include "core/sched_wm.h"
 #include "json_checker.h"
 #include "naive_oracles.h"
+#include "parse_oracles.h"
 #include "sched/latency.h"
 #include "sched/list_scheduler.h"
 #include "sched/schedule_io.h"
@@ -1229,6 +1232,183 @@ TEST(CheckProject, RuleSetVersionTracksCatalogue) {
   EXPECT_NE(v.find(std::to_string(check::allRules().size())),
             std::string::npos)
       << v;
+}
+
+// ---------------------------------------------------------------------------
+// Lint modes: `lint` and `lint --project` run one per-artifact lint
+// (check/linter.h), so they report the same findings on every artifact.
+// Only the context each mode supplies is its own: LW003 and LW605 come
+// from the positional linter, LW8xx from the workspace.
+
+/// An example artifact, the artifacts a positional lint passes before it
+/// (its context, in dependency order), and the manifest references that
+/// pin the same context in a workspace.
+struct ExampleArtifact {
+  std::string name;
+  std::vector<std::string> context;
+  std::optional<std::string> design;
+  std::optional<std::string> schedule;
+  std::optional<std::string> library;
+};
+
+const std::vector<ExampleArtifact>& exampleArtifacts() {
+  static const std::vector<ExampleArtifact> artifacts = {
+      {"design.cdfg", {}, {}, {}, {}},
+      {"marked.cdfg", {}, {}, {}, {}},
+      {"library.tmlib", {}, {}, {}, {}},
+      {"schedule.txt", {"marked.cdfg"}, "marked.cdfg", {}, {}},
+      {"binding.txt", {"marked.cdfg", "schedule.txt"}, {}, "schedule.txt", {}},
+      {"cover.txt",
+       {"design.cdfg", "library.tmlib"},
+       "design.cdfg",
+       {},
+       "library.tmlib"},
+      {"sched.cert", {"marked.cdfg"}, "marked.cdfg", {}, {}},
+      {"reg.cert", {"marked.cdfg"}, "marked.cdfg", {}, {}},
+      {"tm.cert", {"design.cdfg"}, "design.cdfg", {}, {}},
+  };
+  return artifacts;
+}
+
+using ArtifactTexts = std::map<std::string, std::string>;
+
+ArtifactTexts exampleTexts() {
+  ArtifactTexts texts;
+  for (const ExampleArtifact& a : exampleArtifacts()) {
+    std::ifstream is(std::string(LOCWM_SOURCE_DIR) + "/examples/artifacts/" +
+                         a.name,
+                     std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    texts[a.name] = os.str();
+  }
+  return texts;
+}
+
+/// The findings on `name` that both lint modes report, one line each.
+std::vector<std::string> sharedFindings(const Report& r,
+                                        const std::string& name) {
+  std::vector<std::string> out;
+  for (const check::Diagnostic& d : r.diagnostics()) {
+    if (d.artifact != name || d.code == "LW003" || d.code == "LW605" ||
+        d.code.rfind("LW8", 0) == 0) {
+      continue;
+    }
+    out.push_back(d.code + " " + std::string(check::severityName(d.severity)) +
+                  " [" + d.location + "] " + d.message + " (" + d.hint + ")");
+  }
+  return out;
+}
+
+/// Lints `texts` both ways and compares every artifact's shared findings.
+/// An artifact is compared only when it and its context kept the kind
+/// their seeds have (or became unrecognizable): an artifact of another
+/// kind takes other context in each mode — a workspace infers it, the
+/// positional linter reuses the last one it saw.  A cover is not compared
+/// when its library is unusable: the positional linter falls back to the
+/// built-in library, the workspace reports LW802.  Returns the number of
+/// artifacts compared.
+std::size_t expectModesAgree(const ArtifactTexts& texts,
+                             const ArtifactTexts& seeds,
+                             const std::string& what) {
+  check::Workspace ws;
+  for (const auto& [name, text] : texts) {
+    ws.addArtifactText(name, text);
+  }
+  for (const ExampleArtifact& a : exampleArtifacts()) {
+    check::WorkspaceArtifact& w =
+        ws.artifacts()[static_cast<std::size_t>(ws.indexOf(a.name))];
+    w.ref_design = a.design;
+    w.ref_schedule = a.schedule;
+    w.ref_library = a.library;
+  }
+  const check::ProjectResult project = check::checkProject(ws);
+  const auto keptKind = [&](const std::string& name) {
+    const check::ArtifactKind kind = check::sniffArtifact(texts.at(name)).kind;
+    return kind == check::sniffArtifact(seeds.at(name)).kind ||
+           kind == check::ArtifactKind::kUnknown;
+  };
+  const auto usable = [&](const std::string& name) {
+    return ws.artifacts()[static_cast<std::size_t>(ws.indexOf(name))]
+        .meta.usable;
+  };
+  std::size_t compared = 0;
+  for (const ExampleArtifact& a : exampleArtifacts()) {
+    if (!keptKind(a.name) ||
+        !std::all_of(a.context.begin(), a.context.end(), keptKind) ||
+        (a.library.has_value() && !usable(*a.library))) {
+      continue;
+    }
+    Linter linter;
+    for (const std::string& c : a.context) {
+      linter.lintText(texts.at(c), c);
+    }
+    linter.lintText(texts.at(a.name), a.name);
+    EXPECT_EQ(sharedFindings(linter.report(), a.name),
+              sharedFindings(project.report, a.name))
+        << what << ", artifact " << a.name << "\nlint:\n"
+        << linter.report().renderText() << "lint --project:\n"
+        << project.report.renderText();
+    ++compared;
+  }
+  return compared;
+}
+
+/// `text` with the first `from` replaced by `to` (which must be present).
+std::string edited(std::string text, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
+TEST(LintModes, PerArtifactFindingsAgree) {
+  const ArtifactTexts seeds = exampleTexts();
+  // Semantic edits: collapsed schedule steps, a register conflict, a
+  // duplicated constraint and a duplicated temporal edge, alone and
+  // together.
+  std::vector<ArtifactTexts> semantic;
+  const std::vector<std::array<std::string, 3>> edits = {
+      {"schedule.txt", "\n3 1\n4 2\n", "\n3 0\n4 0\n"},
+      {"binding.txt", "\n2 9\n", "\n2 0\n"},
+      {"sched.cert", "constraint 3 6\n", "constraint 3 6\nconstraint 3 6\n"},
+      {"marked.cdfg", "edge 4 9 temporal\n",
+       "edge 4 9 temporal\nedge 4 9 temporal\n"}};
+  ArtifactTexts all = seeds;
+  for (const auto& [name, from, to] : edits) {
+    ArtifactTexts one = seeds;
+    one[name] = edited(one[name], from, to);
+    all[name] = edited(all[name], from, to);
+    semantic.push_back(std::move(one));
+  }
+  semantic.push_back(all);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    rt::setThreadCount(threads);
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    EXPECT_EQ(expectModesAgree(seeds, seeds, "seeds" + at),
+              exampleArtifacts().size());
+    for (std::size_t k = 0; k < semantic.size(); ++k) {
+      EXPECT_EQ(expectModesAgree(semantic[k], seeds,
+                                 "semantic edit " + std::to_string(k) + at),
+                exampleArtifacts().size());
+    }
+    // The parse-oracle mutator's byte and line edits, one artifact at a
+    // time, against the example context.
+    oracle::Mutator mutator(threads);
+    constexpr std::size_t kMutants = 180;
+    std::size_t compared = 0;
+    for (std::size_t k = 0; k < kMutants; ++k) {
+      const std::string& name =
+          exampleArtifacts()[k % exampleArtifacts().size()].name;
+      ArtifactTexts texts = seeds;
+      texts[name] = mutator.mutate({seeds.at(name)});
+      compared += expectModesAgree(
+          texts, seeds, "mutant " + std::to_string(k) + " of " + name + at);
+    }
+    EXPECT_GT(compared, kMutants * exampleArtifacts().size() * 9 / 10);
+  }
+  rt::setThreadCount(0);  // restore automatic sizing for other tests
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,14 @@
 // The paper's headline: "all IPP properties ... with negligible
 // performance overhead", Pc astronomically small for large subtrees.
 //
+// Pc here is the paper's whole-design approximation: approxSchedulingPc of
+// every mark's temporal edges over the original design, under the VLIW
+// latencies and the embedding deadline.  It is not the detectors'
+// wm::schedulingPc, which rates one found mark on its locality shape with
+// unit latencies: Table I rates the whole watermark against the schedule
+// space of the whole design, far too large to count, and the paper's
+// column is that product of per-edge order probabilities.
+//
 // Substitution (see DESIGN.md): MediaBench binaries + IMPACT are
 // reconstructed as per-application synthetic DFG profiles; the watermark
 // code path (temporal-edge augmentation -> re-schedule -> cycle delta) is

@@ -10,42 +10,92 @@ namespace locwm::wm {
 
 double PcEstimate::pc() const { return std::pow(10.0, log10_pc); }
 
-PcEstimate exactSchedulingPc(const WatermarkCertificate& certificate,
-                             std::uint32_t deadline_slack,
-                             std::uint64_t max_steps) {
-  const cdfg::Cdfg& shape = certificate.shape;
+namespace {
 
+/// The certificate's rank constraints as (before, after) shape nodes.
+std::vector<sched::ExtraEdge> constraintEdges(
+    const WatermarkCertificate& certificate) {
+  std::vector<sched::ExtraEdge> edges;
+  for (const RankConstraint& c : certificate.constraints) {
+    edges.emplace_back(cdfg::NodeId(c.before_rank),
+                       cdfg::NodeId(c.after_rank));
+  }
+  return edges;
+}
+
+/// Counts ΨN and ΨW of `certificate` (see exactSchedulingPc).  `exact` is
+/// false, and only `deadline` is set, when a count stops early: over
+/// kPcWorkBudget or past 2^64.
+PcEstimate countPc(const WatermarkCertificate& certificate,
+                   std::uint32_t deadline_slack) {
+  const cdfg::Cdfg& shape = certificate.shape;
   sched::EnumerationOptions base;
-  base.max_steps = max_steps;
-  // Grant the locality some slack beyond its own critical path, standing in
-  // for the freedom the surrounding design gives these operations.
-  const sched::TimeFrames tight(shape, base.latency);
-  base.deadline = tight.criticalPathSteps() + deadline_slack;
+  base.max_work = kPcWorkBudget;
+  sched::EnumerationOptions constrained = base;
+  constrained.extra_edges = constraintEdges(certificate);
+  cdfg::Cdfg marked = shape;
+  for (const auto& [before, after] : constrained.extra_edges) {
+    if (!marked.hasEdge(before, after, cdfg::EdgeKind::kTemporal)) {
+      marked.addEdge(before, after, cdfg::EdgeKind::kTemporal);
+    }
+  }
+  PcEstimate est;
+  est.deadline = std::max(
+      sched::TimeFrames(shape, base.latency).criticalPathSteps() +
+          deadline_slack,
+      sched::TimeFrames(marked, base.latency).criticalPathSteps());
+  base.deadline = constrained.deadline = est.deadline;
 
   const sched::CountResult unconstrained = sched::countSchedules(shape, base);
-  detail::check(unconstrained.exact,
-                "exactSchedulingPc: enumeration budget exceeded (ΨN)");
-  detail::check(unconstrained.count > 0,
-                "exactSchedulingPc: locality has no feasible schedule");
-
-  sched::EnumerationOptions constrained = base;
-  for (const RankConstraint& c : certificate.constraints) {
-    constrained.extra_edges.push_back(
-        {cdfg::NodeId(c.before_rank), cdfg::NodeId(c.after_rank)});
+  if (!unconstrained.exact) {
+    return est;
   }
   const sched::CountResult with = sched::countSchedules(shape, constrained);
-  detail::check(with.exact,
-                "exactSchedulingPc: enumeration budget exceeded (ΨW)");
-
-  PcEstimate est;
+  if (!with.exact) {
+    return est;
+  }
+  detail::check(with.count > 0,
+                "exactSchedulingPc: constraints unsatisfiable at their own "
+                "critical path");
   est.exact = true;
   est.schedules_unconstrained = unconstrained.count;
   est.schedules_constrained = with.count;
-  est.log10_pc =
-      with.count == 0
-          ? -300.0  // no coincidence possible; report a floor
-          : std::log10(static_cast<double>(with.count)) -
-                std::log10(static_cast<double>(unconstrained.count));
+  est.log10_pc = std::log10(static_cast<double>(with.count)) -
+                 std::log10(static_cast<double>(unconstrained.count));
+  return est;
+}
+
+}  // namespace
+
+PcEstimate exactSchedulingPc(const WatermarkCertificate& certificate,
+                             std::uint32_t deadline_slack) {
+  PcEstimate est = countPc(certificate, deadline_slack);
+  detail::check(est.exact,
+                "exactSchedulingPc: count over budget or past 2^64");
+  return est;
+}
+
+PcEstimate schedulingPc(const WatermarkCertificate& certificate,
+                        std::size_t shape_matches) {
+  PcEstimate est;
+  try {
+    est = countPc(certificate, kPcDeadlineSlack);
+  } catch (const Error&) {
+    // Only a crafted certificate gets here: a constraint on a pseudo-op or
+    // constraints that close a cycle, which no schedule of the shape meets.
+    // There is nothing to count; the window model still rates the edges.
+    est.deadline = sched::TimeFrames(certificate.shape,
+                                     sched::LatencyModel::unit())
+                       .criticalPathSteps() +
+                   kPcDeadlineSlack;
+  }
+  if (!est.exact) {
+    est = approxSchedulingPc(certificate.shape, constraintEdges(certificate),
+                             sched::LatencyModel::unit(), est.deadline);
+  }
+  if (shape_matches > 1) {
+    est.log10_pc += std::log10(static_cast<double>(shape_matches));
+  }
   return est;
 }
 
@@ -78,6 +128,7 @@ PcEstimate approxSchedulingPc(const cdfg::Cdfg& g,
                                  /*includeTemporal=*/false);
   PcEstimate est;
   est.exact = false;
+  est.deadline = frames.deadline();
   // Fixed-order parallel reduce: per-chunk partials are combined in chunk
   // index order, so the log-sum rounds identically for any thread count.
   est.log10_pc = rt::parallel_reduce(
@@ -94,73 +145,6 @@ PcEstimate approxSchedulingPc(const cdfg::Cdfg& g,
       },
       [](double acc, double term) { return acc + term; });
   return est;
-}
-
-AggregatePc aggregateSchedulingPc(
-    const std::vector<WatermarkCertificate>& certificates,
-    std::uint32_t deadline_slack, std::uint64_t max_steps) {
-  AggregatePc agg;
-  agg.per_certificate.resize(certificates.size());
-  // Each certificate's enumeration walks only its own shape, so they run
-  // in parallel; an over-budget enumeration skips that certificate rather
-  // than poisoning the aggregate.
-  rt::parallel_for(0, certificates.size(), /*grain=*/1, [&](std::size_t i) {
-    try {
-      agg.per_certificate[i] =
-          exactSchedulingPc(certificates[i], deadline_slack, max_steps);
-    } catch (const Error&) {
-      agg.per_certificate[i] = std::nullopt;
-    }
-  });
-  agg.combined.exact = true;
-  for (const std::optional<PcEstimate>& est : agg.per_certificate) {
-    if (est) {
-      agg.combined.log10_pc += est->log10_pc;
-    } else {
-      ++agg.failed;
-    }
-  }
-  return agg;
-}
-
-double detectionConfidenceLog10(const WatermarkCertificate& certificate,
-                                std::size_t satisfied,
-                                std::uint32_t deadline_slack) {
-  const std::size_t k = certificate.constraints.size();
-  detail::check(satisfied <= k,
-                "detectionConfidenceLog10: satisfied exceeds constraints");
-  if (k == 0) {
-    return 0.0;
-  }
-  // Per-edge chance probabilities from the shape's window model.
-  const sched::TimeFrames tight(certificate.shape,
-                                sched::LatencyModel::unit());
-  const sched::TimeFrames frames(certificate.shape,
-                                 sched::LatencyModel::unit(),
-                                 tight.criticalPathSteps() + deadline_slack);
-  std::vector<double> p(k, 0.0);
-  rt::parallel_for(0, k, rt::kDefaultGrain, [&](std::size_t i) {
-    const RankConstraint& c = certificate.constraints[i];
-    const cdfg::NodeId a(c.before_rank);
-    const cdfg::NodeId b(c.after_rank);
-    p[i] = std::clamp(orderProbability(frames.asap(a), frames.alap(a),
-                                       frames.asap(b), frames.alap(b)),
-                      1e-12, 1.0 - 1e-12);
-  });
-  // Poisson-binomial tail P[X >= satisfied] by dynamic programming.
-  std::vector<double> dist(k + 1, 0.0);
-  dist[0] = 1.0;
-  for (const double pe : p) {
-    for (std::size_t j = dist.size() - 1; j > 0; --j) {
-      dist[j] = dist[j] * (1.0 - pe) + dist[j - 1] * pe;
-    }
-    dist[0] *= (1.0 - pe);
-  }
-  double tail = 0.0;
-  for (std::size_t j = satisfied; j <= k; ++j) {
-    tail += dist[j];
-  }
-  return std::log10(std::max(tail, 1e-300));
 }
 
 PcEstimate templatePc(const std::vector<std::uint64_t>& solutions) {

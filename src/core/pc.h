@@ -7,17 +7,22 @@
 //
 //  * Scheduling, exact:      Pc = ΨW(T)/ΨN(T) — exhaustive schedule counts
 //    over the locality subgraph with and without the temporal edges
-//    (Fig. 3: 15/166).  Exponential; small localities only.
+//    (Fig. 3: 15/166).  Exponential; budgeted.
 //  * Scheduling, approximate: Pc ≈ Π_i P[t_src < t_dst] with start times
 //    uniform over the operations' [asap, alap] windows (the paper assumes
 //    a Poisson spread and E[ΨW/ΨN] = 1/2; the window model subsumes that
 //    and degrades to exactly 1/2 for same-window pairs).
 //  * Template matching:       Pc ≈ Π_i 1/Solutions(m_i) (tm/solutions.h).
 //
+// The detectors (`detect`, `verify-cert`, `scan`) all report schedulingPc:
+// the exact ratio when both counts fit the work budget, the approximation
+// at the same deadline otherwise.
+//
 // Values span 1e−5 … 1e−27 and smaller, so everything is carried in
 // log10 domain.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -37,40 +42,37 @@ struct PcEstimate {
   /// Diagnostics for exact estimates: the two schedule counts.
   std::uint64_t schedules_unconstrained = 0;
   std::uint64_t schedules_constrained = 0;
+  /// The scheduling deadline the estimate was computed at, in steps.
+  std::uint32_t deadline = 0;
 
   [[nodiscard]] double pc() const;
 };
 
-/// Exact Pc of a scheduling watermark by exhaustive enumeration over the
+/// Deadline slack of the detectors' scheduling Pc: steps granted beyond
+/// the locality's critical path, standing in for the scheduling freedom of
+/// the surrounding design.
+inline constexpr std::uint32_t kPcDeadlineSlack = 1;
+/// Work budget of each of the two schedule counts of an exact Pc (search
+/// states expanded plus memo probes, sched/enumeration.h).
+inline constexpr std::uint64_t kPcWorkBudget = 20'000;
+
+/// Exact Pc of a scheduling watermark by exhaustive counting over the
 /// locality subgraph (shape + rank constraints from the certificate).
-/// `deadline_slack` extra steps are granted beyond the locality's critical
-/// path, mirroring the scheduling freedom of the surrounding design.
-/// Throws Error when the enumeration budget is exceeded.
+/// The deadline is max(CP(shape) + deadline_slack, CP(shape + constraints)):
+/// the author's own schedule meets the constraints, so ΨW >= 1 and Pc > 0.
+/// Throws Error when either count exceeds kPcWorkBudget or would pass
+/// 2^64, and when no schedule can meet the constraints (a self or cyclic
+/// constraint, a pseudo-op endpoint).
 [[nodiscard]] PcEstimate exactSchedulingPc(
-    const WatermarkCertificate& certificate, std::uint32_t deadline_slack = 1,
-    std::uint64_t max_steps = 50'000'000);
+    const WatermarkCertificate& certificate, std::uint32_t deadline_slack);
 
-/// A design carrying several watermarks proves authorship with the
-/// *product* of the per-certificate Pc values (the localities are
-/// disjoint by construction, so the coincidences are independent events).
-struct AggregatePc {
-  /// log10-sum of every successfully enumerated certificate, in
-  /// certificate order.
-  PcEstimate combined;
-  /// Per-certificate estimates, aligned with the input; nullopt when that
-  /// certificate's enumeration exceeded the budget.
-  std::vector<std::optional<PcEstimate>> per_certificate;
-  /// Number of nullopt entries above.
-  std::size_t failed = 0;
-};
-
-/// Exact Pc of each certificate (independent enumerations, computed in
-/// parallel) combined into one aggregate proof.  A certificate whose
-/// enumeration exceeds `max_steps` is skipped and counted in `failed`
-/// instead of aborting the whole aggregate.
-[[nodiscard]] AggregatePc aggregateSchedulingPc(
-    const std::vector<WatermarkCertificate>& certificates,
-    std::uint32_t deadline_slack = 1, std::uint64_t max_steps = 50'000'000);
+/// The detectors' Pc of one found scheduling mark: exactSchedulingPc at
+/// kPcDeadlineSlack, or approxSchedulingPc at the same deadline (exact =
+/// false) when the counts exceed the budget or cannot run; times
+/// `shape_matches`, the number of places the locality shape occurs
+/// (§IV-B's multiplier).
+[[nodiscard]] PcEstimate schedulingPc(const WatermarkCertificate& certificate,
+                                      std::size_t shape_matches);
 
 /// Approximate Pc of a set of temporal constraints in a full design:
 /// per-edge window-uniform order probability, multiplied (log-summed).
@@ -91,19 +93,5 @@ struct AggregatePc {
 /// solution counts.
 [[nodiscard]] PcEstimate templatePc(
     const std::vector<std::uint64_t>& solutions_per_matching);
-
-/// Likelihood-ratio confidence of a (possibly partial) detection: the
-/// log10 probability that a schedule drawn uniformly from the locality's
-/// window model satisfies at least `satisfied` of the certificate's
-/// constraints.  Small values mean the observation is hard to explain by
-/// chance even when tampering broke some constraints — the quantitative
-/// backing for "degraded but still damning" verdicts.
-///
-/// Computed over the certificate's shape with `deadline_slack` extra
-/// steps, treating constraints as independent Bernoulli trials with the
-/// per-edge window probabilities (a Poisson-binomial tail).
-[[nodiscard]] double detectionConfidenceLog10(
-    const WatermarkCertificate& certificate, std::size_t satisfied,
-    std::uint32_t deadline_slack = 1);
 
 }  // namespace locwm::wm

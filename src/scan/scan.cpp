@@ -24,11 +24,6 @@ namespace {
 /// with a number word that is not a whole number no longer parses.
 constexpr const char* kCacheFormat = "locwm-scanfp-entry v4";
 
-/// Enumeration budget for the aggregate Pc of fully-matched scheduling
-/// certificates (smaller than the detect-CLI default: a corpus scan ranks
-/// hits, it does not litigate them).
-constexpr std::uint64_t kPcMaxSteps = 200'000;
-
 /// The fingerprint-cache entry wraps the DesignIndex with the design's
 /// lenient-parse issue count, so a warm re-scan reports the same `issues`
 /// field without re-parsing.
@@ -222,7 +217,12 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
   // Evidence, in ring order: schedule-level for a scheduling certificate
   // when the design has a schedule, shape-level otherwise.
   std::vector<std::string> match_rows;
-  std::vector<wm::WatermarkCertificate> pc_certs;
+  // Authorship proof over the found scheduling certificates: the product
+  // of their Pc values as detect reports each (the localities are disjoint,
+  // so the coincidences are independent events).
+  bool pc_found = false;
+  double pc_log10 = 0;
+  bool pc_exact = true;
   for (std::size_t j = 0; j < ring.size(); ++j) {
     std::vector<wm::ShapeHit>& hits = id->hits[j];
     if (hits.empty()) {
@@ -246,18 +246,10 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
                                   r.root.value(), r.satisfied, r.total,
                                   r.shape_matches));
     if (r.found) {
-      pc_certs.push_back(*entry.sched);
-    }
-  }
-
-  // Aggregate authorship proof over the fully-matched scheduling
-  // certificates (deadline slack 1, budgeted by kPcMaxSteps).
-  std::string pc = "null";
-  if (!pc_certs.empty()) {
-    const wm::AggregatePc agg = wm::aggregateSchedulingPc(
-        pc_certs, /*deadline_slack=*/1, kPcMaxSteps);
-    if (agg.failed < pc_certs.size()) {
-      pc = obs::jsonNumber(agg.combined.log10_pc);
+      const wm::PcEstimate pc = wm::schedulingPc(*entry.sched, r.shape_matches);
+      pc_found = true;
+      pc_log10 += pc.log10_pc;
+      pc_exact = pc_exact && pc.exact;
     }
   }
 
@@ -268,7 +260,10 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
       ",\"design\":" + obs::jsonString(item.path) +
       ",\"index\":" + std::to_string(index) +
       ",\"issues\":" + std::to_string(issue_count) +
-      ",\"matches\":" + std::to_string(s.matches) + ",\"pc_log10\":" + pc +
+      ",\"matches\":" + std::to_string(s.matches) + ",\"pc_exact\":" +
+      (pc_found ? (pc_exact ? "true" : "false") : "null") +
+      ",\"pc_log10\":" +
+      (pc_found ? obs::jsonNumber(pc_log10) : "null") +
       ",\"pruned\":" + std::to_string(s.pruned) +
       ",\"survivors\":" + std::to_string(s.survivors) + ",\"type\":\"design\"}");
   for (std::string& row : match_rows) {

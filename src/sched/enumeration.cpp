@@ -20,12 +20,12 @@ namespace {
 /// Byte cap of one counting call's memo: frontier index, per-level keys,
 /// hash slots and entry arena together.  Past it, subtrees are recomputed.
 constexpr std::size_t kMemoBytes = std::size_t{2} << 20;
-/// Subtrees smaller than this (in logical steps) are cheaper to recompute
+/// Subtrees that took less work than this to count are cheaper to recount
 /// than to store.
-constexpr std::uint64_t kMinMemoSteps = 16;
+constexpr std::uint64_t kMinMemoWork = 16;
 
-/// What the counter and the visitor share: real ops in enumeration order,
-/// their static windows, and every precedence constraint as a flat list.
+/// The counter's search space: real ops in enumeration order, their static
+/// windows, and every precedence constraint as a flat list.
 struct SearchSpace {
   std::vector<NodeId> order;             // real ops, every source first
   std::vector<std::uint32_t> alap;       // static upper bound per node value
@@ -145,19 +145,14 @@ SearchSpace makeSearchSpace(const cdfg::Cdfg& g,
   return sp;
 }
 
-/// Open-addressing map from (level, key) to a finished subtree's
-/// (count, logical steps).  Entries live in one byte arena as
-/// [u32 count][u32 steps][u32 level][u32 hash low half][u16 key...]; a slot
+/// Open-addressing map from (level, key) to a finished subtree's schedule
+/// count.  Entries live in one byte arena as
+/// [u64 count][u32 level][u32 hash low half][u16 key...]; a slot
 /// holds the high hash half and the entry's arena offset + 1 (0 = empty).
 /// Slots and arena grow by doubling inside a fixed byte budget; past it,
 /// inserts are dropped.
 class Memo {
  public:
-  struct Value {
-    std::uint32_t count = 0;
-    std::uint32_t steps = 0;
-  };
-
   explicit Memo(std::size_t budget = 0) : budget_(budget) {}
 
   [[nodiscard]] bool full() const { return full_; }
@@ -175,10 +170,9 @@ class Memo {
     return h ^ (h >> 33);
   }
 
-  [[nodiscard]] std::optional<Value> find(std::uint64_t hash,
-                                          std::uint32_t level,
-                                          const std::uint16_t* key,
-                                          std::size_t len) const {
+  [[nodiscard]] std::optional<std::uint64_t> find(
+      std::uint64_t hash, std::uint32_t level, const std::uint16_t* key,
+      std::size_t len) const {
     if (slots_.empty()) {
       return std::nullopt;
     }
@@ -193,17 +187,16 @@ class Memo {
       // (len == 0 guards memcmp against the null data() of empty keys.)
       if (stored_level == level &&
           (len == 0 || std::memcmp(entry + kHeader, key, 2 * len) == 0)) {
-        Value v;
-        std::memcpy(&v.count, entry, 4);
-        std::memcpy(&v.steps, entry + 4, 4);
-        return v;
+        std::uint64_t count = 0;
+        std::memcpy(&count, entry, 8);
+        return count;
       }
     }
     return std::nullopt;
   }
 
   void insert(std::uint64_t hash, std::uint32_t level,
-              const std::uint16_t* key, std::size_t len, Value value) {
+              const std::uint16_t* key, std::size_t len, std::uint64_t count) {
     if (full_) {
       return;
     }
@@ -217,8 +210,7 @@ class Memo {
     arena_.resize(need);
     unsigned char* entry = &arena_[off];
     const auto low = static_cast<std::uint32_t>(hash);
-    std::memcpy(entry, &value.count, 4);
-    std::memcpy(entry + 4, &value.steps, 4);
+    std::memcpy(entry, &count, 8);
     std::memcpy(entry + 8, &level, 4);
     std::memcpy(entry + 12, &low, 4);
     if (len != 0) {
@@ -285,7 +277,7 @@ class Memo {
   bool full_ = false;
 };
 
-/// Memoized counting DFS over the same variable order as the visitor.
+/// Memoized counting DFS.
 ///
 /// The subtree below level k depends on the placed ops only through the
 /// partial lower bounds max(start[u] + gap) they impose on the unplaced
@@ -293,26 +285,22 @@ class Memo {
 /// from below by what the op's unplaced sources will impose anyway (their
 /// static lower bound + gap; window_lo too) and from above to alap + 1,
 /// since any value past alap means "infeasible" alike.  That vector is the
-/// memo key; an entry stores the subtree's schedule count and its logical
-/// step count, i.e. the size of the plain DFS tree below it.  A hit adds
-/// both only when the steps fit in the remaining budget; otherwise the
-/// subtree is expanded to find where the plain DFS would stop.  So count,
-/// steps and the budget verdict equal the plain DFS's exactly.
+/// memo key; an entry stores the subtree's schedule count.  The budget is
+/// charged one unit per expanded state and one per memo probe, so a hit
+/// costs one unit whatever the size of the subtree it stands for.
 class Counter {
  public:
-  Counter(const SearchSpace& space, std::uint64_t max_steps)
-      : sp_(space), max_steps_(max_steps), start_(space.alap.size(), 0) {
+  Counter(const SearchSpace& space, std::uint64_t max_work)
+      : sp_(space), max_work_(max_work), start_(space.alap.size(), 0) {
     buildFrontiers();
   }
 
   void run(std::size_t level) {
     if (level == sp_.order.size()) {
-      if (++steps > max_steps_) {
-        budget_hit = true;
-        return;
+      if (charge()) {
+        ++expanded;
+        add(1);
       }
-      ++expanded;
-      ++count;
       return;
     }
     const auto lvl = static_cast<std::uint32_t>(level);
@@ -320,52 +308,66 @@ class Counter {
     std::uint16_t* key = nullptr;
     std::size_t len = 0;
     if (memoized_) {
+      if (!charge()) {
+        return;
+      }
       key = keys_.data() + key_off_[level];
       len = key_off_[level + 1] - key_off_[level];
       buildKey(lvl, key);
       hash = Memo::hashKey(lvl, key, len);
-      if (const std::optional<Memo::Value> hit =
-              memo_.find(hash, lvl, key, len);
-          hit && hit->steps <= max_steps_ - steps) {
-        steps += hit->steps;
-        count += hit->count;
+      if (const std::optional<std::uint64_t> hit =
+              memo_.find(hash, lvl, key, len)) {
         ++memo_hits;
+        add(*hit);
         return;
       }
     }
-    if (++steps > max_steps_) {
-      budget_hit = true;
+    if (!charge()) {
       return;
     }
     ++expanded;
-    const std::uint64_t steps_before = steps - 1;
+    const std::uint64_t work_before = work_;
     const std::uint64_t count_before = count;
     const std::uint32_t v = sp_.order[level].value();
     for (std::uint32_t t = sp_.lowerBound(v, start_); t <= sp_.alap[v]; ++t) {
       start_[v] = t;
       run(level + 1);
-      if (budget_hit) {
+      if (stopped) {
         return;
       }
     }
-    const std::uint64_t sub_steps = steps - steps_before;
-    if (memoized_ && sub_steps >= kMinMemoSteps &&
-        sub_steps <= std::numeric_limits<std::uint32_t>::max()) {
-      memo_.insert(hash, lvl, key, len,
-                   {static_cast<std::uint32_t>(count - count_before),
-                    static_cast<std::uint32_t>(sub_steps)});
+    if (memoized_ && work_ - work_before >= kMinMemoWork) {
+      memo_.insert(hash, lvl, key, len, count - count_before);
     }
   }
 
   [[nodiscard]] bool memoFull() const { return memo_.full(); }
 
-  std::uint64_t steps = 0;     ///< logical steps: the plain DFS's count
   std::uint64_t count = 0;
-  std::uint64_t expanded = 0;  ///< states actually visited
+  std::uint64_t expanded = 0;  ///< states expanded
   std::uint64_t memo_hits = 0;
   bool budget_hit = false;
+  bool stopped = false;  ///< budget hit or count overflow: count is a bound
 
  private:
+  /// Charges one unit of work; false once the budget is spent.
+  bool charge() {
+    if (++work_ > max_work_) {
+      budget_hit = stopped = true;
+      return false;
+    }
+    return true;
+  }
+
+  /// Adds `n` schedules, stopping instead of wrapping past 2^64 - 1.
+  void add(std::uint64_t n) {
+    if (n > std::numeric_limits<std::uint64_t>::max() - count) {
+      stopped = true;
+      return;
+    }
+    count += n;
+  }
+
   /// Lays out each level's frontier (ops at or after the level with a
   /// constraint source before it, by position) and its key scratch, when
   /// they fit in half the memo budget; the memo gets the rest.
@@ -438,7 +440,8 @@ class Counter {
   }
 
   const SearchSpace& sp_;
-  std::uint64_t max_steps_;
+  std::uint64_t max_work_;
+  std::uint64_t work_ = 0;
   std::vector<std::uint32_t> start_;
   bool memoized_ = false;
   std::vector<std::uint32_t> pos_;        // enumeration position, by value
@@ -455,80 +458,14 @@ CountResult countSchedules(const cdfg::Cdfg& g,
                            const EnumerationOptions& options) {
   LOCWM_OBS_SPAN("sched.enum.count");
   const SearchSpace space = makeSearchSpace(g, options);
-  Counter counter(space, options.max_steps);
+  Counter counter(space, options.max_work);
   counter.run(0);
   LOCWM_OBS_COUNT("sched.enum.states", counter.expanded);
   LOCWM_OBS_COUNT("sched.enum.memo_hits", counter.memo_hits);
   LOCWM_OBS_COUNT("sched.enum.memo_full", counter.memoFull() ? 1 : 0);
   LOCWM_OBS_COUNT("sched.enum.schedules", counter.count);
   LOCWM_OBS_COUNT("sched.enum.budget_hits", counter.budget_hit ? 1 : 0);
-  return CountResult{counter.count, !counter.budget_hit, counter.steps};
-}
-
-void enumerateSchedules(const cdfg::Cdfg& g, const EnumerationOptions& options,
-                        const std::function<bool(const Schedule&)>& visit) {
-  LOCWM_OBS_SPAN("sched.enum.visit");
-  const SearchSpace sp = makeSearchSpace(g, options);
-  // Pseudo-ops are pinned after their producers, in topological order;
-  // the order is the same for every schedule, so it is computed once.
-  std::vector<NodeId> pseudo;
-  for (const NodeId v : g.topologicalOrder(options.honor_temporal)) {
-    if (options.latency.latency(g.node(v).kind) == 0) {
-      pseudo.push_back(v);
-    }
-  }
-  std::vector<std::uint32_t> start(g.nodeCount(), 0);
-  std::uint64_t steps = 0;
-  std::uint64_t count = 0;
-  bool budget_hit = false;
-  bool stopped = false;
-
-  auto emit = [&] {
-    Schedule s(g.nodeCount());
-    for (const NodeId v : sp.order) {
-      s.set(v, start[v.value()]);
-    }
-    for (const NodeId v : pseudo) {
-      std::uint32_t t = 0;
-      for (const EdgeId e : g.inEdges(v)) {
-        const cdfg::Edge& ed = g.edge(e);
-        if (ed.kind == cdfg::EdgeKind::kTemporal && !options.honor_temporal) {
-          continue;
-        }
-        if (s.isSet(ed.src)) {
-          const std::uint32_t gap =
-              options.latency.edgeGap(g.node(ed.src).kind, ed.kind);
-          t = std::max(t, s.at(ed.src) + gap);
-        }
-      }
-      s.set(v, t);
-    }
-    return visit(s);
-  };
-  // Plain DFS: every schedule is materialised, so there is nothing to share.
-  auto run = [&](auto& self, std::size_t index) -> void {
-    if (++steps > options.max_steps) {
-      budget_hit = true;
-      return;
-    }
-    if (index == sp.order.size()) {
-      ++count;
-      stopped = !emit();
-      return;
-    }
-    const std::uint32_t v = sp.order[index].value();
-    for (std::uint32_t t = sp.lowerBound(v, start); t <= sp.alap[v]; ++t) {
-      start[v] = t;
-      self(self, index + 1);
-      if (budget_hit || stopped) {
-        return;
-      }
-    }
-  };
-  run(run, 0);
-  LOCWM_OBS_COUNT("sched.enum.states", steps);
-  LOCWM_OBS_COUNT("sched.enum.schedules", count);
-  LOCWM_OBS_COUNT("sched.enum.budget_hits", budget_hit ? 1 : 0);
+  return CountResult{counter.count, !counter.stopped};
 }
 
 PsiPair countPsi(const cdfg::Cdfg& g, NodeId src, NodeId dst,

@@ -1,15 +1,15 @@
-// Exact schedule enumeration and counting.
+// Exact schedule counting.
 //
 // The paper's proof-of-authorship metric is a ratio of schedule counts:
 // Pc ≈ Π ΨW(e)/ΨN(e), where ΨW counts the schedules satisfying the added
 // temporal edge and ΨN counts all schedules (§IV-A, Fig. 3).  The paper
 // used "a trivial exhaustive enumeration technique" for small examples.
-// Here the visitor is that plain depth-first search; the counter walks the
-// same search tree but memoizes subtrees.  Below a level, the tree depends
-// on the placed operations only through the lower bounds they impose on
-// the unplaced ones, so subtrees with equal bounds are counted once.  Both
-// carry a work budget, measured in states of the plain search, so callers
-// can fall back to the approximate model (core/pc.h) on large graphs.
+// The counter walks that depth-first search tree but memoizes subtrees:
+// below a level, the tree depends on the placed operations only through
+// the lower bounds they impose on the unplaced ones, so subtrees with
+// equal bounds are counted once.  It carries a budget on the work it
+// actually does, so callers can fall back to the approximate model
+// (core/pc.h) on large graphs.
 //
 // A "schedule" here assigns a start step in [0, deadline) to every real
 // operation such that all data/control (and optionally temporal) precedence
@@ -17,14 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "cdfg/graph.h"
 #include "sched/latency.h"
-#include "sched/schedule.h"
 
 namespace locwm::sched {
 
@@ -32,7 +30,7 @@ namespace locwm::sched {
 /// graph: src must start strictly before dst (a temporal edge).
 using ExtraEdge = std::pair<cdfg::NodeId, cdfg::NodeId>;
 
-/// Options of the enumerator.
+/// Options of the counter.
 struct EnumerationOptions {
   LatencyModel latency = LatencyModel::unit();
   /// Deadline in steps; nullopt = critical path.
@@ -50,40 +48,25 @@ struct EnumerationOptions {
     std::uint32_t hi = 0;
   };
   std::vector<Window> windows;
-  /// Abort knob: maximum number of states of the plain depth-first search
-  /// (partial assignments, complete ones included).  Memoized subtrees are
-  /// charged their full size, so the verdict does not depend on the memo.
-  std::uint64_t max_steps = 200'000'000;
+  /// Abort knob: maximum work of the counter, the search states it
+  /// expands (complete assignments included) plus its memo probes.  A memo
+  /// hit costs one probe however large the subtree it stands for.
+  std::uint64_t max_work = 200'000'000;
 };
 
-/// Result of a counting run.
-///
-/// `steps` is the logical size of the search: the number of states the
-/// plain depth-first search visits, whether the counter expanded a subtree
-/// or took it from its memo.  It does not depend on memoization, so the
-/// same graph and options always give the same `steps` and `exact`.
-///
-/// When `exact` is false the budget ran out: `steps` is max_steps + 1 and
-/// `count` is a lower bound, the schedules found among the first max_steps
-/// states in depth-first order.
+/// Result of a counting run.  When `exact` is false the count stopped
+/// early, because the work budget ran out or because the count would pass
+/// 2^64; `count` is then a lower bound.
 struct CountResult {
-  std::uint64_t count = 0;     ///< number of feasible schedules
-  bool exact = true;           ///< false when the work budget was hit
-  std::uint64_t steps = 0;     ///< logical search states (the budget unit)
+  std::uint64_t count = 0;  ///< number of feasible schedules
+  bool exact = true;        ///< false when the count stopped early
 };
 
-/// Counts feasible schedules with a memoized depth-first search.  Returns
-/// exact=false when max_steps was exhausted (see CountResult).  The memo
+/// Counts feasible schedules with a memoized depth-first search.  The memo
 /// is private to the call and capped at a fixed size; past the cap,
-/// subtrees are recomputed.
+/// subtrees are recounted.
 [[nodiscard]] CountResult countSchedules(const cdfg::Cdfg& g,
                                          const EnumerationOptions& options = {});
-
-/// Enumerates feasible schedules by plain depth-first search, invoking
-/// `visit` for each.  `visit` may return false to stop early.  Pseudo-ops
-/// are pinned (inputs at 0, outputs after their producers).
-void enumerateSchedules(const cdfg::Cdfg& g, const EnumerationOptions& options,
-                        const std::function<bool(const Schedule&)>& visit);
 
 /// The paper's Ψ pair for one candidate temporal edge e = (src → dst):
 /// ΨN = number of schedules of `g` (without e), ΨW = those in which src

@@ -9,12 +9,23 @@ DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"
 
+# Every found scheduling mark gets a Pc, exact or approximate: no detector
+# output says "n/a" or "not enumerable", or carries a 1e-300 floor.
+noPcGap() {
+  if grep -E 'n/a|not enumerable|e-300' "$@"; then
+    echo "Pc gap in $*" >&2
+    exit 1
+  fi
+}
+
 "$LW" gen lattice 6 -o core.cdfg
 "$LW" info core.cdfg
 "$LW" embed core.cdfg -i "CI Author" -n it-1 -o marked.cdfg -c cert.wmc --marks 2
 "$LW" schedule marked.cdfg -o core.sched
 "$LW" strip marked.cdfg -o published.cdfg
-"$LW" verify-cert cert.wmc.0 cert.wmc.1
+"$LW" verify-cert cert.wmc.0 cert.wmc.1 > verify.out
+grep -q '^cert.wmc.1 .* sched: .*, Pc' verify.out
+noPcGap verify.out
 # ...and a damaged certificate is reported by the parser its header names,
 # at the damaged line.
 awk '!done && /^constraint / { print "constraint x y"; done = 1; next } { print }' \
@@ -186,7 +197,11 @@ cmp lf-detect.out crlf-detect.out
     -c mpeg2.wmc
 "$LW" schedule mpeg2-marked.cdfg -o mpeg2.sched
 "$LW" strip mpeg2-marked.cdfg -o mpeg2-pub.cdfg
-"$LW" detect mpeg2-pub.cdfg mpeg2.sched mpeg2.wmc -i "CI Author" -n it-1
+"$LW" detect mpeg2-pub.cdfg mpeg2.sched mpeg2.wmc -i "CI Author" -n it-1 \
+    > mpeg2-detect.out
+"$LW" verify-cert mpeg2.wmc > mpeg2-verify.out
+grep -q DETECTED mpeg2-detect.out
+noPcGap mpeg2-detect.out mpeg2-verify.out
 { head -n 3 mpeg2.sched; echo 'abc 5'; tail -n +4 mpeg2.sched; } > abc.sched
 RC=0
 "$LW" detect mpeg2-pub.cdfg abc.sched mpeg2.wmc -i "CI Author" -n it-1 \
@@ -498,6 +513,19 @@ done
 agree reg.wmc \
     "$(sed -n 's/^reg.wmc .*pairs, \([0-9]*\) shape matches.*/\1/p' detect-reg.out)" \
     "$(scanrow reg.wmc '\2')"
+# ...and the same Pc: the design row of a one-certificate ring carries the
+# Pc detect prints for that certificate.
+noPcGap detect.out
+agree "cert.wmc.0 Pc" \
+    "$(sed -n 's/^cert.wmc.0 .*, Pc[<=~]*\([0-9.e+-]*\).*/\1/p' detect.out)" \
+    "$(sed -n 's/.*"design":"d0.cdfg".*"pc_log10":\([^,]*\),.*"type":"design".*/\1/p' \
+        commented.ndjson | awk '{ printf "%.2e", 10 ^ $1 }')"
+for rows in scan-prefix.ndjson commented.ndjson; do
+  if grep -q '"pc_log10":-300' "$rows"; then
+    echo "$rows: a design row carries the 1e-300 floor" >&2
+    exit 1
+  fi
+done
 # A whole-design certificate orders the design once and derives nothing.
 "$LW" detect-tm published.cdfg tm.cover tm.wmc -i "CI Author" -n it-1 \
     --lib lib.tml --stats tm-stats.json > /dev/null

@@ -1,11 +1,12 @@
-// Schedule-enumeration tests: exact counts on graphs small enough to
-// verify by hand, the Ψ pair semantics of Fig. 3, budget behaviour, and
-// the memoized counter against a naive exhaustive oracle.
+// Schedule-counting tests: exact counts on graphs small enough to verify
+// by hand, the Ψ pair semantics of Fig. 3, budget behaviour, and the
+// memoized counter against a naive exhaustive oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,18 @@ Cdfg independentOps(std::size_t n) {
 
 // ---------------------------------------------------------------------------
 // The naive oracle: the plain exhaustive DFS countSchedules used before it
-// was memoized, kept verbatim in behaviour.  Same variable order (Kahn over
-// graph + extra edges, lowest id first), one step per search-tree state,
-// the budget checked before each state.
+// was memoized.  Same variable order (Kahn over graph + extra edges, lowest
+// id first); it gives up (exact = false) past `max_states` search states.
+// `visit`, when given, sees every schedule, pseudo-ops pinned after their
+// producers, and may return false to stop the search early.
 
-CountResult oracleCount(const Cdfg& g, const EnumerationOptions& options) {
+constexpr std::uint64_t kOracleStates = 1'000'000;
+
+using Visitor = std::function<bool(const Schedule&)>;
+
+CountResult oracleCount(const Cdfg& g, const EnumerationOptions& options,
+                        const Visitor& visit = {},
+                        std::uint64_t max_states = kOracleStates) {
   const std::size_t n = g.nodeCount();
   const TimeFrames tf(g, options.latency, options.deadline,
                       options.honor_temporal);
@@ -95,15 +103,43 @@ CountResult oracleCount(const Cdfg& g, const EnumerationOptions& options) {
     }
   }
 
-  CountResult r;
+  std::vector<NodeId> pseudo;
+  for (const NodeId v : g.topologicalOrder(options.honor_temporal)) {
+    if (options.latency.latency(g.node(v).kind) == 0) {
+      pseudo.push_back(v);
+    }
+  }
   std::vector<std::uint32_t> start(n, 0);
+  auto emit = [&] {
+    Schedule s(n);
+    for (const NodeId v : order) {
+      s.set(v, start[v.value()]);
+    }
+    for (const NodeId v : pseudo) {
+      std::uint32_t t = 0;
+      for (const cdfg::EdgeId e : g.inEdges(v)) {
+        const cdfg::Edge& ed = g.edge(e);
+        if (!skipped(ed) && s.isSet(ed.src)) {
+          t = std::max(t, s.at(ed.src) + options.latency.edgeGap(
+                                             g.node(ed.src).kind, ed.kind));
+        }
+      }
+      s.set(v, t);
+    }
+    return visit(s);
+  };
+
+  CountResult r;
+  std::uint64_t states = 0;
+  bool stopped = false;
   auto run = [&](auto& self, std::size_t index) -> void {
-    if (++r.steps > options.max_steps) {
+    if (++states > max_states) {
       r.exact = false;
       return;
     }
     if (index == order.size()) {
       ++r.count;
+      stopped = visit && !emit();
       return;
     }
     const NodeId v = order[index];
@@ -122,7 +158,7 @@ CountResult oracleCount(const Cdfg& g, const EnumerationOptions& options) {
     for (std::uint32_t t = lo; t <= alap[v.value()]; ++t) {
       start[v.value()] = t;
       self(self, index + 1);
-      if (!r.exact) {
+      if (!r.exact || stopped) {
         return;
       }
     }
@@ -131,13 +167,22 @@ CountResult oracleCount(const Cdfg& g, const EnumerationOptions& options) {
   return r;
 }
 
-void expectSameAsOracle(const Cdfg& g, const EnumerationOptions& o,
-                        const std::string& what) {
-  const CountResult want = oracleCount(g, o);
+/// Compares the counter with the oracle: equal counts whenever both are
+/// exact, and an inexact count is a lower bound.  Returns whether both were
+/// exact.
+bool expectSameAsOracle(const Cdfg& g, const EnumerationOptions& o,
+                        const std::string& what,
+                        std::uint64_t max_states = kOracleStates) {
+  const CountResult want = oracleCount(g, o, {}, max_states);
   const CountResult got = countSchedules(g, o);
-  EXPECT_EQ(got.count, want.count) << what;
-  EXPECT_EQ(got.exact, want.exact) << what;
-  EXPECT_EQ(got.steps, want.steps) << what;
+  if (want.exact && got.exact) {
+    EXPECT_EQ(got.count, want.count) << what;
+    return true;
+  }
+  if (want.exact) {
+    EXPECT_LE(got.count, want.count) << what;
+  }
+  return false;
 }
 
 TEST(Enumeration, SingleOpCountsDeadline) {
@@ -225,13 +270,57 @@ TEST(Enumeration, ExtraEdgeOnPseudoOpRejected) {
   EXPECT_THROW((void)countSchedules(g, o), ScheduleError);
 }
 
+/// A chain of `n` adds fed by one input.
+Cdfg chain(std::size_t n) {
+  Cdfg g;
+  NodeId prev = g.addNode(OpKind::kInput);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId v = g.addNode(OpKind::kAdd);
+    g.addEdge(prev, v);
+    prev = v;
+  }
+  return g;
+}
+
 TEST(Enumeration, BudgetReportsInexact) {
+  // C(16, 8) = 12870 schedules; the memo counts them in several hundred
+  // units of work, more than the budget grants.
+  const Cdfg g = chain(8);
+  EnumerationOptions o;
+  o.deadline = 16;
+  o.max_work = 100;
+  const CountResult r = countSchedules(g, o);
+  EXPECT_FALSE(r.exact);
+  EXPECT_LT(r.count, 12870u);
+  o.max_work = 200'000;
+  EXPECT_EQ(countSchedules(g, o).count, 12870u);
+}
+
+TEST(Enumeration, BudgetCountsRealWorkNotSchedules) {
+  // 8 independent ops in 8 steps: 8^8 schedules, but every level's
+  // subtree is the same, so the memo counts them in a few hundred units.
   const Cdfg g = independentOps(8);
   EnumerationOptions o;
   o.deadline = 8;
-  o.max_steps = 100;
+  o.max_work = 1'000;
+  const CountResult r = countSchedules(g, o);
+  EXPECT_TRUE(r.exact);
+  EXPECT_EQ(r.count, 16'777'216u);
+}
+
+TEST(Enumeration, CountPastTwoToThe64IsInexact) {
+  // 23 independent ops in 7 steps: 7^23 ≈ 2.7e19 > 2^64 ≈ 1.8e19.  The
+  // count stops at a lower bound instead of wrapping.
+  const Cdfg g = independentOps(23);
+  EnumerationOptions o;
+  o.deadline = 7;
   const CountResult r = countSchedules(g, o);
   EXPECT_FALSE(r.exact);
+  EXPECT_GT(r.count, std::uint64_t{1} << 63);
+  // 7^22 ≈ 3.9e18 still fits.
+  const CountResult fits = countSchedules(independentOps(22), o);
+  EXPECT_TRUE(fits.exact);
+  EXPECT_EQ(fits.count, 3'909'821'048'582'988'049u);
 }
 
 TEST(Enumeration, VisitorSeesValidSchedules) {
@@ -239,7 +328,7 @@ TEST(Enumeration, VisitorSeesValidSchedules) {
   EnumerationOptions o;
   o.deadline = 3;
   std::size_t seen = 0;
-  enumerateSchedules(g, o, [&](const Schedule& s) {
+  (void)oracleCount(g, o, [&](const Schedule& s) {
     EXPECT_FALSE(validate(g, s, o.latency).has_value());
     ++seen;
     return true;
@@ -252,9 +341,7 @@ TEST(Enumeration, VisitorEarlyStop) {
   EnumerationOptions o;
   o.deadline = 4;
   std::size_t seen = 0;
-  enumerateSchedules(g, o, [&](const Schedule&) {
-    return ++seen < 5;
-  });
+  (void)oracleCount(g, o, [&](const Schedule&) { return ++seen < 5; });
   EXPECT_EQ(seen, 5u);
 }
 
@@ -287,9 +374,9 @@ TEST(Enumeration, MotivationalExampleShape) {
 }
 
 // ---------------------------------------------------------------------------
-// The memoized counter against the oracle.  Equality is on the whole
-// (count, exact, steps) triple: steps are the budget unit, so matching them
-// is what keeps every budget verdict (and every "Pc n/a") unchanged.
+// The memoized counter against the oracle: equal counts whenever both are
+// exact.  The budgets differ in unit (real work against plain-DFS states),
+// so the tests also pin that the cases they compare come out exact.
 
 /// A seeded random case: a small DAG with a temporal edge in the graph,
 /// extra edges, start windows and either latency model.
@@ -308,7 +395,6 @@ RandomCase randomCase(std::uint64_t seed) {
   EnumerationOptions& o = c.options;
   o.latency = rng.chance(0.5) ? LatencyModel::unit()
                               : LatencyModel::hyperDefault();
-  o.max_steps = 1'000'000;
   // Temporal and extra edges both run forward in one topological order,
   // so no combination of them closes a cycle.
   std::vector<NodeId> topo;
@@ -341,13 +427,17 @@ RandomCase randomCase(std::uint64_t seed) {
 }
 
 TEST(Enumeration, MemoMatchesOracleOnRandomDags) {
+  // A few cases are too large for the oracle's state cap.
+  std::size_t compared = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     RandomCase c = randomCase(seed);
-    expectSameAsOracle(c.g, c.options, "seed " + std::to_string(seed));
+    compared +=
+        expectSameAsOracle(c.g, c.options, "seed " + std::to_string(seed));
     c.options.honor_temporal = !c.options.honor_temporal;
-    expectSameAsOracle(c.g, c.options,
-                       "seed " + std::to_string(seed) + " flipped temporal");
+    compared += expectSameAsOracle(
+        c.g, c.options, "seed " + std::to_string(seed) + " flipped temporal");
   }
+  EXPECT_GE(compared, 110u);
 }
 
 /// Scheduling certificates embedded on MediaBench profiles the way the
@@ -371,12 +461,13 @@ std::vector<wm::WatermarkCertificate> mediaBenchCertificates(
   return certs;
 }
 
-/// ΨN and ΨW options for a certificate, as exactSchedulingPc sets them up.
+/// ΨN and ΨW options for a certificate at `slack` steps past its shape's
+/// critical path, with the budget `max_work`.
 std::pair<EnumerationOptions, EnumerationOptions> psiOptions(
     const wm::WatermarkCertificate& cert, std::uint32_t slack,
-    std::uint64_t max_steps) {
+    std::uint64_t max_work) {
   EnumerationOptions base;
-  base.max_steps = max_steps;
+  base.max_work = max_work;
   base.deadline =
       TimeFrames(cert.shape, base.latency).criticalPathSteps() + slack;
   EnumerationOptions constrained = base;
@@ -390,47 +481,17 @@ std::pair<EnumerationOptions, EnumerationOptions> psiOptions(
 TEST(Enumeration, MemoMatchesOracleOnMediaBenchCertificates) {
   const auto certs = mediaBenchCertificates(3);
   ASSERT_GE(certs.size(), 6u);
+  std::size_t compared = 0;
   for (std::size_t i = 0; i < certs.size(); ++i) {
     for (const std::uint32_t slack : {1u, 2u}) {
       const auto [psi_n, psi_w] = psiOptions(certs[i], slack, 300'000);
       const std::string what =
           "cert " + std::to_string(i) + " slack " + std::to_string(slack);
-      expectSameAsOracle(certs[i].shape, psi_n, what + " ΨN");
-      expectSameAsOracle(certs[i].shape, psi_w, what + " ΨW");
+      compared += expectSameAsOracle(certs[i].shape, psi_n, what + " ΨN");
+      compared += expectSameAsOracle(certs[i].shape, psi_w, what + " ΨW");
     }
   }
-}
-
-TEST(Enumeration, BudgetBoundaryMatchesOracle) {
-  const Cdfg g = workloads::iir4Parallel();
-  EnumerationOptions o;
-  o.deadline = 8;
-  for (const auto& e : workloads::fig3TemporalEdges(g)) {
-    o.extra_edges.push_back(e);
-  }
-  const CountResult full = oracleCount(g, o);
-  ASSERT_TRUE(full.exact);
-  ASSERT_GT(full.steps, 1000u);
-
-  o.max_steps = full.steps;
-  const CountResult at = countSchedules(g, o);
-  EXPECT_TRUE(at.exact);
-  EXPECT_EQ(at.steps, full.steps);
-  EXPECT_EQ(at.count, full.count);
-
-  o.max_steps = full.steps - 1;
-  const CountResult below = countSchedules(g, o);
-  EXPECT_FALSE(below.exact);
-  EXPECT_EQ(below.steps, full.steps);  // the step that broke the budget
-  expectSameAsOracle(g, o, "one step short");
-
-  // Cuts through the middle of memoized subtrees land where the plain
-  // DFS stops, so the partial count is the same lower bound.
-  for (const std::uint64_t budget :
-       {full.steps / 2, full.steps / 3, full.steps / 7 + 5}) {
-    o.max_steps = budget;
-    expectSameAsOracle(g, o, "budget " + std::to_string(budget));
-  }
+  EXPECT_GE(compared, certs.size() * 3);
 }
 
 TEST(Enumeration, MemoOverflowStillMatchesOracle) {
@@ -458,7 +519,7 @@ TEST(Enumeration, MemoOverflowStillMatchesOracle) {
   auto& full = obs::MetricsRegistry::instance().counter("sched.enum.memo_full");
   const std::uint64_t before = full.value();
 #endif
-  expectSameAsOracle(g, o, "memo overflow");
+  EXPECT_TRUE(expectSameAsOracle(g, o, "memo overflow", 20'000'000));
 #if LOCWM_OBS_ENABLED
   EXPECT_EQ(full.value(), before + 1);
   obs::setEnabled(false);
@@ -466,71 +527,110 @@ TEST(Enumeration, MemoOverflowStillMatchesOracle) {
 }
 
 TEST(Enumeration, VisitorCountMatchesCounter) {
-  // Both walk the same tree in the same order, so they agree on inexact
-  // (budget-cut) counts too.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    RandomCase c = randomCase(seed);
-    c.options.max_steps = 200'000;
+    const RandomCase c = randomCase(seed);
     std::uint64_t seen = 0;
-    enumerateSchedules(c.g, c.options, [&](const Schedule&) {
-      ++seen;
-      return true;
-    });
+    const CountResult oracle =
+        oracleCount(c.g, c.options, [&](const Schedule&) {
+          ++seen;
+          return true;
+        });
+    ASSERT_TRUE(oracle.exact) << seed;
+    EXPECT_EQ(seen, oracle.count) << seed;
     EXPECT_EQ(seen, countSchedules(c.g, c.options).count) << seed;
   }
 }
 
 #if LOCWM_OBS_ENABLED
-TEST(Enumeration, VisitorReportsBudgetHits) {
+TEST(Enumeration, CounterReportsBudgetHits) {
   obs::setEnabled(true);
   auto& hits =
       obs::MetricsRegistry::instance().counter("sched.enum.budget_hits");
   const std::uint64_t before = hits.value();
-  const Cdfg g = independentOps(6);
   EnumerationOptions o;
-  o.deadline = 6;
-  o.max_steps = 100;
-  enumerateSchedules(g, o, [](const Schedule&) { return true; });
+  o.deadline = 12;
+  o.max_work = 100;
+  (void)countSchedules(chain(6), o);
   EXPECT_EQ(hits.value(), before + 1);
   obs::setEnabled(false);
 }
 #endif
 
-TEST(Enumeration, AggregatePcIndependentOfThreadCount) {
-  // Each aggregate call runs one memo per certificate enumeration; under
-  // TSan with an oversubscribed pool this pins that they share nothing.
+// ---------------------------------------------------------------------------
+// The detectors' scheduling Pc against the oracle.
+
+/// A seeded random certificate: a small DAG shape with forward rank
+/// constraints between its real ops.
+wm::WatermarkCertificate randomCertificate(std::uint64_t seed) {
+  cdfg::SplitMix64 rng(seed);
+  cdfg::RandomDfgOptions ro;
+  ro.operations = 6 + rng.below(6);
+  ro.inputs = 2;
+  ro.width = 2 + rng.below(3);
+  wm::WatermarkCertificate cert;
+  cert.shape = cdfg::randomDfg(ro, seed);
+  std::vector<NodeId> topo;
+  for (const NodeId v : cert.shape.topologicalOrder()) {
+    if (LatencyModel::unit().latency(cert.shape.node(v).kind) > 0) {
+      topo.push_back(v);
+    }
+  }
+  for (std::uint64_t i = 1 + rng.below(4); i > 0; --i) {
+    const std::size_t a = rng.below(topo.size() - 1);
+    const std::size_t b = a + 1 + rng.below(topo.size() - 1 - a);
+    cert.constraints.push_back({topo[a].value(), topo[b].value()});
+  }
+  return cert;
+}
+
+TEST(Pc, SchedulingPcMatchesOracleOnSeededShapes) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const wm::WatermarkCertificate cert = randomCertificate(seed);
+    const wm::PcEstimate pc = wm::schedulingPc(cert, 1);
+    ASSERT_TRUE(pc.exact) << seed;
+    auto [psi_n, psi_w] =
+        psiOptions(cert, wm::kPcDeadlineSlack, wm::kPcWorkBudget);
+    EXPECT_GE(pc.deadline, *psi_n.deadline) << seed;
+    psi_n.deadline = psi_w.deadline = pc.deadline;
+    const CountResult n = oracleCount(cert.shape, psi_n);
+    const CountResult w = oracleCount(cert.shape, psi_w);
+    ASSERT_TRUE(n.exact && w.exact) << seed;
+    EXPECT_EQ(pc.schedules_unconstrained, n.count) << seed;
+    EXPECT_EQ(pc.schedules_constrained, w.count) << seed;
+    EXPECT_GT(w.count, 0u) << seed;
+    EXPECT_DOUBLE_EQ(pc.log10_pc, std::log10(static_cast<double>(w.count)) -
+                                      std::log10(static_cast<double>(n.count)))
+        << seed;
+    // §IV-B's multiplier: each further place the shape occurs adds a
+    // chance of coincidence.
+    EXPECT_DOUBLE_EQ(wm::schedulingPc(cert, 3).log10_pc,
+                     pc.log10_pc + std::log10(3.0))
+        << seed;
+  }
+}
+
+TEST(Pc, SchedulingPcIndependentOfThreadCount) {
+  // The counts of concurrent calls each own their memo; under TSan with an
+  // oversubscribed pool this pins that they share nothing.
   const auto certs = mediaBenchCertificates(2);
   ASSERT_FALSE(certs.empty());
-  constexpr std::uint64_t kBudget = 2'000'000;
-  std::vector<std::optional<wm::PcEstimate>> serial;
+  std::vector<wm::PcEstimate> serial;
   for (const wm::WatermarkCertificate& cert : certs) {
-    try {
-      serial.push_back(wm::exactSchedulingPc(cert, 2, kBudget));
-    } catch (const Error&) {
-      serial.push_back(std::nullopt);
-    }
+    serial.push_back(wm::schedulingPc(cert, 1));
   }
   for (const std::size_t threads : {1u, 2u, 8u}) {
     rt::setThreadCount(threads);
-    const wm::AggregatePc agg = wm::aggregateSchedulingPc(certs, 2, kBudget);
-    ASSERT_EQ(agg.per_certificate.size(), serial.size());
-    double combined = 0;
-    std::size_t failed = 0;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(agg.per_certificate[i].has_value(), serial[i].has_value())
-          << "cert " << i << " at " << threads << " threads";
-      if (serial[i]) {
-        EXPECT_EQ(agg.per_certificate[i]->schedules_unconstrained,
-                  serial[i]->schedules_unconstrained);
-        EXPECT_EQ(agg.per_certificate[i]->schedules_constrained,
-                  serial[i]->schedules_constrained);
-        combined += serial[i]->log10_pc;
-      } else {
-        ++failed;
-      }
+    std::vector<wm::PcEstimate> got(certs.size());
+    rt::parallel_for(0, certs.size(), /*grain=*/1, [&](std::size_t i) {
+      got[i] = wm::schedulingPc(certs[i], 1);
+    });
+    for (std::size_t i = 0; i < certs.size(); ++i) {
+      EXPECT_EQ(got[i].exact, serial[i].exact) << i << " @" << threads;
+      EXPECT_EQ(got[i].log10_pc, serial[i].log10_pc) << i << " @" << threads;
+      EXPECT_EQ(got[i].schedules_unconstrained,
+                serial[i].schedules_unconstrained);
+      EXPECT_EQ(got[i].schedules_constrained, serial[i].schedules_constrained);
     }
-    EXPECT_EQ(agg.failed, failed);
-    EXPECT_EQ(agg.combined.log10_pc, combined);
   }
   rt::setThreadCount(0);
 }

@@ -74,18 +74,10 @@ std::string pipelineDigest(std::uint64_t seed) {
               std::to_string(det.total) + "/" +
               std::to_string(det.shape_matches) + "/" +
               std::to_string(det.root.isValid() ? det.root.value() : 0);
-    digest +=
-        "|conf:" + bits(wm::detectionConfidenceLog10(m.certificate,
-                                                     det.satisfied));
+    const wm::PcEstimate pc =
+        wm::schedulingPc(m.certificate, det.shape_matches);
+    digest += "|pc:" + bits(pc.log10_pc) + "/" + std::to_string(pc.exact);
   }
-
-  std::vector<wm::WatermarkCertificate> certs;
-  for (const auto& m : marks) {
-    certs.push_back(m.certificate);
-  }
-  const auto agg = wm::aggregateSchedulingPc(certs);
-  digest += "|pc:" + bits(agg.combined.log10_pc) + "/" +
-            std::to_string(agg.failed);
 
   check::Linter linter;
   linter.lintText(cdfg::printToString(g), "pin.cdfg");

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "cdfg/random_dfg.h"
 #include "core/certificate_io.h"
 #include "core/locality.h"
+#include "core/pc.h"
 #include "core/reg_wm.h"
 #include "core/sched_wm.h"
 #include "core/screen.h"
@@ -367,6 +369,46 @@ TEST(CorpusScan, PrunedPairsReplayEmpty) {
           << corpus.items[i].path << " x " << entry.cert_path
           << ": pruned pair has a shape match — the screen is unsound";
     }
+  }
+}
+
+// --- detect and scan report one Pc ----------------------------------------
+
+TEST(Pc, DetectAndScanReportTheSamePc) {
+  // Each planted (design, certificate) pair scanned alone: the design
+  // row's pc_log10 is the Pc detect prints for it, the shape-match
+  // multiplier included.
+  const BuiltCorpus corpus = smallCorpus(7);
+  ASSERT_FALSE(corpus.planted.empty());
+  for (const auto& [item_index, entry_index] : corpus.planted) {
+    const CorpusItem& item = corpus.items[item_index];
+    const KeyRingEntry& entry = corpus.ring.entries()[entry_index];
+    ASSERT_TRUE(entry.sched.has_value());
+
+    // detect: identify the certificate on the design, check the schedule.
+    const cdfg::Cdfg design = cdfg::parseString(item.design_text);
+    const sched::Schedule schedule =
+        sched::parseScheduleString(item.schedule_text, design.nodeCount());
+    wm::Identification id = wm::identify(
+        wm::LocalityDeriver(design),
+        {wm::replayQuery(entry.signature, *entry.sched)});
+    const wm::SchedDetectResult det =
+        wm::SchedDetector(*entry.sched, std::move(id.hits[0])).check(schedule);
+    ASSERT_TRUE(det.found);
+    const wm::PcEstimate pc = wm::schedulingPc(*entry.sched, det.shape_matches);
+
+    KeyRing ring;
+    ring.add(entry.signature, entry.cert_path, *entry.sched);
+    const ScanResult scanned = scanCorpus({item}, ring, {});
+    ASSERT_FALSE(scanned.rows.empty());
+    const std::string& row = scanned.rows.front();
+    const std::size_t at = row.find("\"pc_log10\":");
+    ASSERT_NE(at, std::string::npos) << row;
+    EXPECT_EQ(std::strtod(row.c_str() + at + 11, nullptr), pc.log10_pc)
+        << row;
+    EXPECT_NE(row.find(pc.exact ? "\"pc_exact\":true" : "\"pc_exact\":false"),
+              std::string::npos)
+        << row;
   }
 }
 

@@ -365,48 +365,57 @@ TEST(Attack, EdgeSurvivalBounds) {
   EXPECT_THROW((void)edgeSurvivalProbability(1.5), Error);
 }
 
-TEST(Pc, DetectionConfidenceTail) {
-  Cdfg g = workloads::waveFilter(8);
-  SchedulingWatermarker marker(alice());
-  SchedWmParams p = midParams(g);
-  p.alpha = 0.0;
-  p.k_fraction = 0.8;
-  const auto r = marker.embed(g, p);
-  ASSERT_TRUE(r.has_value());
-  const std::size_t k = r->certificate.constraints.size();
-  ASSERT_GE(k, 3u);
-
-  // Full satisfaction is the least likely observation; the tail grows
-  // monotonically as fewer constraints are required.
-  double prev = -1e9;
-  for (std::size_t satisfied = k;; --satisfied) {
-    const double conf = detectionConfidenceLog10(r->certificate, satisfied);
-    EXPECT_GE(conf, prev);
-    EXPECT_LE(conf, 0.0);
-    prev = conf;
-    if (satisfied == 0) {
-      break;
-    }
+TEST(Pc, UnsatisfiableSlackRaisesDeadlineToConstrainedCriticalPath) {
+  // Four independent adds (critical path 1) chained by three constraints:
+  // at deadline CP + slack = 2 no schedule meets them (ΨW = 0), but the
+  // author's schedule does at the constrained critical path, 4.
+  WatermarkCertificate cert;
+  for (int i = 0; i < 4; ++i) {
+    (void)cert.shape.addNode(cdfg::OpKind::kAdd);
   }
-  // Requiring nothing is certain.
-  EXPECT_DOUBLE_EQ(detectionConfidenceLog10(r->certificate, 0), 0.0);
-  EXPECT_THROW((void)detectionConfidenceLog10(r->certificate, k + 1), Error);
+  cert.constraints = {{0, 1}, {1, 2}, {2, 3}};
+  const PcEstimate pc = schedulingPc(cert, 1);
+  EXPECT_TRUE(pc.exact);
+  EXPECT_EQ(pc.deadline, 4u);
+  EXPECT_EQ(pc.schedules_constrained, 1u);
+  EXPECT_EQ(pc.schedules_unconstrained, 256u);  // 4^4
+  EXPECT_DOUBLE_EQ(pc.log10_pc, -std::log10(256.0));
 }
 
-TEST(Pc, DetectionConfidenceMatchesSingleEdgeProbability) {
-  // One constraint: the tail at satisfied=1 is exactly the edge's window
-  // probability.
+TEST(Pc, UncountableConstraintsFallBackToApprox) {
+  // Constraints no schedule meets (a self constraint, a cycle, a pseudo-op
+  // endpoint) cannot be counted; schedulingPc still rates them.
+  WatermarkCertificate base;
+  (void)base.shape.addNode(cdfg::OpKind::kInput);
+  for (int i = 0; i < 3; ++i) {
+    (void)base.shape.addNode(cdfg::OpKind::kAdd);
+  }
+  for (const std::vector<RankConstraint>& constraints :
+       std::vector<std::vector<RankConstraint>>{
+           {{1, 1}}, {{1, 2}, {2, 1}}, {{0, 2}}}) {
+    WatermarkCertificate cert = base;
+    cert.constraints = constraints;
+    EXPECT_THROW((void)exactSchedulingPc(cert, 1), Error);
+    const PcEstimate pc = schedulingPc(cert, 1);
+    EXPECT_FALSE(pc.exact);
+    EXPECT_EQ(pc.deadline, 2u);
+    EXPECT_LT(pc.log10_pc, 0.0);
+  }
+}
+
+TEST(Pc, CountPastTwoToThe64FallsBackToApprox) {
+  // 64 independent adds in 2 steps: ΨN = 2^64 does not fit a count, so the
+  // estimate is the window approximation at the same deadline.
   WatermarkCertificate cert;
-  cert.context = "t";
-  // shape: in-degenerate two independent adds fed by one input.
-  const cdfg::NodeId a = cert.shape.addNode(cdfg::OpKind::kAdd);
-  const cdfg::NodeId b = cert.shape.addNode(cdfg::OpKind::kAdd);
-  (void)a;
-  (void)b;
-  cert.constraints.push_back(RankConstraint{0, 1});
-  const double conf = detectionConfidenceLog10(cert, 1, /*slack=*/1);
-  // Both windows are [0,1]: P(a<b) = 1/4.
-  EXPECT_NEAR(std::pow(10.0, conf), 0.25, 1e-9);
+  for (int i = 0; i < 64; ++i) {
+    (void)cert.shape.addNode(cdfg::OpKind::kAdd);
+  }
+  cert.constraints = {{0, 1}};
+  const PcEstimate pc = schedulingPc(cert, 1);
+  EXPECT_FALSE(pc.exact);
+  EXPECT_EQ(pc.deadline, 2u);
+  EXPECT_DOUBLE_EQ(pc.log10_pc, std::log10(orderProbability(0, 1, 0, 1)));
+  EXPECT_THROW((void)exactSchedulingPc(cert, 1), Error);
 }
 
 }  // namespace

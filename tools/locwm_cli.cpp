@@ -516,24 +516,18 @@ int cmdDetect(const Args& args) {
     const wm::WatermarkCertificate& cert = certs[i];
     const wm::SchedDetectResult det =
         wm::SchedDetector(cert, std::move(id.hits[i])).check(s);
-    // Proof strength: the locality's schedule-count ratio, times the
-    // number of places the locality shape occurs ("the number of nodes
-    // from which one can find the subtree T", §IV-B's multiplier).
-    std::string strength = "n/a";
+    // Proof strength of a found mark: the locality's schedule-count ratio
+    // times the number of places the locality shape occurs ("the number of
+    // nodes from which one can find the subtree T", §IV-B's multiplier).
+    char strength[48] = "";
     if (det.found) {
-      try {
-        const auto pc = wm::exactSchedulingPc(cert, 2);
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "Pc<=%.2e",
-                      pc.pc() * static_cast<double>(det.shape_matches));
-        strength = buf;
-      } catch (const Error&) {
-        strength = "Pc n/a (locality too large to enumerate)";
-      }
+      const wm::PcEstimate pc = wm::schedulingPc(cert, det.shape_matches);
+      std::snprintf(strength, sizeof strength,
+                    pc.exact ? ", Pc<=%.2e" : ", Pc~%.2e (approx)", pc.pc());
     }
-    note("%-24s %s (%zu/%zu constraints, %zu shape matches, %s)\n",
+    note("%-24s %s (%zu/%zu constraints, %zu shape matches%s)\n",
          args.positional[i + 2].c_str(), det.found ? "DETECTED" : "not found",
-         det.satisfied, det.total, det.shape_matches, strength.c_str());
+         det.satisfied, det.total, det.shape_matches, strength);
     found += det.found;
   }
   return found > 0 ? 0 : 1;
@@ -675,12 +669,9 @@ int cmdVerifyCert(const Args& args) {
           std::printf("%-24s sched: %zu-op locality, %zu constraints",
                       path.c_str(), cert.shape.nodeCount(),
                       cert.constraints.size());
-          try {
-            const auto pc = wm::exactSchedulingPc(cert, 2);
-            std::printf(", Pc = %.2e\n", pc.pc());
-          } catch (const Error&) {
-            std::printf(", Pc not enumerable\n");
-          }
+          const wm::PcEstimate pc = wm::schedulingPc(cert, 1);
+          std::printf(pc.exact ? ", Pc = %.2e\n" : ", Pc~%.2e (approx)\n",
+                      pc.pc());
           break;
         }
       }

@@ -114,6 +114,32 @@ inline double percentile(std::vector<double> samples, double q) {
   return samples[rank - 1];
 }
 
+/// The host's CPU model (the first "model name" of /proc/cpuinfo;
+/// "unknown" where there is none), stamped on every JSON row so a
+/// baseline says what it was recorded on.
+inline std::string cpuModel() {
+  std::FILE* in = std::fopen("/proc/cpuinfo", "r");
+  if (in == nullptr) {
+    return "unknown";
+  }
+  std::string model = "unknown";
+  char line[512];
+  while (std::fgets(line, sizeof line, in) != nullptr) {
+    if (std::strncmp(line, "model name", 10) != 0) {
+      continue;
+    }
+    const char* value = std::strchr(line, ':');
+    if (value != nullptr) {
+      model = value + 1;
+      model.erase(0, model.find_first_not_of(" \t"));
+      model.erase(model.find_last_not_of(" \t\n") + 1);
+    }
+    break;
+  }
+  std::fclose(in);
+  return model;
+}
+
 /// One named cell of a table row, pre-rendered as JSON.
 struct Field {
   std::string name;
@@ -170,6 +196,9 @@ class JsonReport {
     std::vector<Field> all(fields);
     all.emplace_back("git_describe", LOCWM_GIT_DESCRIBE);
     all.emplace_back("build_type", LOCWM_BUILD_TYPE);
+    all.emplace_back("cpu_model", cpuModel());
+    all.emplace_back("hardware_threads",
+                     static_cast<std::uint64_t>(rt::hardwareThreads()));
     std::sort(all.begin(), all.end(), [](const Field& a, const Field& b) {
       return a.name < b.name;
     });

@@ -10,19 +10,6 @@ namespace locwm::check {
 
 namespace {
 
-/// Composite key, matching Report's dedupe index.
-std::string keyOf(const std::string& code, const std::string& artifact,
-                  const std::string& location) {
-  std::string key;
-  key.reserve(code.size() + artifact.size() + location.size() + 2);
-  key += code;
-  key += '\x1f';
-  key += artifact;
-  key += '\x1f';
-  key += location;
-  return key;
-}
-
 [[noreturn]] void fail(const std::string& why) {
   throw std::runtime_error(why);
 }
@@ -32,7 +19,7 @@ std::string keyOf(const std::string& code, const std::string& artifact,
 Baseline Baseline::fromReport(const Report& report) {
   Baseline b;
   for (const Diagnostic& d : report.diagnostics()) {
-    b.keys_.insert(keyOf(d.code, d.artifact, d.location));
+    b.keys_.insert(findingKey(d));
   }
   return b;
 }
@@ -88,7 +75,7 @@ Baseline Baseline::parse(const std::string& text) try {
         if (code.empty()) {
           fail("finding without a code");
         }
-        b.keys_.insert(keyOf(code, artifact, location));
+        b.keys_.insert(findingKey(code, artifact, location));
       }
       s.expect(']');
     } else {
@@ -130,7 +117,7 @@ std::string Baseline::toJson() const {
 }
 
 bool Baseline::contains(const Diagnostic& d) const {
-  return keys_.count(keyOf(d.code, d.artifact, d.location)) != 0;
+  return keys_.count(findingKey(d)) != 0;
 }
 
 Report Baseline::filterNew(const Report& report) const {

@@ -1,10 +1,11 @@
 // Finding baselines — `locwm lint --baseline FILE` suppression/ratchet.
 //
-// A baseline is the set of known findings, keyed exactly like the Report
-// dedupe index: (code, artifact, location).  Linting against a baseline
-// reports only findings NOT in the set, so a corpus with accepted debt can
-// ratchet (new findings fail, old ones don't) instead of hard-failing;
-// `--update-baseline` regenerates the file from the current run.
+// A baseline is the set of known findings, keyed by findingKey (code,
+// artifact, location), the key a Report deduplicates on.  Linting against
+// a baseline reports only findings NOT in the set, so a corpus with
+// accepted debt can ratchet (new findings fail, old ones don't) instead
+// of hard-failing; `--update-baseline` regenerates the file from the
+// current run.
 //
 // Format (schema_version 1, deterministic: sorted keys, stable escaping):
 //   {"schema_version": 1,
@@ -41,7 +42,7 @@ class Baseline {
   [[nodiscard]] Report filterNew(const Report& report) const;
 
  private:
-  /// Same composite key as Report's dedupe index.
+  /// findingKey of each known finding.
   std::unordered_set<std::string> keys_;
 };
 

@@ -17,6 +17,7 @@
 //   LW5xx  certificate rules
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -42,6 +43,23 @@ struct Diagnostic {
   std::string hint;      ///< how to fix / why it matters (may be empty)
 };
 
+/// The identity of a finding: (code, artifact, location).  Two findings
+/// with one key report the same defect, and a report keeps the first.
+/// Report::add, checkProject's merge and lint baselines all key on this.
+[[nodiscard]] std::string findingKey(std::string_view code,
+                                     std::string_view artifact,
+                                     std::string_view location);
+[[nodiscard]] inline std::string findingKey(const Diagnostic& d) {
+  return findingKey(d.code, d.artifact, d.location);
+}
+
+/// Output formats of a report.
+enum class ReportFormat : std::uint8_t { kText, kJson, kSarif };
+
+/// Findings per rendered piece.  Pieces render in parallel; a fixed grain
+/// keeps the piece boundaries independent of the thread count.
+inline constexpr std::size_t kRenderGrain = 1024;
+
 /// An ordered collection of diagnostics from one lint run.  Order is the
 /// order rules emitted them (rules are deterministic, so two runs over the
 /// same artifacts produce identical reports).
@@ -53,6 +71,11 @@ class Report {
   /// defect is what the exit-code and rendering contracts want.
   void add(Diagnostic d);
   void merge(Report other);
+
+  /// A report of `diags` in order, which the caller has already
+  /// deduplicated by findingKey (first occurrence kept).  Nothing is
+  /// hashed until a later add().
+  [[nodiscard]] static Report fromUnique(std::vector<Diagnostic> diags);
 
   [[nodiscard]] const std::vector<Diagnostic>& diagnostics() const noexcept {
     return diagnostics_;
@@ -66,29 +89,47 @@ class Report {
     return count(Severity::kWarning) > 0;
   }
 
+  /// The report as `format`, in consecutive pieces whose concatenation is
+  /// the document: a head, one piece per kRenderGrain findings (rendered
+  /// in parallel), a tail.  Writers emit the pieces in order.
+  [[nodiscard]] std::vector<std::string> renderPieces(
+      ReportFormat format) const;
+
   /// One "artifact: severity CODE: message [location] (hint)" line per
   /// diagnostic plus a trailing summary line.
-  [[nodiscard]] std::string renderText() const;
+  [[nodiscard]] std::string renderText() const {
+    return render(ReportFormat::kText);
+  }
 
   /// Machine-readable form:
   ///   {"diagnostics": [{"code": ..., "severity": ..., "artifact": ...,
   ///     "location": ..., "message": ..., "hint": ...}, ...],
   ///    "summary": {"errors": N, "warnings": N, "infos": N}}
   /// Deterministic: identical inputs render byte-identical JSON.
-  [[nodiscard]] std::string renderJson() const;
+  [[nodiscard]] std::string renderJson() const {
+    return render(ReportFormat::kJson);
+  }
 
   /// SARIF 2.1.0 (the format GitHub code scanning ingests): one run whose
   /// tool driver is "locwm" with rule metadata from check::allRules(), one
   /// result per diagnostic.  Severity maps info->note, warning->warning,
   /// error->error; the artifact becomes the physical location URI and the
   /// in-artifact location the logical location.  Deterministic.
-  [[nodiscard]] std::string renderSarif() const;
+  [[nodiscard]] std::string renderSarif() const {
+    return render(ReportFormat::kSarif);
+  }
 
  private:
+  /// renderPieces(format), joined.
+  [[nodiscard]] std::string render(ReportFormat format) const;
+
   std::vector<Diagnostic> diagnostics_;
-  /// Dedupe index over (code, artifact, location); keeps add() linear over
-  /// a whole run (a semantic rule can emit thousands of findings).
+  /// Dedupe index over findingKey; keeps add() linear over a whole run (a
+  /// semantic rule can emit thousands of findings).  Holds the keys of
+  /// diagnostics_[0, indexed_): add() indexes the rest first, so a report
+  /// from fromUnique() pays for hashing only when something is added.
   std::unordered_set<std::string> seen_;
+  std::size_t indexed_ = 0;
 };
 
 }  // namespace locwm::check

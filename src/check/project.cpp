@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <optional>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "cdfg/csr.h"
@@ -31,7 +34,8 @@ namespace {
 using detail::diag;
 
 /// LW804 does not run above this many nodes: the closure is O(N^2/64)
-/// words of memory and time per schedule.
+/// words of memory and time per schedule.  A schedule of a larger design
+/// gets one LW810 instead.
 constexpr std::size_t kClosureNodeBound = 20000;
 
 // ---------------------------------------------------------------------------
@@ -265,11 +269,30 @@ std::array<std::uint32_t, cdfg::kOpKindCount> opHistogram(
   return h;
 }
 
+/// What the self stage parsed that a pair check reads again: a design, or
+/// a certificate.  Kept until the artifact's last pair-stage reader ran.
+struct Parsed {
+  std::optional<cdfg::Cdfg> design;
+  std::variant<std::monostate, wm::WatermarkCertificate, wm::TmCertificate,
+               wm::RegCertificate>
+      cert;
+};
+
+/// The certificate the self stage kept, read here when it was a cache hit.
+template <typename Cert>
+const Cert& certOf(Parsed& parsed, const WorkspaceArtifact& a) {
+  if (!std::holds_alternative<Cert>(parsed.cert)) {
+    parsed.cert = readCertificate<Cert>(a.text, a.path);
+  }
+  return std::get<Cert>(parsed.cert);
+}
+
 /// Per-artifact self analysis (everything that needs no second artifact).
-/// Must be a pure function of (text, path): its output is cached by
-/// content digest.
+/// Its findings and metadata must be a pure function of (text, path):
+/// they are cached by content digest.  A design or certificate it read is
+/// left in `parsed`.
 CacheEntry selfAnalyze(const std::string& text, const std::string& path,
-                       const SniffResult& sniff) {
+                       const SniffResult& sniff, Parsed& parsed) {
   CacheEntry out;
   out.has_meta = true;
   ArtifactMeta& m = out.meta;
@@ -283,7 +306,8 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
     switch (sniff.kind) {
       case ArtifactKind::kDesign:
         m.node_count = static_cast<std::uint32_t>(
-            lintDesign(text, path, out.diags).nodeCount());
+            parsed.design.emplace(lintDesign(text, path, out.diags))
+                .nodeCount());
         m.usable = true;
         break;
       // A schedule, cover or binding cannot be fully parsed without its
@@ -315,14 +339,17 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
         m.usable = true;
         break;
       case ArtifactKind::kCertSched:
-        certMeta(lintCertificate<wm::WatermarkCertificate>(text, path,
-                                                           out.diags));
+        certMeta(parsed.cert.emplace<wm::WatermarkCertificate>(
+            lintCertificate<wm::WatermarkCertificate>(text, path,
+                                                      out.diags)));
         break;
       case ArtifactKind::kCertTm:
-        certMeta(lintCertificate<wm::TmCertificate>(text, path, out.diags));
+        certMeta(parsed.cert.emplace<wm::TmCertificate>(
+            lintCertificate<wm::TmCertificate>(text, path, out.diags)));
         break;
       case ArtifactKind::kCertReg:
-        certMeta(lintCertificate<wm::RegCertificate>(text, path, out.diags));
+        certMeta(parsed.cert.emplace<wm::RegCertificate>(
+            lintCertificate<wm::RegCertificate>(text, path, out.diags)));
         break;
       case ArtifactKind::kManifest:
         out.diags.push_back(diag(
@@ -354,12 +381,24 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
 /// see.  At most one finding per violating node, naming its smallest-id
 /// scheduled transitive predecessor that starts later; findings are
 /// ordered by that predecessor, then by node.  A cyclic design yields
-/// none (LW103 territory).
+/// none (LW103 territory).  Above kClosureNodeBound nodes the check does
+/// not run, and says so (LW810).
 void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
                             const std::string& name,
                             std::vector<Diagnostic>& out) {
   const std::size_t n = g.nodeCount();
-  if (n == 0 || n > kClosureNodeBound) {
+  if (n > kClosureNodeBound) {
+    out.push_back(diag(
+        "LW810", Severity::kInfo, name, {},
+        "precedence-closure check (LW804) not run: the design has " +
+            std::to_string(n) + " nodes, above the bound of " +
+            std::to_string(kClosureNodeBound),
+        "the per-edge schedule rules (LW202/LW203) still ran; transitive "
+        "inversions through unscheduled or zero-latency operations are "
+        "unchecked"));
+    return;
+  }
+  if (n == 0) {
     return;
   }
   const PrecedenceClosure closure =
@@ -456,8 +495,76 @@ std::string refNoun(ArtifactKind kind) {
 std::string ruleSetVersion() {
   // v6: a binding entry's register word that is no number is an LW001
   // naming the word ("malformed register '<word>'"); v5 entries word it as
-  // a missing register.
+  // a missing register.  The rule count (LW810 added one) changes the
+  // version too.
   return "lw" + std::to_string(allRules().size()) + ".v6";
+}
+
+Report mergeFindings(const Workspace& ws, std::vector<ArtifactFindings> found,
+                     std::vector<Diagnostic> ring) {
+  LOCWM_OBS_SPAN("check.project.merge");
+  // A key names its artifact, so each artifact deduplicates the findings
+  // that name it in its own shard, in report order: the load findings
+  // (the seed), its own findings, then the ring findings.
+  const std::size_t n = found.size();
+  const std::vector<Diagnostic>& load = ws.loadReport().diagnostics();
+  std::vector<std::vector<const Diagnostic*>> load_at(n);
+  for (const Diagnostic& d : load) {
+    if (const std::ptrdiff_t t = ws.indexOf(d.artifact); t >= 0) {
+      load_at[static_cast<std::size_t>(t)].push_back(&d);
+    }
+  }
+  std::vector<std::vector<std::size_t>> ring_at(n);
+  for (std::size_t r = 0; r < ring.size(); ++r) {
+    ring_at[static_cast<std::size_t>(ws.indexOf(ring[r].artifact))].push_back(
+        r);
+  }
+  std::vector<char> ring_kept(ring.size(), 0);
+  std::vector<std::vector<Diagnostic>> merged(n);
+  rt::parallel_for(0, n, 1, [&](std::size_t i) {
+    ArtifactFindings& f = found[i];
+    const std::size_t count =
+        f.self.size() + f.resolution.size() + f.pair.size();
+    std::unordered_set<std::string> seen;
+    seen.reserve(load_at[i].size() + count + ring_at[i].size());
+    for (const Diagnostic* d : load_at[i]) {
+      seen.insert(findingKey(*d));
+    }
+    std::vector<Diagnostic>& out = merged[i];
+    out.reserve(count);
+    for (std::vector<Diagnostic>* from : {&f.self, &f.resolution, &f.pair}) {
+      for (Diagnostic& d : *from) {
+        if (seen.insert(findingKey(d)).second) {
+          out.push_back(std::move(d));
+        }
+      }
+      *from = {};
+    }
+    for (const std::size_t r : ring_at[i]) {
+      ring_kept[r] = seen.insert(findingKey(ring[r])).second ? 1 : 0;
+    }
+  });
+  // The splice: each shard's findings move to their offset in the report.
+  std::vector<std::size_t> offset(n + 1, load.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    offset[i + 1] = offset[i] + merged[i].size();
+  }
+  std::vector<Diagnostic> all;
+  all.reserve(offset[n] + static_cast<std::size_t>(std::count(
+                              ring_kept.begin(), ring_kept.end(), 1)));
+  all.resize(offset[n]);
+  std::copy(load.begin(), load.end(), all.begin());
+  rt::parallel_for(0, n, 1, [&](std::size_t i) {
+    std::move(merged[i].begin(), merged[i].end(),
+              all.begin() + static_cast<std::ptrdiff_t>(offset[i]));
+    merged[i] = {};
+  });
+  for (std::size_t r = 0; r < ring.size(); ++r) {
+    if (ring_kept[r] != 0) {
+      all.push_back(std::move(ring[r]));
+    }
+  }
+  return Report::fromUnique(std::move(all));
 }
 
 ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
@@ -476,8 +583,10 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     arts[i].digest = crypto::sha256Hex(arts[i].text);
   });
 
-  // Phase 2: self analysis, cache-served per (path, digest).
-  std::vector<CacheEntry> self(n);
+  // Phase 2: self analysis, cache-served per (path, digest).  A miss
+  // keeps the design or certificate it parsed for the pair stage.
+  std::vector<ArtifactFindings> found(n);
+  std::vector<Parsed> parsed(n);
   std::vector<char> self_hit(n, 0);
   std::vector<char> self_probed(n, 0);
   std::vector<char> self_stored(n, 0);
@@ -485,35 +594,33 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     LOCWM_OBS_LATENCY("check.project.shard_ns");
     WorkspaceArtifact& a = arts[i];
     if (a.meta.kind == ArtifactKind::kUnreadable) {
-      self[i].has_meta = true;
-      self[i].meta = a.meta;
       return;
     }
     const store::KeyFields key = {kEntryFormat, ruleset, a.path, a.digest};
+    std::optional<CacheEntry> entry;
     if (cached) {
       self_probed[i] = 1;
-      std::optional<CacheEntry> entry;
       if (const auto body = cache.get("self", key)) {
         entry = parseEntry(*body);
       }
-      if (entry.has_value() && entry->has_meta) {
-        self[i] = std::move(*entry);
-        self_hit[i] = 1;
-        a.meta = self[i].meta;
-        return;
+      if (entry.has_value() && !entry->has_meta) {
+        entry.reset();
+      }
+      self_hit[i] = entry.has_value() ? 1 : 0;
+    }
+    if (!entry.has_value()) {
+      entry = selfAnalyze(a.text, a.path, sniffArtifact(a.text), parsed[i]);
+      if (cached && cache.put("self", key, entryToJson(*entry))) {
+        self_stored[i] = 1;
       }
     }
-    self[i] = selfAnalyze(a.text, a.path, sniffArtifact(a.text));
-    a.meta = self[i].meta;
-    if (cached && cache.put("self", key, entryToJson(self[i]))) {
-      self_stored[i] = 1;
-    }
+    a.meta = entry->meta;
+    found[i].self = std::move(entry->diags);
   });
 
   // Phase 3: reference resolution — a pure, serial function of the metas
   // and the manifest's explicit references.  Bindings resolve in a second
   // pass: their design arrives through the schedule they bind.
-  std::vector<std::vector<Diagnostic>> res(n);
   const auto resolveExplicit = [&](std::size_t i, const std::string& target,
                                    ArtifactKind expected,
                                    ArtifactKind expected2 =
@@ -524,7 +631,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     }
     const ArtifactMeta& tm_ = arts[static_cast<std::size_t>(t)].meta;
     if (tm_.kind != expected && tm_.kind != expected2) {
-      res[i].push_back(diag(
+      found[i].resolution.push_back(diag(
           "LW801", Severity::kError, arts[i].path, {},
           "reference '" + target + "' is a " +
               std::string(artifactKindName(tm_.kind)) + ", not a " +
@@ -533,7 +640,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       return static_cast<std::ptrdiff_t>(-1);
     }
     if (!tm_.usable) {
-      res[i].push_back(diag(
+      found[i].resolution.push_back(diag(
           "LW802", Severity::kError, arts[i].path, {},
           "referenced " + std::string(artifactKindName(expected)) + " '" +
               target + "' failed to parse",
@@ -557,14 +664,14 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       ++count;
     }
     if (count == 0) {
-      res[i].push_back(diag(
+      found[i].resolution.push_back(diag(
           "LW802", Severity::kError, arts[i].path, {},
           "dangling reference: no compatible " +
               std::string(artifactKindName(wanted)) + " in the workspace",
           "add the " + refNoun(arts[i].meta.kind) +
               " this artifact belongs to, or name it in a manifest"));
     } else if (count > 1) {
-      res[i].push_back(diag(
+      found[i].resolution.push_back(diag(
           "LW803", Severity::kWarning, arts[i].path, {},
           "ambiguous reference: " + std::to_string(count) + " compatible " +
               std::string(artifactKindName(wanted)) + "s; assuming '" +
@@ -589,7 +696,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     const auto rejectRef = [&](const std::optional<std::string>& ref,
                                const char* key) {
       if (ref.has_value()) {
-        res[i].push_back(diag(
+        found[i].resolution.push_back(diag(
             "LW801", Severity::kError, a.path, {},
             "a " + std::string(artifactKindName(m.kind)) + " takes no " +
                 key + " reference",
@@ -643,7 +750,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
           }
         }
         if (count > 1) {
-          res[i].push_back(diag(
+          found[i].resolution.push_back(diag(
               "LW803", Severity::kWarning, a.path, {},
               "ambiguous reference: " + std::to_string(count) +
                   " libraries; assuming '" +
@@ -670,7 +777,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     }
     if (a.schedule >= 0 &&
         arts[static_cast<std::size_t>(a.schedule)].design < 0) {
-      res[i].push_back(diag(
+      found[i].resolution.push_back(diag(
           "LW802", Severity::kError, a.path, {},
           "referenced schedule '" +
               arts[static_cast<std::size_t>(a.schedule)].path +
@@ -687,7 +794,6 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       crypto::sha256Hex(tm::libraryToString(options.library));
   std::vector<store::KeyFields> pair_key(n);
   std::vector<char> pair_needed(n, 0);
-  std::vector<std::vector<Diagnostic>> pair_diags(n);
   std::vector<char> pair_hit(n, 0);
   std::vector<char> pair_probed(n, 0);
   std::vector<char> pair_stored(n, 0);
@@ -757,43 +863,60 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       entry = parseEntry(*body);
     }
     if (entry.has_value()) {
-      pair_diags[i] = std::move(entry->diags);
+      found[i].pair = std::move(entry->diags);
       pair_hit[i] = 1;
     }
   });
-  // Parse the designs, libraries, and schedules the missed pair checks
-  // need — each exactly once, shared across dependents.
+  // The designs, libraries, and schedules the missed pair checks read —
+  // each parsed once and shared across dependents.  readers[t] counts the
+  // missed pair checks that read artifact t's parse; the last to finish
+  // drops it.
   std::vector<char> need_design(n, 0);
   std::vector<char> need_lib(n, 0);
   std::vector<char> need_sched(n, 0);
+  std::vector<std::atomic<std::uint32_t>> readers(n);
+  const auto designOf = [&](std::size_t i) {
+    const WorkspaceArtifact& a = arts[i];
+    return static_cast<std::size_t>(
+        a.meta.kind == ArtifactKind::kBinding
+            ? arts[static_cast<std::size_t>(a.schedule)].design
+            : a.design);
+  };
   for (std::size_t i = 0; i < n; ++i) {
     if (pair_needed[i] == 0 || pair_hit[i] != 0) {
       continue;
     }
     const WorkspaceArtifact& a = arts[i];
-    if (a.design >= 0) {
-      need_design[static_cast<std::size_t>(a.design)] = 1;
-    }
+    const std::size_t d = designOf(i);
+    need_design[d] = 1;
+    ++readers[d];
     if (a.library >= 0) {
       need_lib[static_cast<std::size_t>(a.library)] = 1;
+      ++readers[static_cast<std::size_t>(a.library)];
     }
     if (a.meta.kind == ArtifactKind::kSchedule) {
       need_sched[i] = 1;
+      ++readers[i];
     }
     if (a.meta.kind == ArtifactKind::kBinding) {
       const auto s = static_cast<std::size_t>(a.schedule);
       need_sched[s] = 1;
-      need_design[static_cast<std::size_t>(arts[s].design)] = 1;
+      ++readers[s];
     }
   }
-  std::vector<std::optional<cdfg::Cdfg>> designs(n);
+  // The self stage kept the designs it parsed; parse the ones it served
+  // from the cache, and drop the ones no missed pair check reads.
   std::vector<std::optional<tm::TemplateLibrary>> libs(n);
   rt::parallel_for(0, n, 1, [&](std::size_t i) {
+    std::optional<cdfg::Cdfg>& design = parsed[i].design;
     try {
-      if (need_design[i] != 0) {
+      if (need_design[i] == 0) {
+        design.reset();
+      } else if (!design.has_value()) {
         std::vector<cdfg::ParseIssue> issues;
-        designs[i] = cdfg::parseString(arts[i].text, issues, arts[i].path);
-      } else if (need_lib[i] != 0) {
+        design = cdfg::parseString(arts[i].text, issues, arts[i].path);
+      }
+      if (need_lib[i] != 0) {
         libs[i] = tm::parseLibraryString(arts[i].text);
       }
     } catch (const Error&) {
@@ -812,8 +935,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     if (need_sched[i] == 0) {
       return;
     }
-    const std::optional<cdfg::Cdfg>& dsg = designs[static_cast<std::size_t>(
-        arts[i].design)];
+    const std::optional<cdfg::Cdfg>& dsg = parsed[designOf(i)].design;
     if (!dsg.has_value()) {
       return;
     }
@@ -824,15 +946,21 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       s.diags.push_back(syntaxErrorDiag(arts[i].path, e.what()));
     }
   });
+  // Drops the design, library, or schedule t once its last reader has run.
+  // (A certificate has one reader, its own pair check, which drops it.)
+  const auto release = [&](std::size_t t) {
+    if (readers[t].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      parsed[t].design.reset();
+      libs[t].reset();
+      scheds[t] = {};
+    }
+  };
   // Artifact i's pair check against its resolved context.  A context that
   // failed to parse (a poisoned cache meta) leaves it unchecked.
   const auto pairCheck = [&](std::size_t i, std::vector<Diagnostic>& out) {
     const WorkspaceArtifact& a = arts[i];
-    const auto d = static_cast<std::size_t>(
-        a.meta.kind == ArtifactKind::kBinding
-            ? arts[static_cast<std::size_t>(a.schedule)].design
-            : a.design);
-    const std::optional<cdfg::Cdfg>& dsg = designs[d];
+    const std::size_t d = designOf(i);
+    const std::optional<cdfg::Cdfg>& dsg = parsed[d].design;
     if (!dsg.has_value()) {
       return;
     }
@@ -863,18 +991,16 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
         break;
       case ArtifactKind::kCertSched:
         checkLocalityExistence(
-            readCertificate<wm::WatermarkCertificate>(a.text, a.path), *dsg,
-            a.path, arts[d].path, out);
-        break;
-      case ArtifactKind::kCertTm:
-        checkLocalityExistence(
-            readCertificate<wm::TmCertificate>(a.text, a.path), *dsg, a.path,
+            certOf<wm::WatermarkCertificate>(parsed[i], a), *dsg, a.path,
             arts[d].path, out);
         break;
+      case ArtifactKind::kCertTm:
+        checkLocalityExistence(certOf<wm::TmCertificate>(parsed[i], a), *dsg,
+                               a.path, arts[d].path, out);
+        break;
       case ArtifactKind::kCertReg:
-        checkLocalityExistence(
-            readCertificate<wm::RegCertificate>(a.text, a.path), *dsg,
-            a.path, arts[d].path, out);
+        checkLocalityExistence(certOf<wm::RegCertificate>(parsed[i], a),
+                               *dsg, a.path, arts[d].path, out);
         break;
       default:
         break;
@@ -885,11 +1011,22 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       return;
     }
     LOCWM_OBS_LATENCY("check.project.shard_ns");
-    std::vector<Diagnostic>& out = pair_diags[i];
+    std::vector<Diagnostic>& out = found[i].pair;
     try {
       pairCheck(i, out);
     } catch (const Error& e) {
       out.push_back(syntaxErrorDiag(arts[i].path, e.what()));
+    }
+    parsed[i].cert = {};
+    const WorkspaceArtifact& a = arts[i];
+    release(designOf(i));
+    if (a.library >= 0) {
+      release(static_cast<std::size_t>(a.library));
+    }
+    if (a.meta.kind == ArtifactKind::kSchedule) {
+      release(i);
+    } else if (a.meta.kind == ArtifactKind::kBinding) {
+      release(static_cast<std::size_t>(a.schedule));
     }
     if (cached) {
       CacheEntry entry;
@@ -1020,23 +1157,8 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     }
   }
 
-  // Phase 6: deterministic merge — load report, per-artifact findings in
-  // path order (self, resolution, pair), then the ring findings.
-  result.report = ws.loadReport();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const Diagnostic& d : self[i].diags) {
-      result.report.add(d);
-    }
-    for (const Diagnostic& d : res[i]) {
-      result.report.add(d);
-    }
-    for (const Diagnostic& d : pair_diags[i]) {
-      result.report.add(d);
-    }
-  }
-  for (const Diagnostic& d : ring) {
-    result.report.add(d);
-  }
+  // Phase 6: deterministic merge.
+  result.report = mergeFindings(ws, std::move(found), std::move(ring));
 
   for (std::size_t i = 0; i < n; ++i) {
     result.stats.cache_probes += static_cast<std::size_t>(self_probed[i]) +

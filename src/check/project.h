@@ -7,16 +7,22 @@
 //   2. per-artifact *self* analysis (sniff, the per-artifact lint of the
 //      kinds that need no context, metadata extraction), sharded onto
 //      rt::Pool and served from the persistent cache when the artifact's
-//      digest is unchanged;
+//      digest is unchanged; a design or certificate it parses is kept for
+//      step 4;
 //   3. reference resolution: explicit manifest references, then
 //      compatibility-based inference (LW801/LW802/LW803);
 //   4. *pair* analysis of each artifact against its resolved context
 //      (the per-artifact lint of schedules, covers and bindings, the
 //      LW804 precedence-closure check, the LW805 locality-existence
-//      check), also sharded + cached;
+//      check), also sharded + cached.  It reads the designs and
+//      certificates step 2 kept and parses only those step 2 served from
+//      the cache, so a cold or --no-cache run parses each artifact once;
+//      a parse is dropped once its last reader has run;
 //   5. ring rules over the whole collection (LW806-LW809);
-//   6. deterministic merge: load report, then per-artifact findings in
-//      path order (self, resolution, pair), then ring findings.
+//   6. deterministic merge (mergeFindings): load report, then
+//      per-artifact findings in path order (self, resolution, pair), then
+//      ring findings, deduplicated per artifact in parallel shards and
+//      spliced in index order.
 //
 // The per-artifact lint is check/linter.h's, the one `locwm lint` runs,
 // so both modes report the same findings on an artifact in the same
@@ -26,9 +32,9 @@
 //
 // The report is byte-identical at any thread count and across cold/warm
 // cache runs — parallel stages write into per-artifact slots that are
-// merged serially in index order, and cache entries replay the exact
-// diagnostics the live analysis would emit (paths participate in every
-// cache key, so replayed artifact names are always current).
+// merged in index order, and cache entries replay the exact diagnostics
+// the live analysis would emit (paths participate in every cache key, so
+// replayed artifact names are always current).
 //
 // Cache layout (docs/STATIC_ANALYSIS.md has the full story): entries live
 // in a store::CacheDir (src/store/store.h) under the namespaces `self` and
@@ -42,6 +48,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "check/diagnostics.h"
 #include "check/workspace.h"
@@ -80,6 +87,26 @@ struct ProjectResult {
   Report report;
   ProjectStats stats;
 };
+
+/// One artifact's findings from steps 2-4, in report order.
+struct ArtifactFindings {
+  std::vector<Diagnostic> self;
+  std::vector<Diagnostic> resolution;
+  std::vector<Diagnostic> pair;
+};
+
+/// Step 6: the report a Report gives when `ws.loadReport()`'s findings,
+/// then each artifact's `found[i]` (self, resolution, pair) in index
+/// order, then `ring`, are add()ed to it in turn — every finding kept on
+/// the first occurrence of its findingKey.  Every finding of `found[i]`
+/// names artifact i of `ws`, and every ring finding names an artifact of
+/// `ws`: a key names its artifact, so each artifact deduplicates its own
+/// findings in a parallel shard, seeded with the load findings that name
+/// it, and a serial splice in index order moves them into the report
+/// without hashing.
+[[nodiscard]] Report mergeFindings(const Workspace& ws,
+                                   std::vector<ArtifactFindings> found,
+                                   std::vector<Diagnostic> ring);
 
 /// Analyzes `ws` as described above.  Mutates the workspace in place:
 /// digests, metadata, and resolved reference indices are filled in.

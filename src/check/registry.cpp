@@ -173,6 +173,10 @@ const std::vector<RuleInfo>& allRules() {
       {"LW809", Severity::kWarning, "workspace",
        "several distinct bindings claim the same schedule",
        "§IV-A"},
+      {"LW810", Severity::kInfo, "workspace",
+       "a schedule's design is above the LW804 closure bound, so its "
+       "precedence-closure check did not run",
+       "§IV-A"},
   };
   return kRules;
 }

@@ -15,9 +15,17 @@
 namespace locwm::obs {
 
 /// Appends `text` to `out` as the *contents* of a JSON string (no quotes),
-/// escaping the characters RFC 8259 requires.
+/// escaping the characters RFC 8259 requires.  Runs of bytes that need no
+/// escape are appended whole.
 inline void appendJsonEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
+  std::size_t run = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -40,26 +48,28 @@ inline void appendJsonEscaped(std::string& out, std::string_view text) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
+  out.append(text, run, text.size() - run);
+}
+
+/// Appends `text` to `out` as a quoted JSON string.
+inline void appendJsonString(std::string& out, std::string_view text) {
+  out += '"';
+  appendJsonEscaped(out, text);
+  out += '"';
 }
 
 /// `text` as a quoted JSON string.
 inline std::string jsonString(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
-  out += '"';
-  appendJsonEscaped(out, text);
-  out += '"';
+  appendJsonString(out, text);
   return out;
 }
 

@@ -270,6 +270,15 @@ if "$LW" lint broken.cdfg > lint.out 2>&1; then
 fi
 grep -q 'LW101' lint.out
 
+# ...a NUL byte quoted in a finding does not cut the text report short:
+# the finding after it and the summary line are still written.
+printf 'ab\000cd\n' > nul.txt
+RC=0
+"$LW" lint nul.txt broken.cdfg > nul-lint.out || RC=$?
+test "$RC" -eq 1
+grep -q 'LW101' nul-lint.out
+grep -q 'error(s)' nul-lint.out
+
 # ...and missing context is an error, not a crash.
 if "$LW" lint core.sched > /dev/null 2>&1; then
   echo "lint accepted a schedule without a design" >&2

@@ -1423,7 +1423,7 @@ TEST(CheckRegistry, CataloguesEveryCodeOnceInOrder) {
       "LW501", "LW502", "LW503", "LW504", "LW505", "LW601", "LW602",
       "LW603", "LW604", "LW605", "LW606", "LW701", "LW702", "LW703",
       "LW704", "LW705", "LW706", "LW707", "LW801", "LW802", "LW803",
-      "LW804", "LW805", "LW806", "LW807", "LW808", "LW809"};
+      "LW804", "LW805", "LW806", "LW807", "LW808", "LW809", "LW810"};
   ASSERT_EQ(rules.size(), expected.size());
   for (std::size_t i = 0; i < rules.size(); ++i) {
     EXPECT_EQ(rules[i].code, expected[i]);

@@ -699,14 +699,21 @@ std::string cacheDirOf(const Args& args, const std::filesystem::path& root) {
 /// command's --json output is its own rows, not the report.
 int printReport(const Args& args, const check::Report& report,
                 bool json_rows = false) {
+  std::optional<check::ReportFormat> format;
   if (args.has("--sarif")) {
-    std::fputs(report.renderSarif().c_str(), stdout);
+    format = check::ReportFormat::kSarif;
   } else if (args.has("--json")) {
     if (!json_rows) {
-      std::fputs(report.renderJson().c_str(), stdout);
+      format = check::ReportFormat::kJson;
     }
   } else if (!report.empty() || !g_quiet) {
-    std::fputs(report.renderText().c_str(), stdout);
+    format = check::ReportFormat::kText;
+  }
+  if (format) {
+    LOCWM_OBS_SPAN("check.render");
+    for (const std::string& piece : report.renderPieces(*format)) {
+      std::fwrite(piece.data(), 1, piece.size(), stdout);
+    }
   }
   const bool fail =
       report.hasErrors() || (args.has("--werror") && report.hasWarnings());

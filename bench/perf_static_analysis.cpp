@@ -1,17 +1,20 @@
 // PERF-STATIC — throughput of the static-analysis subsystem on random
 // DFGs from 1k to 50k operations (or one size via --ops N, up to 10^6):
-// CSR lowering, the dataflow engine's concrete analyses over the
-// cdfg::CsrView snapshot (precedence closure, reachability, ASAP/ALAP
-// slack), the semantic rule pack (checkSemantics, LW6xx) and the full
-// text-level lint (parse + every rule).  Not a paper table; documents
-// that `locwm lint` scales to million-node designs, pins the closure's
-// node-count gate, and records the engine's deterministic work (worklist
-// visits of the reachability and slack passes, exact-gated), the view's
-// memory cost (bytes/node) and the process peak RSS in every --json row.
+// CSR lowering, the analyses the lint rules read over the cdfg::CsrView
+// snapshot (precedence closure, reachability, and ASAP/ALAP slack from
+// sched::TimeFrames), the semantic rule pack (checkSemantics, LW6xx) on
+// the generated ids and on the same graph with its ids reversed, and the
+// full text-level lint (parse + every rule).  Not a paper table;
+// documents that `locwm lint` scales to million-node designs whatever
+// their node numbering, pins the closure's node-count gate, and records
+// the analyses' deterministic results (reached nodes, critical path,
+// exact-gated), the view's memory cost (bytes/node) and the process peak
+// RSS in every --json row.
 //
 // Closure rows stop at check::kClosureNodeLimit (the bit-matrix gate —
 // larger graphs take the per-query DFS fallback); full-lint rows stop at
 // 5k operations because printing + reparsing dominates beyond that.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,11 +31,13 @@
 #include "cdfg/io.h"
 #include "cdfg/prng.h"
 #include "cdfg/random_dfg.h"
+#include "cdfg/subgraph.h"
 #include "check/dataflow.h"
 #include "check/linter.h"
 #include "check/rules.h"
 #include "rt/rt.h"
 #include "sched/latency.h"
+#include "sched/timeframes.h"
 
 namespace {
 
@@ -111,11 +116,11 @@ int main(int argc, char** argv) {
   bench::banner("PERF-STATIC: lint + dataflow throughput on CSR",
                 "static-analysis subsystem (docs/STATIC_ANALYSIS.md, "
                 "docs/GRAPH_CORE.md)");
-  std::printf("%8s %9s %9s %9s %9s %9s %9s\n", "ops", "lower", "closure",
-              "reach", "slack", "semantic", "lint");
-  std::printf("%8s %9s %9s %9s %9s %9s %9s\n", "", "(ms)", "(ms)", "(ms)",
-              "(ms)", "(ms)", "(ms)");
-  bench::rule(72);
+  std::printf("%8s %9s %9s %9s %9s %9s %9s %9s\n", "ops", "lower",
+              "closure", "reach", "slack", "semantic", "sem-rev", "lint");
+  std::printf("%8s %9s %9s %9s %9s %9s %9s %9s\n", "", "(ms)", "(ms)",
+              "(ms)", "(ms)", "(ms)", "(ms)", "(ms)");
+  bench::rule(82);
 
   std::vector<std::size_t> sizes{1000, 5000, 20000, 50000};
   if (const std::size_t ops = opsArg(argc, argv); ops != 0) {
@@ -137,7 +142,7 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       const auto closure = check::computePrecedenceClosure(view);
       closure_csr_ms = millisSince(t0);
-      closure_kib = closure.domain.ancestors.memoryBytes() / 1024;
+      closure_kib = closure.ancestors.memoryBytes() / 1024;
     }
 
     std::vector<cdfg::NodeId> sources;
@@ -150,26 +155,51 @@ int main(int argc, char** argv) {
     const auto reach = check::computeReachability(
         view, sources, check::Direction::kForward);
     const double reach_csr_ms = millisSince(t1);
+    const auto reach_marked = static_cast<std::uint64_t>(
+        std::count(reach.mark.begin(), reach.mark.end(), 1));
 
     const auto t2 = std::chrono::steady_clock::now();
-    const auto slack = check::computeSlack(view, sched::LatencyModel::unit());
+    const sched::TimeFrames frames(view, sched::LatencyModel::unit());
     const double slack_csr_ms = millisSince(t2);
 
-    const auto t3 = std::chrono::steady_clock::now();
-    const auto semantic = check::checkSemantics(g);
-    const double semantic_ms = millisSince(t3);
+    // The LW6xx rules on the generated ids, then on the graph with its ids
+    // reversed, the numbering of a reverse-engineered copy: a pass whose
+    // cost depends on id order shows as a ratio above 1.  Best of three
+    // runs each, so the in-run ratio compares like with like.
+    std::vector<std::uint32_t> reverse_ids(g.nodeCount());
+    for (std::size_t i = 0; i < reverse_ids.size(); ++i) {
+      reverse_ids[i] = static_cast<std::uint32_t>(reverse_ids.size() - 1 - i);
+    }
+    const cdfg::Cdfg reversed = cdfg::relabel(g, reverse_ids);
+    std::size_t semantic_findings = 0;
+    const auto bestSemanticMs = [&](const cdfg::Cdfg& graph) {
+      double best = -1.0;
+      for (int rep = 0; rep < 3; ++rep) {
+        const auto t = std::chrono::steady_clock::now();
+        semantic_findings = check::checkSemantics(graph).diagnostics().size();
+        const double ms = millisSince(t);
+        best = best < 0 ? ms : std::min(best, ms);
+      }
+      return best;
+    };
+    const double semantic_ms = bestSemanticMs(g);
+    const std::size_t generated_findings = semantic_findings;
+    const double semantic_rev_ms = bestSemanticMs(reversed);
+    if (semantic_findings != generated_findings) {
+      std::fprintf(stderr, "reversed ids changed the LW6xx finding count\n");
+      return 1;
+    }
 
-    // Percentiles for the perf gate: re-run the CSR analysis batch (the
-    // steady-state fast path) a few times and report its p50/p95/p99.
+    // Percentiles for the perf gate: re-run the analysis batch (reach and
+    // slack) a few times and report its p50/p95/p99.
     std::vector<double> batch_samples;
     for (int rep = 0; rep < 3; ++rep) {
       const auto tb = std::chrono::steady_clock::now();
       const auto reach_rep = check::computeReachability(
           view, sources, check::Direction::kForward);
-      const auto slack_rep =
-          check::computeSlack(view, sched::LatencyModel::unit());
+      const sched::TimeFrames frames_rep(view, sched::LatencyModel::unit());
       static_cast<void>(reach_rep);
-      static_cast<void>(slack_rep);
+      static_cast<void>(frames_rep);
       batch_samples.push_back(millisSince(tb));
     }
 
@@ -184,10 +214,11 @@ int main(int argc, char** argv) {
       lint_findings = linter.report().diagnostics().size();
     }
 
-    std::printf("%8zu %s %s %s %s %s %s\n", g.nodeCount(),
+    std::printf("%8zu %s %s %s %s %s %s %s\n", g.nodeCount(),
                 cell(lower_ms).c_str(), cell(closure_csr_ms).c_str(),
                 cell(reach_csr_ms).c_str(), cell(slack_csr_ms).c_str(),
-                cell(semantic_ms).c_str(), cell(lint_ms).c_str());
+                cell(semantic_ms).c_str(), cell(semantic_rev_ms).c_str(),
+                cell(lint_ms).c_str());
 
     json.row({{"ops", static_cast<std::uint64_t>(g.nodeCount())},
               {"edges", static_cast<std::uint64_t>(g.edgeCount())},
@@ -200,18 +231,15 @@ int main(int argc, char** argv) {
               {"closure_gated",
                g.nodeCount() > check::kClosureNodeLimit},
               {"reach_csr_ms", reach_csr_ms},
-              {"reach_converged", reach.stats.converged},
-              {"reach_visits",
-               static_cast<std::uint64_t>(reach.stats.visits)},
+              {"reach_marked", reach_marked},
               {"slack_csr_ms", slack_csr_ms},
-              {"slack_converged", slack.converged()},
-              {"slack_fwd_visits",
-               static_cast<std::uint64_t>(slack.forward_stats.visits)},
-              {"slack_bwd_visits",
-               static_cast<std::uint64_t>(slack.backward_stats.visits)},
+              {"critical",
+               static_cast<std::uint64_t>(frames.criticalPathSteps())},
               {"semantic_ms", semantic_ms},
+              {"semantic_rev_ms", semantic_rev_ms},
+              {"semantic_rev_ratio", semantic_rev_ms / semantic_ms},
               {"semantic_findings",
-               static_cast<std::uint64_t>(semantic.diagnostics().size())},
+               static_cast<std::uint64_t>(semantic_findings)},
               {"lint_ms", lint_ms},
               {"lint_findings", static_cast<std::uint64_t>(lint_findings)},
               {"p50_ms", bench::percentile(batch_samples, 0.50)},
@@ -219,7 +247,7 @@ int main(int argc, char** argv) {
               {"p99_ms", bench::percentile(batch_samples, 0.99)},
               {"peak_rss_mib", peakRssMib()}});
   }
-  bench::rule(72);
+  bench::rule(82);
   std::printf("closure is gated at %zu nodes (bit-matrix memory); '-' "
               "means skipped\n", check::kClosureNodeLimit);
   std::printf("peak RSS %.1f MiB\n", peakRssMib());

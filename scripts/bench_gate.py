@@ -63,16 +63,22 @@ CONFIG = {
             "threads": {"kind": "exact"},
             "edges": {"kind": "exact"},
             "csr_bytes_per_node": {"kind": "exact"},
-            "reach_converged": {"kind": "exact"},
-            "slack_converged": {"kind": "exact"},
-            # Worklist pops of the CSR reachability and slack passes:
-            # deterministic engine work, so a change in how much the
-            # engine does fails even when the wall times stay in bounds.
-            "reach_visits": {"kind": "exact"},
-            "slack_fwd_visits": {"kind": "exact"},
-            "slack_bwd_visits": {"kind": "exact"},
+            # Deterministic results of the reachability and ASAP passes:
+            # nodes reached from the sources, and the critical path.
+            "reach_marked": {"kind": "exact"},
+            "critical": {"kind": "exact"},
             "semantic_findings": {"kind": "exact"},
             "lint_findings": {"kind": "exact"},
+            # The LW6xx rules on the generated ids and on the same graph
+            # with its ids reversed, and their in-run ratio.  A pass whose
+            # cost depends on the numbering (a worklist seeded in id
+            # order) is slower on the reversed copy: the parent engine
+            # read 90.6 ms against 40.2 ms (ratio 2.25), where one-pass
+            # analyses read 0.9-1.0, so the ratio's default tolerance
+            # fails it even where the wall times stay within WALL_TOL.
+            "semantic_ms": {"kind": "lower_better", "tol": WALL_TOL},
+            "semantic_rev_ms": {"kind": "lower_better", "tol": WALL_TOL},
+            "semantic_rev_ratio": {"kind": "lower_better"},
             "p50_ms": {"kind": "lower_better", "tol": WALL_TOL},
             "p95_ms": {"kind": "lower_better", "tol": WALL_TOL},
             "p99_ms": {"kind": "lower_better", "tol": WALL_TOL},

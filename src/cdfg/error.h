@@ -54,5 +54,15 @@ inline void check(bool condition, const std::string& message) {
   }
 }
 
+/// The same for a literal message, which becomes a std::string only when
+/// the check fails: through the overload above, a literal longer than the
+/// small-string buffer costs a heap allocation on every passing call.
+template <typename E = Error>
+inline void check(bool condition, const char* message) {
+  if (!condition) {
+    throw E(message);
+  }
+}
+
 }  // namespace detail
 }  // namespace locwm

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "rt/rt.h"
-
 namespace locwm::check {
 
 using cdfg::EdgeId;
@@ -74,184 +72,79 @@ bool BitRows::rowEquals(const BitRows& other, std::size_t a,
 }
 
 // ---------------------------------------------------------------------------
-// Closure / reachability wrappers
+// Closure and reachability
 
 PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
-                                           const EdgeMask& mask) {
-  PrecedenceClosure result{ClosureDomain(v.nodeCount()), {}};
+                                           cdfg::EdgeSel sel) {
   const std::size_t n = v.nodeCount();
-  if (n == 0) {
-    return result;
-  }
-
-  // Kahn layering over the masked edges.  On a DAG (the CDFG norm) every
-  // node lands in a level; rows within one level have all their masked
-  // predecessors in strictly earlier levels, so the per-row unions of a
-  // level are independent and sweep in parallel.  Determinism: each task
-  // owns its row, all rows it reads were finalized in an earlier level,
-  // and the result is independent of in-level execution order —
-  // byte-identical at any thread count.
-  std::vector<std::uint32_t> indegree(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId node(static_cast<std::uint32_t>(i));
-    for (const cdfg::EdgeKind kind : cdfg::kCsrKindOrder) {
-      if (mask.accepts(kind)) {
-        indegree[i] += static_cast<std::uint32_t>(
-            v.inDegree(node, cdfg::edgeSelOf(kind)));
-      }
-    }
-  }
-  std::vector<std::uint32_t> order;  // level-contiguous topological order
+  // Kahn order over the selected edges: every row's predecessors come
+  // before it, so one union per edge finishes each row.
+  std::vector<std::uint32_t> indegree(n);
+  std::vector<std::uint32_t> order;
   order.reserve(n);
-  std::vector<std::size_t> level_start{0};
   for (std::size_t i = 0; i < n; ++i) {
+    indegree[i] = static_cast<std::uint32_t>(
+        v.inDegree(NodeId(static_cast<std::uint32_t>(i)), sel));
     if (indegree[i] == 0) {
       order.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  while (level_start.back() < order.size()) {
-    const std::size_t lo = level_start.back();
-    const std::size_t hi = order.size();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId node(order[i]);
-      for (const cdfg::EdgeKind kind : cdfg::kCsrKindOrder) {
-        if (!mask.accepts(kind)) {
-          continue;
-        }
-        for (const NodeId dst : v.successors(node, cdfg::edgeSelOf(kind))) {
-          if (--indegree[dst.value()] == 0) {
-            order.push_back(dst.value());
-          }
-        }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const NodeId dst : v.successors(NodeId(order[head]), sel)) {
+      if (--indegree[dst.value()] == 0) {
+        order.push_back(dst.value());
       }
     }
-    level_start.push_back(order.size());
   }
-
+  PrecedenceClosure result;
   if (order.size() < n) {
-    // Cyclic garbage from lenient parsing: no level structure to exploit.
-    // The worklist engine terminates via its visit cap and reports
-    // converged=false, which is the behaviour the rules rely on.
-    result.stats =
-        solveFixpoint(v, Direction::kForward, mask, result.domain);
+    result.cyclic = true;
     return result;
   }
-
-  BitRows& rows = result.domain.ancestors;
-  for (std::size_t lv = 0; lv + 1 < level_start.size(); ++lv) {
-    const std::size_t lo = level_start[lv];
-    const std::size_t hi = level_start[lv + 1];
-    rt::parallel_for(lo, hi, /*grain=*/16, [&](std::size_t i) {
-      const NodeId node(order[i]);
-      for (const cdfg::EdgeKind kind : cdfg::kCsrKindOrder) {
-        if (!mask.accepts(kind)) {
-          continue;
-        }
-        for (const NodeId src :
-             v.predecessors(node, cdfg::edgeSelOf(kind))) {
-          rows.set(node.value(), src.value());
-          rows.unionInto(node.value(), src.value());
-        }
-      }
-    });
+  result.ancestors = BitRows(n, n);
+  BitRows& rows = result.ancestors;
+  for (const std::uint32_t node : order) {
+    for (const NodeId src : v.predecessors(NodeId(node), sel)) {
+      rows.set(node, src.value());
+      rows.unionInto(node, src.value());
+    }
   }
-  result.stats.visits = n;
-  result.stats.updates = n;
-  result.stats.converged = true;
   return result;
 }
 
 Reachability computeReachability(const cdfg::CsrView& v,
                                  const std::vector<NodeId>& seeds,
-                                 Direction dir, const EdgeMask& mask) {
-  Reachability result{ReachDomain(v.nodeCount()), {}};
+                                 Direction dir, cdfg::EdgeSel sel) {
+  Reachability result{std::vector<char>(v.nodeCount(), 0)};
+  std::vector<NodeId> stack;
+  const auto visit = [&](NodeId node) {
+    if (result.mark[node.value()] == 0) {
+      result.mark[node.value()] = 1;
+      stack.push_back(node);
+    }
+  };
   for (const NodeId s : seeds) {
     if (s.isValid() && s.value() < v.nodeCount()) {
-      result.domain.mark[s.value()] = 1;
+      visit(s);
     }
   }
-  result.stats = solveFixpoint(v, dir, mask, result.domain);
+  while (!stack.empty()) {
+    const NodeId node = stack.back();
+    stack.pop_back();
+    for (const NodeId next : dir == Direction::kForward
+                                 ? v.successors(node, sel)
+                                 : v.predecessors(node, sel)) {
+      visit(next);
+    }
+  }
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Slack
-
-namespace {
-
-/// Max-plus forward: asap[dst] >= asap[src] + edgeGap(src).
-struct AsapDomain {
-  const cdfg::CsrView& v;
-  const sched::LatencyModel& lat;
-  std::vector<std::uint32_t>& asap;
-
-  bool edgeTransfer(NodeId from, NodeId to, cdfg::EdgeKind kind) {
-    const std::uint32_t gap = lat.edgeGap(v.kind(from), kind);
-    const std::uint32_t candidate = asap[from.value()] + gap;
-    if (candidate > asap[to.value()]) {
-      asap[to.value()] = candidate;
-      return true;
-    }
-    return false;
-  }
-};
-
-/// Min-plus backward: alap[src] <= alap[dst] - edgeGap(src).  Backward
-/// solving hands us (from=dst, to=src); the gap is keyed on the *source*
-/// node's kind, i.e. `to` here — same convention as sched::TimeFrames.
-struct AlapDomain {
-  const cdfg::CsrView& v;
-  const sched::LatencyModel& lat;
-  std::vector<std::uint32_t>& alap;
-
-  bool edgeTransfer(NodeId from, NodeId to, cdfg::EdgeKind kind) {
-    const std::uint32_t gap = lat.edgeGap(v.kind(to), kind);
-    const std::uint32_t succ = alap[from.value()];
-    const std::uint32_t candidate = succ >= gap ? succ - gap : 0u;
-    if (candidate < alap[to.value()]) {
-      alap[to.value()] = candidate;
-      return true;
-    }
-    return false;
-  }
-};
-
-}  // namespace
-
-SlackAnalysis computeSlack(const cdfg::CsrView& v,
-                           const sched::LatencyModel& lat,
-                           std::optional<std::uint32_t> deadline,
-                           const EdgeMask& mask) {
-  const std::size_t n = v.nodeCount();
-  SlackAnalysis out;
-  out.asap.assign(n, 0);
-  out.alap.assign(n, 0);
-
-  AsapDomain fwd{v, lat, out.asap};
-  out.forward_stats = solveFixpoint(v, Direction::kForward, mask, fwd);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const cdfg::OpKind k = v.kind(NodeId(static_cast<std::uint32_t>(i)));
-    out.critical = std::max(out.critical, out.asap[i] + lat.latency(k));
-  }
-  // A lint analysis clamps an infeasible deadline instead of throwing —
-  // the schedule rules report the violation separately.
-  out.deadline = std::max(deadline.value_or(out.critical), out.critical);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const cdfg::OpKind k = v.kind(NodeId(static_cast<std::uint32_t>(i)));
-    out.alap[i] = out.deadline - lat.latency(k);
-  }
-  AlapDomain bwd{v, lat, out.alap};
-  out.backward_stats = solveFixpoint(v, Direction::kBackward, mask, bwd);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Path queries
 
 bool hasPathSkipping(const cdfg::CsrView& view, NodeId from, NodeId to,
-                     EdgeId skip, const EdgeMask& mask) {
+                     EdgeId skip, cdfg::EdgeSel sel) {
   if (!from.isValid() || !to.isValid() || from == to) {
     return from == to;
   }
@@ -261,25 +154,19 @@ bool hasPathSkipping(const cdfg::CsrView& view, NodeId from, NodeId to,
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    for (const cdfg::EdgeKind kind : cdfg::kCsrKindOrder) {
-      if (!mask.accepts(kind)) {
+    const auto nbrs = view.successors(v, sel);
+    const auto ids = view.outEdges(v, sel);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (ids[i] == skip) {
         continue;
       }
-      const cdfg::EdgeSel sel = cdfg::edgeSelOf(kind);
-      const auto nbrs = view.successors(v, sel);
-      const auto ids = view.outEdges(v, sel);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (ids[i] == skip) {
-          continue;
-        }
-        const NodeId dst = nbrs[i];
-        if (dst == to) {
-          return true;
-        }
-        if (seen[dst.value()] == 0) {
-          seen[dst.value()] = 1;
-          stack.push_back(dst);
-        }
+      const NodeId dst = nbrs[i];
+      if (dst == to) {
+        return true;
+      }
+      if (seen[dst.value()] == 0) {
+        seen[dst.value()] = 1;
+        stack.push_back(dst);
       }
     }
   }

@@ -14,7 +14,7 @@
 //     (the old fixpoint plus the critical-path delta is the old graph's
 //     exact fixpoint under the new deadline) and then re-propagates
 //     backward from the sources of changed edges.  Temporal-only deltas
-//     skip slack entirely — the dataControl mask cannot see them;
+//     skip slack entirely — data/control frames cannot see them;
 //   * forward/backward liveness marks are recomputed from scratch per
 //     dirty node (seed-by-kind OR over masked neighbours), which handles
 //     both mark growth and the non-monotone shrinkage a removal causes;
@@ -53,6 +53,7 @@
 #include "cdfg/ids.h"
 #include "check/dataflow.h"
 #include "check/diagnostics.h"
+#include "sched/latency.h"
 
 namespace locwm::check::delta {
 

@@ -33,11 +33,6 @@ namespace {
 
 using detail::diag;
 
-/// LW804 does not run above this many nodes: the closure is O(N^2/64)
-/// words of memory and time per schedule.  A schedule of a larger design
-/// gets one LW810 instead.
-constexpr std::size_t kClosureNodeBound = 20000;
-
 // ---------------------------------------------------------------------------
 // Cache entries.
 //
@@ -381,34 +376,31 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
 /// see.  At most one finding per violating node, naming its smallest-id
 /// scheduled transitive predecessor that starts later; findings are
 /// ordered by that predecessor, then by node.  A cyclic design yields
-/// none (LW103 territory).  Above kClosureNodeBound nodes the check does
-/// not run, and says so (LW810).
+/// none (LW103 territory).  Above kClosureNodeLimit nodes (the closure is
+/// N^2/64 words per schedule) the check does not run, and says so (LW810).
 void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
                             const std::string& name,
                             std::vector<Diagnostic>& out) {
   const std::size_t n = g.nodeCount();
-  if (n > kClosureNodeBound) {
+  if (n > kClosureNodeLimit) {
     out.push_back(diag(
         "LW810", Severity::kInfo, name, {},
         "precedence-closure check (LW804) not run: the design has " +
             std::to_string(n) + " nodes, above the bound of " +
-            std::to_string(kClosureNodeBound),
+            std::to_string(kClosureNodeLimit),
         "the per-edge schedule rules (LW202/LW203) still ran; transitive "
         "inversions through unscheduled or zero-latency operations are "
         "unchecked"));
     return;
   }
-  if (n == 0) {
+  const PrecedenceClosure closure =
+      computePrecedenceClosure(cdfg::CsrView(g));
+  if (closure.cyclic) {
     return;
   }
-  const PrecedenceClosure closure =
-      computePrecedenceClosure(cdfg::CsrView(g), EdgeMask::all());
-  const BitRows& ancestors = closure.domain.ancestors;
+  const BitRows& ancestors = closure.ancestors;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (ancestors.test(v, v)) {
-      return;  // a node that precedes itself lies on a cycle
-    }
     if (!s.isSet(cdfg::NodeId{v})) {
       continue;
     }
@@ -493,11 +485,10 @@ std::string refNoun(ArtifactKind kind) {
 }  // namespace
 
 std::string ruleSetVersion() {
-  // v6: a binding entry's register word that is no number is an LW001
-  // naming the word ("malformed register '<word>'"); v5 entries word it as
-  // a missing register.  The rule count (LW810 added one) changes the
-  // version too.
-  return "lw" + std::to_string(allRules().size()) + ".v6";
+  // v7: LW804's node bound is kClosureNodeLimit (8192), so a v6 entry may
+  // hold LW804 findings where LW810 is now due.  The rule count (LW810
+  // added one) changes the version too.
+  return "lw" + std::to_string(allRules().size()) + ".v7";
 }
 
 Report mergeFindings(const Workspace& ws, std::vector<ArtifactFindings> found,

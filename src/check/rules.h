@@ -57,8 +57,9 @@ struct RuleInfo {
 
 /// Semantic rules (LW6xx) over a design: redundant temporal edges under
 /// transitive precedence, critical-path-stretching temporal edges, and
-/// dead/unreachable operations.  Built on the dataflow engine
-/// (check/dataflow.h); returns nothing on cyclic graphs (LW103 territory).
+/// dead/unreachable operations.  One pass each over the acyclic design
+/// (check/dataflow.h and sched::TimeFrames); returns nothing on cyclic
+/// graphs (LW103 territory).
 [[nodiscard]] Report checkSemantics(const cdfg::Cdfg& g,
                                     const std::string& artifact = "<design>");
 

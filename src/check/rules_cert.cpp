@@ -179,7 +179,7 @@ void checkRankPairs(Report& r, const std::vector<wm::RankConstraint>& pairs,
     }
     if (hasPathSkipping(*view, cdfg::NodeId(c.before_rank),
                         cdfg::NodeId(c.after_rank), cdfg::EdgeId::invalid(),
-                        EdgeMask::dataControl())) {
+                        cdfg::EdgeSel::kDataControl)) {
       r.add(diag("LW505", Severity::kWarning, artifact, loc,
                  "constraint rank " + std::to_string(c.before_rank) +
                      " -> rank " + std::to_string(c.after_rank) +

@@ -77,7 +77,8 @@ Report checkGraph(const cdfg::Cdfg& g,
     const cdfg::CsrView view(g);
     for (const cdfg::EdgeId te : temporal) {
       const cdfg::Edge& e = g.edge(te);
-      if (hasPathSkipping(view, e.src, e.dst, te, EdgeMask::dataControl())) {
+      if (hasPathSkipping(view, e.src, e.dst, te,
+                          cdfg::EdgeSel::kDataControl)) {
         r.add(diag("LW104", Severity::kWarning, artifact,
                    detail::edgeRef(e.src.value(), e.dst.value(), e.kind),
                    "temporal edge is implied by an existing data/control "

@@ -3,8 +3,8 @@
 // edge redundant once *all* constraints are considered?), scheduling slack
 // (does an edge stretch the dependence-only critical path?), and
 // reachability/liveness (does an operation contribute to any output?).
-// All of them are instantiations of the worklist dataflow engine in
-// check/dataflow.h.
+// Each is one pass over the acyclic design: the closure and reachability
+// of check/dataflow.h, and the ASAP/ALAP windows of sched::TimeFrames.
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +14,8 @@
 #include "check/internal.h"
 #include "check/rules.h"
 #include "rt/rt.h"
+#include "sched/latency.h"
+#include "sched/timeframes.h"
 
 namespace locwm::check {
 namespace {
@@ -36,7 +38,7 @@ void checkRedundantTemporal(Report& r, const cdfg::Cdfg& g,
   }
   std::optional<PrecedenceClosure> closure;
   if (view.nodeCount() <= kClosureNodeLimit) {
-    closure = computePrecedenceClosure(view, EdgeMask::all());
+    closure = computePrecedenceClosure(view);
   }
   // The per-edge implication queries only read the view and the solved
   // closure; flags are computed in parallel and diagnostics added in edge
@@ -45,7 +47,7 @@ void checkRedundantTemporal(Report& r, const cdfg::Cdfg& g,
   rt::parallel_for(0, temporal.size(), /*grain=*/1, [&](std::size_t i) {
     const cdfg::Edge& e = g.edge(temporal[i]);
     if (hasPathSkipping(view, e.src, e.dst, temporal[i],
-                        EdgeMask::dataControl())) {
+                        cdfg::EdgeSel::kDataControl)) {
       return;  // LW104's finding; one diagnostic per defect
     }
     bool implied = false;
@@ -66,8 +68,7 @@ void checkRedundantTemporal(Report& r, const cdfg::Cdfg& g,
         }
       }
     } else {
-      implied =
-          hasPathSkipping(view, e.src, e.dst, temporal[i], EdgeMask::all());
+      implied = hasPathSkipping(view, e.src, e.dst, temporal[i]);
     }
     implied_at[i] = implied ? 1 : 0;
   });
@@ -85,19 +86,16 @@ void checkRedundantTemporal(Report& r, const cdfg::Cdfg& g,
 void checkStretchingTemporal(Report& r, const cdfg::Cdfg& g,
                              const cdfg::CsrView& view,
                              const std::string& artifact) {
-  if (g.temporalEdges().empty()) {
+  const std::vector<cdfg::EdgeId> temporal = g.temporalEdges();
+  if (temporal.empty()) {
     return;
   }
-  const SlackAnalysis slack =
-      computeSlack(view, sched::LatencyModel::unit(), std::nullopt,
-                   EdgeMask::dataControl());
-  if (!slack.converged()) {
-    return;
-  }
-  for (const cdfg::EdgeId te : g.temporalEdges()) {
+  const sched::TimeFrames frames(view, sched::LatencyModel::unit(),
+                                 std::nullopt, /*includeTemporal=*/false);
+  for (const cdfg::EdgeId te : temporal) {
     const cdfg::Edge& e = g.edge(te);
-    if (slack.asap[e.src.value()] + 1 > slack.alap[e.dst.value()]) {
-      r.add(detail::lw602Diag(artifact, e, slack.critical));
+    if (frames.asap(e.src) + 1 > frames.alap(e.dst)) {
+      r.add(detail::lw602Diag(artifact, e, frames.criticalPathSteps()));
     }
   }
 }
@@ -121,10 +119,10 @@ void checkLiveness(Report& r, const cdfg::Cdfg& g, const cdfg::CsrView& view,
       sources.push_back(n);
     }
   }
-  const Reachability live = computeReachability(
-      view, sinks, Direction::kBackward, EdgeMask::dataControl());
-  const Reachability reachable = computeReachability(
-      view, sources, Direction::kForward, EdgeMask::dataControl());
+  const Reachability live =
+      computeReachability(view, sinks, Direction::kBackward);
+  const Reachability reachable =
+      computeReachability(view, sources, Direction::kForward);
 
   for (std::size_t i = 0; i < n_count; ++i) {
     const NodeId n(static_cast<std::uint32_t>(i));
@@ -151,7 +149,7 @@ Report checkSemantics(const cdfg::Cdfg& g, const std::string& artifact) {
   try {
     g.checkAcyclic();
   } catch (const GraphError&) {
-    return r;  // LW103 is checkGraph's finding; fixpoints need a DAG
+    return r;  // LW103 is checkGraph's finding; these passes need a DAG
   }
   // One lowering serves all three rule families; the builder stays around
   // for edge endpoints and node labels in diagnostics.

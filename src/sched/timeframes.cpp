@@ -6,60 +6,85 @@
 
 namespace locwm::sched {
 
-using cdfg::EdgeId;
 using cdfg::NodeId;
 
 TimeFrames::TimeFrames(const cdfg::Cdfg& g, const LatencyModel& lat,
                        std::optional<std::uint32_t> deadline,
-                       bool includeTemporal) {
-  const std::size_t n = g.nodeCount();
-  asap_.assign(n, 0);
-  alap_.assign(n, 0);
+                       bool includeTemporal)
+    : TimeFrames(cdfg::CsrView(g), lat, deadline, includeTemporal) {}
 
-  const std::vector<NodeId> topo = g.topologicalOrder(includeTemporal);
+TimeFrames::TimeFrames(const cdfg::CsrView& v, const LatencyModel& lat,
+                       std::optional<std::uint32_t> deadline,
+                       bool includeTemporal) {
+  const std::size_t n = v.nodeCount();
+  const cdfg::EdgeSel sel =
+      includeTemporal ? cdfg::EdgeSel::kAll : cdfg::EdgeSel::kDataControl;
+  const std::size_t kinds = includeTemporal ? 3 : 2;
+
+  // Kahn order over the considered edges; any topological order gives the
+  // same frames.
+  std::vector<std::uint32_t> indegree(n);
+  std::vector<NodeId> topo;
+  topo.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId node(static_cast<std::uint32_t>(i));
+    indegree[i] = static_cast<std::uint32_t>(v.inDegree(node, sel));
+    if (indegree[i] == 0) {
+      topo.push_back(node);
+    }
+  }
+  for (std::size_t head = 0; head < topo.size(); ++head) {
+    for (const NodeId dst : v.successors(topo[head], sel)) {
+      if (--indegree[dst.value()] == 0) {
+        topo.push_back(dst);
+      }
+    }
+  }
+  detail::check<GraphError>(topo.size() == n,
+                            "CDFG contains a dependence cycle");
 
   // Forward pass: ASAP start times.
-  for (const NodeId v : topo) {
+  asap_.assign(n, 0);
+  for (const NodeId node : topo) {
     std::uint32_t earliest = 0;
-    for (const EdgeId e : g.inEdges(v)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (ed.kind == cdfg::EdgeKind::kTemporal && !includeTemporal) {
-        continue;
+    for (std::size_t k = 0; k < kinds; ++k) {
+      const cdfg::EdgeKind kind = cdfg::kCsrKindOrder[k];
+      for (const NodeId src : v.predecessors(node, cdfg::edgeSelOf(kind))) {
+        earliest = std::max(earliest,
+                            asap_[src.value()] + lat.edgeGap(v.kind(src), kind));
       }
-      const std::uint32_t gap = lat.edgeGap(g.node(ed.src).kind, ed.kind);
-      earliest = std::max(earliest, asap_[ed.src.value()] + gap);
     }
-    asap_[v.value()] = earliest;
+    asap_[node.value()] = earliest;
   }
 
   // Critical path in steps: the earliest finish over all nodes.
   critical_ = 0;
-  for (const NodeId v : topo) {
-    critical_ = std::max(critical_,
-                         asap_[v.value()] + lat.latency(g.node(v).kind));
+  for (const NodeId node : topo) {
+    critical_ =
+        std::max(critical_, asap_[node.value()] + lat.latency(v.kind(node)));
   }
 
   deadline_ = deadline.value_or(critical_);
-  detail::check<ScheduleError>(
-      deadline_ >= critical_,
-      "TimeFrames: deadline " + std::to_string(deadline_) +
-          " below critical path " + std::to_string(critical_));
+  if (deadline_ < critical_) {
+    throw ScheduleError("TimeFrames: deadline " + std::to_string(deadline_) +
+                        " below critical path " + std::to_string(critical_));
+  }
 
   // Backward pass: ALAP start times.  A node with no (considered)
   // successors may start as late as deadline - latency.
+  alap_.assign(n, 0);
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId v = *it;
-    std::uint32_t latest = deadline_ - lat.latency(g.node(v).kind);
-    for (const EdgeId e : g.outEdges(v)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (ed.kind == cdfg::EdgeKind::kTemporal && !includeTemporal) {
-        continue;
+    const NodeId node = *it;
+    std::uint32_t latest = deadline_ - lat.latency(v.kind(node));
+    for (std::size_t k = 0; k < kinds; ++k) {
+      const cdfg::EdgeKind kind = cdfg::kCsrKindOrder[k];
+      const std::uint32_t gap = lat.edgeGap(v.kind(node), kind);
+      for (const NodeId dst : v.successors(node, cdfg::edgeSelOf(kind))) {
+        const std::uint32_t succ_alap = alap_[dst.value()];
+        latest = std::min(latest, succ_alap >= gap ? succ_alap - gap : 0u);
       }
-      const std::uint32_t gap = lat.edgeGap(g.node(v).kind, ed.kind);
-      const std::uint32_t succ_alap = alap_[ed.dst.value()];
-      latest = std::min(latest, succ_alap >= gap ? succ_alap - gap : 0u);
     }
-    alap_[v.value()] = latest;
+    alap_[node.value()] = latest;
   }
 }
 

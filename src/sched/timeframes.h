@@ -3,13 +3,19 @@
 // The watermarking protocol reasons about the "asap–alap lifetime" of every
 // operation (§IV-A): eligible watermark nodes must have overlapping
 // lifetimes with a partner and enough laxity.  The same frames drive the
-// force-directed scheduler and bound the exact schedule enumerator.
+// force-directed scheduler, bound the exact schedule enumerator, and give
+// the lint rules their slack (LW602 and the incremental engine).
+//
+// Frames are longest paths, so one Kahn order over the CSR view and one
+// pass each way compute them in time linear in the graph, whatever its
+// node numbering.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "sched/latency.h"
 #include "sched/schedule.h"
@@ -28,8 +34,13 @@ class TimeFrames {
   /// frames on the *original* constraints, scheduling afterwards on the
   /// augmented ones.
   ///
-  /// Throws ScheduleError when `deadline` is below the critical path.
+  /// Throws GraphError on a dependence cycle over the considered edges,
+  /// and ScheduleError when `deadline` is below the critical path.
   TimeFrames(const cdfg::Cdfg& g, const LatencyModel& lat,
+             std::optional<std::uint32_t> deadline = std::nullopt,
+             bool includeTemporal = true);
+  /// The same over a view the caller has already lowered from `g`.
+  TimeFrames(const cdfg::CsrView& v, const LatencyModel& lat,
              std::optional<std::uint32_t> deadline = std::nullopt,
              bool includeTemporal = true);
 

@@ -1,21 +1,26 @@
-// Naive reference implementations of the check/dataflow analyses and of
-// the locality deriver's copy-transparent balls, for tests only, plus the
-// random DFGs the oracle tests draw.  Each reference is a plain DFS over
+// Naive reference implementations of the check/dataflow analyses, of the
+// ASAP/ALAP windows and of the locality deriver's copy-transparent balls,
+// for tests only, plus the random DFGs the oracle tests draw and the node
+// renumberings they run them under.  Each reference is a plain DFS over
 // the mutable cdfg::Cdfg builder, so it shares no code with the CsrView
-// engine or the real-op adjacency it validates.  Slack has its own
-// independent reference, sched::TimeFrames.
+// analyses, sched::TimeFrames or the real-op adjacency it validates.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <numeric>
 #include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "cdfg/ids.h"
 #include "cdfg/operation.h"
 #include "cdfg/prng.h"
 #include "cdfg/random_dfg.h"
+#include "cdfg/subgraph.h"
 #include "check/dataflow.h"
+#include "sched/latency.h"
 
 namespace locwm::testing {
 
@@ -43,13 +48,74 @@ inline void addTemporalEdges(cdfg::Cdfg& g, std::size_t count,
   }
 }
 
+/// How an oracle test numbers the nodes of a generated graph.  Generators
+/// emit ids in topological order; a reverse-engineered suspect design
+/// carries whatever order its maker chose.
+enum class Numbering { kGenerated, kReversed, kShuffled };
+inline constexpr Numbering kNumberings[] = {
+    Numbering::kGenerated, Numbering::kReversed, Numbering::kShuffled};
+
+inline const char* numberingName(Numbering how) {
+  switch (how) {
+    case Numbering::kGenerated:
+      return "generated";
+    case Numbering::kReversed:
+      return "reversed";
+    case Numbering::kShuffled:
+      return "shuffled";
+  }
+  return "?";
+}
+
+/// `g` with its node ids reversed or shuffled (seeded Fisher-Yates) by
+/// cdfg::relabel; `g` itself for kGenerated.
+inline cdfg::Cdfg renumbered(const cdfg::Cdfg& g, Numbering how,
+                             std::uint64_t seed = 1) {
+  const std::size_t n = g.nodeCount();
+  std::vector<std::uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  switch (how) {
+    case Numbering::kGenerated:
+      return g;
+    case Numbering::kReversed:
+      std::reverse(perm.begin(), perm.end());
+      break;
+    case Numbering::kShuffled: {
+      cdfg::SplitMix64 rng(seed);
+      for (std::size_t i = n; i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.below(i)]);
+      }
+      break;
+    }
+  }
+  return cdfg::relabel(g, perm);
+}
+
+/// Whether `sel` spans edges of `kind` — the oracle's own reading of the
+/// selector, not the CSR segment layout.
+inline bool selects(cdfg::EdgeSel sel, cdfg::EdgeKind kind) {
+  switch (sel) {
+    case cdfg::EdgeSel::kData:
+      return kind == cdfg::EdgeKind::kData;
+    case cdfg::EdgeSel::kControl:
+      return kind == cdfg::EdgeKind::kControl;
+    case cdfg::EdgeSel::kTemporal:
+      return kind == cdfg::EdgeKind::kTemporal;
+    case cdfg::EdgeSel::kDataControl:
+      return kind != cdfg::EdgeKind::kTemporal;
+    case cdfg::EdgeSel::kAll:
+      return true;
+  }
+  return false;
+}
+
 /// Marks every node reached from `seeds` by a path of at least one edge,
 /// following edges (forward) or against them (backward), over the edge
-/// kinds `mask` accepts, never crossing edge `skip`.  A seed is marked only
+/// kinds `sel` spans, never crossing edge `skip`.  A seed is marked only
 /// when a path leads back to it (a cycle).
 inline std::vector<char> naiveReach(
     const cdfg::Cdfg& g, const std::vector<cdfg::NodeId>& seeds,
-    check::Direction dir, const check::EdgeMask& mask,
+    check::Direction dir, cdfg::EdgeSel sel,
     cdfg::EdgeId skip = cdfg::EdgeId::invalid()) {
   const bool fwd = dir == check::Direction::kForward;
   std::vector<char> seen(g.nodeCount(), 0);
@@ -60,7 +126,7 @@ inline std::vector<char> naiveReach(
     for (const cdfg::EdgeId e : fwd ? g.outEdges(v) : g.inEdges(v)) {
       const cdfg::Edge& ed = g.edge(e);
       const cdfg::NodeId next = fwd ? ed.dst : ed.src;
-      if (e == skip || !mask.accepts(ed.kind) || seen[next.value()] != 0) {
+      if (e == skip || !selects(sel, ed.kind) || seen[next.value()] != 0) {
         continue;
       }
       seen[next.value()] = 1;
@@ -71,14 +137,76 @@ inline std::vector<char> naiveReach(
 }
 
 /// True when a path `from` -> `to` of at least one edge exists over the
-/// masked edges without crossing `skip` — the closure's precedes(from, to)
-/// and, for from != to, hasPathSkipping(from, to, skip).
+/// selected edges without crossing `skip` — the closure's precedes(from,
+/// to) and, for from != to, hasPathSkipping(from, to, skip).
 inline bool naivePath(const cdfg::Cdfg& g, cdfg::NodeId from,
                       cdfg::NodeId to,
-                      const check::EdgeMask& mask = check::EdgeMask::all(),
+                      cdfg::EdgeSel sel = cdfg::EdgeSel::kAll,
                       cdfg::EdgeId skip = cdfg::EdgeId::invalid()) {
-  return naiveReach(g, {from}, check::Direction::kForward, mask,
+  return naiveReach(g, {from}, check::Direction::kForward, sel,
                     skip)[to.value()] != 0;
+}
+
+/// ASAP/ALAP start windows of an acyclic `g` over data and control edges
+/// (and temporal ones when `includeTemporal`), by memoised recursion on
+/// the definitions: asap(v) is the latest asap(u) + gap over v's
+/// predecessors u; alap(v) is the earliest alap(w) - gap over its
+/// successors w, capped at deadline - latency(v), with the deadline the
+/// critical path.
+struct NaiveFrames {
+  std::vector<std::uint32_t> asap;
+  std::vector<std::uint32_t> alap;
+  std::uint32_t critical = 0;
+};
+
+inline NaiveFrames naiveFrames(const cdfg::Cdfg& g,
+                               const sched::LatencyModel& lat,
+                               bool includeTemporal = false) {
+  const std::size_t n = g.nodeCount();
+  NaiveFrames f;
+  std::vector<char> asap_done(n, 0);
+  std::vector<char> alap_done(n, 0);
+  f.asap.assign(n, 0);
+  f.alap.assign(n, 0);
+  const auto gap = [&](const cdfg::Edge& e) {
+    return lat.edgeGap(g.node(e.src).kind, e.kind);
+  };
+  std::function<std::uint32_t(cdfg::NodeId)> asap = [&](cdfg::NodeId v) {
+    if (asap_done[v.value()] == 0) {
+      std::uint32_t t = 0;
+      for (const cdfg::EdgeId e : g.inEdges(v)) {
+        const cdfg::Edge& ed = g.edge(e);
+        if (includeTemporal || ed.kind != cdfg::EdgeKind::kTemporal) {
+          t = std::max(t, asap(ed.src) + gap(ed));
+        }
+      }
+      f.asap[v.value()] = t;
+      asap_done[v.value()] = 1;
+    }
+    return f.asap[v.value()];
+  };
+  for (const cdfg::NodeId v : g.allNodes()) {
+    f.critical = std::max(f.critical, asap(v) + lat.latency(g.node(v).kind));
+  }
+  std::function<std::uint32_t(cdfg::NodeId)> alap = [&](cdfg::NodeId v) {
+    if (alap_done[v.value()] == 0) {
+      std::uint32_t t = f.critical - lat.latency(g.node(v).kind);
+      for (const cdfg::EdgeId e : g.outEdges(v)) {
+        const cdfg::Edge& ed = g.edge(e);
+        if (includeTemporal || ed.kind != cdfg::EdgeKind::kTemporal) {
+          const std::uint32_t succ = alap(ed.dst);
+          t = std::min(t, succ >= gap(ed) ? succ - gap(ed) : 0u);
+        }
+      }
+      f.alap[v.value()] = t;
+      alap_done[v.value()] = 1;
+    }
+    return f.alap[v.value()];
+  };
+  for (const cdfg::NodeId v : g.allNodes()) {
+    alap(v);
+  }
+  return f;
 }
 
 /// Copy-transparent real neighbours of `start` over data/control edges —

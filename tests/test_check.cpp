@@ -900,7 +900,7 @@ std::vector<std::string> naiveLw804(const cdfg::Cdfg& g, const Steps& steps) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
   for (std::uint32_t v = 0; v < g.nodeCount(); ++v) {
     const std::vector<char> anc = locwm::testing::naiveReach(
-        g, {NodeId(v)}, check::Direction::kBackward, check::EdgeMask::all());
+        g, {NodeId(v)}, check::Direction::kBackward, cdfg::EdgeSel::kAll);
     if (anc[v] != 0) {
       return {};  // v lies on a cycle
     }
@@ -924,30 +924,36 @@ std::vector<std::string> naiveLw804(const cdfg::Cdfg& g, const Steps& steps) {
 }
 
 TEST(CheckProject, LW804MatchesNaiveOracleOnRandomDesigns) {
+  using locwm::testing::Numbering;
   std::size_t findings = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    const cdfg::Cdfg g = randomTemporalDfg(seed, 30 + 50 * seed);
-    check::Workspace ws;
-    ws.addArtifactText("design.cdfg", cdfg::printToString(g));
-    std::vector<std::vector<std::string>> expected;
-    for (std::uint64_t k = 0; k < 4; ++k) {
-      const Steps steps = perturbedSteps(g, seed * 100 + k);
-      ws.addArtifactText("s" + std::to_string(k), scheduleText(steps));
-      expected.push_back(naiveLw804(g, steps));
-      findings += expected.back().size();
-    }
-    for (const std::size_t threads : {1u, 8u}) {
-      rt::setThreadCount(threads);
-      check::Workspace run = ws;
-      const Report report = check::checkProject(run).report;
-      std::vector<std::vector<std::string>> got(expected.size());
-      for (const auto& d : report.diagnostics()) {
-        if (d.code == "LW804") {
-          got[std::stoul(d.artifact.substr(1))].push_back(d.location + ": " +
-                                                          d.message);
-        }
+    for (const Numbering how : locwm::testing::kNumberings) {
+      const cdfg::Cdfg g = locwm::testing::renumbered(
+          randomTemporalDfg(seed, 30 + 50 * seed), how, seed);
+      check::Workspace ws;
+      ws.addArtifactText("design.cdfg", cdfg::printToString(g));
+      std::vector<std::vector<std::string>> expected;
+      for (std::uint64_t k = 0; k < 4; ++k) {
+        const Steps steps = perturbedSteps(g, seed * 100 + k);
+        ws.addArtifactText("s" + std::to_string(k), scheduleText(steps));
+        expected.push_back(naiveLw804(g, steps));
+        findings += expected.back().size();
       }
-      EXPECT_EQ(got, expected) << "seed " << seed << " threads " << threads;
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        rt::setThreadCount(threads);
+        check::Workspace run = ws;
+        const Report report = check::checkProject(run).report;
+        std::vector<std::vector<std::string>> got(expected.size());
+        for (const auto& d : report.diagnostics()) {
+          if (d.code == "LW804") {
+            got[std::stoul(d.artifact.substr(1))].push_back(
+                d.location + ": " + d.message);
+          }
+        }
+        EXPECT_EQ(got, expected)
+            << "seed " << seed << ", " << locwm::testing::numberingName(how)
+            << " ids, threads " << threads;
+      }
     }
   }
   rt::setThreadCount(0);  // restore automatic sizing for other tests
@@ -966,6 +972,35 @@ TEST(CheckProject, LW804SilentOnCyclicDesign) {
       << result.report.renderText();
   EXPECT_FALSE(hasCode(result.report, "LW804"))
       << result.report.renderText();
+}
+
+TEST(CheckProject, LW804SilentOnReverseNumberedCyclicRing) {
+  // A ring numbered against its edges (i+1 -> i) with one edge closing it,
+  // and a schedule that inverts every edge: LW103 on the design, LW202 on
+  // the schedule, and no LW804, since the closure declines a cyclic design.
+  constexpr std::uint32_t kRing = 300;
+  std::string design = "cdfg v1\n";
+  std::string schedule;
+  for (std::uint32_t i = 0; i < kRing; ++i) {
+    design += "node " + std::to_string(i) + " add\n";
+    schedule += std::to_string(i) + " " + std::to_string(i) + "\n";
+  }
+  for (std::uint32_t i = 0; i < kRing; ++i) {
+    design += "edge " + std::to_string((i + 1) % kRing) + " " +
+              std::to_string(i) + " data\n";
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    rt::setThreadCount(threads);
+    const auto result =
+        projectCheck({{"ring.cdfg", design}, {"ring.sched", schedule}});
+    EXPECT_TRUE(hasCode(result.report, "LW103"))
+        << result.report.renderText();
+    EXPECT_TRUE(hasCode(result.report, "LW202"))
+        << result.report.renderText();
+    EXPECT_FALSE(hasCode(result.report, "LW804"))
+        << result.report.renderText();
+  }
+  rt::setThreadCount(0);
 }
 
 TEST(CheckProject, ScheduleBindingPairsSameColdAndWarm) {

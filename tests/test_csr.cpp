@@ -3,8 +3,9 @@
 // selector, on random DFGs with temporal edges, parallel-edge and
 // post-stripTemporalEdges graphs), edge-id/neighbour span alignment,
 // empty/degenerate inputs, the CSR-backed analyses (closure,
-// reachability, slack, path queries) against independent references on
-// the builder graph, and the determinism pin — those analyses, the
+// reachability, path queries) against independent references on the
+// builder graph under generated, reversed and shuffled ids, and the
+// determinism pin — those analyses, the
 // semantic rules and watermark detection must produce byte-identical
 // results at 1, 2, and 8 runtime lanes.
 //
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cdfg/csr.h"
@@ -210,63 +212,70 @@ TEST(Csr, MemoryAccountingMatchesArenaFormula) {
 // ---------------------------------------------------------------------------
 // Analysis equivalence: the CSR analyses must match references computed
 // on the builder graph that share none of their code — the naive DFS of
-// naive_oracles.h (closure precedes-matrix, reachability marks, path
-// queries) and sched::TimeFrames (slack windows).
+// naive_oracles.h (closure precedes-matrix, reachability marks in both
+// directions, path queries) — under generated, reversed and shuffled ids.
 
 TEST(Csr, AnalysesMatchBuilderPath) {
+  using locwm::testing::Numbering;
   for (const std::uint64_t seed : {21u, 22u}) {
-    cdfg::Cdfg g = smallRandomDfg(seed, 120);
-    addTemporalEdges(g, 10, seed);
-    const CsrView view(g);
-    const std::size_t n = g.nodeCount();
+    cdfg::Cdfg generated = smallRandomDfg(seed, 120);
+    addTemporalEdges(generated, 10, seed);
+    for (const Numbering how : locwm::testing::kNumberings) {
+      const cdfg::Cdfg g = locwm::testing::renumbered(generated, how, seed);
+      const char* ids = locwm::testing::numberingName(how);
+      const CsrView view(g);
+      const std::size_t n = g.nodeCount();
 
-    const auto closure = check::computePrecedenceClosure(view);
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId a(static_cast<std::uint32_t>(i));
-      const std::vector<char> desc = locwm::testing::naiveReach(
-          g, {a}, check::Direction::kForward, check::EdgeMask::all());
-      for (std::size_t j = 0; j < n; ++j) {
-        const NodeId b(static_cast<std::uint32_t>(j));
-        ASSERT_EQ(closure.precedes(a, b), desc[j] != 0) << i << " -> " << j;
+      const auto closure = check::computePrecedenceClosure(view);
+      for (std::size_t i = 0; i < n; ++i) {
+        const NodeId a(static_cast<std::uint32_t>(i));
+        const std::vector<char> desc = locwm::testing::naiveReach(
+            g, {a}, check::Direction::kForward, cdfg::EdgeSel::kAll);
+        for (std::size_t j = 0; j < n; ++j) {
+          const NodeId b(static_cast<std::uint32_t>(j));
+          ASSERT_EQ(closure.precedes(a, b), desc[j] != 0)
+              << ids << " ids: " << i << " -> " << j;
+        }
       }
-    }
 
-    std::vector<NodeId> sources;
-    for (const NodeId v : g.allNodes()) {
-      if (g.inEdges(v).empty()) {
-        sources.push_back(v);
+      std::vector<NodeId> sources;
+      std::vector<NodeId> sinks;
+      for (const NodeId v : g.allNodes()) {
+        if (g.inEdges(v).empty()) {
+          sources.push_back(v);
+        }
+        if (g.outEdges(v).empty()) {
+          sinks.push_back(v);
+        }
       }
-    }
-    const auto reach =
-        check::computeReachability(view, sources, check::Direction::kForward);
-    std::vector<char> expected =
-        locwm::testing::naiveReach(g, sources, check::Direction::kForward,
-                                   check::EdgeMask::dataControl());
-    for (const NodeId s : sources) {
-      expected[s.value()] = 1;  // seeds count as reached
-    }
-    EXPECT_EQ(reach.domain.mark, expected);
+      for (const auto& [seeds, dir] :
+           {std::pair{sources, check::Direction::kForward},
+            std::pair{sinks, check::Direction::kBackward}}) {
+        const auto reach = check::computeReachability(view, seeds, dir);
+        std::vector<char> expected = locwm::testing::naiveReach(
+            g, seeds, dir, cdfg::EdgeSel::kDataControl);
+        for (const NodeId s : seeds) {
+          expected[s.value()] = 1;  // seeds count as reached
+        }
+        EXPECT_EQ(reach.mark, expected) << ids << " ids";
+      }
 
-    const auto slack = check::computeSlack(view, sched::LatencyModel::unit());
-    const sched::TimeFrames tf(g, sched::LatencyModel::unit());
-    EXPECT_EQ(slack.critical, tf.criticalPathSteps());
-    EXPECT_EQ(slack.deadline, tf.deadline());
-    for (const NodeId v : g.allNodes()) {
-      EXPECT_EQ(slack.asap[v.value()], tf.asap(v));
-      EXPECT_EQ(slack.alap[v.value()], tf.alap(v));
-    }
-
-    cdfg::SplitMix64 rng(seed * 31);
-    for (std::size_t q = 0; q < 64; ++q) {
-      const NodeId from(static_cast<std::uint32_t>(rng.below(n)));
-      const NodeId to(static_cast<std::uint32_t>(rng.below(n)));
-      const EdgeId skip(static_cast<std::uint32_t>(rng.below(g.edgeCount())));
-      const bool expected_path =
-          from == to || locwm::testing::naivePath(
-                            g, from, to, check::EdgeMask::dataControl(), skip);
-      ASSERT_EQ(check::hasPathSkipping(view, from, to, skip,
-                                       check::EdgeMask::dataControl()),
-                expected_path);
+      cdfg::SplitMix64 rng(seed * 31);
+      for (std::size_t q = 0; q < 64; ++q) {
+        const NodeId from(static_cast<std::uint32_t>(rng.below(n)));
+        const NodeId to(static_cast<std::uint32_t>(rng.below(n)));
+        const EdgeId skip(
+            static_cast<std::uint32_t>(rng.below(g.edgeCount())));
+        for (const cdfg::EdgeSel sel :
+             {cdfg::EdgeSel::kDataControl, cdfg::EdgeSel::kAll}) {
+          const bool expected_path =
+              from == to ||
+              locwm::testing::naivePath(g, from, to, sel, skip);
+          ASSERT_EQ(check::hasPathSkipping(view, from, to, skip, sel),
+                    expected_path)
+              << ids << " ids: " << from.value() << " -> " << to.value();
+        }
+      }
     }
   }
 }
@@ -302,7 +311,7 @@ std::string csrPipelineDigest(std::uint64_t seed) {
   // Semantic rules over the marked graph (closure/reach/slack on CSR).
   digest += "|sem:" + check::checkSemantics(g, "pin").renderText();
 
-  // CSR closure reachable-pair count (exercises the parallel Kahn path).
+  // CSR closure reachable-pair count.
   const CsrView view(g);
   const auto closure = check::computePrecedenceClosure(view);
   std::size_t pairs = 0;

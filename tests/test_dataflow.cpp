@@ -1,15 +1,19 @@
-// Dataflow engine (check/dataflow.h) and differential verifier
-// (check/differ.h): fixpoint properties on random DFGs (closure vs the
-// naive DFS oracle of naive_oracles.h, idempotence, monotonicity),
-// SlackAnalysis equivalence with the pinned sched::TimeFrames,
-// liveness/reachability on handcrafted graphs,
-// cyclic-input degradation, and the diff-vs-mutation matrix — every
-// core/attack.h structural mutation must surface as an LW7xx error.
+// Graph analyses (check/dataflow.h) and differential verifier
+// (check/differ.h): the closure and reachability against the naive DFS
+// oracle of naive_oracles.h on random DFGs under generated, reversed and
+// shuffled ids at 1, 2 and 8 threads, the LW601/LW602 verdicts against
+// naive oracles under the same numberings, closure monotonicity,
+// liveness/reachability on handcrafted graphs, cyclic input, and the
+// diff-vs-mutation matrix — every core/attack.h structural mutation must
+// surface as an LW7xx error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cdfg/csr.h"
@@ -20,6 +24,7 @@
 #include "core/attack.h"
 #include "core/sched_wm.h"
 #include "naive_oracles.h"
+#include "rt/rt.h"
 #include "sched/latency.h"
 #include "sched/timeframes.h"
 #include "workloads/hyper.h"
@@ -28,9 +33,12 @@ namespace {
 
 using namespace locwm;
 using cdfg::CsrView;
+using cdfg::EdgeSel;
 using check::Direction;
-using check::EdgeMask;
 using locwm::testing::addTemporalEdges;
+using locwm::testing::Numbering;
+using locwm::testing::numberingName;
+using locwm::testing::renumbered;
 using locwm::testing::smallRandomDfg;
 
 // ---------------------------------------------------------------------------
@@ -38,17 +46,27 @@ using locwm::testing::smallRandomDfg;
 
 TEST(Dataflow, ClosureMatchesDfsOracleOnRandomDfgs) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    cdfg::Cdfg g = smallRandomDfg(seed);
-    addTemporalEdges(g, 6, seed * 77);
-    const auto closure = check::computePrecedenceClosure(CsrView(g));
-    ASSERT_TRUE(closure.stats.converged);
-    for (const cdfg::NodeId a : g.allNodes()) {
-      for (const cdfg::NodeId b : g.allNodes()) {
-        EXPECT_EQ(closure.precedes(a, b), locwm::testing::naivePath(g, a, b))
-            << "seed " << seed << ": " << a.value() << " -> " << b.value();
+    cdfg::Cdfg generated = smallRandomDfg(seed);
+    addTemporalEdges(generated, 6, seed * 77);
+    for (const Numbering how : locwm::testing::kNumberings) {
+      const cdfg::Cdfg g = renumbered(generated, how, seed);
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        rt::setThreadCount(threads);
+        const auto closure = check::computePrecedenceClosure(CsrView(g));
+        ASSERT_FALSE(closure.cyclic);
+        for (const cdfg::NodeId a : g.allNodes()) {
+          for (const cdfg::NodeId b : g.allNodes()) {
+            ASSERT_EQ(closure.precedes(a, b),
+                      locwm::testing::naivePath(g, a, b))
+                << "seed " << seed << ", " << numberingName(how) << " ids, "
+                << threads << " threads: " << a.value() << " -> "
+                << b.value();
+          }
+        }
       }
     }
   }
+  rt::setThreadCount(0);
 }
 
 TEST(Dataflow, ClosureRespectsEdgeMask) {
@@ -59,36 +77,12 @@ TEST(Dataflow, ClosureRespectsEdgeMask) {
   g.addEdge(a, b, cdfg::EdgeKind::kData);
   g.addEdge(b, c, cdfg::EdgeKind::kTemporal);
   const CsrView view(g);
-  const auto all = check::computePrecedenceClosure(view, EdgeMask::all());
+  const auto all = check::computePrecedenceClosure(view, EdgeSel::kAll);
   EXPECT_TRUE(all.precedes(a, c));
-  const auto dc =
-      check::computePrecedenceClosure(view, EdgeMask::dataControl());
+  const auto dc = check::computePrecedenceClosure(view, EdgeSel::kDataControl);
   EXPECT_TRUE(dc.precedes(a, b));
   EXPECT_FALSE(dc.precedes(a, c));
   EXPECT_FALSE(dc.precedes(b, c));
-}
-
-TEST(Dataflow, FixpointIsIdempotent) {
-  for (std::uint64_t seed = 10; seed <= 12; ++seed) {
-    cdfg::Cdfg g = smallRandomDfg(seed);
-    addTemporalEdges(g, 4, seed);
-    const CsrView view(g);
-    check::ClosureDomain closure(g.nodeCount());
-    const auto first = check::solveFixpoint(view, Direction::kForward,
-                                            EdgeMask::all(), closure);
-    ASSERT_TRUE(first.converged);
-    const auto second = check::solveFixpoint(view, Direction::kForward,
-                                             EdgeMask::all(), closure);
-    EXPECT_TRUE(second.converged);
-    EXPECT_EQ(second.updates, 0u) << "seed " << seed;
-
-    check::ReachDomain reach(g.nodeCount());
-    reach.mark[0] = 1;
-    check::solveFixpoint(view, Direction::kForward, EdgeMask::all(), reach);
-    const auto rerun =
-        check::solveFixpoint(view, Direction::kForward, EdgeMask::all(), reach);
-    EXPECT_EQ(rerun.updates, 0u) << "seed " << seed;
-  }
 }
 
 TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
@@ -121,47 +115,128 @@ TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
 }
 
 // ---------------------------------------------------------------------------
-// SlackAnalysis must agree with the pinned sched::TimeFrames.
+// LW601 and LW602 verdicts vs naive oracles, whatever the numbering.
 
-void expectSlackMatchesTimeFrames(const cdfg::Cdfg& g,
-                                  const sched::LatencyModel& lat,
-                                  std::optional<std::uint32_t> deadline) {
-  const sched::TimeFrames tf(g, lat, deadline);
-  const auto slack = check::computeSlack(CsrView(g), lat, deadline);
-  ASSERT_TRUE(slack.converged());
-  EXPECT_EQ(slack.critical, tf.criticalPathSteps());
-  EXPECT_EQ(slack.deadline, tf.deadline());
-  for (const cdfg::NodeId v : g.allNodes()) {
-    EXPECT_EQ(slack.asap[v.value()], tf.asap(v)) << "asap " << v.value();
-    EXPECT_EQ(slack.alap[v.value()], tf.alap(v)) << "alap " << v.value();
+/// The temporal edges LW601 and LW602 must flag in an acyclic `g`, by
+/// definition: LW601, a path that skips the edge exists over all kinds
+/// but not over data/control alone (that is LW104's); LW602, the edge
+/// cannot fit the data/control-only frames.  Each entry is the location a
+/// finding names, "edge src->dst (temporal)".
+struct TemporalVerdicts {
+  std::vector<std::string> lw601;
+  std::vector<std::string> lw602;
+};
+
+TemporalVerdicts naiveTemporalVerdicts(const cdfg::Cdfg& g) {
+  const auto frames =
+      locwm::testing::naiveFrames(g, sched::LatencyModel::unit());
+  TemporalVerdicts out;
+  for (const cdfg::EdgeId te : g.temporalEdges()) {
+    const cdfg::Edge& e = g.edge(te);
+    const std::string ref = "edge " + std::to_string(e.src.value()) + "->" +
+                            std::to_string(e.dst.value()) + " (temporal)";
+    if (!locwm::testing::naivePath(g, e.src, e.dst, EdgeSel::kDataControl,
+                                   te) &&
+        locwm::testing::naivePath(g, e.src, e.dst, EdgeSel::kAll, te)) {
+      out.lw601.push_back(ref);
+    }
+    if (frames.asap[e.src.value()] + 1 > frames.alap[e.dst.value()]) {
+      out.lw602.push_back(ref);
+    }
   }
+  return out;
 }
 
-TEST(Dataflow, SlackMatchesTimeFramesOnRandomDfgs) {
+/// The same verdicts read off checkSemantics, in report order.
+TemporalVerdicts reportedTemporalVerdicts(const cdfg::Cdfg& g) {
+  TemporalVerdicts out;
+  const check::Report report = check::checkSemantics(g);
+  for (const auto& d : report.diagnostics()) {
+    if (d.code == "LW601") {
+      out.lw601.push_back(d.location);
+    } else if (d.code == "LW602") {
+      out.lw602.push_back(d.location);
+    }
+  }
+  return out;
+}
+
+TEST(Dataflow, TemporalVerdictsMatchNaiveOracleUnderAnyNumbering) {
+  std::size_t lw601 = 0;
+  std::size_t lw602 = 0;
+  for (std::uint64_t seed = 40; seed <= 45; ++seed) {
+    cdfg::Cdfg generated = smallRandomDfg(seed, 60);
+    addTemporalEdges(generated, 24, seed * 5);
+    // Stacked constraints a -> b -> c plus a -> c, the LW601 pattern, where
+    // no data/control path already orders a before c.
+    cdfg::SplitMix64 rng(seed);
+    const std::size_t n = generated.nodeCount();
+    for (int k = 0; k < 4; ++k) {
+      std::uint32_t v[3];
+      for (auto& x : v) {
+        x = static_cast<std::uint32_t>(rng.below(n));
+      }
+      std::sort(std::begin(v), std::end(v));
+      const cdfg::NodeId a(v[0]);
+      const cdfg::NodeId b(v[1]);
+      const cdfg::NodeId c(v[2]);
+      if (a == b || b == c ||
+          locwm::testing::naivePath(generated, a, c, EdgeSel::kDataControl)) {
+        continue;
+      }
+      for (const auto& [src, dst] : {std::pair{a, b}, std::pair{b, c},
+                                     std::pair{a, c}}) {
+        if (!generated.hasEdge(src, dst, cdfg::EdgeKind::kTemporal)) {
+          generated.addEdge(src, dst, cdfg::EdgeKind::kTemporal);
+        }
+      }
+    }
+    for (const Numbering how : locwm::testing::kNumberings) {
+      const cdfg::Cdfg g = renumbered(generated, how, seed);
+      const TemporalVerdicts expected = naiveTemporalVerdicts(g);
+      lw601 += expected.lw601.size();
+      lw602 += expected.lw602.size();
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        rt::setThreadCount(threads);
+        const TemporalVerdicts got = reportedTemporalVerdicts(g);
+        EXPECT_EQ(got.lw601, expected.lw601)
+            << "seed " << seed << ", " << numberingName(how) << " ids, "
+            << threads << " threads";
+        EXPECT_EQ(got.lw602, expected.lw602)
+            << "seed " << seed << ", " << numberingName(how) << " ids, "
+            << threads << " threads";
+      }
+    }
+  }
+  rt::setThreadCount(0);
+  EXPECT_GT(lw601, 0u);
+  EXPECT_GT(lw602, 0u);
+}
+
+TEST(Dataflow, TimeFramesMatchNaiveFramesUnderAnyNumbering) {
   for (std::uint64_t seed = 31; seed <= 33; ++seed) {
-    cdfg::Cdfg g = smallRandomDfg(seed);
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
-                                 std::nullopt);
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::hyperDefault(),
-                                 std::nullopt);
-    addTemporalEdges(g, 5, seed * 3);
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
-                                 std::nullopt);
-    const auto tight =
-        check::computeSlack(CsrView(g), sched::LatencyModel::unit());
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
-                                 tight.critical + 3);
+    cdfg::Cdfg generated = smallRandomDfg(seed);
+    addTemporalEdges(generated, 5, seed * 3);
+    for (const Numbering how : locwm::testing::kNumberings) {
+      const cdfg::Cdfg g = renumbered(generated, how, seed);
+      for (const auto& lat : {sched::LatencyModel::unit(),
+                              sched::LatencyModel::hyperDefault()}) {
+        for (const bool temporal : {false, true}) {
+          const auto naive = locwm::testing::naiveFrames(g, lat, temporal);
+          const sched::TimeFrames tf(g, lat, std::nullopt, temporal);
+          EXPECT_EQ(tf.criticalPathSteps(), naive.critical);
+          for (const cdfg::NodeId v : g.allNodes()) {
+            ASSERT_EQ(tf.asap(v), naive.asap[v.value()])
+                << numberingName(how) << " ids, temporal " << temporal
+                << ", asap " << v.value();
+            ASSERT_EQ(tf.alap(v), naive.alap[v.value()])
+                << numberingName(how) << " ids, temporal " << temporal
+                << ", alap " << v.value();
+          }
+        }
+      }
+    }
   }
-}
-
-TEST(Dataflow, SlackClampsInfeasibleDeadline) {
-  // A deadline below the critical path makes TimeFrames throw; the linter
-  // analysis instead clamps to the critical path and reports that.
-  const cdfg::Cdfg g = smallRandomDfg(5);
-  const auto slack =
-      check::computeSlack(CsrView(g), sched::LatencyModel::unit(), 1);
-  EXPECT_TRUE(slack.converged());
-  EXPECT_EQ(slack.deadline, slack.critical);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,25 +273,47 @@ TEST(Dataflow, ReachabilityForwardAndBackward) {
 }
 
 // ---------------------------------------------------------------------------
-// Cyclic input: the engine terminates and reports instead of hanging.
+// Cyclic input: every analysis terminates; the closure declines.
 
 TEST(Dataflow, CyclicGraphTerminates) {
   cdfg::Cdfg g;
   const auto a = g.addNode(cdfg::OpKind::kAdd);
   const auto b = g.addNode(cdfg::OpKind::kAdd);
+  const auto c = g.addNode(cdfg::OpKind::kAdd);
   g.addEdge(a, b);
   g.addEdge(b, a);
+  g.addEdge(b, c);
   const CsrView view(g);
-  // The closure converges (a and b precede each other)...
-  const auto closure = check::computePrecedenceClosure(view);
-  EXPECT_TRUE(closure.stats.converged);
-  EXPECT_TRUE(closure.precedes(a, b));
-  EXPECT_TRUE(closure.precedes(b, a));
-  // ...while the unbounded max-plus ASAP hits the visit cap.
-  const auto slack = check::computeSlack(view, sched::LatencyModel::unit());
-  EXPECT_FALSE(slack.converged());
+  const auto reach = check::computeReachability(view, {a}, Direction::kForward);
+  EXPECT_TRUE(reach.reached(b));
+  EXPECT_TRUE(reach.reached(c));
+  EXPECT_TRUE(check::hasPathSkipping(view, b, a));
   // The semantic rules bail out cleanly (LW103 owns cyclic graphs).
   EXPECT_TRUE(check::checkSemantics(g).empty());
+}
+
+TEST(Dataflow, ClosureOfCyclicViewIsCyclicAndEmpty) {
+  // A 200-node ring numbered against its edges, with a tail: the cycle is
+  // found by the Kahn order before any bit matrix is allocated.
+  cdfg::Cdfg g;
+  constexpr std::uint32_t kRing = 200;
+  for (std::uint32_t i = 0; i < kRing + 1; ++i) {
+    g.addNode(cdfg::OpKind::kAdd);
+  }
+  for (std::uint32_t i = 0; i < kRing; ++i) {
+    g.addEdge(cdfg::NodeId((i + 1) % kRing), cdfg::NodeId(i));
+  }
+  g.addEdge(cdfg::NodeId(0), cdfg::NodeId(kRing), cdfg::EdgeKind::kTemporal);
+  const CsrView view(g);
+  for (const EdgeSel sel : {EdgeSel::kAll, EdgeSel::kDataControl}) {
+    const auto closure = check::computePrecedenceClosure(view, sel);
+    EXPECT_TRUE(closure.cyclic);
+    EXPECT_EQ(closure.ancestors.memoryBytes(), 0u);
+  }
+  // The tail alone is acyclic: only the temporal edge selected.
+  const auto tail = check::computePrecedenceClosure(view, EdgeSel::kTemporal);
+  EXPECT_FALSE(tail.cyclic);
+  EXPECT_TRUE(tail.precedes(cdfg::NodeId(0), cdfg::NodeId(kRing)));
 }
 
 TEST(Dataflow, HasPathSkippingIgnoresTheSkippedEdge) {

@@ -4,7 +4,8 @@
 // with the one-shot oracle after every edit batch, at any thread count.
 // These tests hammer that contract with randomized edit scripts (adds and
 // removals of nodes and edges of every kind, including cycle-inducing
-// edges and rejected ops) and with targeted cases for each repair path.
+// edges and rejected ops) on random DFGs under generated, reversed and
+// shuffled ids, and with targeted cases for each repair path.
 // The Baseline suite covers the lint ratchet (check/baseline.h).
 #include <gtest/gtest.h>
 
@@ -20,8 +21,10 @@
 #include "check/dataflow.h"
 #include "check/incremental.h"
 #include "check/rules.h"
+#include "naive_oracles.h"
 #include "rt/rt.h"
 #include "sched/latency.h"
+#include "sched/timeframes.h"
 #include "workloads/iir4.h"
 
 namespace locwm {
@@ -35,13 +38,15 @@ using cdfg::EditDelta;
 using cdfg::EditOp;
 using cdfg::NodeId;
 using cdfg::OpKind;
+using locwm::testing::Numbering;
 
-Cdfg seedDfg(std::uint64_t seed, std::size_t operations = 220) {
+Cdfg seedDfg(std::uint64_t seed, std::size_t operations = 220,
+             Numbering how = Numbering::kGenerated) {
   cdfg::RandomDfgOptions o;
   o.operations = operations;
   o.inputs = 8;
   o.width = 12;
-  return cdfg::randomDfg(o, seed);
+  return locwm::testing::renumbered(cdfg::randomDfg(o, seed), how, seed);
 }
 
 /// Samples one plausible (sometimes deliberately invalid) edit against the
@@ -102,9 +107,10 @@ EditOp randomOp(const Cdfg& g, cdfg::SplitMix64& rng) {
 }
 
 /// One edit script: `batches` deltas of 1..6 ops each, sampled against a
-/// replica graph kept in sync with plain cdfg::applyDelta.
-std::vector<EditDelta> makeScript(std::uint64_t seed, std::size_t batches) {
-  Cdfg sim = seedDfg(seed);
+/// replica of `initial` kept in sync with plain cdfg::applyDelta.
+std::vector<EditDelta> makeScript(const Cdfg& initial, std::uint64_t seed,
+                                  std::size_t batches) {
+  Cdfg sim = initial;
   CsrDelta sim_csr(sim);
   cdfg::SplitMix64 rng(seed * 0x9E3779B97F4A7C15ULL + 1);
   std::vector<EditDelta> script;
@@ -121,14 +127,15 @@ std::vector<EditDelta> makeScript(std::uint64_t seed, std::size_t batches) {
   return script;
 }
 
-/// Replays `script` through a fresh engine, collecting the report text
+/// Replays `script` through a fresh engine on `initial`, the graph the
+/// script was sampled against, collecting the report text
 /// after every batch; when `against_oracle`, also asserts byte-identical
-/// agreement with checkSemantics and value-identical slack after each
-/// batch.  Out-parameter because gtest fatal assertions need a void
-/// function.
-void replay(std::uint64_t seed, const std::vector<EditDelta>& script,
+/// agreement with checkSemantics and value-identical frames with
+/// sched::TimeFrames after each batch.  Out-parameter because gtest fatal
+/// assertions need a void function.
+void replay(const Cdfg& initial, const std::vector<EditDelta>& script,
             bool against_oracle, std::vector<std::string>& texts) {
-  check::delta::IncrementalAnalysis engine(seedDfg(seed), "<design>");
+  check::delta::IncrementalAnalysis engine(initial, "<design>");
   texts.clear();
   texts.reserve(script.size());
   for (std::size_t b = 0; b < script.size(); ++b) {
@@ -142,31 +149,33 @@ void replay(std::uint64_t seed, const std::vector<EditDelta>& script,
     ASSERT_EQ(oracle.renderText(), texts.back())
         << "diverged from oracle after batch " << b;
     if (!engine.cyclic()) {
-      const cdfg::CsrView view(engine.graph());
-      const check::SlackAnalysis slack = check::computeSlack(
-          view, sched::LatencyModel::unit(), std::nullopt,
-          check::EdgeMask::dataControl());
-      ASSERT_TRUE(slack.converged());
-      ASSERT_EQ(slack.critical, engine.critical()) << "batch " << b;
-      for (std::size_t i = 0; i < view.nodeCount(); ++i) {
-        const NodeId n(static_cast<std::uint32_t>(i));
-        ASSERT_EQ(slack.asap[i], engine.asap(n)) << "batch " << b;
-        ASSERT_EQ(slack.alap[i], engine.alap(n)) << "batch " << b;
+      const sched::TimeFrames frames(engine.graph(),
+                                     sched::LatencyModel::unit(),
+                                     std::nullopt, /*includeTemporal=*/false);
+      ASSERT_EQ(frames.criticalPathSteps(), engine.critical())
+          << "batch " << b;
+      for (const NodeId n : engine.graph().allNodes()) {
+        ASSERT_EQ(frames.asap(n), engine.asap(n)) << "batch " << b;
+        ASSERT_EQ(frames.alap(n), engine.alap(n)) << "batch " << b;
       }
     }
   }
 }
 
 void randomizedOracle(std::uint64_t seed, std::size_t batches) {
-  const std::vector<EditDelta> script = makeScript(seed, batches);
-  rt::setThreadCount(1);
-  std::vector<std::string> base;
-  replay(seed, script, true, base);
-  for (const std::size_t threads : {2U, 8U}) {
-    rt::setThreadCount(threads);
-    std::vector<std::string> texts;
-    replay(seed, script, false, texts);
-    EXPECT_EQ(texts, base) << "thread count " << threads << " diverged";
+  for (const Numbering how : locwm::testing::kNumberings) {
+    SCOPED_TRACE(locwm::testing::numberingName(how));
+    const Cdfg initial = seedDfg(seed, 220, how);
+    const std::vector<EditDelta> script = makeScript(initial, seed, batches);
+    rt::setThreadCount(1);
+    std::vector<std::string> base;
+    replay(initial, script, true, base);
+    for (const std::size_t threads : {2U, 8U}) {
+      rt::setThreadCount(threads);
+      std::vector<std::string> texts;
+      replay(initial, script, false, texts);
+      EXPECT_EQ(texts, base) << "thread count " << threads << " diverged";
+    }
   }
   rt::setThreadCount(0);  // restore automatic sizing for other tests
 }
@@ -179,7 +188,8 @@ TEST(Incremental, RandomDeltasMatchOracleSeed42) {
 
 TEST(Incremental, SingleOpDeltasMatchOracle) {
   // 1-op batches exercise the smallest dirty regions.
-  Cdfg sim = seedDfg(3, 120);
+  const Cdfg initial = seedDfg(3, 120);
+  Cdfg sim = initial;
   CsrDelta sim_csr(sim);
   cdfg::SplitMix64 rng(99);
   std::vector<EditDelta> script;
@@ -191,7 +201,7 @@ TEST(Incremental, SingleOpDeltasMatchOracle) {
   }
   rt::setThreadCount(1);
   std::vector<std::string> texts;
-  replay(3, script, true, texts);
+  replay(initial, script, true, texts);
   rt::setThreadCount(0);
 }
 
@@ -306,7 +316,7 @@ TEST(Incremental, WideRankBatchClosureMatchesOracle) {
     g.addEdge(add, g.addNode(OpKind::kOutput), EdgeKind::kData);
     delta.ops.push_back(EditOp::addEdge(c, add, EdgeKind::kData));
   }
-  for (const std::size_t threads : {1U, 8U}) {
+  for (const std::size_t threads : {1U, 2U, 8U}) {
     rt::setThreadCount(threads);
     check::delta::IncrementalAnalysis engine(g, "<design>");
     ASSERT_TRUE(engine.closureEnabled());

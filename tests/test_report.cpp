@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cdfg/prng.h"
+#include "check/dataflow.h"
 #include "check/diagnostics.h"
 #include "check/project.h"
 #include "check/workspace.h"
@@ -332,30 +333,54 @@ TEST(ProjectParse, EachDesignAndCertificateParsedOncePerRun) {
 #endif  // LOCWM_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
-// LW810: LW804's node bound is reported, not silent.
+// LW810: LW804's node bound, check::kClosureNodeLimit, is reported, not
+// silent.
 
 TEST(CheckProject, LW810ReportsDesignAboveClosureBound) {
-  const auto lw810 = [](std::size_t adds) {
+  // A chain of `nodes` nodes, node i at step i, except that node n-3
+  // starts after the last node and node n-2 is unscheduled: only the
+  // closure sees that node n-3 must precede node n-1 (one LW804), when
+  // LW804 runs at all.
+  const auto findings = [](std::size_t nodes) {
+    std::string sched;
+    for (std::size_t i = 0; i + 3 < nodes; ++i) {
+      sched += std::to_string(i) + " " + std::to_string(i) + "\n";
+    }
+    sched += std::to_string(nodes - 3) + " " + std::to_string(nodes + 5) +
+             "\n" + std::to_string(nodes - 1) + " " +
+             std::to_string(nodes - 1) + "\n";
     check::Workspace ws;
-    ws.addArtifactText("big.cdfg", chainDesign(adds));
-    ws.addArtifactText("big.sched", chainSchedule(adds, 0));
+    ws.addArtifactText("big.cdfg", chainDesign(nodes - 2));
+    ws.addArtifactText("big.sched", sched);
     const Report r = check::checkProject(ws).report;
     std::vector<Diagnostic> found;
     for (const Diagnostic& d : r.diagnostics()) {
-      EXPECT_NE(d.code, "LW804");
-      if (d.code == "LW810") {
+      if (d.code == "LW804" || d.code == "LW810") {
         found.push_back(d);
       }
     }
     return found;
   };
-  const std::vector<Diagnostic> big = lw810(20000);  // 20 002 nodes
-  ASSERT_EQ(big.size(), 1u);
-  EXPECT_EQ(big[0].severity, Severity::kInfo);
-  EXPECT_EQ(big[0].artifact, "big.sched");
-  EXPECT_NE(big[0].message.find("20002 nodes"), std::string::npos)
-      << big[0].message;
-  EXPECT_TRUE(lw810(100).empty());
+  constexpr std::size_t kLimit = check::kClosureNodeLimit;
+  static_assert(kLimit == 8192);
+  for (const std::size_t nodes : {std::size_t{100}, kLimit}) {
+    const std::vector<Diagnostic> ran = findings(nodes);
+    ASSERT_EQ(ran.size(), 1u) << nodes << " nodes";
+    EXPECT_EQ(ran[0].code, "LW804") << nodes << " nodes";
+    EXPECT_EQ(ran[0].location, "node " + std::to_string(nodes - 1));
+  }
+  for (const std::size_t nodes : {kLimit + 1, std::size_t{20002}}) {
+    const std::vector<Diagnostic> skipped = findings(nodes);
+    ASSERT_EQ(skipped.size(), 1u) << nodes << " nodes";
+    EXPECT_EQ(skipped[0].code, "LW810");
+    EXPECT_EQ(skipped[0].severity, Severity::kInfo);
+    EXPECT_EQ(skipped[0].artifact, "big.sched");
+    EXPECT_NE(skipped[0].message.find(std::to_string(nodes) + " nodes"),
+              std::string::npos)
+        << skipped[0].message;
+    EXPECT_NE(skipped[0].message.find("bound of 8192"), std::string::npos)
+        << skipped[0].message;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // locwm::rt runtime: the determinism pin (thread count never changes
 // output — schedules, Pc bits, lint reports), exception propagation out
 // of parallel regions, pool reuse across passes, nested-region inlining,
-// PRNG substream separation, and the parallel closure against the
-// sequential fixpoint.
+// and PRNG substream separation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,12 +13,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "cdfg/io.h"
 #include "cdfg/prng.h"
 #include "cdfg/random_dfg.h"
-#include "check/dataflow.h"
 #include "check/linter.h"
 #include "core/pc.h"
 #include "core/sched_wm.h"
@@ -43,7 +40,7 @@ std::string bits(double v) {
 /// One full embed → publish → schedule → detect → Pc → lint pipeline,
 /// digested into a string.  Every parallelized pass contributes: the
 /// detection root scan, Pc aggregation/confidence, and the lint rule
-/// packs (which exercise the parallel closure underneath).
+/// packs (which run the closure underneath).
 std::string pipelineDigest(std::uint64_t seed) {
   cdfg::RandomDfgOptions o;
   o.operations = 160;
@@ -218,42 +215,6 @@ TEST(Rt, SubstreamsDoNotOverlap) {
   // Distinct base seeds give distinct substream families.
   EXPECT_NE(cdfg::substreamSeed(1, 0), cdfg::substreamSeed(2, 0));
   EXPECT_NE(cdfg::substreamSeed(1, 0), cdfg::substreamSeed(1, 1));
-}
-
-// ---------------------------------------------------------------------------
-// The level-parallel closure equals the sequential worklist fixpoint bit
-// for bit, at every thread count.
-
-TEST(Rt, ParallelClosureMatchesSequentialFixpoint) {
-  for (const std::uint64_t seed : {3u, 9u, 27u}) {
-    cdfg::RandomDfgOptions o;
-    o.operations = 120;
-    o.inputs = 5;
-    o.width = 7;
-    const cdfg::Cdfg g = cdfg::randomDfg(o, seed);
-    const cdfg::CsrView view(g);
-    const std::size_t n = g.nodeCount();
-
-    check::ClosureDomain serial(n);
-    ASSERT_TRUE(check::solveFixpoint(view, check::Direction::kForward,
-                                     check::EdgeMask::all(), serial)
-                    .converged);
-
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      rt::setThreadCount(threads);
-      const auto parallel = check::computePrecedenceClosure(view);
-      EXPECT_TRUE(parallel.stats.converged);
-      for (std::size_t a = 0; a < n; ++a) {
-        for (std::size_t b = 0; b < n; ++b) {
-          ASSERT_EQ(parallel.domain.ancestors.test(a, b),
-                    serial.ancestors.test(a, b))
-              << "closure bit (" << a << ", " << b << ") differs at "
-              << threads << " threads (seed " << seed << ")";
-        }
-      }
-    }
-  }
-  rt::setThreadCount(0);
 }
 
 TEST(Rt, ThreadsVariableMustBeAWholeNumber) {

@@ -40,6 +40,8 @@ DEFAULT_TOL = 0.5
 # regressions (algorithmic, 5-10x) without flaking on scheduler noise.
 WALL_TOL = 3.0
 
+EXACT = {"kind": "exact"}
+
 CONFIG = {
     "perf_parallel_scaling": {
         "key": ("workload", "threads"),
@@ -166,6 +168,35 @@ CONFIG = {
             "warm_ms": {"kind": "lower_better", "tol": WALL_TOL},
         },
     },
+    # The paper's results.  Every result field is deterministic and the
+    # same at any thread count, so each is pinned exactly: a change to
+    # derivation, ordering, embedding or Pc that moves a figure fails
+    # here, and an intended change re-records the baseline.  Provenance
+    # (build_type, cpu_model, git_describe, hardware_threads) is not gated.
+    "table1_scheduling": {
+        "key": ("app",),
+        "metrics": {name: EXACT for name in (
+            "n", "k", "pc_a02", "pc_a05", "ovhd_pct_a02", "ovhd_pct_a05")},
+    },
+    "table2_template": {
+        "key": ("design",),
+        "metrics": {name: EXACT for name in (
+            "cpath", "embedded", "enforced_pct", "module_increase_pct", "pc",
+            "steps", "vars")},
+    },
+    "fig3_scheduling_example": {
+        "key": ("slack",),
+        "metrics": {name: EXACT for name in (
+            "unconstrained_schedules", "constrained_schedules", "pc")},
+    },
+    # One row.  log10_pc is libm's log10 of pc, so pinning pc pins it
+    # without depending on the libm build.
+    "fig4_template_example": {
+        "key": (),
+        "metrics": {name: EXACT for name in (
+            "base_modules", "cover_modules", "detected", "enforced",
+            "matchings_total", "solutions_a5_a6", "pc")},
+    },
 }
 
 
@@ -281,7 +312,24 @@ def self_test():
         cur = {"bench": "perf_project_lint", "rows": [row]}
         return gate(lint_base, cur, CONFIG["perf_project_lint"])
 
+    # Table I pins its Pc strings: one changed character must fail, and a
+    # run on another build or machine (provenance only) must pass.
+    paper_row = {"app": "adpcm", "n": 296, "k": 5, "pc_a02": "3.1e-4",
+                 "pc_a05": "3.0e-5", "ovhd_pct_a02": 1.3513513513513513,
+                 "ovhd_pct_a05": 2.7027027027027026, "git_describe": "abc"}
+    paper_base = {"bench": "table1_scheduling", "rows": [paper_row]}
+
+    def run_paper(**overrides):
+        row = dict(paper_row)
+        row.update(overrides)
+        cur = {"bench": "table1_scheduling", "rows": [row]}
+        return gate(paper_base, cur, CONFIG["table1_scheduling"])
+
     problems = []
+    if not run_paper(pc_a02="3.1e-5"):
+        problems.append("one-character Pc string change was NOT caught")
+    if run_paper(git_describe="def-dirty"):
+        problems.append("a provenance-only change was flagged")
     if not run_lint(speedup=1.65, warm_ms=78.8):
         problems.append("2x slower warm lint (halved speedup) was NOT caught")
     if run_lint(speedup=2.3):
@@ -300,8 +348,8 @@ def self_test():
         print(f"self-test FAIL: {p}", file=sys.stderr)
     if not problems:
         print("self-test OK: gate fails on 2x slowdown, exact drift, "
-              "throughput collapse and a halved lint speedup; passes "
-              "in-tolerance runs")
+              "throughput collapse, a halved lint speedup and a changed "
+              "Pc string; passes in-tolerance runs")
     return 0 if not problems else 1
 
 

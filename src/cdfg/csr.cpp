@@ -76,6 +76,28 @@ CsrView::CsrView(const Cdfg& g) {
   LOCWM_OBS_GAUGE_MAX("cdfg.csr.arena_bytes", memoryBytes());
 }
 
+std::vector<NodeId> topologicalOrder(const CsrView& v, EdgeSel sel) {
+  const std::size_t n = v.nodeCount();
+  std::vector<std::uint32_t> indegree(n);
+  std::vector<NodeId> order;
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId node(static_cast<std::uint32_t>(i));
+    indegree[i] = static_cast<std::uint32_t>(v.inDegree(node, sel));
+    if (indegree[i] == 0) {
+      order.push_back(node);
+    }
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const NodeId dst : v.successors(order[head], sel)) {
+      if (--indegree[dst.value()] == 0) {
+        order.push_back(dst);
+      }
+    }
+  }
+  return order;
+}
+
 void LocalCsr::buildInLists() {
   const std::size_t n = kinds.size();
   in_off.assign(n + 1, 0);

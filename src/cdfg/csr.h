@@ -176,6 +176,14 @@ class CsrView {
   const std::uint8_t* kinds_ = nullptr;
 };
 
+/// The one topological order of a view's DAG over the `sel` edges: Kahn's
+/// algorithm with a FIFO queue, sources in id order.  Linear in the view
+/// whatever its numbering.  On a cyclic view the nodes on or behind a
+/// cycle never become ready, so the order holds fewer than nodeCount()
+/// nodes; callers take that as their cycle verdict.
+[[nodiscard]] std::vector<NodeId> topologicalOrder(const CsrView& v,
+                                                   EdgeSel sel);
+
 /// A small CSR over dense local ids 0..n-1 with data/control edges only:
 /// the form identification contexts and the canonical ordering work on,
 /// built straight from a node subset without a builder graph.  Out-lists

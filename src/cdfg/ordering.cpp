@@ -4,6 +4,7 @@
 #include <compare>
 #include <numeric>
 
+#include "cdfg/error.h"
 #include "obs/obs.h"
 
 namespace locwm::cdfg {
@@ -146,49 +147,33 @@ NodeOrdering computeOrdering(const LocalCsr& graph,
   return out;
 }
 
-NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
-                             const std::vector<NodeId>& nodes,
-                             std::uint32_t maxDepth) {
-  // Local ids follow ascending node id, so the core's local-id tie-break
-  // is a node-id tie-break.  Levels are the enclosing graph's; the
-  // refinement sees only neighbours inside the set.
-  std::vector<NodeId> sorted = nodes;
-  std::sort(sorted.begin(), sorted.end());
-  const CsrView& csr = analysis.csr();
-  constexpr std::uint32_t kOutside = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> local_of(csr.nodeCount(), kOutside);
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    local_of[sorted[i].value()] = static_cast<std::uint32_t>(i);
+std::vector<std::uint32_t> levelsOf(const LocalCsr& g) {
+  // Kahn's algorithm; the levels are the same in any topological order.
+  const std::size_t n = g.size();
+  std::vector<std::uint32_t> level(n, 0);
+  std::vector<std::uint32_t> indegree(n);
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    indegree[v] = static_cast<std::uint32_t>(g.predecessors(v).size());
+    if (indegree[v] == 0) {
+      ready.push_back(v);
+    }
   }
-  LocalCsr local;
-  std::vector<std::uint32_t> levels;
-  levels.reserve(sorted.size());
-  for (const NodeId v : sorted) {
-    local.kinds.push_back(csr.kind(v));
-    levels.push_back(analysis.level(v));
-  }
-  for (const NodeId v : sorted) {
-    for (const EdgeKind kind : {EdgeKind::kData, EdgeKind::kControl}) {
-      for (const NodeId s : csr.successors(v, edgeSelOf(kind))) {
-        if (local_of[s.value()] != kOutside) {
-          local.out.push_back(local_of[s.value()]);
-          local.out_kind.push_back(kind);
-        }
+  std::size_t done = 0;
+  while (!ready.empty()) {
+    const std::uint32_t v = ready.back();
+    ready.pop_back();
+    ++done;
+    level[v] += isPseudoOp(g.kinds[v]) ? 0u : 1u;
+    for (const std::uint32_t s : g.successors(v)) {
+      level[s] = std::max(level[s], level[v]);
+      if (--indegree[s] == 0) {
+        ready.push_back(s);
       }
     }
-    local.out_off.push_back(static_cast<std::uint32_t>(local.out.size()));
   }
-  local.buildInLists();
-  NodeOrdering ordering = computeOrdering(local, levels, maxDepth);
-  for (NodeId& v : ordering.ordered) {
-    v = sorted[v.value()];
-  }
-  return ordering;
-}
-
-NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
-                             std::uint32_t maxDepth) {
-  return computeOrdering(analysis, analysis.graph().allNodes(), maxDepth);
+  detail::check<GraphError>(done == n, "CDFG contains a dependence cycle");
+  return level;
 }
 
 }  // namespace locwm::cdfg

@@ -25,13 +25,17 @@
 // Nodes that are *automorphic* can never be separated by any structural
 // criterion; computeOrdering reports whether the produced ranks are unique
 // so callers can exclude tied nodes (or re-select a locality).
+//
+// This header orders a LocalCsr, the form identification contexts take.
+// Ordering a subset of a whole design, with C1 from the design's levels,
+// lives beside those levels: sched::computeOrdering over a
+// sched::StructuralAnalysis (sched/timeframes.h).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "cdfg/analysis.h"
 #include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "cdfg/ids.h"
@@ -52,28 +56,26 @@ struct NodeOrdering {
   std::uint32_t max_depth_used = 0;
 };
 
-/// Orders every node of a local CSR canonically: the one refinement the
-/// overloads below share.  `levels` supplies criterion C1 per local node
-/// (levelsOf() for a self-contained context, the enclosing graph's levels
-/// for a subset of it).  Refinement reads only the CSR's data/control
-/// neighbours.  Ties fall back to the local id, so `ordered` holds local
-/// ids as NodeIds.
-[[nodiscard]] NodeOrdering computeOrdering(
-    const LocalCsr& graph, std::span<const std::uint32_t> levels,
-    std::uint32_t maxDepth = 64);
-
-/// Orders `nodes` (a subset of `analysis.graph()`'s nodes) canonically.
+/// Orders every node of a local CSR canonically.  `levels` supplies
+/// criterion C1 per local node: levelsOf() for a self-contained context,
+/// or the enclosing graph's levels for a subset of it (the
+/// sched::computeOrdering overloads, which read them off
+/// sched::StructuralAnalysis).  Refinement reads only the CSR's
+/// data/control neighbours.  Ties fall back to the local id, so `ordered`
+/// holds local ids as NodeIds.
 ///
 /// `maxDepth` bounds the iterative deepening of criteria C2/C3; the default
 /// comfortably exceeds the diameter of all benchmark graphs.  The ordering
 /// depends only on graph structure, never on node ids or labels, so it is
 /// reproducible on a re-indexed (reverse-engineered) copy of the design.
-[[nodiscard]] NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
-                                           const std::vector<NodeId>& nodes,
-                                           std::uint32_t maxDepth = 64);
+[[nodiscard]] NodeOrdering computeOrdering(
+    const LocalCsr& graph, std::span<const std::uint32_t> levels,
+    std::uint32_t maxDepth = 64);
 
-/// Convenience overload ordering every node of the graph.
-[[nodiscard]] NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
-                                           std::uint32_t maxDepth = 64);
+/// Criterion C1 for every node of a local CSR, counted within it: the
+/// longest path from a source to the node, in real operations, the node
+/// itself included (pseudo-operations add nothing).  Throws GraphError on a
+/// dependence cycle.
+[[nodiscard]] std::vector<std::uint32_t> levelsOf(const LocalCsr& g);
 
 }  // namespace locwm::cdfg

@@ -77,25 +77,9 @@ bool BitRows::rowEquals(const BitRows& other, std::size_t a,
 PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
                                            cdfg::EdgeSel sel) {
   const std::size_t n = v.nodeCount();
-  // Kahn order over the selected edges: every row's predecessors come
-  // before it, so one union per edge finishes each row.
-  std::vector<std::uint32_t> indegree(n);
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    indegree[i] = static_cast<std::uint32_t>(
-        v.inDegree(NodeId(static_cast<std::uint32_t>(i)), sel));
-    if (indegree[i] == 0) {
-      order.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const NodeId dst : v.successors(NodeId(order[head]), sel)) {
-      if (--indegree[dst.value()] == 0) {
-        order.push_back(dst.value());
-      }
-    }
-  }
+  // Every row's predecessors come before it in the topological order, so
+  // one union per edge finishes each row.
+  const std::vector<NodeId> order = cdfg::topologicalOrder(v, sel);
   PrecedenceClosure result;
   if (order.size() < n) {
     result.cyclic = true;
@@ -103,10 +87,10 @@ PrecedenceClosure computePrecedenceClosure(const cdfg::CsrView& v,
   }
   result.ancestors = BitRows(n, n);
   BitRows& rows = result.ancestors;
-  for (const std::uint32_t node : order) {
-    for (const NodeId src : v.predecessors(NodeId(node), sel)) {
-      rows.set(node, src.value());
-      rows.unionInto(node, src.value());
+  for (const NodeId node : order) {
+    for (const NodeId src : v.predecessors(node, sel)) {
+      rows.set(node.value(), src.value());
+      rows.unionInto(node.value(), src.value());
     }
   }
   return result;

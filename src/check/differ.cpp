@@ -5,10 +5,10 @@
 #include <optional>
 #include <tuple>
 
-#include "cdfg/analysis.h"
 #include "cdfg/operation.h"
 #include "cdfg/ordering.h"
 #include "check/internal.h"
+#include "sched/timeframes.h"
 
 namespace locwm::check {
 namespace {
@@ -50,10 +50,10 @@ std::vector<EdgeTriple> coreEdges(const cdfg::Cdfg& g,
 /// ordering) fall back to identity.
 std::optional<std::vector<NodeId>> canonicalMapping(
     const cdfg::Cdfg& original, const cdfg::Cdfg& marked) {
-  const cdfg::StructuralAnalysis oa(original);
-  const cdfg::StructuralAnalysis ma(marked);
-  const cdfg::NodeOrdering oo = cdfg::computeOrdering(oa);
-  const cdfg::NodeOrdering mo = cdfg::computeOrdering(ma);
+  const sched::StructuralAnalysis oa(original);
+  const sched::StructuralAnalysis ma(marked);
+  const cdfg::NodeOrdering oo = sched::computeOrdering(oa);
+  const cdfg::NodeOrdering mo = sched::computeOrdering(ma);
   if (!oo.unique || !mo.unique ||
       oo.ordered.size() != mo.ordered.size()) {
     return std::nullopt;

@@ -5,8 +5,8 @@
 // returns a Report.  Rules are pure functions of their inputs: the same
 // artifacts always produce the same diagnostics in the same order.  The
 // structural invariants themselves are *reused* from the library —
-// Cdfg::checkAcyclic, LatencyModel::edgeGap, Lifetime::overlaps,
-// regbind::maxLive, cdfg::computeOrdering — the rules only turn their
+// cdfg::topologicalOrder, LatencyModel::edgeGap, Lifetime::overlaps,
+// regbind::maxLive, sched::computeOrdering — the rules only turn their
 // verdicts into stable coded diagnostics.
 //
 // Lenient-parse issues (cdfg::ParseIssue and friends) carry violations the

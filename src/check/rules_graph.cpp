@@ -3,14 +3,15 @@
 // relation, meaningful temporal constraints, canonical identifiability.
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "cdfg/analysis.h"
 #include "cdfg/csr.h"
 #include "cdfg/ordering.h"
 #include "check/dataflow.h"
 #include "check/internal.h"
 #include "check/rules.h"
+#include "sched/timeframes.h"
 
 namespace locwm::check {
 using cdfg::NodeId;
@@ -21,6 +22,10 @@ Report checkGraph(const cdfg::Cdfg& g,
                   const std::string& artifact) {
   Report r;
   bool cyclic = false;
+  // One lowering serves the cycle verdict, LW104, LW105 and, handed over
+  // last, LW106's analysis; the builder stays around for edge endpoints
+  // and node labels in diagnostics.
+  cdfg::CsrView view(g);
 
   // Violations the strict parser would have rejected, recorded by the
   // lenient parse.  The offending edges are *not* in the graph (except for
@@ -57,43 +62,35 @@ Report checkGraph(const cdfg::Cdfg& g,
     }
   }
 
-  if (!cyclic) {
-    try {
-      g.checkAcyclic();
-    } catch (const GraphError& e) {
-      cyclic = true;
-      r.add(diag("LW103", Severity::kError, artifact, {}, e.what(),
-                 "no schedule can satisfy a cyclic precedence relation"));
-    }
+  if (!cyclic && cdfg::topologicalOrder(view, cdfg::EdgeSel::kAll).size() <
+                     view.nodeCount()) {
+    cyclic = true;
+    r.add(diag("LW103", Severity::kError, artifact, {},
+               "CDFG contains a dependence cycle",
+               "no schedule can satisfy a cyclic precedence relation"));
   }
 
   // LW104: a temporal edge whose precedence already follows from the
   // data/control structure constrains nothing — it either leaked from a
   // buggy embedder or was never a watermark bit to begin with (§IV-A picks
   // pairs with *overlapping* lifetimes precisely to avoid this).
-  // A published design has no temporal edge and is not lowered.
-  const std::vector<cdfg::EdgeId> temporal = g.temporalEdges();
-  if (!temporal.empty()) {
-    const cdfg::CsrView view(g);
-    for (const cdfg::EdgeId te : temporal) {
-      const cdfg::Edge& e = g.edge(te);
-      if (hasPathSkipping(view, e.src, e.dst, te,
-                          cdfg::EdgeSel::kDataControl)) {
-        r.add(diag("LW104", Severity::kWarning, artifact,
-                   detail::edgeRef(e.src.value(), e.dst.value(), e.kind),
-                   "temporal edge is implied by an existing data/control "
-                   "path",
-                   "the constraint is satisfied by every schedule and "
-                   "carries no watermark information"));
-      }
+  for (const cdfg::EdgeId te : g.temporalEdges()) {
+    const cdfg::Edge& e = g.edge(te);
+    if (hasPathSkipping(view, e.src, e.dst, te, cdfg::EdgeSel::kDataControl)) {
+      r.add(diag("LW104", Severity::kWarning, artifact,
+                 detail::edgeRef(e.src.value(), e.dst.value(), e.kind),
+                 "temporal edge is implied by an existing data/control path",
+                 "the constraint is satisfied by every schedule and carries "
+                 "no watermark information"));
     }
   }
 
   // LW105: a real operation with no edges at all computes nothing anyone
   // consumes and is invisible to locality derivation.
   for (NodeId n : g.allNodes()) {
-    if (!cdfg::isPseudoOp(g.node(n).kind) && g.inEdges(n).empty() &&
-        g.outEdges(n).empty()) {
+    if (!cdfg::isPseudoOp(view.kind(n)) &&
+        view.inDegree(n, cdfg::EdgeSel::kAll) == 0 &&
+        view.outDegree(n, cdfg::EdgeSel::kAll) == 0) {
       r.add(diag("LW105", Severity::kWarning, artifact, detail::nodeRef(g, n),
                  "real operation is disconnected from the computation",
                  "orphan operations cannot participate in any locality"));
@@ -106,13 +103,13 @@ Report checkGraph(const cdfg::Cdfg& g,
   if (!cyclic) {
     std::vector<NodeId> real;
     for (NodeId n : g.allNodes()) {
-      if (!cdfg::isPseudoOp(g.node(n).kind)) {
+      if (!cdfg::isPseudoOp(view.kind(n))) {
         real.push_back(n);
       }
     }
     if (!real.empty()) {
-      const cdfg::StructuralAnalysis analysis(g);
-      const cdfg::NodeOrdering ordering = cdfg::computeOrdering(analysis, real);
+      const sched::StructuralAnalysis analysis(g, std::move(view));
+      const cdfg::NodeOrdering ordering = sched::computeOrdering(analysis, real);
       if (!ordering.unique) {
         std::size_t tied = 0;
         for (std::size_t i = 0; i < ordering.ranks.size();) {

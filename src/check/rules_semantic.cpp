@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "cdfg/error.h"
+#include "cdfg/csr.h"
 #include "check/dataflow.h"
 #include "check/internal.h"
 #include "check/rules.h"
@@ -146,14 +146,13 @@ void checkLiveness(Report& r, const cdfg::Cdfg& g, const cdfg::CsrView& view,
 
 Report checkSemantics(const cdfg::Cdfg& g, const std::string& artifact) {
   Report r;
-  try {
-    g.checkAcyclic();
-  } catch (const GraphError&) {
+  // One lowering serves the cycle verdict and all three rule families; the
+  // builder stays around for edge endpoints and node labels in diagnostics.
+  const cdfg::CsrView view(g);
+  if (cdfg::topologicalOrder(view, cdfg::EdgeSel::kAll).size() <
+      view.nodeCount()) {
     return r;  // LW103 is checkGraph's finding; these passes need a DAG
   }
-  // One lowering serves all three rule families; the builder stays around
-  // for edge endpoints and node labels in diagnostics.
-  const cdfg::CsrView view(g);
   checkRedundantTemporal(r, g, view, artifact);
   checkStretchingTemporal(r, g, view, artifact);
   checkLiveness(r, g, view, artifact);

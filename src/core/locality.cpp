@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "cdfg/analysis.h"
 #include "cdfg/error.h"
 #include "cdfg/ordering.h"
 #include "obs/obs.h"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cdfg/analysis.h"
 #include "cdfg/error.h"
 #include "core/pass_audit.h"
 #include "obs/obs.h"
@@ -108,11 +107,14 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
     return std::nullopt;
   }
 
+  // `g` changes only in the attempt that succeeds and returns, so every
+  // attempt starts from the same frames and structure.  Without a given
+  // deadline the frames take the critical path as theirs.
   const sched::LatencyModel& lat = params.latency;
-  const std::uint32_t deadline =
-      params.deadline.value_or(
-          sched::TimeFrames(g, lat, std::nullopt, /*includeTemporal=*/true)
-              .criticalPathSteps());
+  const sched::TimeFrames base_frames(g, lat, params.deadline,
+                                      /*includeTemporal=*/true);
+  const std::uint32_t deadline = base_frames.deadline();
+  const sched::StructuralAnalysis analysis(g);
 
   for (std::size_t attempt = 0; attempt < params.max_root_retries; ++attempt) {
     LOCWM_OBS_COUNT("core.sched_wm.roots_tried", 1);
@@ -133,8 +135,7 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
     // the inflexible nodes while keeping such designs markable.  Either
     // way each node additionally needs a lifetime-overlap partner among
     // the eligible set.
-    sched::TimeFrames frames(g, lat, deadline, /*includeTemporal=*/true);
-    const cdfg::StructuralAnalysis analysis(g);
+    sched::TimeFrames frames = base_frames;
     const double laxity_bound =
         (1.0 - params.alpha) *
         static_cast<double>(analysis.criticalPathLength());

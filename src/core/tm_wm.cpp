@@ -5,10 +5,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cdfg/analysis.h"
 #include "cdfg/error.h"
 #include "core/pass_audit.h"
 #include "obs/obs.h"
+#include "sched/timeframes.h"
 
 namespace locwm::wm {
 
@@ -26,7 +26,7 @@ std::optional<TmEmbedResult> TemplateWatermarker::embed(
     return std::nullopt;
   }
 
-  const cdfg::StructuralAnalysis analysis(g);
+  const sched::StructuralAnalysis analysis(g);
   const double c_ops = analysis.criticalPathLength();
   const double laxity_bound = c_ops * (1.0 - params.beta);
 

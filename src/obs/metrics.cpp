@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-#include <fstream>
 
 #include "obs/json.h"
 
@@ -124,15 +123,6 @@ std::string MetricsRegistry::snapshotJson() const {
   json += first ? "}\n" : "\n  }\n";
   json += "}\n";
   return json;
-}
-
-bool MetricsRegistry::writeJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << snapshotJson();
-  return static_cast<bool>(out);
 }
 
 void MetricsRegistry::reset() {

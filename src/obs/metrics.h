@@ -111,12 +111,9 @@ class MetricsRegistry {
   histogramSnapshots() const;
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with
-  /// names sorted at every level.
+  /// names sorted at every level.  writeStatsJson() in trace.h writes it,
+  /// with the pass timings, for --stats.
   [[nodiscard]] std::string snapshotJson() const;
-
-  /// Writes snapshotJson() to `path`.  Returns false on I/O failure.
-  /// (writeStatsJson() in trace.h additionally includes pass timings.)
-  bool writeJson(const std::string& path) const;
 
   /// Zeroes every value.  Names stay registered; handles stay valid.
   void reset();

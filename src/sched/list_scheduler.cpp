@@ -4,8 +4,8 @@
 #include <queue>
 #include <vector>
 
-#include "cdfg/analysis.h"
 #include "obs/obs.h"
+#include "sched/timeframes.h"
 
 namespace locwm::sched {
 
@@ -21,7 +21,7 @@ Schedule listSchedule(const cdfg::Cdfg& g,
   // Priorities: height (longest path to sink, in ops).  Structural, so it
   // is identical with and without the watermark edges — the watermark only
   // changes *feasibility*, not the heuristic's preferences.
-  const cdfg::StructuralAnalysis analysis(g);
+  const StructuralAnalysis analysis(g);
 
   // earliest[v]: lower bound on start from already-scheduled predecessors.
   std::vector<std::uint32_t> earliest(g.nodeCount(), 0);

@@ -1,6 +1,7 @@
 #include "sched/timeframes.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "cdfg/error.h"
 
@@ -21,25 +22,8 @@ TimeFrames::TimeFrames(const cdfg::CsrView& v, const LatencyModel& lat,
       includeTemporal ? cdfg::EdgeSel::kAll : cdfg::EdgeSel::kDataControl;
   const std::size_t kinds = includeTemporal ? 3 : 2;
 
-  // Kahn order over the considered edges; any topological order gives the
-  // same frames.
-  std::vector<std::uint32_t> indegree(n);
-  std::vector<NodeId> topo;
-  topo.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId node(static_cast<std::uint32_t>(i));
-    indegree[i] = static_cast<std::uint32_t>(v.inDegree(node, sel));
-    if (indegree[i] == 0) {
-      topo.push_back(node);
-    }
-  }
-  for (std::size_t head = 0; head < topo.size(); ++head) {
-    for (const NodeId dst : v.successors(topo[head], sel)) {
-      if (--indegree[dst.value()] == 0) {
-        topo.push_back(dst);
-      }
-    }
-  }
+  // Any topological order gives the same frames.
+  const std::vector<NodeId> topo = cdfg::topologicalOrder(v, sel);
   detail::check<GraphError>(topo.size() == n,
                             "CDFG contains a dependence cycle");
 
@@ -106,6 +90,67 @@ std::uint32_t TimeFrames::mobility(NodeId n) const {
 
 bool TimeFrames::lifetimesOverlap(NodeId a, NodeId b) const {
   return asap(a) <= alap(b) && asap(b) <= alap(a);
+}
+
+StructuralAnalysis::StructuralAnalysis(const cdfg::Cdfg& graph)
+    : StructuralAnalysis(graph, cdfg::CsrView(graph)) {}
+
+StructuralAnalysis::StructuralAnalysis(const cdfg::Cdfg& graph,
+                                       cdfg::CsrView csr)
+    : graph_(&graph),
+      csr_(std::move(csr)),
+      frames_(csr_, LatencyModel::unit(), std::nullopt,
+              /*includeTemporal=*/false) {}
+
+std::uint32_t StructuralAnalysis::level(NodeId n) const {
+  const std::uint32_t asap = frames_.asap(n);  // range-checks n first
+  return asap + (cdfg::isPseudoOp(csr_.kind(n)) ? 0u : 1u);
+}
+
+cdfg::NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
+                                   const std::vector<NodeId>& nodes,
+                                   std::uint32_t maxDepth) {
+  // Local ids follow ascending node id, so the core's local-id tie-break
+  // is a node-id tie-break.  Levels are the enclosing graph's; the
+  // refinement sees only neighbours inside the set.
+  std::vector<NodeId> sorted = nodes;
+  std::sort(sorted.begin(), sorted.end());
+  const cdfg::CsrView& csr = analysis.csr();
+  constexpr std::uint32_t kOutside = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> local_of(csr.nodeCount(), kOutside);
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    local_of[sorted[i].value()] = static_cast<std::uint32_t>(i);
+  }
+  cdfg::LocalCsr local;
+  std::vector<std::uint32_t> levels;
+  levels.reserve(sorted.size());
+  for (const NodeId v : sorted) {
+    local.kinds.push_back(csr.kind(v));
+    levels.push_back(analysis.level(v));
+  }
+  for (const NodeId v : sorted) {
+    for (const cdfg::EdgeKind kind :
+         {cdfg::EdgeKind::kData, cdfg::EdgeKind::kControl}) {
+      for (const NodeId s : csr.successors(v, cdfg::edgeSelOf(kind))) {
+        if (local_of[s.value()] != kOutside) {
+          local.out.push_back(local_of[s.value()]);
+          local.out_kind.push_back(kind);
+        }
+      }
+    }
+    local.out_off.push_back(static_cast<std::uint32_t>(local.out.size()));
+  }
+  local.buildInLists();
+  cdfg::NodeOrdering ordering = cdfg::computeOrdering(local, levels, maxDepth);
+  for (NodeId& v : ordering.ordered) {
+    v = sorted[v.value()];
+  }
+  return ordering;
+}
+
+cdfg::NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
+                                   std::uint32_t maxDepth) {
+  return computeOrdering(analysis, analysis.graph().allNodes(), maxDepth);
 }
 
 }  // namespace locwm::sched

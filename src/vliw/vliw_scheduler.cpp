@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "cdfg/analysis.h"
 #include "cdfg/error.h"
+#include "sched/timeframes.h"
 
 namespace locwm::vliw {
 
@@ -15,7 +15,7 @@ VliwScheduleResult vliwSchedule(const cdfg::Cdfg& g,
                                 const VliwMachine& machine,
                                 const VliwScheduleOptions& options) {
   const sched::LatencyModel& lat = machine.latency;
-  const cdfg::StructuralAnalysis analysis(g);
+  const sched::StructuralAnalysis analysis(g);
 
   sched::Schedule s(g.nodeCount());
   std::vector<std::uint32_t> ready_at(g.nodeCount(), 0);

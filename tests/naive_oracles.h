@@ -1,6 +1,6 @@
 // Naive reference implementations of the check/dataflow analyses, of the
-// ASAP/ALAP windows and of the locality deriver's copy-transparent balls,
-// for tests only, plus the random DFGs the oracle tests draw and the node
+// ASAP/ALAP windows, of the unit-weight structural metrics and of the
+// locality deriver's copy-transparent balls, for tests only, plus the random DFGs the oracle tests draw and the node
 // renumberings they run them under.  Each reference is a plain DFS over
 // the mutable cdfg::Cdfg builder, so it shares no code with the CsrView
 // analyses, sched::TimeFrames or the real-op adjacency it validates.
@@ -33,17 +33,18 @@ inline cdfg::Cdfg smallRandomDfg(std::uint64_t seed, std::size_t ops = 40) {
 }
 
 /// Sprinkles topologically forward temporal edges over `g` (the watermark
-/// pattern the analyses must handle alongside data edges).
-inline void addTemporalEdges(cdfg::Cdfg& g, std::size_t count,
-                             std::uint64_t seed) {
+/// pattern the analyses must handle alongside data edges), or edges of
+/// another `kind`.
+inline void addTemporalEdges(
+    cdfg::Cdfg& g, std::size_t count, std::uint64_t seed,
+    cdfg::EdgeKind kind = cdfg::EdgeKind::kTemporal) {
   cdfg::SplitMix64 rng(seed);
   const std::size_t n = g.nodeCount();
   for (std::size_t i = 0; i < count; ++i) {
     const auto a = cdfg::NodeId(static_cast<std::uint32_t>(rng.below(n)));
     const auto b = cdfg::NodeId(static_cast<std::uint32_t>(rng.below(n)));
-    if (a.value() < b.value() &&
-        !g.hasEdge(a, b, cdfg::EdgeKind::kTemporal)) {
-      g.addEdge(a, b, cdfg::EdgeKind::kTemporal);  // ids are topological
+    if (a.value() < b.value() && !g.hasEdge(a, b, kind)) {
+      g.addEdge(a, b, kind);  // ids are topological
     }
   }
 }
@@ -207,6 +208,74 @@ inline NaiveFrames naiveFrames(const cdfg::Cdfg& g,
     alap(v);
   }
   return f;
+}
+
+/// Unit-weight levels and heights of an acyclic `g` over data and control
+/// edges, by memoised recursion on the paper's definitions (§IV-A), with
+/// w(v) = 1 for a real operation and 0 for a pseudo-op:
+/// level(v) = w(v) + the largest level of v's predecessors,
+/// height(v) = w(v) + the largest height of its successors, and the
+/// critical path C is the largest level.  The laxity of v, the longest
+/// source-to-sink path through it, is level + height - w; its slack is C
+/// minus that.
+struct NaiveStructure {
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint32_t> height;
+  std::uint32_t critical = 0;
+};
+
+inline NaiveStructure naiveStructure(const cdfg::Cdfg& g) {
+  const std::size_t n = g.nodeCount();
+  NaiveStructure s;
+  s.level.assign(n, 0);
+  s.height.assign(n, 0);
+  std::vector<char> level_done(n, 0);
+  std::vector<char> height_done(n, 0);
+  const auto w = [&](cdfg::NodeId v) {
+    return cdfg::isPseudoOp(g.node(v).kind) ? 0u : 1u;
+  };
+  std::function<std::uint32_t(cdfg::NodeId)> level = [&](cdfg::NodeId v) {
+    if (level_done[v.value()] == 0) {
+      std::uint32_t best = 0;
+      for (const cdfg::EdgeId e : g.inEdges(v)) {
+        if (g.edge(e).kind != cdfg::EdgeKind::kTemporal) {
+          best = std::max(best, level(g.edge(e).src));
+        }
+      }
+      s.level[v.value()] = best + w(v);
+      level_done[v.value()] = 1;
+    }
+    return s.level[v.value()];
+  };
+  std::function<std::uint32_t(cdfg::NodeId)> height = [&](cdfg::NodeId v) {
+    if (height_done[v.value()] == 0) {
+      std::uint32_t best = 0;
+      for (const cdfg::EdgeId e : g.outEdges(v)) {
+        if (g.edge(e).kind != cdfg::EdgeKind::kTemporal) {
+          best = std::max(best, height(g.edge(e).dst));
+        }
+      }
+      s.height[v.value()] = best + w(v);
+      height_done[v.value()] = 1;
+    }
+    return s.height[v.value()];
+  };
+  for (const cdfg::NodeId v : g.allNodes()) {
+    s.critical = std::max(s.critical, level(v));
+    height(v);
+  }
+  return s;
+}
+
+/// Whether some node of `g` lies on a cycle of the `sel` edges: a DFS from
+/// each node that finds its way back.
+inline bool naiveHasCycle(const cdfg::Cdfg& g, cdfg::EdgeSel sel) {
+  for (const cdfg::NodeId v : g.allNodes()) {
+    if (naivePath(g, v, v, sel)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Copy-transparent real neighbours of `start` over data/control edges —

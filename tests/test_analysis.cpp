@@ -1,16 +1,26 @@
 // Unit tests for StructuralAnalysis and the canonical node ordering,
 // including the ordering's relabel-invariance property that the whole
-// detection scheme rests on.
+// detection scheme rests on, and StructuralAnalysis against the naive
+// longest-path recursion of naive_oracles.h on random DFGs, the HYPER
+// suite and the MediaBench profiles under generated, reversed and shuffled
+// ids.
 #include <gtest/gtest.h>
 
-#include "cdfg/analysis.h"
+#include <string>
+
 #include "cdfg/ordering.h"
 #include "cdfg/random_dfg.h"
 #include "cdfg/subgraph.h"
+#include "naive_oracles.h"
+#include "sched/timeframes.h"
+#include "workloads/hyper.h"
 #include "workloads/iir4.h"
+#include "workloads/mediabench.h"
 
 namespace locwm::cdfg {
 namespace {
+
+using sched::StructuralAnalysis;
 
 Cdfg chain(std::size_t n) {
   Cdfg g;
@@ -72,6 +82,81 @@ TEST(Analysis, TemporalEdgesExcluded) {
   const StructuralAnalysis a(g);
   EXPECT_EQ(a.level(NodeId(3)), 3u);
   EXPECT_EQ(a.criticalPathLength(), 3u);
+}
+
+/// Every metric of StructuralAnalysis against the naive recursion, on `g`
+/// under each numbering.
+void expectStructureMatchesOracle(const Cdfg& generated,
+                                  const std::string& what) {
+  for (const auto how : locwm::testing::kNumberings) {
+    const Cdfg g = locwm::testing::renumbered(generated, how, 7);
+    const std::string where =
+        what + ", " + locwm::testing::numberingName(how) + " ids";
+    const StructuralAnalysis a(g);
+    const locwm::testing::NaiveStructure s = locwm::testing::naiveStructure(g);
+    ASSERT_EQ(a.criticalPathLength(), s.critical) << where;
+    for (const NodeId v : g.allNodes()) {
+      const std::uint32_t w = isPseudoOp(g.node(v).kind) ? 0u : 1u;
+      const std::uint32_t laxity =
+          s.level[v.value()] + s.height[v.value()] - w;
+      ASSERT_EQ(a.level(v), s.level[v.value()]) << where << ", node " << v.value();
+      ASSERT_EQ(a.height(v), s.height[v.value()]) << where << ", node " << v.value();
+      ASSERT_EQ(a.laxity(v), laxity) << where << ", node " << v.value();
+      ASSERT_EQ(a.slack(v), s.critical - laxity) << where << ", node " << v.value();
+    }
+  }
+}
+
+TEST(Analysis, MatchesNaiveOracleOnRandomDfgs) {
+  // 20-420 operations, each graph with extra forward control and temporal
+  // edges (the temporal ones must not count).
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Cdfg g = locwm::testing::smallRandomDfg(seed, 20 + (seed * 97) % 401);
+    locwm::testing::addTemporalEdges(g, 10, seed * 3, EdgeKind::kControl);
+    locwm::testing::addTemporalEdges(g, 10, seed * 3 + 1);
+    expectStructureMatchesOracle(g, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(Analysis, MatchesNaiveOracleOnPaperWorkloads) {
+  for (const workloads::HyperDesign& d : workloads::hyperSuite()) {
+    expectStructureMatchesOracle(d.graph, d.name);
+  }
+  for (const workloads::MediaBenchProfile& p :
+       workloads::mediaBenchProfiles()) {
+    expectStructureMatchesOracle(workloads::buildMediaBench(p), p.name);
+  }
+}
+
+TEST(Analysis, CycleVerdicts) {
+  // A data or control cycle throws the builder order's GraphError, word
+  // for word; a cycle closed only by a temporal edge is ignored, like
+  // every temporal edge.
+  for (const EdgeKind kind :
+       {EdgeKind::kData, EdgeKind::kControl, EdgeKind::kTemporal}) {
+    Cdfg g = chain(4);
+    g.addEdge(NodeId(3), NodeId(1), kind);
+    if (kind == EdgeKind::kTemporal) {
+      const StructuralAnalysis a(g);
+      EXPECT_EQ(a.level(NodeId(4)), 4u);
+      EXPECT_EQ(a.criticalPathLength(), 4u);
+      continue;
+    }
+    std::string builder;
+    try {
+      (void)g.topologicalOrder(/*includeTemporal=*/false);
+    } catch (const GraphError& e) {
+      builder = e.what();
+    }
+    ASSERT_FALSE(builder.empty());
+    try {
+      const StructuralAnalysis a(g);
+      ADD_FAILURE() << "no GraphError on a " << edgeKindName(kind)
+                    << " cycle";
+    } catch (const GraphError& e) {
+      EXPECT_EQ(std::string(e.what()), builder);
+    }
+  }
 }
 
 TEST(Ordering, ChainFullyOrdered) {

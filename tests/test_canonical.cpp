@@ -6,15 +6,17 @@
 #include <algorithm>
 #include <numeric>
 
-#include "cdfg/analysis.h"
 #include "cdfg/io.h"
 #include "cdfg/ordering.h"
 #include "cdfg/prng.h"
 #include "cdfg/random_dfg.h"
 #include "core/certificate_io.h"
+#include "sched/timeframes.h"
 
 namespace locwm::cdfg {
 namespace {
+
+using sched::StructuralAnalysis;
 
 /// True when `perm` (old -> new) is a kind/edge-preserving automorphism.
 bool isAutomorphism(const Cdfg& g, const std::vector<std::uint32_t>& perm) {

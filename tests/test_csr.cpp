@@ -215,6 +215,65 @@ TEST(Csr, MemoryAccountingMatchesArenaFormula) {
 // naive_oracles.h (closure precedes-matrix, reachability marks in both
 // directions, path queries) — under generated, reversed and shuffled ids.
 
+TEST(Csr, TopologicalOrderMatchesCycleOracle) {
+  // Random DFGs with forward control and temporal edges; two of every three
+  // seeds also close a cycle of one kind, either a two-node loop or one
+  // back edge against a data edge, so each selector sees both verdicts.
+  using locwm::testing::Numbering;
+  constexpr EdgeSel kSels[] = {EdgeSel::kData, EdgeSel::kControl,
+                               EdgeSel::kTemporal, EdgeSel::kDataControl,
+                               EdgeSel::kAll};
+  std::size_t short_orders = 0;
+  for (std::uint64_t seed = 31; seed <= 42; ++seed) {
+    cdfg::Cdfg generated = smallRandomDfg(seed, 60);
+    addTemporalEdges(generated, 8, seed, EdgeKind::kControl);
+    addTemporalEdges(generated, 8, seed + 100);
+    const EdgeKind kind = cdfg::kCsrKindOrder[seed % 3];
+    const NodeId a(10);
+    const NodeId b(static_cast<std::uint32_t>(20 + seed));
+    if (seed % 3 != 0 && !generated.hasEdge(b, a, kind)) {
+      generated.addEdge(b, a, kind);
+      if (seed % 2 == 0 && !generated.hasEdge(a, b, kind)) {
+        generated.addEdge(a, b, kind);  // the two-node loop
+      } else {
+        const cdfg::EdgeId data = generated.inEdges(b).front();
+        generated.addEdge(b, generated.edge(data).src, kind);
+      }
+    }
+    for (const Numbering how : locwm::testing::kNumberings) {
+      const cdfg::Cdfg g = locwm::testing::renumbered(generated, how, seed);
+      const CsrView view(g);
+      const std::size_t n = g.nodeCount();
+      for (const EdgeSel sel : kSels) {
+        const std::string where =
+            "seed " + std::to_string(seed) + ", " +
+            locwm::testing::numberingName(how) + " ids, sel " +
+            std::to_string(static_cast<int>(sel));
+        const std::vector<NodeId> order = cdfg::topologicalOrder(view, sel);
+        constexpr std::size_t kAbsent = ~std::size_t{0};
+        std::vector<std::size_t> pos(n, kAbsent);
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          ASSERT_LT(order[i].value(), n) << where;
+          ASSERT_EQ(pos[order[i].value()], kAbsent) << where << ": repeat";
+          pos[order[i].value()] = i;
+        }
+        // Every selected edge into a placed node comes from an earlier one.
+        for (const EdgeId e : g.allEdges()) {
+          const cdfg::Edge& ed = g.edge(e);
+          if (locwm::testing::selects(sel, ed.kind) &&
+              pos[ed.dst.value()] != kAbsent) {
+            ASSERT_LT(pos[ed.src.value()], pos[ed.dst.value()]) << where;
+          }
+        }
+        EXPECT_EQ(order.size() < n, locwm::testing::naiveHasCycle(g, sel))
+            << where;
+        short_orders += order.size() < n ? 1u : 0u;
+      }
+    }
+  }
+  EXPECT_GT(short_orders, 10u);
+}
+
 TEST(Csr, AnalysesMatchBuilderPath) {
   using locwm::testing::Numbering;
   for (const std::uint64_t seed : {21u, 22u}) {

@@ -30,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cdfg/analysis.h"
 #include "cdfg/io.h"
 #include "cdfg/random_dfg.h"
 #include "cdfg/subgraph.h"
@@ -38,6 +37,7 @@
 #include "core/locality.h"
 #include "naive_oracles.h"
 #include "rt/rt.h"
+#include "sched/timeframes.h"
 #include "workloads/hyper.h"
 #include "workloads/mediabench.h"
 
@@ -105,7 +105,7 @@ struct OracleOrdering {
 };
 
 OracleOrdering orderOracle(const Cdfg& g) {
-  const cdfg::StructuralAnalysis analysis(g);
+  const sched::StructuralAnalysis analysis(g);
   const std::size_t n = g.nodeCount();
   using Key = std::tuple<std::uint32_t, std::vector<std::uint32_t>,
                          std::vector<std::uint32_t>>;

@@ -2,9 +2,9 @@
 // deterministic CDFG with the documented structure.
 #include <gtest/gtest.h>
 
-#include "cdfg/analysis.h"
 #include "cdfg/io.h"
 #include "cdfg/random_dfg.h"
+#include "sched/timeframes.h"
 #include "workloads/hyper.h"
 #include "workloads/iir4.h"
 #include "workloads/mediabench.h"
@@ -53,7 +53,7 @@ TEST(Iir4, StructureMatchesTheFigure) {
   // C7 feeds both A5 and A8 (the (A8, C7) matching of Fig. 4).
   const NodeId c7 = g.findByName("C7");
   EXPECT_EQ(g.dataSuccessors(c7).size(), 2u);
-  const cdfg::StructuralAnalysis an(g);
+  const sched::StructuralAnalysis an(g);
   EXPECT_EQ(an.criticalPathLength(), 5u);
 }
 
@@ -71,7 +71,7 @@ TEST(Hyper, FirHasExpectedCounts) {
   EXPECT_EQ(countKind(g, OpKind::kAdd), 10u);
   EXPECT_EQ(countKind(g, OpKind::kOutput), 1u);
   // Balanced tree: critical path ~ 1 + ceil(log2(11)).
-  const cdfg::StructuralAnalysis an(g);
+  const sched::StructuralAnalysis an(g);
   EXPECT_EQ(an.criticalPathLength(), 5u);
 }
 
@@ -87,7 +87,7 @@ TEST(Hyper, WaveFilterAdaptorStructure) {
   // 3 ops per adaptor plus the 7-add reflection summation tree.
   EXPECT_EQ(countKind(g, OpKind::kSub) + countKind(g, OpKind::kAdd), 31u);
   // Long critical path: the forward wave traverses every adaptor.
-  const cdfg::StructuralAnalysis an(g);
+  const sched::StructuralAnalysis an(g);
   EXPECT_GE(an.criticalPathLength(), 16u);
 }
 

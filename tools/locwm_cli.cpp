@@ -54,7 +54,6 @@
 #define LOCWM_BUILD_TYPE "unknown"
 #endif
 
-#include "cdfg/analysis.h"
 #include "cdfg/delta.h"
 #include "cdfg/dot.h"
 #include "cdfg/io.h"
@@ -390,7 +389,7 @@ int cmdGen(const Args& args) {
 
 int cmdInfo(const Args& args) {
   const cdfg::Cdfg g = loadDesign(args.positional[0]);
-  const cdfg::StructuralAnalysis an(g);
+  const sched::StructuralAnalysis an(g);
   std::size_t real = 0;
   std::size_t inputs = 0;
   std::size_t outputs = 0;

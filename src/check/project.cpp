@@ -377,14 +377,9 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
 /// scheduled transitive predecessor that starts later; findings are
 /// ordered by that predecessor, then by node.  A cyclic design yields
 /// none (LW103 territory).  Above kClosureNodeLimit nodes (the closure is
-/// N^2/64 words) the check does not run, and says so (LW810).
-///
-/// The closure depends only on the design: `closure` is the design's, made
-/// here for the first of its schedules that needs it and reused by the
-/// rest.
-void checkPrecedenceClosure(const cdfg::Cdfg& g,
-                            std::optional<PrecedenceClosure>& closure,
-                            const sched::Schedule& s, const std::string& name,
+/// N^2/64 words per schedule) the check does not run, and says so (LW810).
+void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
+                            const std::string& name,
                             std::vector<Diagnostic>& out) {
   const std::size_t n = g.nodeCount();
   if (n > kClosureNodeLimit) {
@@ -398,14 +393,12 @@ void checkPrecedenceClosure(const cdfg::Cdfg& g,
         "unchecked"));
     return;
   }
-  if (!closure.has_value()) {
-    closure = computePrecedenceClosure(cdfg::CsrView(g));
-    LOCWM_OBS_COUNT("check.project.lw804_closures", 1);
-  }
-  if (closure->cyclic) {
+  const PrecedenceClosure closure =
+      computePrecedenceClosure(cdfg::CsrView(g));
+  if (closure.cyclic) {
     return;
   }
-  const BitRows& ancestors = closure->ancestors;
+  const BitRows& ancestors = closure.ancestors;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
   for (std::uint32_t v = 0; v < n; ++v) {
     if (!s.isSet(cdfg::NodeId{v})) {
@@ -923,39 +916,25 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     }
   });
   // Lint each schedule a missed pair check reads — its own or one of its
-  // bindings' — once; its bindings share the parsed schedule.  A schedule
-  // whose own pair check missed also gets LW804 here.  One task per
-  // design: its schedules share the design's closure, made only when one
-  // of them needs it and dropped when the task ends, so at most one
-  // closure is alive per lane.
+  // bindings' — once; its bindings share the parsed schedule.
   struct LintedSchedule {
     std::optional<sched::Schedule> schedule;
     std::vector<Diagnostic> diags;
   };
   std::vector<LintedSchedule> scheds(n);
-  std::vector<std::vector<std::size_t>> scheds_of(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (need_sched[i] != 0) {
-      scheds_of[designOf(i)].push_back(i);
-    }
-  }
-  rt::parallel_for(0, n, 1, [&](std::size_t d) {
-    const std::optional<cdfg::Cdfg>& dsg = parsed[d].design;
-    if (scheds_of[d].empty() || !dsg.has_value()) {
+  rt::parallel_for(0, n, 1, [&](std::size_t i) {
+    if (need_sched[i] == 0) {
       return;
     }
-    std::optional<PrecedenceClosure> closure;
-    for (const std::size_t i : scheds_of[d]) {
-      LintedSchedule& s = scheds[i];
-      try {
-        s.schedule = lintSchedule(arts[i].text, *dsg, arts[i].path, s.diags);
-        if (pair_needed[i] != 0 && pair_hit[i] == 0) {
-          checkPrecedenceClosure(*dsg, closure, *s.schedule, arts[i].path,
-                                 s.diags);
-        }
-      } catch (const Error& e) {
-        s.diags.push_back(syntaxErrorDiag(arts[i].path, e.what()));
-      }
+    const std::optional<cdfg::Cdfg>& dsg = parsed[designOf(i)].design;
+    if (!dsg.has_value()) {
+      return;
+    }
+    LintedSchedule& s = scheds[i];
+    try {
+      s.schedule = lintSchedule(arts[i].text, *dsg, arts[i].path, s.diags);
+    } catch (const Error& e) {
+      s.diags.push_back(syntaxErrorDiag(arts[i].path, e.what()));
     }
   });
   // Drops the design, library, or schedule t once its last reader has run.
@@ -979,6 +958,9 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
     switch (a.meta.kind) {
       case ArtifactKind::kSchedule:
         out = std::move(scheds[i].diags);
+        if (scheds[i].schedule.has_value()) {
+          checkPrecedenceClosure(*dsg, *scheds[i].schedule, a.path, out);
+        }
         break;
       case ArtifactKind::kCover: {
         const tm::TemplateLibrary* lib = &options.library;

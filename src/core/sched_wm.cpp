@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "cdfg/error.h"
 #include "core/pass_audit.h"
@@ -108,13 +109,13 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
   }
 
   // `g` changes only in the attempt that succeeds and returns, so every
-  // attempt starts from the same frames and structure.  Without a given
+  // attempt starts from the same frames and structure.  They are made at
+  // the first attempt that derives a locality: an embed that derives none
+  // returns nullopt without them, whatever the deadline.  Without a given
   // deadline the frames take the critical path as theirs.
   const sched::LatencyModel& lat = params.latency;
-  const sched::TimeFrames base_frames(g, lat, params.deadline,
-                                      /*includeTemporal=*/true);
-  const std::uint32_t deadline = base_frames.deadline();
-  const sched::StructuralAnalysis analysis(g);
+  std::optional<sched::TimeFrames> base_frames;
+  std::optional<sched::StructuralAnalysis> analysis;
 
   for (std::size_t attempt = 0; attempt < params.max_root_retries; ++attempt) {
     LOCWM_OBS_COUNT("core.sched_wm.roots_tried", 1);
@@ -135,10 +136,15 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
     // the inflexible nodes while keeping such designs markable.  Either
     // way each node additionally needs a lifetime-overlap partner among
     // the eligible set.
-    sched::TimeFrames frames = base_frames;
+    if (!base_frames.has_value()) {
+      base_frames.emplace(g, lat, params.deadline, /*includeTemporal=*/true);
+      analysis.emplace(g);
+    }
+    sched::TimeFrames frames = *base_frames;
+    const std::uint32_t deadline = frames.deadline();
     const double laxity_bound =
         (1.0 - params.alpha) *
-        static_cast<double>(analysis.criticalPathLength());
+        static_cast<double>(analysis->criticalPathLength());
     const double slack_budget =
         static_cast<double>(deadline - frames.criticalPathSteps());
     const double mobility_floor = std::max(1.0, params.alpha * slack_budget);
@@ -146,7 +152,7 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
     for (std::uint32_t r = 0; r < loc->nodes.size(); ++r) {
       const NodeId n = loc->nodes[r];
       if (frames.mobility(n) >= 1 &&
-          static_cast<double>(analysis.laxity(n)) <= laxity_bound) {
+          static_cast<double>(analysis->laxity(n)) <= laxity_bound) {
         eligible_ranks.push_back(r);
       }
     }

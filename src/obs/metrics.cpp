@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-
 #include "obs/json.h"
 
 namespace locwm::obs {

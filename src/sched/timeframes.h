@@ -88,6 +88,8 @@ class TimeFrames {
 /// operation and 0 for a pseudo-op, level(v) = asap(v) + w(v),
 /// height(v) = C − alap(v), slack(v) = mobility(v), and C is the frames'
 /// critical path.  Throws GraphError on a data/control dependence cycle.
+/// A node id out of range throws the frames' ScheduleError ("asap(): …",
+/// "alap(): …"), not a GraphError of its own.
 class StructuralAnalysis {
  public:
   explicit StructuralAnalysis(const cdfg::Cdfg& graph);

@@ -1,7 +1,8 @@
 // Naive reference implementations of the check/dataflow analyses, of the
 // ASAP/ALAP windows, of the unit-weight structural metrics and of the
-// locality deriver's copy-transparent balls, for tests only, plus the random DFGs the oracle tests draw and the node
-// renumberings they run them under.  Each reference is a plain DFS over
+// locality deriver's copy-transparent balls, for tests only, plus the
+// random DFGs the oracle tests draw and the node renumberings they run
+// them under.  Each reference is a plain DFS over
 // the mutable cdfg::Cdfg builder, so it shares no code with the CsrView
 // analyses, sched::TimeFrames or the real-op adjacency it validates.
 #pragma once

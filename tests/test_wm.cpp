@@ -167,6 +167,19 @@ TEST(SchedWm, FailsGracefullyOnTinyGraph) {
   EXPECT_FALSE(marker.embed(g, midParams(g)).has_value());
 }
 
+TEST(SchedWm, DeadlineIsCheckedOnlyOnceALocalityIsDerived) {
+  // An FIR filter yields no locality under the default parameters, so an
+  // unreachable deadline is never checked and the embed just fails; a
+  // design that derives one rejects the same deadline.
+  SchedWmParams tight;
+  tight.deadline = 1;
+  SchedulingWatermarker marker(alice());
+  Cdfg fir = workloads::fir(8);
+  EXPECT_FALSE(marker.embed(fir, tight).has_value());
+  Cdfg wave = workloads::waveFilter(8);
+  EXPECT_THROW((void)marker.embed(wave, tight), ScheduleError);
+}
+
 TEST(TmWm, ForcedMatchingsAppearInCoverAndDetect) {
   const Cdfg g = workloads::iir4Parallel();
   const tm::TemplateLibrary lib = workloads::fig4Library();

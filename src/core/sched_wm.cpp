@@ -39,6 +39,40 @@ bool reaches(const cdfg::Cdfg& g, NodeId from, NodeId to) {
   return false;
 }
 
+bool reaches(const cdfg::Cdfg& g, const sched::TimeFrames& frames,
+             NodeId from, NodeId to, ReachScratch& scratch) {
+  if (from == to) {
+    return true;
+  }
+  const std::uint32_t bound = frames.asap(to);
+  if (frames.asap(from) > bound) {
+    return false;
+  }
+  if (scratch.stamp.size() < g.nodeCount() || ++scratch.epoch == 0) {
+    scratch.stamp.assign(g.nodeCount(), 0);
+    scratch.epoch = 1;
+  }
+  const std::uint32_t epoch = scratch.epoch;
+  std::vector<NodeId>& stack = scratch.stack;
+  stack.assign(1, from);
+  scratch.stamp[from.value()] = epoch;
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (const cdfg::EdgeId e : g.outEdges(v)) {
+      const NodeId s = g.edge(e).dst;
+      if (s == to) {
+        return true;
+      }
+      if (scratch.stamp[s.value()] != epoch && frames.asap(s) <= bound) {
+        scratch.stamp[s.value()] = epoch;
+        stack.push_back(s);
+      }
+    }
+  }
+  return false;
+}
+
 cdfg::Cdfg realizeWithDummyOps(const cdfg::Cdfg& marked,
                                std::vector<NodeId>* dummies) {
   cdfg::Cdfg out;
@@ -116,6 +150,7 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
   const sched::LatencyModel& lat = params.latency;
   std::optional<sched::TimeFrames> base_frames;
   std::optional<sched::StructuralAnalysis> analysis;
+  ReachScratch reach;
 
   for (std::size_t attempt = 0; attempt < params.max_root_retries; ++attempt) {
     LOCWM_OBS_COUNT("core.sched_wm.roots_tried", 1);
@@ -217,7 +252,8 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
         // The edge must be new information: no order already implied in
         // either direction, and the deadline must stay attainable.
         if (g.hasEdge(ni, nk, cdfg::EdgeKind::kTemporal) ||
-            reaches(g, nk, ni) || reaches(g, ni, nk)) {
+            reaches(g, frames, nk, ni, reach) ||
+            reaches(g, frames, ni, nk, reach)) {
           continue;
         }
         if (frames.asap(ni) + 1 > frames.alap(nk)) {

@@ -23,6 +23,7 @@
 #include "crypto/bitstream.h"
 #include "sched/latency.h"
 #include "sched/schedule.h"
+#include "sched/timeframes.h"
 
 namespace locwm::wm {
 
@@ -204,10 +205,29 @@ class SchedDetector {
                                      std::vector<cdfg::NodeId> roots = {});
 
 /// True when `to` is reachable from `from` (or equal to it) over every edge
-/// kind, temporal included.  The scheduling embedders (local and global)
-/// use it to keep added temporal edges acyclic and non-vacuous; it reads
-/// the live builder, so edges added a moment ago count.
+/// kind, temporal included.  The scheduling embedders use it (the local
+/// one through the bounded form below) to keep added temporal edges
+/// acyclic and non-vacuous; it reads the live builder, so edges added a
+/// moment ago count.
 [[nodiscard]] bool reaches(const cdfg::Cdfg& g, cdfg::NodeId from,
                            cdfg::NodeId to);
+
+/// The visited stamps of bounded reaches() calls, kept between calls so a
+/// run of probes allocates once: a node is visited in the current call
+/// when its stamp equals `epoch`.
+struct ReachScratch {
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t epoch = 0;
+  std::vector<cdfg::NodeId> stack;
+};
+
+/// reaches() over `g` bounded by `frames`, which must be `g`'s current
+/// TimeFrames with temporal edges included.  Every edge of every kind
+/// leads to an equal or later asap, so no node with asap past asap(to)
+/// lies on a path to `to`; the walk skips them.  Same answer as the
+/// unbounded form.
+[[nodiscard]] bool reaches(const cdfg::Cdfg& g, const sched::TimeFrames& frames,
+                           cdfg::NodeId from, cdfg::NodeId to,
+                           ReachScratch& scratch);
 
 }  // namespace locwm::wm

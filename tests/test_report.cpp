@@ -252,6 +252,11 @@ std::string chainDesign(std::size_t adds) {
   return text;
 }
 
+// ---------------------------------------------------------------------------
+// One parse per artifact: the pair stage reads what the self stage parsed.
+
+#if LOCWM_OBS_ENABLED
+
 /// Node i of chainDesign(adds) at step i + shift.
 std::string chainSchedule(std::size_t adds, std::size_t shift) {
   std::string text;
@@ -260,11 +265,6 @@ std::string chainSchedule(std::size_t adds, std::size_t shift) {
   }
   return text;
 }
-
-// ---------------------------------------------------------------------------
-// One parse per artifact: the pair stage reads what the self stage parsed.
-
-#if LOCWM_OBS_ENABLED
 
 /// `cdfg.parse` calls recorded since the last reset.
 std::uint64_t designParses() {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "cdfg/random_dfg.h"
 #include "cdfg/subgraph.h"
@@ -10,6 +11,7 @@
 #include "core/pc.h"
 #include "core/sched_wm.h"
 #include "core/tm_wm.h"
+#include "naive_oracles.h"
 #include "sched/force_directed.h"
 #include "sched/list_scheduler.h"
 #include "workloads/hyper.h"
@@ -178,6 +180,45 @@ TEST(SchedWm, DeadlineIsCheckedOnlyOnceALocalityIsDerived) {
   EXPECT_FALSE(marker.embed(fir, tight).has_value());
   Cdfg wave = workloads::waveFilter(8);
   EXPECT_THROW((void)marker.embed(wave, tight), ScheduleError);
+}
+
+TEST(SchedWm, BoundedReachesMatchesNaiveDfs) {
+  // The asap bound prunes only nodes that cannot lead to `to`, on random
+  // DFGs with control and temporal edges under every numbering and under
+  // latency models with and without zero-latency adds (a path may then
+  // cross nodes of asap(to) itself); one scratch serves every call, its
+  // epoch starting just short of the wrap.
+  sched::LatencyModel free_adds = sched::LatencyModel::unit();
+  free_adds.setLatency(cdfg::OpKind::kAdd, 0);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Cdfg base = locwm::testing::smallRandomDfg(seed, 20 + 8 * seed);
+    locwm::testing::addTemporalEdges(base, 6, seed * 5,
+                                     cdfg::EdgeKind::kControl);
+    locwm::testing::addTemporalEdges(base, 12, seed * 5 + 1);
+    for (const auto how : locwm::testing::kNumberings) {
+      const Cdfg g = locwm::testing::renumbered(base, how, seed);
+      for (const auto& lat : {sched::LatencyModel::unit(),
+                              sched::LatencyModel::hyperDefault(),
+                              free_adds}) {
+        const sched::TimeFrames frames(g, lat);
+        ReachScratch scratch;
+        scratch.stamp.assign(g.nodeCount(), 0);
+        scratch.epoch = std::numeric_limits<std::uint32_t>::max() - 2;
+        for (const NodeId from : g.allNodes()) {
+          const std::vector<char> oracle = locwm::testing::naiveReach(
+              g, {from}, check::Direction::kForward, cdfg::EdgeSel::kAll);
+          for (const NodeId to : g.allNodes()) {
+            const bool expected = from == to || oracle[to.value()] != 0;
+            ASSERT_EQ(reaches(g, frames, from, to, scratch), expected)
+                << "seed " << seed << " "
+                << locwm::testing::numberingName(how) << " " << from.value()
+                << " -> " << to.value();
+            ASSERT_EQ(reaches(g, from, to), expected);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TmWm, ForcedMatchingsAppearInCoverAndDetect) {

@@ -48,6 +48,7 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
   crypto::KeyedBitstream bits(signature_, context + "/encode");
   SchedEmbedResult result;
   std::vector<std::uint32_t> pool = eligible;
+  ReachScratch reach;
   while (result.certificate.constraints.size() < k && !pool.empty()) {
     const std::size_t idx = bits.below(pool.size());
     const std::uint32_t r = pool[idx];
@@ -61,7 +62,8 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
       const NodeId nk = loc->nodes[other];
       if (!frames.lifetimesOverlap(ni, nk) ||
           g.hasEdge(ni, nk, cdfg::EdgeKind::kTemporal) ||
-          reaches(g, nk, ni) || reaches(g, ni, nk) ||
+          reaches(g, frames, nk, ni, reach) ||
+          reaches(g, frames, ni, nk, reach) ||
           frames.asap(ni) + 1 > frames.alap(nk)) {
         continue;
       }

@@ -13,32 +13,6 @@ namespace locwm::wm {
 
 using cdfg::NodeId;
 
-bool reaches(const cdfg::Cdfg& g, NodeId from, NodeId to) {
-  if (from == to) {
-    return true;
-  }
-  // Iterating outEdges() directly keeps the walk allocation-free per
-  // visited node.
-  std::vector<bool> seen(g.nodeCount(), false);
-  std::vector<NodeId> stack{from};
-  seen[from.value()] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const cdfg::EdgeId e : g.outEdges(v)) {
-      const NodeId s = g.edge(e).dst;
-      if (s == to) {
-        return true;
-      }
-      if (!seen[s.value()]) {
-        seen[s.value()] = true;
-        stack.push_back(s);
-      }
-    }
-  }
-  return false;
-}
-
 bool reaches(const cdfg::Cdfg& g, const sched::TimeFrames& frames,
              NodeId from, NodeId to, ReachScratch& scratch) {
   if (from == to) {

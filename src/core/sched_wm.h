@@ -204,15 +204,7 @@ class SchedDetector {
                                      const WatermarkCertificate& certificate,
                                      std::vector<cdfg::NodeId> roots = {});
 
-/// True when `to` is reachable from `from` (or equal to it) over every edge
-/// kind, temporal included.  The scheduling embedders use it (the local
-/// one through the bounded form below) to keep added temporal edges
-/// acyclic and non-vacuous; it reads the live builder, so edges added a
-/// moment ago count.
-[[nodiscard]] bool reaches(const cdfg::Cdfg& g, cdfg::NodeId from,
-                           cdfg::NodeId to);
-
-/// The visited stamps of bounded reaches() calls, kept between calls so a
+/// The visited stamps of reaches() calls, kept between calls so a
 /// run of probes allocates once: a node is visited in the current call
 /// when its stamp equals `epoch`.
 struct ReachScratch {
@@ -221,11 +213,12 @@ struct ReachScratch {
   std::vector<cdfg::NodeId> stack;
 };
 
-/// reaches() over `g` bounded by `frames`, which must be `g`'s current
-/// TimeFrames with temporal edges included.  Every edge of every kind
-/// leads to an equal or later asap, so no node with asap past asap(to)
-/// lies on a path to `to`; the walk skips them.  Same answer as the
-/// unbounded form.
+/// True when `to` is reachable from `from` (or equal to it) over every edge
+/// kind, temporal included.  The scheduling embedders use it to keep added
+/// temporal edges acyclic and non-vacuous.  `frames` must be `g`'s current
+/// TimeFrames with temporal edges included, rebuilt after each added edge.
+/// Every edge of every kind leads to an equal or later asap, so no node
+/// with asap past asap(to) lies on a path to `to`; the walk skips them.
 [[nodiscard]] bool reaches(const cdfg::Cdfg& g, const sched::TimeFrames& frames,
                            cdfg::NodeId from, cdfg::NodeId to,
                            ReachScratch& scratch);

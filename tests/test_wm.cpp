@@ -213,7 +213,6 @@ TEST(SchedWm, BoundedReachesMatchesNaiveDfs) {
                 << "seed " << seed << " "
                 << locwm::testing::numberingName(how) << " " << from.value()
                 << " -> " << to.value();
-            ASSERT_EQ(reaches(g, from, to), expected);
           }
         }
       }

@@ -1,19 +1,22 @@
 // PERF-STATIC — throughput of the static-analysis subsystem on random
 // DFGs from 1k to 50k operations (or one size via --ops N, up to 10^6):
 // CSR lowering, the analyses the lint rules read over the cdfg::CsrView
-// snapshot (precedence closure, reachability, and ASAP/ALAP slack from
-// sched::TimeFrames), the semantic rule pack (checkSemantics, LW6xx) on
-// the generated ids and on the same graph with its ids reversed, and the
-// full text-level lint (parse + every rule).  Not a paper table;
-// documents that `locwm lint` scales to million-node designs whatever
-// their node numbering, pins the closure's node-count gate, and records
-// the analyses' deterministic results (reached nodes, critical path,
-// exact-gated), the view's memory cost (bytes/node) and the process peak
-// RSS in every --json row.
+// snapshot (reachability, and ASAP/ALAP slack from sched::TimeFrames),
+// the semantic rule pack (checkSemantics, LW6xx) on the generated ids and
+// on the same graph with its ids reversed, and the full text-level lint
+// (parse + every rule).  Not a paper table; documents that `locwm lint`
+// scales to million-node designs whatever their node numbering, and
+// records the analyses' deterministic results (reached nodes, critical
+// path, exact-gated), the view's memory cost (bytes/node) and the process
+// peak RSS in every --json row.  Full-lint rows stop at 5k operations
+// because printing + reparsing dominates beyond that.
 //
-// Closure rows stop at check::kClosureNodeLimit (the bit-matrix gate —
-// larger graphs take the per-query DFS fallback); full-lint rows stop at
-// 5k operations because printing + reparsing dominates beyond that.
+// One more row, "two_chains", times the graph and semantic rule packs on
+// a temporal-edge adversary: two 10,000-node chains with 4,999 temporal
+// edges from the first to the second, against the same chains with one.
+// Every temporal edge is a path query for LW104 and LW601, so a rule
+// that answers them one at a time is quadratic here; the in-run ratio of
+// the two times is what the gate reads.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -87,6 +90,45 @@ cdfg::Cdfg buildGraph(std::size_t ops, std::uint64_t seed) {
   return g;
 }
 
+/// Two chains a_0 -> ... -> a_{n-1} and b_0 -> ... -> b_{n-1} with
+/// temporal edges a_{2k+1} -> b_{2k+2} for k < `temporal`: none implied
+/// by another, none stretching the critical path.
+cdfg::Cdfg twoChains(std::uint32_t n, std::uint32_t temporal) {
+  cdfg::Cdfg g;
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      g.addNode(i == 0       ? cdfg::OpKind::kInput
+                : i + 1 == n ? cdfg::OpKind::kOutput
+                             : cdfg::OpKind::kAdd);
+    }
+  }
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    for (std::uint32_t i = 0; i + 1 < n; ++i) {
+      g.addEdge(cdfg::NodeId(c * n + i), cdfg::NodeId(c * n + i + 1));
+    }
+  }
+  for (std::uint32_t k = 0; k < temporal; ++k) {
+    g.addEdge(cdfg::NodeId(2 * k + 1), cdfg::NodeId(n + 2 * k + 2),
+              cdfg::EdgeKind::kTemporal);
+  }
+  return g;
+}
+
+/// Best of five runs of the graph and semantic rule packs (what
+/// `locwm lint` runs on a design after parsing); `findings` receives
+/// their diagnostic count.
+double bestRulesMs(const cdfg::Cdfg& g, std::size_t& findings) {
+  double best = -1.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t = std::chrono::steady_clock::now();
+    findings = check::checkGraph(g, {}, "bench").diagnostics().size() +
+               check::checkSemantics(g).diagnostics().size();
+    const double ms = millisSince(t);
+    best = best < 0 ? ms : std::min(best, ms);
+  }
+  return best;
+}
+
 /// Parses `--ops N` (0 = not given: run the default size ladder).
 std::size_t opsArg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
@@ -116,11 +158,11 @@ int main(int argc, char** argv) {
   bench::banner("PERF-STATIC: lint + dataflow throughput on CSR",
                 "static-analysis subsystem (docs/STATIC_ANALYSIS.md, "
                 "docs/GRAPH_CORE.md)");
-  std::printf("%8s %9s %9s %9s %9s %9s %9s %9s\n", "ops", "lower",
-              "closure", "reach", "slack", "semantic", "sem-rev", "lint");
-  std::printf("%8s %9s %9s %9s %9s %9s %9s %9s\n", "", "(ms)", "(ms)",
-              "(ms)", "(ms)", "(ms)", "(ms)", "(ms)");
-  bench::rule(82);
+  std::printf("%8s %9s %9s %9s %9s %9s %9s\n", "ops", "lower", "reach",
+              "slack", "semantic", "sem-rev", "lint");
+  std::printf("%8s %9s %9s %9s %9s %9s %9s\n", "", "(ms)", "(ms)", "(ms)",
+              "(ms)", "(ms)", "(ms)");
+  bench::rule(72);
 
   std::vector<std::size_t> sizes{1000, 5000, 20000, 50000};
   if (const std::size_t ops = opsArg(argc, argv); ops != 0) {
@@ -135,15 +177,6 @@ int main(int argc, char** argv) {
     const auto tl = std::chrono::steady_clock::now();
     const cdfg::CsrView view(g);
     const double lower_ms = millisSince(tl);
-
-    double closure_csr_ms = -1.0;
-    std::uint64_t closure_kib = 0;
-    if (g.nodeCount() <= check::kClosureNodeLimit) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto closure = check::computePrecedenceClosure(view);
-      closure_csr_ms = millisSince(t0);
-      closure_kib = closure.ancestors.memoryBytes() / 1024;
-    }
 
     std::vector<cdfg::NodeId> sources;
     for (const cdfg::NodeId v : g.allNodes()) {
@@ -214,22 +247,19 @@ int main(int argc, char** argv) {
       lint_findings = linter.report().diagnostics().size();
     }
 
-    std::printf("%8zu %s %s %s %s %s %s %s\n", g.nodeCount(),
-                cell(lower_ms).c_str(), cell(closure_csr_ms).c_str(),
-                cell(reach_csr_ms).c_str(), cell(slack_csr_ms).c_str(),
+    std::printf("%8zu %s %s %s %s %s %s\n", g.nodeCount(),
+                cell(lower_ms).c_str(), cell(reach_csr_ms).c_str(),
+                cell(slack_csr_ms).c_str(),
                 cell(semantic_ms).c_str(), cell(semantic_rev_ms).c_str(),
                 cell(lint_ms).c_str());
 
-    json.row({{"ops", static_cast<std::uint64_t>(g.nodeCount())},
+    json.row({{"shape", "random"},
+              {"ops", static_cast<std::uint64_t>(g.nodeCount())},
               {"edges", static_cast<std::uint64_t>(g.edgeCount())},
               {"seed", seed},
               {"threads", static_cast<std::uint64_t>(rt::threadCount())},
               {"lower_ms", lower_ms},
               {"csr_bytes_per_node", view.bytesPerNode()},
-              {"closure_csr_ms", closure_csr_ms},
-              {"closure_kib", closure_kib},
-              {"closure_gated",
-               g.nodeCount() > check::kClosureNodeLimit},
               {"reach_csr_ms", reach_csr_ms},
               {"reach_marked", reach_marked},
               {"slack_csr_ms", slack_csr_ms},
@@ -247,9 +277,33 @@ int main(int argc, char** argv) {
               {"p99_ms", bench::percentile(batch_samples, 0.99)},
               {"peak_rss_mib", peakRssMib()}});
   }
-  bench::rule(82);
-  std::printf("closure is gated at %zu nodes (bit-matrix memory); '-' "
-              "means skipped\n", check::kClosureNodeLimit);
+  bench::rule(72);
+  std::printf("'-' means skipped\n\n");
+
+  // The temporal-edge adversary and its one-edge twin.
+  constexpr std::uint32_t kChain = 10000;
+  const cdfg::Cdfg adversary = twoChains(kChain, kChain / 2 - 1);
+  const cdfg::Cdfg twin = twoChains(kChain, 1);
+  std::size_t adversary_findings = 0;
+  std::size_t twin_findings = 0;
+  const double adversary_ms = bestRulesMs(adversary, adversary_findings);
+  const double twin_ms = bestRulesMs(twin, twin_findings);
+  std::printf("two chains of %u, graph + semantic rules: %zu temporal "
+              "edges %.2f ms, one edge %.2f ms (ratio %.2f)\n",
+              kChain, adversary.temporalEdges().size(), adversary_ms,
+              twin_ms, adversary_ms / twin_ms);
+  json.row({{"shape", "two_chains"},
+            {"ops", static_cast<std::uint64_t>(adversary.nodeCount())},
+            {"temporal_edges",
+             static_cast<std::uint64_t>(adversary.temporalEdges().size())},
+            {"seed", seed},
+            {"threads", static_cast<std::uint64_t>(rt::threadCount())},
+            {"rules_ms", adversary_ms},
+            {"twin_rules_ms", twin_ms},
+            {"rules_ratio", adversary_ms / twin_ms},
+            {"rules_findings", static_cast<std::uint64_t>(adversary_findings)},
+            {"twin_rules_findings", static_cast<std::uint64_t>(twin_findings)},
+            {"peak_rss_mib", peakRssMib()}});
   std::printf("peak RSS %.1f MiB\n", peakRssMib());
   return 0;
 }

@@ -59,7 +59,7 @@ CONFIG = {
         },
     },
     "perf_static_analysis": {
-        "key": ("ops",),
+        "key": ("shape", "ops"),
         "metrics": {
             "seed": {"kind": "exact"},
             "threads": {"kind": "exact"},
@@ -84,6 +84,18 @@ CONFIG = {
             "p50_ms": {"kind": "lower_better", "tol": WALL_TOL},
             "p95_ms": {"kind": "lower_better", "tol": WALL_TOL},
             "p99_ms": {"kind": "lower_better", "tol": WALL_TOL},
+            # The two_chains row: the graph and semantic rule packs on two
+            # 10,000-node chains with 4,999 temporal edges, over the same
+            # on the chains with one.  One DFS per temporal edge read
+            # 71-89 here (290-357 ms against 3.3-5.0 ms); batched queries
+            # read 1.2-1.6, so the default tolerance fails a 2x slower
+            # batch.
+            "temporal_edges": {"kind": "exact"},
+            "rules_findings": {"kind": "exact"},
+            "twin_rules_findings": {"kind": "exact"},
+            "rules_ratio": {"kind": "lower_better"},
+            "rules_ms": {"kind": "lower_better", "tol": WALL_TOL},
+            "twin_rules_ms": {"kind": "lower_better", "tol": WALL_TOL},
         },
     },
     "perf_graph_core": {
@@ -325,7 +337,23 @@ def self_test():
         cur = {"bench": "table1_scheduling", "rows": [row]}
         return gate(paper_base, cur, CONFIG["table1_scheduling"])
 
+    # perf_static_analysis gates the temporal-edge adversary's in-run
+    # ratio to its one-edge twin: a batch twice as slow doubles it.
+    chains_row = {"shape": "two_chains", "ops": 20000, "rules_ratio": 1.3,
+                  "rules_ms": 9.1, "twin_rules_ms": 7.0}
+    chains_base = {"bench": "perf_static_analysis", "rows": [chains_row]}
+
+    def run_chains(**overrides):
+        row = dict(chains_row)
+        row.update(overrides)
+        cur = {"bench": "perf_static_analysis", "rows": [row]}
+        return gate(chains_base, cur, CONFIG["perf_static_analysis"])
+
     problems = []
+    if not run_chains(rules_ratio=2.6, rules_ms=18.2):
+        problems.append("2x adversary/twin rule-time ratio was NOT caught")
+    if run_chains(rules_ratio=1.6):
+        problems.append("adversary ratio within tolerance was flagged")
     if not run_paper(pc_a02="3.1e-5"):
         problems.append("one-character Pc string change was NOT caught")
     if run_paper(git_describe="def-dirty"):
@@ -348,8 +376,9 @@ def self_test():
         print(f"self-test FAIL: {p}", file=sys.stderr)
     if not problems:
         print("self-test OK: gate fails on 2x slowdown, exact drift, "
-              "throughput collapse, a halved lint speedup and a changed "
-              "Pc string; passes in-tolerance runs")
+              "throughput collapse, a halved lint speedup, a doubled "
+              "adversary rule-time ratio and a changed Pc string; passes "
+              "in-tolerance runs")
     return 0 if not problems else 1
 
 

@@ -17,7 +17,8 @@
 //     one kind, data+control, all — is therefore one contiguous span;
 //   * parallel edge-id arrays aligned index-for-index with the
 //     neighbour arrays, so traversals that must name or skip a specific
-//     edge (LW601, hasPathSkipping) stay allocation-free;
+//     edge (check::skippingPaths for LW104/LW505/LW601) stay
+//     allocation-free;
 //   * a structure-of-arrays node-kind table (one byte per node), so
 //     kind tests touch 1 byte/node instead of a 40-byte Node with an
 //     embedded std::string;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "cdfg/operation.h"
+#include "check/dataflow.h"
 #include "check/internal.h"
 #include "rt/rt.h"
 #include "sched/timeframes.h"
@@ -183,15 +184,9 @@ void IncrementalAnalysis::fullRebuild() {
   alap_.assign(n, 0);
   critical_ = 0;
   deadline_ = 0;
-  closure_enabled_ = n <= kClosureNodeLimit;
-  anc_ = BitRows();
   report_dirty_ = true;
   if (cyclic_) {
     return;  // semanticReport() mirrors checkSemantics' empty report
-  }
-
-  if (closure_enabled_) {
-    anc_ = std::move(computePrecedenceClosure(view).ancestors);
   }
 
   std::vector<NodeId> sinks;
@@ -220,11 +215,12 @@ void IncrementalAnalysis::fullRebuild() {
   critical_ = frames.criticalPathSteps();
   deadline_ = frames.deadline();
 
-  const std::vector<EdgeId>& temporal = temporal_;
-  rt::parallel_for(0, temporal.size(), /*grain=*/1, [&](std::size_t i) {
-    lw601_[temporal[i].value()] = evalLw601(temporal[i]) ? 1 : 0;
-  });
-  for (const EdgeId te : temporal) {
+  const std::vector<char> lw601 = detail::lw601Verdicts(
+      g_, view, cdfg::topologicalOrder(view, EdgeSel::kAll), temporal_);
+  for (std::size_t i = 0; i < temporal_.size(); ++i) {
+    lw601_[temporal_[i].value()] = lw601[i];
+  }
+  for (const EdgeId te : temporal_) {
     const Edge& e = g_.edge(te);
     lw602_[te.value()] =
         asap_[e.src.value()] + 1 > alap_[e.dst.value()] ? 1 : 0;
@@ -271,22 +267,8 @@ bool IncrementalAnalysis::evalLw601(EdgeId te) const {
   const Edge& e = g_.edge(te);
   // One diagnostic per defect: implication by data/control structure alone
   // is LW104's finding.
-  if (hasPathSkippingDelta(e.src, e.dst, te, EdgeSel::kDataControl)) {
-    return false;
-  }
-  if (closure_enabled_) {
-    bool implied = false;
-    csr_.forEachOut(e.src, EdgeSel::kAll, [&](NodeId m, EdgeId id, EdgeKind) {
-      if (id == te || implied) {
-        return;
-      }
-      if (m == e.dst || anc_.test(e.dst.value(), m.value())) {
-        implied = true;
-      }
-    });
-    return implied;
-  }
-  return hasPathSkippingDelta(e.src, e.dst, te, EdgeSel::kAll);
+  return !hasPathSkippingDelta(e.src, e.dst, te, EdgeSel::kDataControl) &&
+         hasPathSkippingDelta(e.src, e.dst, te, EdgeSel::kAll);
 }
 
 std::uint8_t IncrementalAnalysis::evalNodeVerdict(NodeId n) const {
@@ -431,39 +413,6 @@ void IncrementalAnalysis::repairReach(const std::vector<NodeId>& dc_dst_seeds,
       [&](NodeId v, auto&& push) {
         csr_.forEachIn(v, EdgeSel::kDataControl,
                        [&](NodeId src, EdgeId, EdgeKind) { push(src); });
-      });
-}
-
-void IncrementalAnalysis::repairClosure(const cdfg::AppliedDelta& applied,
-                                        DeltaStats& stats) {
-  const std::size_t n = g_.nodeCount();
-  std::vector<NodeId> seeds;
-  for (const EdgeId id : applied.added_edge_ids) {
-    seeds.push_back(g_.edge(id).dst);
-  }
-  for (const Edge& e : applied.removed_edges) {
-    seeds.push_back(e.dst);
-  }
-  stats.closure_rows += propagateRanked(
-      rank_, /*forward=*/true, n, seeds,
-      [&](NodeId v) {
-        // A row per recompute: wide rank levels recompute in parallel, so
-        // no two nodes may share scratch.
-        BitRows scratch(1, n);
-        csr_.forEachIn(v, EdgeSel::kAll,
-                       [&](NodeId src, EdgeId, EdgeKind) {
-                         scratch.set(0, src.value());
-                         scratch.unionRowFrom(anc_, 0, src.value());
-                       });
-        if (scratch.rowEquals(anc_, 0, v.value())) {
-          return false;
-        }
-        anc_.copyRowFrom(scratch, v.value(), 0);
-        return true;
-      },
-      [&](NodeId v, auto&& push) {
-        csr_.forEachOut(v, EdgeSel::kAll,
-                        [&](NodeId dst, EdgeId, EdgeKind) { push(dst); });
       });
 }
 
@@ -740,9 +689,6 @@ DeltaStats IncrementalAnalysis::applyDelta(const cdfg::EditDelta& delta,
     bwd_changed.assign(n, 0);
   }
 
-  if (closure_enabled_) {
-    repairClosure(ap, stats);
-  }
   repairLw601(ap, stats);
   repairLw602(ap, critical_moved, asap_changed, alap_changed, stats);
   repairNodeVerdicts(ap, dc_changed, fwd_changed, bwd_changed, stats);

@@ -18,15 +18,14 @@
 //   * forward/backward liveness marks are recomputed from scratch per
 //     dirty node (seed-by-kind OR over masked neighbours), which handles
 //     both mark growth and the non-monotone shrinkage a removal causes;
-//   * the precedence closure (graphs within kClosureNodeLimit) repairs
-//     whole ancestor rows in rank order;
 //   * LW601 re-evaluates only temporal edges whose destination is
 //     forward-reachable (over all kinds) from the touched frontier — any
 //     path that appeared or vanished has its last changed edge's head in
-//     that region; LW602 re-evaluates edges whose endpoint frames moved
-//     (all of them when the critical path itself moved, since the message
-//     embeds it); LW603/604 re-evaluates nodes whose marks or degrees
-//     changed;
+//     that region — each with a path probe pruned by rank (the full
+//     rebuild answers every edge with check/paths.h's batched query);
+//     LW602 re-evaluates edges whose endpoint frames moved (all of them
+//     when the critical path itself moved, since the message embeds it);
+//     LW603/604 re-evaluates nodes whose marks or degrees changed;
 //   * the rendered report is cached and rebuilt only when a verdict
 //     actually changed, in exactly checkSemantics' emission order, from
 //     the shared detail:: builders — byte-identical to full recompute.
@@ -51,7 +50,6 @@
 #include "cdfg/delta.h"
 #include "cdfg/graph.h"
 #include "cdfg/ids.h"
-#include "check/dataflow.h"
 #include "check/diagnostics.h"
 #include "sched/latency.h"
 
@@ -64,7 +62,6 @@ struct DeltaStats {
   std::size_t asap_recomputed = 0;   ///< nodes re-solved by the ASAP pass
   std::size_t alap_recomputed = 0;
   std::size_t reach_recomputed = 0;  ///< fwd + bwd mark recomputations
-  std::size_t closure_rows = 0;      ///< ancestor rows repaired
   std::size_t lw601_evals = 0;
   std::size_t lw602_evals = 0;
   std::size_t node_evals = 0;        ///< LW603/604 verdicts re-derived
@@ -97,16 +94,6 @@ class IncrementalAnalysis {
     return artifact_;
   }
   [[nodiscard]] bool cyclic() const noexcept { return cyclic_; }
-  /// True while the bit-matrix closure is resident (node count within
-  /// kClosureNodeLimit); growth past the limit drops it for good.
-  [[nodiscard]] bool closureEnabled() const noexcept {
-    return closure_enabled_;
-  }
-
-  /// Must-precede query (requires closureEnabled() and !cyclic()).
-  [[nodiscard]] bool precedes(cdfg::NodeId a, cdfg::NodeId b) const {
-    return anc_.test(b.value(), a.value());
-  }
   [[nodiscard]] std::uint32_t asap(cdfg::NodeId n) const {
     return asap_[n.value()];
   }
@@ -138,7 +125,6 @@ class IncrementalAnalysis {
                    const std::vector<cdfg::NodeId>& dc_src_seeds,
                    std::vector<char>& fwd_changed,
                    std::vector<char>& bwd_changed, DeltaStats& stats);
-  void repairClosure(const cdfg::AppliedDelta& applied, DeltaStats& stats);
   void repairLw601(const cdfg::AppliedDelta& applied, DeltaStats& stats);
   void repairLw602(const cdfg::AppliedDelta& applied, bool critical_moved,
                    const std::vector<char>& asap_changed,
@@ -164,9 +150,6 @@ class IncrementalAnalysis {
   /// Live temporal edge ids, ascending — the report emission order.  Kept
   /// resident so per-batch repairs never rescan the whole edge table.
   std::vector<cdfg::EdgeId> temporal_;
-
-  bool closure_enabled_ = false;
-  BitRows anc_;  ///< closure ancestor rows (valid iff closure_enabled_)
 
   std::vector<char> fwd_mark_;  ///< reachable from sources, dataControl
   std::vector<char> bwd_mark_;  ///< live into sinks, dataControl

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "check/diagnostics.h"
 
@@ -60,6 +62,16 @@ inline Diagnostic lw601Diag(const std::string& artifact, const cdfg::Edge& e) {
               "a redundant constraint inflates the claimed Pc without "
               "adding evidence; re-embed without it");
 }
+
+/// LW601's verdict per edge of `temporal` (temporal edges of `g`, lowered
+/// as `view`, acyclic with topological order `order` over every kind): 1
+/// when a path over every edge kind that skips the edge orders its
+/// endpoints, but no data/control path does (that is LW104's finding).
+/// Two batched path queries (rules_semantic.cpp).
+[[nodiscard]] std::vector<char> lw601Verdicts(
+    const cdfg::Cdfg& g, const cdfg::CsrView& view,
+    const std::vector<cdfg::NodeId>& order,
+    const std::vector<cdfg::EdgeId>& temporal);
 
 inline Diagnostic lw602Diag(const std::string& artifact, const cdfg::Edge& e,
                             std::uint32_t critical) {

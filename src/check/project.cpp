@@ -13,7 +13,6 @@
 #include "cdfg/csr.h"
 #include "cdfg/error.h"
 #include "cdfg/io.h"
-#include "check/dataflow.h"
 #include "check/differ.h"
 #include "check/internal.h"
 #include "check/linter.h"
@@ -369,49 +368,43 @@ CacheEntry selfAnalyze(const std::string& text, const std::string& path,
 // ---------------------------------------------------------------------------
 // Pair-stage checks.
 
-/// LW804: the design's transitive precedence closure (over data, control,
-/// and temporal edges) orders u before v, but the schedule starts v in an
-/// earlier step.  Catches inversions routed through unassigned or
-/// zero-latency intermediates that the per-edge LW202/LW203 checks cannot
-/// see.  At most one finding per violating node, naming its smallest-id
-/// scheduled transitive predecessor that starts later; findings are
-/// ordered by that predecessor, then by node.  A cyclic design yields
-/// none (LW103 territory).  Above kClosureNodeLimit nodes (the closure is
-/// N^2/64 words per schedule) the check does not run, and says so (LW810).
-void checkPrecedenceClosure(const cdfg::Cdfg& g, const sched::Schedule& s,
-                            const std::string& name,
-                            std::vector<Diagnostic>& out) {
-  const std::size_t n = g.nodeCount();
-  if (n > kClosureNodeLimit) {
-    out.push_back(diag(
-        "LW810", Severity::kInfo, name, {},
-        "precedence-closure check (LW804) not run: the design has " +
-            std::to_string(n) + " nodes, above the bound of " +
-            std::to_string(kClosureNodeLimit),
-        "the per-edge schedule rules (LW202/LW203) still ran; transitive "
-        "inversions through unscheduled or zero-latency operations are "
-        "unchecked"));
+/// LW804: the design orders u before v (a path over data, control and
+/// temporal edges), but the schedule starts v in an earlier step.  Catches
+/// inversions routed through unassigned or zero-latency intermediates
+/// that the per-edge LW202/LW203 checks cannot see.  One longest-path pass
+/// in topological order carries, per node, its latest scheduled ancestor
+/// (the latest step, ties to the lowest id) through scheduled and
+/// unscheduled nodes alike; a scheduled node that starts before it is one
+/// finding naming it.  Findings are ordered by that ancestor, then by
+/// node.  A cyclic design yields none (LW103 territory).
+void checkTransitivePrecedence(const cdfg::Cdfg& g,
+                               const sched::Schedule& s,
+                               const std::string& name,
+                               std::vector<Diagnostic>& out) {
+  const cdfg::CsrView view(g);
+  const std::vector<cdfg::NodeId> order =
+      cdfg::topologicalOrder(view, cdfg::EdgeSel::kAll);
+  if (order.size() < view.nodeCount()) {
     return;
   }
-  const PrecedenceClosure closure =
-      computePrecedenceClosure(cdfg::CsrView(g));
-  if (closure.cyclic) {
-    return;
-  }
-  const BitRows& ancestors = closure.ancestors;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (!s.isSet(cdfg::NodeId{v})) {
-      continue;
+  // An ancestor as one key, (step << 32) | ~id: the larger key is the
+  // later step, then the lower id.  0 means no scheduled ancestor.
+  const auto key = [&](cdfg::NodeId u) -> std::uint64_t {
+    return s.isSet(u) ? (std::uint64_t{s.at(u)} << 32) | ~u.value() : 0;
+  };
+  std::vector<std::uint64_t> latest(view.nodeCount(), 0);
+  for (const cdfg::NodeId v : order) {
+    for (const cdfg::NodeId u : view.predecessors(v, cdfg::EdgeSel::kAll)) {
+      latest[v.value()] =
+          std::max({latest[v.value()], latest[u.value()], key(u)});
     }
-    const std::uint32_t step_v = s.at(cdfg::NodeId{v});
-    for (std::size_t u = ancestors.nextSetBit(v, 0); u != BitRows::npos;
-         u = ancestors.nextSetBit(v, u + 1)) {
-      const cdfg::NodeId pred{static_cast<std::uint32_t>(u)};
-      if (s.isSet(pred) && s.at(pred) > step_v) {
-        found.emplace_back(pred.value(), v);
-        break;
-      }
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> found;  // (u, v)
+  for (std::uint32_t v = 0; v < view.nodeCount(); ++v) {
+    const std::uint64_t ancestor = latest[v];
+    if (s.isSet(cdfg::NodeId{v}) &&
+        ancestor >> 32 > s.at(cdfg::NodeId{v})) {
+      found.emplace_back(~static_cast<std::uint32_t>(ancestor), v);
     }
   }
   std::sort(found.begin(), found.end());
@@ -485,10 +478,10 @@ std::string refNoun(ArtifactKind kind) {
 }  // namespace
 
 std::string ruleSetVersion() {
-  // v7: LW804's node bound is kClosureNodeLimit (8192), so a v6 entry may
-  // hold LW804 findings where LW810 is now due.  The rule count (LW810
-  // added one) changes the version too.
-  return "lw" + std::to_string(allRules().size()) + ".v7";
+  // v8: LW804 runs at any size and names the latest scheduled ancestor,
+  // so a v7 entry may hold LW810 or another LW804 witness.  The rule count
+  // (LW810 retired) changes the version too.
+  return "lw" + std::to_string(allRules().size()) + ".v8";
 }
 
 Report mergeFindings(const Workspace& ws, std::vector<ArtifactFindings> found,
@@ -959,7 +952,7 @@ ProjectResult checkProject(Workspace& ws, const ProjectOptions& options) {
       case ArtifactKind::kSchedule:
         out = std::move(scheds[i].diags);
         if (scheds[i].schedule.has_value()) {
-          checkPrecedenceClosure(*dsg, *scheds[i].schedule, a.path, out);
+          checkTransitivePrecedence(*dsg, *scheds[i].schedule, a.path, out);
         }
         break;
       case ArtifactKind::kCover: {

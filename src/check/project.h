@@ -13,7 +13,7 @@
 //      compatibility-based inference (LW801/LW802/LW803);
 //   4. *pair* analysis of each artifact against its resolved context
 //      (the per-artifact lint of schedules, covers and bindings, the
-//      LW804 precedence-closure check, the LW805 locality-existence
+//      LW804 transitive-precedence check, the LW805 locality-existence
 //      check), also sharded + cached.  It reads the designs and
 //      certificates step 2 kept and parses only those step 2 served from
 //      the cache, so a cold or --no-cache run parses each artifact once;

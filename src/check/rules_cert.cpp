@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -20,8 +19,8 @@
 
 #include "cdfg/csr.h"
 #include "cdfg/error.h"
-#include "check/dataflow.h"
 #include "check/internal.h"
+#include "check/paths.h"
 #include "check/rules.h"
 #include "core/pc.h"
 
@@ -138,7 +137,19 @@ void checkRankPairs(Report& r, const std::vector<wm::RankConstraint>& pairs,
                     const cdfg::Cdfg& shape, bool ordered,
                     const std::string& artifact) {
   std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
-  std::optional<cdfg::CsrView> view;  // lowered for the first LW505 test
+  // LW505's data-path queries, one per constraint, answered in one batch;
+  // the loop reads the answers of the constraints that reach the test.
+  std::vector<char> implied;
+  if (ordered) {
+    std::vector<PathQuery> queries;
+    queries.reserve(pairs.size());
+    for (const wm::RankConstraint& c : pairs) {
+      queries.push_back(
+          {cdfg::NodeId(c.before_rank), cdfg::NodeId(c.after_rank)});
+    }
+    implied = skippingPaths(cdfg::CsrView(shape), queries,
+                            cdfg::EdgeSel::kDataControl);
+  }
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const wm::RankConstraint& c = pairs[i];
     const std::string loc =
@@ -174,12 +185,7 @@ void checkRankPairs(Report& r, const std::vector<wm::RankConstraint>& pairs,
         c.after_rank >= shape.nodeCount()) {
       continue;
     }
-    if (!view) {
-      view.emplace(shape);
-    }
-    if (hasPathSkipping(*view, cdfg::NodeId(c.before_rank),
-                        cdfg::NodeId(c.after_rank), cdfg::EdgeId::invalid(),
-                        cdfg::EdgeSel::kDataControl)) {
+    if (implied[i] != 0) {
       r.add(diag("LW505", Severity::kWarning, artifact, loc,
                  "constraint rank " + std::to_string(c.before_rank) +
                      " -> rank " + std::to_string(c.after_rank) +

@@ -8,8 +8,8 @@
 
 #include "cdfg/csr.h"
 #include "cdfg/ordering.h"
-#include "check/dataflow.h"
 #include "check/internal.h"
+#include "check/paths.h"
 #include "check/rules.h"
 #include "sched/timeframes.h"
 
@@ -73,10 +73,19 @@ Report checkGraph(const cdfg::Cdfg& g,
   // LW104: a temporal edge whose precedence already follows from the
   // data/control structure constrains nothing — it either leaked from a
   // buggy embedder or was never a watermark bit to begin with (§IV-A picks
-  // pairs with *overlapping* lifetimes precisely to avoid this).
-  for (const cdfg::EdgeId te : g.temporalEdges()) {
-    const cdfg::Edge& e = g.edge(te);
-    if (hasPathSkipping(view, e.src, e.dst, te, cdfg::EdgeSel::kDataControl)) {
+  // pairs with *overlapping* lifetimes precisely to avoid this).  A
+  // data/control path never uses the temporal edge, so nothing is skipped.
+  const std::vector<cdfg::EdgeId> temporal = g.temporalEdges();
+  std::vector<PathQuery> queries;
+  queries.reserve(temporal.size());
+  for (const cdfg::EdgeId te : temporal) {
+    queries.push_back({g.edge(te).src, g.edge(te).dst});
+  }
+  const std::vector<char> implied =
+      skippingPaths(view, queries, cdfg::EdgeSel::kDataControl);
+  for (std::size_t i = 0; i < temporal.size(); ++i) {
+    const cdfg::Edge& e = g.edge(temporal[i]);
+    if (implied[i] != 0) {
       r.add(diag("LW104", Severity::kWarning, artifact,
                  detail::edgeRef(e.src.value(), e.dst.value(), e.kind),
                  "temporal edge is implied by an existing data/control path",

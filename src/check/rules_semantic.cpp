@@ -3,8 +3,9 @@
 // edge redundant once *all* constraints are considered?), scheduling slack
 // (does an edge stretch the dependence-only critical path?), and
 // reachability/liveness (does an operation contribute to any output?).
-// Each is one pass over the acyclic design: the closure and reachability
-// of check/dataflow.h, and the ASAP/ALAP windows of sched::TimeFrames.
+// Each is one pass over the acyclic design: the batched path queries of
+// check/paths.h, the reachability of check/dataflow.h, and the ASAP/ALAP
+// windows of sched::TimeFrames.
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,8 +13,8 @@
 #include "cdfg/csr.h"
 #include "check/dataflow.h"
 #include "check/internal.h"
+#include "check/paths.h"
 #include "check/rules.h"
-#include "rt/rt.h"
 #include "sched/latency.h"
 #include "sched/timeframes.h"
 
@@ -31,49 +32,13 @@ using detail::isSideEffecting;
 /// typically a buggy embedder stacking constraints onto one chain.
 void checkRedundantTemporal(Report& r, const cdfg::Cdfg& g,
                             const cdfg::CsrView& view,
+                            const std::vector<NodeId>& order,
                             const std::string& artifact) {
   const std::vector<cdfg::EdgeId> temporal = g.temporalEdges();
-  if (temporal.empty()) {
-    return;
-  }
-  std::optional<PrecedenceClosure> closure;
-  if (view.nodeCount() <= kClosureNodeLimit) {
-    closure = computePrecedenceClosure(view);
-  }
-  // The per-edge implication queries only read the view and the solved
-  // closure; flags are computed in parallel and diagnostics added in edge
-  // order afterwards, so the report is identical to the serial loop.
-  std::vector<char> implied_at(temporal.size(), 0);
-  rt::parallel_for(0, temporal.size(), /*grain=*/1, [&](std::size_t i) {
-    const cdfg::Edge& e = g.edge(temporal[i]);
-    if (hasPathSkipping(view, e.src, e.dst, temporal[i],
-                        cdfg::EdgeSel::kDataControl)) {
-      return;  // LW104's finding; one diagnostic per defect
-    }
-    bool implied = false;
-    if (closure) {
-      // On a DAG, any a->..->b path avoiding e must leave a by some other
-      // edge a->m with m == b or m preceding b; the closure may use e
-      // internally only on paths through b, which the DAG forbids here.
-      const auto succs = view.successors(e.src, cdfg::EdgeSel::kAll);
-      const auto ids = view.outEdges(e.src, cdfg::EdgeSel::kAll);
-      for (std::size_t s = 0; s < succs.size(); ++s) {
-        if (ids[s] == temporal[i]) {
-          continue;
-        }
-        const cdfg::NodeId m = succs[s];
-        if (m == e.dst || closure->precedes(m, e.dst)) {
-          implied = true;
-          break;
-        }
-      }
-    } else {
-      implied = hasPathSkipping(view, e.src, e.dst, temporal[i]);
-    }
-    implied_at[i] = implied ? 1 : 0;
-  });
+  const std::vector<char> implied =
+      detail::lw601Verdicts(g, view, order, temporal);
   for (std::size_t i = 0; i < temporal.size(); ++i) {
-    if (implied_at[i] != 0) {
+    if (implied[i] != 0) {
       r.add(detail::lw601Diag(artifact, g.edge(temporal[i])));
     }
   }
@@ -144,16 +109,47 @@ void checkLiveness(Report& r, const cdfg::Cdfg& g, const cdfg::CsrView& view,
 
 }  // namespace
 
+std::vector<char> detail::lw601Verdicts(
+    const cdfg::Cdfg& g, const cdfg::CsrView& view,
+    const std::vector<NodeId>& order,
+    const std::vector<cdfg::EdgeId>& temporal) {
+  std::vector<PathQuery> queries;
+  queries.reserve(temporal.size());
+  for (const cdfg::EdgeId te : temporal) {
+    queries.push_back({g.edge(te).src, g.edge(te).dst});
+  }
+  const std::vector<char> by_structure =
+      skippingPaths(view, queries, cdfg::EdgeSel::kDataControl, order);
+  // One diagnostic per defect: the edges LW104 flags leave the second
+  // query, which may use every kind but the edge itself.
+  std::vector<std::size_t> open;
+  std::vector<PathQuery> rest;
+  for (std::size_t i = 0; i < temporal.size(); ++i) {
+    if (by_structure[i] == 0) {
+      open.push_back(i);
+      rest.push_back({queries[i].from, queries[i].to, temporal[i]});
+    }
+  }
+  const std::vector<char> by_all =
+      skippingPaths(view, rest, cdfg::EdgeSel::kAll, order);
+  std::vector<char> verdict(temporal.size(), 0);
+  for (std::size_t j = 0; j < open.size(); ++j) {
+    verdict[open[j]] = by_all[j];
+  }
+  return verdict;
+}
+
 Report checkSemantics(const cdfg::Cdfg& g, const std::string& artifact) {
   Report r;
   // One lowering serves the cycle verdict and all three rule families; the
   // builder stays around for edge endpoints and node labels in diagnostics.
   const cdfg::CsrView view(g);
-  if (cdfg::topologicalOrder(view, cdfg::EdgeSel::kAll).size() <
-      view.nodeCount()) {
+  const std::vector<NodeId> order =
+      cdfg::topologicalOrder(view, cdfg::EdgeSel::kAll);
+  if (order.size() < view.nodeCount()) {
     return r;  // LW103 is checkGraph's finding; these passes need a DAG
   }
-  checkRedundantTemporal(r, g, view, artifact);
+  checkRedundantTemporal(r, g, view, order, artifact);
   checkStretchingTemporal(r, g, view, artifact);
   checkLiveness(r, g, view, artifact);
   return r;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "cdfg/error.h"
 #include "core/pass_audit.h"
 #include "obs/obs.h"
 #include "sched/timeframes.h"
@@ -47,8 +46,7 @@ bool reaches(const cdfg::Cdfg& g, const sched::TimeFrames& frames,
   return false;
 }
 
-cdfg::Cdfg realizeWithDummyOps(const cdfg::Cdfg& marked,
-                               std::vector<NodeId>* dummies) {
+cdfg::Cdfg realizeWithDummyOps(const cdfg::Cdfg& marked) {
   cdfg::Cdfg out;
   for (const NodeId v : marked.allNodes()) {
     out.addNode(marked.node(v).kind, marked.node(v).name);
@@ -64,42 +62,6 @@ cdfg::Cdfg realizeWithDummyOps(const cdfg::Cdfg& marked,
         cdfg::OpKind::kAdd, "wm" + std::to_string(dummy_index++));
     out.addEdge(ed.src, dummy, cdfg::EdgeKind::kData);
     out.addEdge(dummy, ed.dst, cdfg::EdgeKind::kData);
-    if (dummies != nullptr) {
-      dummies->push_back(dummy);
-    }
-  }
-  return out;
-}
-
-cdfg::Cdfg stripRealizedDummies(const cdfg::Cdfg& realized,
-                                const std::vector<NodeId>& dummies) {
-  std::vector<bool> is_dummy(realized.nodeCount(), false);
-  for (const NodeId d : dummies) {
-    detail::check<WatermarkError>(
-        d.isValid() && d.value() < realized.nodeCount(),
-        "stripRealizedDummies: id out of range");
-    is_dummy[d.value()] = true;
-  }
-  cdfg::Cdfg out;
-  std::vector<NodeId> map(realized.nodeCount(), NodeId::invalid());
-  for (const NodeId v : realized.allNodes()) {
-    if (!is_dummy[v.value()]) {
-      map[v.value()] =
-          out.addNode(realized.node(v).kind, realized.node(v).name);
-    }
-  }
-  for (const cdfg::EdgeId e : realized.allEdges()) {
-    const cdfg::Edge& ed = realized.edge(e);
-    if (is_dummy[ed.dst.value()]) {
-      continue;  // handled from the dummy's outgoing side
-    }
-    if (!is_dummy[ed.src.value()]) {
-      out.addEdge(map[ed.src.value()], map[ed.dst.value()], ed.kind);
-      continue;
-    }
-    // Edge leaves a dummy: the watermark's order constraint was realized
-    // through it, so the reconnection is dropped entirely — the shipped
-    // program contains only the original dependences.
   }
   return out;
 }

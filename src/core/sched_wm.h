@@ -101,19 +101,11 @@ struct SchedDetectResult {
 /// variables assigned to zero at runtime)".  Each temporal edge (a → b)
 /// becomes a dummy add `d` with data edges a → d → b; the temporal edges
 /// themselves are dropped.  The result is an ordinary data-flow graph any
-/// compiler back end schedules without knowing about watermarks.
-/// `dummies`, when non-null, receives the inserted node ids (the paper
-/// notes "the added instructions must be extracted from binaries for
-/// security and performance reasons" — see stripRealizedDummies).
-[[nodiscard]] cdfg::Cdfg realizeWithDummyOps(
-    const cdfg::Cdfg& marked, std::vector<cdfg::NodeId>* dummies = nullptr);
-
-/// Inverse of realizeWithDummyOps for shipping: removes the dummy
-/// operations, reconnecting each dummy's producer directly to its
-/// consumers.  The schedule of the remaining operations is untouched — it
-/// still carries the watermark order.
-[[nodiscard]] cdfg::Cdfg stripRealizedDummies(
-    const cdfg::Cdfg& realized, const std::vector<cdfg::NodeId>& dummies);
+/// compiler back end schedules without knowing about watermarks.  The
+/// shipped design is the marked one without its temporal edges
+/// (Cdfg::stripTemporalEdges); the paper notes "the added instructions
+/// must be extracted from binaries for security and performance reasons".
+[[nodiscard]] cdfg::Cdfg realizeWithDummyOps(const cdfg::Cdfg& marked);
 
 /// Embeds + detects scheduling watermarks for one author signature.
 class SchedulingWatermarker {

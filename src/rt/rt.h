@@ -3,7 +3,7 @@
 // The watermarking protocol is embarrassingly parallel in several places:
 // detection re-derives a locality at every candidate root, Pc aggregates
 // per-constraint probabilities, the Monte-Carlo benches run independent
-// trials, and the dataflow closure unions independent bit-matrix rows.
+// trials, and lint answers its path queries in independent batches.
 // rt executes those loops on a fixed-size thread pool while keeping one
 // hard promise: **thread count never changes output**.
 //

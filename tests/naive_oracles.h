@@ -139,8 +139,8 @@ inline std::vector<char> naiveReach(
 }
 
 /// True when a path `from` -> `to` of at least one edge exists over the
-/// selected edges without crossing `skip` — the closure's precedes(from,
-/// to) and, for from != to, hasPathSkipping(from, to, skip).
+/// selected edges without crossing `skip` — for from != to, the answer
+/// check::skippingPaths gives the query {from, to, skip}.
 inline bool naivePath(const cdfg::Cdfg& g, cdfg::NodeId from,
                       cdfg::NodeId to,
                       cdfg::EdgeSel sel = cdfg::EdgeSel::kAll,

@@ -210,21 +210,6 @@ TEST(DummyOps, RealizationPreservesOrderSemantics) {
   EXPECT_GT(vr.cycles, 0u);
 }
 
-TEST(DummyOps, StripInvertsRealization) {
-  Cdfg g = workloads::waveFilter(8);
-  const auto r = embedOnWave(g);
-  std::vector<NodeId> dummies;
-  const Cdfg realized = realizeWithDummyOps(g, &dummies);
-  ASSERT_EQ(dummies.size(), r.added_edges.size());
-  const Cdfg shipped = stripRealizedDummies(realized, dummies);
-  // Shipping strips the dummies AND their induced order edges — exactly
-  // the published design.
-  const Cdfg published = g.stripTemporalEdges();
-  EXPECT_EQ(cdfg::printToString(shipped), cdfg::printToString(published));
-  EXPECT_THROW(
-      (void)stripRealizedDummies(realized, {NodeId(9999)}), Error);
-}
-
 TEST(Windows, RestrictEnumerationExactly) {
   // Two independent ops, deadline 4, but op0 window-limited to [1,2]:
   // count = 2 * 4 = 8.

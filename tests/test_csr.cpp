@@ -2,8 +2,8 @@
 // oracle against the Cdfg builder it is lowered from (every node, every
 // selector, on random DFGs with temporal edges, parallel-edge and
 // post-stripTemporalEdges graphs), edge-id/neighbour span alignment,
-// empty/degenerate inputs, the CSR-backed analyses (closure,
-// reachability, path queries) against independent references on the
+// empty/degenerate inputs, the CSR-backed analyses (reachability and
+// batched path queries) against independent references on the
 // builder graph under generated, reversed and shuffled ids, and the
 // determinism pin — those analyses, the
 // semantic rules and watermark detection must produce byte-identical
@@ -13,6 +13,7 @@
 // src == dst (pinned below), so the view never has to represent one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "cdfg/graph.h"
 #include "cdfg/prng.h"
 #include "check/dataflow.h"
+#include "check/paths.h"
 #include "check/rules.h"
 #include "core/sched_wm.h"
 #include "naive_oracles.h"
@@ -285,14 +287,22 @@ TEST(Csr, AnalysesMatchBuilderPath) {
       const CsrView view(g);
       const std::size_t n = g.nodeCount();
 
-      const auto closure = check::computePrecedenceClosure(view);
+      // Every ordered pair, as one batch of N^2 path queries.
+      std::vector<check::PathQuery> pairs;
       for (std::size_t i = 0; i < n; ++i) {
-        const NodeId a(static_cast<std::uint32_t>(i));
-        const std::vector<char> desc = locwm::testing::naiveReach(
-            g, {a}, check::Direction::kForward, cdfg::EdgeSel::kAll);
         for (std::size_t j = 0; j < n; ++j) {
-          const NodeId b(static_cast<std::uint32_t>(j));
-          ASSERT_EQ(closure.precedes(a, b), desc[j] != 0)
+          pairs.push_back({NodeId(static_cast<std::uint32_t>(i)),
+                           NodeId(static_cast<std::uint32_t>(j))});
+        }
+      }
+      const std::vector<char> paths =
+          check::skippingPaths(view, pairs, cdfg::EdgeSel::kAll);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::vector<char> desc = locwm::testing::naiveReach(
+            g, {NodeId(static_cast<std::uint32_t>(i))},
+            check::Direction::kForward, cdfg::EdgeSel::kAll);
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(paths[i * n + j] != 0, i == j || desc[j] != 0)
               << ids << " ids: " << i << " -> " << j;
         }
       }
@@ -320,19 +330,25 @@ TEST(Csr, AnalysesMatchBuilderPath) {
       }
 
       cdfg::SplitMix64 rng(seed * 31);
+      std::vector<check::PathQuery> queries;
       for (std::size_t q = 0; q < 64; ++q) {
         const NodeId from(static_cast<std::uint32_t>(rng.below(n)));
         const NodeId to(static_cast<std::uint32_t>(rng.below(n)));
-        const EdgeId skip(
-            static_cast<std::uint32_t>(rng.below(g.edgeCount())));
-        for (const cdfg::EdgeSel sel :
-             {cdfg::EdgeSel::kDataControl, cdfg::EdgeSel::kAll}) {
+        const auto out = g.outEdges(from);
+        queries.push_back({from, to,
+                           out.empty() ? EdgeId::invalid()
+                                       : out[rng.below(out.size())]});
+      }
+      for (const cdfg::EdgeSel sel :
+           {cdfg::EdgeSel::kDataControl, cdfg::EdgeSel::kAll}) {
+        const std::vector<char> got = check::skippingPaths(view, queries, sel);
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const check::PathQuery& q = queries[i];
           const bool expected_path =
-              from == to ||
-              locwm::testing::naivePath(g, from, to, sel, skip);
-          ASSERT_EQ(check::hasPathSkipping(view, from, to, skip, sel),
-                    expected_path)
-              << ids << " ids: " << from.value() << " -> " << to.value();
+              q.from == q.to ||
+              locwm::testing::naivePath(g, q.from, q.to, sel, q.skip);
+          ASSERT_EQ(got[i] != 0, expected_path)
+              << ids << " ids: " << q.from.value() << " -> " << q.to.value();
         }
       }
     }
@@ -341,7 +357,7 @@ TEST(Csr, AnalysesMatchBuilderPath) {
 
 // ---------------------------------------------------------------------------
 // Determinism pin: the CSR-backed passes produce byte-identical results
-// at 1, 2, and 8 lanes — closure render, semantic-rule report, and a
+// at 1, 2, and 8 lanes — path-query counts, semantic-rule report, and a
 // full embed -> publish -> detect digest.
 
 std::string csrPipelineDigest(std::uint64_t seed) {
@@ -367,22 +383,22 @@ std::string csrPipelineDigest(std::uint64_t seed) {
   digest += "|det:" + std::to_string(det.found) + "/" +
             std::to_string(det.satisfied) + "/" + std::to_string(det.total);
 
-  // Semantic rules over the marked graph (closure/reach/slack on CSR).
+  // Semantic rules over the marked graph (paths/reach/slack on CSR).
   digest += "|sem:" + check::checkSemantics(g, "pin").renderText();
 
-  // CSR closure reachable-pair count.
+  // Ordered pairs joined by a path: N^2 queries, many batches in parallel.
   const CsrView view(g);
-  const auto closure = check::computePrecedenceClosure(view);
-  std::size_t pairs = 0;
+  std::vector<check::PathQuery> queries;
   for (std::size_t i = 0; i < view.nodeCount(); ++i) {
     for (std::size_t j = 0; j < view.nodeCount(); ++j) {
-      if (closure.precedes(NodeId(static_cast<std::uint32_t>(i)),
-                           NodeId(static_cast<std::uint32_t>(j)))) {
-        ++pairs;
-      }
+      queries.push_back({NodeId(static_cast<std::uint32_t>(i)),
+                         NodeId(static_cast<std::uint32_t>(j))});
     }
   }
-  digest += "|clo:" + std::to_string(pairs);
+  const std::vector<char> paths =
+      check::skippingPaths(view, queries, cdfg::EdgeSel::kAll);
+  digest += "|paths:" +
+            std::to_string(std::count(paths.begin(), paths.end(), 1));
   return digest;
 }
 

@@ -1,8 +1,9 @@
-// Graph analyses (check/dataflow.h) and differential verifier
-// (check/differ.h): the closure and reachability against the naive DFS
-// oracle of naive_oracles.h on random DFGs under generated, reversed and
-// shuffled ids at 1, 2 and 8 threads, the LW601/LW602 verdicts against
-// naive oracles under the same numberings, closure monotonicity,
+// Graph analyses (check/dataflow.h, check/paths.h) and differential
+// verifier (check/differ.h): the batched path query against the naive DFS
+// oracle of naive_oracles.h on random DFGs, acyclic and cyclic, under
+// generated, reversed and shuffled ids, every edge selector, batch sizes
+// around the 64-query word and 1, 2 and 8 threads; the LW601/LW602
+// verdicts against naive oracles under the same numberings;
 // liveness/reachability on handcrafted graphs, cyclic input, and the
 // diff-vs-mutation matrix — every core/attack.h structural mutation must
 // surface as an LW7xx error.
@@ -20,6 +21,7 @@
 #include "cdfg/graph.h"
 #include "check/dataflow.h"
 #include "check/differ.h"
+#include "check/paths.h"
 #include "check/rules.h"
 #include "core/attack.h"
 #include "core/sched_wm.h"
@@ -42,26 +44,88 @@ using locwm::testing::renumbered;
 using locwm::testing::smallRandomDfg;
 
 // ---------------------------------------------------------------------------
-// Precedence closure vs the naive DFS oracle.
+// Batched path queries vs the naive DFS oracle.
 
-TEST(Dataflow, ClosureMatchesDfsOracleOnRandomDfgs) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    cdfg::Cdfg generated = smallRandomDfg(seed);
-    addTemporalEdges(generated, 6, seed * 77);
-    for (const Numbering how : locwm::testing::kNumberings) {
-      const cdfg::Cdfg g = renumbered(generated, how, seed);
+constexpr EdgeSel kEverySel[] = {EdgeSel::kData, EdgeSel::kControl,
+                                 EdgeSel::kTemporal, EdgeSel::kDataControl,
+                                 EdgeSel::kAll};
+
+/// `count` random queries over `g`.  A third skip one of `from`'s
+/// out-edges and ask for its head (the LW104/LW601 shape, where the skip
+/// decides the answer), a third skip one and ask for any node, a third
+/// skip nothing.
+std::vector<check::PathQuery> randomQueries(const cdfg::Cdfg& g,
+                                            std::size_t count,
+                                            std::uint64_t seed) {
+  cdfg::SplitMix64 rng(seed);
+  const auto node = [&] {
+    return cdfg::NodeId(static_cast<std::uint32_t>(rng.below(g.nodeCount())));
+  };
+  std::vector<check::PathQuery> queries;
+  for (std::size_t i = 0; i < count; ++i) {
+    check::PathQuery q{node(), node()};
+    const auto out = g.outEdges(q.from);
+    const std::uint64_t roll = rng.below(3);
+    if (roll < 2 && !out.empty()) {
+      q.skip = out[rng.below(out.size())];
+      if (roll == 0) {
+        q.to = g.edge(q.skip).dst;
+      }
+    }
+    queries.push_back(q);
+  }
+  return queries;
+}
+
+/// Path counts over a run of checks, so a test can show it was not vacuous.
+struct PathTally {
+  std::size_t found = 0;
+  std::size_t absent = 0;
+  std::size_t cut_by_skip = 0;  ///< no path only because of the skip
+};
+
+/// skippingPaths against naivePath for every query; `from == to` is the
+/// empty path.
+void expectMatchesNaive(const cdfg::Cdfg& g, const CsrView& view,
+                        const std::vector<check::PathQuery>& queries,
+                        EdgeSel sel, const std::string& where,
+                        PathTally& tally) {
+  const std::vector<char> got = check::skippingPaths(view, queries, sel);
+  ASSERT_EQ(got.size(), queries.size()) << where;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const check::PathQuery& q = queries[i];
+    const bool expected =
+        q.from == q.to ||
+        locwm::testing::naivePath(g, q.from, q.to, sel, q.skip);
+    ASSERT_EQ(got[i] != 0, expected)
+        << where << ", sel " << static_cast<int>(sel) << ", query " << i
+        << ": " << q.from.value() << " -> " << q.to.value() << " skipping "
+        << q.skip.value();
+    ++(expected ? tally.found : tally.absent);
+    if (!expected && locwm::testing::naivePath(g, q.from, q.to, sel)) {
+      ++tally.cut_by_skip;
+    }
+  }
+}
+
+/// Every selector, batch size and thread count over `generated` under the
+/// three numberings.
+void expectQueriesMatchNaive(const cdfg::Cdfg& generated, std::uint64_t seed,
+                             PathTally& tally) {
+  for (const Numbering how : locwm::testing::kNumberings) {
+    const cdfg::Cdfg g = renumbered(generated, how, seed);
+    const CsrView view(g);
+    for (const std::size_t batch : {1u, 63u, 64u, 65u, 129u}) {
+      const auto queries = randomQueries(g, batch, seed * 1000 + batch);
       for (const std::size_t threads : {1u, 2u, 8u}) {
         rt::setThreadCount(threads);
-        const auto closure = check::computePrecedenceClosure(CsrView(g));
-        ASSERT_FALSE(closure.cyclic);
-        for (const cdfg::NodeId a : g.allNodes()) {
-          for (const cdfg::NodeId b : g.allNodes()) {
-            ASSERT_EQ(closure.precedes(a, b),
-                      locwm::testing::naivePath(g, a, b))
-                << "seed " << seed << ", " << numberingName(how) << " ids, "
-                << threads << " threads: " << a.value() << " -> "
-                << b.value();
-          }
+        for (const EdgeSel sel : kEverySel) {
+          expectMatchesNaive(
+              g, view, queries, sel,
+              "seed " + std::to_string(seed) + ", " + numberingName(how) +
+                  " ids, " + std::to_string(batch) + " queries, " +
+                  std::to_string(threads) + " threads",
+              tally);
         }
       }
     }
@@ -69,7 +133,60 @@ TEST(Dataflow, ClosureMatchesDfsOracleOnRandomDfgs) {
   rt::setThreadCount(0);
 }
 
-TEST(Dataflow, ClosureRespectsEdgeMask) {
+TEST(PathQuery, MatchesNaivePathOnRandomDfgs) {
+  PathTally tally;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    cdfg::Cdfg generated = smallRandomDfg(seed);
+    addTemporalEdges(generated, 6, seed * 77);
+    expectQueriesMatchNaive(generated, seed, tally);
+  }
+  EXPECT_GT(tally.found, 100u);
+  EXPECT_GT(tally.absent, 100u);
+  EXPECT_GT(tally.cut_by_skip, 10u);
+}
+
+TEST(PathQuery, CyclicViewMatchesNaivePath) {
+  // A 200-node ring numbered against its edges, with a temporal tail: the
+  // topological order stops short, so the worklist answers.
+  cdfg::Cdfg ring;
+  constexpr std::uint32_t kRing = 200;
+  for (std::uint32_t i = 0; i < kRing + 1; ++i) {
+    ring.addNode(cdfg::OpKind::kAdd);
+  }
+  for (std::uint32_t i = 0; i < kRing; ++i) {
+    ring.addEdge(cdfg::NodeId((i + 1) % kRing), cdfg::NodeId(i));
+  }
+  ring.addEdge(cdfg::NodeId(0), cdfg::NodeId(kRing),
+               cdfg::EdgeKind::kTemporal);
+  EXPECT_LT(cdfg::topologicalOrder(CsrView(ring), EdgeSel::kAll).size(),
+            ring.nodeCount());
+  PathTally tally;
+  expectQueriesMatchNaive(ring, 5, tally);
+  // Random DFGs with back edges, so cycles cross the data, control and
+  // temporal selections.
+  for (std::uint64_t seed = 6; seed <= 8; ++seed) {
+    cdfg::Cdfg generated = smallRandomDfg(seed);
+    addTemporalEdges(generated, 6, seed * 13);
+    cdfg::SplitMix64 rng(seed);
+    const std::size_t n = generated.nodeCount();
+    for (int k = 0; k < 6; ++k) {
+      const auto a = static_cast<std::uint32_t>(rng.below(n));
+      const auto b = static_cast<std::uint32_t>(rng.below(n));
+      if (a != b) {
+        generated.addEdge(cdfg::NodeId(std::max(a, b)),
+                          cdfg::NodeId(std::min(a, b)),
+                          k % 2 == 0 ? cdfg::EdgeKind::kData
+                                     : cdfg::EdgeKind::kTemporal);
+      }
+    }
+    expectQueriesMatchNaive(generated, seed, tally);
+  }
+  EXPECT_GT(tally.found, 100u);
+  EXPECT_GT(tally.absent, 100u);
+  EXPECT_GT(tally.cut_by_skip, 10u);
+}
+
+TEST(PathQuery, RespectsEdgeSelector) {
   cdfg::Cdfg g;
   const auto a = g.addNode(cdfg::OpKind::kAdd);
   const auto b = g.addNode(cdfg::OpKind::kAdd);
@@ -77,41 +194,27 @@ TEST(Dataflow, ClosureRespectsEdgeMask) {
   g.addEdge(a, b, cdfg::EdgeKind::kData);
   g.addEdge(b, c, cdfg::EdgeKind::kTemporal);
   const CsrView view(g);
-  const auto all = check::computePrecedenceClosure(view, EdgeSel::kAll);
-  EXPECT_TRUE(all.precedes(a, c));
-  const auto dc = check::computePrecedenceClosure(view, EdgeSel::kDataControl);
-  EXPECT_TRUE(dc.precedes(a, b));
-  EXPECT_FALSE(dc.precedes(a, c));
-  EXPECT_FALSE(dc.precedes(b, c));
+  const std::vector<check::PathQuery> queries{{a, c}, {a, b}, {b, c}};
+  EXPECT_EQ(check::skippingPaths(view, queries, EdgeSel::kAll),
+            (std::vector<char>{1, 1, 1}));
+  EXPECT_EQ(check::skippingPaths(view, queries, EdgeSel::kDataControl),
+            (std::vector<char>{0, 1, 0}));
+  EXPECT_EQ(check::skippingPaths(view, queries, EdgeSel::kTemporal),
+            (std::vector<char>{0, 0, 1}));
 }
 
-TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
-  cdfg::Cdfg g = smallRandomDfg(21);
-  const auto before = check::computePrecedenceClosure(CsrView(g));
-  // A fresh forward edge between two unrelated nodes.
-  cdfg::NodeId src = cdfg::NodeId::invalid();
-  cdfg::NodeId dst = cdfg::NodeId::invalid();
-  for (const cdfg::NodeId a : g.allNodes()) {
-    for (const cdfg::NodeId b : g.allNodes()) {
-      if (a.value() < b.value() && !before.precedes(a, b) &&
-          !before.precedes(b, a)) {
-        src = a;
-        dst = b;
-      }
-    }
-  }
-  ASSERT_TRUE(src.isValid());
-  g.addEdge(src, dst, cdfg::EdgeKind::kTemporal);
-  const auto after = check::computePrecedenceClosure(CsrView(g));
-  EXPECT_TRUE(after.precedes(src, dst));
-  for (const cdfg::NodeId a : g.allNodes()) {
-    for (const cdfg::NodeId b : g.allNodes()) {
-      if (before.precedes(a, b)) {
-        EXPECT_TRUE(after.precedes(a, b))
-            << a.value() << " -> " << b.value() << " lost";
-      }
-    }
-  }
+TEST(PathQuery, IgnoresTheSkippedEdge) {
+  cdfg::Cdfg g;
+  const auto a = g.addNode(cdfg::OpKind::kAdd);
+  const auto b = g.addNode(cdfg::OpKind::kAdd);
+  const auto e = g.addEdge(a, b, cdfg::EdgeKind::kTemporal);
+  const CsrView view(g);
+  // The skipped edge, the empty path, and endpoints outside the view.
+  const std::vector<check::PathQuery> queries{
+      {a, b}, {a, b, e}, {a, a, e}, {b, a},
+      {cdfg::NodeId::invalid(), b}, {a, cdfg::NodeId(7)}};
+  EXPECT_EQ(check::skippingPaths(view, queries, EdgeSel::kAll),
+            (std::vector<char>{1, 0, 1, 0, 0, 0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -161,9 +264,57 @@ TemporalVerdicts reportedTemporalVerdicts(const cdfg::Cdfg& g) {
   return out;
 }
 
+/// Two chains a_0 -> ... -> a_{n-1} and b_0 -> ... -> b_{n-1} (ids a
+/// first) with temporal edges a_k -> b_{k+1} for even k and a_k ->
+/// b_{n-1-k} for k divisible by 3.  The second family nests: each edge is
+/// implied through the next one (LW601), by paths that climb far past the
+/// edge's head in rank, and the edges with k >= n/2 point backwards in
+/// step (LW602).
+cdfg::Cdfg twoChains(std::uint32_t n) {
+  cdfg::Cdfg g;
+  for (std::uint32_t i = 0; i < 2 * n; ++i) {
+    g.addNode(i % n == 0 ? cdfg::OpKind::kInput : cdfg::OpKind::kAdd);
+  }
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    g.addEdge(cdfg::NodeId(i), cdfg::NodeId(i + 1));
+    g.addEdge(cdfg::NodeId(n + i), cdfg::NodeId(n + i + 1));
+  }
+  for (std::uint32_t k = 0; k + 1 < n; k += 2) {
+    g.addEdge(cdfg::NodeId(k), cdfg::NodeId(n + k + 1),
+              cdfg::EdgeKind::kTemporal);
+  }
+  for (std::uint32_t k = 0; k < n; k += 3) {
+    if (!g.hasEdge(cdfg::NodeId(k), cdfg::NodeId(2 * n - 1 - k),
+                   cdfg::EdgeKind::kTemporal)) {
+      g.addEdge(cdfg::NodeId(k), cdfg::NodeId(2 * n - 1 - k),
+                cdfg::EdgeKind::kTemporal);
+    }
+  }
+  return g;
+}
+
 TEST(Dataflow, TemporalVerdictsMatchNaiveOracleUnderAnyNumbering) {
   std::size_t lw601 = 0;
   std::size_t lw602 = 0;
+  const auto expectVerdicts = [&](const cdfg::Cdfg& generated,
+                                  std::uint64_t seed) {
+    for (const Numbering how : locwm::testing::kNumberings) {
+      const cdfg::Cdfg g = renumbered(generated, how, seed);
+      const TemporalVerdicts expected = naiveTemporalVerdicts(g);
+      lw601 += expected.lw601.size();
+      lw602 += expected.lw602.size();
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        rt::setThreadCount(threads);
+        const TemporalVerdicts got = reportedTemporalVerdicts(g);
+        EXPECT_EQ(got.lw601, expected.lw601)
+            << "seed " << seed << ", " << numberingName(how) << " ids, "
+            << threads << " threads";
+        EXPECT_EQ(got.lw602, expected.lw602)
+            << "seed " << seed << ", " << numberingName(how) << " ids, "
+            << threads << " threads";
+      }
+    }
+  };
   for (std::uint64_t seed = 40; seed <= 45; ++seed) {
     cdfg::Cdfg generated = smallRandomDfg(seed, 60);
     addTemporalEdges(generated, 24, seed * 5);
@@ -191,22 +342,11 @@ TEST(Dataflow, TemporalVerdictsMatchNaiveOracleUnderAnyNumbering) {
         }
       }
     }
-    for (const Numbering how : locwm::testing::kNumberings) {
-      const cdfg::Cdfg g = renumbered(generated, how, seed);
-      const TemporalVerdicts expected = naiveTemporalVerdicts(g);
-      lw601 += expected.lw601.size();
-      lw602 += expected.lw602.size();
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        rt::setThreadCount(threads);
-        const TemporalVerdicts got = reportedTemporalVerdicts(g);
-        EXPECT_EQ(got.lw601, expected.lw601)
-            << "seed " << seed << ", " << numberingName(how) << " ids, "
-            << threads << " threads";
-        EXPECT_EQ(got.lw602, expected.lw602)
-            << "seed " << seed << ", " << numberingName(how) << " ids, "
-            << threads << " threads";
-      }
-    }
+    expectVerdicts(generated, seed);
+  }
+  // More temporal edges than one 64-query batch holds.
+  for (const std::uint32_t n : {40u, 200u}) {
+    expectVerdicts(twoChains(n), n);
   }
   rt::setThreadCount(0);
   EXPECT_GT(lw601, 0u);
@@ -273,7 +413,7 @@ TEST(Dataflow, ReachabilityForwardAndBackward) {
 }
 
 // ---------------------------------------------------------------------------
-// Cyclic input: every analysis terminates; the closure declines.
+// Cyclic input: every analysis terminates.
 
 TEST(Dataflow, CyclicGraphTerminates) {
   cdfg::Cdfg g;
@@ -287,43 +427,11 @@ TEST(Dataflow, CyclicGraphTerminates) {
   const auto reach = check::computeReachability(view, {a}, Direction::kForward);
   EXPECT_TRUE(reach.reached(b));
   EXPECT_TRUE(reach.reached(c));
-  EXPECT_TRUE(check::hasPathSkipping(view, b, a));
+  EXPECT_EQ(check::skippingPaths(view, std::vector<check::PathQuery>{{b, a}},
+                                 EdgeSel::kAll),
+            std::vector<char>{1});
   // The semantic rules bail out cleanly (LW103 owns cyclic graphs).
   EXPECT_TRUE(check::checkSemantics(g).empty());
-}
-
-TEST(Dataflow, ClosureOfCyclicViewIsCyclicAndEmpty) {
-  // A 200-node ring numbered against its edges, with a tail: the cycle is
-  // found by the Kahn order before any bit matrix is allocated.
-  cdfg::Cdfg g;
-  constexpr std::uint32_t kRing = 200;
-  for (std::uint32_t i = 0; i < kRing + 1; ++i) {
-    g.addNode(cdfg::OpKind::kAdd);
-  }
-  for (std::uint32_t i = 0; i < kRing; ++i) {
-    g.addEdge(cdfg::NodeId((i + 1) % kRing), cdfg::NodeId(i));
-  }
-  g.addEdge(cdfg::NodeId(0), cdfg::NodeId(kRing), cdfg::EdgeKind::kTemporal);
-  const CsrView view(g);
-  for (const EdgeSel sel : {EdgeSel::kAll, EdgeSel::kDataControl}) {
-    const auto closure = check::computePrecedenceClosure(view, sel);
-    EXPECT_TRUE(closure.cyclic);
-    EXPECT_EQ(closure.ancestors.memoryBytes(), 0u);
-  }
-  // The tail alone is acyclic: only the temporal edge selected.
-  const auto tail = check::computePrecedenceClosure(view, EdgeSel::kTemporal);
-  EXPECT_FALSE(tail.cyclic);
-  EXPECT_TRUE(tail.precedes(cdfg::NodeId(0), cdfg::NodeId(kRing)));
-}
-
-TEST(Dataflow, HasPathSkippingIgnoresTheSkippedEdge) {
-  cdfg::Cdfg g;
-  const auto a = g.addNode(cdfg::OpKind::kAdd);
-  const auto b = g.addNode(cdfg::OpKind::kAdd);
-  const auto e = g.addEdge(a, b, cdfg::EdgeKind::kTemporal);
-  const CsrView view(g);
-  EXPECT_TRUE(check::hasPathSkipping(view, a, b));
-  EXPECT_FALSE(check::hasPathSkipping(view, a, b, e));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Lint reports: the bulk JSON escaper, the chunked parallel renderer and
 // the workspace merge against the serial oracles of report_oracles.h at
 // several thread counts; the one-parse-per-artifact workspace pipeline
-// (cdfg.parse calls); and LW810, the closure bound said out loud.
+// (cdfg.parse calls); and LW804 on a design of 10,000 nodes, where it
+// once did not run.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -333,54 +334,46 @@ TEST(ProjectParse, EachDesignAndCertificateParsedOncePerRun) {
 #endif  // LOCWM_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
-// LW810: LW804's node bound, check::kClosureNodeLimit, is reported, not
-// silent.
+// LW804 runs at any size: one longest-path pass, no precedence closure.
 
-TEST(CheckProject, LW810ReportsDesignAboveClosureBound) {
-  // A chain of `nodes` nodes, node i at step i, except that node n-3
-  // starts after the last node and node n-2 is unscheduled: only the
-  // closure sees that node n-3 must precede node n-1 (one LW804), when
-  // LW804 runs at all.
-  const auto findings = [](std::size_t nodes) {
-    std::string sched;
-    for (std::size_t i = 0; i + 3 < nodes; ++i) {
-      sched += std::to_string(i) + " " + std::to_string(i) + "\n";
-    }
-    sched += std::to_string(nodes - 3) + " " + std::to_string(nodes + 5) +
-             "\n" + std::to_string(nodes - 1) + " " +
-             std::to_string(nodes - 1) + "\n";
-    check::Workspace ws;
-    ws.addArtifactText("big.cdfg", chainDesign(nodes - 2));
-    ws.addArtifactText("big.sched", sched);
-    const Report r = check::checkProject(ws).report;
+TEST(CheckProject, LW804NamesLatestAncestorInLargeDesign) {
+  // A chain of 10,000 nodes, node i at step i, except that nodes n-5 and
+  // n-4 start after the last node and nodes n-3 and n-2 are unscheduled:
+  // only a transitive check sees that both must precede node n-1, and the
+  // finding names the later of the two.
+  constexpr std::size_t kNodes = 10000;
+  std::string sched;
+  for (std::size_t i = 0; i + 5 < kNodes; ++i) {
+    sched += std::to_string(i) + " " + std::to_string(i) + "\n";
+  }
+  sched += std::to_string(kNodes - 5) + " " + std::to_string(kNodes + 3) +
+           "\n" + std::to_string(kNodes - 4) + " " +
+           std::to_string(kNodes + 5) + "\n" + std::to_string(kNodes - 1) +
+           " " + std::to_string(kNodes - 1) + "\n";
+  check::Workspace ws;
+  ws.addArtifactText("big.cdfg", chainDesign(kNodes - 2));
+  ws.addArtifactText("big.sched", sched);
+  for (const std::size_t threads : {1u, 4u}) {
+    rt::setThreadCount(threads);
+    check::Workspace run = ws;
+    const Report r = check::checkProject(run).report;
     std::vector<Diagnostic> found;
     for (const Diagnostic& d : r.diagnostics()) {
-      if (d.code == "LW804" || d.code == "LW810") {
+      if (d.code == "LW804" || d.code == "LW202" || d.code == "LW203") {
         found.push_back(d);
       }
     }
-    return found;
-  };
-  constexpr std::size_t kLimit = check::kClosureNodeLimit;
-  static_assert(kLimit == 8192);
-  for (const std::size_t nodes : {std::size_t{100}, kLimit}) {
-    const std::vector<Diagnostic> ran = findings(nodes);
-    ASSERT_EQ(ran.size(), 1u) << nodes << " nodes";
-    EXPECT_EQ(ran[0].code, "LW804") << nodes << " nodes";
-    EXPECT_EQ(ran[0].location, "node " + std::to_string(nodes - 1));
+    ASSERT_EQ(found.size(), 1u) << r.renderText();
+    EXPECT_EQ(found[0].code, "LW804");
+    EXPECT_EQ(found[0].artifact, "big.sched");
+    EXPECT_EQ(found[0].location, "node " + std::to_string(kNodes - 1));
+    EXPECT_EQ(found[0].message,
+              "starts at step " + std::to_string(kNodes - 1) +
+                  ", before transitive predecessor node " +
+                  std::to_string(kNodes - 4) + " (step " +
+                  std::to_string(kNodes + 5) + ")");
   }
-  for (const std::size_t nodes : {kLimit + 1, std::size_t{20002}}) {
-    const std::vector<Diagnostic> skipped = findings(nodes);
-    ASSERT_EQ(skipped.size(), 1u) << nodes << " nodes";
-    EXPECT_EQ(skipped[0].code, "LW810");
-    EXPECT_EQ(skipped[0].severity, Severity::kInfo);
-    EXPECT_EQ(skipped[0].artifact, "big.sched");
-    EXPECT_NE(skipped[0].message.find(std::to_string(nodes) + " nodes"),
-              std::string::npos)
-        << skipped[0].message;
-    EXPECT_NE(skipped[0].message.find("bound of 8192"), std::string::npos)
-        << skipped[0].message;
-  }
+  rt::setThreadCount(0);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ std::string bits(double v) {
 /// One full embed → publish → schedule → detect → Pc → lint pipeline,
 /// digested into a string.  Every parallelized pass contributes: the
 /// detection root scan, Pc aggregation/confidence, and the lint rule
-/// packs (which run the closure underneath).
+/// packs (which run the batched path queries underneath).
 std::string pipelineDigest(std::uint64_t seed) {
   cdfg::RandomDfgOptions o;
   o.operations = 160;

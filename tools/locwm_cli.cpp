@@ -929,27 +929,25 @@ int cmdDelta(const Args& args) {
       std::printf(
           "{\"commit\": %zu, \"accepted\": %zu, \"rejected\": %zu, "
           "\"asap\": %zu, \"alap\": %zu, \"reach\": %zu, "
-          "\"closure_rows\": %zu, \"lw601\": %zu, \"lw602\": %zu, "
+          "\"lw601\": %zu, \"lw602\": %zu, "
           "\"nodes\": %zu, \"ranks_rebuilt\": %s, \"relowered\": %s, "
           "\"full_rebuild\": %s, \"report_rebuilt\": %s%s}\n",
           commits, stats.accepted_ops, stats.rejected_ops,
           stats.asap_recomputed, stats.alap_recomputed,
-          stats.reach_recomputed, stats.closure_rows, stats.lw601_evals,
-          stats.lw602_evals, stats.node_evals,
-          stats.ranks_rebuilt ? "true" : "false",
+          stats.reach_recomputed, stats.lw601_evals, stats.lw602_evals,
+          stats.node_evals, stats.ranks_rebuilt ? "true" : "false",
           stats.relowered ? "true" : "false",
           stats.full_rebuild ? "true" : "false",
           stats.report_rebuilt ? "true" : "false",
           verify ? ", \"verified\": true" : "");
     } else {
       note("commit %zu: %zu op(s), %zu rejected; repaired asap %zu, "
-           "alap %zu, reach %zu, closure rows %zu, lw601 %zu, lw602 %zu, "
+           "alap %zu, reach %zu, lw601 %zu, lw602 %zu, "
            "node verdicts %zu%s%s%s\n",
            commits, stats.accepted_ops, stats.rejected_ops,
            stats.asap_recomputed, stats.alap_recomputed,
-           stats.reach_recomputed, stats.closure_rows, stats.lw601_evals,
-           stats.lw602_evals, stats.node_evals,
-           stats.full_rebuild ? " (full rebuild)" : "",
+           stats.reach_recomputed, stats.lw601_evals, stats.lw602_evals,
+           stats.node_evals, stats.full_rebuild ? " (full rebuild)" : "",
            stats.relowered ? " (relowered)" : "",
            verify ? " [verified]" : "");
     }

@@ -41,7 +41,10 @@ void answerBatch(const Sweep& s, std::size_t lo, std::size_t hi,
   const bool acyclic = s.order.size() == n;
   std::vector<std::uint64_t> word(n, 0);
   std::vector<Skip> skips;
-  std::vector<NodeId> seeds;
+  std::uint64_t asked = 0;  ///< the queries a sweep answers
+  const auto isAsked = [&](std::size_t q) {
+    return ((asked >> (q - lo)) & 1u) != 0;
+  };
   // The DAG sweep covers order positions [first, last): nothing before
   // the earliest source carries a bit, nothing after the latest target
   // is asked about.
@@ -58,7 +61,7 @@ void answerBatch(const Sweep& s, std::size_t lo, std::size_t hi,
     }
     const std::uint64_t bit = std::uint64_t{1} << (q - lo);
     word[query.from.value()] |= bit;
-    seeds.push_back(query.from);
+    asked |= bit;
     if (query.skip.isValid()) {
       skips.push_back({query.from.value(), query.skip, bit});
     }
@@ -67,7 +70,7 @@ void answerBatch(const Sweep& s, std::size_t lo, std::size_t hi,
       last = std::max<std::size_t>(last, s.position[query.to.value()]);
     }
   }
-  if (seeds.empty()) {
+  if (asked == 0) {
     return;
   }
   const auto by_node = [](const Skip& a, const Skip& b) {
@@ -115,8 +118,10 @@ void answerBatch(const Sweep& s, std::size_t lo, std::size_t hi,
         work.push_back(v);
       }
     };
-    for (const NodeId v : seeds) {
-      enqueue(v);
+    for (std::size_t q = lo; q < hi; ++q) {
+      if (isAsked(q)) {
+        enqueue(s.queries[q].from);
+      }
     }
     while (!work.empty()) {
       const NodeId u = work.back();
@@ -127,10 +132,9 @@ void answerBatch(const Sweep& s, std::size_t lo, std::size_t hi,
   }
 
   for (std::size_t q = lo; q < hi; ++q) {
-    const PathQuery& query = s.queries[q];
-    if (inView(s.view, query.from) && inView(s.view, query.to) &&
-        query.from != query.to) {
-      answer[q] = static_cast<char>((word[query.to.value()] >> (q - lo)) & 1u);
+    if (isAsked(q)) {
+      answer[q] = static_cast<char>(
+          (word[s.queries[q].to.value()] >> (q - lo)) & 1u);
     }
   }
 }

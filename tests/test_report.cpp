@@ -1,8 +1,7 @@
 // Lint reports: the bulk JSON escaper, the chunked parallel renderer and
 // the workspace merge against the serial oracles of report_oracles.h at
 // several thread counts; the one-parse-per-artifact workspace pipeline
-// (cdfg.parse calls); and LW804 on a design of 10,000 nodes, where it
-// once did not run.
+// (cdfg.parse calls); and LW804 on a design of 10,000 nodes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -334,7 +333,7 @@ TEST(ProjectParse, EachDesignAndCertificateParsedOncePerRun) {
 #endif  // LOCWM_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
-// LW804 runs at any size: one longest-path pass, no precedence closure.
+// LW804 runs at any design size: one longest-path pass per schedule.
 
 TEST(CheckProject, LW804NamesLatestAncestorInLargeDesign) {
   // A chain of 10,000 nodes, node i at step i, except that nodes n-5 and
